@@ -252,8 +252,8 @@ def parse_config(text: str, command: str, base_dir: str = ".",
         k_v, k_l = take("curvature.k", required="curvature.k_min" not in seen)
         if k_v is not None:
             k = _parse_float(k_v, "curvature.k", k_l)
-            if not k > 0:
-                raise ConfigError(f"curvature parameter must be > 0, got {k}",
+            if not (k > 0 and math.isfinite(k)):
+                raise ConfigError(f"curvature parameter must be finite and > 0, got {k}",
                                   key="curvature.k", line=k_l)
         kmin_v, kmin_l = take("curvature.k_min")
         kmax_v, kmax_l = take("curvature.k_max")
@@ -451,14 +451,19 @@ def _header_lines(cfg: RunConfig) -> list:
     return lines
 
 
-def _write_csv(path: Path, cfg: RunConfig, columns, rows):
+def _csv_line(row) -> str:
+    return ",".join(map(_fmt, row)) + "\n"
+
+
+def _write_csv(path: Path, cfg: RunConfig, columns, chunks):
+    """Write the header, the column line and the data `chunks`: strings of
+    whole CSV lines, each line ending in a newline and its values spelled
+    by _fmt.  Chunks are written as they come, so a large file is never
+    held in memory at once."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        for line in _header_lines(cfg):
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join([*_header_lines(cfg), ",".join(columns)]) + "\n")
+        fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -474,17 +479,21 @@ def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
     )
     records, stats = run_ensemble(walk_cfg, workers=workers)
     out = Path(cfg.out_dir)
+    # one chunk per walk; walk ids and steps are ints, which an f-string
+    # spells as _fmt does
     _write_csv(out / "trajectories.csv", cfg, ("walk_id", "step", "R"),
-               ((r.walk_id, step, R) for r in records for step, R in r.radii))
+               ("".join([f"{r.walk_id},{step},{_fmt(R)}\n" for step, R in r.radii])
+                for r in records))
     q = stats.quantiles
     _write_csv(out / "summary.csv", cfg,
                ("walks", "steps", "q5", "q25", "q50", "q75", "q95", "mean_returns",
                 "fraction_escaped", "fraction_escaped_hw", "fraction_returned",
                 "fraction_returned_hw", "drift", "drift_hw"),
-               [(stats.walks, stats.steps, q[5], q[25], q[50], q[75], q[95],
-                 stats.mean_returns, stats.fraction_escaped, stats.fraction_escaped_hw,
-                 stats.fraction_returned, stats.fraction_returned_hw,
-                 stats.drift_estimate, stats.drift_half_width)])
+               [_csv_line((stats.walks, stats.steps, q[5], q[25], q[50], q[75], q[95],
+                           stats.mean_returns, stats.fraction_escaped,
+                           stats.fraction_escaped_hw, stats.fraction_returned,
+                           stats.fraction_returned_hw, stats.drift_estimate,
+                           stats.drift_half_width))])
     print(stats.as_text())
     return 0
 
@@ -549,8 +558,8 @@ def cmd_classify(cfg: RunConfig, workers: int = 1) -> int:
     report = classification_report(cfg)
     _write_csv(Path(cfg.out_dir) / "margins.csv", cfg,
                ("r", "quantity", "estimate", "half_width", "margin", "criterion"),
-               ((row.r, row.quantity, row.estimate, row.half_width, row.margin,
-                 row.criterion) for row in report.rows))
+               [_csv_line((row.r, row.quantity, row.estimate, row.half_width, row.margin,
+                           row.criterion)) for row in report.rows])
     print(report.as_text())
     return {Verdict.RECURRENT: 0, Verdict.TRANSIENT: 1, Verdict.INCONCLUSIVE: 2}[report.verdict]
 
@@ -606,7 +615,7 @@ def cmd_moments(cfg: RunConfig, workers: int = 1) -> int:
                                  _fmt(lower), "lower"))
     _write_csv(Path(cfg.out_dir) / "moments.csv", cfg,
                ("r", "quantity", "estimate", "half_width", "reference", "bound_kind"),
-               rows)
+               map(_csv_line, rows))
     for row in rows:
         ref = f"  ref {row[4]}" if row[4] else ""
         print(f"r = {row[0]:<10g} {row[1]:<26} {row[2]:.6g} (hw {row[3]:.3g}){ref}")

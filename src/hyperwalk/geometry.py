@@ -618,11 +618,3 @@ def euclidean_frame(x: np.ndarray) -> np.ndarray:
     if count != d:
         raise InvariantViolationError("failed to complete a Euclidean frame")
     return axes
-
-
-def project_to_hyperboloid(coords: np.ndarray, k: float) -> np.ndarray:
-    """Rescale ambient coordinates so that B(x, x) = -1/k**2 exactly."""
-    b = _mink(coords, coords)
-    if b >= 0.0:
-        raise InvariantViolationError("cannot project a non-timelike vector onto H_k")
-    return coords / (k * math.sqrt(-b))

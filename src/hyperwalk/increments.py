@@ -8,9 +8,14 @@ law is fully specified by radial parameter profiles plus the dimension.
 
 Two sampling entry points exist per law and are deliberately distinct:
 
-* ``sample_components(r, rng)`` draws one step; the simulator calls this in
-  sequence, so ambient and radial-only walks driven by the same stream see
-  identical draws.
+* ``sample_components(r, rng)`` draws one step.  A walk's steps consume the
+  stream exactly as consecutive calls of it would, so ambient and
+  radial-only walks driven by the same stream see identical draws.  The
+  elliptic and box laws also offer ``unit_blocks(steps, rng)``, which draws
+  the unit rows of many consecutive steps at once, bit for bit as those
+  calls would; the simulator scales each row by the profiles at the current
+  radius (see ``block_scale``).  The other laws interleave ``random()`` with
+  normal draws, and walks call ``sample_components`` once per step.
 * ``sample_components_batch(r, n, rng)`` draws n steps with vectorised numpy
   calls for the Monte Carlo estimators.  It consumes the stream differently
   from n scalar calls, but is bit-reproducible for a fixed stream.
@@ -53,6 +58,9 @@ class RadialProfile:
 
     def __post_init__(self):
         if self.kind in ("constant", "powerdecay"):
+            if not (math.isfinite(self.c) and math.isfinite(self.exponent)):
+                raise DomainError(f"profile parameters must be finite, got c = {self.c}, "
+                                  f"exponent = {self.exponent}")
             if self.c < 0.0:
                 raise DomainError(f"profile values must be >= 0, got c = {self.c}")
         elif self.kind == "table":
@@ -60,6 +68,8 @@ class RadialProfile:
             v = np.asarray(self.values, dtype=float)
             if r.ndim != 1 or r.shape != v.shape or r.size < 1:
                 raise DomainError("table profile needs matching 1-d radii and values")
+            if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+                raise DomainError("table radii and values must be finite")
             if np.any(np.diff(r) <= 0.0):
                 raise DomainError("table radii must be strictly increasing")
             if np.any(r < 0.0) or np.any(v < 0.0):
@@ -142,12 +152,45 @@ def _sphere_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return g / norms[:, None]
 
 
+BLOCK_ROWS = 4096       # most rows one block draws
+
+
+def _row_blocks(steps: int, draw):
+    """Yield blocks holding `steps` rows in all; `draw(m)` draws m rows and
+    returns the ones it keeps.  A block draws no more rows than are still
+    needed, so the stream ends where `steps` per-step draws leave it."""
+    left = steps
+    while left > 0:
+        block = draw(min(left, BLOCK_ROWS))
+        left -= len(block)
+        yield block
+
+
+def _unit_normal_rows(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m rows of d normals, each normalised as _sphere_point does it.
+
+    A row of norm <= 1e-12 is dropped, so the next row takes its place, as
+    in _sphere_point's resample loop.  The batched matmul gives every row's
+    g @ g bit for bit; einsum and np.linalg.norm do not.
+    """
+    g = rng.standard_normal((m, d))
+    norms = np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
+    keep = norms > 1e-12
+    if not keep.all():
+        g, norms = g[keep], norms[keep]
+    return g / norms[:, None]
+
+
 class IncrementLaw:
     """Base class; concrete laws fill in the sampling and bound methods."""
 
     kind: str = "abstract"
     d: int
     symmetric: bool = False     # invariant under v -> -v (enables pairing tricks)
+    # A law whose step at radius r is (a(r) * s * u[0], b(r) * s * u[1:]) for
+    # the rows u of `unit_blocks(steps, rng)` sets s here; walks then draw
+    # their steps in blocks instead of calling sample_components per step.
+    block_scale: Optional[float] = None
 
     def sample_components(self, r: float, rng: np.random.Generator):
         raise NotImplementedError
@@ -191,6 +234,15 @@ class EllipticLaw(IncrementLaw):
         s = math.sqrt(self.d)
         return self.a(r) * s * u[:, 0], self.b(r) * s * u[:, 1:]
 
+    @property
+    def block_scale(self):
+        return math.sqrt(self.d)
+
+    def unit_blocks(self, steps, rng):
+        """The unit vectors of `steps` consecutive sample_components calls,
+        in blocks that consume the stream exactly as those calls would."""
+        return _row_blocks(steps, lambda m: _unit_normal_rows(self.d, m, rng))
+
     def step_bound(self):
         return math.sqrt(self.d) * max(self.a.sup(), self.b.sup())
 
@@ -224,6 +276,13 @@ class BoxLaw(IncrementLaw):
     def sample_components_batch(self, r, n, rng):
         h = rng.uniform(-1.0, 1.0, (n, self.d))
         return _SQRT3 * self.a(r) * h[:, 0], _SQRT3 * self.b(r) * h[:, 1:]
+
+    block_scale = _SQRT3        # _SQRT3 * a(r) is the same double as a(r) * _SQRT3
+
+    def unit_blocks(self, steps, rng):
+        """The uniform rows of `steps` consecutive sample_components calls,
+        in blocks that consume the stream exactly as those calls would."""
+        return _row_blocks(steps, lambda m: rng.uniform(-1.0, 1.0, (m, self.d)))
 
     def step_bound(self):
         # circumscribed radius of the box, attained at the corners

@@ -10,8 +10,12 @@ Two simulation modes:
   chain and has no radius limit.  This is what makes 10^5-step horizons
   cheap.
 
-Both modes consume the step law through the identical scalar sampling call,
-so walks driven by the same stream can be coupled draw-for-draw.
+Both modes take their steps from the same draws, so walks driven by the
+same stream can be coupled draw-for-draw.  Elliptic and box walks draw the
+unit rows of their steps in blocks (`IncrementLaw.unit_blocks`) that
+consume the stream exactly as per-step `sample_components` calls would, and
+scale each row by the law's profiles at the current radius with the same
+operations as those calls; every other law is sampled once per step.
 
 Reproducibility contract: every walk owns the rng stream spawned from
 (master seed, walk id), and ensemble statistics are aggregated in walk-id
@@ -20,6 +24,7 @@ order, so results are bit-identical across runs and across worker counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -167,14 +172,7 @@ def run_walk(config: WalkConfig, walk_id: int,
     """Simulate one walk; the rng defaults to the walk's own spawned stream."""
     if rng is None:
         rng = walk_rng(config.seed, walk_id)
-    if config.mode == MODE_AMBIENT:
-        if config.model.is_hyperbolic:
-            steps = _ambient_hyperbolic_radii(config, rng)
-        else:
-            steps = _ambient_euclidean_radii(config, rng)
-    else:
-        steps = _radial_only_radii(config, rng)
-    return _collect(config, walk_id, steps)
+    return _collect(config, walk_id, _radius_iter(config, rng))
 
 
 def _collect(config, walk_id, radius_iter) -> TrajectoryRecord:
@@ -205,16 +203,56 @@ def _collect(config, walk_id, radius_iter) -> TrajectoryRecord:
     return rec
 
 
+def _step_draws(law, steps, rng):
+    """A function R -> (d_rad, t) giving the next of `steps` steps."""
+    s = law.block_scale
+    if s is None:
+        sample = law.sample_components
+        return lambda R: sample(R, rng)
+    a, b = law.a, law.b
+    rows = itertools.chain.from_iterable(law.unit_blocks(steps, rng))
+
+    def draw(R):
+        u = next(rows)
+        return a(R) * s * u[0], b(R) * s * u[1:]
+    return draw
+
+
+def _radial_draws(law, steps, rng):
+    """A function R -> (d_rad, |t|^2) giving the next of `steps` steps.
+
+    Block draws compute in Python floats with sample_components' operation
+    order.  For d > 2, |t|^2 stays the BLAS dot of the scaled row, which a
+    Python sum does not reproduce bit for bit.
+    """
+    s = law.block_scale
+    if s is not None and law.d == 2:
+        a, b = law.a, law.b
+        rows = itertools.chain.from_iterable(zip(*block.T.tolist())
+                                             for block in law.unit_blocks(steps, rng))
+
+        def draw(R):
+            u0, u1 = next(rows)
+            t0 = b(R) * s * u1
+            return a(R) * s * u0, t0 * t0
+        return draw
+    draw_step = _step_draws(law, steps, rng)
+
+    def draw(R):
+        d_rad, t = draw_step(R)
+        return d_rad, float(t @ t)
+    return draw
+
+
 def _radial_only_radii(config, rng):
-    law = config.law
-    sample = law.sample_components
+    draw = _radial_draws(config.law, config.steps, rng)
     T = config.steps
     R = config.start_radius
     if config.model.is_hyperbolic:
         k = config.model.k
         for n in range(1, T + 1):
-            d_rad, t = sample(R, rng)
-            d_tot = math.sqrt(d_rad * d_rad + float(t @ t))
+            d_rad, t_sq = draw(R)
+            d_tot = math.sqrt(d_rad * d_rad + t_sq)
             phi = d_rad / d_tot if d_tot > 0.0 else 0.0
             if phi > 1.0:
                 phi = 1.0
@@ -224,8 +262,8 @@ def _radial_only_radii(config, rng):
             yield n, R
     else:
         for n in range(1, T + 1):
-            d_rad, t = sample(R, rng)
-            d_tot = math.sqrt(d_rad * d_rad + float(t @ t))
+            d_rad, t_sq = draw(R)
+            d_tot = math.sqrt(d_rad * d_rad + t_sq)
             if abs(d_rad) > d_tot:
                 d_rad = math.copysign(d_tot, d_rad)
             R = max(R + euclidean_radial_increment(R, d_tot, d_rad), 0.0)
@@ -245,7 +283,7 @@ def _ambient_hyperbolic_states(config, rng):
     """
     k = config.model.k
     d = config.model.d
-    sample = config.law.sample_components
+    draw = _step_draws(config.law, config.steps, rng)
     origin_coords = origin(k, d).coords
     x = _hyperbolic_start(k, d, config.start_radius)
     R = config.start_radius
@@ -257,7 +295,7 @@ def _ambient_hyperbolic_states(config, rng):
                 "use radial-only mode for long horizons"
             )
         axes, _ = _tangent_axes(x, k, origin_coords, standard_origin=True)
-        d_rad, t = sample(R, rng)
+        d_rad, t = draw(R)
         norm = math.sqrt(d_rad * d_rad + float(t @ t))
         if norm > 0.0:
             if t.size == 1:
@@ -294,25 +332,21 @@ def _ambient_hyperbolic_states(config, rng):
 def _ambient_euclidean_states(config, rng):
     """Yield (n, x, R) for the ambient Euclidean walk."""
     d = config.model.d
-    sample = config.law.sample_components
+    draw = _step_draws(config.law, config.steps, rng)
     x = np.zeros(d)
     x[0] = config.start_radius
 
     for n in range(1, config.steps + 1):
         axes = euclidean_frame(x)
-        d_rad, t = sample(float(np.linalg.norm(x)), rng)
+        d_rad, t = draw(float(np.linalg.norm(x)))
         x = x + (-d_rad * axes[0] + t @ axes[1:])
         yield n, x, float(np.linalg.norm(x))
 
 
-def _ambient_hyperbolic_radii(config, rng):
-    for n, _, R in _ambient_hyperbolic_states(config, rng):
-        yield n, R
-
-
-def _ambient_euclidean_radii(config, rng):
-    for n, _, R in _ambient_euclidean_states(config, rng):
-        yield n, R
+def _ambient_states(config, rng):
+    if config.model.is_hyperbolic:
+        return _ambient_hyperbolic_states(config, rng)
+    return _ambient_euclidean_states(config, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +522,12 @@ def _replace_steps(config: WalkConfig, steps: int) -> WalkConfig:
 
 
 def _radius_iter(config, rng):
+    """(n, R_n) for n = 1 .. T: the one step path of run_walk and the probes."""
     if config.mode == MODE_AMBIENT:
-        if config.model.is_hyperbolic:
-            return _ambient_hyperbolic_radii(config, rng)
-        return _ambient_euclidean_radii(config, rng)
+        return ((n, R) for n, _, R in _ambient_states(config, rng))
     return _radial_only_radii(config, rng)
 
 
 def _ambient_positions(config, rng):
     """Ambient positions X_1 .. X_T."""
-    if config.model.is_hyperbolic:
-        states = _ambient_hyperbolic_states(config, rng)
-    else:
-        states = _ambient_euclidean_states(config, rng)
-    for _, x, _ in states:
-        yield x
+    return (x for _, x, _ in _ambient_states(config, rng))

@@ -71,6 +71,22 @@ class TestParseConfig:
             parse_config(bad, "simulate")
         assert "curvature.k" in str(err.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("law.a", "const:nan"),
+        ("law.b", "powerdecay:1,nan"),
+        ("law.a", "const:inf"),
+        ("curvature.k", "inf"),
+    ])
+    def test_non_finite_input_exits_3_naming_key_and_line(self, key, value, tmp_path, capsys):
+        lines = SIM_CFG.splitlines()
+        no = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+        lines[no] = f"{key} = {value}"
+        code, out = run_cli(tmp_path, "bad.cfg", "\n".join(lines) + "\n", "simulate")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"'{key}'" in err and f"line {no + 1}" in err
+        assert not out.exists()
+
     def test_heavytail_exponent_requirement_cited(self):
         text = (
             "curvature.k = 1.0\ncurvature.d = 2\nlaw.kind = heavytail\n"

@@ -51,6 +51,18 @@ class TestRadialProfile:
         with pytest.raises(DomainError):
             hw.RadialProfile.table([0.0, 1.0], [1.0, -1.0])
 
+    @pytest.mark.parametrize("kind, args", [
+        ("constant", (math.nan,)),
+        ("constant", (math.inf,)),
+        ("power_decay", (1.0, math.nan)),
+        ("power_decay", (math.inf, 1.0)),
+        ("table", ([0.0, 1.0], [1.0, math.nan])),
+        ("table", ([0.0, math.inf], [1.0, 1.0])),
+    ])
+    def test_non_finite_parameters_rejected(self, kind, args):
+        with pytest.raises(DomainError):
+            getattr(hw.RadialProfile, kind)(*args)
+
 
 class TestEllipticLaw:
     def test_analytic_moments_formula(self):

@@ -141,6 +141,105 @@ class TestRunWalk:
         assert rec.final_R > 50.0
 
 
+def _per_step(law):
+    """The same law behind CustomLaw, which walks sample once per step."""
+    return hw.CustomLaw(lambda r, d, rng: law.sample_components(r, rng), law.d)
+
+
+def _exact(record):
+    """A record's outputs, with every float spelled by its bits."""
+    return ([(n, float(R).hex()) for n, R in record.radii], record.returns,
+            record.escape_step, float(record.tail_dr_sum).hex(),
+            float(record.tail_dr_sumsq).hex(), record.tail_dr_count)
+
+
+def _couple(config, make_rng):
+    """Run the walk with block draws and with per-step draws from equal
+    streams; require identical outputs and identical rng states after."""
+    per_step = WalkConfig(config.model, _per_step(config.law), config.steps, 1, config.seed,
+                          config.mode, config.record_stride, config.ball_radius,
+                          config.burn_in, config.start_radius, config.escape_radius)
+    rng_block, rng_step = make_rng(), make_rng()
+    with pytest.MonkeyPatch.context() as mp:
+        # the block walk must not fall back to per-step sampling
+        mp.setattr(type(config.law), "sample_components", None)
+        rec_block = hw.run_walk(config, 0, rng=rng_block)
+    rec_step = hw.run_walk(per_step, 0, rng=rng_step)
+    assert _exact(rec_block) == _exact(rec_step)
+    assert rng_block.bit_generator.state == rng_step.bit_generator.state
+    return rng_block, rng_step
+
+
+class ZeroRowRng:
+    """A Generator whose normal row number `zero_at` (counting the rows of
+    every standard_normal call) comes back as zeros."""
+
+    def __init__(self, seed, zero_at):
+        self._rng = walk_rng(seed, 0)
+        self.bit_generator = self._rng.bit_generator
+        self.zero_at = zero_at
+        self.rows = 0
+
+    def standard_normal(self, size):
+        g = self._rng.standard_normal(size)
+        rows = g.reshape(-1, g.shape[-1])
+        if 0 <= self.zero_at - self.rows < len(rows):
+            rows[self.zero_at - self.rows] = 0.0
+        self.rows += len(rows)
+        return g
+
+
+class TestBlockDrawCoupling:
+    """Elliptic and box walks draw in blocks; they must give the bytes and
+    leave the stream where per-step sample_components calls do."""
+
+    @staticmethod
+    def _law(kind, profile, d):
+        b = C1 if profile == "const" else hw.RadialProfile.power_decay(1.0, 1.0)
+        cls = hw.EllipticLaw if kind == "elliptic" else hw.BoxLaw
+        return cls(hw.RadialProfile.constant(0.8), b, d)
+
+    @staticmethod
+    def _model(geometry, d):
+        if geometry == "hyperbolic":
+            return hw.CurvatureModel.hyperbolic(1.0, d)
+        return hw.CurvatureModel.euclidean(d)
+
+    @pytest.mark.parametrize("profile", ["const", "powerdecay"])
+    @pytest.mark.parametrize("geometry", ["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["elliptic", "box"])
+    def test_radial_only_matches_per_step_draws(self, kind, d, geometry, profile):
+        steps = 2 * hw.increments.BLOCK_ROWS + 7          # crosses two block boundaries
+        config = WalkConfig(self._model(geometry, d), self._law(kind, profile, d), steps, 1, 31,
+                            mode=MODE_RADIAL_ONLY, record_stride=1, ball_radius=3.0,
+                            burn_in=0, escape_radius=40.0)
+        _couple(config, lambda: walk_rng(31, 0))
+
+    @pytest.mark.parametrize("profile", ["const", "powerdecay"])
+    @pytest.mark.parametrize("geometry", ["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["elliptic", "box"])
+    def test_ambient_matches_per_step_draws(self, kind, d, geometry, profile, monkeypatch):
+        # an ambient step costs ~50 us and kR must stay below 700, so these
+        # walks cross block boundaries of a smaller block
+        monkeypatch.setattr(hw.increments, "BLOCK_ROWS", 32)
+        config = WalkConfig(self._model(geometry, d), self._law(kind, profile, d), 100, 1, 32,
+                            mode=MODE_AMBIENT, record_stride=1, ball_radius=3.0,
+                            burn_in=0, escape_radius=20.0)
+        _couple(config, lambda: walk_rng(32, 0))
+
+    @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
+    def test_zero_norm_row_is_resampled_as_per_step(self, mode):
+        steps = 150 if mode == MODE_AMBIENT else hw.increments.BLOCK_ROWS + 50
+        zero_at = steps - 60        # inside the first block
+        config = WalkConfig(HYP2, self._law("elliptic", "powerdecay", 2), steps, 1, 33,
+                            mode=mode, record_stride=1, escape_radius=1e9)
+        rng_block, rng_step = _couple(config, lambda: ZeroRowRng(33, zero_at))
+        # the zero row was dropped and one more row drawn in its place
+        assert rng_block.rows == rng_step.rows == steps + 1
+
+
 class TestEnsemble:
     def test_single_walk_reduces_to_run_walk(self):
         cfg = WalkConfig(HYP2, ELLIPTIC, 100, 1, 9, mode=MODE_RADIAL_ONLY)
