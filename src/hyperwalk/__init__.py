@@ -52,7 +52,6 @@ from .increments import (
     sample_elliptic,
     sample_heavytail,
     sample_inward_biased,
-    step_length_bound,
     zero_drift_check,
 )
 from .lamperti import (

@@ -154,9 +154,12 @@ def _parse_lines(text: str):
 
 def _parse_float(value, key, line):
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ConfigError(f"expected a number, got {value!r}", key=key, line=line) from None
+    if not math.isfinite(x):
+        raise ConfigError(f"expected a finite number, got {value!r}", key=key, line=line)
+    return x
 
 
 def _parse_int(value, key, line):
@@ -252,8 +255,8 @@ def parse_config(text: str, command: str, base_dir: str = ".",
         k_v, k_l = take("curvature.k", required="curvature.k_min" not in seen)
         if k_v is not None:
             k = _parse_float(k_v, "curvature.k", k_l)
-            if not (k > 0 and math.isfinite(k)):
-                raise ConfigError(f"curvature parameter must be finite and > 0, got {k}",
+            if not k > 0:
+                raise ConfigError(f"curvature parameter must be > 0, got {k}",
                                   key="curvature.k", line=k_l)
         kmin_v, kmin_l = take("curvature.k_min")
         kmax_v, kmax_l = take("curvature.k_max")

@@ -464,7 +464,7 @@ class CustomLaw(IncrementLaw):
 
 
 # ---------------------------------------------------------------------------
-# Analytic moments and bounds
+# Analytic moments
 # ---------------------------------------------------------------------------
 
 def elliptic_moments(a_val: float, b_val: float, d: int) -> tuple[float, float]:
@@ -472,11 +472,6 @@ def elliptic_moments(a_val: float, b_val: float, d: int) -> tuple[float, float]:
     if a_val < 0.0 or b_val < 0.0:
         raise DomainError("semi-axes must be >= 0")
     return a_val * a_val + (d - 1) * b_val * b_val, a_val * a_val
-
-
-def step_length_bound(law: IncrementLaw) -> float:
-    """Almost-sure upper bound on d_tot for the law; math.inf when unbounded."""
-    return law.step_bound()
 
 
 # ---------------------------------------------------------------------------

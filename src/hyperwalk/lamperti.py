@@ -188,12 +188,23 @@ def _mc_estimate(x: np.ndarray) -> Estimate:
     return Estimate(mean, Z99 * sd / math.sqrt(n))
 
 
-def _warn_if_heavy(x: np.ndarray, what: str):
-    var = float(x.var())
+def _excess_kurtosis(x: np.ndarray) -> Optional[float]:
+    """Empirical excess kurtosis of x; None when x is constant.
+
+    The fourth central moment is the mean of dev2 * dev2 with
+    dev2 = (x - mean)^2: squaring twice, where `** 4` would call libm pow on
+    every element.
+    """
+    dev2 = (x - x.mean()) ** 2
+    var = float(dev2.mean())
     if var <= 0.0:
-        return
-    kurt = float(np.mean((x - x.mean()) ** 4)) / var ** 2 - 3.0
-    if kurt > 50.0:
+        return None
+    return float(np.mean(dev2 * dev2)) / var ** 2 - 3.0
+
+
+def _warn_if_heavy(x: np.ndarray, what: str):
+    kurt = _excess_kurtosis(x)
+    if kurt is not None and kurt > 50.0:
         warnings.warn(
             f"{what}: integrand excess kurtosis {kurt:.1f}; the confidence "
             "half-width may be unreliable (heavy tails)",
@@ -202,29 +213,38 @@ def _warn_if_heavy(x: np.ndarray, what: str):
         )
 
 
-def increment_moment_estimate(law: IncrementLaw, k: float, r: float, power: int,
-                              n_samples: int, rng: np.random.Generator) -> Estimate:
-    """Monte Carlo estimate of E[(asymptotic increment)^power] at radius r.
+def increment_moment_estimate(law: IncrementLaw, k: float, r: float, n_samples: int,
+                              rng: np.random.Generator) -> tuple[Estimate, Estimate]:
+    """Monte Carlo estimates (nu1, nu2) of the first and second moments of the
+    asymptotic increment at radius r.
+
+    One draw of n_samples steps feeds both moments: the increment f is
+    evaluated once and nu1, nu2 are the sample means of f and f^2.  The two
+    estimates are therefore correlated.  The classifiers need no independence:
+    both legs combine nu1 and nu2 per radius with summed half-widths (the
+    transience gap carries 2r hw1 + hw2; the recurrence leg sets nu2 - hw2
+    against 2r (nu1 + hw1)), a union bound over the two intervals that holds
+    whatever their correlation.
 
     For laws symmetric under v -> -v each draw is paired with its mirror
     image, which keeps the estimator unbiased and removes most of the
     first-moment variance (the paired mean is a function of (phi^2, d_tot)
     only).  Emits MonteCarloVarianceWarning when the empirical kurtosis of
-    the integrand explodes.
+    either integrand explodes.
     """
-    if power not in (1, 2):
-        raise DomainError(f"moment power must be 1 or 2, got {power}")
     if n_samples < 100:
         raise UsageError(f"need at least 100 samples, got {n_samples}")
     d_rad, t = law.sample_components_batch(r, n_samples, rng)
     d_tot = np.sqrt(d_rad * d_rad + np.einsum("ij,ij->i", t, t))
     f = asymptotic_increment_batch(k, d_rad, d_tot)
-    x = f ** power
+    x1, x2 = f, f ** 2
     if law.symmetric:
         f_mirror = asymptotic_increment_batch(k, -d_rad, d_tot)
-        x = 0.5 * (x + f_mirror ** power)
-    _warn_if_heavy(x, f"moment estimate (power {power}, r={r:g})")
-    return _mc_estimate(x)
+        x1 = 0.5 * (x1 + f_mirror)
+        x2 = 0.5 * (x2 + f_mirror ** 2)
+    _warn_if_heavy(x1, f"moment estimate (power 1, r={r:g})")
+    _warn_if_heavy(x2, f"moment estimate (power 2, r={r:g})")
+    return _mc_estimate(x1), _mc_estimate(x2)
 
 
 @dataclass(frozen=True)
@@ -240,22 +260,21 @@ class MomentFunctions:
     nu1_upper: Callable[[float], Estimate]
     nu2_lower: Callable[[float], Estimate]
     nu2_upper: Callable[[float], Estimate]
-    euclidean_U: Optional[Callable[[float], float]] = None
-    euclidean_V: Optional[Callable[[float], float]] = None
 
 
 def estimate_moment_functions(law: IncrementLaw, k: float, r_grid, n_samples: int,
                               rng: np.random.Generator) -> MomentFunctions:
     """Estimate both moments on a radius grid; radial symmetry collapses the
-    lower/upper bounds to the same point estimate."""
+    lower/upper bounds to the same point estimate.
+
+    Each grid radius takes one draw of n_samples steps, shared by nu1 and nu2
+    (see increment_moment_estimate); the summed half-widths the classifiers
+    use stay valid for correlated estimates.
+    """
     grid = [float(r) for r in r_grid]
     if not grid:
         raise UsageError("empty radius grid")
-    table = {}
-    for r in grid:
-        nu1 = increment_moment_estimate(law, k, r, 1, n_samples, rng)
-        nu2 = increment_moment_estimate(law, k, r, 2, n_samples, rng)
-        table[r] = (nu1, nu2)
+    table = {r: increment_moment_estimate(law, k, r, n_samples, rng) for r in grid}
 
     def _lookup(r: float, idx: int) -> Estimate:
         try:

@@ -40,6 +40,19 @@ CLASSIFY_RECURRENT = CLASSIFY_TRANSIENT.replace("law.b = const:1.0",
                                                 "law.b = powerdecay:1.0,1.0")
 
 
+def config_reading(key):
+    """(command, valid config) in which `key` is parsed: classify for the
+    grid.* and classify.* keys, the law that takes law.m or law.n."""
+    if key.startswith(("grid.", "classify.")):
+        return "classify", CLASSIFY_TRANSIENT
+    law = {"law.m": "law.kind = heavytail\nlaw.m = 4\n",
+           "law.n": "law.kind = inwardbiased\nlaw.n = 1\n"}.get(key)
+    if law is None:
+        return "simulate", SIM_CFG
+    return "simulate", SIM_CFG.replace(
+        "law.kind = elliptic\nlaw.a = const:1.0\nlaw.b = const:1.0\n", law)
+
+
 def run_cli(tmp_path, name, text, command, extra=()):
     cfg = tmp_path / name
     cfg.write_text(text)
@@ -76,12 +89,26 @@ class TestParseConfig:
         ("law.b", "powerdecay:1,nan"),
         ("law.a", "const:inf"),
         ("curvature.k", "inf"),
+        ("law.n", "inf"),
+        ("law.m", "inf"),
+        ("sim.start_radius", "nan"),
+        ("sim.ball_radius", "nan"),
+        ("sim.escape_radius", "inf"),
+        ("sim.escape_radius", "-inf"),
+        ("grid.start", "-inf"),
+        ("grid.stop", "inf"),
+        ("classify.epsilon", "nan"),
+        ("classify.theta", "inf"),
+        ("classify.r0", "nan"),
+        ("classify.d_min", "inf"),
     ])
     def test_non_finite_input_exits_3_naming_key_and_line(self, key, value, tmp_path, capsys):
-        lines = SIM_CFG.splitlines()
-        no = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
-        lines[no] = f"{key} = {value}"
-        code, out = run_cli(tmp_path, "bad.cfg", "\n".join(lines) + "\n", "simulate")
+        command, text = config_reading(key)
+        lines = text.splitlines()
+        no = next((i for i, line in enumerate(lines) if line.startswith(key + " ")),
+                  len(lines))
+        lines[no:no + 1] = [f"{key} = {value}"]  # replace the key's line, or append it
+        code, out = run_cli(tmp_path, "bad.cfg", "\n".join(lines) + "\n", command)
         err = capsys.readouterr().err
         assert code == 3
         assert f"'{key}'" in err and f"line {no + 1}" in err

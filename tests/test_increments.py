@@ -234,18 +234,18 @@ class TestInwardBiasedLaw:
 class TestStepLengthBound:
     def test_elliptic(self):
         law = hw.EllipticLaw(hw.RadialProfile.constant(2.0), C1, 4)
-        assert hw.step_length_bound(law) == pytest.approx(4.0)
+        assert law.step_bound() == pytest.approx(4.0)
 
     def test_heavytail_unbounded(self):
-        assert hw.step_length_bound(hw.HeavyTailLaw(4.0, 2)) == math.inf
+        assert hw.HeavyTailLaw(4.0, 2).step_bound() == math.inf
 
     def test_inward_biased(self):
-        assert hw.step_length_bound(hw.InwardBiasedLaw(2.0, 2)) == 8.0
+        assert hw.InwardBiasedLaw(2.0, 2).step_bound() == 8.0
 
     def test_box_corner_radius(self):
         law = hw.BoxLaw(C1, C1, 2)
         want = math.sqrt(3.0) * math.sqrt(2.0)
-        assert hw.step_length_bound(law) == pytest.approx(want)
+        assert law.step_bound() == pytest.approx(want)
         # oracle: maximum over sampled support
         d_rad, t = law.sample_components_batch(0.0, 200_000, law_rng(14))
         d_tot = np.sqrt(d_rad ** 2 + np.einsum("ij,ij->i", t, t))

@@ -23,6 +23,7 @@ from hyperwalk.lamperti import (
     MonteCarloVarianceWarning,
     Verdict,
     asymptotic_increment_batch,
+    _excess_kurtosis,
     _mc_estimate,
 )
 
@@ -184,13 +185,24 @@ class TestSandwichRatio:
             hw.sandwich_ratio(1.0, 1.0, 1.0)
 
 
+def moment_integrands(law, k, r, n, rng):
+    """The nu1 and nu2 integrands over one draw, mirror-averaged for a
+    symmetric law: the reference the estimator must reproduce bit for bit."""
+    d_rad, t = law.sample_components_batch(r, n, rng)
+    d_tot = np.sqrt(d_rad * d_rad + np.einsum("ij,ij->i", t, t))
+    f = asymptotic_increment_batch(k, d_rad, d_tot)
+    if not law.symmetric:
+        return f, f * f
+    g = asymptotic_increment_batch(k, -d_rad, d_tot)
+    return 0.5 * (f + g), 0.5 * (f * f + g * g)
+
+
 class TestMomentEstimates:
     def test_degenerate_law_gives_zero(self):
         law = hw.EllipticLaw(hw.RadialProfile.constant(0.0),
                              hw.RadialProfile.constant(0.0), 2)
         rng = np.random.default_rng(4)
-        for power in (1, 2):
-            est = hw.increment_moment_estimate(law, 1.0, 1.0, power, 1000, rng)
+        for est in hw.increment_moment_estimate(law, 1.0, 1.0, 1000, rng):
             assert est.value == 0.0 and est.half_width == 0.0
 
     def test_unit_circle_shell_against_closed_form(self):
@@ -199,7 +211,7 @@ class TestMomentEstimates:
         want = math.log((math.cosh(math.sqrt(2.0)) + 1.0) / 2.0)
         law = hw.EllipticLaw(C1, C1, 2)
         rng = np.random.default_rng(5)
-        est = hw.increment_moment_estimate(law, 1.0, 5.0, 1, 400_000, rng)
+        est, _ = hw.increment_moment_estimate(law, 1.0, 5.0, 400_000, rng)
         assert est.value == pytest.approx(want, abs=1.6 * est.half_width)  # ~4 sigma
         assert est.value > 0.0
         assert est.half_width < 2e-3  # mirror pairing keeps this tight
@@ -208,25 +220,43 @@ class TestMomentEstimates:
         law = hw.HeavyTailLaw(4.0, 2)
         rng = np.random.default_rng(6)
         with pytest.warns(MonteCarloVarianceWarning):
-            hw.increment_moment_estimate(law, 1.0, 10.0, 2, 100_000, rng)
+            hw.increment_moment_estimate(law, 1.0, 10.0, 100_000, rng)
 
     def test_elliptic_runs_clean(self):
         law = hw.EllipticLaw(C1, C1, 2)
         rng = np.random.default_rng(7)
         with warnings.catch_warnings():
             warnings.simplefilter("error", MonteCarloVarianceWarning)
-            hw.increment_moment_estimate(law, 1.0, 10.0, 1, 50_000, rng)
+            hw.increment_moment_estimate(law, 1.0, 10.0, 50_000, rng)
 
     def test_inward_biased_estimate_exceeds_one(self):
         law = hw.InwardBiasedLaw(5.0, 2)
         rng = np.random.default_rng(8)
-        est = hw.increment_moment_estimate(law, 1.0, 50.0, 1, 50_000, rng)
+        est, _ = hw.increment_moment_estimate(law, 1.0, 50.0, 50_000, rng)
         assert est.value - est.half_width > 1.0
 
-    def test_power_validation(self):
-        law = hw.EllipticLaw(C1, C1, 2)
-        with pytest.raises(DomainError):
-            hw.increment_moment_estimate(law, 1.0, 1.0, 3, 1000, np.random.default_rng(9))
+    @pytest.mark.parametrize("law", [hw.BoxLaw(C1, C1, 3), hw.HeavyTailLaw(4.0, 2)],
+                             ids=["box", "heavytail"])
+    def test_one_draw_per_radius_feeds_both_moments(self, law):
+        grid, n = [10.0, 50.0, 200.0], 2000
+        rng, twin = np.random.default_rng(10), np.random.default_rng(10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MonteCarloVarianceWarning)
+            moments = hw.estimate_moment_functions(law, 1.0, grid, n, rng)
+        for r in grid:
+            x1, x2 = moment_integrands(law, 1.0, r, n, twin)
+            assert moments.nu1_lower(r) == _mc_estimate(x1)
+            assert moments.nu2_lower(r) == _mc_estimate(x2)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_kurtosis_from_squares_matches_fourth_power(self):
+        rng = np.random.default_rng(11)
+        _, heavy_nu2 = moment_integrands(hw.HeavyTailLaw(4.0, 2), 1.0, 10.0, 100_000, rng)
+        elliptic_nu1, _ = moment_integrands(hw.EllipticLaw(C1, C1, 2), 1.0, 10.0, 50_000, rng)
+        for x, heavy in ((heavy_nu2, True), (elliptic_nu1, False)):
+            want = float(np.mean((x - x.mean()) ** 4)) / float(x.var()) ** 2 - 3.0
+            assert (want > 50.0) == heavy  # one case on each side of the threshold
+            assert _excess_kurtosis(x) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def synthetic_moments(nu1, nu2, hw1=0.0, hw2=0.0):

@@ -76,7 +76,7 @@ class TestRunWalk:
                          record_stride=1, escape_radius=1e9)
         radii = radii_of(hw.run_walk(cfg, 0))
         assert np.all(radii >= 0.0)
-        bound = hw.step_length_bound(ELLIPTIC)
+        bound = ELLIPTIC.step_bound()
         assert np.all(np.abs(np.diff(radii)) <= bound + 1e-9)
 
     def test_overflow_guard_trips(self):
@@ -123,8 +123,8 @@ class TestRunWalk:
             radii = radii_of(rec)
             sel = steps > 1500
             slopes.append(np.polyfit(steps[sel], radii[sel], 1)[0])
-        nu1 = hw.increment_moment_estimate(ELLIPTIC, 1.0, 1000.0, 1, 100_000,
-                                           walk_rng(78, 0))
+        nu1, _ = hw.increment_moment_estimate(ELLIPTIC, 1.0, 1000.0, 100_000,
+                                              walk_rng(78, 0))
         assert np.mean(slopes) == pytest.approx(nu1.value, rel=0.10)
 
     def test_submartingale_for_zero_drift_law(self):
@@ -327,7 +327,7 @@ class TestNeighborhoodReturnProbe:
 
     def test_unreachable_target(self):
         # farther than m * step bound from the start
-        bound = hw.step_length_bound(self.BOX)
+        bound = self.BOX.step_bound()
         cfg = WalkConfig(HYP2, self.BOX, 10, 50, 4, mode=MODE_AMBIENT)
         res = hw.neighborhood_return_probe(cfg, 3 * bound + 2.0, 0.5, 3)
         assert res.estimate == 0.0
