@@ -44,14 +44,9 @@ from .increments import (
     IncrementLaw,
     InwardBiasedLaw,
     RadialProfile,
-    TangentSample,
     elliptic_moments,
     heavytail_inward_offset,
     heavytail_outward_prob,
-    sample_box,
-    sample_elliptic,
-    sample_heavytail,
-    sample_inward_biased,
     zero_drift_check,
 )
 from .lamperti import (

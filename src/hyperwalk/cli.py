@@ -8,38 +8,51 @@ sections::
     hyperwalk validate --config run.cfg ...
     hyperwalk moments  --config run.cfg ...
 
-Config keys (defaults in parentheses; profiles use the mini-language
-`const:c`, `powerdecay:c,p` meaning c*min(1, r^-p), or `table:path` with a
-two-column r,value CSV relative to the config file):
+`--workers` sets the worker processes of the `simulate` ensemble; the other
+commands accept it and ignore it.
+
+Config keys, one a line: what the key sets, its domain, and its default in
+parentheses.  A value outside its domain, in a key the command reads,
+exits 3 naming the key and its line.  Profiles use the mini-language `const:c`, `powerdecay:c,p` meaning
+c*min(1, r^-p), or `table:path` with a two-column r,value CSV relative to
+the config file.
 
     command             optional; must match the subcommand when present
     curvature.kind      hyperbolic | euclidean (hyperbolic)
     curvature.k         constant curvature parameter, > 0
     curvature.k_min     pinched lower profile (classify; default const:k)
     curvature.k_max     pinched upper profile (classify; default const:k)
-    curvature.d         dimension, integer >= 2
+    curvature.d         dimension, integer >= 2 (required; 2 for validate)
     law.kind            elliptic | box | heavytail | inwardbiased
-    law.a, law.b        profiles for elliptic/box
+    law.a               radial semi-axis profile (elliptic, box)
+    law.b               transverse semi-axis profile (elliptic, box)
     law.m               heavy-tail exponent, > 3
     law.lambda          heavy-tail activation profile or `auto` (auto)
     law.n               inward-biased strength, > 0
-    sim.steps           steps per walk
-    sim.walks           number of walks
-    sim.seed            master seed (env HYPERWALK_SEED, then --seed override)
+    sim.steps           steps per walk, integer >= 0 (0; required by simulate)
+    sim.walks           number of walks, integer >= 1 (1; required by simulate)
+    sim.seed            master seed, integer >= 0 (env HYPERWALK_SEED, then
+                        --seed override)
     sim.mode            ambient | radialonly (radialonly)
-    sim.stride          record stride (max(1, steps // 1000))
-    sim.ball_radius     return-ball radius (5.0)
-    sim.burn_in         steps ignored before counting returns (steps // 10)
-    sim.start_radius    initial radius (0.0)
-    sim.escape_radius   escape threshold (100.0)
-    grid.start/stop     radius grid range (classify/moments)
-    grid.count          number of grid points
+    sim.stride          record stride, integer >= 1 (max(1, steps // 1000))
+    sim.ball_radius     return-ball radius, > 0 (5.0)
+    sim.burn_in         steps ignored before counting returns, integer >= 0
+                        (steps // 10)
+    sim.start_radius    initial radius, >= 0 (0.0)
+    sim.escape_radius   escape threshold, > 0 (100.0)
+    grid.start          first radius of the grid (classify/moments), >= 0,
+                        and > 0 for log spacing
+    grid.stop           last radius of the grid, >= 0 and >= grid.start
+    grid.count          number of grid points, integer >= 1
     grid.spacing        linear | log (linear)
-    classify.theta      slack in the recurrence inequality (0.5)
-    classify.epsilon    floor for second-moment screens (0.5)
-    classify.r0         tail threshold radius (grid midpoint)
-    classify.samples    Monte Carlo samples per grid radius (200000)
-    classify.d_min      minimal radius for the ellipticity screen (grid.start)
+    classify.theta      slack in the recurrence inequality, > 0 (0.5)
+    classify.epsilon    floor for second-moment screens, > 0 (0.5)
+    classify.r0         tail threshold radius, at most the last grid point
+                        (grid midpoint)
+    classify.samples    Monte Carlo samples per grid radius, integer >= 1
+                        (200000)
+    classify.d_min      minimal radius for the ellipticity screen, at most the
+                        last grid point (grid.start)
     out.dir             output directory (`.`; --out overrides)
 
 Exit codes: classify encodes its verdict (0 recurrent, 1 transient,
@@ -59,11 +72,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -98,18 +112,6 @@ from .validation import run_suites
 
 COMMANDS = ("simulate", "classify", "validate", "moments")
 
-_KNOWN_KEYS = {
-    "command",
-    "curvature.kind", "curvature.k", "curvature.k_min", "curvature.k_max", "curvature.d",
-    "law.kind", "law.a", "law.b", "law.m", "law.lambda", "law.n",
-    "sim.steps", "sim.walks", "sim.seed", "sim.mode", "sim.stride",
-    "sim.ball_radius", "sim.burn_in", "sim.start_radius", "sim.escape_radius",
-    "grid.start", "grid.stop", "grid.count", "grid.spacing",
-    "classify.theta", "classify.epsilon", "classify.r0", "classify.samples",
-    "classify.d_min",
-    "out.dir",
-}
-
 
 @dataclass
 class RunConfig:
@@ -140,6 +142,142 @@ class RunConfig:
     resolved: list = field(default_factory=list)   # ordered (key, value-string)
 
 
+# ---------------------------------------------------------------------------
+# Config keys
+# ---------------------------------------------------------------------------
+# A value parser takes the value text and the config's directory, and raises
+# ValueError with a readable message when the text does not parse.
+
+def _integer(text, base_dir):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _real(text, base_dir):
+    try:
+        x = float(text)
+    except ValueError:
+        raise ValueError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _text(text, base_dir):
+    return text
+
+
+def _choice(*options):
+    def parse(text, base_dir):
+        if text.lower() not in options:
+            raise ValueError(f"expected {' | '.join(options)}, got {text!r}")
+        return text.lower()
+    return parse
+
+
+def _parse_profile(text, base_dir) -> RadialProfile:
+    """`const:c`, `powerdecay:c,p` or `table:path` (path relative to base_dir)."""
+    kind, sep, arg = text.partition(":")
+    kind = kind.strip().lower()
+    try:
+        if not sep:
+            raise ValueError("expected const:c | powerdecay:c,p | table:path")
+        if kind == "const":
+            return RadialProfile.constant(float(arg))
+        if kind == "powerdecay":
+            parts = [p.strip() for p in arg.split(",")]
+            if len(parts) != 2:
+                raise ValueError("powerdecay needs two parameters c,p")
+            return RadialProfile.power_decay(float(parts[0]), float(parts[1]))
+        if kind == "table":
+            radii, values = [], []
+            for raw in (Path(base_dir) / arg.strip()).read_text().splitlines():
+                row = raw.split("#", 1)[0].strip()
+                if row:
+                    r_s, v_s = row.split(",", 1)
+                    radii.append(float(r_s))
+                    values.append(float(v_s))
+            return RadialProfile.table(radii, values)
+        raise ValueError(f"unknown profile kind {kind!r}")
+    except (ValueError, OSError, HyperwalkError) as exc:
+        raise ValueError(f"bad profile {text!r}: {exc}") from None
+
+
+def _profile_or_auto(text, base_dir):
+    return None if text.lower() == "auto" else _parse_profile(text, base_dir)
+
+
+_OPS = {">": operator.gt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class _Key:
+    """How one config key is read: `parse` turns its text into a value,
+    `default` stands in when the key is absent, and when `op` is set every
+    value must satisfy `value op bound`."""
+
+    parse: Callable
+    default: object = None
+    op: Optional[str] = None
+    bound: object = None
+
+    @property
+    def domain(self) -> str:
+        """The phrase errors and the module docstring use, e.g. `> 0`."""
+        return f"{self.op} {self.bound}"
+
+    def check(self, key, value, line=None):
+        if self.op is not None and not _OPS[self.op](value, self.bound):
+            raise ConfigError(f"must be {self.domain}, got {value}", key=key, line=line)
+        return value
+
+    def read(self, key, text, line, base_dir="."):
+        try:
+            value = self.parse(text, base_dir)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=key, line=line) from None
+        return self.check(key, value, line)
+
+
+# Every key the config may set, in the order of the module docstring.
+# A default of None means absent, or one computed from other keys.
+_KEYS = {
+    "command": _Key(_choice(*COMMANDS)),
+    "curvature.kind": _Key(_choice("hyperbolic", "euclidean"), "hyperbolic"),
+    "curvature.k": _Key(_real, None, ">", 0),
+    "curvature.k_min": _Key(_parse_profile),
+    "curvature.k_max": _Key(_parse_profile),
+    "curvature.d": _Key(_integer, 2, ">=", 2),
+    "law.kind": _Key(_choice("elliptic", "box", "heavytail", "inwardbiased")),
+    "law.a": _Key(_parse_profile),
+    "law.b": _Key(_parse_profile),
+    "law.m": _Key(_real, None, ">", 3),
+    "law.lambda": _Key(_profile_or_auto),
+    "law.n": _Key(_real, None, ">", 0),
+    "sim.steps": _Key(_integer, 0, ">=", 0),
+    "sim.walks": _Key(_integer, 1, ">=", 1),
+    "sim.seed": _Key(_integer, 0, ">=", 0),
+    "sim.mode": _Key(_choice(MODE_AMBIENT, MODE_RADIAL_ONLY), MODE_RADIAL_ONLY),
+    "sim.stride": _Key(_integer, None, ">=", 1),
+    "sim.ball_radius": _Key(_real, 5.0, ">", 0),
+    "sim.burn_in": _Key(_integer, None, ">=", 0),
+    "sim.start_radius": _Key(_real, 0.0, ">=", 0),
+    "sim.escape_radius": _Key(_real, 100.0, ">", 0),
+    "grid.start": _Key(_real, None, ">=", 0),
+    "grid.stop": _Key(_real, None, ">=", 0),
+    "grid.count": _Key(_integer, None, ">=", 1),
+    "grid.spacing": _Key(_choice("linear", "log"), "linear"),
+    "classify.theta": _Key(_real, 0.5, ">", 0),
+    "classify.epsilon": _Key(_real, 0.5, ">", 0),
+    "classify.r0": _Key(_real),
+    "classify.samples": _Key(_integer, 200000, ">=", 1),
+    "classify.d_min": _Key(_real),
+    "out.dir": _Key(_text, "."),
+}
+
+
 def _parse_lines(text: str):
     """Yield (line_no, key, value) for every assignment in the config text."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -152,247 +290,119 @@ def _parse_lines(text: str):
         yield line_no, key.strip().lower(), value.strip()
 
 
-def _parse_float(value, key, line):
-    try:
-        x = float(value)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {value!r}", key=key, line=line) from None
-    if not math.isfinite(x):
-        raise ConfigError(f"expected a finite number, got {value!r}", key=key, line=line)
-    return x
-
-
-def _parse_int(value, key, line):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {value!r}", key=key, line=line) from None
-
-
-def _parse_profile(value, base_dir, key, line) -> RadialProfile:
-    if ":" not in value:
-        raise ConfigError(
-            f"expected a profile (const:c | powerdecay:c,p | table:path), got {value!r}",
-            key=key, line=line,
-        )
-    kind, arg = value.split(":", 1)
-    kind = kind.strip().lower()
-    try:
-        if kind == "const":
-            return RadialProfile.constant(float(arg))
-        if kind == "powerdecay":
-            parts = [p.strip() for p in arg.split(",")]
-            if len(parts) != 2:
-                raise ValueError("powerdecay needs two parameters c,p")
-            return RadialProfile.power_decay(float(parts[0]), float(parts[1]))
-        if kind == "table":
-            path = Path(base_dir) / arg.strip()
-            radii, values = [], []
-            for raw in path.read_text().splitlines():
-                row = raw.split("#", 1)[0].strip()
-                if not row:
-                    continue
-                r_s, v_s = row.split(",", 1)
-                radii.append(float(r_s))
-                values.append(float(v_s))
-            return RadialProfile.table(radii, values)
-        raise ValueError(f"unknown profile kind {kind!r}")
-    except (ValueError, OSError, HyperwalkError) as exc:
-        raise ConfigError(f"bad profile: {exc}", key=key, line=line) from None
-
-
 def parse_config(text: str, command: str, base_dir: str = ".",
                  seed_override: Optional[int] = None,
                  out_override: Optional[str] = None) -> RunConfig:
     """Parse and validate a config for the given command.
 
     Unknown keys, duplicates, type mismatches and domain violations are all
-    reported with the offending key and line.  Defaults are applied here and
-    echoed into RunConfig.resolved so output headers document them.
+    reported with the offending key and line.  Each value is parsed and
+    checked by its _KEYS entry; this function only assembles what depends on
+    several keys.  Defaults are applied here and echoed into
+    RunConfig.resolved so output headers document them.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    seen = {}
-    lines = {}
+    seen = {}   # key -> (value text, line)
     for line_no, key, value in _parse_lines(text):
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError("unknown key", key=key, line=line_no)
         if key in seen:
             raise ConfigError("duplicate key", key=key, line=line_no)
-        seen[key] = value
-        lines[key] = line_no
+        seen[key] = (value, line_no)
 
-    def take(key, default=None, required=False):
+    def line(key):
+        return seen[key][1] if key in seen else None
+
+    def get(key, required=False, default=None):
+        """The key's value as its table entry reads it; when the key is
+        absent, `default`, or else the table's default."""
         if key in seen:
-            return seen[key], lines[key]
+            return _KEYS[key].read(key, *seen[key], base_dir)
         if required:
             raise ConfigError(f"missing required key for {command}", key=key)
-        return default, None
+        return _KEYS[key].default if default is None else default
 
-    cfg_cmd, _ = take("command")
-    if cfg_cmd is not None and cfg_cmd.lower() != command:
-        raise ConfigError(
-            f"config declares command {cfg_cmd!r} but {command!r} was invoked",
-            key="command", line=lines["command"],
-        )
+    declared = get("command")
+    if declared is not None and declared != command:
+        raise ConfigError(f"config declares command {declared!r} but {command!r} was invoked",
+                          key="command", line=line("command"))
 
     # --- curvature ---------------------------------------------------------
-    kind_v, kind_l = take("curvature.kind", default="hyperbolic")
-    kind = kind_v.lower()
-    if kind not in ("hyperbolic", "euclidean"):
-        raise ConfigError(f"expected hyperbolic or euclidean, got {kind_v!r}",
-                          key="curvature.kind", line=kind_l)
+    kind = get("curvature.kind")
     needs_model = command != "validate"
-    d_v, d_l = take("curvature.d", required=needs_model, default="2")
-    d = _parse_int(d_v, "curvature.d", d_l)
-    if d < 2:
-        raise ConfigError(f"dimension must be >= 2, got {d}", key="curvature.d", line=d_l)
-
-    k = None
-    k_min = k_max = None
+    d = get("curvature.d", required=needs_model)
+    k = k_min = k_max = None
     pinched = False
     if kind == "hyperbolic" and needs_model:
-        k_v, k_l = take("curvature.k", required="curvature.k_min" not in seen)
-        if k_v is not None:
-            k = _parse_float(k_v, "curvature.k", k_l)
-            if not k > 0:
-                raise ConfigError(f"curvature parameter must be > 0, got {k}",
-                                  key="curvature.k", line=k_l)
-        kmin_v, kmin_l = take("curvature.k_min")
-        kmax_v, kmax_l = take("curvature.k_max")
-        if (kmin_v is None) != (kmax_v is None):
-            missing = "curvature.k_max" if kmax_v is None else "curvature.k_min"
+        pinched = "curvature.k_min" in seen
+        k = get("curvature.k", required=not pinched)
+        if pinched != ("curvature.k_max" in seen):
+            missing = "curvature.k_max" if pinched else "curvature.k_min"
             raise ConfigError("k_min and k_max must be given together", key=missing)
-        if kmin_v is not None:
-            k_min = _parse_profile(kmin_v, base_dir, "curvature.k_min", kmin_l)
-            k_max = _parse_profile(kmax_v, base_dir, "curvature.k_max", kmax_l)
-            pinched = True
+        if pinched:
+            k_min, k_max = get("curvature.k_min"), get("curvature.k_max")
             if k is None:
                 k = max(k_min.inf(), 1e-12)  # scalar fallback for moment scaling
         else:
-            k_min = RadialProfile.constant(k)
-            k_max = RadialProfile.constant(k)
-    model = (CurvatureModel.hyperbolic(k, d) if kind == "hyperbolic" and k is not None
-             else CurvatureModel.euclidean(d))
+            k_min, k_max = RadialProfile.constant(k), RadialProfile.constant(k)
+    model = CurvatureModel.hyperbolic(k, d) if k is not None else CurvatureModel.euclidean(d)
 
     # --- law ---------------------------------------------------------------
     law = None
     if needs_model:
-        lk_v, lk_l = take("law.kind", required=True)
-        law_kind = lk_v.lower()
+        law_kind = get("law.kind", required=True)
         if law_kind in ("elliptic", "box"):
-            a_v, a_l = take("law.a", required=True)
-            b_v, b_l = take("law.b", required=True)
-            a = _parse_profile(a_v, base_dir, "law.a", a_l)
-            b = _parse_profile(b_v, base_dir, "law.b", b_l)
-            cls = EllipticLaw if law_kind == "elliptic" else BoxLaw
-            law = cls(a, b, d)
+            a, b = get("law.a", required=True), get("law.b", required=True)
+            law = (EllipticLaw if law_kind == "elliptic" else BoxLaw)(a, b, d)
         elif law_kind == "heavytail":
-            m_v, m_l = take("law.m", required=True)
-            m = _parse_float(m_v, "law.m", m_l)
-            if not m > 3.0:
-                raise ConfigError(
-                    f"heavy-tail exponent m must exceed 3 so that moments of order "
-                    f"p > 2 are finite, got {m}", key="law.m", line=m_l,
-                )
-            lam_v, lam_l = take("law.lambda", default="auto")
-            lam = None
-            if lam_v.lower() != "auto":
-                lam = _parse_profile(lam_v, base_dir, "law.lambda", lam_l)
-            law = HeavyTailLaw(m, d, lam)
-        elif law_kind == "inwardbiased":
-            n_v, n_l = take("law.n", required=True)
-            strength = _parse_float(n_v, "law.n", n_l)
-            if not strength > 0:
-                raise ConfigError(f"bias strength must be > 0, got {strength}",
-                                  key="law.n", line=n_l)
-            law = InwardBiasedLaw(strength, d)
+            law = HeavyTailLaw(get("law.m", required=True), d, get("law.lambda"))
         else:
-            raise ConfigError(
-                f"expected elliptic | box | heavytail | inwardbiased, got {lk_v!r}",
-                key="law.kind", line=lk_l,
-            )
+            law = InwardBiasedLaw(get("law.n", required=True), d)
 
-    # --- simulation --------------------------------------------------------
-    needs_sim = command == "simulate"
-    steps_v, steps_l = take("sim.steps", required=needs_sim, default="0")
-    steps = _parse_int(steps_v, "sim.steps", steps_l)
-    walks_v, walks_l = take("sim.walks", required=needs_sim, default="1")
-    walks = _parse_int(walks_v, "sim.walks", walks_l)
-    seed_v, seed_l = take("sim.seed", required=seed_override is None
-                          and "HYPERWALK_SEED" not in os.environ)
-    seed = _parse_int(seed_v, "sim.seed", seed_l) if seed_v is not None else 0
+    # --- simulation size and seed -----------------------------------------
+    steps = get("sim.steps", required=command == "simulate")
+    walks = get("sim.walks", required=command == "simulate")
+    seed = get("sim.seed", required=seed_override is None
+               and "HYPERWALK_SEED" not in os.environ)
     env_seed = os.environ.get("HYPERWALK_SEED")
     if env_seed is not None:
-        seed = _parse_int(env_seed, "HYPERWALK_SEED (environment)", None)
+        seed = _KEYS["sim.seed"].read("HYPERWALK_SEED (environment)", env_seed, None)
     if seed_override is not None:
-        seed = seed_override
-
-    mode_v, mode_l = take("sim.mode", default=MODE_RADIAL_ONLY)
-    mode = mode_v.lower()
-    if mode not in (MODE_AMBIENT, MODE_RADIAL_ONLY):
-        raise ConfigError(f"expected ambient or radialonly, got {mode_v!r}",
-                          key="sim.mode", line=mode_l)
-    stride_v, stride_l = take("sim.stride", default=str(max(1, steps // 1000)))
-    stride = _parse_int(stride_v, "sim.stride", stride_l)
-    ball_v, ball_l = take("sim.ball_radius", default="5.0")
-    ball_radius = _parse_float(ball_v, "sim.ball_radius", ball_l)
-    burn_v, burn_l = take("sim.burn_in", default=str(steps // 10))
-    burn_in = _parse_int(burn_v, "sim.burn_in", burn_l)
-    start_v, start_l = take("sim.start_radius", default="0.0")
-    start_radius = _parse_float(start_v, "sim.start_radius", start_l)
-    esc_v, esc_l = take("sim.escape_radius", default="100.0")
-    escape_radius = _parse_float(esc_v, "sim.escape_radius", esc_l)
+        seed = _KEYS["sim.seed"].check("--seed", seed_override)
 
     # --- grid / classification --------------------------------------------
-    needs_grid = command in ("classify", "moments")
     grid = None
     spacing = "linear"
-    if needs_grid:
-        gs_v, gs_l = take("grid.start", required=True)
-        ge_v, ge_l = take("grid.stop", required=True)
-        gc_v, gc_l = take("grid.count", required=True)
-        sp_v, sp_l = take("grid.spacing", default="linear")
-        g_start = _parse_float(gs_v, "grid.start", gs_l)
-        g_stop = _parse_float(ge_v, "grid.stop", ge_l)
-        g_count = _parse_int(gc_v, "grid.count", gc_l)
-        spacing = sp_v.lower()
-        if spacing not in ("linear", "log"):
-            raise ConfigError(f"expected linear or log, got {sp_v!r}",
-                              key="grid.spacing", line=sp_l)
-        if g_count < 1 or g_stop < g_start or g_start < 0:
-            raise ConfigError("need 0 <= start <= stop and count >= 1",
-                              key="grid.count", line=gc_l)
-        if spacing == "log":
-            if g_start <= 0:
-                raise ConfigError("log spacing needs start > 0", key="grid.start", line=gs_l)
-            grid = [float(x) for x in np.geomspace(g_start, g_stop, g_count)]
-        else:
-            grid = [float(x) for x in np.linspace(g_start, g_stop, g_count)]
+    if command in ("classify", "moments"):
+        g_start = get("grid.start", required=True)
+        g_stop = get("grid.stop", required=True)
+        count = get("grid.count", required=True)
+        spacing = get("grid.spacing")
+        if g_stop < g_start:
+            raise ConfigError(f"must be >= grid.start = {_fmt(g_start)}, got {_fmt(g_stop)}",
+                              key="grid.stop", line=line("grid.stop"))
+        if spacing == "log" and g_start == 0:
+            raise ConfigError("log spacing needs start > 0",
+                              key="grid.start", line=line("grid.start"))
+        space = np.geomspace if spacing == "log" else np.linspace
+        grid = [float(x) for x in space(g_start, g_stop, count)]
 
-    theta_v, theta_l = take("classify.theta", default="0.5")
-    theta = _parse_float(theta_v, "classify.theta", theta_l)
-    if not theta > 0:
-        raise ConfigError(f"theta must be > 0, got {theta}", key="classify.theta", line=theta_l)
-    eps_v, eps_l = take("classify.epsilon", default="0.5")
-    epsilon = _parse_float(eps_v, "classify.epsilon", eps_l)
-    r0_v, r0_l = take("classify.r0")
-    r0 = _parse_float(r0_v, "classify.r0", r0_l) if r0_v is not None else None
-    samp_v, samp_l = take("classify.samples", default="200000")
-    samples = _parse_int(samp_v, "classify.samples", samp_l)
-    dmin_v, dmin_l = take("classify.d_min")
-    d_min = _parse_float(dmin_v, "classify.d_min", dmin_l) if dmin_v is not None else None
-
-    out_v, _ = take("out.dir", default=".")
-    out_dir = out_override if out_override is not None else out_v
+    r0, d_min = get("classify.r0"), get("classify.d_min")
+    for key, radius in (("classify.r0", r0), ("classify.d_min", d_min)):
+        if grid is not None and radius is not None and radius > grid[-1]:
+            raise ConfigError(f"{_fmt(radius)} lies beyond the last grid point "
+                              f"{_fmt(grid[-1])}", key=key, line=line(key))
 
     cfg = RunConfig(
-        command=command, model=model, law=law, k_min=k_min, k_max=k_max,
-        pinched=pinched, steps=steps, walks=walks, seed=seed, mode=mode,
-        stride=stride, ball_radius=ball_radius, burn_in=burn_in,
-        start_radius=start_radius, escape_radius=escape_radius, grid=grid,
-        theta=theta, epsilon=epsilon, r0=r0, samples=samples, d_min=d_min,
-        out_dir=out_dir,
+        command=command, model=model, law=law, k_min=k_min, k_max=k_max, pinched=pinched,
+        steps=steps, walks=walks, seed=seed, mode=get("sim.mode"),
+        stride=get("sim.stride", default=max(1, steps // 1000)),
+        ball_radius=get("sim.ball_radius"), burn_in=get("sim.burn_in", default=steps // 10),
+        start_radius=get("sim.start_radius"), escape_radius=get("sim.escape_radius"),
+        grid=grid, theta=get("classify.theta"), epsilon=get("classify.epsilon"), r0=r0,
+        samples=get("classify.samples"), d_min=d_min,
+        out_dir=out_override if out_override is not None else get("out.dir"),
     )
     cfg.resolved = _resolve_items(cfg, kind, spacing)
     return cfg
@@ -648,7 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config seed (beats HYPERWALK_SEED)")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for ensembles")
+                       help="worker processes for the simulate ensemble "
+                            "(the other commands ignore it)")
     return parser
 
 

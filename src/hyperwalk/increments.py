@@ -30,7 +30,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .geometry import RadialFrame, make_decomposition, IncrementDecomposition, TangentVector
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -472,60 +471,6 @@ def elliptic_moments(a_val: float, b_val: float, d: int) -> tuple[float, float]:
     if a_val < 0.0 or b_val < 0.0:
         raise DomainError("semi-axes must be >= 0")
     return a_val * a_val + (d - 1) * b_val * b_val, a_val * a_val
-
-
-# ---------------------------------------------------------------------------
-# Frame-attached sampling (TangentSample builders)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TangentSample:
-    """A sampled tangent step: the ambient vector plus its decomposition."""
-
-    vector: TangentVector
-    decomposition: IncrementDecomposition
-
-
-def _attach(frame: RadialFrame, d_rad: float, t: np.ndarray) -> TangentSample:
-    vec = frame.vector(d_rad, t)
-    d_tot = math.sqrt(d_rad * d_rad + float(t @ t))
-    if frame.at_origin:
-        dec = make_decomposition(d_tot, d_tot)
-    else:
-        dec = make_decomposition(d_tot, d_rad)
-    return TangentSample(vec, dec)
-
-
-def sample_elliptic(r, frame, a_val, b_val, d, rng) -> TangentSample:
-    """One elliptic-law step attached to a radial frame."""
-    if a_val < 0.0 or b_val < 0.0:
-        raise DomainError("semi-axes must be >= 0")
-    law = EllipticLaw(RadialProfile.constant(a_val), RadialProfile.constant(b_val), d)
-    d_rad, t = law.sample_components(r, rng)
-    return _attach(frame, d_rad, t)
-
-
-def sample_box(r, frame, a_val, b_val, d, rng) -> TangentSample:
-    """One box-law step attached to a radial frame."""
-    if a_val < 0.0 or b_val < 0.0:
-        raise DomainError("semi-axes must be >= 0")
-    law = BoxLaw(RadialProfile.constant(a_val), RadialProfile.constant(b_val), d)
-    d_rad, t = law.sample_components(r, rng)
-    return _attach(frame, d_rad, t)
-
-
-def sample_heavytail(r, frame, m, lambda_r, d, rng) -> TangentSample:
-    """One heavy-tail step with explicit activation length lambda_r."""
-    law = HeavyTailLaw(m, d, RadialProfile.constant(lambda_r))
-    d_rad, t = law.sample_components(r, rng)
-    return _attach(frame, d_rad, t)
-
-
-def sample_inward_biased(r, frame, strength, d, rng) -> TangentSample:
-    """One inward-biased step of constant length 4*strength."""
-    law = InwardBiasedLaw(strength, d)
-    d_rad, t = law.sample_components(r, rng)
-    return _attach(frame, d_rad, t)
 
 
 # ---------------------------------------------------------------------------

@@ -249,23 +249,19 @@ def increment_moment_estimate(law: IncrementLaw, k: float, r: float, n_samples: 
 
 @dataclass(frozen=True)
 class MomentFunctions:
-    """Bounds on the radial moments of the asymptotic increment.
+    """The first two moments of the asymptotic radial increment.
 
-    Each callable maps a radius to an Estimate.  For radially symmetric laws
-    the lower and upper functions coincide; genuinely distinct bounds only
-    arise for user-supplied (custom) laws.
+    Each callable maps a radius to an Estimate; the classifiers bound a
+    moment by its value plus or minus the half-width.
     """
 
-    nu1_lower: Callable[[float], Estimate]
-    nu1_upper: Callable[[float], Estimate]
-    nu2_lower: Callable[[float], Estimate]
-    nu2_upper: Callable[[float], Estimate]
+    nu1: Callable[[float], Estimate]
+    nu2: Callable[[float], Estimate]
 
 
 def estimate_moment_functions(law: IncrementLaw, k: float, r_grid, n_samples: int,
                               rng: np.random.Generator) -> MomentFunctions:
-    """Estimate both moments on a radius grid; radial symmetry collapses the
-    lower/upper bounds to the same point estimate.
+    """Estimate both moments on a radius grid.
 
     Each grid radius takes one draw of n_samples steps, shared by nu1 and nu2
     (see increment_moment_estimate); the summed half-widths the classifiers
@@ -282,9 +278,7 @@ def estimate_moment_functions(law: IncrementLaw, k: float, r_grid, n_samples: in
         except KeyError:
             raise UsageError(f"moments were not estimated at r = {r}") from None
 
-    nu1f = lambda r: _lookup(r, 0)
-    nu2f = lambda r: _lookup(r, 1)
-    return MomentFunctions(nu1f, nu1f, nu2f, nu2f)
+    return MomentFunctions(lambda r: _lookup(r, 0), lambda r: _lookup(r, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -398,24 +392,18 @@ def classify_constant_curvature(moments: MomentFunctions, r_grid, theta: float =
     """Classify from moment bounds in constant curvature.
 
     Transient when the second moment stays bounded along the tail and
-    2 r nu1_lower - nu2_upper clears its combined half-width at every tail
-    radius.  Recurrent when nu2_lower stays positive and
-    2 r nu1_upper <= (1 + (1-theta)/log r) nu2_lower with margin at every
-    tail radius.  Inconclusive otherwise.
+    2 r nu1 - nu2 clears its combined half-width at every tail radius.
+    Recurrent when nu2 stays positive and
+    2 r nu1 <= (1 + (1-theta)/log r) nu2 with margin at every tail radius.
+    Inconclusive otherwise.
     """
     if not theta > 0:
         raise DomainError(f"theta must be > 0, got {theta}")
     _, r0, tail = _prepare_grid(r_grid, r0)
 
-    n1l = [moments.nu1_lower(r) for r in tail]
-    n1u = [moments.nu1_upper(r) for r in tail]
-    n2l = [moments.nu2_lower(r) for r in tail]
-    n2u = [moments.nu2_upper(r) for r in tail]
-    for lo_seq, hi_seq in ((n1l, n1u), (n2l, n2u)):
-        for r, lo, hi in zip(tail, lo_seq, hi_seq):
-            if lo.value > hi.value + 1e-12:
-                raise UsageError(f"moment lower bound exceeds upper bound at r = {r}")
-    for r, e in zip(tail, n2l):
+    n1 = [moments.nu1(r) for r in tail]
+    n2 = [moments.nu2(r) for r in tail]
+    for r, e in zip(tail, n2):
         if e.value < -e.half_width:
             raise UsageError(f"second moment estimate is negative at r = {r}")
 
@@ -424,18 +412,18 @@ def classify_constant_curvature(moments: MomentFunctions, r_grid, theta: float =
 
     # transience leg
     t_margins = []
-    for r, e1, e2 in zip(tail, n1l, n2u):
+    for r, e1, e2 in zip(tail, n1, n2):
         gap = 2.0 * r * e1.value - e2.value
         hw = 2.0 * r * e1.half_width + e2.half_width
         t_margins.append((r, gap - hw))
         rows.append(MarginRow(r, "transience-gap", gap, hw, gap - hw, CRIT_CONST_TRANSIENT))
-    bounded = _tail_bounded(tail, [e.value for e in n2u], [e.half_width for e in n2u])
+    bounded = _tail_bounded(tail, [e.value for e in n2], [e.half_width for e in n2])
     if not bounded:
         notes.append("second moment shows growth along the tail; transience leg rejected")
     transient_ok = bounded and all(m > 0.0 for _, m in t_margins)
 
     # recurrence leg
-    r_tail = [(r, e1, e2) for r, e1, e2 in zip(tail, n1u, n2l) if r > 1.0]
+    r_tail = [(r, e1, e2) for r, e1, e2 in zip(tail, n1, n2) if r > 1.0]
     r_margins = []
     floor_ok = bool(r_tail)
     for r, e1, e2 in r_tail:

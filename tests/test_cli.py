@@ -3,10 +3,13 @@
 import math
 import os
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hyperwalk import cli
 from hyperwalk.cli import main, parse_config
 from hyperwalk.errors import ConfigError
 
@@ -51,6 +54,16 @@ def config_reading(key):
         return "simulate", SIM_CFG
     return "simulate", SIM_CFG.replace(
         "law.kind = elliptic\nlaw.a = const:1.0\nlaw.b = const:1.0\n", law)
+
+
+def with_value(key, value):
+    """(command, config text, line) for a valid config in which `key` is set
+    to `value` on that line, replacing the key's own line or appended."""
+    command, text = config_reading(key)
+    lines = text.splitlines()
+    no = next((i for i, line in enumerate(lines) if line.startswith(key + " ")), len(lines))
+    lines[no:no + 1] = [f"{key} = {value}"]
+    return command, "\n".join(lines) + "\n", no + 1
 
 
 def run_cli(tmp_path, name, text, command, extra=()):
@@ -101,18 +114,35 @@ class TestParseConfig:
         ("classify.theta", "inf"),
         ("classify.r0", "nan"),
         ("classify.d_min", "inf"),
+        # finite values outside the key's domain
+        ("sim.steps", "-5"),
+        ("sim.walks", "0"),
+        ("sim.stride", "0"),
+        ("sim.burn_in", "-1"),
+        ("sim.ball_radius", "0"),
+        ("sim.start_radius", "-1"),
+        ("sim.escape_radius", "-2"),
+        ("sim.seed", "-1"),
+        ("classify.epsilon", "0"),
+        ("classify.samples", "0"),
+        ("grid.start", "-1"),
+        ("grid.stop", "5"),            # below grid.start = 10
+        ("grid.count", "0"),
+        ("classify.r0", "200.5"),      # beyond the last grid point, 200
+        ("classify.d_min", "1e3"),
     ])
-    def test_non_finite_input_exits_3_naming_key_and_line(self, key, value, tmp_path, capsys):
-        command, text = config_reading(key)
-        lines = text.splitlines()
-        no = next((i for i, line in enumerate(lines) if line.startswith(key + " ")),
-                  len(lines))
-        lines[no:no + 1] = [f"{key} = {value}"]  # replace the key's line, or append it
-        code, out = run_cli(tmp_path, "bad.cfg", "\n".join(lines) + "\n", command)
+    def test_bad_value_exits_3_naming_key_and_line(self, key, value, tmp_path, capsys):
+        command, text, no = with_value(key, value)
+        code, out = run_cli(tmp_path, "bad.cfg", text, command)
         err = capsys.readouterr().err
         assert code == 3
-        assert f"'{key}'" in err and f"line {no + 1}" in err
+        assert f"'{key}'" in err and f"line {no}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["classify.r0", "classify.d_min"])
+    def test_radius_at_the_last_grid_point_accepted(self, key):
+        cfg = parse_config(with_value(key, "200")[1], "classify")
+        assert getattr(cfg, key.split(".")[1]) == 200.0
 
     def test_heavytail_exponent_requirement_cited(self):
         text = (
@@ -171,6 +201,85 @@ class TestParseConfig:
         lin = CLASSIFY_TRANSIENT.replace("grid.spacing = log", "grid.spacing = linear")
         cfg = parse_config(lin, "classify")
         assert cfg.grid == pytest.approx(list(np.linspace(10, 200, 8)))
+
+
+DOMAIN_KEYS = [key for key, entry in cli._KEYS.items() if entry.op is not None]
+
+# In-domain ranges the rest of the config allows: the grid runs from 10 to
+# 200 in config_reading's classify config, and a larger dimension or grid
+# count only costs time.
+IN_DOMAIN_LIMITS = {"curvature.d": (None, 64), "grid.count": (None, 64),
+                    "grid.start": (None, 200.0), "grid.stop": (10.0, None)}
+
+
+def parsed_value(cfg, key):
+    """The RunConfig value that `key` sets."""
+    special = {"curvature.k": lambda: cfg.model.k, "curvature.d": lambda: cfg.model.d,
+               "law.m": lambda: cfg.law.m, "law.n": lambda: cfg.law.strength,
+               "grid.start": lambda: cfg.grid[0], "grid.stop": lambda: cfg.grid[-1],
+               "grid.count": lambda: len(cfg.grid)}
+    return special.get(key, lambda: getattr(cfg, key.split(".")[1]))()
+
+
+def value_text(key, inside, data):
+    """Draw the text of a value of `key` inside or outside its domain; an
+    outside draw may also be non-finite."""
+    entry = cli._KEYS[key]
+    integer = entry.parse is cli._integer
+
+    def in_domain(x):
+        return x > entry.bound if entry.op == ">" else x >= entry.bound
+
+    if inside:
+        lo, hi = IN_DOMAIN_LIMITS.get(key, (None, None))
+        lo = entry.bound if lo is None else lo
+        hi = 10 ** 9 if hi is None else hi
+        numbers = (st.integers(lo, hi) if integer
+                   else st.floats(lo, hi, allow_nan=False))
+        return repr(data.draw(numbers.filter(in_domain)))
+    numbers = (st.integers(max_value=entry.bound) if integer
+               else st.floats(max_value=entry.bound, allow_nan=False, allow_infinity=False))
+    return data.draw(st.one_of(numbers.filter(lambda x: not in_domain(x)).map(repr),
+                               st.sampled_from(["nan", "inf", "-inf"])))
+
+
+class TestKeyTable:
+    """Every key is read through its _KEYS entry: parser, default, domain."""
+
+    @pytest.mark.parametrize("key", DOMAIN_KEYS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_value_outside_domain_names_key_and_line(self, key, data):
+        command, text, no = with_value(key, value_text(key, False, data))
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, command)
+        assert (err.value.key, err.value.line) == (key, no)
+        assert f"'{key}', line {no})" in str(err.value)
+
+    @pytest.mark.parametrize("key", DOMAIN_KEYS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_value_inside_domain_parses(self, key, data):
+        value = value_text(key, True, data)
+        command, text, _ = with_value(key, value)
+        if key.startswith("grid."):
+            text = text.replace("grid.spacing = log", "grid.spacing = linear")
+        cfg = parse_config(text, command)
+        assert parsed_value(cfg, key) == float(value)
+
+    def test_module_docstring_lists_each_key_with_its_domain(self):
+        block = cli.__doc__.split("Config keys", 1)[1].split("Exit codes", 1)[0]
+        listed = {}
+        for line in block.splitlines():
+            m = re.match(r"    (\S+)\s{2,}(.*)", line)
+            if m:
+                key = m.group(1)
+                listed[key] = m.group(2)
+            elif line.startswith(" " * 5) and listed:
+                listed[key] += " " + line.strip()
+        assert set(listed) == set(cli._KEYS)
+        for key in DOMAIN_KEYS:
+            assert re.search(re.escape(cli._KEYS[key].domain) + r"(?![\d.])", listed[key]), key
 
 
 class TestSimulateCommand:

@@ -8,7 +8,6 @@ from scipy import stats
 
 import hyperwalk as hw
 from hyperwalk.errors import DomainError, UsageError
-from hyperwalk.increments import TangentSample
 
 C1 = hw.RadialProfile.constant(1.0)
 
@@ -289,6 +288,10 @@ class TestSamplerContracts:
 
 
 class TestFrameAttachedSamplers:
+    """A law's components, attached to a radial frame, decompose back to
+    themselves: law.sample_components -> RadialFrame.vector ->
+    decompose_increment."""
+
     def _frame(self, k=1.0, d=3, r=2.0):
         O = hw.origin(k, d)
         e1 = np.zeros(d + 1)
@@ -296,36 +299,40 @@ class TestFrameAttachedSamplers:
         p = hw.exp_map(O, hw.TangentVector(O, r * e1), k)
         return hw.radial_frame(O, p, k), O
 
-    @pytest.mark.parametrize("fn,args", [
-        (hw.sample_elliptic, (1.0, 0.5)),
-        (hw.sample_box, (1.0, 0.5)),
-    ])
-    def test_sample_decomposition_consistency(self, fn, args):
+    def _step(self, law, r, frame, O, rng):
+        """(d_rad, d_tot) drawn from the law, and the decomposition of its
+        tangent vector at the frame's base."""
+        d_rad, t = law.sample_components(r, rng)
+        vec = frame.vector(d_rad, t)
+        return d_rad, math.sqrt(d_rad * d_rad + float(t @ t)), \
+            hw.decompose_increment(O, frame.base, vec, frame.k)
+
+    @pytest.mark.parametrize("cls", [hw.EllipticLaw, hw.BoxLaw])
+    def test_sample_decomposition_consistency(self, cls):
         frame, O = self._frame()
+        law = cls(C1, hw.RadialProfile.constant(0.5), 3)
         rng = law_rng(20)
         for _ in range(50):
-            s = fn(2.0, frame, *args, 3, rng)
-            assert isinstance(s, TangentSample)
-            dec = hw.decompose_increment(O, frame.base, s.vector, frame.k)
-            assert dec.d_tot == pytest.approx(s.decomposition.d_tot, rel=1e-9, abs=1e-12)
-            assert dec.d_rad == pytest.approx(s.decomposition.d_rad, rel=1e-9, abs=1e-9)
+            d_rad, d_tot, dec = self._step(law, 2.0, frame, O, rng)
+            assert dec.d_tot == pytest.approx(d_tot, rel=1e-9, abs=1e-12)
+            assert dec.d_rad == pytest.approx(d_rad, rel=1e-9, abs=1e-9)
 
     def test_heavytail_and_biased_samples(self):
         frame, O = self._frame()
         rng = law_rng(21)
-        s = hw.sample_heavytail(2.0, frame, 4.0, 1.0, 3, rng)
-        assert s.decomposition.d_tot >= 1.0
-        s = hw.sample_inward_biased(2.0, frame, 1.0, 3, rng)
-        assert s.decomposition.d_tot == pytest.approx(4.0, rel=1e-12)
-        assert min(abs(s.decomposition.d_rad + 2.0), abs(s.decomposition.d_rad)) < 1e-12
+        _, _, dec = self._step(hw.HeavyTailLaw(4.0, 3, C1), 2.0, frame, O, rng)
+        assert dec.d_tot >= 1.0
+        _, _, dec = self._step(hw.InwardBiasedLaw(1.0, 3), 2.0, frame, O, rng)
+        assert dec.d_tot == pytest.approx(4.0, rel=1e-12)
+        assert min(abs(dec.d_rad + 2.0), abs(dec.d_rad)) < 1e-12
 
     def test_origin_frame_uses_length_convention(self):
         k, d = 1.0, 2
         O = hw.origin(k, d)
         frame = hw.radial_frame(O, O, k)
-        s = hw.sample_elliptic(0.0, frame, 1.0, 1.0, d, law_rng(22))
-        assert s.decomposition.phi == 1.0
-        assert s.decomposition.d_rad == pytest.approx(s.decomposition.d_tot)
+        _, d_tot, dec = self._step(hw.EllipticLaw(C1, C1, d), 0.0, frame, O, law_rng(22))
+        assert dec.phi == 1.0
+        assert dec.d_rad == dec.d_tot == pytest.approx(d_tot, rel=1e-12)
 
 
 class TestZeroDriftCheck:

@@ -245,8 +245,8 @@ class TestMomentEstimates:
             moments = hw.estimate_moment_functions(law, 1.0, grid, n, rng)
         for r in grid:
             x1, x2 = moment_integrands(law, 1.0, r, n, twin)
-            assert moments.nu1_lower(r) == _mc_estimate(x1)
-            assert moments.nu2_lower(r) == _mc_estimate(x2)
+            assert moments.nu1(r) == _mc_estimate(x1)
+            assert moments.nu2(r) == _mc_estimate(x2)
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_kurtosis_from_squares_matches_fourth_power(self):
@@ -260,9 +260,7 @@ class TestMomentEstimates:
 
 
 def synthetic_moments(nu1, nu2, hw1=0.0, hw2=0.0):
-    f1 = lambda r: Estimate(nu1(r), hw1)
-    f2 = lambda r: Estimate(nu2(r), hw2)
-    return MomentFunctions(f1, f1, f2, f2)
+    return MomentFunctions(lambda r: Estimate(nu1(r), hw1), lambda r: Estimate(nu2(r), hw2))
 
 
 class TestConstantCurvatureClassifier:
@@ -304,13 +302,8 @@ class TestConstantCurvatureClassifier:
         with pytest.raises(UsageError):
             hw.classify_constant_curvature(m, [])
 
-    def test_inverted_bounds_rejected(self):
-        lo = lambda r: Estimate(1.0, 0.0)
-        hi = lambda r: Estimate(0.5, 0.0)
-        m = MomentFunctions(lo, hi, lo, lo)    # nu1_lower > nu1_upper
-        with pytest.raises(UsageError):
-            hw.classify_constant_curvature(m, self.GRID)
-        m = MomentFunctions(hi, lo, lo, hi)    # nu2_lower > nu2_upper
+    def test_negative_second_moment_rejected(self):
+        m = synthetic_moments(lambda r: 0.5, lambda r: -1.0, 1e-4, 0.5)
         with pytest.raises(UsageError):
             hw.classify_constant_curvature(m, self.GRID)
 
@@ -319,7 +312,7 @@ class TestConstantCurvatureClassifier:
         m = hw.estimate_moment_functions(law, 1.0, [10.0, 20.0], 1000,
                                          np.random.default_rng(30))
         with pytest.raises(UsageError):
-            m.nu1_lower(15.0)
+            m.nu1(15.0)
 
     def test_margin_monotonicity_under_more_samples(self):
         # shrinking half-widths may resolve Inconclusive but never flips
