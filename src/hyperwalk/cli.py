@@ -12,10 +12,10 @@ sections::
 commands accept it and ignore it.
 
 Config keys, one a line: what the key sets, its domain, and its default in
-parentheses.  A value outside its domain, in a key the command reads,
-exits 3 naming the key and its line.  Profiles use the mini-language `const:c`, `powerdecay:c,p` meaning
-c*min(1, r^-p), or `table:path` with a two-column r,value CSV relative to
-the config file.
+parentheses.  A value outside its domain exits 3 naming the key and its
+line, whatever the command.  Profiles use the mini-language `const:c`,
+`powerdecay:c,p` meaning c*min(1, r^-p), or `table:path` with a two-column
+r,value CSV relative to the config file.
 
     command             optional; must match the subcommand when present
     curvature.kind      hyperbolic | euclidean (hyperbolic)
@@ -296,29 +296,30 @@ def parse_config(text: str, command: str, base_dir: str = ".",
     """Parse and validate a config for the given command.
 
     Unknown keys, duplicates, type mismatches and domain violations are all
-    reported with the offending key and line.  Each value is parsed and
-    checked by its _KEYS entry; this function only assembles what depends on
-    several keys.  Defaults are applied here and echoed into
-    RunConfig.resolved so output headers document them.
+    reported with the offending key and line.  Every present value is parsed
+    and checked by its _KEYS entry, whether or not the command uses it; this
+    function only assembles what depends on several keys.  Defaults are
+    applied here and echoed into RunConfig.resolved so output headers
+    document them.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    seen = {}   # key -> (value text, line)
+    seen = {}   # key -> (value as its _KEYS entry reads it, line)
     for line_no, key, value in _parse_lines(text):
         if key not in _KEYS:
             raise ConfigError("unknown key", key=key, line=line_no)
         if key in seen:
             raise ConfigError("duplicate key", key=key, line=line_no)
-        seen[key] = (value, line_no)
+        seen[key] = (_KEYS[key].read(key, value, line_no, base_dir), line_no)
 
     def line(key):
         return seen[key][1] if key in seen else None
 
     def get(key, required=False, default=None):
-        """The key's value as its table entry reads it; when the key is
-        absent, `default`, or else the table's default."""
+        """The key's value; when the key is absent, `default`, or else the
+        table's default."""
         if key in seen:
-            return _KEYS[key].read(key, *seen[key], base_dir)
+            return seen[key][0]
         if required:
             raise ConfigError(f"missing required key for {command}", key=key)
         return _KEYS[key].default if default is None else default

@@ -20,13 +20,15 @@ origin, and the signed radial step component is
 so that d_rad > 0 means an outward step.  With this convention a step of
 length d_tot taken straight outward (phi = d_rad/d_tot = 1) increases the
 radius by exactly d_tot.
+
+Radial frames are built about the standard origin (1/k, 0, ..., 0) only,
+the point every walk and every radius is measured from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -456,15 +458,6 @@ def euclidean_radial_increment(R: float, d_tot: float, d_rad: float) -> float:
     return (2.0 * R * d_rad + d_tot * d_tot) / denom
 
 
-def euclidean_radial_increment_batch(R: float, d_tot, d_rad) -> np.ndarray:
-    d_tot = np.asarray(d_tot, dtype=float)
-    d_rad = np.asarray(d_rad, dtype=float)
-    q = np.maximum(R * R + 2.0 * R * d_rad + d_tot * d_tot, 0.0)
-    denom = np.sqrt(q) + R
-    num = 2.0 * R * d_rad + d_tot * d_tot
-    return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Radial frames
 # ---------------------------------------------------------------------------
@@ -489,105 +482,69 @@ class RadialFrame:
         return TangentVector(self.base, comps)
 
 
-def _tangent_axes(coords: np.ndarray, k: float, origin_coords: np.ndarray,
-                  standard_origin: Optional[bool] = None):
-    """Raw-array tangent frame builder: (axes, at_origin).
+def _complete_orthonormal(rows: np.ndarray, n: np.ndarray) -> None:
+    """Fill `rows`, shape (d-1, d), in place with an orthonormal basis of the
+    complement of the unit vector n: Gram-Schmidt over the coordinate axes
+    projected off n, skipping the nearly annihilated ones."""
+    d = n.size
+    count = 0
+    for i in range(d):
+        if count == d - 1:
+            break
+        w = -n[i] * n
+        w[i] += 1.0
+        for j in range(count):
+            w -= np.dot(w, rows[j]) * rows[j]
+        nb = float(w @ w)
+        if nb > 1e-12:
+            rows[count] = w / math.sqrt(nb)
+            count += 1
+    if count != d - 1:
+        raise InvariantViolationError("failed to complete an orthonormal frame")
 
-    Row 0 of `axes` is the unit vector toward the origin.  For the standard
-    origin (1/k, 0, ..., 0) the frame is built from the polar structure of
-    the point, x = ((1/k) cosh kR, (1/k) sinh kR * n): the radial axis is
+
+def _tangent_axes(coords: np.ndarray, k: float):
+    """Raw-array tangent frame builder about the origin (1/k, 0, ..., 0):
+    (axes, at_origin).
+
+    Row 0 of `axes` is the unit vector toward the origin.  The frame is
+    built from the polar structure of the point,
+    x = ((1/k) cosh kR, (1/k) sinh kR * n): the radial axis is
     -(sinh kR, cosh kR * n) and the transverse axes are (0, m) for a
     Euclidean orthonormal completion {m} of n.  This stays well conditioned
     at any radius, unlike Gram-Schmidt over the ambient basis, whose
-    cancellations grow like e^(2kR).  A general origin falls back to the
-    Gram-Schmidt route (fine at the small radii where it is used).
+    cancellations grow like e^(2kR).
     """
     ambient = coords.size
     d = ambient - 1
-
-    if standard_origin is None:
-        standard_origin = (abs(origin_coords[0] * k - 1.0) <= 1e-12
-                           and not np.any(origin_coords[1:]))
-    if standard_origin:
-        spatial = coords[1:]
-        sp = _safe_norm(spatial)
-        if sp * k <= 1e-12:
-            axes = np.zeros((d, ambient))
-            axes[:, 1:] = np.eye(d)
-            return axes, True
-        n_hat = spatial / sp
-        axes = np.zeros((d, ambient))
-        axes[0, 0] = -k * sp                 # -sinh(kR)
-        axes[0, 1:] = -(k * coords[0]) * n_hat   # -cosh(kR) * n
-        if d == 2:
-            axes[1, 1] = -n_hat[1]
-            axes[1, 2] = n_hat[0]
-            return axes, False
-        count = 1
-        for i in range(d):
-            if count == d:
-                break
-            w = -n_hat[i] * n_hat
-            w[i] += 1.0
-            for j in range(1, count):
-                w -= np.dot(w, axes[j, 1:]) * axes[j, 1:]
-            nb = float(w @ w)
-            if nb > 1e-12:
-                axes[count, 1:] = w / math.sqrt(nb)
-                count += 1
-        if count != d:
-            raise InvariantViolationError("failed to complete an orthonormal tangent frame")
-        return axes, False
-
-    return _tangent_axes_general(coords, k, origin_coords)
-
-
-def _tangent_axes_general(coords: np.ndarray, k: float, origin_coords: np.ndarray):
-    # Gram-Schmidt over the projected ambient basis.  Only valid while the
-    # projections are numerically tangent, i.e. k * distance(origin, point)
-    # below ~15; beyond that it raises rather than return a garbage frame.
-    ambient = coords.size
-    d = ambient - 1
-    k2 = k * k
-
-    u = origin_coords + k2 * _mink(coords, origin_coords) * coords
-    nb = _mink(u, u)
-    if nb <= 1e-24:
-        axes = np.zeros((d, ambient))
+    axes = np.zeros((d, ambient))
+    spatial = coords[1:]
+    sp = _safe_norm(spatial)
+    if sp * k <= 1e-12:
         axes[:, 1:] = np.eye(d)
         return axes, True
-
-    axes = np.empty((d, ambient))
-    axes[0] = u / math.sqrt(nb)
-    count = 1
-    for i in range(ambient):
-        if count == d:
-            break
-        w = np.zeros(ambient)
-        w[i] = 1.0
-        b_xi = -coords[0] if i == 0 else coords[i]
-        w += k2 * b_xi * coords        # project onto the tangent space
-        pre = _mink(w, w)
-        for j in range(count):
-            w -= _mink(w, axes[j]) * axes[j]
-        nb = _mink(w, w)
-        # keep only directions that stay healthily independent; a nearly
-        # annihilated candidate would inject a garbage axis
-        if nb > 1e-12 * max(pre, 1.0):
-            axes[count] = w / math.sqrt(nb)
-            count += 1
-    if count != d:
-        raise InvariantViolationError("failed to complete an orthonormal tangent frame")
+    n_hat = spatial / sp
+    axes[0, 0] = -k * sp                 # -sinh(kR)
+    axes[0, 1:] = -(k * coords[0]) * n_hat   # -cosh(kR) * n
+    if d == 2:
+        axes[1, 1] = -n_hat[1]
+        axes[1, 2] = n_hat[0]
+    else:
+        _complete_orthonormal(axes[1:, 1:], n_hat)
     return axes, False
 
 
 def radial_frame(origin_pt: LorentzPoint, p: LorentzPoint, k: float) -> RadialFrame:
-    """Build the radial frame at p on H_k.
+    """Build the radial frame at p on H_k about the origin (1/k, 0, ..., 0).
 
     At the origin there is no radial direction; the first spatial axis is
     used as the stand-in (the choice does not affect radial statistics).
+    Any other origin point is a ContractError.
     """
-    axes, at_origin = _tangent_axes(p.coords, k, origin_pt.coords)
+    o = origin_pt.coords
+    if abs(o[0] * k - 1.0) > 1e-12 or np.any(o[1:]):
+        raise ContractError("radial frames are built about the origin (1/k, 0, ..., 0) only")
+    axes, at_origin = _tangent_axes(p.coords, k)
     return RadialFrame(p, axes, k, at_origin)
 
 
@@ -599,22 +556,10 @@ def euclidean_frame(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     d = x.size
     r = float(np.linalg.norm(x))
-    axes = np.empty((d, d))
     if r == 0.0:
         return np.eye(d)
-    axes[0] = -x / r
-    count = 1
-    for i in range(d):
-        if count == d:
-            break
-        w = np.zeros(d)
-        w[i] = 1.0
-        for j in range(count):
-            w -= np.dot(w, axes[j]) * axes[j]
-        nb = np.dot(w, w)
-        if nb > 1e-12:
-            axes[count] = w / math.sqrt(nb)
-            count += 1
-    if count != d:
-        raise InvariantViolationError("failed to complete a Euclidean frame")
+    n = x / r
+    axes = np.empty((d, d))
+    axes[0] = -n
+    _complete_orthonormal(axes[1:], n)
     return axes

@@ -97,9 +97,13 @@ class RadialProfile:
         if self.kind == "constant":
             return self.c
         if self.kind == "powerdecay":
-            if r <= 0.0:
-                return self.c if self.exponent >= 0.0 else 0.0
-            return self.c * min(1.0, r ** -self.exponent)
+            p = self.exponent
+            # r^-p < 1 only for r > 1 when p >= 0 and for r < 1 when p < 0.
+            # Elsewhere min(1, r^-p) is 1 and the power is skipped: it can
+            # exceed the double range, where Python raises OverflowError.
+            if not (r > 1.0 if p >= 0.0 else r < 1.0):
+                return self.c
+            return self.c * r ** -p if r > 0.0 else 0.0
         return float(np.interp(r, self.radii, self.values))
 
     def sup(self) -> float:

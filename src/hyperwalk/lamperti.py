@@ -52,27 +52,21 @@ class MonteCarloVarianceWarning(UserWarning):
 def asymptotic_increment(k: float, d_rad: float, d_tot: float) -> float:
     """(1/k) log(cosh(k d_tot) + (d_rad/d_tot) sinh(k d_tot)); 0 when d_tot = 0.
 
-    Stable evaluation: for phi near -1 the direct form cancels, so the
-    argument is computed as e^(-D) + (1+phi) sinh(D) (both terms nonnegative);
-    for k d_tot > 30 the log is expanded as
-    k d_tot + log((1+phi)/2 + (1-phi) e^(-2 k d_tot) / 2).
+    The one-step form of asymptotic_increment_batch, which holds the stable
+    evaluation.
     """
-    _check_increment_domain(k, d_rad, d_tot)
-    if d_tot == 0.0:
-        return 0.0
-    phi = max(-1.0, min(1.0, d_rad / d_tot))
-    if phi == 1.0:
-        return d_tot
-    if phi == -1.0:
-        return -d_tot
-    D = k * d_tot
-    if D <= _F_LOG_THRESHOLD:
-        return math.log(math.exp(-D) + (1.0 + phi) * math.sinh(D)) / k
-    return (D + math.log(0.5 * (1.0 + phi) + 0.5 * (1.0 - phi) * math.exp(-2.0 * D))) / k
+    return float(asymptotic_increment_batch(k, d_rad, d_tot))
 
 
 def asymptotic_increment_batch(k: float, d_rad, d_tot) -> np.ndarray:
-    """Vectorised asymptotic_increment over arrays of (d_rad, d_tot)."""
+    """(1/k) log(cosh(k d_tot) + phi sinh(k d_tot)) over arrays of (d_rad, d_tot),
+    with phi = d_rad/d_tot, and 0 where d_tot = 0.
+
+    Stable evaluation: for phi near -1 the direct form cancels, so the
+    argument is computed as e^(-D) + (1+phi) sinh(D) (both terms nonnegative);
+    for D = k d_tot > 30 the log is expanded as
+    D + log((1+phi)/2 + (1-phi) e^(-2D) / 2).
+    """
     d_rad = np.asarray(d_rad, dtype=float)
     d_tot = np.asarray(d_tot, dtype=float)
     if not k > 0:
@@ -105,15 +99,6 @@ def asymptotic_increment_batch(k: float, d_rad, d_tot) -> np.ndarray:
             ) / k
         out[gen] = res
     return out
-
-
-def _check_increment_domain(k, d_rad, d_tot):
-    if not k > 0:
-        raise DomainError(f"curvature parameter k must be > 0, got {k}")
-    if d_tot < 0.0:
-        raise DomainError(f"d_tot must be >= 0, got {d_tot}")
-    if abs(d_rad) > d_tot * (1.0 + 1e-12) + 1e-300:
-        raise DomainError(f"|d_rad| = {abs(d_rad)} exceeds d_tot = {d_tot}")
 
 
 _SERIES_CUTOFF = 1e-4  # below k*d_tot = 1e-4 both coefficients equal k/2 to ~1e-12

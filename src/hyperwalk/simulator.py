@@ -40,7 +40,6 @@ from .geometry import (
     _tangent_axes,
     euclidean_frame,
     euclidean_radial_increment,
-    origin,
     radial_increment_exact,
 )
 from .increments import IncrementLaw
@@ -169,10 +168,17 @@ def _hyperbolic_start(k: float, d: int, start_radius: float) -> np.ndarray:
 
 def run_walk(config: WalkConfig, walk_id: int,
              rng: Optional[np.random.Generator] = None) -> TrajectoryRecord:
-    """Simulate one walk; the rng defaults to the walk's own spawned stream."""
+    """Simulate one walk; the rng defaults to the walk's own spawned stream.
+
+    A step of non-finite length, or a point that drifts off the hyperboloid,
+    raises InvariantViolationError naming the walk and the step.
+    """
     if rng is None:
         rng = walk_rng(config.seed, walk_id)
-    return _collect(config, walk_id, _radius_iter(config, rng))
+    try:
+        return _collect(config, walk_id, _radius_iter(config, rng))
+    except InvariantViolationError as exc:
+        raise InvariantViolationError(f"walk {walk_id}: {exc}") from exc
 
 
 def _collect(config, walk_id, radius_iter) -> TrajectoryRecord:
@@ -244,15 +250,22 @@ def _radial_draws(law, steps, rng):
     return draw
 
 
+def _non_finite_step(n: int) -> InvariantViolationError:
+    return InvariantViolationError(f"step {n} has non-finite length")
+
+
 def _radial_only_radii(config, rng):
     draw = _radial_draws(config.law, config.steps, rng)
     T = config.steps
     R = config.start_radius
+    inf = math.inf
     if config.model.is_hyperbolic:
         k = config.model.k
         for n in range(1, T + 1):
             d_rad, t_sq = draw(R)
             d_tot = math.sqrt(d_rad * d_rad + t_sq)
+            if not d_tot < inf:
+                raise _non_finite_step(n)
             phi = d_rad / d_tot if d_tot > 0.0 else 0.0
             if phi > 1.0:
                 phi = 1.0
@@ -264,6 +277,8 @@ def _radial_only_radii(config, rng):
         for n in range(1, T + 1):
             d_rad, t_sq = draw(R)
             d_tot = math.sqrt(d_rad * d_rad + t_sq)
+            if not d_tot < inf:
+                raise _non_finite_step(n)
             if abs(d_rad) > d_tot:
                 d_rad = math.copysign(d_tot, d_rad)
             R = max(R + euclidean_radial_increment(R, d_tot, d_rad), 0.0)
@@ -284,9 +299,9 @@ def _ambient_hyperbolic_states(config, rng):
     k = config.model.k
     d = config.model.d
     draw = _step_draws(config.law, config.steps, rng)
-    origin_coords = origin(k, d).coords
     x = _hyperbolic_start(k, d, config.start_radius)
     R = config.start_radius
+    inf = math.inf
 
     for n in range(1, config.steps + 1):
         if k * R > AMBIENT_KR_LIMIT:
@@ -294,9 +309,11 @@ def _ambient_hyperbolic_states(config, rng):
                 f"ambient mode exceeded k*R = {AMBIENT_KR_LIMIT} at step {n}; "
                 "use radial-only mode for long horizons"
             )
-        axes, _ = _tangent_axes(x, k, origin_coords, standard_origin=True)
+        axes, _ = _tangent_axes(x, k)
         d_rad, t = draw(R)
         norm = math.sqrt(d_rad * d_rad + float(t @ t))
+        if not norm < inf:
+            raise _non_finite_step(n)
         if norm > 0.0:
             if t.size == 1:
                 v = -d_rad * axes[0] + float(t[0]) * axes[1]
@@ -335,12 +352,18 @@ def _ambient_euclidean_states(config, rng):
     draw = _step_draws(config.law, config.steps, rng)
     x = np.zeros(d)
     x[0] = config.start_radius
+    R = float(np.linalg.norm(x))
+    inf = math.inf
 
     for n in range(1, config.steps + 1):
         axes = euclidean_frame(x)
-        d_rad, t = draw(float(np.linalg.norm(x)))
+        d_rad, t = draw(R)
         x = x + (-d_rad * axes[0] + t @ axes[1:])
-        yield n, x, float(np.linalg.norm(x))
+        R = float(np.linalg.norm(x))
+        # x was finite, so a non-finite radius means a non-finite step
+        if not R < inf:
+            raise _non_finite_step(n)
+        yield n, x, R
 
 
 def _ambient_states(config, rng):

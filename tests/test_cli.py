@@ -139,6 +139,25 @@ class TestParseConfig:
         assert f"'{key}'" in err and f"line {no}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "grid.count", "abc"),
+        ("simulate", "law.m", "2"),
+        ("simulate", "law.n", "0"),
+        ("simulate", "grid.spacing", "cubic"),
+        ("simulate", "law.lambda", "const:nan"),
+        ("validate", "law.kind", "levy"),
+        ("validate", "curvature.k", "-1"),
+    ])
+    def test_key_the_command_ignores_is_still_checked(self, command, key, value,
+                                                      tmp_path, capsys):
+        text = (SIM_CFG if command == "simulate" else "sim.seed = 1\n") + f"{key} = {value}\n"
+        no = len(text.splitlines())
+        code, out = run_cli(tmp_path, "bad.cfg", text, command)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"'{key}', line {no})" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["classify.r0", "classify.d_min"])
     def test_radius_at_the_last_grid_point_accepted(self, key):
         cfg = parse_config(with_value(key, "200")[1], "classify")
@@ -320,6 +339,18 @@ class TestSimulateCommand:
             (out_flag / "summary.csv").read_text().splitlines()[-1]
 
 
+    @pytest.mark.parametrize("profile, start", [("powerdecay:1,2", "1e-200"),
+                                                ("powerdecay:1,-2", "1e200")])
+    def test_power_decay_capped_where_the_power_overflows(self, profile, start,
+                                                           tmp_path, capsys):
+        text = (SIM_CFG.replace("law.b = const:1.0", f"law.b = {profile}")
+                .replace("sim.steps = 400", "sim.steps = 3")
+                + f"sim.start_radius = {start}\nsim.escape_radius = 1e300\n")
+        code, out = run_cli(tmp_path, "pd.cfg", text, "simulate")
+        assert code == 0, capsys.readouterr().err
+        assert (out / "trajectories.csv").exists()
+
+
 class TestClassifyCommand:
     def test_transient_exit_code_and_margins(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "t.cfg", CLASSIFY_TRANSIENT, "classify")
@@ -447,14 +478,17 @@ class TestPinchedDispatch:
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-GOLDEN_NAMES = ["sim-small", "sim-recurrent-small", "sim-euclid-small"]
+GOLDEN_NAMES = ["sim-small", "sim-recurrent-small", "sim-euclid-small",
+                "sim-ambient-small", "sim-ambient-recurrent-small", "sim-ambient-euclid-small"]
 
 # Budget for a value that passes through libm's sinh, cosh, acosh, exp and
 # log, none of which glibc rounds correctly: |got - golden| must stay within
 # GOLDEN_TAU * max(1, |golden|).  Moving every such result in
-# hyperwalk.geometry by 1-2 ulp at random moved the golden runs' values by at
-# most 1.6e-13 on this scale, and by 2.5e-12 with the same sign on every
-# call; moving the powerdecay exponent by 1e-6 moves R by 1.1e-5.
+# hyperwalk.geometry by 1-2 ulp at random moved the radial-only golden runs'
+# values by at most 1.6e-13 on this scale, and by 2.5e-12 with the same sign
+# on every call; in hyperwalk.geometry and hyperwalk.simulator it moved the
+# ambient-mode runs by at most 1.2e-13, and 7.2e-14 with the same sign.
+# Moving the powerdecay exponent by 1e-6 moves R by 1.1e-5.
 GOLDEN_TAU = 1e-11
 # The columns compared within the budget.  Every other field, every header
 # line and the column line must match byte for byte.

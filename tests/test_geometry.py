@@ -18,7 +18,6 @@ from hyperwalk.geometry import (
     _mink,
     make_decomposition,
     radial_increment_exact_batch,
-    euclidean_radial_increment_batch,
     validate_on_hyperboloid,
     validate_tangent,
 )
@@ -416,14 +415,6 @@ class TestEuclideanRadialIncrement:
         got = hw.euclidean_radial_increment(1e12, 1.0, 0.25)
         assert got == pytest.approx(0.25 + (1.0 - 0.25 ** 2) / (2e12), rel=1e-9)
 
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(17)
-        d_tot = rng.uniform(0, 5, 200)
-        d_rad = rng.uniform(-1, 1, 200) * d_tot
-        got = euclidean_radial_increment_batch(3.0, d_tot, d_rad)
-        want = [hw.euclidean_radial_increment(3.0, dt, dr) for dt, dr in zip(d_tot, d_rad)]
-        assert got == pytest.approx(want, rel=1e-13)
-
     def test_domain_error(self):
         with pytest.raises(DomainError):
             hw.euclidean_radial_increment(1.0, 1.0, 2.0)
@@ -450,6 +441,13 @@ class TestFrames:
         assert frame.at_origin
         assert frame.axes[0] == pytest.approx(np.array([0.0, 1.0, 0.0, 0.0]))
 
+    def test_frame_about_another_origin_rejected(self):
+        k, d = 1.0, 3
+        p = random_point(k, d, 2.0, np.random.default_rng(19))
+        for other in (p, hw.origin(2.0, d)):
+            with pytest.raises(ContractError):
+                hw.radial_frame(other, p, k)
+
     def test_euclidean_frame(self):
         from hyperwalk.geometry import euclidean_frame
         x = np.array([3.0, 4.0])
@@ -457,6 +455,19 @@ class TestFrames:
         assert axes[0] == pytest.approx(-x / 5.0)
         assert axes @ axes.T == pytest.approx(np.eye(2), abs=1e-14)
         assert euclidean_frame(np.zeros(3)) == pytest.approx(np.eye(3))
+
+    def test_euclidean_frame_is_orthonormal(self):
+        from hyperwalk.geometry import euclidean_frame
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            d = int(rng.integers(2, 7))
+            x = rng.standard_normal(d) * rng.uniform(1e-3, 1e3)
+            x[rng.integers(0, d)] = 0.0         # axis-aligned components too
+            axes = euclidean_frame(x)
+            assert axes[0] == pytest.approx(-x / np.linalg.norm(x), abs=1e-15)
+            # a candidate axis is kept once its squared norm passes 1e-12,
+            # so orthogonality holds to about 1e-16 / 1e-6
+            assert axes @ axes.T == pytest.approx(np.eye(d), abs=1e-10)
 
 
 class TestCurvatureModel:

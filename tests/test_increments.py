@@ -35,6 +35,20 @@ class TestRadialProfile:
         assert p.sup() == 2.0
         assert p.inf() == 0.0
 
+    @pytest.mark.parametrize("c, p, r", [
+        (1.0, 2.0, 1e-200),       # r^-p overflows where the cap is 1
+        (3.0, 400.0, 0.01),
+        (1.0, -2.0, 1e200),       # r^|p| overflows where the cap is 1
+        (3.0, -400.0, 100.0),
+    ])
+    def test_power_decay_is_capped_without_evaluating_the_power(self, c, p, r):
+        assert hw.RadialProfile.power_decay(c, p)(r) == c
+
+    def test_power_decay_underflows_to_zero(self):
+        assert hw.RadialProfile.power_decay(1.0, 2.0)(1e200) == 0.0
+        assert hw.RadialProfile.power_decay(1.0, -2.0)(1e-200) == 0.0
+        assert hw.RadialProfile.power_decay(1.0, -1.0)(0.25) == 0.25
+
     def test_table_interpolation_and_clamping(self):
         p = hw.RadialProfile.table([0.0, 1.0, 3.0], [1.0, 2.0, 0.0])
         assert p(0.5) == pytest.approx(1.5)

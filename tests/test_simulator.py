@@ -7,11 +7,17 @@ import pytest
 from scipy import stats
 
 import hyperwalk as hw
-from hyperwalk.errors import DomainError, OverflowGuardError, UsageError
+from hyperwalk.errors import (
+    DomainError,
+    InvariantViolationError,
+    OverflowGuardError,
+    UsageError,
+)
 from hyperwalk.simulator import (
     MODE_AMBIENT,
     MODE_RADIAL_ONLY,
     WalkConfig,
+    _ambient_positions,
     ensemble_stats,
     walk_rng,
 )
@@ -238,6 +244,61 @@ class TestBlockDrawCoupling:
         rng_block, rng_step = _couple(config, lambda: ZeroRowRng(33, zero_at))
         # the zero row was dropped and one more row drawn in its place
         assert rng_block.rows == rng_step.rows == steps + 1
+
+
+def bad_step_law(value, bad_step, d=2):
+    """Unit outward steps, except a radial component `value` on the
+    `bad_step`-th draw; the transverse part is zero throughout."""
+    calls = []
+
+    def sample(r, d, rng):
+        calls.append(r)
+        return (value if len(calls) == bad_step else 1.0), np.zeros(d - 1)
+    return hw.CustomLaw(sample, d, name="bad-step")
+
+
+class TestNonFiniteStep:
+    """A step of non-finite length raises, naming the step and the walk,
+    instead of leaving a NaN radius or a walker that silently stays put."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
+    def test_raises_naming_step_and_walk(self, value, model, mode):
+        cfg = WalkConfig(model, bad_step_law(value, 4), 10, 3, 0, mode=mode)
+        with pytest.raises(InvariantViolationError, match=r"^walk 2: step 4 has non-finite"):
+            hw.run_walk(cfg, 2)
+
+    @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
+    def test_non_finite_transverse_part_raises(self, mode):
+        law = hw.CustomLaw(lambda r, d, rng: (0.5, np.array([math.nan])), 2)
+        cfg = WalkConfig(HYP2, law, 5, 1, 0, mode=mode)
+        with pytest.raises(InvariantViolationError, match="step 1 has non-finite"):
+            hw.run_walk(cfg, 0)
+
+
+class TestAmbientPositions:
+    """Ambient positions depend on the orientation of each frame's
+    transverse axes, which the radii do not: R after a step depends only on
+    R, d_rad and |t|.  These final positions of one 25-step box walk pin
+    that orientation (values of the first validated run)."""
+
+    FINAL = {
+        ("hyperbolic", 3): [1940582958.8851655, 446230666.43631387,
+                            1437289604.982815, 1225128158.2167842],
+        ("hyperbolic", 2): [121877.21876578926, 57872.27960622391, 107260.69040549338],
+        ("euclidean", 3): [5.591081799685659, -0.21363639031584536, 7.878815007012481],
+        ("euclidean", 2): [4.7853994208875665, -4.641266032735777],
+    }
+
+    @pytest.mark.parametrize("kind, d", list(FINAL))
+    def test_final_position_matches_stored_run(self, kind, d):
+        model = (hw.CurvatureModel.hyperbolic(1.0, d) if kind == "hyperbolic"
+                 else hw.CurvatureModel.euclidean(d))
+        cfg = WalkConfig(model, hw.BoxLaw(C1, C1, d), 25, 1, 90907,
+                         mode=MODE_AMBIENT, start_radius=0.5)
+        *_, x = _ambient_positions(cfg, walk_rng(90907, 0))
+        assert x == pytest.approx(self.FINAL[kind, d], rel=1e-9)
 
 
 class TestEnsemble:
