@@ -8,8 +8,9 @@ sections::
     hyperwalk validate --config run.cfg ...
     hyperwalk moments  --config run.cfg ...
 
-`--workers` sets the worker processes of the `simulate` ensemble; the other
-commands accept it and ignore it.
+`--workers W` (W >= 1, else exit 3) runs the `simulate` ensemble on
+min(W, sim.walks, usable cores) worker processes; the other commands accept
+it and ignore it.
 
 Config keys, one a line: what the key sets, its domain, and its default in
 parentheses.  A value outside its domain exits 3 naming the key and its
@@ -65,7 +66,7 @@ libm, BLAS, CPU dispatch) re-running with exactly that config reproduces the
 file byte for byte, for any --workers.  Across platforms values may differ
 in their last bits, because libm's transcendentals are not correctly
 rounded; for a libm whose sinh, cosh, acosh, exp and log are within about
-2 ulp, the golden `simulate` runs agree within 1e-11 * max(1, |value|).
+2 ulp, the golden runs agree within 1e-11 * max(1, |value|).
 """
 
 from __future__ import annotations
@@ -659,8 +660,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config seed (beats HYPERWALK_SEED)")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the simulate ensemble "
-                            "(the other commands ignore it)")
+                       help="at most this many worker processes for the simulate "
+                            "ensemble, >= 1; also capped at the walks and the usable "
+                            "cores (the other commands ignore it)")
     return parser
 
 
@@ -674,6 +676,9 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.workers < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return 3
     try:
         text = Path(args.config).read_text()
     except OSError as exc:

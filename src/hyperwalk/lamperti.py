@@ -368,6 +368,46 @@ def _prepare_grid(r_grid, r0):
     return grid, float(r0), tail
 
 
+def _recurrence_leg(points, theta, floor_name, criterion, rows):
+    """The recurrence inequality 2 r (nu1 + hw1) <= (1 + (1-theta)/log r)(nu2 - hw2)
+    at each (r, nu1, nu2) estimate triple of `points`, appending a floor row
+    and a margin row per radius to `rows`.
+
+    Returns (holds, margins, rhs): the leg holds when there is a point and
+    every floor nu2 - hw2 and every margin is positive.
+    """
+    margins, rhs_values = [], []
+    floor_ok = True
+    for r, e1, e2 in points:
+        floor = e2.value - e2.half_width
+        if floor <= 0.0:
+            floor_ok = False
+        rows.append(MarginRow(r, floor_name, e2.value, e2.half_width, floor, criterion))
+        rhs = (1.0 + (1.0 - theta) / math.log(r)) * floor
+        lhs = 2.0 * r * (e1.value + e1.half_width)
+        margins.append((r, rhs - lhs))
+        rhs_values.append(rhs)
+        rows.append(MarginRow(r, "recurrence-margin", lhs, 2.0 * r * e1.half_width,
+                              rhs - lhs, criterion))
+    holds = floor_ok and bool(margins) and all(m > 0.0 for _, m in margins)
+    return holds, margins, rhs_values
+
+
+def _decide(transient, recurrent, theta, r0, rows, notes,
+            neither="neither inequality held at every tail radius with margin"):
+    """The report of a two-leg classifier, each leg (holds, criterion,
+    margins): transient when that leg holds, else recurrent when that one
+    does, else inconclusive on the transience leg's margins."""
+    (t_ok, t_crit, t_margins), (r_ok, r_crit, r_margins) = transient, recurrent
+    if t_ok:
+        return ClassificationReport(Verdict.TRANSIENT, t_crit, t_margins, theta, r0, rows, notes)
+    if r_ok:
+        notes.append("a finite bound on liminf R_n exists; its value is not computed")
+        return ClassificationReport(Verdict.RECURRENT, r_crit, r_margins, theta, r0, rows, notes)
+    notes.append(neither)
+    return ClassificationReport(Verdict.INCONCLUSIVE, t_crit, t_margins, theta, r0, rows, notes)
+
+
 # ---------------------------------------------------------------------------
 # Classifiers
 # ---------------------------------------------------------------------------
@@ -407,33 +447,11 @@ def classify_constant_curvature(moments: MomentFunctions, r_grid, theta: float =
         notes.append("second moment shows growth along the tail; transience leg rejected")
     transient_ok = bounded and all(m > 0.0 for _, m in t_margins)
 
-    # recurrence leg
-    r_tail = [(r, e1, e2) for r, e1, e2 in zip(tail, n1, n2) if r > 1.0]
-    r_margins = []
-    floor_ok = bool(r_tail)
-    for r, e1, e2 in r_tail:
-        floor = e2.value - e2.half_width
-        if floor <= 0.0:
-            floor_ok = False
-        rows.append(MarginRow(r, "second-moment-floor", e2.value, e2.half_width,
-                              floor, CRIT_CONST_RECURRENT))
-        rhs = (1.0 + (1.0 - theta) / math.log(r)) * floor
-        lhs = 2.0 * r * (e1.value + e1.half_width)
-        r_margins.append((r, rhs - lhs))
-        rows.append(MarginRow(r, "recurrence-margin", lhs, 2.0 * r * e1.half_width,
-                              rhs - lhs, CRIT_CONST_RECURRENT))
-    recurrent_ok = floor_ok and bool(r_margins) and all(m > 0.0 for _, m in r_margins)
-
-    if transient_ok:
-        return ClassificationReport(Verdict.TRANSIENT, CRIT_CONST_TRANSIENT, t_margins,
-                                    theta, r0, rows, notes)
-    if recurrent_ok:
-        notes.append("a finite bound on liminf R_n exists; its value is not computed")
-        return ClassificationReport(Verdict.RECURRENT, CRIT_CONST_RECURRENT, r_margins,
-                                    theta, r0, rows, notes)
-    notes.append("neither inequality held at every tail radius with margin")
-    return ClassificationReport(Verdict.INCONCLUSIVE, CRIT_CONST_TRANSIENT, t_margins,
-                                theta, r0, rows, notes)
+    recurrent_ok, r_margins, _ = _recurrence_leg(
+        [(r, e1, e2) for r, e1, e2 in zip(tail, n1, n2) if r > 1.0], theta,
+        "second-moment-floor", CRIT_CONST_RECURRENT, rows)
+    return _decide((transient_ok, CRIT_CONST_TRANSIENT, t_margins),
+                   (recurrent_ok, CRIT_CONST_RECURRENT, r_margins), theta, r0, rows, notes)
 
 
 def _pinched_integrands(r, k, K, d_rad, d_tot, phi):
@@ -527,45 +545,20 @@ def classify_pinched(law: IncrementLaw, k_min_profile: RadialProfile,
         notes.append("scaled drift r*nu1 shows no growth beyond noise; divergence not supported")
 
     # recurrence leg: split second moment floor + inequality against the K side
-    r_margins = []
-    alt_differs = False
-    floor_ok = True
-    any_pt = False
-    for r, (ests, k, K) in per_r.items():
-        if r <= 1.0 or r < r0:
-            continue
-        any_pt = True
-        m1l, m1h, m2s, _ = ests
-        floor = m2s.value - m2s.half_width
-        if floor <= 0.0:
-            floor_ok = False
-        rows.append(MarginRow(r, "split-second-moment-floor", m2s.value, m2s.half_width,
-                              floor, CRIT_PINCHED_RECURRENT))
-        rhs = (1.0 + (1.0 - theta) / math.log(r)) * floor
-        lhs = 2.0 * r * (m1h.value + m1h.half_width)
-        r_margins.append((r, rhs - lhs))
-        rows.append(MarginRow(r, "recurrence-margin", lhs, 2.0 * r * m1h.half_width,
-                              rhs - lhs, CRIT_PINCHED_RECURRENT))
-        lhs_alt = 2.0 * r * (m1l.value + m1l.half_width)
-        if (rhs - lhs > 0.0) != (rhs - lhs_alt > 0.0):
-            alt_differs = True
-    recurrent_ok = floor_ok and any_pt and bool(r_margins) and all(m > 0.0 for _, m in r_margins)
-    if alt_differs:
+    legs = [(r, m1l, m1h, m2s) for r, ((m1l, m1h, m2s, _), _, _) in per_r.items()
+            if r > 1.0 and r >= r0]
+    recurrent_ok, r_margins, rhs = _recurrence_leg(
+        [(r, m1h, m2s) for r, _, m1h, m2s in legs], theta,
+        "split-second-moment-floor", CRIT_PINCHED_RECURRENT, rows)
+    # the same inequality read with the k_min first moment
+    if any((m > 0.0) != (q - 2.0 * r * (m1l.value + m1l.half_width) > 0.0)
+           for (_, m), q, (r, m1l, _, _) in zip(r_margins, rhs, legs)):
         notes.append(
             "the k_min reading of the first-moment condition disagrees with the "
             "k_max reading used here; the k_max side is the valid upper bound"
         )
-
-    if transient_ok:
-        return ClassificationReport(Verdict.TRANSIENT, CRIT_PINCHED_TRANSIENT, t_margins,
-                                    theta, r0, rows, notes)
-    if recurrent_ok:
-        notes.append("a finite bound on liminf R_n exists; its value is not computed")
-        return ClassificationReport(Verdict.RECURRENT, CRIT_PINCHED_RECURRENT, r_margins,
-                                    theta, r0, rows, notes)
-    notes.append("neither inequality held at every tail radius with margin")
-    return ClassificationReport(Verdict.INCONCLUSIVE, CRIT_PINCHED_TRANSIENT, t_margins,
-                                theta, r0, rows, notes)
+    return _decide((transient_ok, CRIT_PINCHED_TRANSIENT, t_margins),
+                   (recurrent_ok, CRIT_PINCHED_RECURRENT, r_margins), theta, r0, rows, notes)
 
 
 def uniform_ellipticity_transience_check(law: IncrementLaw, k: float, epsilon: float,
@@ -739,14 +732,6 @@ def classify_elliptic_chain(a: RadialProfile, b: RadialProfile,
     transient_ok = (all(v > 0.0 for _, v in t_vals)
                     and (len(t_vals) < 2 or t_vals[-1][1] >= t_vals[0][1]))
     recurrent_ok = bool(r_margins) and all(m > 0.0 for _, m in r_margins)
-
-    if transient_ok:
-        return ClassificationReport(Verdict.TRANSIENT, CRIT_ELLIPTIC_TRANSIENT, t_vals,
-                                    theta, r0, rows, notes)
-    if recurrent_ok:
-        notes.append("a finite bound on liminf R_n exists; its value is not computed")
-        return ClassificationReport(Verdict.RECURRENT, CRIT_ELLIPTIC_RECURRENT, r_margins,
-                                    theta, r0, rows, notes)
-    notes.append("neither closed-form inequality held along the tail")
-    return ClassificationReport(Verdict.INCONCLUSIVE, CRIT_ELLIPTIC_TRANSIENT, t_vals,
-                                theta, r0, rows, notes)
+    return _decide((transient_ok, CRIT_ELLIPTIC_TRANSIENT, t_vals),
+                   (recurrent_ok, CRIT_ELLIPTIC_RECURRENT, r_margins), theta, r0, rows, notes,
+                   neither="neither closed-form inequality held along the tail")

@@ -17,6 +17,11 @@ consume the stream exactly as per-step `sample_components` calls would, and
 scale each row by the law's profiles at the current radius with the same
 operations as those calls; every other law is sampled once per step.
 
+Every walk the package runs, in `run_walk`, the worker pool and both
+probes, is the step path `_radius_iter` or `_ambient_states` over the walk's
+own stream, started at `_start_point` and named by `_naming_walk` when it
+breaks an invariant.
+
 Reproducibility contract: every walk owns the rng stream spawned from
 (master seed, walk id), and ensemble statistics are aggregated in walk-id
 order, so results are bit-identical across runs and across worker counts.
@@ -24,8 +29,12 @@ order, so results are bit-identical across runs and across worker counts.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import functools
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -156,14 +165,27 @@ def walk_rng(seed: int, walk_id: int) -> np.random.Generator:
 # Single-walk drivers
 # ---------------------------------------------------------------------------
 
-def _hyperbolic_start(k: float, d: int, start_radius: float) -> np.ndarray:
-    x = np.zeros(d + 1)
-    if start_radius == 0.0:
-        x[0] = 1.0 / k
+def _start_point(model: CurvatureModel, radius: float) -> np.ndarray:
+    """The ambient point at `radius` along the first axis: on the hyperboloid
+    for a hyperbolic model, in R^d for a flat one."""
+    if model.is_hyperbolic:
+        k = model.k
+        x = np.zeros(model.d + 1)
+        x[0] = math.cosh(k * radius) / k
+        x[1] = math.sinh(k * radius) / k
     else:
-        x[0] = math.cosh(k * start_radius) / k
-        x[1] = math.sinh(k * start_radius) / k
+        x = np.zeros(model.d)
+        x[0] = radius
     return x
+
+
+@contextlib.contextmanager
+def _naming_walk(walk_id: int):
+    """Prefix `walk <id>: ` to an InvariantViolationError raised inside."""
+    try:
+        yield
+    except InvariantViolationError as exc:
+        raise InvariantViolationError(f"walk {walk_id}: {exc}") from exc
 
 
 def run_walk(config: WalkConfig, walk_id: int,
@@ -175,10 +197,8 @@ def run_walk(config: WalkConfig, walk_id: int,
     """
     if rng is None:
         rng = walk_rng(config.seed, walk_id)
-    try:
+    with _naming_walk(walk_id):
         return _collect(config, walk_id, _radius_iter(config, rng))
-    except InvariantViolationError as exc:
-        raise InvariantViolationError(f"walk {walk_id}: {exc}") from exc
 
 
 def _collect(config, walk_id, radius_iter) -> TrajectoryRecord:
@@ -297,9 +317,8 @@ def _ambient_hyperbolic_states(config, rng):
     overflow limit.
     """
     k = config.model.k
-    d = config.model.d
     draw = _step_draws(config.law, config.steps, rng)
-    x = _hyperbolic_start(k, d, config.start_radius)
+    x = _start_point(config.model, config.start_radius)
     R = config.start_radius
     inf = math.inf
 
@@ -348,10 +367,8 @@ def _ambient_hyperbolic_states(config, rng):
 
 def _ambient_euclidean_states(config, rng):
     """Yield (n, x, R) for the ambient Euclidean walk."""
-    d = config.model.d
     draw = _step_draws(config.law, config.steps, rng)
-    x = np.zeros(d)
-    x[0] = config.start_radius
+    x = _start_point(config.model, config.start_radius)
     R = float(np.linalg.norm(x))
     inf = math.inf
 
@@ -372,31 +389,37 @@ def _ambient_states(config, rng):
     return _ambient_euclidean_states(config, rng)
 
 
+def _radius_iter(config, rng):
+    """(n, R_n) for n = 1 .. T: the one step path of run_walk and the probes."""
+    if config.mode == MODE_AMBIENT:
+        return ((n, R) for n, _, R in _ambient_states(config, rng))
+    return _radial_only_radii(config, rng)
+
+
 # ---------------------------------------------------------------------------
 # Ensembles
 # ---------------------------------------------------------------------------
 
-def _run_walk_task(args):
-    config, walk_id = args
-    return run_walk(config, walk_id)
-
-
 def run_ensemble(config: WalkConfig, workers: int = 1):
     """Run the configured ensemble; returns (records, stats).
 
-    Records come back ordered by walk id and the aggregation is a sum of
-    per-walk sufficient statistics, so the output is identical for any
-    worker count.
+    The pool has min(workers, walks, usable cores) processes, since the
+    pool starts all of them at once; at one or fewer the walks run in this
+    process.  Records come back ordered by walk id and the aggregation is a
+    sum of per-walk sufficient statistics, so the output is identical for
+    any worker count.
     """
-    ids = list(range(config.walks))
+    walk = functools.partial(run_walk, config)
+    ids = range(config.walks)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(workers, config.walks, cores)
     if workers <= 1:
-        records = [run_walk(config, i) for i in ids]
+        records = list(map(walk, ids))
     else:
-        chunk = max(1, len(ids) // (4 * workers))
+        chunk = max(1, config.walks // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_walk_task, [(config, i) for i in ids],
-                                    chunksize=chunk))
-        records.sort(key=lambda r: r.walk_id)
+            records = list(pool.map(walk, ids, chunksize=chunk))
     return records, ensemble_stats(records, config)
 
 
@@ -447,10 +470,21 @@ class ProbeEstimate:
     trials: int
 
 
-def _probe_result(successes: int, trials: int) -> ProbeEstimate:
-    p = successes / trials
-    hw = Z99 * math.sqrt(p * (1.0 - p) / trials)
-    return ProbeEstimate(p, hw, successes, trials)
+def _hit_probe(config: WalkConfig, steps: int, states, hit) -> ProbeEstimate:
+    """The fraction of walks whose state hits at some step 0 .. `steps`.
+
+    `states(cfg, rng)` yields a walk's states from step 0 on, run with
+    `steps` steps over the walk's own stream; each walk stops at its first
+    state for which `hit` is true.
+    """
+    cfg = dataclasses.replace(config, steps=steps)
+    successes = 0
+    for walk_id in range(config.walks):
+        with _naming_walk(walk_id):
+            successes += any(map(hit, states(cfg, walk_rng(config.seed, walk_id))))
+    p = successes / config.walks
+    hw = Z99 * math.sqrt(p * (1.0 - p) / config.walks)
+    return ProbeEstimate(p, hw, successes, config.walks)
 
 
 def escape_probe(config: WalkConfig, r: float, horizon: int) -> ProbeEstimate:
@@ -463,18 +497,12 @@ def escape_probe(config: WalkConfig, r: float, horizon: int) -> ProbeEstimate:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     if config.start_radius > r:
         raise UsageError("escape probe requires start_radius <= r")
-    probe_cfg = _replace_steps(config, horizon)
-    successes = 0
-    for walk_id in range(config.walks):
-        rng = walk_rng(config.seed, walk_id)
-        if config.start_radius >= r:
-            successes += 1
-            continue
-        for _, R in _radius_iter(probe_cfg, rng):
-            if R >= r:
-                successes += 1
-                break
-    return _probe_result(successes, config.walks)
+
+    def radii(cfg, rng):
+        yield cfg.start_radius
+        for _, R in _radius_iter(cfg, rng):
+            yield R
+    return _hit_probe(config, horizon, radii, lambda R: R >= r)
 
 
 def neighborhood_return_probe(config: WalkConfig, target_center_radius: float,
@@ -497,60 +525,19 @@ def neighborhood_return_probe(config: WalkConfig, target_center_radius: float,
     if not target_radius > 0:
         raise DomainError("target_radius must be > 0")
 
-    hyper = config.model.is_hyperbolic
-    if hyper:
+    center = _start_point(config.model, target_center_radius)
+    if config.model.is_hyperbolic:
         k = config.model.k
-        d = config.model.d
-        center = _hyperbolic_start(k, d, target_center_radius)
         k2 = k * k
 
-        def dist_to_center(x):
-            arg = max(-_mink(x, center) * k2, 1.0)
-            return math.acosh(arg) / k
+        def inside(x):
+            return math.acosh(max(-_mink(x, center) * k2, 1.0)) / k < target_radius
     else:
-        center = np.zeros(config.model.d)
-        center[0] = target_center_radius
+        def inside(x):
+            return float(np.linalg.norm(x - center)) < target_radius
 
-        def dist_to_center(x):
-            return float(np.linalg.norm(x - center))
-
-    probe_cfg = _replace_steps(config, m)
-    successes = 0
-    for walk_id in range(config.walks):
-        rng = walk_rng(config.seed, walk_id)
-        if hyper:
-            x0 = _hyperbolic_start(config.model.k, config.model.d, config.start_radius)
-        else:
-            x0 = np.zeros(config.model.d)
-            x0[0] = config.start_radius
-        if dist_to_center(x0) < target_radius:
-            successes += 1
-            continue
-        if m == 0:
-            continue
-        hit = False
-        for x in _ambient_positions(probe_cfg, rng):
-            if dist_to_center(x) < target_radius:
-                hit = True
-                break
-        if hit:
-            successes += 1
-    return _probe_result(successes, config.walks)
-
-
-def _replace_steps(config: WalkConfig, steps: int) -> WalkConfig:
-    return WalkConfig(config.model, config.law, steps, config.walks, config.seed,
-                      config.mode, config.record_stride, config.ball_radius,
-                      config.burn_in, config.start_radius, config.escape_radius)
-
-
-def _radius_iter(config, rng):
-    """(n, R_n) for n = 1 .. T: the one step path of run_walk and the probes."""
-    if config.mode == MODE_AMBIENT:
-        return ((n, R) for n, _, R in _ambient_states(config, rng))
-    return _radial_only_radii(config, rng)
-
-
-def _ambient_positions(config, rng):
-    """Ambient positions X_1 .. X_T."""
-    return (x for _, x, _ in _ambient_states(config, rng))
+    def positions(cfg, rng):
+        yield _start_point(cfg.model, cfg.start_radius)
+        for _, x, _ in _ambient_states(cfg, rng):
+            yield x
+    return _hit_probe(config, m, positions, inside)

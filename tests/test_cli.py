@@ -318,6 +318,15 @@ class TestSimulateCommand:
         assert (out1 / "trajectories.csv").read_bytes() == \
             (out2 / "trajectories.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["simulate", "classify", "validate", "moments"])
+    def test_workers_below_one_exits_3_naming_the_flag(self, command, workers,
+                                                       tmp_path, capsys):
+        code, out = run_cli(tmp_path, "w.cfg", SIM_CFG, command, ("--workers", workers))
+        assert code == 3
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_header_contains_resolved_config(self, tmp_path, capsys):
         _, out = run_cli(tmp_path, "h.cfg", SIM_CFG, "simulate")
         head = (out / "summary.csv").read_text().splitlines()
@@ -480,6 +489,19 @@ class TestPinchedDispatch:
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_NAMES = ["sim-small", "sim-recurrent-small", "sim-euclid-small",
                 "sim-ambient-small", "sim-ambient-recurrent-small", "sim-ambient-euclid-small"]
+# classify and moments goldens: run name -> the CSV it writes.  A classify
+# run's report.txt holds the verdict, criterion and note lines it printed.
+REPORT_GOLDENS = {
+    "classify-box-screen": "margins.csv",            # uniform-ellipticity screen decides
+    "classify-box-recurrent-small": "margins.csv",   # screen inconclusive, moments decide
+    "classify-heavytail-small": "margins.csv",
+    "classify-inward-small": "margins.csv",
+    "classify-pinched-small": "margins.csv",
+    "classify-pinched-wide": "margins.csv",          # k_min and k_max readings disagree
+    "classify-elliptic-small": "margins.csv",        # closed form
+    "classify-euclid-small": "margins.csv",
+    "moments-small": "moments.csv",
+}
 
 # Budget for a value that passes through libm's sinh, cosh, acosh, exp and
 # log, none of which glibc rounds correctly: |got - golden| must stay within
@@ -488,16 +510,21 @@ GOLDEN_NAMES = ["sim-small", "sim-recurrent-small", "sim-euclid-small",
 # values by at most 1.6e-13 on this scale, and by 2.5e-12 with the same sign
 # on every call; in hyperwalk.geometry and hyperwalk.simulator it moved the
 # ambient-mode runs by at most 1.2e-13, and 7.2e-14 with the same sign.
-# Moving the powerdecay exponent by 1e-6 moves R by 1.1e-5.
+# Moving numpy's exp, log, sinh, cosh and arccosh (and math's) by 1-4 ulp at
+# random moved the classify and moments runs by at most 3.8e-15, and by
+# 7.0e-13 with the same sign on every call.  Moving the powerdecay exponent
+# by 1e-6 moves R by 1.1e-5.
 GOLDEN_TAU = 1e-11
 # The columns compared within the budget.  Every other field, every header
-# line and the column line must match byte for byte.
+# line and the column line must match byte for byte, and so must an empty
+# field in these columns.
 GOLDEN_CLOSE_COLUMNS = frozenset({"R", "q5", "q25", "q50", "q75", "q95",
-                                  "drift", "drift_hw"})
+                                  "drift", "drift_hw",
+                                  "r", "estimate", "half_width", "margin", "reference"})
 
 
 def _field_matches(column, got, want):
-    if column not in GOLDEN_CLOSE_COLUMNS:
+    if column not in GOLDEN_CLOSE_COLUMNS or not want:
         return got == want
     try:
         x, y = float(got), float(want)
@@ -510,7 +537,7 @@ def _field_matches(column, got, want):
 
 
 def golden_mismatches(got: str, want: str) -> list:
-    """Every way a `simulate` CSV departs from its golden copy.
+    """Every way an output CSV departs from its golden copy.
 
     Header lines, the column line, the line count and every field outside
     GOLDEN_CLOSE_COLUMNS must match byte for byte.  A field in those columns
@@ -566,6 +593,36 @@ class TestGoldenRuns:
                                   f"{len(problems)} places:\n" + "\n".join(problems[:10]))
 
 
+_VERDICT_EXIT = {"recurrent": 0, "transient": 1, "inconclusive": 2}
+
+
+class TestReportGoldens:
+    """Frozen classify and moments runs, compared as the simulate goldens
+    are: the float columns within GOLDEN_TAU, every other field and header
+    byte for byte, and a classify run's verdict, criterion and notes (and so
+    its exit code) exactly."""
+
+    @pytest.mark.parametrize("name", REPORT_GOLDENS)
+    def test_matches_golden(self, name, tmp_path, capsys):
+        command = "moments" if name.startswith("moments") else "classify"
+        out = tmp_path / name
+        code = main([command, "--config", os.path.join(GOLDEN, name + ".cfg"),
+                     "--out", str(out)])
+        fname = REPORT_GOLDENS[name]
+        problems = golden_mismatches((out / fname).read_bytes().decode("ascii"),
+                                     _golden_text(name, fname))
+        assert not problems, (f"{name}/{fname} diverged from golden in "
+                              f"{len(problems)} places:\n" + "\n".join(problems[:10]))
+        if command == "moments":
+            assert code == 0
+            return
+        report = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith(("verdict:", "criterion:", "note:"))]
+        want = _golden_text(name, "report.txt").splitlines()
+        assert report == want
+        assert code == _VERDICT_EXIT[want[0].split()[1]]
+
+
 def _layout(text):
     """The lines of a CSV, its columns and the 1-based line of its first row."""
     lines = text.split("\n")
@@ -590,6 +647,8 @@ def _nudged(text, rnd):
     for i in range(first - 1, len(lines) - 1):
         fields = lines[i].split(",")
         for j in close:
+            if not fields[j]:
+                continue
             x, toward = float(fields[j]), rnd.choice((math.inf, -math.inf))
             for _ in range(rnd.randint(1, 4)):
                 x = math.nextafter(x, toward)
@@ -651,6 +710,32 @@ class TestGoldenComparison:
             if old in want:
                 assert golden_mismatches(want.replace(old, new, 1), want)
         assert golden_mismatches(want.replace("\n", "\r\n", 1), want)
+
+    @pytest.mark.parametrize("name", REPORT_GOLDENS)
+    def test_report_passes_every_estimate_nudged_by_a_few_ulp(self, name):
+        want = _golden_text(name, REPORT_GOLDENS[name])
+        assert golden_mismatches(_nudged(want, random.Random(name)), want) == []
+
+    @pytest.mark.parametrize("column", ["r", "estimate", "half_width", "margin"])
+    def test_report_fails_when_a_float_moves_beyond_tau(self, column):
+        want = _golden_text("classify-pinched-wide", "margins.csv")
+        for factor, fails in ((2.0, True), (0.5, False)):
+            got = _edit(want, _layout(want)[2], column, lambda f: repr(
+                float(f) + factor * GOLDEN_TAU * max(1.0, abs(float(f)))))
+            assert bool(golden_mismatches(got, want)) is fails, (column, factor)
+
+    def test_report_text_and_empty_fields_compare_byte_for_byte(self):
+        margins = _golden_text("classify-pinched-wide", "margins.csv")
+        first = _layout(margins)[2]
+        for column, value in (("quantity", "scaled-drift"), ("criterion", "pinched-recurrent")):
+            assert golden_mismatches(_edit(margins, first, column, lambda _: value), margins)
+        moments = _golden_text("moments-small", "moments.csv")
+        lines, _, first = _layout(moments)
+        nu1 = next(n for n in range(first, len(lines)) if lines[n - 1].split(",")[1] == "nu1")
+        for column, value in (("reference", "0.0"), ("bound_kind", "upper")):
+            assert golden_mismatches(_edit(moments, nu1, column, lambda _: value), moments)
+        # the first row is E[d_tot^2], whose reference is filled in
+        assert golden_mismatches(_edit(moments, first, "reference", lambda _: ""), moments)
 
     @pytest.mark.parametrize("column", ["walks", "steps", "mean_returns",
                                         "fraction_escaped", "fraction_escaped_hw",

@@ -13,11 +13,12 @@ from hyperwalk.errors import (
     OverflowGuardError,
     UsageError,
 )
+from hyperwalk import simulator
 from hyperwalk.simulator import (
     MODE_AMBIENT,
     MODE_RADIAL_ONLY,
     WalkConfig,
-    _ambient_positions,
+    _ambient_states,
     ensemble_stats,
     walk_rng,
 )
@@ -277,6 +278,86 @@ class TestNonFiniteStep:
             hw.run_walk(cfg, 0)
 
 
+def nan_row_blocks(walk, step):
+    """BoxLaw.unit_blocks with a NaN radial part in row `step` of walk
+    `walk`, counting walks by the calls (one per walk)."""
+    original = hw.BoxLaw.unit_blocks
+    calls = []
+
+    def unit_blocks(self, steps, rng):
+        calls.append(steps)
+        for i, block in enumerate(original(self, steps, rng)):
+            if len(calls) == walk + 1 and i == 0:
+                block = block.copy()
+                block[step - 1, 0] = math.nan
+            yield block
+    return unit_blocks
+
+
+class TestProbeNonFiniteStep:
+    """The probes run their walks through the same driver as run_walk, so a
+    non-finite step in a probe names its walk too."""
+
+    @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
+    def test_escape_probe_names_the_walk(self, model, mode):
+        horizon = 10     # unit outward steps never reach r, so walks 0 and 1 draw 10 steps each
+        cfg = WalkConfig(model, bad_step_law(math.nan, 2 * horizon + 4), 1, 3, 0, mode=mode)
+        with pytest.raises(InvariantViolationError, match=r"^walk 2: step 4 has non-finite"):
+            hw.escape_probe(cfg, r=1e9, horizon=horizon)
+
+    @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
+    def test_neighborhood_probe_names_the_walk(self, model, monkeypatch):
+        monkeypatch.setattr(hw.BoxLaw, "unit_blocks", nan_row_blocks(walk=2, step=4))
+        cfg = WalkConfig(model, hw.BoxLaw(C1, C1, 2), 1, 3, 0, mode=MODE_AMBIENT)
+        # 10 steps of at most BoxLaw.step_bound() = 2.45 cannot reach the far ball
+        with pytest.raises(InvariantViolationError, match=r"^walk 2: step 4 has non-finite"):
+            hw.neighborhood_return_probe(cfg, 50.0, 0.5, 10)
+
+
+class TestProbePins:
+    """Successes of seeded probe runs, stored from the first validated run:
+    the probes count exactly the walks they counted before they moved onto
+    the shared walk driver."""
+
+    ESCAPE = [  # geometry, d, law, mode, start radius, r, horizon, walks, seed: successes
+        (("hyperbolic", 2, "elliptic", MODE_RADIAL_ONLY, 0.0, 8.0, 12, 40, 71), 18),
+        (("hyperbolic", 3, "box", MODE_AMBIENT, 0.5, 6.0, 6, 30, 72), 17),
+        (("euclidean", 2, "heavytail", MODE_RADIAL_ONLY, 0.0, 6.0, 8, 40, 73), 9),
+        (("euclidean", 3, "elliptic", MODE_AMBIENT, 1.0, 3.5, 6, 30, 74), 26),
+    ]
+    NEIGHBORHOOD = [  # geometry, d, start radius, center, radius, m, walks, seed: successes
+        (("hyperbolic", 2, 0.0, 2.0, 1.0, 30, 40, 75), 7),
+        (("hyperbolic", 3, 0.0, 2.5, 1.0, 15, 30, 76), 1),
+        (("euclidean", 2, 0.0, 3.0, 1.0, 40, 40, 77), 16),
+        (("euclidean", 3, 0.0, 2.0, 1.0, 10, 30, 78), 3),
+    ]
+
+    @staticmethod
+    def _model(geometry, d):
+        if geometry == "hyperbolic":
+            return hw.CurvatureModel.hyperbolic(1.0, d)
+        return hw.CurvatureModel.euclidean(d)
+
+    @pytest.mark.parametrize("case, successes", ESCAPE)
+    def test_escape_probe(self, case, successes):
+        geometry, d, kind, mode, start, r, horizon, walks, seed = case
+        law = {"elliptic": hw.EllipticLaw(C1, C1, d), "box": hw.BoxLaw(C1, C1, d),
+               "heavytail": hw.HeavyTailLaw(4.0, d)}[kind]
+        cfg = WalkConfig(self._model(geometry, d), law, 1, walks, seed, mode=mode,
+                         start_radius=start)
+        res = hw.escape_probe(cfg, r, horizon)
+        assert (res.successes, res.trials) == (successes, walks)
+
+    @pytest.mark.parametrize("case, successes", NEIGHBORHOOD)
+    def test_neighborhood_return_probe(self, case, successes):
+        geometry, d, start, center, radius, m, walks, seed = case
+        cfg = WalkConfig(self._model(geometry, d), hw.BoxLaw(C1, C1, d), 1, walks, seed,
+                         mode=MODE_AMBIENT, start_radius=start)
+        res = hw.neighborhood_return_probe(cfg, center, radius, m)
+        assert (res.successes, res.trials) == (successes, walks)
+
+
 class TestAmbientPositions:
     """Ambient positions depend on the orientation of each frame's
     transverse axes, which the radii do not: R after a step depends only on
@@ -297,7 +378,7 @@ class TestAmbientPositions:
                  else hw.CurvatureModel.euclidean(d))
         cfg = WalkConfig(model, hw.BoxLaw(C1, C1, d), 25, 1, 90907,
                          mode=MODE_AMBIENT, start_radius=0.5)
-        *_, x = _ambient_positions(cfg, walk_rng(90907, 0))
+        *_, (_, x, _) = _ambient_states(cfg, walk_rng(90907, 0))
         assert x == pytest.approx(self.FINAL[kind, d], rel=1e-9)
 
 
@@ -322,6 +403,48 @@ class TestEnsemble:
         assert s1 == s2
         for a, b in zip(r1, r2):
             assert a.walk_id == b.walk_id and a.radii == b.radii
+
+    @pytest.mark.parametrize("workers, walks, cores, size", [
+        (5000, 3, 8, 3),        # one process per walk at most
+        (5000, 30, 4, 4),       # one per usable core at most
+        (2, 30, 4, 2),
+        (3, 30, None, 3),       # no sched_getaffinity: os.cpu_count() decides
+        (1, 30, 4, None),       # one worker or fewer runs in process
+        (0, 30, 4, None),
+        (4, 1, 4, None),
+        (4, 30, 1, None),
+    ])
+    def test_pool_is_capped_at_walks_and_usable_cores(self, workers, walks, cores, size,
+                                                      monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor, so no process starts."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+        if cores is None:
+            monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+        else:
+            monkeypatch.setattr(simulator.os, "sched_getaffinity",
+                                lambda pid: set(range(cores)), raising=False)
+        cfg = WalkConfig(HYP2, ELLIPTIC, 20, walks, 21, mode=MODE_RADIAL_ONLY)
+        records, stats = hw.run_ensemble(cfg, workers=workers)
+        assert sizes == ([] if size is None else [size])
+        assert [r.walk_id for r in records] == list(range(walks))
+        assert stats == hw.run_ensemble(cfg)[1]
 
     def test_quantiles_monotone_and_fractions_bounded(self):
         cfg = WalkConfig(HYP2, ELLIPTIC, 300, 30, 8, mode=MODE_RADIAL_ONLY,
