@@ -379,66 +379,91 @@ def radial_increment_exact(R: float, d_tot: float, phi: float, k: float) -> floa
 
 
 def radial_increment_exact_batch(R: float, d_tot, phi, k: float) -> np.ndarray:
-    """Vectorised radial_increment_exact for arrays of (d_tot, phi) at fixed R.
+    """Vectorised radial_increment_exact at fixed R over arrays of (d_tot, phi).
 
-    Same branch structure as the scalar version; used by the Monte Carlo
-    estimators, which evaluate millions of increments per grid radius.
+    phi has d_tot's shape, or that shape behind leading axes: each row along
+    them is then one direction per step, and what depends on d_tot alone
+    (cosh, sinh and exp of k d_tot) is evaluated once for every row.  The
+    estimators pass np.stack([phi, -phi]) to pair each draw with its mirror;
+    sign flips are exact in IEEE arithmetic, so each row equals a separate
+    call bit for bit.  0-d inputs give a 0-d result.
+
+    Branches, per element, as in the scalar version:
+      * d_tot = 0 gives 0, phi = 1 gives d_tot and phi = -1 gives
+        |R - d_tot| - R, with no transcendental call;
+      * kR and k d_tot both at most LOG_DOMAIN_THRESHOLD: the direct arccosh;
+      * otherwise the log form, whose arccosh correction is evaluated only
+        where log z <= 20; above that it is under double resolution.
+    A branch that covers the whole batch runs on the arrays themselves; only
+    a batch that mixes branches is gathered branch by branch.
     """
     d_tot = np.asarray(d_tot, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if R < 0.0 or not k > 0:
         raise DomainError(f"need R >= 0 and k > 0, got R={R}, k={k}")
-    if np.any(d_tot < 0.0) or np.any(np.abs(phi) > 1.0):
+    abs_phi = np.abs(phi)
+    if np.any(d_tot < 0.0) or np.any(abs_phi > 1.0):
         raise DomainError("d_tot must be >= 0 and phi in [-1, 1]")
+    shape = np.broadcast_shapes(d_tot.shape, phi.shape)
+    d_tot = np.atleast_1d(d_tot)
+    phi = np.broadcast_to(phi, shape or (1,))
+    A = k * R
 
-    out = np.empty_like(d_tot)
-    zero = d_tot == 0.0
-    outward = (phi == 1.0) & ~zero
-    inward = (phi == -1.0) & ~zero
-    general = ~(zero | outward | inward)
+    def edge(d_tot, phi):
+        return np.where(d_tot == 0.0, 0.0, np.where(phi == 1.0, d_tot, np.abs(R - d_tot) - R))
 
-    out[zero] = 0.0
-    out[outward] = d_tot[outward]
-    out[inward] = np.abs(R - d_tot[inward]) - R
-
-    if np.any(general):
-        dt = d_tot[general]
-        ph = phi[general]
-        A = k * R
-        D = k * dt
-        res = np.empty_like(dt)
+    def general(d_tot, phi):
+        D = k * d_tot
         direct = (A <= LOG_DOMAIN_THRESHOLD) & (D <= LOG_DOMAIN_THRESHOLD)
-        if np.any(direct):
-            z = np.cosh(A) * np.cosh(D[direct]) + ph[direct] * np.sinh(A) * np.sinh(D[direct])
-            np.maximum(z, 1.0, out=z)
-            res[direct] = np.arccosh(z) / k - R
-        big = ~direct
-        if np.any(big):
-            Db = D[big]
-            pb = ph[big]
-            s = (1.0 + pb) * (1.0 + np.exp(-2.0 * (A + Db))) + (1.0 - pb) * (
-                np.exp(-2.0 * Db) + np.exp(-2.0 * A)
-            )
-            with np.errstate(divide="ignore"):
-                log_z = A + Db + np.log(0.25 * s)
-            acosh_z = np.where(
-                log_z > 20.0,
-                log_z + _LOG2,
-                # safe both ways; the where() picks the valid branch
-                _acosh_from_log(np.minimum(log_z, 21.0)),
-            )
-            r_ = acosh_z / k - R
-            collapsed = s == 0.0
-            if np.any(collapsed):
-                r_[collapsed] = np.abs(R - dt[big][collapsed]) - R
-            res[big] = r_
-        out[general] = res
-    return out
+        out = _piecewise(direct, direct_acosh, log_domain_acosh, D, phi)
+        out /= k
+        out -= R
+        return out
+
+    def direct_acosh(D, phi):
+        z = phi * np.sinh(A) * np.sinh(D)
+        z += np.cosh(A) * np.cosh(D)
+        np.maximum(z, 1.0, out=z)  # rounding only: z >= cosh(A - D) >= 1 analytically
+        return np.arccosh(z, out=z)
+
+    def log_domain_acosh(D, phi):
+        # z = ((1+phi) cosh(A+D) + (1-phi) cosh(A-D)) / 2, evaluated in logs;
+        # |phi| < 1 gives 1 + phi >= 2^-53, so s > 0 and its log is finite
+        s = 1.0 + phi
+        s *= 1.0 + np.exp(-2.0 * (A + D))
+        s += (1.0 - phi) * (np.exp(-2.0 * D) + np.exp(-2.0 * A))
+        s *= 0.25
+        log_z = np.log(s, out=s)
+        log_z += A + D
+        return _piecewise(log_z <= 20.0, _acosh_from_log, lambda x: x + _LOG2, log_z)
+
+    general_rows = (d_tot != 0.0) & (abs_phi != 1.0)
+    return _piecewise(general_rows, general, edge, d_tot, phi).reshape(shape)
 
 
 def _acosh_from_log(log_z: np.ndarray) -> np.ndarray:
     z = np.exp(log_z)
     return np.log(2.0 * z) + np.log(0.5 * (1.0 + np.sqrt(np.maximum(1.0 - z ** -2, 0.0))))
+
+
+def _piecewise(mask, on, off, *arrays):
+    """on(*arrays) where mask holds and off(*arrays) elsewhere, each function
+    evaluated on its own elements only.
+
+    When the mask is uniform the one function runs on the arrays themselves,
+    so a batch that one branch covers is never copied; otherwise mask and
+    arrays are broadcast together and each branch gets its gathered elements.
+    """
+    if mask.all():
+        return on(*arrays)
+    if not mask.any():
+        return off(*arrays)
+    mask, *arrays = np.broadcast_arrays(mask, *arrays)
+    out = np.empty(mask.shape)
+    out[mask] = on(*(a[mask] for a in arrays))
+    rest = ~mask
+    out[rest] = off(*(a[rest] for a in arrays))
+    return out
 
 
 def euclidean_radial_increment(R: float, d_tot: float, d_rad: float) -> float:

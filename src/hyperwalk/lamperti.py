@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .increments import IncrementLaw, RadialProfile, zero_drift_check
-from .geometry import radial_increment_exact_batch
+from .geometry import _piecewise, radial_increment_exact_batch
 
 # two-sided 99% normal quantile
 Z99 = 2.5758293035489004
@@ -62,10 +62,19 @@ def asymptotic_increment_batch(k: float, d_rad, d_tot) -> np.ndarray:
     """(1/k) log(cosh(k d_tot) + phi sinh(k d_tot)) over arrays of (d_rad, d_tot),
     with phi = d_rad/d_tot, and 0 where d_tot = 0.
 
-    Stable evaluation: for phi near -1 the direct form cancels, so the
-    argument is computed as e^(-D) + (1+phi) sinh(D) (both terms nonnegative);
-    for D = k d_tot > 30 the log is expanded as
-    D + log((1+phi)/2 + (1-phi) e^(-2D) / 2).
+    d_rad has d_tot's shape, or that shape behind leading axes: each row along
+    them is one radial component per step, and sinh and exp of k d_tot are
+    evaluated once for every row.  The estimators pass
+    np.stack([d_rad, -d_rad]) to pair each draw with its mirror; each row
+    equals a separate call bit for bit.  0-d inputs give a 0-d result.
+
+    Branches, per element: d_tot = 0 gives 0 and phi = +-1 gives +-d_tot,
+    with no transcendental call.  Otherwise the evaluation is stable: for
+    D = k d_tot <= 30 the argument is computed as e^(-D) + (1+phi) sinh(D)
+    (both terms nonnegative, so nothing cancels near phi = -1); above, the
+    log is expanded as D + log((1+phi)/2 + (1-phi) e^(-2D) / 2).  A branch
+    that covers the whole batch runs on the arrays themselves; only a batch
+    that mixes branches is gathered branch by branch.
     """
     d_rad = np.asarray(d_rad, dtype=float)
     d_tot = np.asarray(d_tot, dtype=float)
@@ -73,32 +82,37 @@ def asymptotic_increment_batch(k: float, d_rad, d_tot) -> np.ndarray:
         raise DomainError(f"curvature parameter k must be > 0, got {k}")
     if np.any(d_tot < 0.0) or np.any(np.abs(d_rad) > d_tot * (1.0 + 1e-12) + 1e-300):
         raise DomainError("need d_tot >= 0 and |d_rad| <= d_tot")
-
-    out = np.zeros_like(d_tot)
+    shape = np.broadcast_shapes(d_rad.shape, d_tot.shape)
+    d_tot = np.atleast_1d(d_tot)
     pos = d_tot > 0.0
-    phi = np.zeros_like(d_tot)
-    phi[pos] = np.clip(d_rad[pos] / d_tot[pos], -1.0, 1.0)
+    phi = np.divide(d_rad, d_tot, out=np.zeros(shape or (1,)), where=pos)
+    np.clip(phi, -1.0, 1.0, out=phi)
 
-    up = pos & (phi == 1.0)
-    down = pos & (phi == -1.0)
-    out[up] = d_tot[up]
-    out[down] = -d_tot[down]
+    def edge(d_tot, phi):
+        return np.where(d_tot > 0.0, phi * d_tot, 0.0)
 
-    gen = pos & ~up & ~down
-    if np.any(gen):
-        D = k * d_tot[gen]
-        ph = phi[gen]
-        res = np.empty_like(D)
-        small = D <= _F_LOG_THRESHOLD
-        res[small] = np.log(np.exp(-D[small]) + (1.0 + ph[small]) * np.sinh(D[small])) / k
-        big = ~small
-        if np.any(big):
-            Db = D[big]
-            res[big] = (
-                Db + np.log(0.5 * (1.0 + ph[big]) + 0.5 * (1.0 - ph[big]) * np.exp(-2.0 * Db))
-            ) / k
-        out[gen] = res
-    return out
+    def general(d_tot, phi):
+        D = k * d_tot
+        out = _piecewise(D <= _F_LOG_THRESHOLD, log_argument, log_expansion, D, phi)
+        out /= k
+        return out
+
+    def log_argument(D, phi):
+        x = 1.0 + phi
+        x *= np.sinh(D)
+        x += np.exp(-D)
+        return np.log(x, out=x)
+
+    def log_expansion(D, phi):
+        x = 1.0 - phi
+        x *= 0.5
+        x *= np.exp(-2.0 * D)
+        x += 0.5 * (1.0 + phi)
+        np.log(x, out=x)
+        x += D
+        return x
+
+    return _piecewise(pos & (np.abs(phi) != 1.0), general, edge, d_tot, phi).reshape(shape)
 
 
 _SERIES_CUTOFF = 1e-4  # below k*d_tot = 1e-4 both coefficients equal k/2 to ~1e-12
@@ -221,12 +235,13 @@ def increment_moment_estimate(law: IncrementLaw, k: float, r: float, n_samples: 
         raise UsageError(f"need at least 100 samples, got {n_samples}")
     d_rad, t = law.sample_components_batch(r, n_samples, rng)
     d_tot = np.sqrt(d_rad * d_rad + np.einsum("ij,ij->i", t, t))
-    f = asymptotic_increment_batch(k, d_rad, d_tot)
-    x1, x2 = f, f ** 2
     if law.symmetric:
-        f_mirror = asymptotic_increment_batch(k, -d_rad, d_tot)
-        x1 = 0.5 * (x1 + f_mirror)
-        x2 = 0.5 * (x2 + f_mirror ** 2)
+        f, f_mirror = asymptotic_increment_batch(k, np.stack([d_rad, -d_rad]), d_tot)
+        x1 = 0.5 * (f + f_mirror)
+        x2 = 0.5 * (f ** 2 + f_mirror ** 2)
+    else:
+        f = asymptotic_increment_batch(k, d_rad, d_tot)
+        x1, x2 = f, f ** 2
     _warn_if_heavy(x1, f"moment estimate (power 1, r={r:g})")
     _warn_if_heavy(x2, f"moment estimate (power 2, r={r:g})")
     return _mc_estimate(x1), _mc_estimate(x2)
@@ -459,8 +474,10 @@ def _pinched_integrands(r, k, K, d_rad, d_tot, phi):
     f_hi = f_lo if K == k else asymptotic_increment_batch(K, d_rad, d_tot)
     inc_lo = radial_increment_exact_batch(r, d_tot, phi, k)
     inc_hi = inc_lo if K == k else radial_increment_exact_batch(r, d_tot, phi, K)
-    split = f_lo ** 2 * (inc_lo >= 0.0) + f_hi ** 2 * (inc_hi < 0.0)
-    upper = np.maximum(f_lo ** 2, f_hi ** 2)
+    sq_lo = f_lo ** 2
+    sq_hi = sq_lo if K == k else f_hi ** 2
+    split = sq_lo * (inc_lo >= 0.0) + sq_hi * (inc_hi < 0.0)
+    upper = np.maximum(sq_lo, sq_hi)
     return f_lo, f_hi, split, upper
 
 
@@ -484,11 +501,11 @@ def _pinched_moments(law, r, k, K, n_samples, rng):
         phi = np.where(d_tot > 0.0, d_rad / np.maximum(d_tot, 1e-300), 0.0)
     np.clip(phi, -1.0, 1.0, out=phi)
 
-    parts = _pinched_integrands(r, k, K, d_rad, d_tot, phi)
-    if law.symmetric:
-        mirror = _pinched_integrands(r, k, K, -d_rad, d_tot, -phi)
-        parts = tuple(0.5 * (a + b) for a, b in zip(parts, mirror))
-    return tuple(_mc_estimate(x) for x in parts)
+    if not law.symmetric:
+        return tuple(_mc_estimate(x) for x in _pinched_integrands(r, k, K, d_rad, d_tot, phi))
+    # the mirror -v of each draw is the second row of one call per kernel
+    parts = _pinched_integrands(r, k, K, np.stack([d_rad, -d_rad]), d_tot, np.stack([phi, -phi]))
+    return tuple(_mc_estimate(0.5 * (x[0] + x[1])) for x in parts)
 
 
 def classify_pinched(law: IncrementLaw, k_min_profile: RadialProfile,

@@ -495,6 +495,8 @@ def escape_probe(config: WalkConfig, r: float, horizon: int) -> ProbeEstimate:
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
+    if not math.isfinite(r):
+        raise DomainError(f"escape radius must be finite, got {r}")
     if config.start_radius > r:
         raise UsageError("escape probe requires start_radius <= r")
 
@@ -524,6 +526,8 @@ def neighborhood_return_probe(config: WalkConfig, target_center_radius: float,
         raise DomainError(f"m must be >= 0, got {m}")
     if not target_radius > 0:
         raise DomainError("target_radius must be > 0")
+    if not math.isfinite(target_center_radius):
+        raise DomainError(f"target_center_radius must be finite, got {target_center_radius}")
 
     center = _start_point(config.model, target_center_radius)
     if config.model.is_hyperbolic:

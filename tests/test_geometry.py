@@ -343,7 +343,9 @@ class TestRadialIncrementExact:
         phi[::40] = 1.0
         phi[1::40] = -1.0
         d_tot[2::40] = 0.0
-        for R in (0.0, 3.0, 80.0, 900.0):
+        # the smallest 1 + phi short of -1: s in the log form stays >= 2^-53
+        phi[3::40] = np.nextafter(-1.0, 0.0)
+        for R in (0.0, 3.0, 80.0, 900.0, 1e4):
             got = radial_increment_exact_batch(R, d_tot, phi, 1.3)
             want = [hw.radial_increment_exact(R, dt, p, 1.3) for dt, p in zip(d_tot, phi)]
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

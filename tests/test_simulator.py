@@ -492,6 +492,13 @@ class TestEscapeProbe:
         with pytest.raises(UsageError):
             hw.escape_probe(cfg, r=1.0, horizon=5)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_is_rejected(self, r):
+        # a NaN radius used to compare false everywhere and report 0 +- 0
+        cfg = WalkConfig(HYP2, ELLIPTIC, 1, 10, 4, mode=MODE_RADIAL_ONLY)
+        with pytest.raises(DomainError, match="finite"):
+            hw.escape_probe(cfg, r=r, horizon=5)
+
 
 class TestNeighborhoodReturnProbe:
     BOX = hw.BoxLaw(C1, C1, 2)
@@ -503,6 +510,12 @@ class TestNeighborhoodReturnProbe:
         cfg = WalkConfig(HYP2, ELLIPTIC, 10, 10, 4, mode=MODE_AMBIENT)
         with pytest.raises(UsageError):
             hw.neighborhood_return_probe(cfg, 3.0, 1.0, 10)
+
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_is_rejected(self, center):
+        cfg = WalkConfig(HYP2, self.BOX, 10, 10, 4, mode=MODE_AMBIENT)
+        with pytest.raises(DomainError, match="finite"):
+            hw.neighborhood_return_probe(cfg, center, 1.0, 5)
 
     def test_target_equals_start_ball(self):
         cfg = WalkConfig(HYP2, self.BOX, 10, 50, 4, mode=MODE_AMBIENT)
