@@ -546,9 +546,11 @@ def classification_report(cfg: RunConfig) -> ClassificationReport:
 
     Euclidean models use the 2U-vs-V rule.  Elliptic laws in constant or
     pinched curvature get the closed-form criterion.  Everything else is
-    Monte Carlo: zero-drift laws are screened by the uniform-ellipticity
-    transience test first, then the moment criteria decide (pinched when the
-    curvature profiles differ, constant-curvature otherwise).
+    Monte Carlo, one draw per grid radius in grid order from the classify
+    stream: pinched curvature goes to the pinched criteria; in constant
+    curvature the moments are estimated first, a zero-drift law is then
+    screened by the uniform-ellipticity transience test, which reads those
+    estimates, and the moment criteria decide what the screen leaves open.
     """
     if not cfg.model.is_hyperbolic:
         return _euclidean_report(cfg)
@@ -559,13 +561,12 @@ def classification_report(cfg: RunConfig) -> ClassificationReport:
     if cfg.pinched:
         return classify_pinched(cfg.law, cfg.k_min, cfg.k_max, cfg.grid, cfg.samples,
                                 rng, cfg.theta, cfg.r0)
+    moments = estimate_moment_functions(cfg.law, cfg.model.k, cfg.grid, cfg.samples, rng)
     if cfg.law.kind in _ZERO_DRIFT_KINDS:
         d_min = cfg.d_min if cfg.d_min is not None else cfg.grid[0]
-        screen = uniform_ellipticity_transience_check(
-            cfg.law, cfg.model.k, cfg.epsilon, d_min, cfg.grid, cfg.samples, rng)
+        screen = uniform_ellipticity_transience_check(moments, cfg.epsilon, d_min, cfg.grid)
         if screen.verdict is Verdict.TRANSIENT:
             return screen
-    moments = estimate_moment_functions(cfg.law, cfg.model.k, cfg.grid, cfg.samples, rng)
     return classify_constant_curvature(moments, cfg.grid, cfg.theta, cfg.r0)
 
 

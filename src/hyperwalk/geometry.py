@@ -338,11 +338,12 @@ def radial_increment_exact(R: float, d_tot: float, phi: float, k: float) -> floa
         arccosh(z) = log(2z) + log((1 + sqrt(1 - z^-2)) / 2)
 
     with log(z) computed from exponentially small corrections; this stays
-    finite far beyond the double-precision overflow radius.
+    finite far beyond the double-precision overflow radius.  Each domain
+    check is written so that a NaN argument fails it.
     """
-    if R < 0.0 or d_tot < 0.0:
+    if not (R >= 0.0 and d_tot >= 0.0):
         raise DomainError(f"lengths must be >= 0, got R={R}, d_tot={d_tot}")
-    if abs(phi) > 1.0:
+    if not abs(phi) <= 1.0:
         raise DomainError(f"phi must lie in [-1, 1], got {phi}")
     if not k > 0:
         raise DomainError(f"curvature parameter k must be > 0, got {k}")
@@ -361,13 +362,11 @@ def radial_increment_exact(R: float, d_tot: float, phi: float, k: float) -> floa
             z = 1.0  # rounding only: z >= cosh(A - D) >= 1 analytically
         return math.acosh(z) / k - R
 
-    # z = ((1+phi) cosh(A+D) + (1-phi) cosh(A-D)) / 2, evaluated in logs
+    # z = ((1+phi) cosh(A+D) + (1-phi) cosh(A-D)) / 2, evaluated in logs;
+    # |phi| < 1 gives 1 + phi >= 2^-53, so s > 0 and its log is finite
     s = (1.0 + phi) * (1.0 + math.exp(-2.0 * (A + D))) + (1.0 - phi) * (
         math.exp(-2.0 * D) + math.exp(-2.0 * A)
     )
-    if s == 0.0:
-        # phi so close to -1 that every term underflowed
-        return abs(R - d_tot) - R
     log_z = A + D + math.log(0.25 * s)
     if log_z > 20.0:
         # correction term is below 1e-17, under double resolution
@@ -395,14 +394,15 @@ def radial_increment_exact_batch(R: float, d_tot, phi, k: float) -> np.ndarray:
       * otherwise the log form, whose arccosh correction is evaluated only
         where log z <= 20; above that it is under double resolution.
     A branch that covers the whole batch runs on the arrays themselves; only
-    a batch that mixes branches is gathered branch by branch.
+    a batch that mixes branches is gathered branch by branch.  A NaN
+    argument fails the domain checks.
     """
     d_tot = np.asarray(d_tot, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if R < 0.0 or not k > 0:
+    if not (R >= 0.0 and k > 0):
         raise DomainError(f"need R >= 0 and k > 0, got R={R}, k={k}")
     abs_phi = np.abs(phi)
-    if np.any(d_tot < 0.0) or np.any(abs_phi > 1.0):
+    if not (np.all(d_tot >= 0.0) and np.all(abs_phi <= 1.0)):
         raise DomainError("d_tot must be >= 0 and phi in [-1, 1]")
     shape = np.broadcast_shapes(d_tot.shape, phi.shape)
     d_tot = np.atleast_1d(d_tot)
@@ -470,11 +470,12 @@ def euclidean_radial_increment(R: float, d_tot: float, d_rad: float) -> float:
     """Flat-space radius change sqrt(R^2 + 2 R d_rad + d_tot^2) - R.
 
     Evaluated as (2 R d_rad + d_tot^2) / (sqrt(...) + R) to avoid the
-    cancellation of the direct form at large R.  Always >= d_rad.
+    cancellation of the direct form at large R.  Always >= d_rad.  A NaN
+    argument fails the domain checks.
     """
-    if R < 0.0 or d_tot < 0.0:
+    if not (R >= 0.0 and d_tot >= 0.0):
         raise DomainError(f"lengths must be >= 0, got R={R}, d_tot={d_tot}")
-    if abs(d_rad) > d_tot * (1.0 + 1e-12):
+    if not abs(d_rad) <= d_tot * (1.0 + 1e-12):
         raise DomainError(f"|d_rad| = {abs(d_rad)} exceeds d_tot = {d_tot}")
     q = R * R + 2.0 * R * d_rad + d_tot * d_tot
     denom = math.sqrt(max(q, 0.0)) + R

@@ -27,12 +27,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .increments import IncrementLaw, RadialProfile, zero_drift_check
+from .increments import IncrementLaw, RadialProfile, ZeroDriftResult
 from .geometry import _piecewise, radial_increment_exact_batch
 
 # two-sided 99% normal quantile
@@ -74,13 +75,14 @@ def asymptotic_increment_batch(k: float, d_rad, d_tot) -> np.ndarray:
     (both terms nonnegative, so nothing cancels near phi = -1); above, the
     log is expanded as D + log((1+phi)/2 + (1-phi) e^(-2D) / 2).  A branch
     that covers the whole batch runs on the arrays themselves; only a batch
-    that mixes branches is gathered branch by branch.
+    that mixes branches is gathered branch by branch.  A NaN argument fails
+    the domain checks.
     """
     d_rad = np.asarray(d_rad, dtype=float)
     d_tot = np.asarray(d_tot, dtype=float)
     if not k > 0:
         raise DomainError(f"curvature parameter k must be > 0, got {k}")
-    if np.any(d_tot < 0.0) or np.any(np.abs(d_rad) > d_tot * (1.0 + 1e-12) + 1e-300):
+    if not (np.all(d_tot >= 0.0) and np.all(np.abs(d_rad) <= d_tot * (1.0 + 1e-12) + 1e-300)):
         raise DomainError("need d_tot >= 0 and |d_rad| <= d_tot")
     shape = np.broadcast_shapes(d_rad.shape, d_tot.shape)
     d_tot = np.atleast_1d(d_tot)
@@ -231,10 +233,19 @@ def increment_moment_estimate(law: IncrementLaw, k: float, r: float, n_samples: 
     only).  Emits MonteCarloVarianceWarning when the empirical kurtosis of
     either integrand explodes.
     """
+    return _radius_estimates(law, k, r, n_samples, rng)[:2]
+
+
+def _radius_estimates(law, k, r, n_samples, rng):
+    """(nu1, nu2, transverse, zero_drift) at radius r from one draw of
+    n_samples steps: the two moments of increment_moment_estimate, the
+    transverse second moment E|t|^2 as an Estimate, and the step-mean
+    ZeroDriftResult the uniform-ellipticity screen reads."""
     if n_samples < 100:
         raise UsageError(f"need at least 100 samples, got {n_samples}")
     d_rad, t = law.sample_components_batch(r, n_samples, rng)
-    d_tot = np.sqrt(d_rad * d_rad + np.einsum("ij,ij->i", t, t))
+    t_sq = np.einsum("ij,ij->i", t, t)
+    d_tot = np.sqrt(d_rad * d_rad + t_sq)
     if law.symmetric:
         f, f_mirror = asymptotic_increment_batch(k, np.stack([d_rad, -d_rad]), d_tot)
         x1 = 0.5 * (f + f_mirror)
@@ -244,41 +255,50 @@ def increment_moment_estimate(law: IncrementLaw, k: float, r: float, n_samples: 
         x1, x2 = f, f ** 2
     _warn_if_heavy(x1, f"moment estimate (power 1, r={r:g})")
     _warn_if_heavy(x2, f"moment estimate (power 2, r={r:g})")
-    return _mc_estimate(x1), _mc_estimate(x2)
+    return (_mc_estimate(x1), _mc_estimate(x2), _mc_estimate(t_sq),
+            ZeroDriftResult.of_draw(d_rad, t))
 
 
 @dataclass(frozen=True)
 class MomentFunctions:
-    """The first two moments of the asymptotic radial increment.
+    """The first two moments of the asymptotic radial increment, and what the
+    uniform-ellipticity screen reads from the same draws.
 
-    Each callable maps a radius to an Estimate; the classifiers bound a
-    moment by its value plus or minus the half-width.
+    Each callable maps a radius to an Estimate (zero_drift: to a
+    ZeroDriftResult); the classifiers bound a moment by its value plus or
+    minus the half-width.  transverse and zero_drift are None for moments
+    that did not come from estimate_moment_functions.
     """
 
     nu1: Callable[[float], Estimate]
     nu2: Callable[[float], Estimate]
+    transverse: Optional[Callable[[float], Estimate]] = None
+    zero_drift: Optional[Callable[[float], ZeroDriftResult]] = None
 
 
 def estimate_moment_functions(law: IncrementLaw, k: float, r_grid, n_samples: int,
                               rng: np.random.Generator) -> MomentFunctions:
-    """Estimate both moments on a radius grid.
+    """Estimate both moments, the transverse second moment and the zero-drift
+    statistic on a radius grid.
 
-    Each grid radius takes one draw of n_samples steps, shared by nu1 and nu2
-    (see increment_moment_estimate); the summed half-widths the classifiers
-    use stay valid for correlated estimates.
+    Each grid radius, in grid order, takes one draw of n_samples steps from
+    rng, and everything at that radius comes from it: nu1 and nu2 (see
+    increment_moment_estimate; the summed half-widths the classifiers use
+    stay valid for correlated estimates), E|t|^2 and the step mean that
+    uniform_ellipticity_transience_check reads.
     """
     grid = [float(r) for r in r_grid]
     if not grid:
         raise UsageError("empty radius grid")
-    table = {r: increment_moment_estimate(law, k, r, n_samples, rng) for r in grid}
+    table = {r: _radius_estimates(law, k, r, n_samples, rng) for r in grid}
 
-    def _lookup(r: float, idx: int) -> Estimate:
+    def _lookup(idx: int, r: float):
         try:
             return table[float(r)][idx]
         except KeyError:
             raise UsageError(f"moments were not estimated at r = {r}") from None
 
-    return MomentFunctions(lambda r: _lookup(r, 0), lambda r: _lookup(r, 1))
+    return MomentFunctions(*(partial(_lookup, idx) for idx in range(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -578,20 +598,22 @@ def classify_pinched(law: IncrementLaw, k_min_profile: RadialProfile,
                    (recurrent_ok, CRIT_PINCHED_RECURRENT, r_margins), theta, r0, rows, notes)
 
 
-def uniform_ellipticity_transience_check(law: IncrementLaw, k: float, epsilon: float,
-                                         D_min: float, r_grid, n_samples: int,
-                                         rng: np.random.Generator) -> ClassificationReport:
+def uniform_ellipticity_transience_check(moments: MomentFunctions, epsilon: float,
+                                         D_min: float, r_grid) -> ClassificationReport:
     """Transience screen from the transverse second moment.
 
     A zero-drift chain with E[d_tot^2 - d_rad^2] >= epsilon at all large radii
-    is transient in curvature at most -k**2.  The screen never returns
-    Recurrent, and refuses to return Transient for a law that fails the
-    zero-drift check on the grid.
+    is transient in curvature at most -k**2.  The screen samples nothing: it
+    reads the zero-drift statistic at every grid radius and E|t|^2 at every
+    radius from D_min on, both taken by estimate_moment_functions from the
+    draw its moments use.  It never returns Recurrent, and refuses to return
+    Transient for a law whose step mean leaves the 4-sigma band at some grid
+    radius.
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be > 0, got {epsilon}")
-    if not k > 0:
-        raise DomainError(f"curvature parameter k must be > 0, got {k}")
+    if moments.transverse is None or moments.zero_drift is None:
+        raise UsageError("the screen needs moments from estimate_moment_functions")
     grid, _, _ = _prepare_grid(r_grid, None)
     tail = [r for r in grid if r >= D_min]
     if not tail:
@@ -599,9 +621,8 @@ def uniform_ellipticity_transience_check(law: IncrementLaw, k: float, epsilon: f
 
     rows = []
     notes = []
-    check_n = max(1000, n_samples // 10)
     for r in grid:
-        zd = zero_drift_check(law, r, check_n, rng)
+        zd = moments.zero_drift(r)
         if not zd.within_band(4.0):
             notes.append(
                 f"zero-drift check failed at r = {r:g} (|z| = {zd.max_abs_z:.2f}); "
@@ -612,9 +633,7 @@ def uniform_ellipticity_transience_check(law: IncrementLaw, k: float, epsilon: f
 
     margins = []
     for r in tail:
-        d_rad, t = law.sample_components_batch(r, n_samples, rng)
-        w = np.einsum("ij,ij->i", t, t)
-        est = _mc_estimate(w)
+        est = moments.transverse(r)
         margin = est.value - est.half_width - epsilon
         margins.append((r, margin))
         rows.append(MarginRow(r, "transverse-second-moment", est.value, est.half_width,

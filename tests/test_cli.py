@@ -400,6 +400,37 @@ class TestClassifyCommand:
         code, _ = run_cli(tmp_path, "eu3.cfg", text3, "classify")
         assert code == 1  # d=3 a=b=1: 2U=2 < V=3
 
+    @pytest.mark.parametrize("name", ["classify-box-screen", "classify-heavytail-small"])
+    def test_one_draw_per_grid_radius(self, name, monkeypatch):
+        """The screen and the moment criteria read one draw per grid radius:
+        the classify stream ends where one sample_components_batch(r, n) per
+        grid radius, in grid order, leaves a twin stream."""
+        with open(os.path.join(GOLDEN, name + ".cfg")) as fh:
+            cfg = parse_config(fh.read(), "classify")
+        law_class = type(cfg.law)
+        draw = law_class.sample_components_batch
+        calls = []
+
+        def recording(law, r, n, rng):
+            calls.append((r, n, rng))
+            return draw(law, r, n, rng)
+
+        monkeypatch.setattr(law_class, "sample_components_batch", recording)
+        cli.classification_report(cfg)
+        twin = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
+                                                            spawn_key=(10_000,)))
+        for r in cfg.grid:
+            draw(cfg.law, r, cfg.samples, twin)
+        assert [(r, n) for r, n, _ in calls] == [(r, cfg.samples) for r in cfg.grid]
+        assert calls[0][2].bit_generator.state == twin.bit_generator.state
+
+    def test_screened_run_below_100_samples_exits_3(self, tmp_path, capsys):
+        with open(os.path.join(GOLDEN, "classify-box-screen.cfg")) as fh:
+            text = fh.read().replace("classify.samples = 20000", "classify.samples = 50")
+        code, _ = run_cli(tmp_path, "few.cfg", text, "classify")
+        assert code == 3
+        assert "need at least 100 samples, got 50" in capsys.readouterr().err
+
 
 class TestMomentsCommand:
     CFG = (

@@ -360,6 +360,21 @@ class TestRadialIncrementExact:
         with pytest.raises(DomainError):
             hw.radial_increment_exact(1.0, 1.0, 0.0, 0.0)
 
+    # a NaN in any argument must raise, not come back as a NaN increment;
+    # both kernels, in the direct and the log domain
+    NAN_ARGS = [(math.nan, 1.0, 0.5), (1.0, math.nan, 0.5), (1.0, 1.0, math.nan),
+                (80.0, math.nan, 0.5), (80.0, 1.0, math.nan)]
+
+    @pytest.mark.parametrize("R, d_tot, phi", NAN_ARGS)
+    def test_nan_argument_raises(self, R, d_tot, phi):
+        with pytest.raises(DomainError):
+            hw.radial_increment_exact(R, d_tot, phi, 1.0)
+
+    @pytest.mark.parametrize("R, d_tot, phi", NAN_ARGS)
+    def test_batch_nan_argument_raises(self, R, d_tot, phi):
+        with pytest.raises(DomainError):
+            radial_increment_exact_batch(R, [2.0, d_tot], [0.1, phi], 1.0)
+
     def test_dominates_euclidean_increment(self):
         rng = np.random.default_rng(14)
         for _ in range(2000):
@@ -420,6 +435,12 @@ class TestEuclideanRadialIncrement:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             hw.euclidean_radial_increment(1.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("R, d_tot, d_rad", [(math.nan, 1.0, 0.5), (1.0, math.nan, 0.5),
+                                                 (1.0, 1.0, math.nan)])
+    def test_nan_argument_raises(self, R, d_tot, d_rad):
+        with pytest.raises(DomainError):
+            hw.euclidean_radial_increment(R, d_tot, d_rad)
 
 
 class TestFrames:

@@ -79,6 +79,13 @@ class TestAsymptoticIncrement:
         with pytest.raises(DomainError):
             hw.asymptotic_increment(0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("d_rad, d_tot", [(0.5, math.nan), (math.nan, 1.0),
+                                              (math.nan, math.nan)])
+    def test_nan_argument_raises(self, d_rad, d_tot):
+        # a NaN d_tot used to read as a zero increment
+        with pytest.raises(DomainError):
+            asymptotic_increment_batch(1.0, [0.2, d_rad], [1.0, d_tot])
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
         d_tot = rng.uniform(0, 40, 500)
@@ -428,28 +435,35 @@ class TestPinchedClassifier:
 class TestUniformEllipticityCheck:
     GRID = [float(r) for r in np.linspace(10, 60, 5)]
 
+    def screen(self, law, rng):
+        """The screen at epsilon 0.5 from D_min 10, on the estimates of one
+        50,000-step draw per grid radius."""
+        moments = hw.estimate_moment_functions(law, 1.0, self.GRID, 50_000, rng)
+        return hw.uniform_ellipticity_transience_check(moments, 0.5, 10.0, self.GRID)
+
+    def test_needs_the_estimated_statistics(self):
+        moments = MomentFunctions(lambda r: Estimate(0.0, 0.0), lambda r: Estimate(1.0, 0.0))
+        with pytest.raises(UsageError):
+            hw.uniform_ellipticity_transience_check(moments, 0.5, 10.0, self.GRID)
+
     def test_unit_shell_transient(self):
         law = hw.EllipticLaw(C1, C1, 2)
-        rep = hw.uniform_ellipticity_transience_check(
-            law, 1.0, 0.5, 10.0, self.GRID, 50_000, np.random.default_rng(16))
+        rep = self.screen(law, np.random.default_rng(16))
         assert rep.verdict is Verdict.TRANSIENT
 
     def test_decaying_transverse_inconclusive(self):
         law = hw.EllipticLaw(C1, B_DECAY, 2)
-        rep = hw.uniform_ellipticity_transience_check(
-            law, 1.0, 0.5, 10.0, self.GRID, 50_000, np.random.default_rng(17))
+        rep = self.screen(law, np.random.default_rng(17))
         assert rep.verdict is Verdict.INCONCLUSIVE
 
     def test_degenerate_law_inconclusive(self):
         law = hw.EllipticLaw(C1, hw.RadialProfile.constant(0.0), 2)
-        rep = hw.uniform_ellipticity_transience_check(
-            law, 1.0, 0.5, 10.0, self.GRID, 50_000, np.random.default_rng(18))
+        rep = self.screen(law, np.random.default_rng(18))
         assert rep.verdict is Verdict.INCONCLUSIVE
 
     def test_never_transient_without_zero_drift(self):
         law = hw.InwardBiasedLaw(1.0, 2)
-        rep = hw.uniform_ellipticity_transience_check(
-            law, 1.0, 0.5, 10.0, self.GRID, 50_000, np.random.default_rng(19))
+        rep = self.screen(law, np.random.default_rng(19))
         assert rep.verdict is Verdict.INCONCLUSIVE
         assert any("zero-drift" in n for n in rep.notes)
 
