@@ -50,7 +50,7 @@ r,value CSV relative to the config file.
     classify.epsilon    floor for second-moment screens, > 0 (0.5)
     classify.r0         tail threshold radius, at most the last grid point
                         (grid midpoint)
-    classify.samples    Monte Carlo samples per grid radius, integer >= 1
+    classify.samples    Monte Carlo samples per grid radius, integer >= 100
                         (200000)
     classify.d_min      minimal radius for the ellipticity screen, at most the
                         last grid point (grid.start)
@@ -96,6 +96,7 @@ from .increments import (
 )
 from .lamperti import (
     CRIT_EUCLIDEAN,
+    MIN_SAMPLES,
     ClassificationReport,
     MarginRow,
     Verdict,
@@ -273,7 +274,7 @@ _KEYS = {
     "classify.theta": _Key(_real, 0.5, ">", 0),
     "classify.epsilon": _Key(_real, 0.5, ">", 0),
     "classify.r0": _Key(_real),
-    "classify.samples": _Key(_integer, 200000, ">=", 1),
+    "classify.samples": _Key(_integer, 200000, ">=", MIN_SAMPLES),
     "classify.d_min": _Key(_real),
     "out.dir": _Key(_text, "."),
 }

@@ -37,6 +37,7 @@ from .errors import (
     DimensionError,
     DomainError,
     InvariantViolationError,
+    OverflowGuardError,
     UndefinedFrameError,
 )
 
@@ -45,6 +46,7 @@ HYPERBOLOID_REL_TOL = 1e-10   # |B(x,x)*k^2 + 1| for a valid point
 TANGENCY_TOL = 1e-10          # |B(x,v)| scaled by norms for a valid tangent
 ACOSH_CLAMP_TOL = 1e-9        # forgivable rounding below 1 in acosh args
 LOG_DOMAIN_THRESHOLD = 30.0   # switch radial-increment evaluation to log form
+REPROJECTION_DRIFT_TOL = 1e-6  # relative spatial-norm defect _reproject forgives
 
 _LOG2 = math.log(2.0)
 
@@ -57,7 +59,7 @@ def minkowski_form(x, y) -> float:
         raise DimensionError(
             f"minkowski_form needs two equal-length vectors, got {x.shape} and {y.shape}"
         )
-    return float(np.dot(x[1:], y[1:]) - x[0] * y[0])
+    return _mink(x, y)
 
 
 def _mink(x: np.ndarray, y: np.ndarray) -> float:
@@ -221,8 +223,41 @@ def exp_map(x: LorentzPoint, v: TangentVector, k: float) -> LorentzPoint:
     n = v.norm
     if n == 0.0:
         return x
-    kn = k * n
-    return LorentzPoint(math.cosh(kn) * x.coords + (math.sinh(kn) / kn) * v.components)
+    return LorentzPoint(_exp_step(x.coords, v.components, n, k))
+
+
+def _exp_step(x: np.ndarray, v: np.ndarray, length: float, k: float) -> np.ndarray:
+    """exp_x(v) on raw arrays for a tangent v of Minkowski length `length` > 0:
+    the one ambient step of exp_map, the ambient walk and the validate oracle."""
+    kn = k * length
+    return math.cosh(kn) * x + (math.sinh(kn) / kn) * v
+
+
+def _reproject(x: np.ndarray, k: float, step: int) -> float:
+    """Snap the post-step point x onto H_k in place and return its radius.
+
+    R = acosh(k x0) / k is read off the time coordinate and the spatial part
+    rescaled to sinh(kR) / k, exact up to the overflow limit; rescaling by
+    B(x, x), whose defect grows like e^(2kR) * eps, would fail past kR ~ 18.
+    Overflow or a spatial-norm defect over REPROJECTION_DRIFT_TOL raises.
+    """
+    ky0 = k * x[0]
+    if not math.isfinite(ky0):
+        raise OverflowGuardError(f"ambient coordinates overflowed at step {step}")
+    sp = k * _safe_norm(x[1:])
+    # on the hyperboloid the spatial norm is sinh(kR) = ky0 sqrt(1 - ky0^-2)
+    q = 1.0 / ky0 if ky0 > 1.0 else 1.0
+    rad = ky0 * math.sqrt(max(1.0 - q * q, 0.0))
+    defect = abs(sp - rad) / max(1.0, sp, rad)
+    if defect > REPROJECTION_DRIFT_TOL:
+        raise InvariantViolationError(f"hyperboloid drift {defect:.3e} (relative) at step {step}")
+    if sp > 0.0:
+        if rad > 0.0:
+            x[1:] *= rad / sp
+        else:
+            x[1:] = 0.0
+            x[0] = 1.0 / k
+    return math.acosh(ky0) / k if ky0 > 1.0 else 0.0
 
 
 def _acosh_arg(x: np.ndarray, y: np.ndarray, k: float) -> float:
@@ -268,15 +303,14 @@ def radial_direction(origin_pt: LorentzPoint, p: LorentzPoint, k: float) -> Tang
     """Unit tangent vector at p along the geodesic through the origin.
 
     Oriented toward the origin, so that d_rad = -<v, e_rad> is positive for
-    outward-pointing v.  Undefined at the origin itself.
+    outward-pointing v.  Row 0 of radial_frame; undefined at the origin.
     """
-    dist = distance(p, origin_pt, k)
-    if dist == 0.0:
+    frame = radial_frame(origin_pt, p, k)
+    if frame.at_origin:
         raise UndefinedFrameError(
             "radial direction undefined at the origin; use the d_rad := d_tot convention"
         )
-    v = log_map(p, origin_pt, k)
-    return TangentVector(p, v.components / dist)
+    return TangentVector(p, frame.axes[0])
 
 
 @dataclass(frozen=True)
@@ -321,10 +355,8 @@ def decompose_increment(
     if v.base is not x and not np.array_equal(v.base.coords, x.coords):
         raise ContractError("tangent vector is not based at the given point")
     d_tot = v.norm
-    if distance(origin_pt, x, k) == 0.0:
-        return make_decomposition(d_tot, d_tot)
-    e_rad = radial_direction(origin_pt, x, k)
-    d_rad = -_mink(v.components, e_rad.components)
+    frame = radial_frame(origin_pt, x, k)
+    d_rad = d_tot if frame.at_origin else -_mink(v.components, frame.axes[0])
     return make_decomposition(d_tot, d_rad)
 
 
@@ -504,8 +536,15 @@ class RadialFrame:
 
     def vector(self, d_rad: float, transverse: np.ndarray) -> TangentVector:
         """Tangent vector with outward radial part d_rad and given transverse part."""
-        comps = -d_rad * self.axes[0] + transverse @ self.axes[1:]
-        return TangentVector(self.base, comps)
+        return TangentVector(self.base, _frame_vector(self.axes, d_rad, np.asarray(transverse)))
+
+
+def _frame_vector(axes: np.ndarray, d_rad: float, t: np.ndarray) -> np.ndarray:
+    """-d_rad * axes[0] + t @ axes[1:]; a one-element t takes a scalar
+    product, equal to the matrix product up to the sign of a zero."""
+    if t.size == 1:
+        return -d_rad * axes[0] + float(t[0]) * axes[1]
+    return -d_rad * axes[0] + t @ axes[1:]
 
 
 def _complete_orthonormal(rows: np.ndarray, n: np.ndarray) -> None:

@@ -38,6 +38,7 @@ from .geometry import _piecewise, radial_increment_exact_batch
 
 # two-sided 99% normal quantile
 Z99 = 2.5758293035489004
+MIN_SAMPLES = 100   # fewest draws per radius behind a Monte Carlo half-width
 
 _F_LOG_THRESHOLD = 30.0
 
@@ -236,13 +237,17 @@ def increment_moment_estimate(law: IncrementLaw, k: float, r: float, n_samples: 
     return _radius_estimates(law, k, r, n_samples, rng)[:2]
 
 
+def _check_samples(n_samples):
+    if n_samples < MIN_SAMPLES:
+        raise UsageError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
+
+
 def _radius_estimates(law, k, r, n_samples, rng):
     """(nu1, nu2, transverse, zero_drift) at radius r from one draw of
     n_samples steps: the two moments of increment_moment_estimate, the
     transverse second moment E|t|^2 as an Estimate, and the step-mean
     ZeroDriftResult the uniform-ellipticity screen reads."""
-    if n_samples < 100:
-        raise UsageError(f"need at least 100 samples, got {n_samples}")
+    _check_samples(n_samples)
     d_rad, t = law.sample_components_batch(r, n_samples, rng)
     t_sq = np.einsum("ij,ij->i", t, t)
     d_tot = np.sqrt(d_rad * d_rad + t_sq)
@@ -515,6 +520,7 @@ def _pinched_moments(law, r, k, K, n_samples, rng):
     for the first moment, whose raw variance would otherwise drown the
     Lamperti inequality at large radii).
     """
+    _check_samples(n_samples)
     d_rad, t = law.sample_components_batch(r, n_samples, rng)
     d_tot = np.sqrt(d_rad * d_rad + np.einsum("ij,ij->i", t, t))
     with np.errstate(invalid="ignore"):
@@ -701,6 +707,7 @@ def nonconfinement_check(law: IncrementLaw, epsilon: float, r_grid, n_samples: i
     """Check E[d_rad] = 0 (4-sigma band) and E[d_rad^2] >= epsilon on a grid."""
     if not epsilon > 0:
         raise DomainError(f"epsilon must be > 0, got {epsilon}")
+    _check_samples(n_samples)
     grid, _, _ = _prepare_grid(r_grid, None)
     rows = []
     ok = True

@@ -2,9 +2,9 @@
 
 Two simulation modes:
 
-* ``ambient`` iterates the walk in ambient coordinates via the exponential
-  map (with a per-step re-projection onto the hyperboloid) and is limited to
-  k * R <= 700 by double-precision overflow;
+* ``ambient`` iterates the walk in ambient coordinates through geometry's
+  `_exp_step` and `_reproject`, the step `exp_map` and the `validate` oracle
+  take, and is limited to k * R <= 700 by double-precision overflow;
 * ``radialonly`` iterates the radius alone through the exact radial
   increment, which for a radially symmetric law is distributionally the same
   chain and has no radius limit.  This is what makes 10^5-step horizons
@@ -43,9 +43,11 @@ import numpy as np
 
 from .errors import DomainError, OverflowGuardError, InvariantViolationError, UsageError
 from .geometry import (
-    _safe_norm,
     CurvatureModel,
+    _exp_step,
+    _frame_vector,
     _mink,
+    _reproject,
     _tangent_axes,
     euclidean_frame,
     euclidean_radial_increment,
@@ -58,13 +60,6 @@ MODE_AMBIENT = "ambient"
 MODE_RADIAL_ONLY = "radialonly"
 
 AMBIENT_KR_LIMIT = 700.0        # cosh(kR) overflows shortly above this
-
-# Allowed |B(x,x) k^2 + 1| before re-projection, measured relative to the
-# squared coordinate magnitude k^2 |x|^2.  The raw defect grows like
-# e^(2kR) * eps from representation noise alone, so an absolute bound would
-# cap ambient mode at kR ~ 11; the scaled bound catches algorithmic errors
-# at any radius the mode supports.
-REPROJECTION_DRIFT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -306,16 +301,8 @@ def _radial_only_radii(config, rng):
 
 
 def _ambient_hyperbolic_states(config, rng):
-    """Yield (n, x, R) for the ambient hyperbolic walk.
-
-    Re-projection detail: the post-step point is snapped back onto the
-    hyperboloid by recovering the radius from the time coordinate and
-    rescaling the spatial part to sqrt((k x0)^2 - 1) / k.  A global rescale
-    by 1/sqrt(-B(x,x) k^2) would be equivalent in exact arithmetic but
-    B(x,x) is numerically meaningless beyond kR ~ 18 (its defect grows like
-    e^(2kR) * eps), while this form stays exact-by-construction up to the
-    overflow limit.
-    """
+    """Yield (n, x, R) for the ambient hyperbolic walk: each step is
+    geometry's exp step followed by its reprojection onto the hyperboloid."""
     k = config.model.k
     draw = _step_draws(config.law, config.steps, rng)
     x = _start_point(config.model, config.start_radius)
@@ -334,34 +321,8 @@ def _ambient_hyperbolic_states(config, rng):
         if not norm < inf:
             raise _non_finite_step(n)
         if norm > 0.0:
-            if t.size == 1:
-                v = -d_rad * axes[0] + float(t[0]) * axes[1]
-            else:
-                v = -d_rad * axes[0] + t @ axes[1:]
-            kn = k * norm
-            x = math.cosh(kn) * x + (math.sinh(kn) / kn) * v
-            ky0 = k * x[0]
-            if not math.isfinite(ky0):
-                raise OverflowGuardError(f"ambient coordinates overflowed at step {n}")
-            sp = k * _safe_norm(x[1:])
-            # on the hyperboloid the spatial norm is sinh(kR) = ky0 sqrt(1 - ky0^-2)
-            if ky0 > 1.0:
-                q = 1.0 / ky0
-                rad = ky0 * math.sqrt(max(1.0 - q * q, 0.0))
-            else:
-                rad = 0.0
-            defect = abs(sp - rad) / max(1.0, sp, rad)
-            if defect > REPROJECTION_DRIFT_TOL:
-                raise InvariantViolationError(
-                    f"hyperboloid drift {defect:.3e} (relative) at step {n}"
-                )
-            if sp > 0.0:
-                if rad > 0.0:
-                    x[1:] *= rad / sp
-                else:
-                    x[1:] = 0.0
-                    x[0] = 1.0 / k
-            R = math.acosh(ky0) / k if ky0 > 1.0 else 0.0
+            x = _exp_step(x, _frame_vector(axes, d_rad, t), norm, k)
+            R = _reproject(x, k, n)
         yield n, x, R
 
 
@@ -375,11 +336,10 @@ def _ambient_euclidean_states(config, rng):
     for n in range(1, config.steps + 1):
         axes = euclidean_frame(x)
         d_rad, t = draw(R)
-        x = x + (-d_rad * axes[0] + t @ axes[1:])
-        R = float(np.linalg.norm(x))
-        # x was finite, so a non-finite radius means a non-finite step
-        if not R < inf:
+        if not d_rad * d_rad + float(t @ t) < inf:
             raise _non_finite_step(n)
+        x = x + _frame_vector(axes, d_rad, t)
+        R = float(np.linalg.norm(x))
         yield n, x, R
 
 

@@ -2,8 +2,10 @@
 
 Each suite checks one closed-form code path against a different route to the
 same number (coordinate-level geometry, high-resolution grids, Monte Carlo
-moments, coupled simulations).  The CLI `validate` command runs them all and
-reports pass/fail per suite; the test suite reuses them at larger sizes.
+moments, coupled simulations); the exact-increment suite's coordinate route
+is the ambient walk's own exp step and reprojection.  The CLI `validate`
+command runs them all and reports pass/fail per suite; the test suite
+reuses them at larger sizes.
 
 `fault` injects a deliberate error ("flip-phi-sign") into the formula side of
 the radial-increment suite, as a negative control that the oracle actually
@@ -19,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import geometry, increments, lamperti
+from .errors import InvariantViolationError
 from .simulator import MODE_AMBIENT, MODE_RADIAL_ONLY, WalkConfig, run_walk, walk_rng
 
 
@@ -48,9 +51,9 @@ def suite_exact_radial_increment(seed: int = 0, n: int = 10_000,
 
     Draws random tuples (k in [0.25, 4], R in [0, 20], d_tot in [0, 10],
     phi in [-1, 1]), realises each as an actual point and tangent vector in
-    ambient coordinates at a random position, steps through the exponential
-    map, and measures the new distance from the origin via the time
-    coordinate (which is cancellation-free at any radius).
+    ambient coordinates at a random position, and takes the ambient walk's
+    own step (`_exp_step`, then `_reproject`, which reads the new radius off
+    the time coordinate, cancellation-free at any radius).
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -72,15 +75,13 @@ def suite_exact_radial_increment(seed: int = 0, n: int = 10_000,
         t_mag = d_tot * math.sqrt(max(0.0, 1.0 - phi * phi))
         t = t_mag * increments._sphere_point(d - 1, rng)
         v = frame.vector(d_rad, t)
-        # exp step with the step length carried through, not re-derived from
-        # the (ill-conditioned at large kR) ambient Minkowski square
+        oracle = 0.0
         if d_tot > 0.0:
-            kn = k * d_tot
-            y = math.cosh(kn) * x.coords + (math.sinh(kn) / kn) * v.components
-        else:
-            y = x.coords
-        arg = max(k * y[0], 1.0)
-        oracle = math.acosh(arg) / k - R
+            y = geometry._exp_step(x.coords, v.components, d_tot, k)
+            try:
+                oracle = geometry._reproject(y, k, i) - R
+            except InvariantViolationError as exc:
+                return SuiteResult("exact-radial-increment", False, i + 1, str(exc))
 
         phi_used = -phi if fault == "flip-phi-sign" else phi
         formula = geometry.radial_increment_exact(R, d_tot, phi_used, k)

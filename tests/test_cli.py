@@ -429,7 +429,16 @@ class TestClassifyCommand:
             text = fh.read().replace("classify.samples = 20000", "classify.samples = 50")
         code, _ = run_cli(tmp_path, "few.cfg", text, "classify")
         assert code == 3
-        assert "need at least 100 samples, got 50" in capsys.readouterr().err
+        assert "must be >= 100, got 50 (key 'classify.samples', line 12)" in \
+            capsys.readouterr().err
+
+    def test_pinched_run_below_100_samples_exits_3(self, tmp_path, capsys):
+        # the pinched classifier has no screen of its own to stop a two-draw run
+        with open(os.path.join(GOLDEN, "classify-pinched-small.cfg")) as fh:
+            text = fh.read().replace("classify.samples = 20000", "classify.samples = 2")
+        code, _ = run_cli(tmp_path, "two.cfg", text, "classify")
+        assert code == 3
+        assert "key 'classify.samples'" in capsys.readouterr().err
 
 
 class TestMomentsCommand:

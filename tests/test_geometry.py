@@ -251,6 +251,16 @@ class TestRadialDirection:
         with pytest.raises(UndefinedFrameError):
             hw.radial_direction(O, O, 1.0)
 
+    @pytest.mark.parametrize("kR", [16.0, 20.0, 40.0, 300.0])
+    def test_exact_at_large_radius(self, kR):
+        # the axis -(sinh kR, cosh kR n), where a log-map route cancels like e^(2kR)
+        k = 0.5
+        n = np.array([2.0, -1.0, 2.0]) / 3.0
+        p = hw.LorentzPoint(np.concatenate([[math.cosh(kR)], math.sinh(kR) * n]) / k)
+        want = -np.concatenate([[math.sinh(kR)], math.cosh(kR) * n])
+        got = hw.radial_direction(hw.origin(k, 3), p, k).components
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
 
 class TestDecomposeIncrement:
     def test_zero_vector(self):
@@ -467,9 +477,14 @@ class TestFrames:
     def test_frame_about_another_origin_rejected(self):
         k, d = 1.0, 3
         p = random_point(k, d, 2.0, np.random.default_rng(19))
+        v = hw.TangentVector(p, np.zeros(d + 1))
         for other in (p, hw.origin(2.0, d)):
             with pytest.raises(ContractError):
                 hw.radial_frame(other, p, k)
+            with pytest.raises(ContractError):
+                hw.radial_direction(other, p, k)
+            with pytest.raises(ContractError):
+                hw.decompose_increment(other, p, v, k)
 
     def test_euclidean_frame(self):
         from hyperwalk.geometry import euclidean_frame

@@ -487,3 +487,11 @@ class TestNonconfinement:
         rep = hw.nonconfinement_check(law, 0.1, self.GRID, 2000, np.random.default_rng(22))
         assert not rep.passed
         assert "not a proof" in rep.as_text()
+
+    def test_below_100_samples_rejected(self):
+        # the floor of the moment estimates, so no half-width rests on 2 draws
+        rng = np.random.default_rng(23)
+        with pytest.raises(UsageError, match="need at least 100 samples, got 2"):
+            hw.nonconfinement_check(hw.EllipticLaw(C1, C1, 2), 0.9, self.GRID, 2, rng)
+        with pytest.raises(UsageError, match="need at least 100 samples, got 2"):
+            hw.classify_pinched(hw.EllipticLaw(C1, C1, 2), C1, C1, self.GRID, 2, rng)

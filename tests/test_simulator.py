@@ -13,7 +13,7 @@ from hyperwalk.errors import (
     OverflowGuardError,
     UsageError,
 )
-from hyperwalk import simulator
+from hyperwalk import geometry, simulator
 from hyperwalk.simulator import (
     MODE_AMBIENT,
     MODE_RADIAL_ONLY,
@@ -22,6 +22,7 @@ from hyperwalk.simulator import (
     ensemble_stats,
     walk_rng,
 )
+from hyperwalk.validation import suite_exact_radial_increment
 
 C1 = hw.RadialProfile.constant(1.0)
 HYP2 = hw.CurvatureModel.hyperbolic(1.0, 2)
@@ -380,6 +381,34 @@ class TestAmbientPositions:
                          mode=MODE_AMBIENT, start_radius=0.5)
         *_, (_, x, _) = _ambient_states(cfg, walk_rng(90907, 0))
         assert x == pytest.approx(self.FINAL[kind, d], rel=1e-9)
+
+
+class TestSharedExpStep:
+    """Negative control: the validate oracle and the ambient walk take the
+    one exp step in geometry, so a perturbed step shows in both."""
+
+    def test_perturbed_step_fails_oracle_and_moves_walk(self, monkeypatch):
+        cfg = WalkConfig(HYP2, ELLIPTIC, 30, 1, 5, mode=MODE_AMBIENT)
+        before = radii_of(hw.run_walk(cfg, 0))
+        exact = geometry._exp_step
+        assert simulator._exp_step is exact
+
+        def further(x, v, length, k):
+            # 1e-6 further along the same geodesic, so still on the hyperboloid
+            return exact(x, (1.0 + 1e-6) * v, (1.0 + 1e-6) * length, k)
+        for owner in (geometry, simulator):     # wherever callers look it up
+            monkeypatch.setattr(owner, "_exp_step", further)
+        assert not suite_exact_radial_increment(n=200).passed
+        assert not np.array_equal(radii_of(hw.run_walk(cfg, 0)), before)
+
+    def test_step_off_the_hyperboloid_fails_the_oracle(self, monkeypatch):
+        # reported as a failing suite, not raised out of validate
+        exact = geometry._exp_step
+        monkeypatch.setattr(geometry, "_exp_step",
+                            lambda x, v, length, k: exact(x, v, (1.0 + 1e-4) * length, k))
+        res = suite_exact_radial_increment(n=200)
+        assert not res.passed
+        assert "hyperboloid drift" in res.detail
 
 
 class TestEnsemble:
