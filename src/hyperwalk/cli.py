@@ -91,8 +91,8 @@ from .increments import (
     HeavyTailLaw,
     IncrementLaw,
     InwardBiasedLaw,
+    MOMENT_NAMES,
     RadialProfile,
-    elliptic_moments,
 )
 from .lamperti import (
     CRIT_EUCLIDEAN,
@@ -107,6 +107,7 @@ from .lamperti import (
     classify_pinched,
     estimate_moment_functions,
     uniform_ellipticity_transience_check,
+    _draw,
     _mc_estimate,
 )
 from .simulator import MODE_AMBIENT, MODE_RADIAL_ONLY, WalkConfig, run_ensemble
@@ -514,44 +515,49 @@ def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
     return 0
 
 
-_ZERO_DRIFT_KINDS = ("elliptic", "box", "heavytail")
-
-
 def _euclidean_report(cfg: RunConfig) -> ClassificationReport:
+    """The flat-space 2U-vs-V rule at the last grid radius, from the law's
+    closed-form U and V when it knows both, else from one draw.  The rule
+    holds for zero-drift chains only: a law whose mean radial step is not
+    known to be 0 is reported inconclusive."""
     r_max = cfg.grid[-1]
-    if cfg.law.kind in ("elliptic", "box"):
-        V, U = elliptic_moments(cfg.law.a(r_max), cfg.law.b(r_max), cfg.model.d)
-        hw_u = hw_v = 0.0
-    else:
+    V, U, mean = cfg.law.known_moments(r_max)
+    hw_u = hw_v = 0.0
+    if U is None or V is None:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                            spawn_key=(10_001,)))
-        d_rad, t = cfg.law.sample_components_batch(r_max, cfg.samples, rng)
+        d_rad, _, t_sq, _ = _draw(cfg.law, r_max, cfg.samples, rng)
         u_est = _mc_estimate(d_rad ** 2)
-        v_est = _mc_estimate(d_rad ** 2 + np.einsum("ij,ij->i", t, t))
+        v_est = _mc_estimate(d_rad ** 2 + t_sq)
         U, hw_u = u_est.value, u_est.half_width
         V, hw_v = v_est.value, v_est.half_width
-    # U <= V holds by construction: both come from the same samples (or the
-    # same closed forms), and d_rad^2 <= d_tot^2 pointwise
-    verdict = classify_euclidean(U, V)
+    notes = ["flat-space rule: recurrent iff 2U > V"]
+    if mean == 0.0:
+        # U <= V holds by construction: both come from the same samples (or
+        # the same closed forms), and d_rad^2 <= d_tot^2 pointwise
+        verdict = classify_euclidean(U, V)
+    else:
+        verdict = Verdict.INCONCLUSIVE
+        notes.append(f"the rule needs zero drift, and the mean radial step is {mean!r}")
     rows = [
         MarginRow(r_max, "radial-second-moment-U", U, hw_u, 2.0 * U - V, CRIT_EUCLIDEAN),
         MarginRow(r_max, "total-second-moment-V", V, hw_v, 2.0 * U - V, CRIT_EUCLIDEAN),
     ]
     return ClassificationReport(verdict, CRIT_EUCLIDEAN, [(r_max, 2.0 * U - V)],
-                                cfg.theta, r_max, rows,
-                                ["flat-space rule: recurrent iff 2U > V"])
+                                cfg.theta, r_max, rows, notes)
 
 
 def classification_report(cfg: RunConfig) -> ClassificationReport:
     """Criterion dispatch for `classify`.
 
-    Euclidean models use the 2U-vs-V rule.  Elliptic laws in constant or
-    pinched curvature get the closed-form criterion.  Everything else is
-    Monte Carlo, one draw per grid radius in grid order from the classify
-    stream: pinched curvature goes to the pinched criteria; in constant
-    curvature the moments are estimated first, a zero-drift law is then
-    screened by the uniform-ellipticity transience test, which reads those
-    estimates, and the moment criteria decide what the screen leaves open.
+    Euclidean models use the 2U-vs-V rule, which needs zero drift.  Elliptic
+    laws in constant or pinched curvature get the closed-form criterion.
+    Everything else is Monte Carlo, one draw per grid radius in grid order
+    from the classify stream: pinched curvature goes to the pinched
+    criteria; in constant curvature the moments are estimated first, a law
+    whose known mean radial step is 0 is then screened by the
+    uniform-ellipticity transience test, which reads those estimates, and
+    the moment criteria decide what the screen leaves open.
     """
     if not cfg.model.is_hyperbolic:
         return _euclidean_report(cfg)
@@ -563,7 +569,7 @@ def classification_report(cfg: RunConfig) -> ClassificationReport:
         return classify_pinched(cfg.law, cfg.k_min, cfg.k_max, cfg.grid, cfg.samples,
                                 rng, cfg.theta, cfg.r0)
     moments = estimate_moment_functions(cfg.law, cfg.model.k, cfg.grid, cfg.samples, rng)
-    if cfg.law.kind in _ZERO_DRIFT_KINDS:
+    if cfg.law.known_moments(cfg.grid[-1])[2] == 0.0:
         d_min = cfg.d_min if cfg.d_min is not None else cfg.grid[0]
         screen = uniform_ellipticity_transience_check(moments, cfg.epsilon, d_min, cfg.grid)
         if screen.verdict is Verdict.TRANSIENT:
@@ -589,29 +595,24 @@ def cmd_validate(cfg: RunConfig, workers: int = 1) -> int:
 
 
 def cmd_moments(cfg: RunConfig, workers: int = 1) -> int:
+    """Tabulate, per grid radius from one draw, the Monte Carlo step moments
+    against the law's closed forms, then nu1 and nu2 and the heavy-tail
+    bound rows.
+
+    nu1 and nu2 are the raw, unpaired sample means of the increment and its
+    square.  `classify` pairs each draw of a law symmetric under v -> -v
+    with its mirror, so for the elliptic and box laws its half-widths are
+    narrower than the ones printed here.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(20_000,)))
     k = cfg.model.k if cfg.model.is_hyperbolic else None
     law = cfg.law
     rows = []
     for r in cfg.grid:
-        d_rad, t = law.sample_components_batch(r, cfg.samples, rng)
-        d_tot_sq = d_rad ** 2 + np.einsum("ij,ij->i", t, t)
-        d_tot = np.sqrt(d_tot_sq)
-
-        if law.kind in ("elliptic", "box"):
-            ref_tot, ref_rad = elliptic_moments(law.a(r), law.b(r), cfg.model.d)
-            ref_mean = 0.0
-        elif law.kind == "heavytail":
-            ref_tot = (law.m - 1.0) / (law.m - 3.0)
-            ref_rad = None
-            ref_mean = 0.0
-        else:
-            N = law.strength
-            ref_tot, ref_rad, ref_mean = 16.0 * N * N, 2.0 * N * N, -N
-
-        for arr, name, ref in ((d_tot_sq, "E[d_tot^2]", ref_tot),
-                               (d_rad ** 2, "E[d_rad^2]", ref_rad),
-                               (d_rad, "E[d_rad]", ref_mean)):
+        d_rad, _, t_sq, d_tot = _draw(law, r, cfg.samples, rng)
+        d_rad_sq = d_rad ** 2
+        for name, arr, ref in zip(MOMENT_NAMES, (d_rad_sq + t_sq, d_rad_sq, d_rad),
+                                  law.known_moments(r)):
             est = _mc_estimate(arr)
             rows.append((r, name, est.value, est.half_width,
                          "" if ref is None else _fmt(float(ref)), "exact"))
@@ -622,7 +623,7 @@ def cmd_moments(cfg: RunConfig, workers: int = 1) -> int:
             rows.append((r, "nu2", nu2.value, nu2.half_width, "", ""))
             if law.kind == "heavytail":
                 lam = law.lambda_at(r)
-                trans = _mc_estimate(d_tot_sq - d_rad ** 2)
+                trans = _mc_estimate(t_sq)
                 bound = 2.0 * law.m * math.exp(-lam)
                 rows.append((r, "transverse-second-moment", trans.value,
                              trans.half_width, _fmt(bound), "upper"))

@@ -47,6 +47,13 @@ TANGENCY_TOL = 1e-10          # |B(x,v)| scaled by norms for a valid tangent
 ACOSH_CLAMP_TOL = 1e-9        # forgivable rounding below 1 in acosh args
 LOG_DOMAIN_THRESHOLD = 30.0   # switch radial-increment evaluation to log form
 REPROJECTION_DRIFT_TOL = 1e-6  # relative spatial-norm defect _reproject forgives
+# Rounding leaves a tangent's Minkowski square B(v, v), a difference of
+# squares, an absolute error of about eps * |v|^2 (|v|^2 the Euclidean
+# square), and |v|^2 / B(v, v) grows like cosh(2kR) for a step with a radial
+# part.  TangentVector.norm raises once that bound exceeds this fraction of
+# B(v, v), so a norm it returns is good to about half of it (relative); a
+# step with a radial part of a few tenths of its length fails from kR ~ 10.
+MINKOWSKI_SQUARE_REL_TOL = 1e-8
 
 _LOG2 = math.log(2.0)
 
@@ -174,16 +181,23 @@ class TangentVector:
 
     @property
     def norm(self) -> float:
-        """Minkowski norm sqrt(B(v, v)); B is positive definite on tangent spaces."""
-        b = _mink(self.components, self.components)
-        if b < 0.0:
-            scale = max(1.0, float(np.dot(self.components, self.components)))
-            if b < -TANGENCY_TOL * scale:
-                raise InvariantViolationError(
-                    f"tangent vector has negative Minkowski square {b:.3e}"
-                )
+        """Minkowski norm sqrt(B(v, v)); B is positive definite on tangent spaces.
+
+        Raises InvariantViolationError when rounding leaves B(v, v) unresolved
+        (see MINKOWSKI_SQUARE_REL_TOL), as it does for a step with a radial
+        part far out; the zero vector has norm 0.
+        """
+        c = self.components
+        b = _mink(c, c)
+        bound = np.finfo(float).eps * float(np.dot(c, c))
+        if b > bound / MINKOWSKI_SQUARE_REL_TOL:
+            return math.sqrt(b)
+        if bound == 0.0:
             return 0.0
-        return math.sqrt(b)
+        raise InvariantViolationError(
+            f"tangent vector's Minkowski square {b:.3e} is not resolved above its "
+            f"rounding bound {bound:.3e}"
+        )
 
 
 def validate_tangent(v: TangentVector, tol: float = TANGENCY_TOL):

@@ -205,6 +205,12 @@ class IncrementLaw:
         """Almost-sure bound on the step length; inf when unbounded."""
         raise NotImplementedError
 
+    def known_moments(self, r: float) -> tuple:
+        """The closed-form (E[d_tot^2], E[d_rad^2], E[d_rad]) of a step at
+        radius r, in the order of MOMENT_NAMES, with None for each entry the
+        law does not know."""
+        return None, None, None
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -249,6 +255,9 @@ class EllipticLaw(IncrementLaw):
     def step_bound(self):
         return math.sqrt(self.d) * max(self.a.sup(), self.b.sup())
 
+    def known_moments(self, r):
+        return (*elliptic_moments(self.a(r), self.b(r), self.d), 0.0)
+
     def describe(self):
         return f"elliptic(a={self.a.describe()}, b={self.b.describe()}, d={self.d})"
 
@@ -290,6 +299,8 @@ class BoxLaw(IncrementLaw):
     def step_bound(self):
         # circumscribed radius of the box, attained at the corners
         return _SQRT3 * math.sqrt(self.a.sup() ** 2 + (self.d - 1) * self.b.sup() ** 2)
+
+    known_moments = EllipticLaw.known_moments   # the same second moments, zero mean
 
     def describe(self):
         return f"box(a={self.a.describe()}, b={self.b.describe()}, d={self.d})"
@@ -387,6 +398,10 @@ class HeavyTailLaw(IncrementLaw):
     def step_bound(self):
         return math.inf
 
+    def known_moments(self, r):
+        # E[y^2] of the Pareto length; E[d_rad^2] depends on lambda(r)
+        return (self.m - 1.0) / (self.m - 3.0), None, 0.0
+
     def describe(self):
         lam = "auto" if self.lam is None else self.lam.describe()
         return f"heavytail(m={self.m!r}, lambda={lam}, d={self.d})"
@@ -427,6 +442,10 @@ class InwardBiasedLaw(IncrementLaw):
 
     def step_bound(self):
         return 4.0 * self.strength
+
+    def known_moments(self, r):
+        N = self.strength
+        return 16.0 * N * N, 2.0 * N * N, -N
 
     def describe(self):
         return f"inwardbiased(N={self.strength!r}, d={self.d})"
@@ -469,6 +488,9 @@ class CustomLaw(IncrementLaw):
 # ---------------------------------------------------------------------------
 # Analytic moments
 # ---------------------------------------------------------------------------
+
+MOMENT_NAMES = ("E[d_tot^2]", "E[d_rad^2]", "E[d_rad]")   # the order of known_moments
+
 
 def elliptic_moments(a_val: float, b_val: float, d: int) -> tuple[float, float]:
     """(E[d_tot^2], E[d_rad^2]) = (a^2 + (d-1) b^2, a^2) for elliptic/box laws."""

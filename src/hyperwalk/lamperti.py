@@ -229,17 +229,37 @@ def increment_moment_estimate(law: IncrementLaw, k: float, r: float, n_samples: 
     whatever their correlation.
 
     For laws symmetric under v -> -v each draw is paired with its mirror
-    image, which keeps the estimator unbiased and removes most of the
-    first-moment variance (the paired mean is a function of (phi^2, d_tot)
-    only).  Emits MonteCarloVarianceWarning when the empirical kurtosis of
-    either integrand explodes.
+    image (see _mirror_means).  Emits MonteCarloVarianceWarning when the
+    empirical kurtosis of either integrand explodes.
     """
     return _radius_estimates(law, k, r, n_samples, rng)[:2]
 
 
-def _check_samples(n_samples):
+def _draw(law, r, n_samples, rng):
+    """(d_rad, t, t_sq, d_tot) of one batch draw of n_samples steps at radius
+    r: the only draw behind a Monte Carlo estimate, with t_sq = |t|^2 and
+    d_tot = sqrt(d_rad^2 + t_sq) per step.  Fewer than MIN_SAMPLES steps
+    raise UsageError."""
     if n_samples < MIN_SAMPLES:
         raise UsageError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
+    d_rad, t = law.sample_components_batch(r, n_samples, rng)
+    t_sq = np.einsum("ij,ij->i", t, t)
+    return d_rad, t, t_sq, np.sqrt(d_rad * d_rad + t_sq)
+
+
+def _mirror_means(law, integrands, d_rad, *shared):
+    """The outputs of integrands(d_rad, *shared), each paired with its mirror
+    for a law symmetric under v -> -v.
+
+    Pairing runs integrands once on np.stack([d_rad, -d_rad]), so a draw and
+    its mirror are two rows of one kernel call, and averages each output
+    over its two rows.  The paired mean stays unbiased and removes most of
+    the first-moment variance (it is a function of (phi^2, d_tot) only).
+    Any other law gets the outputs as they are.
+    """
+    if not law.symmetric:
+        return integrands(d_rad, *shared)
+    return tuple(0.5 * (x[0] + x[1]) for x in integrands(np.stack([d_rad, -d_rad]), *shared))
 
 
 def _radius_estimates(law, k, r, n_samples, rng):
@@ -247,17 +267,13 @@ def _radius_estimates(law, k, r, n_samples, rng):
     n_samples steps: the two moments of increment_moment_estimate, the
     transverse second moment E|t|^2 as an Estimate, and the step-mean
     ZeroDriftResult the uniform-ellipticity screen reads."""
-    _check_samples(n_samples)
-    d_rad, t = law.sample_components_batch(r, n_samples, rng)
-    t_sq = np.einsum("ij,ij->i", t, t)
-    d_tot = np.sqrt(d_rad * d_rad + t_sq)
-    if law.symmetric:
-        f, f_mirror = asymptotic_increment_batch(k, np.stack([d_rad, -d_rad]), d_tot)
-        x1 = 0.5 * (f + f_mirror)
-        x2 = 0.5 * (f ** 2 + f_mirror ** 2)
-    else:
+    d_rad, t, t_sq, d_tot = _draw(law, r, n_samples, rng)
+
+    def moments(d_rad, d_tot):
         f = asymptotic_increment_batch(k, d_rad, d_tot)
-        x1, x2 = f, f ** 2
+        return f, f ** 2
+
+    x1, x2 = _mirror_means(law, moments, d_rad, d_tot)
     _warn_if_heavy(x1, f"moment estimate (power 1, r={r:g})")
     _warn_if_heavy(x2, f"moment estimate (power 2, r={r:g})")
     return (_mc_estimate(x1), _mc_estimate(x2), _mc_estimate(t_sq),
@@ -494,18 +510,6 @@ def classify_constant_curvature(moments: MomentFunctions, r_grid, theta: float =
                    (recurrent_ok, CRIT_CONST_RECURRENT, r_margins), theta, r0, rows, notes)
 
 
-def _pinched_integrands(r, k, K, d_rad, d_tot, phi):
-    f_lo = asymptotic_increment_batch(k, d_rad, d_tot)
-    f_hi = f_lo if K == k else asymptotic_increment_batch(K, d_rad, d_tot)
-    inc_lo = radial_increment_exact_batch(r, d_tot, phi, k)
-    inc_hi = inc_lo if K == k else radial_increment_exact_batch(r, d_tot, phi, K)
-    sq_lo = f_lo ** 2
-    sq_hi = sq_lo if K == k else f_hi ** 2
-    split = sq_lo * (inc_lo >= 0.0) + sq_hi * (inc_hi < 0.0)
-    upper = np.maximum(sq_lo, sq_hi)
-    return f_lo, f_hi, split, upper
-
-
 def _pinched_moments(law, r, k, K, n_samples, rng):
     """Per-radius Monte Carlo moments used by the pinched classifier.
 
@@ -516,22 +520,26 @@ def _pinched_moments(law, r, k, K, n_samples, rng):
                  the sign of the exact increment in the bracketing geometries
       m2_up   -- upper bound max(F_k^2, F_K^2)
 
-    Laws symmetric under v -> -v get mirror pairing (unbiased, and crucial
-    for the first moment, whose raw variance would otherwise drown the
-    Lamperti inequality at large radii).
+    Laws symmetric under v -> -v get mirror pairing (see _mirror_means),
+    without which the raw first-moment variance would drown the Lamperti
+    inequality at large radii.
     """
-    _check_samples(n_samples)
-    d_rad, t = law.sample_components_batch(r, n_samples, rng)
-    d_tot = np.sqrt(d_rad * d_rad + np.einsum("ij,ij->i", t, t))
-    with np.errstate(invalid="ignore"):
-        phi = np.where(d_tot > 0.0, d_rad / np.maximum(d_tot, 1e-300), 0.0)
-    np.clip(phi, -1.0, 1.0, out=phi)
+    d_rad, _, _, d_tot = _draw(law, r, n_samples, rng)
 
-    if not law.symmetric:
-        return tuple(_mc_estimate(x) for x in _pinched_integrands(r, k, K, d_rad, d_tot, phi))
-    # the mirror -v of each draw is the second row of one call per kernel
-    parts = _pinched_integrands(r, k, K, np.stack([d_rad, -d_rad]), d_tot, np.stack([phi, -phi]))
-    return tuple(_mc_estimate(0.5 * (x[0] + x[1])) for x in parts)
+    def bounds(d_rad, d_tot):
+        with np.errstate(invalid="ignore"):
+            phi = np.where(d_tot > 0.0, d_rad / np.maximum(d_tot, 1e-300), 0.0)
+        np.clip(phi, -1.0, 1.0, out=phi)
+        f_lo = asymptotic_increment_batch(k, d_rad, d_tot)
+        f_hi = f_lo if K == k else asymptotic_increment_batch(K, d_rad, d_tot)
+        inc_lo = radial_increment_exact_batch(r, d_tot, phi, k)
+        inc_hi = inc_lo if K == k else radial_increment_exact_batch(r, d_tot, phi, K)
+        sq_lo = f_lo ** 2
+        sq_hi = sq_lo if K == k else f_hi ** 2
+        split = sq_lo * (inc_lo >= 0.0) + sq_hi * (inc_hi < 0.0)
+        return f_lo, f_hi, split, np.maximum(sq_lo, sq_hi)
+
+    return tuple(_mc_estimate(x) for x in _mirror_means(law, bounds, d_rad, d_tot))
 
 
 def classify_pinched(law: IncrementLaw, k_min_profile: RadialProfile,
@@ -707,12 +715,11 @@ def nonconfinement_check(law: IncrementLaw, epsilon: float, r_grid, n_samples: i
     """Check E[d_rad] = 0 (4-sigma band) and E[d_rad^2] >= epsilon on a grid."""
     if not epsilon > 0:
         raise DomainError(f"epsilon must be > 0, got {epsilon}")
-    _check_samples(n_samples)
     grid, _, _ = _prepare_grid(r_grid, None)
     rows = []
     ok = True
     for r in grid:
-        d_rad, _ = law.sample_components_batch(r, n_samples, rng)
+        d_rad = _draw(law, r, n_samples, rng)[0]
         mean = float(d_rad.mean())
         se = float(d_rad.std(ddof=1)) / math.sqrt(n_samples)
         sq = _mc_estimate(d_rad * d_rad)

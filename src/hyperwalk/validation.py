@@ -187,24 +187,21 @@ def suite_moment_identities(seed: int = 3, n: int = 200_000) -> SuiteResult:
     """Monte Carlo second moments of the shell and box laws against the
     closed forms, and the inward-biased radial mean against -N."""
     rng = np.random.default_rng(seed)
-    failures = []
+    checks = []     # (law, the known_moments entries checked, SE multiple)
     for a, b, d in ((2.0, 1.0, 3), (1.0, 0.5, 2)):
         for cls in (increments.EllipticLaw, increments.BoxLaw):
-            law = cls(increments.RadialProfile.constant(a),
-                      increments.RadialProfile.constant(b), d)
-            d_rad, t = law.sample_components_batch(1.0, n, rng)
-            d_tot_sq = d_rad ** 2 + np.einsum("ij,ij->i", t, t)
-            want_tot, want_rad = increments.elliptic_moments(a, b, d)
-            for got_arr, want, name in ((d_tot_sq, want_tot, "E[d_tot^2]"),
-                                        (d_rad ** 2, want_rad, "E[d_rad^2]")):
-                se = float(got_arr.std(ddof=1)) / math.sqrt(n)
-                if abs(float(got_arr.mean()) - want) > 3.0 * se:
-                    failures.append(f"{law.kind} {name} off by > 3 SE")
-    law = increments.InwardBiasedLaw(1.5, 3)
-    d_rad, _ = law.sample_components_batch(1.0, n, rng)
-    se = float(d_rad.std(ddof=1)) / math.sqrt(n)
-    if abs(float(d_rad.mean()) + 1.5) > 4.0 * se:
-        failures.append("inward-biased mean d_rad not within 4 SE of -N")
+            checks.append((cls(increments.RadialProfile.constant(a),
+                               increments.RadialProfile.constant(b), d), (0, 1), 3.0))
+    checks.append((increments.InwardBiasedLaw(1.5, 3), (2,), 4.0))
+    failures = []
+    for law, entries, z in checks:
+        d_rad, _, t_sq, _ = lamperti._draw(law, 1.0, n, rng)
+        draws = (d_rad ** 2 + t_sq, d_rad ** 2, d_rad)
+        known = law.known_moments(1.0)
+        for i in entries:
+            se = float(draws[i].std(ddof=1)) / math.sqrt(n)
+            if abs(float(draws[i].mean()) - known[i]) > z * se:
+                failures.append(f"{law.kind} {increments.MOMENT_NAMES[i]} off by > {z:g} SE")
     return SuiteResult("moment-identities", not failures, n,
                        "; ".join(failures) if failures else "all within tolerance")
 

@@ -400,13 +400,34 @@ class TestClassifyCommand:
         code, _ = run_cli(tmp_path, "eu3.cfg", text3, "classify")
         assert code == 1  # d=3 a=b=1: 2U=2 < V=3
 
-    @pytest.mark.parametrize("name", ["classify-box-screen", "classify-heavytail-small"])
-    def test_one_draw_per_grid_radius(self, name, monkeypatch):
-        """The screen and the moment criteria read one draw per grid radius:
-        the classify stream ends where one sample_components_batch(r, n) per
-        grid radius, in grid order, leaves a twin stream."""
+    def test_euclidean_rule_needs_zero_drift(self, tmp_path, capsys):
+        # 2U = 4 < V = 16 would read transient, but the chain drifts inward
+        # and is recurrent: the rule does not apply to it
+        text = (
+            "curvature.kind = euclidean\ncurvature.d = 2\nlaw.kind = inwardbiased\n"
+            "law.n = 1\nsim.seed = 5\ngrid.start = 10\ngrid.stop = 50\ngrid.count = 3\n"
+        )
+        code, out = run_cli(tmp_path, "drift.cfg", text, "classify")
+        assert code == 2
+        printed = capsys.readouterr().out
+        assert "verdict:   inconclusive" in printed
+        assert "note: the rule needs zero drift, and the mean radial step is -1.0" in printed
+        rows = (out / "margins.csv").read_text().splitlines()[-2:]
+        assert rows == [  # the closed forms U = 2N^2 and V = 16N^2, no draw
+            "50.0,radial-second-moment-U,2.0,0.0,-12.0,euclidean-2u-v",
+            "50.0,total-second-moment-V,16.0,0.0,-12.0,euclidean-2u-v",
+        ]
+
+    @pytest.mark.parametrize("name", ["classify-box-screen", "classify-heavytail-small",
+                                      "classify-pinched-small", "moments-small"])
+    def test_one_draw_per_grid_radius(self, name, monkeypatch, tmp_path, capsys):
+        """The screen and the moment criteria, the pinched criteria and the
+        moments table each read one draw per grid radius: the command's
+        stream ends where one sample_components_batch(r, n) per grid radius,
+        in grid order, leaves a twin stream."""
+        command = "moments" if name.startswith("moments") else "classify"
         with open(os.path.join(GOLDEN, name + ".cfg")) as fh:
-            cfg = parse_config(fh.read(), "classify")
+            cfg = parse_config(fh.read(), command, out_override=str(tmp_path))
         law_class = type(cfg.law)
         draw = law_class.sample_components_batch
         calls = []
@@ -416,9 +437,13 @@ class TestClassifyCommand:
             return draw(law, r, n, rng)
 
         monkeypatch.setattr(law_class, "sample_components_batch", recording)
-        cli.classification_report(cfg)
+        if command == "moments":
+            cli.cmd_moments(cfg)
+        else:
+            cli.classification_report(cfg)
+        spawn_key = 20_000 if command == "moments" else 10_000
         twin = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
-                                                            spawn_key=(10_000,)))
+                                                            spawn_key=(spawn_key,)))
         for r in cfg.grid:
             draw(cfg.law, r, cfg.samples, twin)
         assert [(r, n) for r, n, _ in calls] == [(r, cfg.samples) for r in cfg.grid]

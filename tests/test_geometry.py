@@ -106,6 +106,37 @@ class TestPointAndTangentInvariants:
         validate_tangent(v)
         assert v.norm == pytest.approx(5.0, rel=1e-15)
 
+    @staticmethod
+    def frame_step(kR):
+        """(origin, base point, step): the frame vector with d_rad = 0.3 and
+        |t| = 0.4, of length 0.5, at radius kR for k = 1 and d = 2."""
+        O = hw.origin(1.0, 2)
+        p = hw.LorentzPoint(np.array([math.cosh(kR), math.sinh(kR), 0.0]))
+        return O, p, hw.radial_frame(O, p, 1.0).vector(0.3, np.array([0.4]))
+
+    @pytest.mark.parametrize("kR", [18.0, 20.0])
+    def test_unresolved_minkowski_square_raises(self, kR):
+        # rounding swamps the square: unchecked, it reads 0 at kR = 20 (so
+        # exp_map would return its base point) and is 6% off at kR = 18
+        O, p, v = self.frame_step(kR)
+        with pytest.raises(InvariantViolationError, match="not resolved"):
+            v.norm
+        with pytest.raises(InvariantViolationError, match="not resolved"):
+            hw.exp_map(p, v, 1.0)
+        with pytest.raises(InvariantViolationError, match="not resolved"):
+            hw.decompose_increment(O, p, v, 1.0)
+
+    @pytest.mark.parametrize("kR", [0.5, 2.0, 5.0])
+    def test_resolved_minkowski_square_keeps_its_norm(self, kR):
+        O, p, v = self.frame_step(kR)
+        c = v.components
+        assert v.norm == math.sqrt(_mink(c, c))
+        assert v.norm == pytest.approx(0.5, rel=1e-12)
+        dec = hw.decompose_increment(O, p, v, 1.0)
+        assert dec.d_tot == v.norm
+        assert dec.d_rad == pytest.approx(0.3, rel=1e-11)
+        assert hw.distance(p, hw.exp_map(p, v, 1.0), 1.0) == pytest.approx(0.5, rel=1e-9)
+
 
 class TestExpMap:
     def test_zero_vector_is_identity(self):

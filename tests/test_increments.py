@@ -359,3 +359,45 @@ class TestZeroDriftCheck:
         law = hw.InwardBiasedLaw(1.0, 2)
         res = hw.zero_drift_check(law, 1.0, 100_000, law_rng(24))
         assert res.mean[0] == pytest.approx(-1.0, abs=4 * res.standard_error[0])
+
+
+class TestKnownMoments:
+    """Each law's closed-form (E[d_tot^2], E[d_rad^2], E[d_rad]) against a
+    2e5-step draw, within 3 standard errors, at two radii."""
+
+    LAWS = [
+        hw.EllipticLaw(hw.RadialProfile.power_decay(1.5, 0.5), hw.RadialProfile.constant(0.7), 2),
+        hw.EllipticLaw(hw.RadialProfile.constant(2.0), hw.RadialProfile.power_decay(1.0, 1.0), 3),
+        hw.BoxLaw(hw.RadialProfile.power_decay(1.5, 0.5), hw.RadialProfile.constant(0.7), 2),
+        hw.BoxLaw(hw.RadialProfile.constant(2.0), hw.RadialProfile.power_decay(1.0, 1.0), 3),
+        hw.InwardBiasedLaw(1.5, 3),
+        # m = 6: d_tot^2 = y^2 has a finite variance, so its standard error means something
+        hw.HeavyTailLaw(6.0, 2),
+    ]
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda l: f"{l.kind}-d{l.d}")
+    @pytest.mark.parametrize("r", [0.5, 4.0])
+    def test_closed_form_matches_a_draw(self, law, r):
+        n = 200_000
+        d_rad, d_tot_sq = sampled_moments(law, r, n)
+        draws = (d_tot_sq, d_rad ** 2, d_rad)
+        known = law.known_moments(r)
+        assert len(known) == len(hw.increments.MOMENT_NAMES) == 3
+        checked = 0
+        for name, x, want in zip(hw.increments.MOMENT_NAMES, draws, known):
+            if want is None:
+                continue
+            se = float(x.std(ddof=1)) / math.sqrt(n)
+            # the inward-biased step length is constant: its se is rounding only
+            assert abs(float(x.mean()) - want) <= 3.0 * se + 1e-12 * abs(want), (name, want)
+            checked += 1
+        assert checked == (2 if law.kind == "heavytail" else 3)
+
+    def test_custom_law_knows_nothing(self):
+        law = hw.CustomLaw(lambda r, d, rng: (0.0, np.zeros(d - 1)), 2)
+        assert law.known_moments(1.0) == (None, None, None)
+
+    def test_zero_mean_laws_are_the_screened_ones(self):
+        # classify runs the uniform-ellipticity screen for a known zero mean
+        zero_mean = {law.kind for law in self.LAWS if law.known_moments(4.0)[2] == 0.0}
+        assert zero_mean == {"elliptic", "box", "heavytail"}
