@@ -20,7 +20,8 @@ r,value CSV relative to the config file.
 
     command             optional; must match the subcommand when present
     curvature.kind      hyperbolic | euclidean (hyperbolic)
-    curvature.k         constant curvature parameter, > 0
+    curvature.k         constant curvature parameter, > 0 (required, except
+                        by classify given curvature.k_min and k_max)
     curvature.k_min     pinched lower profile (classify; default const:k)
     curvature.k_max     pinched upper profile (classify; default const:k)
     curvature.d         dimension, integer >= 2 (required; 2 for validate)
@@ -346,6 +347,9 @@ def parse_config(text: str, command: str, base_dir: str = ".",
             raise ConfigError("k_min and k_max must be given together", key=missing)
         if pinched:
             k_min, k_max = get("curvature.k_min"), get("curvature.k_max")
+            if k is None and command != "classify":
+                raise ConfigError(f"{command} runs at one constant curvature; k_min and "
+                                  "k_max bound it for classify only", key="curvature.k")
             if k is None:
                 k = max(k_min.inf(), 1e-12)  # scalar fallback for moment scaling
         else:

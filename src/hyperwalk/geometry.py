@@ -22,7 +22,9 @@ length d_tot taken straight outward (phi = d_rad/d_tot = 1) increases the
 radius by exactly d_tot.
 
 Radial frames are built about the standard origin (1/k, 0, ..., 0) only,
-the point every walk and every radius is measured from.
+the point every walk and every radius is measured from.  Every frame is one
+Householder reflection (HouseholderFrame): the walks step through it in
+O(d), and `radial_frame` and `euclidean_frame` expose its matrix view.
 """
 
 from __future__ import annotations
@@ -81,11 +83,7 @@ def _safe_norm(v: np.ndarray) -> float:
     coordinates reach near kR = 354, well inside the supported radius range.
     The scaled path only engages for such magnitudes.
     """
-    m = 0.0
-    for c in v:
-        c = abs(c)
-        if c > m:
-            m = c
+    m = max(map(abs, v.tolist()))
     if m == 0.0 or not math.isfinite(m):
         return m
     if m < 1e150:
@@ -274,26 +272,32 @@ def _reproject(x: np.ndarray, k: float, step: int) -> float:
     return math.acosh(ky0) / k if ky0 > 1.0 else 0.0
 
 
-def _acosh_arg(x: np.ndarray, y: np.ndarray, k: float) -> float:
-    arg = -_mink(x, y) * k * k
-    if arg < 1.0 - ACOSH_CLAMP_TOL:
-        raise InvariantViolationError(
-            f"distance argument {arg} < 1; points are not on a common hyperboloid"
-        )
-    return max(arg, 1.0)
-
-
 def distance(x: LorentzPoint, y: LorentzPoint, k: float) -> float:
-    """Riemannian distance (1/k) * arccosh(-B(x,y) k^2).
+    """Riemannian distance (2/k) arcsinh(sqrt(c / 2)), c = cosh(k dist) - 1.
 
-    Arguments that fall below 1 by at most ACOSH_CLAMP_TOL are clamped
-    (floating-point guard); anything further below is an invariant violation.
-    Coordinate-identical points short-circuit to 0: the self-pairing noise
-    of a far-out point would otherwise read as a spurious ~sqrt(eps) gap.
+    c is read off the pairing, -B(x, y) k^2 - 1, or off the chord u = x - y,
+    k^2 B(u, u) / 2, whichever has the smaller rounding bound: eps k^2 |x| |y|
+    and eps k^2 |u|^2 / 2 (Euclidean norms).  Like TangentVector.norm it
+    raises InvariantViolationError once that bound exceeds
+    MINKOWSKI_SQUARE_REL_TOL of c, as for a step with a radial part far out.
+    A pairing below 1 by more than ACOSH_CLAMP_TOL and its bound means the
+    points are not on a common hyperboloid.  Equal points give 0.
     """
     if x is y or np.array_equal(x.coords, y.coords):
         return 0.0
-    return math.acosh(_acosh_arg(x.coords, y.coords, k)) / k
+    x, y, k2, eps = x.coords, y.coords, k * k, np.finfo(float).eps
+    arg = -_mink(x, y) * k2
+    bound = eps * k2 * _safe_norm(x) * _safe_norm(y)
+    if arg < 1.0 - ACOSH_CLAMP_TOL - bound:
+        raise InvariantViolationError(
+            f"distance argument {arg} < 1; points are not on a common hyperboloid")
+    c, u = arg - 1.0, x - y
+    if 0.5 * eps * k2 * float(u @ u) < bound:
+        c, bound = 0.5 * k2 * _mink(u, u), 0.5 * eps * k2 * float(u @ u)
+    if not c > bound / MINKOWSKI_SQUARE_REL_TOL:
+        raise InvariantViolationError(f"the points' pairing leaves cosh(k d) - 1 = {c:.3e} "
+                                      f"unresolved above its rounding bound {bound:.3e}")
+    return 2.0 * math.asinh(math.sqrt(0.5 * c)) / k
 
 
 def log_map(x: LorentzPoint, y: LorentzPoint, k: float) -> TangentVector:
@@ -540,7 +544,8 @@ class RadialFrame:
 
     `axes` has shape (d, d+1): row 0 is e_rad (or a fixed stand-in axis at
     the origin, where the radial direction is undefined and immaterial), the
-    remaining rows span the transverse subspace.
+    remaining rows span the transverse subspace.  It is the matrix view of
+    the point's HouseholderFrame, whose step `vector` takes.
     """
 
     base: LorentzPoint
@@ -548,69 +553,71 @@ class RadialFrame:
     k: float
     at_origin: bool
 
-    def vector(self, d_rad: float, transverse: np.ndarray) -> TangentVector:
+    def vector(self, d_rad: float, transverse) -> TangentVector:
         """Tangent vector with outward radial part d_rad and given transverse part."""
-        return TangentVector(self.base, _frame_vector(self.axes, d_rad, np.asarray(transverse)))
+        t = np.asarray(transverse, dtype=float)
+        if t.shape != (self.base.d - 1,):
+            raise DimensionError(f"transverse part needs {self.base.d - 1} components")
+        return TangentVector(self.base, _tangent_axes(self.base.coords, self.k).step(d_rad, t))
 
 
-def _frame_vector(axes: np.ndarray, d_rad: float, t: np.ndarray) -> np.ndarray:
-    """-d_rad * axes[0] + t @ axes[1:]; a one-element t takes a scalar
-    product, equal to the matrix product up to the sign of a zero."""
-    if t.size == 1:
-        return -d_rad * axes[0] + float(t[0]) * axes[1]
-    return -d_rad * axes[0] + t @ axes[1:]
-
-
-def _complete_orthonormal(rows: np.ndarray, n: np.ndarray) -> None:
-    """Fill `rows`, shape (d-1, d), in place with an orthonormal basis of the
-    complement of the unit vector n: Gram-Schmidt over the coordinate axes
-    projected off n, skipping the nearly annihilated ones."""
-    d = n.size
-    count = 0
-    for i in range(d):
-        if count == d - 1:
-            break
-        w = -n[i] * n
-        w[i] += 1.0
-        for j in range(count):
-            w -= np.dot(w, rows[j]) * rows[j]
-        nb = float(w @ w)
-        if nb > 1e-12:
-            rows[count] = w / math.sqrt(nb)
-            count += 1
-    if count != d - 1:
-        raise InvariantViolationError("failed to complete an orthonormal frame")
-
-
-def _tangent_axes(coords: np.ndarray, k: float):
-    """Raw-array tangent frame builder about the origin (1/k, 0, ..., 0):
-    (axes, at_origin).
-
-    Row 0 of `axes` is the unit vector toward the origin.  The frame is
-    built from the polar structure of the point,
-    x = ((1/k) cosh kR, (1/k) sinh kR * n): the radial axis is
-    -(sinh kR, cosh kR * n) and the transverse axes are (0, m) for a
-    Euclidean orthonormal completion {m} of n.  This stays well conditioned
-    at any radius, unlike Gram-Schmidt over the ambient basis, whose
-    cancellations grow like e^(2kR).
+@dataclass(frozen=True, eq=False, slots=True)
+class HouseholderFrame:
+    """A tangent frame as one Householder reflection, for the unit outward
+    direction n: with s = sign(n_0) (+1 at 0) and w = n + s e_0,
+    H = I - w w^T / |w_0| maps e_0 to -s n and e_1 .. e_{d-1} onto an
+    orthonormal basis of n's complement.  `radial` is the unit outward step,
+    (sinh kR, cosh kR n) on H_k and n in flat space; H acts on the last d
+    ambient coordinates, and the transverse ones are the last d - 1.
     """
-    ambient = coords.size
-    d = ambient - 1
-    axes = np.zeros((d, ambient))
-    spatial = coords[1:]
-    sp = _safe_norm(spatial)
+
+    radial: np.ndarray
+    w: np.ndarray
+    scale: float        # |w_0| = 1 + |n_0| = |w|^2 / 2
+    at_origin: bool
+
+    def step(self, d_rad: float, t: np.ndarray) -> np.ndarray:
+        """The ambient step with outward radial part d_rad and transverse
+        part t: H applied to the frame coordinates (-s d_rad cosh kR, t), with
+        its radial part d_rad * radial taken exactly."""
+        w = self.w
+        v = d_rad * self.radial
+        v[-w.size:] -= (float(w[1:] @ t) / self.scale) * w
+        v[1 - w.size:] += t
+        return v
+
+    @property
+    def axes(self) -> np.ndarray:
+        """The matrix view: row 0 toward the origin, then the rows H e_i."""
+        d = self.w.size
+        axes = np.zeros((d, self.radial.size))
+        axes[0] = -self.radial
+        axes[1:, -d:] = np.eye(d)[1:] - np.outer(self.w[1:] / self.scale, self.w)
+        return axes
+
+
+def _householder(radial: np.ndarray, n: np.ndarray, at_origin: bool) -> HouseholderFrame:
+    w = n.copy()
+    w[0] += 1.0 if n[0] >= 0.0 else -1.0
+    return HouseholderFrame(radial, w, abs(w[0]), at_origin)
+
+
+def _tangent_axes(coords: np.ndarray, k: float) -> HouseholderFrame:
+    """The frame at a point x = ((1/k) cosh kR, (1/k) sinh kR * n) of H_k
+    about the origin (1/k, 0, ..., 0), read off its polar structure, so it
+    stays well conditioned at any radius.  Within 1e-12 / k of the origin
+    the stand-in n = -e_1 is taken and at_origin is set.
+    """
+    sp = _safe_norm(coords[1:])
     if sp * k <= 1e-12:
-        axes[:, 1:] = np.eye(d)
-        return axes, True
-    n_hat = spatial / sp
-    axes[0, 0] = -k * sp                 # -sinh(kR)
-    axes[0, 1:] = -(k * coords[0]) * n_hat   # -cosh(kR) * n
-    if d == 2:
-        axes[1, 1] = -n_hat[1]
-        axes[1, 2] = n_hat[0]
-    else:
-        _complete_orthonormal(axes[1:, 1:], n_hat)
-    return axes, False
+        radial = np.zeros(coords.size)
+        radial[1] = -1.0
+        return _householder(radial, radial[1:], True)
+    n = coords[1:] / sp
+    radial = np.empty(coords.size)
+    radial[0] = k * sp                      # sinh(kR)
+    radial[1:] = (k * coords[0]) * n        # cosh(kR) * n
+    return _householder(radial, n, False)
 
 
 def radial_frame(origin_pt: LorentzPoint, p: LorentzPoint, k: float) -> RadialFrame:
@@ -623,22 +630,17 @@ def radial_frame(origin_pt: LorentzPoint, p: LorentzPoint, k: float) -> RadialFr
     o = origin_pt.coords
     if abs(o[0] * k - 1.0) > 1e-12 or np.any(o[1:]):
         raise ContractError("radial frames are built about the origin (1/k, 0, ..., 0) only")
-    axes, at_origin = _tangent_axes(p.coords, k)
-    return RadialFrame(p, axes, k, at_origin)
+    frame = _tangent_axes(p.coords, k)
+    return RadialFrame(p, frame.axes, k, frame.at_origin)
 
 
-def euclidean_frame(x: np.ndarray) -> np.ndarray:
-    """Orthonormal frame (d, d), row 0 pointing from x toward the origin.
-
-    At the origin row 0 is the first coordinate axis.
-    """
+def euclidean_frame(x: np.ndarray) -> HouseholderFrame:
+    """The flat-space frame at x; at the origin the stand-in n = -e_0."""
     x = np.asarray(x, dtype=float)
-    d = x.size
     r = float(np.linalg.norm(x))
     if r == 0.0:
-        return np.eye(d)
+        n = np.zeros(x.size)
+        n[0] = -1.0
+        return _householder(n, n, True)
     n = x / r
-    axes = np.empty((d, d))
-    axes[0] = -n
-    _complete_orthonormal(axes[1:], n)
-    return axes
+    return _householder(n, n, False)

@@ -2,9 +2,11 @@
 
 Two simulation modes:
 
-* ``ambient`` iterates the walk in ambient coordinates through geometry's
-  `_exp_step` and `_reproject`, the step `exp_map` and the `validate` oracle
-  take, and is limited to k * R <= 700 by double-precision overflow;
+* ``ambient`` iterates the walk in ambient coordinates: each step vector is
+  the point's Householder frame step (`_tangent_axes`, `euclidean_frame`),
+  taken on H_k through geometry's `_exp_step` and `_reproject`, the step
+  `exp_map` and the `validate` oracle take; it is limited to k * R <= 700
+  by double-precision overflow;
 * ``radialonly`` iterates the radius alone through the exact radial
   increment, which for a radially symmetric law is distributionally the same
   chain and has no radius limit.  This is what makes 10^5-step horizons
@@ -45,7 +47,6 @@ from .errors import DomainError, OverflowGuardError, InvariantViolationError, Us
 from .geometry import (
     CurvatureModel,
     _exp_step,
-    _frame_vector,
     _mink,
     _reproject,
     _tangent_axes,
@@ -300,10 +301,11 @@ def _radial_only_radii(config, rng):
             yield n, R
 
 
-def _ambient_hyperbolic_states(config, rng):
-    """Yield (n, x, R) for the ambient hyperbolic walk: each step is
-    geometry's exp step followed by its reprojection onto the hyperboloid."""
-    k = config.model.k
+def _ambient_states(config, rng):
+    """Yield (n, x, R) for the ambient walk.  Each step is the frame's step:
+    on H_k geometry's exp step followed by its reprojection onto the
+    hyperboloid, in flat space a translation."""
+    hyperbolic, k = config.model.is_hyperbolic, config.model.k
     draw = _step_draws(config.law, config.steps, rng)
     x = _start_point(config.model, config.start_radius)
     R = config.start_radius
@@ -315,38 +317,18 @@ def _ambient_hyperbolic_states(config, rng):
                 f"ambient mode exceeded k*R = {AMBIENT_KR_LIMIT} at step {n}; "
                 "use radial-only mode for long horizons"
             )
-        axes, _ = _tangent_axes(x, k)
+        frame = _tangent_axes(x, k) if hyperbolic else euclidean_frame(x)
         d_rad, t = draw(R)
         norm = math.sqrt(d_rad * d_rad + float(t @ t))
         if not norm < inf:
             raise _non_finite_step(n)
-        if norm > 0.0:
-            x = _exp_step(x, _frame_vector(axes, d_rad, t), norm, k)
+        if not hyperbolic:
+            x = x + frame.step(d_rad, t)
+            R = float(np.linalg.norm(x))
+        elif norm > 0.0:
+            x = _exp_step(x, frame.step(d_rad, t), norm, k)
             R = _reproject(x, k, n)
         yield n, x, R
-
-
-def _ambient_euclidean_states(config, rng):
-    """Yield (n, x, R) for the ambient Euclidean walk."""
-    draw = _step_draws(config.law, config.steps, rng)
-    x = _start_point(config.model, config.start_radius)
-    R = float(np.linalg.norm(x))
-    inf = math.inf
-
-    for n in range(1, config.steps + 1):
-        axes = euclidean_frame(x)
-        d_rad, t = draw(R)
-        if not d_rad * d_rad + float(t @ t) < inf:
-            raise _non_finite_step(n)
-        x = x + _frame_vector(axes, d_rad, t)
-        R = float(np.linalg.norm(x))
-        yield n, x, R
-
-
-def _ambient_states(config, rng):
-    if config.model.is_hyperbolic:
-        return _ambient_hyperbolic_states(config, rng)
-    return _ambient_euclidean_states(config, rng)
 
 
 def _radius_iter(config, rng):

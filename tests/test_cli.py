@@ -550,6 +550,27 @@ class TestPinchedDispatch:
                          "grid.count = 2\n", "classify")
         assert "k_max" in str(err.value)
 
+    PINCHED_NO_K = (
+        "curvature.kind = hyperbolic\ncurvature.k_min = powerdecay:1,1\n"
+        "curvature.k_max = const:2\ncurvature.d = 2\n"
+        "law.kind = elliptic\nlaw.a = const:1\nlaw.b = const:1\nsim.seed = 6\n"
+        "sim.steps = 200\nsim.walks = 3\n"
+        "grid.start = 10\ngrid.stop = 100\ngrid.count = 2\nclassify.samples = 1000\n"
+    )
+
+    @pytest.mark.parametrize("command", ["simulate", "moments"])
+    def test_pinched_bands_without_k_exit_3_outside_classify(self, tmp_path, capsys, command):
+        # they ran at the fallback k = max(inf k_min, 1e-12): every simulated
+        # radius read 0.0 under a header saying curvature.k = 1e-12
+        code, out = run_cli(tmp_path, "p.cfg", self.PINCHED_NO_K, command)
+        assert code == 3
+        assert "(key 'curvature.k')" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_classify_keeps_the_pinched_fallback(self):
+        cfg = parse_config(self.PINCHED_NO_K, "classify")
+        assert cfg.pinched and cfg.model.k == 1e-12
+
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_NAMES = ["sim-small", "sim-recurrent-small", "sim-euclid-small",
@@ -601,13 +622,27 @@ def _field_matches(column, got, want):
                            and abs(x - y) <= GOLDEN_TAU * max(1.0, abs(y)))
 
 
+# The one header line compared within the budget: its values come from
+# np.geomspace under grid.spacing = log, which goes through libm's exp and log.
+GRID_POINTS = "# grid.points = "
+
+
+def _header_matches(got, want):
+    if got == want or not (got.startswith(GRID_POINTS) and want.startswith(GRID_POINTS)):
+        return got == want
+    g, w = got[len(GRID_POINTS):].split(";"), want[len(GRID_POINTS):].split(";")
+    return len(g) == len(w) and all(_field_matches("r", a, b) for a, b in zip(g, w))
+
+
 def golden_mismatches(got: str, want: str) -> list:
     """Every way an output CSV departs from its golden copy.
 
     Header lines, the column line, the line count and every field outside
-    GOLDEN_CLOSE_COLUMNS must match byte for byte.  A field in those columns
-    must be spelled as a plain float repr on both sides, and match the golden
-    one byte for byte or lie within GOLDEN_TAU * max(1, |golden|) of it.
+    GOLDEN_CLOSE_COLUMNS must match byte for byte, except that each value of
+    the `# grid.points` header is compared as a field of those columns is.
+    Such a field must be spelled as a plain float repr on both sides, and
+    match the golden one byte for byte or lie within
+    GOLDEN_TAU * max(1, |golden|) of it.
     """
     got_lines, want_lines = got.split("\n"), want.split("\n")
     problems = []
@@ -616,7 +651,7 @@ def golden_mismatches(got: str, want: str) -> list:
     columns = None
     for no, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
         if columns is None:
-            if g != w:
+            if not _header_matches(g, w):
                 problems.append(f"line {no}: header {g!r}, golden {w!r}")
             if not w.startswith("#"):
                 columns = w.split(",")
@@ -788,6 +823,24 @@ class TestGoldenComparison:
             got = _edit(want, _layout(want)[2], column, lambda f: repr(
                 float(f) + factor * GOLDEN_TAU * max(1.0, abs(float(f)))))
             assert bool(golden_mismatches(got, want)) is fails, (column, factor)
+
+    @pytest.mark.parametrize("name", REPORT_GOLDENS)
+    def test_grid_points_compare_within_tau(self, name):
+        want = _golden_text(name, REPORT_GOLDENS[name])
+        line = next(l for l in want.split("\n") if l.startswith(GRID_POINTS))
+        points = line[len(GRID_POINTS):].split(";")
+
+        def nudged(i, move):
+            moved = points[:i] + [repr(move(float(points[i])))] + points[i + 1:]
+            return want.replace(line, GRID_POINTS + ";".join(moved), 1)
+
+        for i in range(len(points)):
+            assert golden_mismatches(nudged(i, lambda x: math.nextafter(x, math.inf)),
+                                     want) == []
+            problems = golden_mismatches(nudged(i, lambda x: x * (1.0 + 1e-9)), want)
+            assert len(problems) == 1 and problems[0].startswith("line ")
+        for other in (line + ";200.0", line.replace(";", ",", 1), line.replace(" = ", " =", 1)):
+            assert golden_mismatches(want.replace(line, other, 1), want)
 
     def test_report_text_and_empty_fields_compare_byte_for_byte(self):
         margins = _golden_text("classify-pinched-wide", "margins.csv")

@@ -213,8 +213,41 @@ class TestDistance:
         # points on different hyperboloids pair to an argument below 1
         a = hw.LorentzPoint(np.array([1.0, 0.0, 0.0]))
         b = hw.LorentzPoint(np.array([0.5, 0.0, 0.0]))
-        with pytest.raises(InvariantViolationError):
+        with pytest.raises(InvariantViolationError, match="not on a common hyperboloid"):
             hw.distance(a, b, 1.0)
+
+    @staticmethod
+    def far_step(kR):
+        """(x, y): the walk's step d_rad = 0.3, |t| = 0.4 (length 0.5) from
+        radius kR, k = 1, d = 2."""
+        from hyperwalk.geometry import _exp_step, _tangent_axes
+        x = np.array([math.cosh(kR), math.sinh(kR), 0.0])
+        y = _exp_step(x, _tangent_axes(x, 1.0).step(0.3, np.array([0.4])), 0.5, 1.0)
+        return hw.LorentzPoint(x), hw.LorentzPoint(y)
+
+    @pytest.mark.parametrize("kR", [14.0, 18.0])
+    def test_unresolved_pairing_raises(self, kR):
+        # unchecked, kR = 14 read 0.4997629, and kR = 18 paired below 1 and
+        # blamed the hyperboloid
+        x, y = self.far_step(kR)
+        for call in (hw.distance, hw.log_map):
+            with pytest.raises(InvariantViolationError, match="unresolved"):
+                call(x, y, 1.0)
+
+    @pytest.mark.parametrize("kR", [0.5, 5.0])
+    def test_resolved_pairing_keeps_its_distance(self, kR):
+        x, y = self.far_step(kR)
+        assert hw.distance(x, y, 1.0) == pytest.approx(0.5, rel=1e-10)
+
+    @pytest.mark.parametrize("length", [1e-12, 1e-8, 1e-5])
+    def test_short_distance_reads_the_chord(self, length):
+        # -B(x, y) k^2 - 1 rounds to 0 or keeps few digits here; the chord
+        # x - y resolves it
+        O = hw.origin(2.0, 3)
+        u = np.zeros(4)
+        u[2] = length
+        p = hw.exp_map(O, hw.TangentVector(O, u), 2.0)
+        assert hw.distance(O, p, 2.0) == pytest.approx(length, rel=1e-15)
 
 
 class TestLogMap:
@@ -484,6 +517,16 @@ class TestEuclideanRadialIncrement:
             hw.euclidean_radial_increment(R, d_tot, d_rad)
 
 
+def points_with_a_zero_coordinate(count, seed):
+    """(d, x): points of R^d, d = 2..6, of random scale, one coordinate 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(2, 7))
+        x = rng.standard_normal(d) * rng.uniform(1e-3, 1e3)
+        x[rng.integers(0, d)] = 0.0
+        yield d, x
+
+
 class TestFrames:
     def test_frame_is_orthonormal_and_tangent(self):
         rng = np.random.default_rng(18)
@@ -498,6 +541,20 @@ class TestFrames:
                     want = 1.0 if i == j else 0.0
                     assert _mink(frame.axes[i], frame.axes[j]) == pytest.approx(
                         want, abs=1e-8)
+        # the transverse axes are (0, m) with {n, m} an orthonormal basis of
+        # R^d, to rounding; a Gram-Schmidt completion that kept a candidate
+        # once its squared norm passed 1e-12 was off by up to 3.5e-12 here
+        rng = np.random.default_rng(21)
+        worst = 0.0
+        for d, x in points_with_a_zero_coordinate(20_000, 22):
+            k, kR = rng.uniform(0.25, 3.0), rng.uniform(0.0, 30.0)
+            n = x / np.linalg.norm(x)
+            p = hw.LorentzPoint(np.concatenate([[math.cosh(kR)], math.sinh(kR) * n]) / k)
+            axes = hw.radial_frame(hw.origin(k, d), p, k).axes
+            assert not np.any(axes[1:, 0])
+            A = np.vstack([n, axes[1:, 1:]])
+            worst = max(worst, float(np.abs(A @ A.T - np.eye(d)).max()))
+        assert worst <= 1e-15
 
     def test_frame_at_origin_flag(self):
         O = hw.origin(1.0, 3)
@@ -517,26 +574,89 @@ class TestFrames:
             with pytest.raises(ContractError):
                 hw.decompose_increment(other, p, v, k)
 
+    def test_vector_rejects_a_transverse_part_of_the_wrong_size(self):
+        O = hw.origin(1.0, 3)
+        frame = hw.radial_frame(O, random_point(1.0, 3, 2.0, np.random.default_rng(23)), 1.0)
+        for t in (np.array([0.4]), 0.4, np.zeros(3)):
+            with pytest.raises(DimensionError):
+                frame.vector(0.3, t)
+
     def test_euclidean_frame(self):
         from hyperwalk.geometry import euclidean_frame
         x = np.array([3.0, 4.0])
-        axes = euclidean_frame(x)
+        axes = euclidean_frame(x).axes
         assert axes[0] == pytest.approx(-x / 5.0)
         assert axes @ axes.T == pytest.approx(np.eye(2), abs=1e-14)
-        assert euclidean_frame(np.zeros(3)) == pytest.approx(np.eye(3))
+        assert euclidean_frame(np.zeros(3)).axes == pytest.approx(np.eye(3))
 
     def test_euclidean_frame_is_orthonormal(self):
         from hyperwalk.geometry import euclidean_frame
-        rng = np.random.default_rng(20)
-        for _ in range(100):
-            d = int(rng.integers(2, 7))
+        worst = 0.0
+        for d, x in points_with_a_zero_coordinate(20_000, 20):
+            axes = euclidean_frame(x).axes
+            assert np.all(axes[0] == -x / np.linalg.norm(x))
+            worst = max(worst, float(np.abs(axes @ axes.T - np.eye(d)).max()))
+        assert worst <= 1e-15
+
+
+class TestStepMatchesMatrixView:
+    """The walk's step, HouseholderFrame.step, equals the matrix view
+    -d_rad * axes[0] + t @ axes[1:] of the frame radial_frame and
+    euclidean_frame return, within a few ulp of the step's size."""
+
+    @staticmethod
+    def assert_close(step, axes, d_rad, t):
+        view = -d_rad * axes[0] + t @ axes[1:]
+        scale = np.abs(d_rad) * np.abs(axes[0]) + np.abs(t) @ np.abs(axes[1:])
+        assert np.all(np.abs(step - view) <= 8 * np.finfo(float).eps * np.maximum(scale, 1e-300))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kR", [0.0, 0.5, 16.0, 300.0])
+    def test_hyperbolic(self, d, kR):
+        from hyperwalk.geometry import _tangent_axes
+        rng = np.random.default_rng(24)
+        k = 0.5
+        O = hw.origin(k, d)
+        for _ in range(50):
+            g = rng.standard_normal(d)
+            n = g / np.linalg.norm(g)
+            p = hw.LorentzPoint(np.concatenate([[math.cosh(kR)], math.sinh(kR) * n]) / k)
+            d_rad, t = rng.standard_normal(), rng.standard_normal(d - 1)
+            step = _tangent_axes(p.coords, k).step(d_rad, t)
+            self.assert_close(step, hw.radial_frame(O, p, k).axes, d_rad, t)
+            assert np.array_equal(hw.radial_frame(O, p, k).vector(d_rad, t).components, step)
+            # the time component is exactly d_rad sinh kR, read off the point
+            assert step[0] == d_rad * (k * float(np.linalg.norm(p.coords[1:])))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_flat(self, d):
+        from hyperwalk.geometry import euclidean_frame
+        rng = np.random.default_rng(25)
+        for _ in range(50):
             x = rng.standard_normal(d) * rng.uniform(1e-3, 1e3)
-            x[rng.integers(0, d)] = 0.0         # axis-aligned components too
-            axes = euclidean_frame(x)
-            assert axes[0] == pytest.approx(-x / np.linalg.norm(x), abs=1e-15)
-            # a candidate axis is kept once its squared norm passes 1e-12,
-            # so orthogonality holds to about 1e-16 / 1e-6
-            assert axes @ axes.T == pytest.approx(np.eye(d), abs=1e-10)
+            frame = euclidean_frame(x)
+            d_rad, t = rng.standard_normal(), rng.standard_normal(d - 1)
+            self.assert_close(frame.step(d_rad, t), frame.axes, d_rad, t)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_first_step_from_the_origin(self, d):
+        # the stand-in outward direction -e_1 (-e_0 in flat space) steps to
+        # exactly (0, -d_rad, t) and (-d_rad, t): at the origin the frame is
+        # the identity
+        from hyperwalk.geometry import _exp_step, _tangent_axes, euclidean_frame
+        rng = np.random.default_rng(26)
+        k = 0.75
+        O = hw.origin(k, d)
+        for _ in range(20):
+            d_rad, t = rng.standard_normal(), rng.standard_normal(d - 1)
+            want = np.concatenate([[0.0, -d_rad], t])
+            step = _tangent_axes(O.coords, k).step(d_rad, t)
+            assert np.array_equal(step, want)
+            length = math.sqrt(d_rad * d_rad + float(t @ t))
+            assert (_exp_step(O.coords, step, length, k).tobytes()
+                    == _exp_step(O.coords, want, length, k).tobytes())
+            flat = euclidean_frame(np.zeros(d)).step(d_rad, t)
+            assert (np.zeros(d) + flat).tobytes() == (np.zeros(d) + want[1:]).tobytes()
 
 
 class TestCurvatureModel:

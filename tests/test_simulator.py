@@ -327,11 +327,15 @@ class TestProbePins:
         (("euclidean", 2, "heavytail", MODE_RADIAL_ONLY, 0.0, 6.0, 8, 40, 73), 9),
         (("euclidean", 3, "elliptic", MODE_AMBIENT, 1.0, 3.5, 6, 30, 74), 26),
     ]
+    # The neighbourhood probe reads positions, so its counts follow the
+    # orientation of the transverse axes; these were stored when the axes
+    # became one Householder reflection.  Over 2,000 walks per case the hit
+    # rates agreed with the Gram-Schmidt axes' within a 99% binomial bound.
     NEIGHBORHOOD = [  # geometry, d, start radius, center, radius, m, walks, seed: successes
-        (("hyperbolic", 2, 0.0, 2.0, 1.0, 30, 40, 75), 7),
-        (("hyperbolic", 3, 0.0, 2.5, 1.0, 15, 30, 76), 1),
+        (("hyperbolic", 2, 0.0, 2.0, 1.0, 30, 40, 75), 6),
+        (("hyperbolic", 3, 0.0, 2.5, 1.0, 15, 30, 76), 0),
         (("euclidean", 2, 0.0, 3.0, 1.0, 40, 40, 77), 16),
-        (("euclidean", 3, 0.0, 2.0, 1.0, 10, 30, 78), 3),
+        (("euclidean", 3, 0.0, 2.0, 1.0, 10, 30, 78), 8),
     ]
 
     @staticmethod
@@ -363,14 +367,17 @@ class TestAmbientPositions:
     """Ambient positions depend on the orientation of each frame's
     transverse axes, which the radii do not: R after a step depends only on
     R, d_rad and |t|.  These final positions of one 25-step box walk pin
-    that orientation (values of the first validated run)."""
+    that orientation: the Householder reflection's, stored when it replaced
+    a Gram-Schmidt completion (the per-step radii, and so x_0, agreed with
+    that completion's within 3e-15 * max(1, R)).  The d = 2 hyperbolic walk
+    kept its orientation."""
 
     FINAL = {
-        ("hyperbolic", 3): [1940582958.8851655, 446230666.43631387,
-                            1437289604.982815, 1225128158.2167842],
+        ("hyperbolic", 3): [1940582958.8851597, 1187472052.7463381,
+                            1035099878.6638685, -1133287512.2632935],
         ("hyperbolic", 2): [121877.21876578926, 57872.27960622391, 107260.69040549338],
-        ("euclidean", 3): [5.591081799685659, -0.21363639031584536, 7.878815007012481],
-        ("euclidean", 2): [4.7853994208875665, -4.641266032735777],
+        ("euclidean", 3): [-4.468160729568562, 7.036932411874005, -4.888628032303841],
+        ("euclidean", 2): [5.7861388903556055, 3.310890325210483],
     }
 
     @pytest.mark.parametrize("kind, d", list(FINAL))
