@@ -25,6 +25,15 @@ Radial frames are built about the standard origin (1/k, 0, ..., 0) only,
 the point every walk and every radius is measured from.  Every frame is one
 Householder reflection (HouseholderFrame): the walks step through it in
 O(d), and `radial_frame` and `euclidean_frame` expose its matrix view.
+
+The ambient step's kernels (`_safe_norm`, `_tangent_axes`,
+`euclidean_frame`, `HouseholderFrame.step`, `_exp_step`, `_reproject`) take
+points along the last axis and any leading axes, so the ambient engine
+advances a (W, d+1) array of walks at once and `exp_map`,
+`RadialFrame.vector` and the `validate` oracle run the same code on one
+point.  Every operation acts on each point alone, and each point's dot
+products are BLAS dots of its own row (`_rowdot`), so a point's result does
+not depend on which or how many others share the array.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from .errors import (
     ContractError,
     DimensionError,
     DomainError,
+    HyperwalkError,
     InvariantViolationError,
     OverflowGuardError,
     UndefinedFrameError,
@@ -76,20 +86,34 @@ def _mink(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x[1:], y[1:]) - x[0] * y[0])
 
 
-def _safe_norm(v: np.ndarray) -> float:
-    """Euclidean norm that survives components up to the double maximum.
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products of a and b along the last axis.
+
+    A stacked matmul, which takes each product as the BLAS dot of 1-d
+    vectors (`a @ b`) takes it, bit for bit; einsum and sum do not.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _safe_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis that survive components up to the
+    double maximum.
 
     Plain sqrt(dot) overflows once components exceed ~1e154, which ambient
     coordinates reach near kR = 354, well inside the supported radius range.
-    The scaled path only engages for such magnitudes.
+    The scaled path only engages for such magnitudes; a vector with a
+    non-finite component has norm max |v_i|.
     """
-    m = max(map(abs, v.tolist()))
-    if m == 0.0 or not math.isfinite(m):
-        return m
-    if m < 1e150:
-        return math.sqrt(float(v @ v))
-    w = v / m
-    return m * math.sqrt(float(w @ w))
+    m = np.abs(v).max(axis=-1)
+    plain = m < 1e150
+    if plain.all():
+        return np.sqrt(_rowdot(v, v))
+    scaled = ~plain & np.isfinite(m)
+    scale = np.where(scaled, m, 1.0)
+    u = np.where(plain[..., None], v, 0.0)
+    w = np.where(scaled[..., None], v, 0.0) / scale[..., None]
+    return np.where(plain, np.sqrt(_rowdot(u, u)),
+                    np.where(scaled, scale * np.sqrt(_rowdot(w, w)), m))
 
 
 @dataclass(frozen=True)
@@ -238,38 +262,51 @@ def exp_map(x: LorentzPoint, v: TangentVector, k: float) -> LorentzPoint:
     return LorentzPoint(_exp_step(x.coords, v.components, n, k))
 
 
-def _exp_step(x: np.ndarray, v: np.ndarray, length: float, k: float) -> np.ndarray:
-    """exp_x(v) on raw arrays for a tangent v of Minkowski length `length` > 0:
-    the one ambient step of exp_map, the ambient walk and the validate oracle."""
-    kn = k * length
-    return math.cosh(kn) * x + (math.sinh(kn) / kn) * v
+def _exp_step(x: np.ndarray, v: np.ndarray, length, k: float) -> np.ndarray:
+    """exp_x(v) on raw arrays for tangents v of Minkowski length `length` > 0
+    (one per point): the one ambient step of exp_map, the ambient walks and
+    the validate oracle.  A step whose coordinates overflow comes out
+    non-finite, which `_reproject` reports.
+    """
+    kn = k * np.asarray(length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cosh(kn)[..., None] * x + (np.sinh(kn) / kn)[..., None] * v
 
 
-def _reproject(x: np.ndarray, k: float, step: int) -> float:
-    """Snap the post-step point x onto H_k in place and return its radius.
+def _reproject(x: np.ndarray, k: float):
+    """Snap each post-step point x onto H_k in place; return (R, defect).
 
     R = acosh(k x0) / k is read off the time coordinate and the spatial part
     rescaled to sinh(kR) / k, exact up to the overflow limit; rescaling by
     B(x, x), whose defect grows like e^(2kR) * eps, would fail past kR ~ 18.
-    Overflow or a spatial-norm defect over REPROJECTION_DRIFT_TOL raises.
+    `defect` is the relative spatial-norm defect, inf for a point with a
+    non-finite coordinate; a point whose defect exceeds
+    REPROJECTION_DRIFT_TOL is left as it is, and `_reprojection_error`
+    names its fault.
     """
-    ky0 = k * x[0]
-    if not math.isfinite(ky0):
-        raise OverflowGuardError(f"ambient coordinates overflowed at step {step}")
-    sp = k * _safe_norm(x[1:])
+    ky0 = k * x[..., 0]
+    sp = k * _safe_norm(x[..., 1:])
+    finite = np.isfinite(ky0) & np.isfinite(sp)
+    if not finite.all():
+        ky0, sp = np.where(finite, ky0, 1.0), np.where(finite, sp, 0.0)
     # on the hyperboloid the spatial norm is sinh(kR) = ky0 sqrt(1 - ky0^-2)
-    q = 1.0 / ky0 if ky0 > 1.0 else 1.0
-    rad = ky0 * math.sqrt(max(1.0 - q * q, 0.0))
-    defect = abs(sp - rad) / max(1.0, sp, rad)
-    if defect > REPROJECTION_DRIFT_TOL:
-        raise InvariantViolationError(f"hyperboloid drift {defect:.3e} (relative) at step {step}")
-    if sp > 0.0:
-        if rad > 0.0:
-            x[1:] *= rad / sp
-        else:
-            x[1:] = 0.0
-            x[0] = 1.0 / k
-    return math.acosh(ky0) / k if ky0 > 1.0 else 0.0
+    q = 1.0 / np.maximum(ky0, 1.0)
+    rad = ky0 * np.sqrt(np.maximum(1.0 - q * q, 0.0))
+    defect = np.where(finite, np.abs(sp - rad) / np.maximum(np.maximum(sp, rad), 1.0), np.inf)
+    snap = (defect <= REPROJECTION_DRIFT_TOL) & (sp > 0.0)
+    x[..., 1:] *= np.where(snap & (rad > 0.0), rad / np.where(sp > 0.0, sp, 1.0), 1.0)[..., None]
+    collapse = snap & (rad == 0.0)
+    if collapse.any():
+        np.copyto(x[..., 1:], 0.0, where=collapse[..., None])
+        np.copyto(x[..., 0], 1.0 / k, where=collapse)
+    return np.arccosh(np.maximum(ky0, 1.0)) / k, defect
+
+
+def _reprojection_error(defect: float, step: int) -> HyperwalkError:
+    """The error for a point `_reproject` left with `defect` after `step`."""
+    if defect == math.inf:
+        return OverflowGuardError(f"ambient coordinates overflowed at step {step}")
+    return InvariantViolationError(f"hyperboloid drift {defect:.3e} (relative) at step {step}")
 
 
 def distance(x: LorentzPoint, y: LorentzPoint, k: float) -> float:
@@ -563,61 +600,74 @@ class RadialFrame:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class HouseholderFrame:
-    """A tangent frame as one Householder reflection, for the unit outward
-    direction n: with s = sign(n_0) (+1 at 0) and w = n + s e_0,
-    H = I - w w^T / |w_0| maps e_0 to -s n and e_1 .. e_{d-1} onto an
-    orthonormal basis of n's complement.  `radial` is the unit outward step,
-    (sinh kR, cosh kR n) on H_k and n in flat space; H acts on the last d
-    ambient coordinates, and the transverse ones are the last d - 1.
+    """Tangent frames as Householder reflections, one per point along the
+    leading axes: for the unit outward direction n, with s = sign(n_0) (+1
+    at 0) and w = n + s e_0, H = I - w w^T / |w_0| maps e_0 to -s n and
+    e_1 .. e_{d-1} onto an orthonormal basis of n's complement.  `radial` is
+    the unit outward step, (sinh kR, cosh kR n) on H_k and n in flat space;
+    H acts on the last d ambient coordinates, and the transverse ones are
+    the last d - 1.
     """
 
     radial: np.ndarray
     w: np.ndarray
-    scale: float        # |w_0| = 1 + |n_0| = |w|^2 / 2
-    at_origin: bool
+    scale: np.ndarray   # |w_0| = 1 + |n_0| = |w|^2 / 2
+    at_origin: np.ndarray
 
-    def step(self, d_rad: float, t: np.ndarray) -> np.ndarray:
-        """The ambient step with outward radial part d_rad and transverse
-        part t: H applied to the frame coordinates (-s d_rad cosh kR, t), with
-        its radial part d_rad * radial taken exactly."""
+    def step(self, d_rad, t) -> np.ndarray:
+        """The ambient steps with outward radial parts d_rad and transverse
+        parts t (one per frame): H applied to the frame coordinates
+        (-s d_rad cosh kR, t), with the radial part d_rad * radial taken
+        exactly."""
         w = self.w
-        v = d_rad * self.radial
-        v[-w.size:] -= (float(w[1:] @ t) / self.scale) * w
-        v[1 - w.size:] += t
+        d = w.shape[-1]
+        v = np.asarray(d_rad)[..., None] * self.radial
+        v[..., -d:] -= (_rowdot(w[..., 1:], t) / self.scale)[..., None] * w
+        v[..., 1 - d:] += t
         return v
 
     @property
     def axes(self) -> np.ndarray:
         """The matrix view: row 0 toward the origin, then the rows H e_i."""
-        d = self.w.size
-        axes = np.zeros((d, self.radial.size))
-        axes[0] = -self.radial
-        axes[1:, -d:] = np.eye(d)[1:] - np.outer(self.w[1:] / self.scale, self.w)
+        w = self.w
+        d = w.shape[-1]
+        axes = np.zeros(w.shape[:-1] + (d, self.radial.shape[-1]))
+        axes[..., 0, :] = -self.radial
+        axes[..., 1:, -d:] = np.eye(d)[1:] - (w[..., 1:, None] / self.scale[..., None, None]
+                                              ) * w[..., None, :]
         return axes
 
 
-def _householder(radial: np.ndarray, n: np.ndarray, at_origin: bool) -> HouseholderFrame:
+def _householder(radial: np.ndarray, n: np.ndarray, at_origin: np.ndarray) -> HouseholderFrame:
     w = n.copy()
-    w[0] += 1.0 if n[0] >= 0.0 else -1.0
-    return HouseholderFrame(radial, w, abs(w[0]), at_origin)
+    w[..., 0] += np.where(n[..., 0] >= 0.0, 1.0, -1.0)
+    return HouseholderFrame(radial, w, np.abs(w[..., 0]), at_origin)
+
+
+def _unit_or_stand_in(x: np.ndarray, norm: np.ndarray, at_origin: np.ndarray) -> np.ndarray:
+    """x / norm, with the stand-in direction -e_0 where at_origin holds."""
+    n = x / np.where(at_origin, 1.0, norm)[..., None]
+    if at_origin.any():
+        stand_in = np.zeros(x.shape[-1])
+        stand_in[0] = -1.0
+        np.copyto(n, stand_in, where=at_origin[..., None])
+    return n
 
 
 def _tangent_axes(coords: np.ndarray, k: float) -> HouseholderFrame:
-    """The frame at a point x = ((1/k) cosh kR, (1/k) sinh kR * n) of H_k
-    about the origin (1/k, 0, ..., 0), read off its polar structure, so it
-    stays well conditioned at any radius.  Within 1e-12 / k of the origin
-    the stand-in n = -e_1 is taken and at_origin is set.
+    """The frames at points x = ((1/k) cosh kR, (1/k) sinh kR * n) of H_k
+    about the origin (1/k, 0, ..., 0), read off their polar structure, so
+    they stay well conditioned at any radius.  Within 1e-12 / k of the
+    origin the stand-in n = -e_1 (radial step (0, -1, 0, ...)) is taken and
+    at_origin is set.
     """
-    sp = _safe_norm(coords[1:])
-    if sp * k <= 1e-12:
-        radial = np.zeros(coords.size)
-        radial[1] = -1.0
-        return _householder(radial, radial[1:], True)
-    n = coords[1:] / sp
-    radial = np.empty(coords.size)
-    radial[0] = k * sp                      # sinh(kR)
-    radial[1:] = (k * coords[0]) * n        # cosh(kR) * n
-    return _householder(radial, n, False)
+    sp = _safe_norm(coords[..., 1:])
+    at_origin = sp * k <= 1e-12
+    n = _unit_or_stand_in(coords[..., 1:], sp, at_origin)
+    radial = np.empty(coords.shape)
+    radial[..., 0] = np.where(at_origin, 0.0, k * sp)           # sinh(kR)
+    radial[..., 1:] = np.where(at_origin, 1.0, k * coords[..., 0])[..., None] * n  # cosh(kR) n
+    return _householder(radial, n, at_origin)
 
 
 def radial_frame(origin_pt: LorentzPoint, p: LorentzPoint, k: float) -> RadialFrame:
@@ -631,16 +681,13 @@ def radial_frame(origin_pt: LorentzPoint, p: LorentzPoint, k: float) -> RadialFr
     if abs(o[0] * k - 1.0) > 1e-12 or np.any(o[1:]):
         raise ContractError("radial frames are built about the origin (1/k, 0, ..., 0) only")
     frame = _tangent_axes(p.coords, k)
-    return RadialFrame(p, frame.axes, k, frame.at_origin)
+    return RadialFrame(p, frame.axes, k, bool(frame.at_origin))
 
 
 def euclidean_frame(x: np.ndarray) -> HouseholderFrame:
-    """The flat-space frame at x; at the origin the stand-in n = -e_0."""
+    """The flat-space frames at points x; at the origin the stand-in n = -e_0."""
     x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        n = np.zeros(x.size)
-        n[0] = -1.0
-        return _householder(n, n, True)
-    n = x / r
-    return _householder(n, n, False)
+    r = np.sqrt(_rowdot(x, x))
+    at_origin = r == 0.0
+    n = _unit_or_stand_in(x, r, at_origin)
+    return _householder(n, n, at_origin)

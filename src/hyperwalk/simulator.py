@@ -2,15 +2,16 @@
 
 Two simulation modes:
 
-* ``ambient`` iterates the walk in ambient coordinates: each step vector is
-  the point's Householder frame step (`_tangent_axes`, `euclidean_frame`),
-  taken on H_k through geometry's `_exp_step` and `_reproject`, the step
-  `exp_map` and the `validate` oracle take; it is limited to k * R <= 700
-  by double-precision overflow;
-* ``radialonly`` iterates the radius alone through the exact radial
-  increment, which for a radially symmetric law is distributionally the same
-  chain and has no radius limit.  This is what makes 10^5-step horizons
-  cheap.
+* ``ambient`` iterates the walks in ambient coordinates, all walks of a
+  chunk together (`_Lockstep`): their points form one (W, d+1) array, and
+  each step applies the points' Householder frame steps (`_tangent_axes`,
+  `euclidean_frame`), taken on H_k through geometry's `_exp_step` and
+  `_reproject`, the step `exp_map` and the `validate` oracle take on one
+  point; it is limited to k * R <= 700 by double-precision overflow;
+* ``radialonly`` iterates the radius of one walk at a time through the
+  exact radial increment, which for a radially symmetric law is
+  distributionally the same chain and has no radius limit.  This is what
+  makes 10^5-step horizons cheap.
 
 Both modes take their steps from the same draws, so walks driven by the
 same stream can be coupled draw-for-draw.  Elliptic and box walks draw the
@@ -19,14 +20,21 @@ consume the stream exactly as per-step `sample_components` calls would, and
 scale each row by the law's profiles at the current radius with the same
 operations as those calls; every other law is sampled once per step.
 
-Every walk the package runs, in `run_walk`, the worker pool and both
-probes, is the step path `_radius_iter` or `_ambient_states` over the walk's
-own stream, started at `_start_point` and named by `_naming_walk` when it
-breaks an invariant.
+Every walk the package runs starts at `_start_point`.  Radial-only walks,
+in `run_walk`, the worker pool and the escape probe, run one at a time
+through `_radial_only_radii`, named by `_naming_walk` when one breaks an
+invariant.  Ambient walks run in lockstep (`_ambient_states`): `run_walk`
+runs a lockstep of one walk, the pool one lockstep per process over a
+contiguous chunk of walk ids, and both probes one over all walks.  A walk
+that breaks an invariant drops out and the others carry on; at the end the
+lowest walk id's error is raised, the error the walks run one by one would
+raise.
 
 Reproducibility contract: every walk owns the rng stream spawned from
 (master seed, walk id), and ensemble statistics are aggregated in walk-id
-order, so results are bit-identical across runs and across worker counts.
+order.  The lockstep's arithmetic acts on each walk's row alone, so a
+walk's bytes depend neither on its chunk nor on the worker count, and
+results are bit-identical across runs and across worker counts.
 """
 
 from __future__ import annotations
@@ -45,11 +53,15 @@ import numpy as np
 
 from .errors import DomainError, OverflowGuardError, InvariantViolationError, UsageError
 from .geometry import (
+    REPROJECTION_DRIFT_TOL,
     CurvatureModel,
+    LorentzPoint,
     _exp_step,
-    _mink,
     _reproject,
+    _reprojection_error,
+    _rowdot,
     _tangent_axes,
+    distance,
     euclidean_frame,
     euclidean_radial_increment,
     radial_increment_exact,
@@ -61,6 +73,10 @@ MODE_AMBIENT = "ambient"
 MODE_RADIAL_ONLY = "radialonly"
 
 AMBIENT_KR_LIMIT = 700.0        # cosh(kR) overflows shortly above this
+# Most unit rows one T-block of an ambient lockstep holds over all its walks;
+# it bounds the block's memory, not the stream, which is the same for any
+# block size.
+LOCKSTEP_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -188,13 +204,17 @@ def run_walk(config: WalkConfig, walk_id: int,
              rng: Optional[np.random.Generator] = None) -> TrajectoryRecord:
     """Simulate one walk; the rng defaults to the walk's own spawned stream.
 
-    A step of non-finite length, or a point that drifts off the hyperboloid,
-    raises InvariantViolationError naming the walk and the step.
+    An ambient walk runs as a lockstep of one walk, the step every ambient
+    ensemble takes.  A step of non-finite length, or a point that drifts off
+    the hyperboloid, raises InvariantViolationError naming the walk and the
+    step.
     """
     if rng is None:
         rng = walk_rng(config.seed, walk_id)
+    if config.mode == MODE_AMBIENT:
+        return _ambient_records(config, range(walk_id, walk_id + 1), [rng])[0]
     with _naming_walk(walk_id):
-        return _collect(config, walk_id, _radius_iter(config, rng))
+        return _collect(config, walk_id, _radial_only_radii(config, rng))
 
 
 def _collect(config, walk_id, radius_iter) -> TrajectoryRecord:
@@ -301,41 +321,141 @@ def _radial_only_radii(config, rng):
             yield n, R
 
 
-def _ambient_states(config, rng):
-    """Yield (n, x, R) for the ambient walk.  Each step is the frame's step:
-    on H_k geometry's exp step followed by its reprojection onto the
-    hyperboloid, in flat space a translation."""
-    hyperbolic, k = config.model.is_hyperbolic, config.model.k
-    draw = _step_draws(config.law, config.steps, rng)
-    x = _start_point(config.model, config.start_radius)
-    R = config.start_radius
-    inf = math.inf
+class _Lockstep:
+    """The ambient walks `ids` advanced together, one step for all of them.
 
-    for n in range(1, config.steps + 1):
-        if k * R > AMBIENT_KR_LIMIT:
-            raise OverflowGuardError(
-                f"ambient mode exceeded k*R = {AMBIENT_KR_LIMIT} at step {n}; "
-                "use radial-only mode for long horizons"
-            )
-        frame = _tangent_axes(x, k) if hyperbolic else euclidean_frame(x)
-        d_rad, t = draw(R)
-        norm = math.sqrt(d_rad * d_rad + float(t @ t))
-        if not norm < inf:
-            raise _non_finite_step(n)
+    Row i of `x` and `R` is walk `ids[i]`, and draws from `rngs[i]`.  A walk
+    draws from its own stream exactly as it would alone: elliptic and box
+    walks take the unit rows of `unit_blocks` in T-blocks (runs of steps
+    drawn ahead, at most LOCKSTEP_ROWS rows over all walks), every other law
+    is sampled once per walk per step, and profiles are evaluated per walk,
+    so each walk's steps hold the bytes `sample_components` would give.
+    The step arithmetic acts on each row alone, so a walk's bytes do not
+    depend on the walks it runs with.
+
+    `drop` takes walks out of the lockstep.  A walk that breaks an invariant
+    is dropped with its error in `errors`; since the lowest walk id's error
+    is the one raised, walks with a higher id are dropped with it.
+    """
+
+    def __init__(self, config: WalkConfig, ids, rngs):
+        self.config = config
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.rngs = list(rngs)
+        self.x = np.tile(_start_point(config.model, config.start_radius), (len(self.ids), 1))
+        self.R = np.full(len(self.ids), float(config.start_radius))
+        self.errors = {}            # walk id -> the error that stopped it
+        self._units = np.empty((0, len(self.ids), config.law.d))    # the T-block's unit rows
+        self._unit_step = 1         # the step of the T-block's row 0
+
+    def drop(self, mask, error=None) -> np.ndarray:
+        """Drop the walks where `mask` holds, recording `error(row)` for each
+        when given; returns the mask of the walks kept."""
+        if error is not None:
+            for i in np.flatnonzero(mask):
+                self.errors[int(self.ids[i])] = error(i)
+            mask = mask | (self.ids > min(self.errors))
+        keep = ~mask
+        self.ids, self.x, self.R = self.ids[keep], self.x[keep], self.R[keep]
+        self.rngs = list(itertools.compress(self.rngs, keep))
+        self._units = self._units[:, keep]
+        return keep
+
+    def raise_first(self):
+        """Raise the error of the lowest walk id, as that walk alone would."""
+        if self.errors:
+            walk_id = min(self.errors)
+            with _naming_walk(walk_id):
+                raise self.errors[walk_id]
+
+    def _draw(self, n):
+        """(d_rad, t) of step n for every walk, as (W,) and (W, d - 1) arrays."""
+        law = self.config.law
+        radii = self.R.tolist()
+        s = law.block_scale
+        if s is None:
+            d_rad, t = np.empty(len(radii)), np.empty((len(radii), law.d - 1))
+            for i, (R, rng) in enumerate(zip(radii, self.rngs)):
+                d_rad[i], t[i] = law.sample_components(R, rng)
+            return d_rad, t
+        i = n - self._unit_step
+        if i == len(self._units):
+            rows = min(self.config.steps - n + 1, max(1, LOCKSTEP_ROWS // len(radii)))
+            self._units = np.stack([np.concatenate(list(law.unit_blocks(rows, rng)))
+                                    for rng in self.rngs], axis=1)
+            self._unit_step, i = n, 0
+        u = self._units[i]
+        a = np.array([law.a(R) for R in radii]) * s
+        b = np.array([law.b(R) for R in radii]) * s
+        return a * u[:, 0], b[:, None] * u[:, 1:]
+
+    def step(self, n: int):
+        """Take step n of every walk: the frame's step, on H_k geometry's exp
+        step and its reprojection onto the hyperboloid, in flat space a
+        translation."""
+        hyperbolic, k = self.config.model.is_hyperbolic, self.config.model.k
+        if hyperbolic:
+            far = k * self.R > AMBIENT_KR_LIMIT
+            if far.any():
+                self.drop(far, lambda i: OverflowGuardError(
+                    f"ambient mode exceeded k*R = {AMBIENT_KR_LIMIT} at step {n}; "
+                    "use radial-only mode for long horizons"))
+                if not self.ids.size:
+                    return
+        d_rad, t = self._draw(n)
+        norm = np.sqrt(d_rad * d_rad + _rowdot(t, t))
+        bad = ~(norm < math.inf)
+        if bad.any():
+            keep = self.drop(bad, lambda i: _non_finite_step(n))
+            d_rad, t, norm = d_rad[keep], t[keep], norm[keep]
         if not hyperbolic:
-            x = x + frame.step(d_rad, t)
-            R = float(np.linalg.norm(x))
-        elif norm > 0.0:
-            x = _exp_step(x, frame.step(d_rad, t), norm, k)
-            R = _reproject(x, k, n)
-        yield n, x, R
+            self.x = self.x + euclidean_frame(self.x).step(d_rad, t)
+            self.R = np.sqrt(_rowdot(self.x, self.x))
+            return
+        v = _tangent_axes(self.x, k).step(d_rad, t)
+        moving = norm > 0.0
+        if moving.all():
+            self.x = _exp_step(self.x, v, norm, k)
+            self.R, defect = _reproject(self.x, k)
+        else:                       # a zero step leaves its walk where it is
+            x = _exp_step(self.x[moving], v[moving], norm[moving], k)
+            R, defect_moving = _reproject(x, k)
+            self.x[moving], self.R[moving] = x, R
+            defect = np.zeros(len(norm))
+            defect[moving] = defect_moving
+        fault = defect > REPROJECTION_DRIFT_TOL
+        if fault.any():
+            self.drop(fault, lambda i: _reprojection_error(defect[i], n))
 
 
-def _radius_iter(config, rng):
-    """(n, R_n) for n = 1 .. T: the one step path of run_walk and the probes."""
-    if config.mode == MODE_AMBIENT:
-        return ((n, R) for n, _, R in _ambient_states(config, rng))
-    return _radial_only_radii(config, rng)
+def _ambient_states(config: WalkConfig, ids, rngs=None):
+    """Yield (n, walks) for n = 0 .. T: the _Lockstep of the walks `ids`
+    (over their own streams unless `rngs` are given) after n steps.  The
+    caller may drop walks between steps; the run ends early once none is
+    left."""
+    if rngs is None:
+        rngs = [walk_rng(config.seed, j) for j in ids]
+    walks = _Lockstep(config, ids, rngs)
+    yield 0, walks
+    for n in range(1, config.steps + 1):
+        if not walks.ids.size:
+            return
+        walks.step(n)
+        yield n, walks
+
+
+def _ambient_records(config: WalkConfig, ids: range, rngs=None) -> list:
+    """The records of the ambient walks `ids`, a range of walk ids, run in
+    lockstep; raises the error of the lowest walk id that broke an
+    invariant, as the walks run one by one would."""
+    T = config.steps
+    radii = np.empty((len(ids), T))
+    for n, walks in _ambient_states(config, ids, rngs):
+        if n:
+            radii[walks.ids - ids.start, n - 1] = walks.R
+    walks.raise_first()
+    steps = range(1, T + 1)
+    return [_collect(config, j, zip(steps, row)) for j, row in zip(ids, radii.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -347,22 +467,33 @@ def run_ensemble(config: WalkConfig, workers: int = 1):
 
     The pool has min(workers, walks, usable cores) processes, since the
     pool starts all of them at once; at one or fewer the walks run in this
+    process.  Radial-only walks run one by one; ambient walks run in
+    lockstep, one lockstep per contiguous chunk of walk ids, one chunk per
     process.  Records come back ordered by walk id and the aggregation is a
     sum of per-walk sufficient statistics, so the output is identical for
     any worker count.
     """
-    walk = functools.partial(run_walk, config)
-    ids = range(config.walks)
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     workers = min(workers, config.walks, cores)
-    if workers <= 1:
-        records = list(map(walk, ids))
+    if config.mode == MODE_AMBIENT:
+        n = max(workers, 1)
+        chunks = [range(config.walks * i // n, config.walks * (i + 1) // n) for i in range(n)]
+        records = [rec for chunk in _map(functools.partial(_ambient_records, config), chunks,
+                                         workers)
+                   for rec in chunk]
     else:
-        chunk = max(1, config.walks // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(walk, ids, chunksize=chunk))
+        chunk = max(1, config.walks // (4 * workers)) if workers > 1 else 1
+        records = _map(functools.partial(run_walk, config), range(config.walks), workers, chunk)
     return records, ensemble_stats(records, config)
+
+
+def _map(fn, items, workers: int, chunksize: int = 1) -> list:
+    """list(map(fn, items)), on a pool of `workers` processes when more than one."""
+    if workers <= 1:
+        return list(map(fn, items))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def ensemble_stats(records, config: WalkConfig) -> EnsembleStats:
@@ -412,21 +543,31 @@ class ProbeEstimate:
     trials: int
 
 
-def _hit_probe(config: WalkConfig, steps: int, states, hit) -> ProbeEstimate:
-    """The fraction of walks whose state hits at some step 0 .. `steps`.
+def _estimate(successes: int, trials: int) -> ProbeEstimate:
+    p = successes / trials
+    return ProbeEstimate(p, Z99 * math.sqrt(p * (1.0 - p) / trials), successes, trials)
 
-    `states(cfg, rng)` yields a walk's states from step 0 on, run with
-    `steps` steps over the walk's own stream; each walk stops at its first
-    state for which `hit` is true.
+
+def _hit_probe(config: WalkConfig, steps: int, hit) -> ProbeEstimate:
+    """The fraction of ambient walks that hit at some step 0 .. `steps`.
+
+    The walks run in lockstep over their own streams, and each stops at its
+    first hit, so an error after it does not count.  `hit(x, R)` maps the
+    running walks' positions and radii to (hits, errors): a mask, and a
+    dict from row to the error of each walk whose hit it cannot decide.
     """
     cfg = dataclasses.replace(config, steps=steps)
     successes = 0
-    for walk_id in range(config.walks):
-        with _naming_walk(walk_id):
-            successes += any(map(hit, states(cfg, walk_rng(config.seed, walk_id))))
-    p = successes / config.walks
-    hw = Z99 * math.sqrt(p * (1.0 - p) / config.walks)
-    return ProbeEstimate(p, hw, successes, config.walks)
+    for _, walks in _ambient_states(cfg, range(config.walks)):
+        hits, errors = hit(walks.x, walks.R)
+        if errors:
+            undecided = np.zeros(len(hits), bool)
+            undecided[list(errors)] = True
+            hits = hits[walks.drop(undecided, errors.get)]
+        successes += int(hits.sum())
+        walks.drop(hits)
+    walks.raise_first()
+    return _estimate(successes, config.walks)
 
 
 def escape_probe(config: WalkConfig, r: float, horizon: int) -> ProbeEstimate:
@@ -441,12 +582,15 @@ def escape_probe(config: WalkConfig, r: float, horizon: int) -> ProbeEstimate:
         raise DomainError(f"escape radius must be finite, got {r}")
     if config.start_radius > r:
         raise UsageError("escape probe requires start_radius <= r")
-
-    def radii(cfg, rng):
-        yield cfg.start_radius
-        for _, R in _radius_iter(cfg, rng):
-            yield R
-    return _hit_probe(config, horizon, radii, lambda R: R >= r)
+    if config.mode == MODE_AMBIENT:
+        return _hit_probe(config, horizon, lambda x, R: (R >= r, {}))
+    cfg = dataclasses.replace(config, steps=horizon)
+    successes = 0
+    for walk_id in range(config.walks):
+        with _naming_walk(walk_id):
+            radii = (R for _, R in _radial_only_radii(cfg, walk_rng(config.seed, walk_id)))
+            successes += any(R >= r for R in itertools.chain([cfg.start_radius], radii))
+    return _estimate(successes, config.walks)
 
 
 def neighborhood_return_probe(config: WalkConfig, target_center_radius: float,
@@ -473,17 +617,18 @@ def neighborhood_return_probe(config: WalkConfig, target_center_radius: float,
 
     center = _start_point(config.model, target_center_radius)
     if config.model.is_hyperbolic:
-        k = config.model.k
-        k2 = k * k
+        k, center = config.model.k, LorentzPoint(center)
 
-        def inside(x):
-            return math.acosh(max(-_mink(x, center) * k2, 1.0)) / k < target_radius
+        def inside(x, R):
+            hits, errors = np.zeros(len(x), bool), {}
+            for i, point in enumerate(x):
+                try:
+                    hits[i] = distance(LorentzPoint(point), center, k) < target_radius
+                except InvariantViolationError as exc:
+                    errors[i] = exc
+            return hits, errors
     else:
-        def inside(x):
-            return float(np.linalg.norm(x - center)) < target_radius
-
-    def positions(cfg, rng):
-        yield _start_point(cfg.model, cfg.start_radius)
-        for _, x, _ in _ambient_states(cfg, rng):
-            yield x
-    return _hit_probe(config, m, positions, inside)
+        def inside(x, R):
+            u = x - center
+            return np.sqrt(_rowdot(u, u)) < target_radius, {}
+    return _hit_probe(config, m, inside)

@@ -277,20 +277,23 @@ SIM_TEXT = (
 
 def test_criterion_8_byte_determinism(tmp_path, capsys):
     with _Budget("8 byte-determinism", 60.0):
-        cfg = tmp_path / "det.cfg"
-        cfg.write_text(SIM_TEXT)
-        outs = []
-        for sub, workers in (("a", "1"), ("b", "1"), ("c", "2")):
-            out = tmp_path / sub
-            code = main(["simulate", "--config", str(cfg), "--out", str(out),
-                         "--workers", workers])
-            assert code == 0
-            outs.append(out)
-        ref_t = (outs[0] / "trajectories.csv").read_bytes()
-        ref_s = (outs[0] / "summary.csv").read_bytes()
-        for out in outs[1:]:
-            assert (out / "trajectories.csv").read_bytes() == ref_t
-            assert (out / "summary.csv").read_bytes() == ref_s
+        # radial-only, then ambient walks, which run in one lockstep per
+        # worker's chunk of walks
+        for mode in ("radialonly", "ambient"):
+            cfg = tmp_path / f"det-{mode}.cfg"
+            cfg.write_text(SIM_TEXT + f"sim.mode = {mode}\n")
+            outs = []
+            for sub, workers in (("a", "1"), ("b", "1"), ("c", "2")):
+                out = tmp_path / mode / sub
+                code = main(["simulate", "--config", str(cfg), "--out", str(out),
+                             "--workers", workers])
+                assert code == 0
+                outs.append(out)
+            ref_t = (outs[0] / "trajectories.csv").read_bytes()
+            ref_s = (outs[0] / "summary.csv").read_bytes()
+            for out in outs[1:]:
+                assert (out / "trajectories.csv").read_bytes() == ref_t
+                assert (out / "summary.csv").read_bytes() == ref_s
 
         cls = tmp_path / "cls.cfg"
         cls.write_text(_cfg_text("law.kind = elliptic\nlaw.a = const:1.0\n"

@@ -659,6 +659,57 @@ class TestStepMatchesMatrixView:
             assert (np.zeros(d) + flat).tobytes() == (np.zeros(d) + want[1:]).tobytes()
 
 
+class TestArrayKernels:
+    """The ambient step's kernels take a (W, d+1) array of points; each row
+    must hold the bytes of the same call on that point alone."""
+
+    def test_safe_norm_rows(self):
+        from hyperwalk.geometry import _safe_norm
+        rows = np.array([[3.0, 4.0], [3e200, -4e200], [0.0, 0.0],
+                         [math.inf, 1.0], [math.nan, 1.0]])
+        got = _safe_norm(rows)
+        assert got[0] == 5.0 and got[2] == 0.0
+        assert got[1] == pytest.approx(5e200, rel=1e-15)
+        assert got[3] == math.inf and math.isnan(got[4])
+        for row, norm in zip(rows, got):
+            assert np.asarray(_safe_norm(row)).tobytes() == norm.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_hyperbolic_rows_match_single_points(self, d):
+        # the origin, and radii up to the scaled norm path (sinh kR > 1e150)
+        from hyperwalk.geometry import _exp_step, _reproject, _tangent_axes
+        rng = np.random.default_rng(27)
+        k = 0.5
+        kR = np.array([0.0, 0.3, 5.0, 40.0, 300.0, 400.0])
+        n = rng.standard_normal((kR.size, d))
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        X = np.concatenate([np.cosh(kR)[:, None], np.sinh(kR)[:, None] * n], axis=1) / k
+        D, T = rng.standard_normal(kR.size), rng.standard_normal((kR.size, d - 1))
+        length = np.sqrt(D * D + np.einsum("ij,ij->i", T, T))
+        V = _tangent_axes(X, k).step(D, T)
+        Y = _exp_step(X, V, length, k)
+        Y_snapped = Y.copy()
+        R, defect = _reproject(Y_snapped, k)
+        for i in range(kR.size):
+            v = _tangent_axes(X[i], k).step(D[i], T[i])
+            assert v.tobytes() == V[i].tobytes()
+            y = _exp_step(X[i], v, length[i], k)
+            assert y.tobytes() == Y[i].tobytes()
+            r, e = _reproject(y, k)
+            assert (y.tobytes(), float(r), float(e)) == (Y_snapped[i].tobytes(), R[i], defect[i])
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_flat_rows_match_single_points(self, d):
+        from hyperwalk.geometry import euclidean_frame
+        rng = np.random.default_rng(28)
+        X = rng.standard_normal((5, d)) * rng.uniform(1e-3, 1e3, (5, 1))
+        X[0] = 0.0
+        D, T = rng.standard_normal(5), rng.standard_normal((5, d - 1))
+        V = euclidean_frame(X).step(D, T)
+        for i in range(5):
+            assert euclidean_frame(X[i]).step(D[i], T[i]).tobytes() == V[i].tobytes()
+
+
 class TestCurvatureModel:
     def test_hyperbolic_requires_positive_k(self):
         with pytest.raises(DomainError):

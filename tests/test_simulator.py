@@ -1,5 +1,6 @@
 """Walk-engine tests: coupling, determinism, probes, ensemble statistics."""
 
+import collections
 import math
 
 import numpy as np
@@ -248,15 +249,30 @@ class TestBlockDrawCoupling:
         assert rng_block.rows == rng_step.rows == steps + 1
 
 
+class BadStepSampler:
+    """Unit outward steps, except a radial component `value` on draw
+    `bad[j]` from walk j's stream (`bad[None]` for every walk not listed);
+    the transverse part is zero throughout.  Draws are counted per stream,
+    so the walks may draw in any order.  A module-level class, so a pool
+    can pickle it."""
+
+    def __init__(self, value, bad):
+        self.value, self.bad = value, bad
+        self.calls = collections.Counter()
+
+    def __call__(self, r, d, rng):
+        self.calls[rng] += 1
+        walk = rng.bit_generator.seed_seq.spawn_key[0]
+        bad = self.calls[rng] == self.bad.get(walk, self.bad.get(None))
+        return (self.value if bad else 1.0), np.zeros(d - 1)
+
+
 def bad_step_law(value, bad_step, d=2):
     """Unit outward steps, except a radial component `value` on the
-    `bad_step`-th draw; the transverse part is zero throughout."""
-    calls = []
-
-    def sample(r, d, rng):
-        calls.append(r)
-        return (value if len(calls) == bad_step else 1.0), np.zeros(d - 1)
-    return hw.CustomLaw(sample, d, name="bad-step")
+    `bad_step`-th draw of each walk's stream; `bad_step` may instead map
+    walk ids to the draw that goes bad in that walk alone."""
+    bad = bad_step if isinstance(bad_step, dict) else {None: bad_step}
+    return hw.CustomLaw(BadStepSampler(value, bad), d, name="bad-step")
 
 
 class TestNonFiniteStep:
@@ -279,18 +295,20 @@ class TestNonFiniteStep:
             hw.run_walk(cfg, 0)
 
 
-def nan_row_blocks(walk, step):
-    """BoxLaw.unit_blocks with a NaN radial part in row `step` of walk
-    `walk`, counting walks by the calls (one per walk)."""
+def nan_row_blocks(bad):
+    """BoxLaw.unit_blocks with a NaN radial part in the row of step
+    `bad[j]` of walk j, counting rows per stream."""
     original = hw.BoxLaw.unit_blocks
-    calls = []
+    rows = collections.Counter()
 
     def unit_blocks(self, steps, rng):
-        calls.append(steps)
-        for i, block in enumerate(original(self, steps, rng)):
-            if len(calls) == walk + 1 and i == 0:
+        walk = rng.bit_generator.seed_seq.spawn_key[0]
+        for block in original(self, steps, rng):
+            i = bad.get(walk, 0) - 1 - rows[rng]
+            rows[rng] += len(block)
+            if 0 <= i < len(block):
                 block = block.copy()
-                block[step - 1, 0] = math.nan
+                block[i, 0] = math.nan
             yield block
     return unit_blocks
 
@@ -302,14 +320,14 @@ class TestProbeNonFiniteStep:
     @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
     @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
     def test_escape_probe_names_the_walk(self, model, mode):
-        horizon = 10     # unit outward steps never reach r, so walks 0 and 1 draw 10 steps each
-        cfg = WalkConfig(model, bad_step_law(math.nan, 2 * horizon + 4), 1, 3, 0, mode=mode)
+        # unit outward steps never reach r
+        cfg = WalkConfig(model, bad_step_law(math.nan, {2: 4}), 1, 3, 0, mode=mode)
         with pytest.raises(InvariantViolationError, match=r"^walk 2: step 4 has non-finite"):
-            hw.escape_probe(cfg, r=1e9, horizon=horizon)
+            hw.escape_probe(cfg, r=1e9, horizon=10)
 
     @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
     def test_neighborhood_probe_names_the_walk(self, model, monkeypatch):
-        monkeypatch.setattr(hw.BoxLaw, "unit_blocks", nan_row_blocks(walk=2, step=4))
+        monkeypatch.setattr(hw.BoxLaw, "unit_blocks", nan_row_blocks({2: 4}))
         cfg = WalkConfig(model, hw.BoxLaw(C1, C1, 2), 1, 3, 0, mode=MODE_AMBIENT)
         # 10 steps of at most BoxLaw.step_bound() = 2.45 cannot reach the far ball
         with pytest.raises(InvariantViolationError, match=r"^walk 2: step 4 has non-finite"):
@@ -386,8 +404,118 @@ class TestAmbientPositions:
                  else hw.CurvatureModel.euclidean(d))
         cfg = WalkConfig(model, hw.BoxLaw(C1, C1, d), 25, 1, 90907,
                          mode=MODE_AMBIENT, start_radius=0.5)
-        *_, (_, x, _) = _ambient_states(cfg, walk_rng(90907, 0))
-        assert x == pytest.approx(self.FINAL[kind, d], rel=1e-9)
+        *_, (_, walks) = _ambient_states(cfg, range(1))
+        assert walks.x[0] == pytest.approx(self.FINAL[kind, d], rel=1e-9)
+
+
+class TestLockstepCoupling:
+    """Ambient walks advance together in a lockstep; each walk must hold the
+    bytes it holds when run alone, whichever chunk it runs in."""
+
+    LAWS = {
+        "elliptic": lambda d: hw.EllipticLaw(hw.RadialProfile.constant(0.8),
+                                             hw.RadialProfile.power_decay(1.0, 1.0), d),
+        "box": lambda d: hw.BoxLaw(C1, hw.RadialProfile.constant(0.7), d),
+        "heavytail": lambda d: hw.HeavyTailLaw(4.0, d),      # sampled once per step
+    }
+
+    @staticmethod
+    def config(kind, d, geometry, start, steps, walks=6):
+        model = (hw.CurvatureModel.hyperbolic(1.0, d) if geometry == "hyperbolic"
+                 else hw.CurvatureModel.euclidean(d))
+        return WalkConfig(model, TestLockstepCoupling.LAWS[kind](d), steps, walks, 41,
+                          mode=MODE_AMBIENT, record_stride=1, ball_radius=2.0,
+                          start_radius=start, escape_radius=8.0)
+
+    @pytest.mark.parametrize("start", [0.0, 1.5])
+    @pytest.mark.parametrize("geometry", ["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("kind, d", [("elliptic", 2), ("elliptic", 3), ("box", 2),
+                                         ("box", 3), ("heavytail", 2), ("heavytail", 3)])
+    def test_every_walk_equals_run_walk(self, kind, d, geometry, start, monkeypatch):
+        # 6 walks share T-blocks of 4 steps, so 30 steps cross seven of them
+        monkeypatch.setattr(simulator, "LOCKSTEP_ROWS", 24)
+        cfg = self.config(kind, d, geometry, start, 30)
+        records, _ = hw.run_ensemble(cfg)
+        assert [_exact(r) for r in records] == [_exact(hw.run_walk(cfg, j)) for j in range(6)]
+        # a chunk of walks 2..4 alone gives the same bytes
+        chunk = simulator._ambient_records(cfg, range(2, 5))
+        assert [_exact(r) for r in chunk] == [_exact(r) for r in records[2:5]]
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    @pytest.mark.parametrize("geometry", ["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("kind", ["elliptic", "heavytail"])
+    def test_zero_and_one_step(self, kind, geometry, steps):
+        cfg = self.config(kind, 2, geometry, 1.5, steps)
+        records, _ = hw.run_ensemble(cfg)
+        assert [_exact(r) for r in records] == [_exact(hw.run_walk(cfg, j)) for j in range(6)]
+        assert all(len(r.radii) == steps + 1 for r in records)
+
+    def test_chunks_on_a_pool_give_the_same_bytes(self):
+        cfg = self.config("box", 3, "hyperbolic", 0.0, 40, walks=7)
+        one, stats_one = hw.run_ensemble(cfg, workers=1)
+        two, stats_two = hw.run_ensemble(cfg, workers=2)
+        assert [_exact(r) for r in one] == [_exact(r) for r in two]
+        assert stats_one == stats_two
+
+    def test_zero_steps_leave_their_walk_in_place(self):
+        # walks 0 and 2 take zero steps between moving walks
+        def sample(r, d, rng):
+            moving = rng.bit_generator.seed_seq.spawn_key[0] % 2
+            return 0.5 * moving, np.full(d - 1, 0.25 * moving)
+        law = hw.CustomLaw(sample, 2)
+        cfg = WalkConfig(HYP2, law, 10, 3, 0, mode=MODE_AMBIENT, start_radius=2.0)
+        records, _ = hw.run_ensemble(cfg)
+        assert radii_of(records[0]).tolist() == [2.0] * 11
+        assert _exact(records[1]) == _exact(hw.run_walk(cfg, 1))
+
+    def test_step_too_long_for_doubles_raises_overflow(self):
+        # cosh(800) overflows: the walk stops with the overflow guard's error
+        cfg = WalkConfig(HYP2, bad_step_law(800.0, 2), 5, 1, 0, mode=MODE_AMBIENT)
+        with pytest.raises(OverflowGuardError, match="overflowed at step 2"):
+            hw.run_walk(cfg, 0)
+
+
+class TestErrorPrecedence:
+    """Walk 1 fails at step 9 and walk 2 at step 3: run one by one, walk 1
+    raises first, and so must the lockstep and the pool."""
+
+    BAD = {1: 9, 2: 3}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
+    def test_ensemble(self, mode, model, workers):
+        cfg = WalkConfig(model, bad_step_law(math.nan, self.BAD), 12, 4, 0, mode=mode)
+        with pytest.raises(InvariantViolationError, match=r"^walk 1: step 9 has non-finite"):
+            hw.run_ensemble(cfg, workers=workers)
+
+    @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
+    def test_escape_probe(self, mode, model):
+        cfg = WalkConfig(model, bad_step_law(math.nan, self.BAD), 1, 4, 0, mode=mode)
+        with pytest.raises(InvariantViolationError, match=r"^walk 1: step 9 has non-finite"):
+            hw.escape_probe(cfg, r=1e9, horizon=12)
+
+    @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
+    def test_neighborhood_probe(self, model, monkeypatch):
+        monkeypatch.setattr(hw.BoxLaw, "unit_blocks", nan_row_blocks(self.BAD))
+        cfg = WalkConfig(model, hw.BoxLaw(C1, C1, 2), 1, 4, 0, mode=MODE_AMBIENT)
+        with pytest.raises(InvariantViolationError, match=r"^walk 1: step 9 has non-finite"):
+            hw.neighborhood_return_probe(cfg, 50.0, 0.5, 12)
+
+    @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
+    def test_escape_probe_walk_that_hits_first_does_not_raise(self, mode, model):
+        # unit outward steps reach r = 2.5 at step 3, before walk 1's bad step 4
+        cfg = WalkConfig(model, bad_step_law(math.nan, {1: 4}), 1, 3, 0, mode=mode)
+        assert hw.escape_probe(cfg, r=2.5, horizon=12).successes == 3
+
+    @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
+    def test_neighborhood_probe_walk_that_hits_first_does_not_raise(self, model, monkeypatch):
+        # the target is the start ball, hit at step 0
+        monkeypatch.setattr(hw.BoxLaw, "unit_blocks", nan_row_blocks({1: 2}))
+        cfg = WalkConfig(model, hw.BoxLaw(C1, C1, 2), 1, 3, 0, mode=MODE_AMBIENT)
+        assert hw.neighborhood_return_probe(cfg, 0.0, 1.0, 5).successes == 3
 
 
 class TestSharedExpStep:
@@ -495,12 +623,10 @@ class TestEnsemble:
         # smaller cousin of the acceptance check
         base = dict(model=HYP2, law=ELLIPTIC, steps=100, walks=400,
                     escape_radius=1e9, record_stride=100)
-        _, st_a = hw.run_ensemble(WalkConfig(mode=MODE_AMBIENT, seed=1000, **base))
-        _, st_r = hw.run_ensemble(WalkConfig(mode=MODE_RADIAL_ONLY, seed=2000, **base))
-        cfg_a = WalkConfig(mode=MODE_AMBIENT, seed=1000, **base)
-        cfg_r = WalkConfig(mode=MODE_RADIAL_ONLY, seed=2000, **base)
-        fa = [hw.run_walk(cfg_a, i).final_R for i in range(400)]
-        fr = [hw.run_walk(cfg_r, i).final_R for i in range(400)]
+        rec_a, _ = hw.run_ensemble(WalkConfig(mode=MODE_AMBIENT, seed=1000, **base))
+        rec_r, _ = hw.run_ensemble(WalkConfig(mode=MODE_RADIAL_ONLY, seed=2000, **base))
+        fa = [r.final_R for r in rec_a]
+        fr = [r.final_R for r in rec_r]
         assert stats.ks_2samp(fa, fr).pvalue > 0.01
 
 
@@ -564,6 +690,19 @@ class TestNeighborhoodReturnProbe:
         cfg = WalkConfig(HYP2, self.BOX, 10, 50, 4, mode=MODE_AMBIENT)
         res = hw.neighborhood_return_probe(cfg, 3 * bound + 2.0, 0.5, 3)
         assert res.estimate == 0.0
+
+    @pytest.mark.parametrize("start", [18.0, 20.0, 25.0])
+    def test_unresolved_distance_far_out_raises(self, start):
+        # the target's centre is 1.0 out along the walk's own axis, its
+        # radius 0.25; read off the Minkowski pairing unchecked, every walk
+        # "hit" at step 0 from kR ~ 18 on
+        cfg = WalkConfig(HYP2, self.BOX, 10, 20, 4, mode=MODE_AMBIENT, start_radius=start)
+        with pytest.raises(InvariantViolationError, match=r"^walk 0: .*unresolved"):
+            hw.neighborhood_return_probe(cfg, start + 1.0, 0.25, 0)
+
+    def test_resolved_distance_keeps_its_verdict(self):
+        cfg = WalkConfig(HYP2, self.BOX, 10, 20, 4, mode=MODE_AMBIENT, start_radius=5.0)
+        assert hw.neighborhood_return_probe(cfg, 6.0, 0.25, 0).successes == 0
 
     def test_nearby_ball_hit_with_positive_probability(self):
         cfg = WalkConfig(HYP2, self.BOX, 50, 200, 4, mode=MODE_AMBIENT)
