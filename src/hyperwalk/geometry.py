@@ -27,11 +27,11 @@ Householder reflection (HouseholderFrame): the walks step through it in
 O(d), and `radial_frame` and `euclidean_frame` expose its matrix view.
 
 The ambient step's kernels (`_safe_norm`, `_tangent_axes`,
-`euclidean_frame`, `HouseholderFrame.step`, `_exp_step`, `_reproject`) take
-points along the last axis and any leading axes, so the ambient engine
-advances a (W, d+1) array of walks at once and `exp_map`,
-`RadialFrame.vector` and the `validate` oracle run the same code on one
-point.  Every operation acts on each point alone, and each point's dot
+`euclidean_frame`, `HouseholderFrame.step`, `_exp_step`, `_reproject`,
+`_distance`) take points along the last axis and any leading axes, so the
+ambient engine advances and the neighbourhood probe measures a (W, d+1)
+array of walks at once, and `exp_map`, `distance`, `RadialFrame.vector`
+and the `validate` oracle run the same code on one point.  Every operation acts on each point alone, and each point's dot
 products are BLAS dots of its own row (`_rowdot`), so a point's result does
 not depend on which or how many others share the array.
 """
@@ -54,9 +54,8 @@ from .errors import (
 )
 
 # Tolerances, fixed once here.
-HYPERBOLOID_REL_TOL = 1e-10   # |B(x,x)*k^2 + 1| for a valid point
+HYPERBOLOID_REL_TOL = 1e-10   # relative defect of k x0 against hypot(1, k|x_s|)
 TANGENCY_TOL = 1e-10          # |B(x,v)| scaled by norms for a valid tangent
-ACOSH_CLAMP_TOL = 1e-9        # forgivable rounding below 1 in acosh args
 LOG_DOMAIN_THRESHOLD = 30.0   # switch radial-increment evaluation to log form
 REPROJECTION_DRIFT_TOL = 1e-6  # relative spatial-norm defect _reproject forgives
 # Rounding leaves a tangent's Minkowski square B(v, v), a difference of
@@ -96,19 +95,20 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _safe_norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis that survive components up to the
-    double maximum.
+    """Euclidean norms along the last axis that survive components from the
+    smallest subnormal up to the double maximum.
 
-    Plain sqrt(dot) overflows once components exceed ~1e154, which ambient
-    coordinates reach near kR = 354, well inside the supported radius range.
-    The scaled path only engages for such magnitudes; a vector with a
+    Plain sqrt(dot) overflows once components exceed ~1e154, as ambient
+    coordinates do from kR = 354, and underflows once all are below
+    ~1e-154, as the difference of two nearly equal directions can be.  The
+    scaled path only engages for such magnitudes; a vector with a
     non-finite component has norm max |v_i|.
     """
     m = np.abs(v).max(axis=-1)
-    plain = m < 1e150
+    plain = (m < 1e150) & ((m > 1e-150) | (m == 0.0))
     if plain.all():
         return np.sqrt(_rowdot(v, v))
-    scaled = ~plain & np.isfinite(m)
+    scaled = ~plain & (m < math.inf)
     scale = np.where(scaled, m, 1.0)
     u = np.where(plain[..., None], v, 0.0)
     w = np.where(scaled[..., None], v, 0.0) / scale[..., None]
@@ -176,12 +176,14 @@ class LorentzPoint:
 
 
 def validate_on_hyperboloid(x: LorentzPoint, k: float, rel_tol: float = HYPERBOLOID_REL_TOL):
-    """Check B(x,x) = -1/k**2 to relative tolerance; raise if violated."""
-    err = abs(_mink(x.coords, x.coords) * k * k + 1.0)
-    if err > rel_tol:
+    """Check k x0 = cosh kR against hypot(1, k|x_s|) = hypot(1, sinh kR) to
+    relative tolerance, which a correctly rounded point meets at any radius
+    (|B(x,x) k^2 + 1| grows like e^(2kR) * eps); NaN or inf fails."""
+    h = math.hypot(1.0, k * float(_safe_norm(x.coords[1:])))
+    err = abs(k * float(x.coords[0]) - h) / h
+    if not err <= rel_tol:
         raise InvariantViolationError(
-            f"point off the hyperboloid for k={k}: |B(x,x)k^2 + 1| = {err:.3e}"
-        )
+            f"point off the hyperboloid for k={k}: k x0 is {err:.3e} off hypot(1, k|x_s|)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,8 +219,8 @@ class TangentVector:
         if bound == 0.0:
             return 0.0
         raise InvariantViolationError(
-            f"tangent vector's Minkowski square {b:.3e} is not resolved above its "
-            f"rounding bound {bound:.3e}"
+            f"tangent vector's Minkowski square {b:.3e} is unresolved: it is not resolved "
+            f"above its rounding bound {bound:.3e}"
         )
 
 
@@ -231,10 +233,6 @@ def validate_tangent(v: TangentVector, tol: float = TANGENCY_TOL):
     )
     if abs(b) > tol * scale:
         raise InvariantViolationError(f"vector not tangent to base point: B(x,v) = {b:.3e}")
-
-
-def zero_tangent(x: LorentzPoint) -> TangentVector:
-    return TangentVector(x, np.zeros_like(x.coords))
 
 
 def origin(k: float, d: int) -> LorentzPoint:
@@ -310,31 +308,39 @@ def _reprojection_error(defect: float, step: int) -> HyperwalkError:
 
 
 def distance(x: LorentzPoint, y: LorentzPoint, k: float) -> float:
-    """Riemannian distance (2/k) arcsinh(sqrt(c / 2)), c = cosh(k dist) - 1.
+    """Riemannian distance (`_distance`) of two points that pass
+    `validate_on_hyperboloid` at the drift the walks' reprojection forgives:
+    exp_map does not reproject, and its endpoints drift past 1e-10 where
+    the exp-log suite draws them."""
+    try:
+        validate_on_hyperboloid(x, k, REPROJECTION_DRIFT_TOL)
+        validate_on_hyperboloid(y, k, REPROJECTION_DRIFT_TOL)
+    except InvariantViolationError as exc:
+        raise InvariantViolationError(f"points are not on a common hyperboloid: {exc}") from exc
+    return float(_distance(x.coords, y.coords, k))
 
-    c is read off the pairing, -B(x, y) k^2 - 1, or off the chord u = x - y,
-    k^2 B(u, u) / 2, whichever has the smaller rounding bound: eps k^2 |x| |y|
-    and eps k^2 |u|^2 / 2 (Euclidean norms).  Like TangentVector.norm it
-    raises InvariantViolationError once that bound exceeds
-    MINKOWSKI_SQUARE_REL_TOL of c, as for a step with a radial part far out.
-    A pairing below 1 by more than ACOSH_CLAMP_TOL and its bound means the
-    points are not on a common hyperboloid.  Equal points give 0.
+
+def _distance(x: np.ndarray, y: np.ndarray, k: float) -> np.ndarray:
+    """Distances of points x and y of H_k along the last axis, unchecked.
+
+    Each point is read in polar form, a = kR = asinh(k|x_s|) and
+    n = x_s/|x_s| (0 at the origin), and the law of cosines becomes
+
+        sinh(k d / 2) = hypot(sinh((a - b)/2), sqrt(sinh a sinh b) |n_x - n_y| / 2),
+        sinh((a - b)/2) = (sinh a - sinh b) / (g + 1/g),  g = e^((a + b)/2),
+
+    with e^a = sinh a + hypot(1, sinh a).  Nothing cancels but the inputs'
+    own sinh a - sinh b, where the pairing B(x, y) loses e^(a + b) * eps,
+    and every term stays finite up to the ambient limit kR = 700.
     """
-    if x is y or np.array_equal(x.coords, y.coords):
-        return 0.0
-    x, y, k2, eps = x.coords, y.coords, k * k, np.finfo(float).eps
-    arg = -_mink(x, y) * k2
-    bound = eps * k2 * _safe_norm(x) * _safe_norm(y)
-    if arg < 1.0 - ACOSH_CLAMP_TOL - bound:
-        raise InvariantViolationError(
-            f"distance argument {arg} < 1; points are not on a common hyperboloid")
-    c, u = arg - 1.0, x - y
-    if 0.5 * eps * k2 * float(u @ u) < bound:
-        c, bound = 0.5 * k2 * _mink(u, u), 0.5 * eps * k2 * float(u @ u)
-    if not c > bound / MINKOWSKI_SQUARE_REL_TOL:
-        raise InvariantViolationError(f"the points' pairing leaves cosh(k d) - 1 = {c:.3e} "
-                                      f"unresolved above its rounding bound {bound:.3e}")
-    return 2.0 * math.asinh(math.sqrt(0.5 * c)) / k
+    sx, sy = _safe_norm(x[..., 1:]), _safe_norm(y[..., 1:])
+    nx = x[..., 1:] / np.where(sx > 0.0, sx, 1.0)[..., None]
+    ny = y[..., 1:] / np.where(sy > 0.0, sy, 1.0)[..., None]
+    sx, sy = k * sx, k * sy
+    g = np.sqrt(sx + np.hypot(1.0, sx)) * np.sqrt(sy + np.hypot(1.0, sy))
+    radial = (sx - sy) / (g + 1.0 / g)
+    angular = 0.5 * np.sqrt(sx) * np.sqrt(sy) * _safe_norm(nx - ny)
+    return (2.0 / k) * np.arcsinh(np.hypot(radial, angular))
 
 
 def log_map(x: LorentzPoint, y: LorentzPoint, k: float) -> TangentVector:
@@ -342,16 +348,15 @@ def log_map(x: LorentzPoint, y: LorentzPoint, k: float) -> TangentVector:
 
     Construction: u = y + k^2 B(x,y) x is Minkowski-orthogonal to x, and v is
     u rescaled to length distance(x, y).  Returns the zero vector when x = y.
+    u comes from the pairing B(x, y), so TangentVector.norm reads its length
+    and raises once rounding leaves it unresolved, as from kR ~ 10.
     """
     dist = distance(x, y, k)
     if dist == 0.0:
-        return zero_tangent(x)
-    u = y.coords + (k * k) * _mink(x.coords, y.coords) * x.coords
-    un = _mink(u, u)
-    if un <= 0.0:
-        # only reachable when y is numerically indistinguishable from x
-        return zero_tangent(x)
-    return TangentVector(x, (dist / math.sqrt(un)) * u)
+        return TangentVector(x, np.zeros_like(x.coords))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = TangentVector(x, y.coords + (k * k) * _mink(x.coords, y.coords) * x.coords)
+        return TangentVector(x, (dist / u.norm) * u.components)
 
 
 def radial_direction(origin_pt: LorentzPoint, p: LorentzPoint, k: float) -> TangentVector:
@@ -582,20 +587,27 @@ class RadialFrame:
     `axes` has shape (d, d+1): row 0 is e_rad (or a fixed stand-in axis at
     the origin, where the radial direction is undefined and immaterial), the
     remaining rows span the transverse subspace.  It is the matrix view of
-    the point's HouseholderFrame, whose step `vector` takes.
+    the point's HouseholderFrame, built once, whose step `vector` takes.
     """
 
     base: LorentzPoint
-    axes: np.ndarray
+    householder: HouseholderFrame
     k: float
-    at_origin: bool
+
+    @property
+    def axes(self) -> np.ndarray:
+        return self.householder.axes
+
+    @property
+    def at_origin(self) -> bool:
+        return bool(self.householder.at_origin)
 
     def vector(self, d_rad: float, transverse) -> TangentVector:
         """Tangent vector with outward radial part d_rad and given transverse part."""
         t = np.asarray(transverse, dtype=float)
         if t.shape != (self.base.d - 1,):
             raise DimensionError(f"transverse part needs {self.base.d - 1} components")
-        return TangentVector(self.base, _tangent_axes(self.base.coords, self.k).step(d_rad, t))
+        return TangentVector(self.base, self.householder.step(d_rad, t))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -680,8 +692,7 @@ def radial_frame(origin_pt: LorentzPoint, p: LorentzPoint, k: float) -> RadialFr
     o = origin_pt.coords
     if abs(o[0] * k - 1.0) > 1e-12 or np.any(o[1:]):
         raise ContractError("radial frames are built about the origin (1/k, 0, ..., 0) only")
-    frame = _tangent_axes(p.coords, k)
-    return RadialFrame(p, frame.axes, k, bool(frame.at_origin))
+    return RadialFrame(p, _tangent_axes(p.coords, k), k)
 
 
 def euclidean_frame(x: np.ndarray) -> HouseholderFrame:

@@ -20,15 +20,15 @@ consume the stream exactly as per-step `sample_components` calls would, and
 scale each row by the law's profiles at the current radius with the same
 operations as those calls; every other law is sampled once per step.
 
-Every walk the package runs starts at `_start_point`.  Radial-only walks,
-in `run_walk`, the worker pool and the escape probe, run one at a time
-through `_radial_only_radii`, named by `_naming_walk` when one breaks an
-invariant.  Ambient walks run in lockstep (`_ambient_states`): `run_walk`
-runs a lockstep of one walk, the pool one lockstep per process over a
-contiguous chunk of walk ids, and both probes one over all walks.  A walk
-that breaks an invariant drops out and the others carry on; at the end the
-lowest walk id's error is raised, the error the walks run one by one would
-raise.
+Every walk starts at `_start_point`; the pool runs one contiguous chunk of
+walk ids per process.  Radial-only walks, in `run_walk`, a chunk and the
+escape probe, run one at a time through `_radial_only_radii`, named by
+`_naming_walk` when one breaks an invariant.  Ambient walks run in
+lockstep (`_ambient_states`): `run_walk` runs a lockstep of one walk, a
+chunk one lockstep, and both probes one over all walks, which the
+neighbourhood probe measures with geometry's polar `_distance`.  A walk
+that breaks an invariant drops out and the others carry on; at the end
+the lowest walk id's error is raised, as the walks run one by one would.
 
 Reproducibility contract: every walk owns the rng stream spawned from
 (master seed, walk id), and ensemble statistics are aggregated in walk-id
@@ -55,13 +55,12 @@ from .errors import DomainError, OverflowGuardError, InvariantViolationError, Us
 from .geometry import (
     REPROJECTION_DRIFT_TOL,
     CurvatureModel,
-    LorentzPoint,
+    _distance,
     _exp_step,
     _reproject,
     _reprojection_error,
     _rowdot,
     _tangent_axes,
-    distance,
     euclidean_frame,
     euclidean_radial_increment,
     radial_increment_exact,
@@ -467,33 +466,34 @@ def run_ensemble(config: WalkConfig, workers: int = 1):
 
     The pool has min(workers, walks, usable cores) processes, since the
     pool starts all of them at once; at one or fewer the walks run in this
-    process.  Radial-only walks run one by one; ambient walks run in
-    lockstep, one lockstep per contiguous chunk of walk ids, one chunk per
-    process.  Records come back ordered by walk id and the aggregation is a
-    sum of per-walk sufficient statistics, so the output is identical for
-    any worker count.
+    process.  Each process runs one contiguous chunk of walk ids
+    (`_chunk_records`).  Records come back ordered by walk id and the
+    aggregation is a sum of per-walk sufficient statistics, so the output
+    is identical for any worker count.
     """
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     workers = min(workers, config.walks, cores)
-    if config.mode == MODE_AMBIENT:
-        n = max(workers, 1)
-        chunks = [range(config.walks * i // n, config.walks * (i + 1) // n) for i in range(n)]
-        records = [rec for chunk in _map(functools.partial(_ambient_records, config), chunks,
-                                         workers)
-                   for rec in chunk]
-    else:
-        chunk = max(1, config.walks // (4 * workers)) if workers > 1 else 1
-        records = _map(functools.partial(run_walk, config), range(config.walks), workers, chunk)
+    n = max(workers, 1)
+    chunks = [range(config.walks * i // n, config.walks * (i + 1) // n) for i in range(n)]
+    records = [rec for chunk in _map(functools.partial(_chunk_records, config), chunks, workers)
+               for rec in chunk]
     return records, ensemble_stats(records, config)
 
 
-def _map(fn, items, workers: int, chunksize: int = 1) -> list:
+def _chunk_records(config: WalkConfig, ids: range) -> list:
+    """The records of the walks `ids`: one lockstep, or radial-only walks one by one."""
+    if config.mode == MODE_AMBIENT:
+        return _ambient_records(config, ids)
+    return [run_walk(config, j) for j in ids]
+
+
+def _map(fn, items, workers: int) -> list:
     """list(map(fn, items)), on a pool of `workers` processes when more than one."""
     if workers <= 1:
         return list(map(fn, items))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        return list(pool.map(fn, items))
 
 
 def ensemble_stats(records, config: WalkConfig) -> EnsembleStats:
@@ -553,17 +553,12 @@ def _hit_probe(config: WalkConfig, steps: int, hit) -> ProbeEstimate:
 
     The walks run in lockstep over their own streams, and each stops at its
     first hit, so an error after it does not count.  `hit(x, R)` maps the
-    running walks' positions and radii to (hits, errors): a mask, and a
-    dict from row to the error of each walk whose hit it cannot decide.
+    running walks' positions and radii to the mask of the walks that hit.
     """
     cfg = dataclasses.replace(config, steps=steps)
     successes = 0
     for _, walks in _ambient_states(cfg, range(config.walks)):
-        hits, errors = hit(walks.x, walks.R)
-        if errors:
-            undecided = np.zeros(len(hits), bool)
-            undecided[list(errors)] = True
-            hits = hits[walks.drop(undecided, errors.get)]
+        hits = hit(walks.x, walks.R)
         successes += int(hits.sum())
         walks.drop(hits)
     walks.raise_first()
@@ -583,7 +578,7 @@ def escape_probe(config: WalkConfig, r: float, horizon: int) -> ProbeEstimate:
     if config.start_radius > r:
         raise UsageError("escape probe requires start_radius <= r")
     if config.mode == MODE_AMBIENT:
-        return _hit_probe(config, horizon, lambda x, R: (R >= r, {}))
+        return _hit_probe(config, horizon, lambda x, R: R >= r)
     cfg = dataclasses.replace(config, steps=horizon)
     successes = 0
     for walk_id in range(config.walks):
@@ -617,18 +612,10 @@ def neighborhood_return_probe(config: WalkConfig, target_center_radius: float,
 
     center = _start_point(config.model, target_center_radius)
     if config.model.is_hyperbolic:
-        k, center = config.model.k, LorentzPoint(center)
-
         def inside(x, R):
-            hits, errors = np.zeros(len(x), bool), {}
-            for i, point in enumerate(x):
-                try:
-                    hits[i] = distance(LorentzPoint(point), center, k) < target_radius
-                except InvariantViolationError as exc:
-                    errors[i] = exc
-            return hits, errors
+            return _distance(x, center, config.model.k) < target_radius
     else:
         def inside(x, R):
             u = x - center
-            return np.sqrt(_rowdot(u, u)) < target_radius, {}
+            return np.sqrt(_rowdot(u, u)) < target_radius
     return _hit_probe(config, m, inside)

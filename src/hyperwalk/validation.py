@@ -138,10 +138,11 @@ def suite_exp_log_round_trip(seed: int = 1, n: int = 2000, tol: float = 1e-8) ->
     """exp(x, log(x, y)) = y within relative coordinate error, plus the
     norm-equals-distance identity.
 
-    Pairs are drawn with k*(R_x + R_y) <= 16: the ambient Minkowski pairing
-    of two points loses e^(k(R_x+R_y)) * eps of absolute precision, so
-    beyond that envelope no double-precision implementation can meet the
-    tolerance (a representation limit, not an algorithmic one).
+    Pairs are drawn with k*(R_x + R_y) <= 16: log_map's direction
+    y + k^2 B(x, y) x comes from the Minkowski pairing of the two points,
+    which loses e^(k(R_x+R_y)) * eps of absolute precision, so beyond that
+    envelope that direction cannot meet the tolerance in double precision
+    (`distance`, read in polar form, can).
     """
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -15,6 +15,7 @@ from hyperwalk.errors import (
     UndefinedFrameError,
 )
 from hyperwalk.geometry import (
+    _distance,
     _mink,
     make_decomposition,
     radial_increment_exact_batch,
@@ -93,6 +94,19 @@ class TestPointAndTangentInvariants:
         p = hw.LorentzPoint(np.array([1.1, 0.0, 0.0]))
         with pytest.raises(InvariantViolationError):
             validate_on_hyperboloid(p, 1.0)
+
+    @pytest.mark.parametrize("kR", [0.0, 1e-8, 10.0, 12.0, 20.0, 300.0, 700.0])
+    def test_sheet_check_holds_at_any_radius(self, kR):
+        # the walks' own start points; |B(x, x) k^2 + 1| read 2.98e-8 at
+        # kR = 10, 1.9e-6 at kR = 12 and 1.0 at kR = 20
+        from hyperwalk.simulator import _start_point
+        x = _start_point(hw.CurvatureModel.hyperbolic(1.0, 2), kR)
+        validate_on_hyperboloid(hw.LorentzPoint(x), 1.0)
+        for nudge in (1.0 + 1e-8, 1.0 - 1e-8):
+            y = x.copy()
+            y[0] *= nudge
+            with pytest.raises(InvariantViolationError, match="off the hyperboloid"):
+                validate_on_hyperboloid(hw.LorentzPoint(y), 1.0)
 
     def test_non_tangent_detected(self):
         O = hw.origin(1.0, 2)
@@ -210,11 +224,49 @@ class TestDistance:
             assert dxz <= dxy + dyz + 1e-10
 
     def test_bad_argument_raises(self):
-        # points on different hyperboloids pair to an argument below 1
         a = hw.LorentzPoint(np.array([1.0, 0.0, 0.0]))
         b = hw.LorentzPoint(np.array([0.5, 0.0, 0.0]))
         with pytest.raises(InvariantViolationError, match="not on a common hyperboloid"):
             hw.distance(a, b, 1.0)
+
+    @pytest.mark.parametrize("bad", [[1.0, math.nan, 0.0], [math.cosh(2.0), 1.0, math.nan]])
+    def test_nan_coordinate_raises(self, bad):
+        O, p = hw.origin(1.0, 2), hw.LorentzPoint(np.array(bad))
+        for x, y in ((O, p), (p, O)):
+            with pytest.raises(InvariantViolationError, match="not on a common hyperboloid"):
+                hw.distance(x, y, 1.0)
+
+    KR = [0.0, 1e-8, 0.5, 9.0, 12.0, 20.0, 40.0, 300.0, 354.0, 400.0, 699.0, 700.0]
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("d, axis", [(2, 1), (3, 3), (5, 2)])
+    def test_same_axis_pairs(self, k, d, axis):
+        # sinh kR_x - sinh kR_y is the only difference taken; a pairing
+        # loses e^(k(R_x + R_y)) * eps
+        def point(kR):
+            x = np.zeros(d + 1)
+            x[0], x[axis] = math.cosh(kR) / k, math.sinh(kR) / k
+            return hw.LorentzPoint(x)
+        for a in self.KR:
+            for b in self.KR:
+                got = hw.distance(point(a), point(b), k)
+                assert got == pytest.approx(abs(a - b) / k, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_equal_radius_pairs(self, k, d):
+        # sinh(k d / 2) = sinh kR sin(theta / 2); at theta = 1e-200 the
+        # directions' difference underflows a plain norm
+        for a in self.KR[1:]:
+            for theta in (1e-200, 1e-100, 1e-8, 1e-3, 0.5, 2.0, math.pi):
+                x, y = np.zeros(d + 1), np.zeros(d + 1)
+                x[0] = y[0] = math.cosh(a) / k
+                x[1] = math.sinh(a) / k
+                y[1], y[2] = math.sinh(a) * math.cos(theta) / k, math.sinh(a) * math.sin(theta) / k
+                got = hw.distance(hw.LorentzPoint(x), hw.LorentzPoint(y), k)
+                want = 2.0 / k * math.asinh(math.sinh(a) * math.sin(theta / 2.0))
+                assert got > 0.0
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     @staticmethod
     def far_step(kR):
@@ -227,12 +279,14 @@ class TestDistance:
 
     @pytest.mark.parametrize("kR", [14.0, 18.0])
     def test_unresolved_pairing_raises(self, kR):
-        # unchecked, kR = 14 read 0.4997629, and kR = 18 paired below 1 and
-        # blamed the hyperboloid
+        # read off the pairing unchecked, kR = 14 gave 0.4997629, and kR = 18
+        # paired below 1 and blamed the hyperboloid; the polar reading is good
+        # to the coordinates' own e^(kR) * eps, but log_map's direction still
+        # comes from the pairing
         x, y = self.far_step(kR)
-        for call in (hw.distance, hw.log_map):
-            with pytest.raises(InvariantViolationError, match="unresolved"):
-                call(x, y, 1.0)
+        assert hw.distance(x, y, 1.0) == pytest.approx(0.5, rel=math.exp(kR) * 2.0 ** -52)
+        with pytest.raises(InvariantViolationError, match="unresolved"):
+            hw.log_map(x, y, 1.0)
 
     @pytest.mark.parametrize("kR", [0.5, 5.0])
     def test_resolved_pairing_keeps_its_distance(self, kR):
@@ -240,9 +294,8 @@ class TestDistance:
         assert hw.distance(x, y, 1.0) == pytest.approx(0.5, rel=1e-10)
 
     @pytest.mark.parametrize("length", [1e-12, 1e-8, 1e-5])
-    def test_short_distance_reads_the_chord(self, length):
-        # -B(x, y) k^2 - 1 rounds to 0 or keeps few digits here; the chord
-        # x - y resolves it
+    def test_short_distance_is_exact(self, length):
+        # -B(x, y) k^2 - 1 rounds to 0 or keeps few digits here
         O = hw.origin(2.0, 3)
         u = np.zeros(4)
         u[2] = length
@@ -251,6 +304,14 @@ class TestDistance:
 
 
 class TestLogMap:
+    @pytest.mark.parametrize("kR", [30.0, 300.0, 400.0, 700.0])
+    def test_far_out_raises(self, kR):
+        # the distance is resolved; u = y + k^2 B(x, y) x is not, or overflows
+        x, y = TestDistance.far_step(kR)
+        assert hw.distance(x, y, 1.0) == pytest.approx(0.5, rel=1e-15)
+        with pytest.raises(InvariantViolationError, match="unresolved"):
+            hw.log_map(x, y, 1.0)
+
     def test_log_at_same_point_is_zero(self):
         x = random_point(1.0, 2, 3.0, np.random.default_rng(6))
         v = hw.log_map(x, x, 1.0)
@@ -574,6 +635,19 @@ class TestFrames:
             with pytest.raises(ContractError):
                 hw.decompose_increment(other, p, v, k)
 
+    def test_vector_steps_through_the_frame_it_built(self, monkeypatch):
+        built = []
+        tangent_axes = hw.geometry._tangent_axes
+        monkeypatch.setattr(hw.geometry, "_tangent_axes",
+                            lambda x, k: built.append(x) or tangent_axes(x, k))
+        p = random_point(0.5, 3, 8.0, np.random.default_rng(29))
+        frame = hw.radial_frame(hw.origin(0.5, 3), p, 0.5)
+        for d_rad in (0.3, -1.0, 0.0):
+            v = frame.vector(d_rad, np.array([0.4, -0.2]))
+            assert v.components.tobytes() == tangent_axes(p.coords, 0.5).step(
+                d_rad, np.array([0.4, -0.2])).tobytes()
+        assert len(built) == 1
+
     def test_vector_rejects_a_transverse_part_of_the_wrong_size(self):
         O = hw.origin(1.0, 3)
         frame = hw.radial_frame(O, random_point(1.0, 3, 2.0, np.random.default_rng(23)), 1.0)
@@ -697,6 +771,24 @@ class TestArrayKernels:
             assert y.tobytes() == Y[i].tobytes()
             r, e = _reproject(y, k)
             assert (y.tobytes(), float(r), float(e)) == (Y_snapped[i].tobytes(), R[i], defect[i])
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_distance_rows_match_single_pairs(self, d):
+        # from the origin to the ambient limit, against a second array of
+        # points and against one point broadcast over every row
+        rng = np.random.default_rng(30)
+        k = 0.5
+        kR = np.array([0.0, 1e-8, 0.3, 5.0, 10.0, 40.0, 300.0, 400.0, 700.0])
+
+        def points(kR):
+            n = rng.standard_normal((kR.size, d))
+            n /= np.linalg.norm(n, axis=1)[:, None]
+            return np.concatenate([np.cosh(kR)[:, None], np.sinh(kR)[:, None] * n], axis=1) / k
+        X, Y = points(kR), points(rng.permutation(kR))
+        D, C = _distance(X, Y, k), _distance(X, Y[3], k)
+        for i in range(kR.size):
+            assert _distance(X[i], Y[i], k).tobytes() == D[i].tobytes()
+            assert _distance(X[i], Y[3], k).tobytes() == C[i].tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_flat_rows_match_single_points(self, d):

@@ -568,6 +568,26 @@ class TestEnsemble:
         for a, b in zip(r1, r2):
             assert a.walk_id == b.walk_id and a.radii == b.radii
 
+    @staticmethod
+    def recording_pool(sizes, items):
+        """A stand-in for ProcessPoolExecutor that runs in process, so no
+        process starts, recording its size and the items it maps."""
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                items.extend(iterable)
+                return map(fn, items)
+        return RecordingPool
+
     @pytest.mark.parametrize("workers, walks, cores, size", [
         (5000, 3, 8, 3),        # one process per walk at most
         (5000, 30, 4, 4),       # one per usable core at most
@@ -581,23 +601,7 @@ class TestEnsemble:
     def test_pool_is_capped_at_walks_and_usable_cores(self, workers, walks, cores, size,
                                                       monkeypatch):
         sizes = []
-
-        class RecordingPool:
-            """Stands in for ProcessPoolExecutor, so no process starts."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", self.recording_pool(sizes, []))
         if cores is None:
             monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
@@ -609,6 +613,19 @@ class TestEnsemble:
         assert sizes == ([] if size is None else [size])
         assert [r.walk_id for r in records] == list(range(walks))
         assert stats == hw.run_ensemble(cfg)[1]
+
+    @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
+    def test_one_contiguous_chunk_per_process(self, mode, monkeypatch):
+        sizes, chunks = [], []
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", self.recording_pool(sizes, chunks))
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        cfg = WalkConfig(HYP2, ELLIPTIC, 20, 10, 21, mode=mode)
+        records, stats = hw.run_ensemble(cfg, workers=3)
+        assert (sizes, chunks) == ([3], [range(0, 3), range(3, 6), range(6, 10)])
+        solo, solo_stats = hw.run_ensemble(cfg)
+        assert stats == solo_stats
+        assert [r.radii for r in records] == [r.radii for r in solo]
 
     def test_quantiles_monotone_and_fractions_bounded(self):
         cfg = WalkConfig(HYP2, ELLIPTIC, 300, 30, 8, mode=MODE_RADIAL_ONLY,
@@ -691,14 +708,15 @@ class TestNeighborhoodReturnProbe:
         res = hw.neighborhood_return_probe(cfg, 3 * bound + 2.0, 0.5, 3)
         assert res.estimate == 0.0
 
-    @pytest.mark.parametrize("start", [18.0, 20.0, 25.0])
-    def test_unresolved_distance_far_out_raises(self, start):
-        # the target's centre is 1.0 out along the walk's own axis, its
-        # radius 0.25; read off the Minkowski pairing unchecked, every walk
-        # "hit" at step 0 from kR ~ 18 on
+    @pytest.mark.parametrize("start", [9.0, 12.0, 15.0, 18.0, 20.0, 25.0])
+    def test_far_out_target_is_decided(self, start):
+        # the target's centre lies along the walks' own axis, its radius
+        # 0.25; read off the Minkowski pairing unchecked, every walk "hit" a
+        # centre 1.0 out at step 0 from kR ~ 18 on, and checked, the pairing
+        # left the distance unresolved from kR ~ 9
         cfg = WalkConfig(HYP2, self.BOX, 10, 20, 4, mode=MODE_AMBIENT, start_radius=start)
-        with pytest.raises(InvariantViolationError, match=r"^walk 0: .*unresolved"):
-            hw.neighborhood_return_probe(cfg, start + 1.0, 0.25, 0)
+        assert hw.neighborhood_return_probe(cfg, start + 1.0, 0.25, 0).successes == 0
+        assert hw.neighborhood_return_probe(cfg, start + 0.1, 0.25, 0).successes == 20
 
     def test_resolved_distance_keeps_its_verdict(self):
         cfg = WalkConfig(HYP2, self.BOX, 10, 20, 4, mode=MODE_AMBIENT, start_radius=5.0)
