@@ -500,10 +500,10 @@ def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
     )
     records, stats = run_ensemble(walk_cfg, workers=workers)
     out = Path(cfg.out_dir)
-    # one chunk per walk; walk ids and steps are ints, which an f-string
-    # spells as _fmt does
+    # one chunk per walk; walk ids and steps are ints and the radii Python
+    # floats, which an f-string (repr for the floats) spells as _fmt does
     _write_csv(out / "trajectories.csv", cfg, ("walk_id", "step", "R"),
-               ("".join([f"{r.walk_id},{step},{_fmt(R)}\n" for step, R in r.radii])
+               ("".join([f"{r.walk_id},{step},{R!r}\n" for step, R in r.radii])
                 for r in records))
     q = stats.quantiles
     _write_csv(out / "summary.csv", cfg,

@@ -212,8 +212,10 @@ class TangentVector:
         part far out; the zero vector has norm 0.
         """
         c = self.components
-        b = _mink(c, c)
-        bound = np.finfo(float).eps * float(np.dot(c, c))
+        # far out the squares overflow: B(v, v) is then NaN and fails below
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = _mink(c, c)
+            bound = np.finfo(float).eps * float(np.dot(c, c))
         if b > bound / MINKOWSKI_SQUARE_REL_TOL:
             return math.sqrt(b)
         if bound == 0.0:
@@ -250,14 +252,20 @@ def exp_map(x: LorentzPoint, v: TangentVector, k: float) -> LorentzPoint:
     """Endpoint of the unit-speed geodesic from x with initial velocity v.
 
     exp_x(v) = cosh(k|v|) x + sinh(k|v|)/(k|v|) v, with the limiting value x
-    when |v| = 0.
+    when |v| = 0, snapped onto H_k: the time coordinate is set to
+    hypot(1, k|x_s|) / k, the relation `validate_on_hyperboloid` checks.
+    The walks' `_reproject` snaps the other way, keeping the time
+    coordinate, whose arccosh holds a short step near the origin only to
+    about sqrt(eps); the spatial part holds it to rounding.
     """
     if v.base is not x and not np.array_equal(v.base.coords, x.coords):
         raise ContractError("tangent vector is not based at the given point")
     n = v.norm
     if n == 0.0:
         return x
-    return LorentzPoint(_exp_step(x.coords, v.components, n, k))
+    y = _exp_step(x.coords, v.components, n, k)
+    y[0] = math.hypot(1.0, k * float(_safe_norm(y[1:]))) / k
+    return LorentzPoint(y)
 
 
 def _exp_step(x: np.ndarray, v: np.ndarray, length, k: float) -> np.ndarray:
@@ -309,9 +317,8 @@ def _reprojection_error(defect: float, step: int) -> HyperwalkError:
 
 def distance(x: LorentzPoint, y: LorentzPoint, k: float) -> float:
     """Riemannian distance (`_distance`) of two points that pass
-    `validate_on_hyperboloid` at the drift the walks' reprojection forgives:
-    exp_map does not reproject, and its endpoints drift past 1e-10 where
-    the exp-log suite draws them."""
+    `validate_on_hyperboloid` at the drift the walks' reprojection
+    forgives."""
     try:
         validate_on_hyperboloid(x, k, REPROJECTION_DRIFT_TOL)
         validate_on_hyperboloid(y, k, REPROJECTION_DRIFT_TOL)
@@ -469,17 +476,21 @@ def radial_increment_exact(R: float, d_tot: float, phi: float, k: float) -> floa
     return acosh_z / k - R
 
 
-def radial_increment_exact_batch(R: float, d_tot, phi, k: float) -> np.ndarray:
-    """Vectorised radial_increment_exact at fixed R over arrays of (d_tot, phi).
+def radial_increment_exact_batch(R, d_tot, phi, k: float) -> np.ndarray:
+    """Vectorised radial_increment_exact over arrays of (d_tot, phi), at one
+    radius R or at an array of radii.
 
-    phi has d_tot's shape, or that shape behind leading axes: each row along
+    An array R broadcasts against d_tot and phi, one radius per element, and
+    every element takes `_radial_increments`' branch-free log form; this is
+    the radial-only walks' step.  At a scalar R (the estimators' call) phi
+    has d_tot's shape, or that shape behind leading axes: each row along
     them is then one direction per step, and what depends on d_tot alone
     (cosh, sinh and exp of k d_tot) is evaluated once for every row.  The
     estimators pass np.stack([phi, -phi]) to pair each draw with its mirror;
     sign flips are exact in IEEE arithmetic, so each row equals a separate
     call bit for bit.  0-d inputs give a 0-d result.
 
-    Branches, per element, as in the scalar version:
+    At a scalar R the branches are, per element, the scalar version's:
       * d_tot = 0 gives 0, phi = 1 gives d_tot and phi = -1 gives
         |R - d_tot| - R, with no transcendental call;
       * kR and k d_tot both at most LOG_DOMAIN_THRESHOLD: the direct arccosh;
@@ -491,6 +502,12 @@ def radial_increment_exact_batch(R: float, d_tot, phi, k: float) -> np.ndarray:
     """
     d_tot = np.asarray(d_tot, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    if np.ndim(R):
+        R, d_tot, phi = np.broadcast_arrays(np.asarray(R, dtype=float), d_tot, phi)
+        if not (k > 0 and np.all(R >= 0.0) and np.all(d_tot >= 0.0)
+                and np.all(np.abs(phi) <= 1.0)):
+            raise DomainError("need R >= 0, d_tot >= 0, phi in [-1, 1] and k > 0")
+        return _radial_increments(R, d_tot, phi, k)
     if not (R >= 0.0 and k > 0):
         raise DomainError(f"need R >= 0 and k > 0, got R={R}, k={k}")
     abs_phi = np.abs(phi)
@@ -533,6 +550,49 @@ def radial_increment_exact_batch(R: float, d_tot, phi, k: float) -> np.ndarray:
     return _piecewise(general_rows, general, edge, d_tot, phi).reshape(shape)
 
 
+def _radial_increments(R: np.ndarray, d_tot: np.ndarray, phi: np.ndarray, k: float) -> np.ndarray:
+    """radial_increment_exact at radii R over equal-shaped arrays, unchecked.
+
+    Every element takes one log form, with no gather.  With A = kR,
+    D = k d_tot, z = e^(A + D) S and P = e^(-2(A + D)), where
+    S = ((1 + phi)(1 + P) + (1 - phi)(e^(-2D) + e^(-2A))) / 4 as in the
+    scalar kernel's log form, k times the increment is
+
+        acosh z - A = D + log(S + sqrt(S^2 - P)),
+
+    in which no A cancels and nothing overflows.  Near z = 1 it is as well
+    conditioned as the direct arccosh, which loses the same
+    eps / sqrt(z - 1) to the rounding of z, and near phi = -1 it is better:
+    there the direct form cancels.  The edges d_tot = 0 and phi = +-1 are
+    selected exactly by `np.where`, only in a batch that has one; a phi past
+    +-1 counts as +-1, the clamp a rounded direction needs.
+    """
+    A, D = (R, d_tot) if k == 1.0 else (k * R, k * d_tot)     # scaling by 1 is exact
+    edge = (d_tot == 0.0) | (np.abs(phi) >= 1.0)
+    edges = edge.any()
+    # an edge's phi is replaced by 0, so that phi = -1 with A and D both past
+    # the exp underflow cannot take the log of 0
+    p = np.where(edge, 0.0, phi) if edges else phi
+    exp_a, exp_d = np.exp(-2.0 * A), np.exp(-2.0 * D)
+    P = exp_a * exp_d
+    S = (1.0 + p) * (1.0 + P)
+    S += (1.0 - p) * (exp_d + exp_a)
+    S *= 0.25
+    out = S * S
+    out -= P
+    np.maximum(out, 0.0, out=out)       # rounding only: S^2 >= P as z >= 1
+    np.sqrt(out, out=out)
+    out += S
+    np.log(out, out=out)
+    out += D
+    if k != 1.0:
+        out /= k
+    if edges:
+        # d_tot outward, |R - d_tot| - R inward: both are 0 at d_tot = 0
+        out = np.where(edge, np.where(phi > 0.0, d_tot, np.abs(R - d_tot) - R), out)
+    return out
+
+
 def _acosh_from_log(log_z: np.ndarray) -> np.ndarray:
     z = np.exp(log_z)
     return np.log(2.0 * z) + np.log(0.5 * (1.0 + np.sqrt(np.maximum(1.0 - z ** -2, 0.0))))
@@ -558,22 +618,29 @@ def _piecewise(mask, on, off, *arrays):
     return out
 
 
-def euclidean_radial_increment(R: float, d_tot: float, d_rad: float) -> float:
-    """Flat-space radius change sqrt(R^2 + 2 R d_rad + d_tot^2) - R.
+def _euclidean_increments(R, d_tot, d_rad) -> np.ndarray:
+    """Flat-space radius changes sqrt(R^2 + 2 R d_rad + d_tot^2) - R,
+    elementwise over equal-shaped arrays (or floats), unchecked.
 
     Evaluated as (2 R d_rad + d_tot^2) / (sqrt(...) + R) to avoid the
-    cancellation of the direct form at large R.  Always >= d_rad.  A NaN
-    argument fails the domain checks.
+    cancellation of the direct form at large R.
+    """
+    q = R * R + 2.0 * R * d_rad + d_tot * d_tot
+    denom = np.sqrt(np.maximum(q, 0.0)) + R
+    # denom is 0 only where R and d_tot * d_tot are, and so the numerator
+    return (2.0 * R * d_rad + d_tot * d_tot) / np.where(denom == 0.0, 1.0, denom)
+
+
+def euclidean_radial_increment(R: float, d_tot: float, d_rad: float) -> float:
+    """Flat-space radius change sqrt(R^2 + 2 R d_rad + d_tot^2) - R, by
+    `_euclidean_increments`, the flat radial-only walks' step.  Always
+    >= d_rad.  A NaN argument fails the domain checks.
     """
     if not (R >= 0.0 and d_tot >= 0.0):
         raise DomainError(f"lengths must be >= 0, got R={R}, d_tot={d_tot}")
     if not abs(d_rad) <= d_tot * (1.0 + 1e-12):
         raise DomainError(f"|d_rad| = {abs(d_rad)} exceeds d_tot = {d_tot}")
-    q = R * R + 2.0 * R * d_rad + d_tot * d_tot
-    denom = math.sqrt(max(q, 0.0)) + R
-    if denom == 0.0:
-        return 0.0
-    return (2.0 * R * d_rad + d_tot * d_tot) / denom
+    return float(_euclidean_increments(R, d_tot, d_rad))
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,24 @@ class RadialProfile:
             return self.c * r ** -p if r > 0.0 else 0.0
         return float(np.interp(r, self.radii, self.values))
 
+    def at(self, radii: np.ndarray):
+        """The profile at each of the radii, a 1-d array: bit for bit the
+        values calls one by one give.  A constant profile gives its one
+        value, which broadcasts."""
+        if self.kind == "constant":
+            return self.c
+        if self.kind == "table":
+            return np.interp(radii, self.radii, self.values)
+        # Python's power, as a call takes it: numpy's is not it in the last
+        # bit.  Where min(1, r^-p) is 1 the factor is 1.0, and at r = 0 (a
+        # growth, p < 0) 0.0 ** -p is the call's 0.0.
+        q = -self.exponent
+        if q <= 0.0:
+            powers = [r ** q if r > 1.0 else 1.0 for r in radii.tolist()]
+        else:
+            powers = [r ** q if r < 1.0 else 1.0 for r in radii.tolist()]
+        return self.c * np.array(powers)
+
     def sup(self) -> float:
         """Supremum over r >= 0."""
         if self.kind == "constant":

@@ -1,34 +1,35 @@
 """Monte Carlo ensemble engine for geodesic random walks.
 
-Two simulation modes:
+The walks of a chunk advance together, one step for all of them
+(`_Lockstep`), in one of two modes:
 
-* ``ambient`` iterates the walks in ambient coordinates, all walks of a
-  chunk together (`_Lockstep`): their points form one (W, d+1) array, and
-  each step applies the points' Householder frame steps (`_tangent_axes`,
+* ``ambient`` holds their points as one (W, d+1) array, and each step
+  applies the points' Householder frame steps (`_tangent_axes`,
   `euclidean_frame`), taken on H_k through geometry's `_exp_step` and
   `_reproject`, the step `exp_map` and the `validate` oracle take on one
   point; it is limited to k * R <= 700 by double-precision overflow;
-* ``radialonly`` iterates the radius of one walk at a time through the
-  exact radial increment, which for a radially symmetric law is
-  distributionally the same chain and has no radius limit.  This is what
-  makes 10^5-step horizons cheap.
+* ``radialonly`` holds only their radii, one (W,) array, and each step is
+  one call of the exact radial increment over it (geometry's
+  `_radial_increments` on H_k, `_euclidean_increments` in flat space),
+  which for a radially symmetric law is distributionally the same chain
+  and has no radius limit.  This is what makes 10^5-step horizons cheap.
 
 Both modes take their steps from the same draws, so walks driven by the
 same stream can be coupled draw-for-draw.  Elliptic and box walks draw the
 unit rows of their steps in blocks (`IncrementLaw.unit_blocks`) that
 consume the stream exactly as per-step `sample_components` calls would, and
 scale each row by the law's profiles at the current radius with the same
-operations as those calls; every other law is sampled once per step.
+operations as those calls; every other law is sampled once per walk per
+step.
 
 Every walk starts at `_start_point`; the pool runs one contiguous chunk of
-walk ids per process.  Radial-only walks, in `run_walk`, a chunk and the
-escape probe, run one at a time through `_radial_only_radii`, named by
-`_naming_walk` when one breaks an invariant.  Ambient walks run in
-lockstep (`_ambient_states`): `run_walk` runs a lockstep of one walk, a
-chunk one lockstep, and both probes one over all walks, which the
-neighbourhood probe measures with geometry's polar `_distance`.  A walk
-that breaks an invariant drops out and the others carry on; at the end
-the lowest walk id's error is raised, as the walks run one by one would.
+walk ids per process.  `run_walk` runs a lockstep of one walk, a chunk one
+lockstep (`_lockstep_states`), and both probes one over all walks, which
+the neighbourhood probe measures with geometry's polar `_distance`.  A
+chunk's records are built T-block by T-block (`_Tally`), so no (W, T)
+array of radii is held.  A walk that breaks an invariant drops out and the
+others carry on; at the end the lowest walk id's error is raised, as the
+walks run one by one would.
 
 Reproducibility contract: every walk owns the rng stream spawned from
 (master seed, walk id), and ensemble statistics are aggregated in walk-id
@@ -56,12 +57,16 @@ from .geometry import (
     REPROJECTION_DRIFT_TOL,
     CurvatureModel,
     _distance,
+    _euclidean_increments,
     _exp_step,
+    _radial_increments,
     _reproject,
     _reprojection_error,
     _rowdot,
     _tangent_axes,
     euclidean_frame,
+    # scalar kernels no walk calls: perfbench/spans.py wraps them under
+    # these names, so they stay bound here
     euclidean_radial_increment,
     radial_increment_exact,
 )
@@ -72,10 +77,12 @@ MODE_AMBIENT = "ambient"
 MODE_RADIAL_ONLY = "radialonly"
 
 AMBIENT_KR_LIMIT = 700.0        # cosh(kR) overflows shortly above this
-# Most unit rows one T-block of an ambient lockstep holds over all its walks;
-# it bounds the block's memory, not the stream, which is the same for any
-# block size.
+# A lockstep runs its steps in T-blocks: the unit rows drawn ahead for a
+# block, and the radii a block's records are built from, span at most
+# BLOCK_STEPS steps and LOCKSTEP_ROWS rows over all walks.  They bound
+# memory, not the stream or the records, which are the same for any size.
 LOCKSTEP_ROWS = 1 << 18
+BLOCK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -203,134 +210,35 @@ def run_walk(config: WalkConfig, walk_id: int,
              rng: Optional[np.random.Generator] = None) -> TrajectoryRecord:
     """Simulate one walk; the rng defaults to the walk's own spawned stream.
 
-    An ambient walk runs as a lockstep of one walk, the step every ambient
-    ensemble takes.  A step of non-finite length, or a point that drifts off
-    the hyperboloid, raises InvariantViolationError naming the walk and the
-    step.
+    The walk runs as a lockstep of one walk, the step every ensemble takes.
+    A step of non-finite length, or a point that drifts off the hyperboloid,
+    raises InvariantViolationError naming the walk and the step.
     """
     if rng is None:
         rng = walk_rng(config.seed, walk_id)
-    if config.mode == MODE_AMBIENT:
-        return _ambient_records(config, range(walk_id, walk_id + 1), [rng])[0]
-    with _naming_walk(walk_id):
-        return _collect(config, walk_id, _radial_only_radii(config, rng))
+    return _chunk_records(config, range(walk_id, walk_id + 1), [rng])[0]
 
 
-def _collect(config, walk_id, radius_iter) -> TrajectoryRecord:
-    T = config.steps
-    stride = config.record_stride
-    ball = config.ball_radius
-    burn = config.burn_in
-    tail_start = T - max(1, T // 4)
-
-    rec = TrajectoryRecord(walk_id, [], 0, None, config.start_radius)
-    prev = config.start_radius
-    rec.radii.append((0, prev))
-    R = prev
-    for n, R in radius_iter:
-        if n % stride == 0 or n == T:
-            rec.radii.append((n, R))
-        if n > burn and prev >= ball and R < ball:
-            rec.returns += 1
-        if rec.escape_step is None and R > config.escape_radius:
-            rec.escape_step = n
-        if n > tail_start:
-            dr = R - prev
-            rec.tail_dr_sum += dr
-            rec.tail_dr_sumsq += dr * dr
-            rec.tail_dr_count += 1
-        prev = R
-    rec.final_R = prev
-    return rec
-
-
-def _step_draws(law, steps, rng):
-    """A function R -> (d_rad, t) giving the next of `steps` steps."""
-    s = law.block_scale
-    if s is None:
-        sample = law.sample_components
-        return lambda R: sample(R, rng)
-    a, b = law.a, law.b
-    rows = itertools.chain.from_iterable(law.unit_blocks(steps, rng))
-
-    def draw(R):
-        u = next(rows)
-        return a(R) * s * u[0], b(R) * s * u[1:]
-    return draw
-
-
-def _radial_draws(law, steps, rng):
-    """A function R -> (d_rad, |t|^2) giving the next of `steps` steps.
-
-    Block draws compute in Python floats with sample_components' operation
-    order.  For d > 2, |t|^2 stays the BLAS dot of the scaled row, which a
-    Python sum does not reproduce bit for bit.
-    """
-    s = law.block_scale
-    if s is not None and law.d == 2:
-        a, b = law.a, law.b
-        rows = itertools.chain.from_iterable(zip(*block.T.tolist())
-                                             for block in law.unit_blocks(steps, rng))
-
-        def draw(R):
-            u0, u1 = next(rows)
-            t0 = b(R) * s * u1
-            return a(R) * s * u0, t0 * t0
-        return draw
-    draw_step = _step_draws(law, steps, rng)
-
-    def draw(R):
-        d_rad, t = draw_step(R)
-        return d_rad, float(t @ t)
-    return draw
+def _block_steps(steps: int, walks: int) -> int:
+    """The steps of a T-block of `walks` walks with `steps` steps to go."""
+    return max(1, min(steps, BLOCK_STEPS, LOCKSTEP_ROWS // walks))
 
 
 def _non_finite_step(n: int) -> InvariantViolationError:
     return InvariantViolationError(f"step {n} has non-finite length")
 
 
-def _radial_only_radii(config, rng):
-    draw = _radial_draws(config.law, config.steps, rng)
-    T = config.steps
-    R = config.start_radius
-    inf = math.inf
-    if config.model.is_hyperbolic:
-        k = config.model.k
-        for n in range(1, T + 1):
-            d_rad, t_sq = draw(R)
-            d_tot = math.sqrt(d_rad * d_rad + t_sq)
-            if not d_tot < inf:
-                raise _non_finite_step(n)
-            phi = d_rad / d_tot if d_tot > 0.0 else 0.0
-            if phi > 1.0:
-                phi = 1.0
-            elif phi < -1.0:
-                phi = -1.0
-            R = max(R + radial_increment_exact(R, d_tot, phi, k), 0.0)
-            yield n, R
-    else:
-        for n in range(1, T + 1):
-            d_rad, t_sq = draw(R)
-            d_tot = math.sqrt(d_rad * d_rad + t_sq)
-            if not d_tot < inf:
-                raise _non_finite_step(n)
-            if abs(d_rad) > d_tot:
-                d_rad = math.copysign(d_tot, d_rad)
-            R = max(R + euclidean_radial_increment(R, d_tot, d_rad), 0.0)
-            yield n, R
-
-
 class _Lockstep:
-    """The ambient walks `ids` advanced together, one step for all of them.
+    """The walks `ids` advanced together, one step for all of them.
 
-    Row i of `x` and `R` is walk `ids[i]`, and draws from `rngs[i]`.  A walk
-    draws from its own stream exactly as it would alone: elliptic and box
-    walks take the unit rows of `unit_blocks` in T-blocks (runs of steps
-    drawn ahead, at most LOCKSTEP_ROWS rows over all walks), every other law
-    is sampled once per walk per step, and profiles are evaluated per walk,
-    so each walk's steps hold the bytes `sample_components` would give.
-    The step arithmetic acts on each row alone, so a walk's bytes do not
-    depend on the walks it runs with.
+    Row i of the radii `R` (and in ambient mode of the points `x`) is walk
+    `ids[i]`, and draws from `rngs[i]`.  A walk draws from its own stream
+    exactly as it would alone: elliptic and box walks take the unit rows of
+    `unit_blocks` in T-blocks (runs of steps drawn ahead, `_block_steps`),
+    every other law is sampled once per walk per step, and profiles are evaluated per walk, so each walk's steps
+    hold the bytes `sample_components` would give.  The step arithmetic acts
+    on each row alone, so a walk's bytes do not depend on the walks it runs
+    with.
 
     `drop` takes walks out of the lockstep.  A walk that breaks an invariant
     is dropped with its error in `errors`; since the lowest walk id's error
@@ -341,8 +249,11 @@ class _Lockstep:
         self.config = config
         self.ids = np.asarray(ids, dtype=np.int64)
         self.rngs = list(rngs)
-        self.x = np.tile(_start_point(config.model, config.start_radius), (len(self.ids), 1))
         self.R = np.full(len(self.ids), float(config.start_radius))
+        self.x = None               # the ambient points; radial-only walks have none
+        if config.mode == MODE_AMBIENT:
+            self.x = np.tile(_start_point(config.model, config.start_radius),
+                             (len(self.ids), 1))
         self.errors = {}            # walk id -> the error that stopped it
         self._units = np.empty((0, len(self.ids), config.law.d))    # the T-block's unit rows
         self._unit_step = 1         # the step of the T-block's row 0
@@ -355,7 +266,9 @@ class _Lockstep:
                 self.errors[int(self.ids[i])] = error(i)
             mask = mask | (self.ids > min(self.errors))
         keep = ~mask
-        self.ids, self.x, self.R = self.ids[keep], self.x[keep], self.R[keep]
+        self.ids, self.R = self.ids[keep], self.R[keep]
+        if self.x is not None:
+            self.x = self.x[keep]
         self.rngs = list(itertools.compress(self.rngs, keep))
         self._units = self._units[:, keep]
         return keep
@@ -370,27 +283,60 @@ class _Lockstep:
     def _draw(self, n):
         """(d_rad, t) of step n for every walk, as (W,) and (W, d - 1) arrays."""
         law = self.config.law
-        radii = self.R.tolist()
         s = law.block_scale
         if s is None:
-            d_rad, t = np.empty(len(radii)), np.empty((len(radii), law.d - 1))
-            for i, (R, rng) in enumerate(zip(radii, self.rngs)):
-                d_rad[i], t[i] = law.sample_components(R, rng)
-            return d_rad, t
+            d_rad, t = zip(*map(law.sample_components, self.R.tolist(), self.rngs))
+            return np.array(d_rad, dtype=float), np.array(t, dtype=float).reshape(-1, law.d - 1)
         i = n - self._unit_step
         if i == len(self._units):
-            rows = min(self.config.steps - n + 1, max(1, LOCKSTEP_ROWS // len(radii)))
-            self._units = np.stack([np.concatenate(list(law.unit_blocks(rows, rng)))
-                                    for rng in self.rngs], axis=1)
+            rows = _block_steps(self.config.steps - n + 1, len(self.ids))
+            self._units = np.empty((rows, len(self.ids), law.d))
+            for j, rng in enumerate(self.rngs):
+                top = 0
+                for block in law.unit_blocks(rows, rng):
+                    self._units[top:top + len(block), j] = block
+                    top += len(block)
             self._unit_step, i = n, 0
         u = self._units[i]
-        a = np.array([law.a(R) for R in radii]) * s
-        b = np.array([law.b(R) for R in radii]) * s
-        return a * u[:, 0], b[:, None] * u[:, 1:]
+        if i == len(self._units) - 1:       # the T-block's last row: let the block go
+            self._units, self._unit_step = np.empty((0,) + u.shape), n + 1
+        a, b = law.a.at(self.R) * s, law.b.at(self.R) * s     # arrays, or one value
+        return a * u[:, 0], u[:, 1:] * np.asarray(b)[..., None]
+
+    def _finite_draw(self, n):
+        """(d_rad, t, length) of step n for the walks whose step has a finite
+        length; the others are dropped."""
+        d_rad, t = self._draw(n)
+        norm = np.sqrt(d_rad * d_rad + _rowdot(t, t))
+        if not norm.max() < math.inf:       # a NaN maximum fails it too
+            keep = self.drop(~(norm < math.inf), lambda i: _non_finite_step(n))
+            d_rad, t, norm = d_rad[keep], t[keep], norm[keep]
+        return d_rad, t, norm
 
     def step(self, n: int):
-        """Take step n of every walk: the frame's step, on H_k geometry's exp
-        step and its reprojection onto the hyperboloid, in flat space a
+        """Take step n of every walk."""
+        if self.x is None:
+            self._radial_step(n)
+        else:
+            self._ambient_step(n)
+
+    def _radial_step(self, n: int):
+        """The exact radial increment of step n, over the array of radii."""
+        d_rad, _, d_tot = self._finite_draw(n)
+        model = self.config.model
+        if model.is_hyperbolic:
+            # a phi that rounding takes past +-1 counts as +-1 in the kernel
+            phi = d_rad / np.where(d_tot > 0.0, d_tot, 1.0)
+            inc = _radial_increments(self.R, d_tot, phi, model.k)
+        else:
+            # |d_rad| exceeds d_tot only where d_rad * d_rad underflows
+            d_rad = np.minimum(np.maximum(d_rad, -d_tot), d_tot)
+            inc = _euclidean_increments(self.R, d_tot, d_rad)
+        self.R = np.maximum(self.R + inc, 0.0)
+
+    def _ambient_step(self, n: int):
+        """Step n of the ambient points: the frame's step, on H_k geometry's
+        exp step and its reprojection onto the hyperboloid, in flat space a
         translation."""
         hyperbolic, k = self.config.model.is_hyperbolic, self.config.model.k
         if hyperbolic:
@@ -401,12 +347,7 @@ class _Lockstep:
                     "use radial-only mode for long horizons"))
                 if not self.ids.size:
                     return
-        d_rad, t = self._draw(n)
-        norm = np.sqrt(d_rad * d_rad + _rowdot(t, t))
-        bad = ~(norm < math.inf)
-        if bad.any():
-            keep = self.drop(bad, lambda i: _non_finite_step(n))
-            d_rad, t, norm = d_rad[keep], t[keep], norm[keep]
+        d_rad, t, norm = self._finite_draw(n)
         if not hyperbolic:
             self.x = self.x + euclidean_frame(self.x).step(d_rad, t)
             self.R = np.sqrt(_rowdot(self.x, self.x))
@@ -427,7 +368,7 @@ class _Lockstep:
             self.drop(fault, lambda i: _reprojection_error(defect[i], n))
 
 
-def _ambient_states(config: WalkConfig, ids, rngs=None):
+def _lockstep_states(config: WalkConfig, ids, rngs=None):
     """Yield (n, walks) for n = 0 .. T: the _Lockstep of the walks `ids`
     (over their own streams unless `rngs` are given) after n steps.  The
     caller may drop walks between steps; the run ends early once none is
@@ -443,18 +384,89 @@ def _ambient_states(config: WalkConfig, ids, rngs=None):
         yield n, walks
 
 
-def _ambient_records(config: WalkConfig, ids: range, rngs=None) -> list:
-    """The records of the ambient walks `ids`, a range of walk ids, run in
-    lockstep; raises the error of the lowest walk id that broke an
-    invariant, as the walks run one by one would."""
+class _Tally:
+    """The records of W walks, built T-block by T-block from their radii.
+
+    `fold` takes the radii of a run of consecutive steps as one
+    (1 + rows, W) array, row 0 holding the step before the run, and adds
+    them to each walk's recorded radii, return count, escape step and tail
+    sums, with the arithmetic of a step-by-step loop: the tail sums are
+    running sums carried from block to block and accumulated row by row
+    (`np.add.accumulate` is sequential), so they hold the loop's bits.
+    """
+
+    def __init__(self, config: WalkConfig, walks: int):
+        self.config = config
+        start = float(config.start_radius)
+        self.radii = [[(0, start)] for _ in range(walks)]
+        self.final = [start] * walks
+        self.returns = np.zeros(walks, dtype=np.int64)
+        self.escape = np.zeros(walks, dtype=np.int64)   # 0 until the walk escapes
+        self.tail = np.zeros((2, walks))                # the sums of dr and dr^2
+        self.tail_count = 0
+
+    def fold(self, n0: int, block: np.ndarray):
+        """Fold steps n0, n0 + 1, ..., whose radii are rows 1, 2, ... of
+        `block`; row 0 holds the radii of step n0 - 1."""
+        c = self.config
+        T, m = c.steps, len(block) - 1
+        prev, radii = block[:-1], block[1:]
+        lo = max(0, c.burn_in + 1 - n0)                 # the first row after the burn-in
+        if lo < m:
+            entered = (prev[lo:] >= c.ball_radius) & (radii[lo:] < c.ball_radius)
+            self.returns += entered.sum(axis=0)
+        out = radii > c.escape_radius
+        new = (self.escape == 0) & out.any(axis=0)
+        if new.any():
+            self.escape[new] = n0 + out.argmax(axis=0)[new]
+        lo = max(0, T - max(1, T // 4) + 1 - n0)        # the first row of the last quarter
+        if lo < m:
+            terms = np.empty((m - lo + 1,) + self.tail.shape)
+            terms[0] = self.tail
+            dr = np.subtract(radii[lo:], prev[lo:], out=terms[1:, 0])
+            np.multiply(dr, dr, out=terms[1:, 1])
+            self.tail = np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
+            self.tail_count += m - lo
+        first = -n0 % c.record_stride                   # the first row of a strided step
+        steps = range(n0 + first, n0 + m, c.record_stride)
+        if steps:
+            for walk_radii, column in zip(self.radii, radii[first::c.record_stride].T.tolist()):
+                walk_radii.extend(zip(steps, column))
+        self.final = radii[-1].tolist()
+        if n0 + m - 1 == T and T not in steps:
+            for walk_radii, R in zip(self.radii, self.final):
+                walk_radii.append((T, R))
+
+    def records(self, ids) -> list:
+        return [TrajectoryRecord(j, radii, returns, escape or None, final, dr_sum, dr_sumsq,
+                                 self.tail_count)
+                for j, radii, returns, escape, final, dr_sum, dr_sumsq in zip(
+                    ids, self.radii, self.returns.tolist(), self.escape.tolist(),
+                    self.final, *self.tail.tolist())]
+
+
+def _chunk_records(config: WalkConfig, ids: range, rngs=None) -> list:
+    """The records of the walks `ids`, a range of walk ids, run in lockstep;
+    raises the error of the lowest walk id that broke an invariant, as the
+    walks run one by one would.
+
+    The radii of each T-block of steps fill one array, which `_Tally` folds
+    into the records, so no (W, T) array is ever held.
+    """
     T = config.steps
-    radii = np.empty((len(ids), T))
-    for n, walks in _ambient_states(config, ids, rngs):
-        if n:
-            radii[walks.ids - ids.start, n - 1] = walks.R
+    rows = _block_steps(T, len(ids))
+    block = np.empty((1 + rows, len(ids)))          # row 0: the step before the block
+    block[0] = config.start_radius
+    tally = _Tally(config, len(ids))
+    for n, walks in _lockstep_states(config, ids, rngs):
+        if n and not walks.errors:      # after an error no record is returned
+            i = (n - 1) % rows + 1
+            block[i] = walks.R
+            if i == rows or n == T:
+                tally.fold(n - i + 1, block[:i + 1])
+                block[0] = block[i]
     walks.raise_first()
-    steps = range(1, T + 1)
-    return [_collect(config, j, zip(steps, row)) for j, row in zip(ids, radii.tolist())]
+    return tally.records(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +491,6 @@ def run_ensemble(config: WalkConfig, workers: int = 1):
     records = [rec for chunk in _map(functools.partial(_chunk_records, config), chunks, workers)
                for rec in chunk]
     return records, ensemble_stats(records, config)
-
-
-def _chunk_records(config: WalkConfig, ids: range) -> list:
-    """The records of the walks `ids`: one lockstep, or radial-only walks one by one."""
-    if config.mode == MODE_AMBIENT:
-        return _ambient_records(config, ids)
-    return [run_walk(config, j) for j in ids]
 
 
 def _map(fn, items, workers: int) -> list:
@@ -549,15 +554,16 @@ def _estimate(successes: int, trials: int) -> ProbeEstimate:
 
 
 def _hit_probe(config: WalkConfig, steps: int, hit) -> ProbeEstimate:
-    """The fraction of ambient walks that hit at some step 0 .. `steps`.
+    """The fraction of walks that hit at some step 0 .. `steps`.
 
     The walks run in lockstep over their own streams, and each stops at its
     first hit, so an error after it does not count.  `hit(x, R)` maps the
-    running walks' positions and radii to the mask of the walks that hit.
+    running walks' ambient positions (None in radial-only mode) and radii
+    to the mask of the walks that hit.
     """
     cfg = dataclasses.replace(config, steps=steps)
     successes = 0
-    for _, walks in _ambient_states(cfg, range(config.walks)):
+    for _, walks in _lockstep_states(cfg, range(config.walks)):
         hits = hit(walks.x, walks.R)
         successes += int(hits.sum())
         walks.drop(hits)
@@ -577,15 +583,7 @@ def escape_probe(config: WalkConfig, r: float, horizon: int) -> ProbeEstimate:
         raise DomainError(f"escape radius must be finite, got {r}")
     if config.start_radius > r:
         raise UsageError("escape probe requires start_radius <= r")
-    if config.mode == MODE_AMBIENT:
-        return _hit_probe(config, horizon, lambda x, R: R >= r)
-    cfg = dataclasses.replace(config, steps=horizon)
-    successes = 0
-    for walk_id in range(config.walks):
-        with _naming_walk(walk_id):
-            radii = (R for _, R in _radial_only_radii(cfg, walk_rng(config.seed, walk_id)))
-            successes += any(R >= r for R in itertools.chain([cfg.start_radius], radii))
-    return _estimate(successes, config.walks)
+    return _hit_probe(config, horizon, lambda x, R: R >= r)
 
 
 def neighborhood_return_probe(config: WalkConfig, target_center_radius: float,

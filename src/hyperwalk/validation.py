@@ -14,6 +14,7 @@ bites.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -134,19 +135,12 @@ def suite_sandwich_bounds(n_lengths: int = 200, n_phis: int = 170,
                        f"worst violation {worst:.3e} {worst_where}")
 
 
-def suite_exp_log_round_trip(seed: int = 1, n: int = 2000, tol: float = 1e-8) -> SuiteResult:
-    """exp(x, log(x, y)) = y within relative coordinate error, plus the
-    norm-equals-distance identity.
-
-    Pairs are drawn with k*(R_x + R_y) <= 16: log_map's direction
-    y + k^2 B(x, y) x comes from the Minkowski pairing of the two points,
-    which loses e^(k(R_x+R_y)) * eps of absolute precision, so beyond that
-    envelope that direction cannot meet the tolerance in double precision
-    (`distance`, read in polar form, can).
-    """
+def _exp_log_pairs(seed: int):
+    """The exp-log suite's draws, endlessly: (x, y, k) with x at radius up
+    to 4/k from the origin and y = exp_map(x, v) for a step v of length up
+    to min(20, 8/k) in a uniform direction."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
+    while True:
         d = int(rng.integers(2, 5))
         k = rng.uniform(0.25, 4.0)
         O = geometry.origin(k, d)
@@ -157,8 +151,21 @@ def suite_exp_log_round_trip(seed: int = 1, n: int = 2000, tol: float = 1e-8) ->
         frame = geometry.radial_frame(O, x, k)
         step = rng.uniform(0.0, min(20.0, 8.0 / k))
         w_dir = increments._sphere_point(d, rng)
-        y = geometry.exp_map(x, frame.vector(step * w_dir[0], step * w_dir[1:]), k)
+        yield x, geometry.exp_map(x, frame.vector(step * w_dir[0], step * w_dir[1:]), k), k
 
+
+def suite_exp_log_round_trip(seed: int = 1, n: int = 2000, tol: float = 1e-8) -> SuiteResult:
+    """exp(x, log(x, y)) = y within relative coordinate error, plus the
+    norm-equals-distance identity.
+
+    Pairs are drawn with k*(R_x + R_y) <= 16: log_map's direction
+    y + k^2 B(x, y) x comes from the Minkowski pairing of the two points,
+    which loses e^(k(R_x+R_y)) * eps of absolute precision, so beyond that
+    envelope that direction cannot meet the tolerance in double precision
+    (`distance`, read in polar form, can).
+    """
+    worst = 0.0
+    for x, y, k in itertools.islice(_exp_log_pairs(seed), n):
         v = geometry.log_map(x, y, k)
         back = geometry.exp_map(x, v, k)
         scale = max(1.0, float(np.max(np.abs(y.coords))))

@@ -1,7 +1,10 @@
 """Geometry kernel tests: closed forms against coordinate-level oracles."""
 
+import itertools
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +25,7 @@ from hyperwalk.geometry import (
     validate_on_hyperboloid,
     validate_tangent,
 )
+from hyperwalk.validation import _exp_log_pairs
 
 
 def random_point(k, d, r_max, rng):
@@ -140,6 +144,14 @@ class TestPointAndTangentInvariants:
         with pytest.raises(InvariantViolationError, match="not resolved"):
             hw.decompose_increment(O, p, v, 1.0)
 
+    def test_overflowing_square_raises_without_a_warning(self):
+        # from kR ~ 355 the components' squares overflow the dot products
+        O, p, v = self.frame_step(400.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolationError, match="not resolved"):
+                v.norm
+
     @pytest.mark.parametrize("kR", [0.5, 2.0, 5.0])
     def test_resolved_minkowski_square_keeps_its_norm(self, kR):
         O, p, v = self.frame_step(kR)
@@ -186,6 +198,12 @@ class TestExpMap:
             v = random_tangent(x, k, rng.uniform(0, 1.5 / k), rng)
             y = hw.exp_map(x, v, k)
             assert abs(_mink(y.coords, y.coords) * k * k + 1.0) < 1e-9
+
+    def test_endpoint_is_reprojected_onto_the_hyperboloid(self):
+        # draw 1631 of the exp-log suite at seed 1: unreprojected, k x0 of
+        # this endpoint was 1.657e-10 off hypot(1, k|x_s|)
+        x, y, k = next(itertools.islice(_exp_log_pairs(1), 1631, None))
+        validate_on_hyperboloid(y, k)
 
     def test_geodesic_property_distance_equals_norm(self):
         rng = np.random.default_rng(3)
@@ -484,6 +502,61 @@ class TestRadialIncrementExact:
             got = radial_increment_exact_batch(R, d_tot, phi, 1.3)
             want = [hw.radial_increment_exact(R, dt, p, 1.3) for dt, p in zip(d_tot, phi)]
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @staticmethod
+    def reference(R, d_tot, phi, k):
+        """The increment in 50-digit arithmetic, from the cancellation-free
+        z = ((1 + phi) cosh(A + D) + (1 - phi) cosh(A - D)) / 2."""
+        with mpmath.workdps(50):
+            A, D, p = mpmath.mpf(k) * R, mpmath.mpf(k) * d_tot, mpmath.mpf(phi)
+            z = ((1 + p) * mpmath.cosh(A + D) + (1 - p) * mpmath.cosh(A - D)) / 2
+            return float(mpmath.acosh(z) / k - R)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.5])
+    def test_array_radii_match_a_50_digit_reference(self, k):
+        # one radius per element, the walks' call: radii on both sides of
+        # kR = 30 in every batch, long steps, directions near -1 and the
+        # edges d_tot = 0 and phi = +-1
+        rng = np.random.default_rng(16)
+        n = 600
+        R = np.concatenate([rng.uniform(0.0, 30.0, n // 2), rng.uniform(30.0, 400.0, n // 2)]) / k
+        d_tot = np.where(rng.random(n) < 0.2, rng.uniform(30.0, 45.0, n) / k,
+                         10.0 ** rng.uniform(-6.0, 1.0, n))
+        phi = rng.uniform(-1.0, 1.0, n)
+        phi[::5] = -1.0 + 10.0 ** rng.uniform(-15.0, -2.0, n // 5)
+        phi[1::17], phi[2::17], d_tot[3::17] = 1.0, -1.0, 0.0
+        order = rng.permutation(n)
+        R, d_tot, phi = R[order], d_tot[order], phi[order]
+        got = radial_increment_exact_batch(R, d_tot, phi, k)
+        errors = [abs(g - w) / max(1.0, abs(g), abs(w))
+                  for g, w in zip(got.tolist(), map(self.reference, R, d_tot, phi,
+                                                     [k] * n))]
+        assert max(errors) <= 1e-9        # acceptance criterion 1's tolerance
+        edges = [(d == 0.0, p) for d, p in zip(d_tot, phi)]
+        for (zero, p), g, r, d in zip(edges, got, R, d_tot):
+            if zero:
+                assert g == 0.0
+            elif p == 1.0:
+                assert g == d
+            elif p == -1.0:
+                assert g == abs(r - d) - r
+
+    def test_array_radii_broadcast(self):
+        R = np.array([[0.0], [5.0], [80.0]])
+        d_tot, phi = np.array([0.5, 2.0]), np.array([0.3, -0.6])
+        got = radial_increment_exact_batch(R, d_tot, phi, 1.0)
+        assert got.shape == (3, 2)
+        want = [[hw.radial_increment_exact(r, d, p, 1.0) for d, p in zip(d_tot, phi)]
+                for r in R[:, 0]]
+        assert got == pytest.approx(np.array(want), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("R, d_tot, phi", [([1.0, math.nan], 1.0, 0.5),
+                                               ([1.0, -1.0], 1.0, 0.5),
+                                               ([1.0, 80.0], [1.0, math.nan], 0.5),
+                                               ([1.0, 80.0], 1.0, [0.5, 1.5])])
+    def test_array_radii_domain_errors(self, R, d_tot, phi):
+        with pytest.raises(DomainError):
+            radial_increment_exact_batch(np.array(R), d_tot, phi, 1.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

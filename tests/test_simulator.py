@@ -19,7 +19,7 @@ from hyperwalk.simulator import (
     MODE_AMBIENT,
     MODE_RADIAL_ONLY,
     WalkConfig,
-    _ambient_states,
+    _lockstep_states,
     ensemble_stats,
     walk_rng,
 )
@@ -404,13 +404,13 @@ class TestAmbientPositions:
                  else hw.CurvatureModel.euclidean(d))
         cfg = WalkConfig(model, hw.BoxLaw(C1, C1, d), 25, 1, 90907,
                          mode=MODE_AMBIENT, start_radius=0.5)
-        *_, (_, walks) = _ambient_states(cfg, range(1))
+        *_, (_, walks) = _lockstep_states(cfg, range(1))
         assert walks.x[0] == pytest.approx(self.FINAL[kind, d], rel=1e-9)
 
 
 class TestLockstepCoupling:
-    """Ambient walks advance together in a lockstep; each walk must hold the
-    bytes it holds when run alone, whichever chunk it runs in."""
+    """Walks advance together in a lockstep, in either mode; each walk must
+    hold the bytes it holds when run alone, whichever chunk it runs in."""
 
     LAWS = {
         "elliptic": lambda d: hw.EllipticLaw(hw.RadialProfile.constant(0.8),
@@ -420,42 +420,102 @@ class TestLockstepCoupling:
     }
 
     @staticmethod
-    def config(kind, d, geometry, start, steps, walks=6):
+    def config(kind, d, geometry, start, steps, walks=6, mode=MODE_AMBIENT, **kw):
         model = (hw.CurvatureModel.hyperbolic(1.0, d) if geometry == "hyperbolic"
                  else hw.CurvatureModel.euclidean(d))
         return WalkConfig(model, TestLockstepCoupling.LAWS[kind](d), steps, walks, 41,
-                          mode=MODE_AMBIENT, record_stride=1, ball_radius=2.0,
-                          start_radius=start, escape_radius=8.0)
+                          mode=mode, **{**dict(record_stride=1, ball_radius=2.0,
+                                               start_radius=start, escape_radius=8.0), **kw})
 
     @pytest.mark.parametrize("start", [0.0, 1.5])
     @pytest.mark.parametrize("geometry", ["hyperbolic", "euclidean"])
     @pytest.mark.parametrize("kind, d", [("elliptic", 2), ("elliptic", 3), ("box", 2),
                                          ("box", 3), ("heavytail", 2), ("heavytail", 3)])
-    def test_every_walk_equals_run_walk(self, kind, d, geometry, start, monkeypatch):
-        # 6 walks share T-blocks of 4 steps, so 30 steps cross seven of them
+    @pytest.mark.parametrize("mode", [MODE_AMBIENT, MODE_RADIAL_ONLY])
+    def test_every_walk_equals_run_walk(self, mode, kind, d, geometry, start, monkeypatch):
+        # 6 walks share T-blocks of 4 steps, so 30 steps cross seven of
+        # them, both the draws' and the records'
         monkeypatch.setattr(simulator, "LOCKSTEP_ROWS", 24)
-        cfg = self.config(kind, d, geometry, start, 30)
+        cfg = self.config(kind, d, geometry, start, 30, mode=mode)
         records, _ = hw.run_ensemble(cfg)
         assert [_exact(r) for r in records] == [_exact(hw.run_walk(cfg, j)) for j in range(6)]
         # a chunk of walks 2..4 alone gives the same bytes
-        chunk = simulator._ambient_records(cfg, range(2, 5))
+        chunk = simulator._chunk_records(cfg, range(2, 5))
         assert [_exact(r) for r in chunk] == [_exact(r) for r in records[2:5]]
 
     @pytest.mark.parametrize("steps", [0, 1])
     @pytest.mark.parametrize("geometry", ["hyperbolic", "euclidean"])
     @pytest.mark.parametrize("kind", ["elliptic", "heavytail"])
-    def test_zero_and_one_step(self, kind, geometry, steps):
-        cfg = self.config(kind, 2, geometry, 1.5, steps)
+    @pytest.mark.parametrize("mode", [MODE_AMBIENT, MODE_RADIAL_ONLY])
+    def test_zero_and_one_step(self, mode, kind, geometry, steps):
+        cfg = self.config(kind, 2, geometry, 1.5, steps, mode=mode)
         records, _ = hw.run_ensemble(cfg)
         assert [_exact(r) for r in records] == [_exact(hw.run_walk(cfg, j)) for j in range(6)]
         assert all(len(r.radii) == steps + 1 for r in records)
 
-    def test_chunks_on_a_pool_give_the_same_bytes(self):
-        cfg = self.config("box", 3, "hyperbolic", 0.0, 40, walks=7)
+    @pytest.mark.parametrize("mode", [MODE_AMBIENT, MODE_RADIAL_ONLY])
+    def test_chunks_on_a_pool_give_the_same_bytes(self, mode, monkeypatch):
+        monkeypatch.setattr(simulator, "LOCKSTEP_ROWS", 24)
+        cfg = self.config("box", 3, "hyperbolic", 0.0, 40, walks=7, mode=mode)
         one, stats_one = hw.run_ensemble(cfg, workers=1)
         two, stats_two = hw.run_ensemble(cfg, workers=2)
         assert [_exact(r) for r in one] == [_exact(r) for r in two]
         assert stats_one == stats_two
+
+    @staticmethod
+    def step_by_step(config, walk_id):
+        """A radial-only walk as a loop over steps: one sample_components
+        call, the scalar kernel, and the record's sums taken one step at a
+        time."""
+        rng, law, model = walk_rng(config.seed, walk_id), config.law, config.model
+        T, R = config.steps, config.start_radius
+        rec = simulator.TrajectoryRecord(walk_id, [(0, R)], 0, None, R)
+        for n in range(1, T + 1):
+            d_rad, t = law.sample_components(R, rng)
+            d_tot = math.sqrt(d_rad * d_rad + float(t @ t))
+            if model.is_hyperbolic:
+                phi = min(1.0, max(-1.0, d_rad / d_tot if d_tot > 0.0 else 0.0))
+                new = max(R + hw.radial_increment_exact(R, d_tot, phi, model.k), 0.0)
+            else:
+                d_rad = min(d_tot, max(-d_tot, d_rad))
+                new = max(R + hw.euclidean_radial_increment(R, d_tot, d_rad), 0.0)
+            if n % config.record_stride == 0 or n == T:
+                rec.radii.append((n, new))
+            rec.returns += n > config.burn_in and R >= config.ball_radius > new
+            if rec.escape_step is None and new > config.escape_radius:
+                rec.escape_step = n
+            if n > T - max(1, T // 4):
+                rec.tail_dr_sum += new - R
+                rec.tail_dr_sumsq += (new - R) * (new - R)
+                rec.tail_dr_count += 1
+            R = new
+        rec.final_R = R
+        return rec
+
+    @pytest.mark.parametrize("kind, d, geometry", [
+        ("elliptic", 2, "hyperbolic"), ("box", 3, "hyperbolic"), ("elliptic", 2, "euclidean"),
+        ("box", 3, "euclidean"), ("heavytail", 2, "euclidean")])
+    def test_radial_walks_match_a_step_by_step_loop(self, kind, d, geometry, monkeypatch):
+        # flat walks hold the loop's bytes: their kernel is the scalar one's
+        # arithmetic over arrays, and the tail sums accumulate in its order.
+        # On H_k numpy's transcendentals are not libm's, so radii agree to
+        # rounding and every count is the same.  Not for heavy-tail steps on
+        # H_k: with phi within 1e-12 of -1 and kR, k d_tot both near 30 the
+        # scalar kernel's direct arccosh cancels (1.3e-4 against the true
+        # 8.7e-6 at one step of these walks), where the log form does not.
+        monkeypatch.setattr(simulator, "LOCKSTEP_ROWS", 24)
+        cfg = self.config(kind, d, geometry, 0.5, 200, mode=MODE_RADIAL_ONLY,
+                          record_stride=7, ball_radius=3.0, burn_in=20, escape_radius=12.0)
+        records, _ = hw.run_ensemble(cfg)
+        loops = [self.step_by_step(cfg, j) for j in range(6)]
+        if geometry == "euclidean":
+            assert [_exact(r) for r in records] == [_exact(r) for r in loops]
+            return
+        for got, want in zip(records, loops):
+            assert [n for n, _ in got.radii] == [n for n, _ in want.radii]
+            assert radii_of(got) == pytest.approx(radii_of(want), rel=1e-12, abs=1e-12)
+            assert (got.returns, got.escape_step, got.tail_dr_count) == (
+                want.returns, want.escape_step, want.tail_dr_count)
 
     def test_zero_steps_leave_their_walk_in_place(self):
         # walks 0 and 2 take zero steps between moving walks
