@@ -199,9 +199,9 @@ class TestExpMap:
             y = hw.exp_map(x, v, k)
             assert abs(_mink(y.coords, y.coords) * k * k + 1.0) < 1e-9
 
-    def test_endpoint_is_reprojected_onto_the_hyperboloid(self):
-        # draw 1631 of the exp-log suite at seed 1: unreprojected, k x0 of
-        # this endpoint was 1.657e-10 off hypot(1, k|x_s|)
+    def test_endpoint_lies_on_the_hyperboloid(self):
+        # draw 1631 of the exp-log suite at seed 1: unsnapped, k x0 of this
+        # endpoint is 1.657e-10 off hypot(1, k|x_s|)
         x, y, k = next(itertools.islice(_exp_log_pairs(1), 1631, None))
         validate_on_hyperboloid(y, k)
 
@@ -532,14 +532,11 @@ class TestRadialIncrementExact:
                   for g, w in zip(got.tolist(), map(self.reference, R, d_tot, phi,
                                                      [k] * n))]
         assert max(errors) <= 1e-9        # acceptance criterion 1's tolerance
-        edges = [(d == 0.0, p) for d, p in zip(d_tot, phi)]
-        for (zero, p), g, r, d in zip(edges, got, R, d_tot):
-            if zero:
+        for g, r, d, p in zip(got, R, d_tot, phi):      # the edges are exact
+            if d == 0.0:
                 assert g == 0.0
-            elif p == 1.0:
-                assert g == d
-            elif p == -1.0:
-                assert g == abs(r - d) - r
+            elif abs(p) == 1.0:
+                assert g == (d if p == 1.0 else abs(r - d) - r)
 
     def test_array_radii_broadcast(self):
         R = np.array([[0.0], [5.0], [80.0]])
