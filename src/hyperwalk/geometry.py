@@ -34,6 +34,13 @@ array of walks at once, and `exp_map`, `distance`, `RadialFrame.vector`
 and the `validate` oracle run the same code on one point.  Every operation acts on each point alone, and each point's dot
 products are BLAS dots of its own row (`_rowdot`), so a point's result does
 not depend on which or how many others share the array.
+
+The exact radial increment has one evaluation, `_radial_increments`: one
+log form over arrays of (R, d_tot, phi), with no branch on the radius or
+the step length.  The radial-only walks step with it, and
+`radial_increment_exact_batch` (the estimators' call) and
+`radial_increment_exact` (one element, the `validate` oracle's call) check
+their domain and call it.
 """
 
 from __future__ import annotations
@@ -56,7 +63,9 @@ from .errors import (
 # Tolerances, fixed once here.
 HYPERBOLOID_REL_TOL = 1e-10   # relative defect of k x0 against hypot(1, k|x_s|)
 TANGENCY_TOL = 1e-10          # |B(x,v)| scaled by norms for a valid tangent
-LOG_DOMAIN_THRESHOLD = 30.0   # switch radial-increment evaluation to log form
+# No kernel branches on this: perfbench/spans.py reads it to count the
+# radial increments taken with kR or k d_tot past it (its log_domain_frac).
+LOG_DOMAIN_THRESHOLD = 30.0
 REPROJECTION_DRIFT_TOL = 1e-6  # relative spatial-norm defect _reproject forgives
 # Rounding leaves a tangent's Minkowski square B(v, v), a difference of
 # squares, an absolute error of about eps * |v|^2 (|v|^2 the Euclidean
@@ -65,8 +74,6 @@ REPROJECTION_DRIFT_TOL = 1e-6  # relative spatial-norm defect _reproject forgive
 # B(v, v), so a norm it returns is good to about half of it (relative); a
 # step with a radial part of a few tenths of its length fails from kR ~ 10.
 MINKOWSKI_SQUARE_REL_TOL = 1e-8
-
-_LOG2 = math.log(2.0)
 
 
 def minkowski_form(x, y) -> float:
@@ -428,17 +435,12 @@ def decompose_increment(
 
 
 def radial_increment_exact(R: float, d_tot: float, phi: float, k: float) -> float:
-    """Exact change of radius after a step (d_tot, phi) taken at radius R.
+    """Exact change of radius after a step (d_tot, phi) taken at radius R,
 
-    Evaluates (1/k) arccosh(cosh kR cosh k d_tot + phi sinh kR sinh k d_tot) - R.
-    Above the LOG_DOMAIN_THRESHOLD the arccosh argument grows like e^(kR), so
-    the evaluation switches to the identity
+        (1/k) arccosh(cosh kR cosh k d_tot + phi sinh kR sinh k d_tot) - R,
 
-        arccosh(z) = log(2z) + log((1 + sqrt(1 - z^-2)) / 2)
-
-    with log(z) computed from exponentially small corrections; this stays
-    finite far beyond the double-precision overflow radius.  Each domain
-    check is written so that a NaN argument fails it.
+    by `_radial_increments`, the radial-only walks' step, on one element.
+    Each domain check is written so that a NaN argument fails it.
     """
     if not (R >= 0.0 and d_tot >= 0.0):
         raise DomainError(f"lengths must be >= 0, got R={R}, d_tot={d_tot}")
@@ -446,126 +448,55 @@ def radial_increment_exact(R: float, d_tot: float, phi: float, k: float) -> floa
         raise DomainError(f"phi must lie in [-1, 1], got {phi}")
     if not k > 0:
         raise DomainError(f"curvature parameter k must be > 0, got {k}")
-    if d_tot == 0.0:
-        return 0.0
-    if phi == 1.0:
-        return d_tot
-    if phi == -1.0:
-        return abs(R - d_tot) - R
-
-    A = k * R
-    D = k * d_tot
-    if A <= LOG_DOMAIN_THRESHOLD and D <= LOG_DOMAIN_THRESHOLD:
-        z = math.cosh(A) * math.cosh(D) + phi * math.sinh(A) * math.sinh(D)
-        if z < 1.0:
-            z = 1.0  # rounding only: z >= cosh(A - D) >= 1 analytically
-        return math.acosh(z) / k - R
-
-    # z = ((1+phi) cosh(A+D) + (1-phi) cosh(A-D)) / 2, evaluated in logs;
-    # |phi| < 1 gives 1 + phi >= 2^-53, so s > 0 and its log is finite
-    s = (1.0 + phi) * (1.0 + math.exp(-2.0 * (A + D))) + (1.0 - phi) * (
-        math.exp(-2.0 * D) + math.exp(-2.0 * A)
-    )
-    log_z = A + D + math.log(0.25 * s)
-    if log_z > 20.0:
-        # correction term is below 1e-17, under double resolution
-        acosh_z = log_z + _LOG2
-    else:
-        z = math.exp(log_z)
-        acosh_z = math.log(2.0 * z) + math.log(0.5 * (1.0 + math.sqrt(1.0 - z ** -2)))
-    return acosh_z / k - R
+    return float(_radial_increments(R, np.array([d_tot], dtype=float),
+                                    np.array([phi], dtype=float), k)[0])
 
 
 def radial_increment_exact_batch(R, d_tot, phi, k: float) -> np.ndarray:
-    """Vectorised radial_increment_exact over arrays of (d_tot, phi), at one
-    radius R or at an array of radii.
+    """radial_increment_exact over arrays of (R, d_tot, phi), broadcast
+    together: `_radial_increments` behind the domain checks.
 
-    An array R broadcasts against d_tot and phi, one radius per element, and
-    every element takes `_radial_increments`' branch-free log form; this is
-    the radial-only walks' step.  At a scalar R (the estimators' call) phi
-    has d_tot's shape, or that shape behind leading axes: each row along
-    them is then one direction per step, and what depends on d_tot alone
-    (cosh, sinh and exp of k d_tot) is evaluated once for every row.  The
-    estimators pass np.stack([phi, -phi]) to pair each draw with its mirror;
-    sign flips are exact in IEEE arithmetic, so each row equals a separate
-    call bit for bit.  0-d inputs give a 0-d result.
-
-    At a scalar R the branches are, per element, the scalar version's:
-      * d_tot = 0 gives 0, phi = 1 gives d_tot and phi = -1 gives
-        |R - d_tot| - R, with no transcendental call;
-      * kR and k d_tot both at most LOG_DOMAIN_THRESHOLD: the direct arccosh;
-      * otherwise the log form, whose arccosh correction is evaluated only
-        where log z <= 20; above that it is under double resolution.
-    A branch that covers the whole batch runs on the arrays themselves; only
-    a batch that mixes branches is gathered branch by branch.  A NaN
-    argument fails the domain checks.
+    R is one radius (the estimators' call) or one per element.  phi may
+    carry leading axes ahead of d_tot's shape: the estimators pass
+    np.stack([phi, -phi]) to pair each draw with its mirror, and what
+    depends on R and d_tot alone (exp(-k d_tot) and its products) is then
+    evaluated once for both rows.  Sign flips are exact in IEEE arithmetic,
+    so each row equals a separate call bit for bit.  0-d inputs give a 0-d
+    result.  A NaN argument fails the domain checks.
     """
+    R = np.asarray(R, dtype=float)
     d_tot = np.asarray(d_tot, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if np.ndim(R):
-        R, d_tot, phi = np.broadcast_arrays(np.asarray(R, dtype=float), d_tot, phi)
-        if not (k > 0 and np.all(R >= 0.0) and np.all(d_tot >= 0.0)
-                and np.all(np.abs(phi) <= 1.0)):
-            raise DomainError("need R >= 0, d_tot >= 0, phi in [-1, 1] and k > 0")
-        return _radial_increments(R, d_tot, phi, k)
-    if not (R >= 0.0 and k > 0):
-        raise DomainError(f"need R >= 0 and k > 0, got R={R}, k={k}")
-    abs_phi = np.abs(phi)
-    if not (np.all(d_tot >= 0.0) and np.all(abs_phi <= 1.0)):
-        raise DomainError("d_tot must be >= 0 and phi in [-1, 1]")
-    shape = np.broadcast_shapes(d_tot.shape, phi.shape)
-    d_tot = np.atleast_1d(d_tot)
-    phi = np.broadcast_to(phi, shape or (1,))
-    A = k * R
-
-    def edge(d_tot, phi):
-        return np.where(d_tot == 0.0, 0.0, np.where(phi == 1.0, d_tot, np.abs(R - d_tot) - R))
-
-    def general(d_tot, phi):
-        D = k * d_tot
-        direct = (A <= LOG_DOMAIN_THRESHOLD) & (D <= LOG_DOMAIN_THRESHOLD)
-        out = _piecewise(direct, direct_acosh, log_domain_acosh, D, phi)
-        out /= k
-        out -= R
-        return out
-
-    def direct_acosh(D, phi):
-        z = phi * np.sinh(A) * np.sinh(D)
-        z += np.cosh(A) * np.cosh(D)
-        np.maximum(z, 1.0, out=z)  # rounding only: z >= cosh(A - D) >= 1 analytically
-        return np.arccosh(z, out=z)
-
-    def log_domain_acosh(D, phi):
-        # z = ((1+phi) cosh(A+D) + (1-phi) cosh(A-D)) / 2, evaluated in logs;
-        # |phi| < 1 gives 1 + phi >= 2^-53, so s > 0 and its log is finite
-        s = 1.0 + phi
-        s *= 1.0 + np.exp(-2.0 * (A + D))
-        s += (1.0 - phi) * (np.exp(-2.0 * D) + np.exp(-2.0 * A))
-        s *= 0.25
-        log_z = np.log(s, out=s)
-        log_z += A + D
-        return _piecewise(log_z <= 20.0, _acosh_from_log, lambda x: x + _LOG2, log_z)
-
-    general_rows = (d_tot != 0.0) & (abs_phi != 1.0)
-    return _piecewise(general_rows, general, edge, d_tot, phi).reshape(shape)
+    if not (k > 0 and np.all(R >= 0.0) and np.all(d_tot >= 0.0)
+            and np.all(np.abs(phi) <= 1.0)):
+        raise DomainError("need R >= 0, d_tot >= 0, phi in [-1, 1] and k > 0")
+    shape = np.broadcast_shapes(R.shape, d_tot.shape, phi.shape)
+    return _radial_increments(R, np.atleast_1d(d_tot), np.atleast_1d(phi), k).reshape(shape)
 
 
-def _radial_increments(R: np.ndarray, d_tot: np.ndarray, phi: np.ndarray, k: float) -> np.ndarray:
-    """radial_increment_exact at radii R over equal-shaped arrays, unchecked.
+def _radial_increments(R, d_tot: np.ndarray, phi: np.ndarray, k: float) -> np.ndarray:
+    """radial_increment_exact over radii R and arrays d_tot and phi that
+    broadcast together, unchecked; the one evaluation of the exact
+    increment.
 
-    Every element takes one log form, with no gather.  With A = kR,
-    D = k d_tot, z = e^(A + D) S and P = e^(-2(A + D)), where
-    S = ((1 + phi)(1 + P) + (1 - phi)(e^(-2D) + e^(-2A))) / 4 as in the
-    scalar kernel's log form, k times the increment is
+    Every element takes one log form, with no branch.  With A = kR,
+    D = k d_tot, e_a = e^(-A), e_d = e^(-D) and Q = e_a e_d, the arccosh
+    argument is z = e^(A + D) S, where
 
-        acosh z - A = D + log(S + sqrt(S^2 - P)),
+        S = ((1 + phi)(1 + Q^2) + (1 - phi)(e_a^2 + e_d^2)) / 4,
 
-    in which no A cancels and nothing overflows.  Near z = 1 it is as well
-    conditioned as the direct arccosh, which loses the same
-    eps / sqrt(z - 1) to the rounding of z, and near phi = -1 it is better:
-    there the direct form cancels.  The edges d_tot = 0 and phi = +-1 are
+    and k times the increment is
+
+        acosh z - A = D + log(S + sqrt(S^2 - Q^2)),
+
+    in which no A cancels and nothing overflows.  S - Q is the sum of
+    squares ((1 + phi)(1 - Q)^2 + (1 - phi)(e_d - e_a)^2) / 4, so
+    S^2 - Q^2 = (S - Q)(S + Q) is formed without the cancellation a
+    difference of S^2 and Q^2 suffers near z = 1 (a short step near the
+    origin) and near phi = -1.  The edges d_tot = 0 and phi = +-1 are
     selected exactly by `np.where`, only in a batch that has one; a phi past
-    +-1 counts as +-1, the clamp a rounded direction needs.
+    +-1 counts as +-1, the clamp a rounded direction needs.  d_tot and phi
+    are arrays (at least 1-d), so the evaluation can work in place.
     """
     A, D = (R, d_tot) if k == 1.0 else (k * R, k * d_tot)     # scaling by 1 is exact
     edge = (d_tot == 0.0) | (np.abs(phi) >= 1.0)
@@ -573,14 +504,14 @@ def _radial_increments(R: np.ndarray, d_tot: np.ndarray, phi: np.ndarray, k: flo
     # an edge's phi is replaced by 0, so that phi = -1 with A and D both past
     # the exp underflow cannot take the log of 0
     p = np.where(edge, 0.0, phi) if edges else phi
-    exp_a, exp_d = np.exp(-2.0 * A), np.exp(-2.0 * D)
-    P = exp_a * exp_d
-    S = (1.0 + p) * (1.0 + P)
-    S += (1.0 - p) * (exp_d + exp_a)
-    S *= 0.25
-    out = S * S
-    out -= P
-    np.maximum(out, 0.0, out=out)       # rounding only: S^2 >= P as z >= 1
+    exp_a, exp_d = np.exp(-A), np.exp(-D)
+    Q = exp_a * exp_d
+    gap = (1.0 + p) * (1.0 - Q) ** 2     # S - Q
+    gap += (1.0 - p) * (exp_d - exp_a) ** 2
+    gap *= 0.25
+    S = gap + Q
+    out = S + Q
+    out *= gap
     np.sqrt(out, out=out)
     out += S
     np.log(out, out=out)
@@ -590,31 +521,6 @@ def _radial_increments(R: np.ndarray, d_tot: np.ndarray, phi: np.ndarray, k: flo
     if edges:
         # d_tot outward, |R - d_tot| - R inward: both are 0 at d_tot = 0
         out = np.where(edge, np.where(phi > 0.0, d_tot, np.abs(R - d_tot) - R), out)
-    return out
-
-
-def _acosh_from_log(log_z: np.ndarray) -> np.ndarray:
-    z = np.exp(log_z)
-    return np.log(2.0 * z) + np.log(0.5 * (1.0 + np.sqrt(np.maximum(1.0 - z ** -2, 0.0))))
-
-
-def _piecewise(mask, on, off, *arrays):
-    """on(*arrays) where mask holds and off(*arrays) elsewhere, each function
-    evaluated on its own elements only.
-
-    When the mask is uniform the one function runs on the arrays themselves,
-    so a batch that one branch covers is never copied; otherwise mask and
-    arrays are broadcast together and each branch gets its gathered elements.
-    """
-    if mask.all():
-        return on(*arrays)
-    if not mask.any():
-        return off(*arrays)
-    mask, *arrays = np.broadcast_arrays(mask, *arrays)
-    out = np.empty(mask.shape)
-    out[mask] = on(*(a[mask] for a in arrays))
-    rest = ~mask
-    out[rest] = off(*(a[rest] for a in arrays))
     return out
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .increments import IncrementLaw, RadialProfile, ZeroDriftResult
-from .geometry import _piecewise, radial_increment_exact_batch
+from .geometry import radial_increment_exact_batch
 
 # two-sided 99% normal quantile
 Z99 = 2.5758293035489004
@@ -116,6 +116,26 @@ def asymptotic_increment_batch(k: float, d_rad, d_tot) -> np.ndarray:
         return x
 
     return _piecewise(pos & (np.abs(phi) != 1.0), general, edge, d_tot, phi).reshape(shape)
+
+
+def _piecewise(mask, on, off, *arrays):
+    """on(*arrays) where mask holds and off(*arrays) elsewhere, each function
+    evaluated on its own elements only.
+
+    When the mask is uniform the one function runs on the arrays themselves,
+    so a batch that one branch covers is never copied; otherwise mask and
+    arrays are broadcast together and each branch gets its gathered elements.
+    """
+    if mask.all():
+        return on(*arrays)
+    if not mask.any():
+        return off(*arrays)
+    mask, *arrays = np.broadcast_arrays(mask, *arrays)
+    out = np.empty(mask.shape)
+    out[mask] = on(*(a[mask] for a in arrays))
+    rest = ~mask
+    out[rest] = off(*(a[rest] for a in arrays))
+    return out
 
 
 _SERIES_CUTOFF = 1e-4  # below k*d_tot = 1e-4 both coefficients equal k/2 to ~1e-12

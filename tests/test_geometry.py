@@ -26,6 +26,7 @@ from hyperwalk.geometry import (
     validate_tangent,
 )
 from hyperwalk.validation import _exp_log_pairs
+from test_kernel_pins import branch_grid
 
 
 def random_point(k, d, r_max, rng):
@@ -489,20 +490,6 @@ class TestRadialIncrementExact:
             hi = hw.radial_increment_exact(R + 1e-9, 2.0, 0.3, k)
             assert hi == pytest.approx(lo, rel=1e-9, abs=1e-9)
 
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(13)
-        d_tot = rng.uniform(0, 10, 400)
-        phi = rng.uniform(-1, 1, 400)
-        phi[::40] = 1.0
-        phi[1::40] = -1.0
-        d_tot[2::40] = 0.0
-        # the smallest 1 + phi short of -1: s in the log form stays >= 2^-53
-        phi[3::40] = np.nextafter(-1.0, 0.0)
-        for R in (0.0, 3.0, 80.0, 900.0, 1e4):
-            got = radial_increment_exact_batch(R, d_tot, phi, 1.3)
-            want = [hw.radial_increment_exact(R, dt, p, 1.3) for dt, p in zip(d_tot, phi)]
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
     @staticmethod
     def reference(R, d_tot, phi, k):
         """The increment in 50-digit arithmetic, from the cancellation-free
@@ -513,10 +500,13 @@ class TestRadialIncrementExact:
             return float(mpmath.acosh(z) / k - R)
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.5])
-    def test_array_radii_match_a_50_digit_reference(self, k):
-        # one radius per element, the walks' call: radii on both sides of
-        # kR = 30 in every batch, long steps, directions near -1 and the
-        # edges d_tot = 0 and phi = +-1
+    @pytest.mark.parametrize("radii", ["array", "scalar"])
+    def test_match_a_50_digit_reference(self, k, radii):
+        # "array": one radius per element, the walks' call, with radii on
+        # both sides of kR = 30 in every batch; "scalar": the estimators'
+        # call, one radius per batch and each direction stacked with its
+        # mirror.  Both take long steps, directions near -1, the smallest
+        # 1 + phi short of -1 and the edges d_tot = 0 and phi = +-1.
         rng = np.random.default_rng(16)
         n = 600
         R = np.concatenate([rng.uniform(0.0, 30.0, n // 2), rng.uniform(30.0, 400.0, n // 2)]) / k
@@ -525,18 +515,36 @@ class TestRadialIncrementExact:
         phi = rng.uniform(-1.0, 1.0, n)
         phi[::5] = -1.0 + 10.0 ** rng.uniform(-15.0, -2.0, n // 5)
         phi[1::17], phi[2::17], d_tot[3::17] = 1.0, -1.0, 0.0
+        phi[4::17] = np.nextafter(-1.0, 0.0)
         order = rng.permutation(n)
         R, d_tot, phi = R[order], d_tot[order], phi[order]
-        got = radial_increment_exact_batch(R, d_tot, phi, k)
-        errors = [abs(g - w) / max(1.0, abs(g), abs(w))
-                  for g, w in zip(got.tolist(), map(self.reference, R, d_tot, phi,
-                                                     [k] * n))]
-        assert max(errors) <= 1e-9        # acceptance criterion 1's tolerance
-        for g, r, d, p in zip(got, R, d_tot, phi):      # the edges are exact
-            if d == 0.0:
-                assert g == 0.0
-            elif abs(p) == 1.0:
-                assert g == (d if p == 1.0 else abs(r - d) - r)
+        if radii == "array":
+            cases = [(R, d_tot, phi, radial_increment_exact_batch(R, d_tot, phi, k))]
+        else:
+            cases = []
+            for r in (0.0, 3.0 / k, 80.0 / k, 1e4):
+                both = radial_increment_exact_batch(r, d_tot, np.stack([phi, -phi]), k)
+                cases += [(np.full(n, r), d_tot, p, row) for p, row in zip((phi, -phi), both)]
+        for R, d_tot, phi, got in cases:
+            errors = [abs(g - w) / max(1.0, abs(g), abs(w))
+                      for g, w in zip(got.tolist(), map(self.reference, R, d_tot, phi,
+                                                         [k] * n))]
+            assert max(errors) <= 1e-9        # acceptance criterion 1's tolerance
+            for g, r, d, p in zip(got, R, d_tot, phi):      # the edges are exact
+                if d == 0.0:
+                    assert g == 0.0
+                elif abs(p) == 1.0:
+                    assert g == (d if p == 1.0 else abs(r - d) - r)
+
+    def test_branch_grid_within_1e12_of_a_50_digit_reference(self):
+        # every 5th element of each pinned batch: short steps near the origin
+        # and directions within 3e-16 of -1, where a difference of squares
+        # under the square root cancels
+        for R, k, d_tot, phi in branch_grid():
+            got = radial_increment_exact_batch(R, d_tot, phi, k)[::5]
+            for g, d, p in zip(got.tolist(), d_tot[::5].tolist(), phi[::5].tolist()):
+                w = self.reference(R, d, p, k)
+                assert abs(g - w) <= 1e-12 * max(1.0, abs(g), abs(w)), (R, k, d, p)
 
     def test_array_radii_broadcast(self):
         R = np.array([[0.0], [5.0], [80.0]])

@@ -1,10 +1,11 @@
 """Byte pins for the Monte Carlo kernels and the estimators built on them.
 
-`radial_increment_exact_batch` and `asymptotic_increment_batch` pick a
-branch per element (d_tot = 0, phi = +-1, the direct form, the log-domain
-form with its arccosh correction on either side of log z = 20), and the
-estimators pair each symmetric draw with its mirror in one stacked call.
-A rewrite of either kernel must leave every output byte where it was: the
+`asymptotic_increment_batch` picks a branch per element (d_tot = 0,
+phi = +-1, the log of its argument or its expansion past k d_tot = 30);
+`radial_increment_exact_batch` takes one log form everywhere and selects
+only its edges (d_tot = 0, phi = +-1).  The estimators pair each symmetric
+draw with its mirror in one stacked call.  A rewrite of either kernel must
+leave every output byte where it was, or state which moved and why: the
 golden runs compare floats within GOLDEN_TAU only, so these pins are what
 catches a 1-ulp move.
 
@@ -53,14 +54,15 @@ def branch_grid():
     """(R, k, d_tot, phi) arrays that reach every branch of both kernels.
 
     Each array pairs three step-length families (short steps, lengths from
-    1e-8 to 1e3, and k d_tot in 30.5..45, just past the log-domain threshold
-    of 30) with three direction families (uniform, and within 3e-16..0.1 of
-    -1 and of +1), all nine combinations.  Per (k, R) there are four arrays:
-    as drawn; the short and the long family alone, which have no special row
-    and lie on one side of the threshold, so that one branch covers the
-    batch; and the first with every 7th row at d_tot = 0 and rows at
-    phi = +-1.  Near phi = -1 with a long step and kR below about 27, log z
-    falls below 20 inside the log domain; elsewhere there it lies above.
+    1e-8 to 1e3, and k d_tot in 30.5..45, just past the asymptotic
+    increment's threshold of 30) with three direction families (uniform,
+    and within 3e-16..0.1 of -1 and of +1), all nine combinations.  Per
+    (k, R) there are four arrays: as drawn; the short and the long family
+    alone, which have no special row and lie on one side of the threshold,
+    so that one branch covers the batch; and the first with every 7th row
+    at d_tot = 0 and rows at phi = +-1.  Short steps near the origin and
+    directions near -1 are where the exact increment's S^2 - Q^2 cancels
+    unless it is formed as a product.
     """
     rng = np.random.default_rng(20261018)
     for k in KS:
@@ -94,7 +96,7 @@ class TestKernelPins:
         got = [radial_increment_exact_batch(R, d_tot, phi, k)
                for R, k, d_tot, phi in branch_grid()]
         assert _digest(got) == (
-            "b017abd612a7c4f94c802068753e6222ea263e32c5366e291406a2203a000ab0")
+            "89af1dc66ea203482656f10264d0ad822b8ddc16ec38ca25595ae4d73126065a")
 
     @pinned
     def test_asymptotic_increment_bytes(self):

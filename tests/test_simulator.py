@@ -2,6 +2,10 @@
 
 import collections
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -695,6 +699,30 @@ class TestEnsemble:
         assert all(b >= a for a, b in zip(q, q[1:]))
         assert 0.0 <= st.fraction_escaped <= 1.0
         assert 0.0 <= st.fraction_returned <= 1.0
+
+    def test_quantiles_match_numpy_percentile(self):
+        # numpy's linear rule, bit for bit, on arrays with and without ties
+        rng = np.random.default_rng(17)
+        ps = (5, 25, 50, 75, 95)
+        for n in range(1, 120):
+            for x in (rng.exponential(50.0, n), rng.integers(0, 4, n).astype(float)):
+                want = {p: float(np.percentile(x, p)) for p in ps}
+                assert simulator._percentiles(x, ps) == want
+
+    def test_simulate_does_not_import_numpy_ma(self, tmp_path):
+        # np.percentile imports numpy.ma on first use, 15 ms of every process
+        cfg = Path(__file__).parent / "golden" / "sim-small.cfg"
+        code = ("import sys\nfrom hyperwalk.cli import main\n"
+                f"assert main(['simulate', '--config', {str(cfg)!r}, '--out', "
+                f"{str(tmp_path)!r}]) == 0\n"
+                "print('numpy.ma' in sys.modules)")
+        src = str(Path(hw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "False"
 
     def test_distributional_mode_equivalence_ks(self):
         # smaller cousin of the acceptance check
