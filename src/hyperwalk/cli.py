@@ -52,7 +52,8 @@ r,value CSV relative to the config file.
     classify.r0         tail threshold radius, at most the last grid point
                         (grid midpoint)
     classify.samples    Monte Carlo samples per grid radius, integer >= 100
-                        (200000)
+                        (200000); only laws that are sampled use it: every
+                        built-in law is integrated, except box from d = 5
     classify.d_min      minimal radius for the ellipticity screen, at most the
                         last grid point (grid.start)
     out.dir             output directory (`.`; --out overrides)
@@ -101,15 +102,14 @@ from .lamperti import (
     ClassificationReport,
     MarginRow,
     Verdict,
-    asymptotic_increment_batch,
+    asymptotic_increment_batch,  # noqa: F401  (bound here for perfbench/spans.py's tracer)
     classify_constant_curvature,
     classify_elliptic_chain,
     classify_euclidean,
     classify_pinched,
     estimate_moment_functions,
+    step_moments,
     uniform_ellipticity_transience_check,
-    _draw,
-    _mc_estimate,
 )
 from .simulator import MODE_AMBIENT, MODE_RADIAL_ONLY, WalkConfig, run_ensemble
 from .validation import run_suites
@@ -521,21 +521,21 @@ def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
 
 def _euclidean_report(cfg: RunConfig) -> ClassificationReport:
     """The flat-space 2U-vs-V rule at the last grid radius, from the law's
-    closed-form U and V when it knows both, else from one draw.  The rule
-    holds for zero-drift chains only: a law whose mean radial step is not
-    known to be 0 is reported inconclusive."""
+    closed-form U and V when it knows both, else from lamperti.step_moments:
+    by quadrature for a built-in law, else from one draw.  The rule holds for
+    zero-drift chains only: a law whose mean radial step is not known to be
+    0 is reported inconclusive."""
     r_max = cfg.grid[-1]
     V, U, mean = cfg.law.known_moments(r_max)
     hw_u = hw_v = 0.0
+    notes = ["flat-space rule: recurrent iff 2U > V"]
     if U is None or V is None:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                            spawn_key=(10_001,)))
-        d_rad, _, t_sq, _ = _draw(cfg.law, r_max, cfg.samples, rng)
-        u_est = _mc_estimate(d_rad ** 2)
-        v_est = _mc_estimate(d_rad ** 2 + t_sq)
-        U, hw_u = u_est.value, u_est.half_width
-        V, hw_v = v_est.value, v_est.half_width
-    notes = ["flat-space rule: recurrent iff 2U > V"]
+        est, note = step_moments(cfg.law, None, r_max, cfg.samples, rng)
+        (V, hw_v), (U, hw_u) = est["E[d_tot^2]"], est["E[d_rad^2]"]
+        if note:
+            notes.append(note)
     if mean == 0.0:
         # U <= V holds by construction: both come from the same samples (or
         # the same closed forms), and d_rad^2 <= d_tot^2 pointwise
@@ -556,12 +556,19 @@ def classification_report(cfg: RunConfig) -> ClassificationReport:
 
     Euclidean models use the 2U-vs-V rule, which needs zero drift.  Elliptic
     laws in constant or pinched curvature get the closed-form criterion.
-    Everything else is Monte Carlo, one draw per grid radius in grid order
-    from the classify stream: pinched curvature goes to the pinched
+    Everything else reads moments: pinched curvature goes to the pinched
     criteria; in constant curvature the moments are estimated first, a law
     whose known mean radial step is 0 is then screened by the
     uniform-ellipticity transience test, which reads those estimates, and
     the moment criteria decide what the screen leaves open.
+
+    Every built-in law (box laws up to d = 4) has its moments integrated by
+    Gauss quadrature and draws nothing; its half_width column is the
+    quadrature error estimate |Q_32 - Q_64| plus a rounding floor, not a
+    99% interval, and the report says so.  `classify.samples` then plays no
+    part.  A box law from d = 5 is Monte Carlo: one draw of
+    `classify.samples` steps per grid radius in grid order from the
+    classify stream, with 99% half-widths.
     """
     if not cfg.model.is_hyperbolic:
         return _euclidean_report(cfg)
@@ -599,48 +606,47 @@ def cmd_validate(cfg: RunConfig, workers: int = 1) -> int:
 
 
 def cmd_moments(cfg: RunConfig, workers: int = 1) -> int:
-    """Tabulate, per grid radius from one draw, the Monte Carlo step moments
-    against the law's closed forms, then nu1 and nu2 and the heavy-tail
-    bound rows.
+    """Tabulate, per grid radius, the step moments against the law's closed
+    forms, then nu1 and nu2 and the heavy-tail bound rows.
 
-    nu1 and nu2 are the raw, unpaired sample means of the increment and its
-    square.  `classify` pairs each draw of a law symmetric under v -> -v
-    with its mirror, so for the elliptic and box laws its half-widths are
-    narrower than the ones printed here.
+    Every row comes from lamperti.step_moments: a built-in law (box laws up
+    to d = 4) is integrated by Gauss quadrature, and its half_width is
+    |Q_32 - Q_64| plus a rounding floor, an error estimate rather than a 99%
+    interval; nothing is drawn.  Any other law takes one draw per grid
+    radius, and its rows are the raw sample means of that draw with 99%
+    half-widths: nu1 and nu2 there are unpaired, so for a law symmetric
+    under v -> -v they are wider than the paired ones `classify` uses.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(20_000,)))
     k = cfg.model.k if cfg.model.is_hyperbolic else None
     law = cfg.law
     rows = []
+    notes = set()
     for r in cfg.grid:
-        d_rad, _, t_sq, d_tot = _draw(law, r, cfg.samples, rng)
-        d_rad_sq = d_rad ** 2
-        for name, arr, ref in zip(MOMENT_NAMES, (d_rad_sq + t_sq, d_rad_sq, d_rad),
-                                  law.known_moments(r)):
-            est = _mc_estimate(arr)
-            rows.append((r, name, est.value, est.half_width,
-                         "" if ref is None else _fmt(float(ref)), "exact"))
+        est, note = step_moments(law, k, r, cfg.samples, rng)
+        notes.add(note)
+        for name, ref in zip(MOMENT_NAMES, law.known_moments(r)):
+            rows.append((r, name, *est[name], "" if ref is None else _fmt(float(ref)), "exact"))
         if k is not None:
-            f = asymptotic_increment_batch(k, d_rad, d_tot)
-            nu1, nu2 = _mc_estimate(f), _mc_estimate(f ** 2)
-            rows.append((r, "nu1", nu1.value, nu1.half_width, "", ""))
-            rows.append((r, "nu2", nu2.value, nu2.half_width, "", ""))
+            nu1 = est["nu1"]
+            rows.append((r, "nu1", *nu1, "", ""))
+            rows.append((r, "nu2", *est["nu2"], "", ""))
             if law.kind == "heavytail":
                 lam = law.lambda_at(r)
-                trans = _mc_estimate(t_sq)
                 bound = 2.0 * law.m * math.exp(-lam)
-                rows.append((r, "transverse-second-moment", trans.value,
-                             trans.half_width, _fmt(bound), "upper"))
+                rows.append((r, "transverse-second-moment", *est["E|t|^2"], _fmt(bound),
+                             "upper"))
                 if k == 1.0:
                     lower = (law.m - 1.0) / (4.0 * (law.m - 2.0) * lam ** (law.m - 2.0))
-                    rows.append((r, "nu1-lower-bound", nu1.value, nu1.half_width,
-                                 _fmt(lower), "lower"))
+                    rows.append((r, "nu1-lower-bound", *nu1, _fmt(lower), "lower"))
     _write_csv(Path(cfg.out_dir) / "moments.csv", cfg,
                ("r", "quantity", "estimate", "half_width", "reference", "bound_kind"),
                map(_csv_line, rows))
     for row in rows:
         ref = f"  ref {row[4]}" if row[4] else ""
         print(f"r = {row[0]:<10g} {row[1]:<26} {row[2]:.6g} (hw {row[3]:.3g}){ref}")
+    for note in sorted(notes - {None}):
+        print(f"note: {note}")
     return 0
 
 

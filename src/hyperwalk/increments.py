@@ -223,6 +223,13 @@ class IncrementLaw:
         """Almost-sure bound on the step length; inf when unbounded."""
         raise NotImplementedError
 
+    def quadrature_lines(self, r: float, n: int):
+        """The law's steps at radius r as quadrature.Line bundles, with n
+        nodes along each axis the lines do not run on; None for a law that
+        is sampled instead.  The built-in laws build them in quadrature.py,
+        which they import on first use."""
+        return None
+
     def known_moments(self, r: float) -> tuple:
         """The closed-form (E[d_tot^2], E[d_rad^2], E[d_rad]) of a step at
         radius r, in the order of MOMENT_NAMES, with None for each entry the
@@ -273,6 +280,11 @@ class EllipticLaw(IncrementLaw):
     def step_bound(self):
         return math.sqrt(self.d) * max(self.a.sup(), self.b.sup())
 
+    def quadrature_lines(self, r, n):
+        from .quadrature import elliptic_lines     # loaded on first use
+        s = math.sqrt(self.d)
+        return elliptic_lines(self.a(r) * s, self.b(r) * s, self.d)
+
     def known_moments(self, r):
         return (*elliptic_moments(self.a(r), self.b(r), self.d), 0.0)
 
@@ -317,6 +329,13 @@ class BoxLaw(IncrementLaw):
     def step_bound(self):
         # circumscribed radius of the box, attained at the corners
         return _SQRT3 * math.sqrt(self.a.sup() ** 2 + (self.d - 1) * self.b.sup() ** 2)
+
+    def quadrature_lines(self, r, n):
+        # from d = 5 the transverse nodes cost more than sampling
+        if self.d > 4:
+            return None
+        from .quadrature import box_lines          # loaded on first use
+        return box_lines(_SQRT3 * self.a(r), _SQRT3 * self.b(r), self.d, n)
 
     known_moments = EllipticLaw.known_moments   # the same second moments, zero mean
 
@@ -416,6 +435,10 @@ class HeavyTailLaw(IncrementLaw):
     def step_bound(self):
         return math.inf
 
+    def quadrature_lines(self, r, n):
+        from .quadrature import heavytail_lines    # loaded on first use
+        return heavytail_lines(self.m, self.lambda_at(r))
+
     def known_moments(self, r):
         # E[y^2] of the Pareto length; E[d_rad^2] depends on lambda(r)
         return (self.m - 1.0) / (self.m - 3.0), None, 0.0
@@ -460,6 +483,10 @@ class InwardBiasedLaw(IncrementLaw):
 
     def step_bound(self):
         return 4.0 * self.strength
+
+    def quadrature_lines(self, r, n):
+        from .quadrature import inward_lines       # loaded on first use
+        return inward_lines(self.strength)
 
     def known_moments(self, r):
         N = self.strength

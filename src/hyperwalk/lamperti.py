@@ -8,9 +8,12 @@ step (d_rad, d_tot) approaches the *asymptotic increment*
 and classification reduces to a Lamperti problem for the radial process:
 compare twice the radius times the first moment of this quantity against its
 second moment.  All classifiers here decide the limiting conditions on a
-finite radius grid with explicit Monte Carlo (or analytic) margins.  A
-verdict is therefore *evidence with stated margins*, not a proof: the report
-carries the grid, the margins and the criterion so a reviewer can reject it.
+finite radius grid with explicit margins.  The moments of a built-in law are
+integrated by Gauss quadrature over the law's own parameters (see
+quadrature.py), with the quadrature error estimate as half-width; any other
+law is sampled, with Monte Carlo 99% half-widths.  A verdict is therefore
+*evidence with stated margins*, not a proof: the report carries the grid,
+the margins and the criterion so a reviewer can reject it.
 
 Naming note: the criteria fall into families
   * const-curvature-*   exact constant curvature, moment-based
@@ -33,12 +36,19 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .increments import IncrementLaw, RadialProfile, ZeroDriftResult
+from .increments import MOMENT_NAMES, IncrementLaw, RadialProfile, ZeroDriftResult
 from .geometry import radial_increment_exact_batch
 
 # two-sided 99% normal quantile
 Z99 = 2.5758293035489004
 MIN_SAMPLES = 100   # fewest draws per radius behind a Monte Carlo half-width
+# Gauss nodes per line piece; every integral is taken again with twice as
+# many.  The quadrature module is imported inside the functions that
+# integrate, so that commands which never do (simulate, validate) skip it.
+QUAD_NODES = 32
+QUADRATURE_NOTE = (f"moments by Gauss quadrature; half_width is |Q_{QUAD_NODES} - "
+                   f"Q_{2 * QUAD_NODES}| plus a rounding floor, an error estimate and "
+                   "not a 99% interval")
 
 _F_LOG_THRESHOLD = 30.0
 
@@ -60,9 +70,15 @@ def asymptotic_increment(k: float, d_rad: float, d_tot: float) -> float:
     return float(asymptotic_increment_batch(k, d_rad, d_tot))
 
 
-def asymptotic_increment_batch(k: float, d_rad, d_tot) -> np.ndarray:
+def asymptotic_increment_batch(k: float, d_rad, d_tot, t_sq=None) -> np.ndarray:
     """(1/k) log(cosh(k d_tot) + phi sinh(k d_tot)) over arrays of (d_rad, d_tot),
     with phi = d_rad/d_tot, and 0 where d_tot = 0.
+
+    Given the steps' |t|^2 (d_tot's shape), 1 + phi is taken where d_rad < 0
+    as |t|^2 / (d_tot (d_tot - d_rad)), which keeps its digits for a long
+    step close to straight inward: there 1 + d_rad/d_tot is all rounding,
+    and the increment of a heavy-tail step of length y reads -y instead of
+    about 0 past y = 30.  Such a step with |t|^2 = 0 counts as phi = -1.
 
     d_rad has d_tot's shape, or that shape behind leading axes: each row along
     them is one radial component per step, and sinh and exp of k d_tot are
@@ -90,32 +106,37 @@ def asymptotic_increment_batch(k: float, d_rad, d_tot) -> np.ndarray:
     pos = d_tot > 0.0
     phi = np.divide(d_rad, d_tot, out=np.zeros(shape or (1,)), where=pos)
     np.clip(phi, -1.0, 1.0, out=phi)
+    opp = 1.0 + phi
+    if t_sq is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            opp = np.where((d_rad < 0.0) & pos, t_sq / (d_tot * (d_tot - d_rad)), opp)
 
-    def edge(d_tot, phi):
+    def edge(d_tot, phi, opp):
         return np.where(d_tot > 0.0, phi * d_tot, 0.0)
 
-    def general(d_tot, phi):
+    def general(d_tot, phi, opp):
         D = k * d_tot
-        out = _piecewise(D <= _F_LOG_THRESHOLD, log_argument, log_expansion, D, phi)
+        out = _piecewise(D <= _F_LOG_THRESHOLD, log_argument, log_expansion, D, opp)
         out /= k
         return out
 
-    def log_argument(D, phi):
-        x = 1.0 + phi
-        x *= np.sinh(D)
+    def log_argument(D, opp):
+        x = opp * np.sinh(D)
         x += np.exp(-D)
         return np.log(x, out=x)
 
-    def log_expansion(D, phi):
-        x = 1.0 - phi
+    def log_expansion(D, opp):
+        x = 2.0 - opp
         x *= 0.5
         x *= np.exp(-2.0 * D)
-        x += 0.5 * (1.0 + phi)
+        x += 0.5 * opp
         np.log(x, out=x)
         x += D
         return x
 
-    return _piecewise(pos & (np.abs(phi) != 1.0), general, edge, d_tot, phi).reshape(shape)
+    # phi = -1 exactly where opp = 0
+    return _piecewise(pos & (phi != 1.0) & (opp != 0.0), general, edge,
+                      d_tot, phi, opp).reshape(shape)
 
 
 def _piecewise(mask, on, off, *arrays):
@@ -195,7 +216,8 @@ def sandwich_ratio(phi: float, k: float, d_tot: float) -> float:
 # ---------------------------------------------------------------------------
 
 class Estimate(NamedTuple):
-    """A Monte Carlo estimate with a two-sided 99% half-width."""
+    """An estimate and its half-width: a two-sided 99% interval for a Monte
+    Carlo estimate, the error estimate for a quadrature one."""
 
     value: float
     half_width: float
@@ -260,8 +282,7 @@ def _draw(law, r, n_samples, rng):
     r: the only draw behind a Monte Carlo estimate, with t_sq = |t|^2 and
     d_tot = sqrt(d_rad^2 + t_sq) per step.  Fewer than MIN_SAMPLES steps
     raise UsageError."""
-    if n_samples < MIN_SAMPLES:
-        raise UsageError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
+    _check_samples(n_samples)
     d_rad, t = law.sample_components_batch(r, n_samples, rng)
     t_sq = np.einsum("ij,ij->i", t, t)
     return d_rad, t, t_sq, np.sqrt(d_rad * d_rad + t_sq)
@@ -289,15 +310,81 @@ def _radius_estimates(law, k, r, n_samples, rng):
     ZeroDriftResult the uniform-ellipticity screen reads."""
     d_rad, t, t_sq, d_tot = _draw(law, r, n_samples, rng)
 
-    def moments(d_rad, d_tot):
-        f = asymptotic_increment_batch(k, d_rad, d_tot)
+    def moments(d_rad, t_sq, d_tot):
+        f = asymptotic_increment_batch(k, d_rad, d_tot, t_sq)
         return f, f ** 2
 
-    x1, x2 = _mirror_means(law, moments, d_rad, d_tot)
+    x1, x2 = _mirror_means(law, moments, d_rad, t_sq, d_tot)
     _warn_if_heavy(x1, f"moment estimate (power 1, r={r:g})")
     _warn_if_heavy(x2, f"moment estimate (power 2, r={r:g})")
     return (_mc_estimate(x1), _mc_estimate(x2), _mc_estimate(t_sq),
             ZeroDriftResult.of_draw(d_rad, t))
+
+
+# ---------------------------------------------------------------------------
+# Quadrature moments
+# ---------------------------------------------------------------------------
+
+def _integrable(law: IncrementLaw, r: float) -> bool:
+    """Whether the law's moments at r are integrated: it offers lines there.
+    Every other law (custom laws, box laws from d = 5) is sampled."""
+    return law.quadrature_lines(r, QUAD_NODES) is not None
+
+
+def _integrate(law, r, integrands, k, cut=None):
+    """quadrature.integrate with QUAD_NODES, as Estimates."""
+    from . import quadrature
+    return [Estimate(*e) for e in quadrature.integrate(law, r, integrands, k, QUAD_NODES, cut)]
+
+
+def _radius_integrals(law, k, r):
+    """(nu1, nu2, transverse, zero_drift) at radius r by quadrature: what
+    _radius_estimates takes from a draw.  The zero-drift statistic holds
+    E[d_rad] with its half-width as standard error; the transverse means
+    are 0 by the law's rotation symmetry."""
+    from . import quadrature
+    nu1, nu2, transverse, mean = _integrate(law, r, lambda a: (
+        *quadrature.increment_integrands(k, a, law.symmetric), a.t_sq, a.d_rad), k)
+    rest = [0.0] * (law.d - 1)
+    zero_drift = ZeroDriftResult(np.array([mean.value, *rest]),
+                                 np.array([mean.half_width, *rest]), 0)
+    return nu1, nu2, transverse, zero_drift
+
+
+STEP_MOMENTS = (*MOMENT_NAMES, "E|t|^2", "nu1", "nu2")
+
+
+def step_moments(law: IncrementLaw, k: Optional[float], r: float, n_samples: int,
+                 rng: np.random.Generator) -> tuple:
+    """(estimates, note): Estimates at radius r of the step moments named in
+    STEP_MOMENTS (nu1 and nu2 only given a curvature k), keyed by name, and
+    the note that says how their half-widths were made, or None.
+
+    A law that offers quadrature lines is integrated, with QUADRATURE_NOTE.
+    Any other law takes one draw of n_samples steps from rng; its estimates
+    are raw sample means with 99% half-widths, nu1 and nu2 without mirror
+    pairing."""
+    names = STEP_MOMENTS if k is not None else STEP_MOMENTS[:4]
+    if _integrable(law, r):
+        from . import quadrature
+
+        def integrands(a):
+            d_rad_sq = a.d_rad ** 2
+            x = (d_rad_sq + a.t_sq, d_rad_sq, a.d_rad, a.t_sq)
+            return x if k is None else x + quadrature.increment_integrands(k, a, law.symmetric)
+        return dict(zip(names, _integrate(law, r, integrands, k or 0.0))), QUADRATURE_NOTE
+    d_rad, _, t_sq, d_tot = _draw(law, r, n_samples, rng)
+    d_rad_sq = d_rad ** 2
+    xs = [d_rad_sq + t_sq, d_rad_sq, d_rad, t_sq]
+    if k is not None:
+        f = asymptotic_increment_batch(k, d_rad, d_tot, t_sq)
+        xs += [f, f ** 2]
+    return dict(zip(names, map(_mc_estimate, xs))), None
+
+
+def _check_samples(n_samples):
+    if n_samples < MIN_SAMPLES:
+        raise UsageError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
 
 
 @dataclass(frozen=True)
@@ -308,13 +395,16 @@ class MomentFunctions:
     Each callable maps a radius to an Estimate (zero_drift: to a
     ZeroDriftResult); the classifiers bound a moment by its value plus or
     minus the half-width.  transverse and zero_drift are None for moments
-    that did not come from estimate_moment_functions.
+    that did not come from estimate_moment_functions.  `note`, when set,
+    says how the half-widths were made, and the classifiers' reports carry
+    it.
     """
 
     nu1: Callable[[float], Estimate]
     nu2: Callable[[float], Estimate]
     transverse: Optional[Callable[[float], Estimate]] = None
     zero_drift: Optional[Callable[[float], ZeroDriftResult]] = None
+    note: Optional[str] = None
 
 
 def estimate_moment_functions(law: IncrementLaw, k: float, r_grid, n_samples: int,
@@ -322,16 +412,22 @@ def estimate_moment_functions(law: IncrementLaw, k: float, r_grid, n_samples: in
     """Estimate both moments, the transverse second moment and the zero-drift
     statistic on a radius grid.
 
-    Each grid radius, in grid order, takes one draw of n_samples steps from
-    rng, and everything at that radius comes from it: nu1 and nu2 (see
+    A law that offers quadrature lines is integrated at every radius (see
+    _integrate) and rng is not touched.  Any other law takes, at each grid
+    radius in grid order, one draw of n_samples steps from rng, and
+    everything at that radius comes from it: nu1 and nu2 (see
     increment_moment_estimate; the summed half-widths the classifiers use
     stay valid for correlated estimates), E|t|^2 and the step mean that
-    uniform_ellipticity_transience_check reads.
+    uniform_ellipticity_transience_check reads.  n_samples must be at least
+    MIN_SAMPLES either way.
     """
     grid = [float(r) for r in r_grid]
     if not grid:
         raise UsageError("empty radius grid")
-    table = {r: _radius_estimates(law, k, r, n_samples, rng) for r in grid}
+    _check_samples(n_samples)
+    integrated = _integrable(law, grid[0])
+    table = {r: (_radius_integrals(law, k, r) if integrated
+                 else _radius_estimates(law, k, r, n_samples, rng)) for r in grid}
 
     def _lookup(idx: int, r: float):
         try:
@@ -339,7 +435,8 @@ def estimate_moment_functions(law: IncrementLaw, k: float, r_grid, n_samples: in
         except KeyError:
             raise UsageError(f"moments were not estimated at r = {r}") from None
 
-    return MomentFunctions(*(partial(_lookup, idx) for idx in range(4)))
+    return MomentFunctions(*(partial(_lookup, idx) for idx in range(4)),
+                           note=QUADRATURE_NOTE if integrated else None)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +476,7 @@ class ClassificationReport:
     """Outcome of a classification attempt.
 
     A Transient/Recurrent verdict means the corresponding inequality held at
-    every tail radius with margin beyond the Monte Carlo half-width; margins
+    every tail radius with margin beyond the half-width; margins
     lists the deciding (r, margin) pairs.  For a recurrent verdict a finite
     bound on the liminf of the radial process exists but is not computed.
     """
@@ -413,7 +510,7 @@ def _tail_bounded(r_tail, values, half_widths) -> bool:
     """Finite-grid evidence that a sequence of estimates is not growing.
 
     Accepts when the fitted linear growth over the tail stays within the
-    Monte Carlo noise or within 25% of the typical level.  A heuristic by
+    half-widths or within 25% of the typical level.  A heuristic by
     necessity; no finite computation certifies a limsup.
     """
     values = np.asarray(values, dtype=float)
@@ -509,7 +606,7 @@ def classify_constant_curvature(moments: MomentFunctions, r_grid, theta: float =
             raise UsageError(f"second moment estimate is negative at r = {r}")
 
     rows = []
-    notes = []
+    notes = [moments.note] if moments.note else []
 
     # transience leg
     t_margins = []
@@ -531,7 +628,8 @@ def classify_constant_curvature(moments: MomentFunctions, r_grid, theta: float =
 
 
 def _pinched_moments(law, r, k, K, n_samples, rng):
-    """Per-radius Monte Carlo moments used by the pinched classifier.
+    """Per-radius Monte Carlo moments used by the pinched classifier for a
+    law that is sampled.
 
     Returns estimates of:
       m1_low  -- first moment of the asymptotic increment at k  (lower bound)
@@ -544,14 +642,14 @@ def _pinched_moments(law, r, k, K, n_samples, rng):
     without which the raw first-moment variance would drown the Lamperti
     inequality at large radii.
     """
-    d_rad, _, _, d_tot = _draw(law, r, n_samples, rng)
+    d_rad, _, t_sq, d_tot = _draw(law, r, n_samples, rng)
 
-    def bounds(d_rad, d_tot):
+    def bounds(d_rad, t_sq, d_tot):
         with np.errstate(invalid="ignore"):
             phi = np.where(d_tot > 0.0, d_rad / np.maximum(d_tot, 1e-300), 0.0)
         np.clip(phi, -1.0, 1.0, out=phi)
-        f_lo = asymptotic_increment_batch(k, d_rad, d_tot)
-        f_hi = f_lo if K == k else asymptotic_increment_batch(K, d_rad, d_tot)
+        f_lo = asymptotic_increment_batch(k, d_rad, d_tot, t_sq)
+        f_hi = f_lo if K == k else asymptotic_increment_batch(K, d_rad, d_tot, t_sq)
         inc_lo = radial_increment_exact_batch(r, d_tot, phi, k)
         inc_hi = inc_lo if K == k else radial_increment_exact_batch(r, d_tot, phi, K)
         sq_lo = f_lo ** 2
@@ -559,7 +657,42 @@ def _pinched_moments(law, r, k, K, n_samples, rng):
         split = sq_lo * (inc_lo >= 0.0) + sq_hi * (inc_hi < 0.0)
         return f_lo, f_hi, split, np.maximum(sq_lo, sq_hi)
 
-    return tuple(_mc_estimate(x) for x in _mirror_means(law, bounds, d_rad, d_tot))
+    return tuple(_mc_estimate(x) for x in _mirror_means(law, bounds, d_rad, t_sq, d_tot))
+
+
+def _pinched_integrals(law, r, k, K):
+    """_pinched_moments' four bounds at radius r by quadrature.
+
+    The split bound jumps where an exact increment changes sign, and
+    max(f_k^2, f_K^2) has a kink where f_k + f_K does, so with k < K every
+    line is cut at those points first (see quadrature.atoms).  Near the
+    origin (r at most the step length) the exact increment need not be
+    monotone in d_rad and may change sign twice on a line; every change
+    between the probes is bracketed.
+    """
+    def increments(steps):
+        d_tot = steps.d_tot
+        phi = np.clip(np.divide(steps.d_rad, d_tot, out=np.zeros(d_tot.shape),
+                                where=d_tot > 0.0), -1.0, 1.0)
+        inc_lo = radial_increment_exact_batch(r, d_tot, phi, k)
+        return inc_lo, inc_lo if K == k else radial_increment_exact_batch(r, d_tot, phi, K)
+
+    from . import quadrature
+
+    def cut(steps):
+        lp, lq = quadrature.log_halves(steps)
+        return (*increments(steps), quadrature.log_form_increment(k, steps, lp, lq)
+                + quadrature.log_form_increment(K, steps, lp, lq))
+
+    def bounds(atoms):
+        x1_lo, sq_lo = quadrature.increment_integrands(k, atoms, law.symmetric)
+        x1_hi, sq_hi = ((x1_lo, sq_lo) if K == k
+                        else quadrature.increment_integrands(K, atoms, law.symmetric))
+        inc_lo, inc_hi = increments(atoms)
+        split = sq_lo * (inc_lo >= 0.0) + sq_hi * (inc_hi < 0.0)
+        return x1_lo, x1_hi, split, np.maximum(sq_lo, sq_hi)
+
+    return tuple(_integrate(law, r, bounds, K, None if K == k else cut))
 
 
 def classify_pinched(law: IncrementLaw, k_min_profile: RadialProfile,
@@ -567,6 +700,10 @@ def classify_pinched(law: IncrementLaw, k_min_profile: RadialProfile,
                      rng: np.random.Generator, theta: float = 0.5,
                      r0: Optional[float] = None) -> ClassificationReport:
     """Classify on a manifold with curvature pinched between the profiles.
+
+    A law that offers quadrature lines has its bounds integrated at every
+    grid radius (_pinched_integrals) and rng is not touched; any other law
+    takes one draw of n_samples steps per grid radius (_pinched_moments).
 
     Transient when r times the lower first-moment estimate diverges along the
     grid (positive with margin at every tail radius AND growing beyond the
@@ -580,16 +717,19 @@ def classify_pinched(law: IncrementLaw, k_min_profile: RadialProfile,
     if not theta > 0:
         raise DomainError(f"theta must be > 0, got {theta}")
     grid, r0, tail = _prepare_grid(r_grid, r0)
+    _check_samples(n_samples)
+    integrated = _integrable(law, grid[0])
 
     rows = []
-    notes = []
+    notes = [QUADRATURE_NOTE] if integrated else []
     per_r = {}
     for r in grid:
         k = float(k_min_profile(r))
         K = float(k_max_profile(r))
         if not 0.0 < k <= K:
             raise UsageError(f"need 0 < k_min <= k_max on the grid, got ({k}, {K}) at r = {r}")
-        per_r[r] = (_pinched_moments(law, r, k, K, n_samples, rng), k, K)
+        per_r[r] = (_pinched_integrals(law, r, k, K) if integrated
+                    else _pinched_moments(law, r, k, K, n_samples, rng), k, K)
 
     # transience leg: divergence of r * m1_low (trend over the whole grid)
     # plus the Lamperti gap with margins on the tail
@@ -654,7 +794,7 @@ def uniform_ellipticity_transience_check(moments: MomentFunctions, epsilon: floa
         raise UsageError(f"no grid radii at or beyond D_min = {D_min}")
 
     rows = []
-    notes = []
+    notes = [moments.note] if moments.note else []
     for r in grid:
         zd = moments.zero_drift(r)
         if not zd.within_band(4.0):

@@ -250,6 +250,31 @@ def test_criterion_6_classifier_agreement():
     assert b.elapsed < 120.0
 
 
+def test_criterion_6b_dimension_sweep():
+    # the recurrent example chain (configs/recurrent.cfg's law: a = 1,
+    # b = 1/r, k = 1) in every dimension from 2 to 10 on the 10..200 grid.
+    # Its moments by quadrature keep the constant-curvature recurrence
+    # criterion positive throughout (worst margin 1.088 at d = 2 falling to
+    # 0.898 at d = 10); the closed-form elliptic criterion, which takes its
+    # sandwich coefficient at the step bound sqrt(d) max(a, b), stays
+    # inconclusive from d = 5 on
+    with _Budget("6b dimension-sweep", 10.0) as b:
+        grid = [float(r) for r in np.geomspace(10, 200, 8)]
+        worst = []
+        for d in range(2, 11):
+            law = hw.EllipticLaw(C1, B_DECAY, d)
+            rep = hw.classify_constant_curvature(
+                hw.estimate_moment_functions(law, 1.0, grid, 100, None), grid)
+            assert rep.verdict is Verdict.RECURRENT, d
+            worst.append(min(m for _, m in rep.margins))
+            closed = hw.classify_elliptic_chain(C1, B_DECAY, C1, C1, d, grid)
+            assert closed.verdict is (Verdict.RECURRENT if d < 5 else Verdict.INCONCLUSIVE), d
+        assert worst[0] == pytest.approx(1.0884, abs=1e-4)
+        assert worst[-1] == pytest.approx(0.8980, abs=1e-4)
+        assert all(a > b for a, b in zip(worst, worst[1:]))
+    assert b.elapsed < 10.0
+
+
 def test_criterion_7_mode_equivalence():
     with _Budget("7 mode-equivalence", 60.0) as b:
         res = suite_mode_coupling(seed=701, steps=100, tol=1e-8)

@@ -39,6 +39,12 @@ grid.count = 8
 grid.spacing = log
 """
 
+# the classify and moments goldens under tests/golden (see REPORT_GOLDENS)
+REPORT_GOLDEN_NAMES = ("classify-box-screen", "classify-box-recurrent-small",
+                       "classify-heavytail-small", "classify-inward-small",
+                       "classify-pinched-small", "classify-pinched-wide",
+                       "classify-elliptic-small", "classify-euclid-small", "moments-small")
+
 CLASSIFY_RECURRENT = CLASSIFY_TRANSIENT.replace("law.b = const:1.0",
                                                 "law.b = powerdecay:1.0,1.0")
 
@@ -418,16 +424,20 @@ class TestClassifyCommand:
             "50.0,total-second-moment-V,16.0,0.0,-12.0,euclidean-2u-v",
         ]
 
-    @pytest.mark.parametrize("name", ["classify-box-screen", "classify-heavytail-small",
-                                      "classify-pinched-small", "moments-small"])
+    @pytest.mark.parametrize("name", ["classify-box-screen", "classify-box-recurrent-small",
+                                      "classify-pinched-small", "moments-box"])
     def test_one_draw_per_grid_radius(self, name, monkeypatch, tmp_path, capsys):
-        """The screen and the moment criteria, the pinched criteria and the
-        moments table each read one draw per grid radius: the command's
-        stream ends where one sample_components_batch(r, n) per grid radius,
-        in grid order, leaves a twin stream."""
+        """A sampled law (a box law in d = 5) is read from one draw per grid
+        radius by the screen and the moment criteria, the pinched criteria
+        and the moments table: the command's stream ends where one
+        sample_components_batch(r, n) per grid radius, in grid order, leaves
+        a twin stream."""
         command = "moments" if name.startswith("moments") else "classify"
-        with open(os.path.join(GOLDEN, name + ".cfg")) as fh:
-            cfg = parse_config(fh.read(), command, out_override=str(tmp_path))
+        golden = "classify-box-screen" if command == "moments" else name
+        with open(os.path.join(GOLDEN, golden + ".cfg")) as fh:
+            text = re.sub(r"curvature\.d = \d", "curvature.d = 5", fh.read())
+        cfg = parse_config(text, command, out_override=str(tmp_path))
+        assert cfg.law.kind == "box" and cfg.law.quadrature_lines(cfg.grid[0], 32) is None
         law_class = type(cfg.law)
         draw = law_class.sample_components_batch
         calls = []
@@ -448,6 +458,34 @@ class TestClassifyCommand:
             draw(cfg.law, r, cfg.samples, twin)
         assert [(r, n) for r, n, _ in calls] == [(r, cfg.samples) for r in cfg.grid]
         assert calls[0][2].bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("name, d", [*((n, None) for n in REPORT_GOLDEN_NAMES
+                                           if n != "classify-elliptic-small"),
+                                         ("classify-box-screen", 4),
+                                         ("classify-pinched-small", 3)])
+    def test_built_in_laws_draw_nothing(self, name, d, monkeypatch, tmp_path, capsys):
+        """classify and moments integrate every built-in law (box laws up to
+        d = 4): no sampler is called, and the report says how its
+        half-widths were made."""
+        command = "moments" if name.startswith("moments") else "classify"
+        with open(os.path.join(GOLDEN, name + ".cfg")) as fh:
+            text = fh.read()
+        if d is not None:
+            text = re.sub(r"curvature\.d = \d", f"curvature.d = {d}", text)
+        cfg = parse_config(text, command, out_override=str(tmp_path))
+
+        def refuse(*args):
+            raise AssertionError("a built-in law was sampled")
+
+        for law_class in (cli.BoxLaw, cli.EllipticLaw, cli.HeavyTailLaw, cli.InwardBiasedLaw):
+            monkeypatch.setattr(law_class, "sample_components_batch", refuse)
+            monkeypatch.setattr(law_class, "sample_components", refuse)
+        if command == "moments":
+            cli.cmd_moments(cfg)
+            assert "note: moments by Gauss quadrature" in capsys.readouterr().out
+        else:
+            report = cli.classification_report(cfg)
+            assert any(n.startswith("moments by Gauss quadrature") for n in report.notes)
 
     def test_screened_run_below_100_samples_exits_3(self, tmp_path, capsys):
         with open(os.path.join(GOLDEN, "classify-box-screen.cfg")) as fh:

@@ -146,19 +146,19 @@ MOMENT_PINS = {
         ("0x1.aecb131527319p-1", "0x1.0414a0226f541p-7"),
         ("0x1.515e34cb6fb84p+0", "0x1.de72c65d135ddp-7"),
         ("0x1.0ec7ba749f027p+0", "0x1.201ce6e693e0bp-7"),
-        ("0x1.9907caa29c2ebp+0", "0x1.257a98a8b32dbp-6"),
+        ("0x1.9907caa29c2eap+0", "0x1.257a98a8b32dbp-6"),
     ],
     "elliptic": [
         ("0x1.da2be6f9808c1p-2", "0x1.3dad187030a1bp-8"),
         ("0x1.09dda75bc444ap+0", "0x1.16ab7154a0b97p-7"),
-        ("0x1.47d05e0d7ab35p-1", "0x1.70d93bf64649dp-8"),
+        ("0x1.47d05e0d7ab34p-1", "0x1.70d93bf64649dp-8"),
         ("0x1.156ff13d33144p+0", "0x1.862e40596da8fp-8"),
     ],
     "heavytail": [
-        ("0x1.17a931352ad08p-3", "0x1.c9c08198d98dap-6"),
-        ("0x1.2f8d49b1837f5p+1", "0x1.c82bd8626dd55p-2"),
-        ("0x1.b010575f46e3ap-5", "0x1.e5dea77f0964fp-6"),
-        ("0x1.53a7f6e5d2576p+1", "0x1.4bfe8657c863bp-3"),
+        ("0x1.17a9055cd4ad7p-3", "0x1.c9c08226f7e63p-6"),
+        ("0x1.2f8d49acee0cap+1", "0x1.c82bd8627e69bp-2"),
+        ("0x1.b01170f2f7730p-5", "0x1.e5deefc0c5171p-6"),
+        ("0x1.53a85c47e75afp+1", "0x1.4c00363c1529ap-3"),
     ],
     "inwardbiased": [
         ("0x1.2f4e419ec91ecp+4", "0x1.9dadefaf8f64fp-8"),
@@ -177,17 +177,17 @@ PINCHED_PINS = {
         ("0x1.ac8224cafe677p-1", "0x1.039416178382fp-7"),
         ("0x1.0eba6acea3ad1p+0", "0x1.21e16b9983baap-7"),
         ("0x1.49ccabff245aap+0", "0x1.d805f90a8ca7ep-7"),
-        ("0x1.a1ef43aca771ep+0", "0x1.247df117b61f2p-6"),
+        ("0x1.a1ef43aca771cp+0", "0x1.247df117b61f2p-6"),
     ],
     "heavytail": [
-        ("0x1.2549f26074c70p-3", "0x1.bc402d00173f5p-6"),
-        ("0x1.936118438df73p-3", "0x1.c13ce2dc43f00p-6"),
+        ("0x1.2549f26074bc3p-3", "0x1.bc402d00173f7p-6"),
+        ("0x1.936118438deffp-3", "0x1.c13ce2dc43eb1p-6"),
         ("0x1.1e495e2aa9d44p+1", "0x1.02cdfad06aafbp-3"),
-        ("0x1.27081cd4ba2e1p+1", "0x1.02d068cad352cp-3"),
-        ("0x1.03311224929a2p-4", "0x1.e36de427573b0p-6"),
-        ("0x1.4cb27613e26e5p-4", "0x1.e7244828b4441p-6"),
+        ("0x1.27081cd4ba27bp+1", "0x1.02d068cad347bp-3"),
+        ("0x1.0331121fdf958p-4", "0x1.e36de4275aa7ap-6"),
+        ("0x1.4cb27610c06b3p-4", "0x1.e724482798e30p-6"),
         ("0x1.5069a0919753fp+1", "0x1.9b96c8c36717cp-3"),
-        ("0x1.55ec637eab103p+1", "0x1.9c392e2cc2500p-3"),
+        ("0x1.55ec637d1a2b0p+1", "0x1.9c392e2a3aea9p-3"),
     ],
 }
 

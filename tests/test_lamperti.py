@@ -64,6 +64,35 @@ class TestAsymptoticIncrement:
                 for p in (-0.5, 0.0, 0.5)]
         assert vals[0] < vals[1] < vals[2]
 
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_long_near_inward_steps_keep_their_digits(self, k):
+        # heavy-tail inward steps of length y: 1 + phi = 2e^-y / (1 + e^-y),
+        # which d_rad/d_tot rounds away past y = 37.  Given |t|^2 the
+        # increment takes 1 + phi from it and meets 40-digit mpmath; without
+        # it, at k = 1, it reads -y where the truth is 0
+        import mpmath as mp
+        mp.mp.dps = 40
+        y = np.array([5.0, 20.0, 31.0, 45.0, 80.0, 200.0, 600.0])
+        q = np.exp(-y)
+        offset = 2.0 * q / (1.0 + q)
+        d_rad, t_sq = (offset - 1.0) * y, y * y * offset * (2.0 - offset)
+        d_tot = np.sqrt(d_rad * d_rad + t_sq)
+        got = asymptotic_increment_batch(k, d_rad, d_tot, t_sq)
+        for yi, g in zip(y, got):
+            Y, Q = mp.mpf(yi), mp.exp(-mp.mpf(yi))
+            want = mp.log(mp.exp(-k * Y) + 2 * Q / (1 + Q) * mp.sinh(k * Y)) / k
+            assert abs(g - want) <= 1e-13 * max(1.0, abs(want)), (yi, g, want)
+        if k == 1.0:
+            assert asymptotic_increment_batch(k, d_rad, d_tot)[-1] == -y[-1]
+
+    def test_t_sq_leaves_outward_and_flat_steps_alone(self):
+        rng = np.random.default_rng(3)
+        d_rad = rng.uniform(0.0, 3.0, 200)
+        t_sq = rng.uniform(0.0, 4.0, 200)
+        d_tot = np.sqrt(d_rad * d_rad + t_sq)
+        assert (asymptotic_increment_batch(1.0, d_rad, d_tot, t_sq).tobytes()
+                == asymptotic_increment_batch(1.0, d_rad, d_tot).tobytes())
+
     def test_flat_limit_recovers_radial_component(self):
         # |F - d_rad| <= (k/2) d_tot^2, so k = 1e-6 meets 1e-5 up to d_tot ~ 4
         rng = np.random.default_rng(1)
@@ -196,12 +225,22 @@ def moment_integrands(law, k, r, n, rng):
     """The nu1 and nu2 integrands over one draw, mirror-averaged for a
     symmetric law: the reference the estimator must reproduce bit for bit."""
     d_rad, t = law.sample_components_batch(r, n, rng)
-    d_tot = np.sqrt(d_rad * d_rad + np.einsum("ij,ij->i", t, t))
-    f = asymptotic_increment_batch(k, d_rad, d_tot)
+    t_sq = np.einsum("ij,ij->i", t, t)
+    d_tot = np.sqrt(d_rad * d_rad + t_sq)
+    f = asymptotic_increment_batch(k, d_rad, d_tot, t_sq)
     if not law.symmetric:
         return f, f * f
-    g = asymptotic_increment_batch(k, -d_rad, d_tot)
+    g = asymptotic_increment_batch(k, -d_rad, d_tot, t_sq)
     return 0.5 * (f + g), 0.5 * (f * f + g * g)
+
+
+HEAVY = hw.HeavyTailLaw(4.0, 2)
+# laws the estimators sample: a box law past d = 4, and the heavy-tail law's
+# own draws behind a custom law, which offers no quadrature
+SAMPLED = {
+    "box-d5": hw.BoxLaw(C1, C1, 5),
+    "custom-heavytail": hw.CustomLaw(lambda r, d, rng: HEAVY.sample_components(r, rng), 2),
+}
 
 
 class TestMomentEstimates:
@@ -242,8 +281,7 @@ class TestMomentEstimates:
         est, _ = hw.increment_moment_estimate(law, 1.0, 50.0, 50_000, rng)
         assert est.value - est.half_width > 1.0
 
-    @pytest.mark.parametrize("law", [hw.BoxLaw(C1, C1, 3), hw.HeavyTailLaw(4.0, 2)],
-                             ids=["box", "heavytail"])
+    @pytest.mark.parametrize("law", SAMPLED.values(), ids=SAMPLED.keys())
     def test_one_draw_per_radius_feeds_both_moments(self, law):
         grid, n = [10.0, 50.0, 200.0], 2000
         rng, twin = np.random.default_rng(10), np.random.default_rng(10)
