@@ -665,7 +665,7 @@ def _pinched_integrals(law, r, k, K):
 
     The split bound jumps where an exact increment changes sign, and
     max(f_k^2, f_K^2) has a kink where f_k + f_K does, so with k < K every
-    line is cut at those points first (see quadrature.atoms).  Near the
+    line is cut at those points first (see quadrature.batches).  Near the
     origin (r at most the step length) the exact increment need not be
     monotone in d_rad and may change sign twice on a line; every change
     between the probes is bracketed.

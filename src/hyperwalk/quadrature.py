@@ -3,9 +3,9 @@
 A built-in law describes its steps at radius r as line bundles (the
 `*_lines` functions below, behind each law's `quadrature_lines`): each line
 runs a parameter s over [lo, hi], and maps s to a step (d_rad, |t|^2, d_tot),
-a stable log(1 + phi) and the law's density in s.  `atoms` puts Gauss
-nodes on the lines and returns weighted steps, over which an expectation is
-a dot product.  A line may be cut where given functions of the step change
+a stable log(1 + phi) and the law's density in s.  `batches` puts Gauss
+nodes on the lines and yields weighted steps, over which an expectation is
+a sum of dot products.  A line may be cut where given functions of the step change
 sign, so that an integrand with a jump or a kink there is integrated piece
 by piece, each piece converging at the rate of a smooth one.  `integrate`
 takes every expectation with n and 2n nodes and returns the finer value
@@ -33,6 +33,7 @@ _ROUNDING = 64.0 * sys.float_info.epsilon
 _LOG2 = math.log(2.0)
 _PROBE = 64         # evenly spaced probes per line, plus geometric ones at both ends
 _PROBE_ENDS = 30
+_BATCH = 1 << 18    # atoms, or probes, evaluated at once
 
 
 @lru_cache(maxsize=None)
@@ -108,25 +109,31 @@ class Line(NamedTuple):
     span: float = 0.0
 
 
-def atoms(lines, n: int, k: float, cut=None) -> Atoms:
+def batches(lines, n: int, k: float, cut=None):
     """The Gauss atoms of the lines, n nodes per piece, for integrands of
-    curvature at most k.
+    curvature at most k, in batches of a few hundred thousand atoms at most
+    (one piece of every line of a bundle, if that is more).
 
     Each line is cut into equal pieces that span at most 2/k (see Line),
     and, given `cut`, wherever an array of `cut(steps)` changes sign along
     it (see `sign_changes`).
     """
-    parts = [_line_atoms(line, n, _edges(line, k, cut)) for line in lines]
-    return Atoms(*(np.concatenate([getattr(p, f) for p in parts]) for f in Atoms._fields))
+    for line in lines:
+        edges = _edges(line, k, cut)
+        step = max(1, _BATCH // (line.size * n))
+        for j in range(0, edges.shape[1] - 1, step):
+            yield _line_atoms(line, n, edges[:, j:j + step + 1], first=j == 0)
 
 
-def _line_atoms(line: Line, n: int, edges: np.ndarray) -> Atoms:
+def _line_atoms(line: Line, n: int, edges: np.ndarray, first: bool) -> Atoms:
+    """The atoms of the pieces between consecutive columns of edges; with
+    `first`, the first column is the lines' lo."""
     x, w = gauss_jacobi(n)
     a, b = edges[:, :-1, None], edges[:, 1:, None]          # (size, pieces, 1)
     half = 0.5 * (b - a)
     s = a + half * (x + 1.0)
     weight = half * w
-    if line.beta != 0.0:
+    if line.beta != 0.0 and first:
         xj, wj = gauss_jacobi(n, line.beta)
         first = half[:, 0]
         s[:, 0] = a[:, 0] + first * (xj + 1.0)
@@ -151,27 +158,30 @@ def _edges(line: Line, k: float, cut) -> np.ndarray:
     if cut is None:
         return bounds
     probes = np.repeat(_probes(line.lo, line.hi)[None], line.size, axis=0)
-    roots = sign_changes(lambda s: cut(line.steps(s)), probes, line.hi)
+    roots = sign_changes(lambda s: cut(line.steps(s)), probes, line.hi,
+                         max(2, _BATCH // line.size))
     return np.sort(np.concatenate([bounds, roots], axis=1), axis=1)
 
 
-def sign_changes(g: Callable, probes: np.ndarray, pad: float) -> np.ndarray:
+def sign_changes(g: Callable, probes: np.ndarray, pad: float, columns: int) -> np.ndarray:
     """Every point where one of the functions g >= 0 switches along a row of
     `probes`, found between the two probes that bracket it by the Illinois
     variant of false position (Dowell and Jarratt 1971, BIT 11, 168-174).
 
     `g` maps parameters of shape (rows, m) to a sequence of arrays of that
-    shape, one per function.  Returns an array (rows, most switches in a
-    row), its free places filled with `pad`.  A false-position step that
-    does not halve its bracket is followed by a bisection, so every bracket
-    at least halves in two steps.
+    shape, one per function; the probes go to it `columns` at a time.
+    Returns an array (rows, most switches in a row), its free places filled
+    with `pad`.  A false-position step that does not halve its bracket is
+    followed by a bisection, so every bracket at least halves in two steps.
     """
     brackets = []               # (row, function, lo, hi, g at lo, g at hi)
-    for i, value in enumerate(g(probes)):
-        value = np.asarray(value)
-        row, col = np.nonzero((value[:, 1:] >= 0.0) != (value[:, :-1] >= 0.0))
-        brackets.append((row, np.full(row.size, i), probes[row, col], probes[row, col + 1],
-                         value[row, col], value[row, col + 1]))
+    for c in range(0, probes.shape[1] - 1, columns - 1):
+        part = probes[:, c:c + columns]
+        for i, value in enumerate(g(part)):
+            value = np.asarray(value)
+            row, col = np.nonzero((value[:, 1:] >= 0.0) != (value[:, :-1] >= 0.0))
+            brackets.append((row, np.full(row.size, i), part[row, col], part[row, col + 1],
+                             value[row, col], value[row, col + 1]))
     row, which, lo, hi, g_lo, g_hi = map(np.concatenate, zip(*brackets))
     rows = probes.shape[0]
     if row.size == 0:
@@ -358,14 +368,17 @@ def integrate(law, r: float, integrands, k: float, n: int, cut=None) -> list:
     """(value, half-width) of E[x] at radius r for each array x of
     integrands(atoms), whose curvature is at most k.
 
-    The law's lines take n and then 2n Gauss nodes per piece (see atoms).
+    The law's lines take n and then 2n Gauss nodes per piece (see batches).
     The value is the finer sum Q_2n; the half-width is |Q_n - Q_2n| plus a
     rounding floor, an error estimate and not a confidence interval.
     """
     sums = []
     for m in (n, 2 * n):
-        a = atoms(law.quadrature_lines(r, m), m, k, cut)
-        sums.append([(float(a.weight @ x), float(np.abs(a.weight) @ np.abs(x)))
-                     for x in integrands(a)])
-    return [(fine, abs(coarse - fine) + _ROUNDING * scale)
-            for (coarse, _), (fine, scale) in zip(*sums)]
+        total = 0.0
+        for a in batches(law.quadrature_lines(r, m), m, k, cut):
+            total = total + np.array([(a.weight @ x, np.abs(a.weight) @ np.abs(x))
+                                      for x in integrands(a)])
+        sums.append(total)
+    (coarse, _), (fine, scale) = (np.transpose(t) for t in sums)
+    return [(float(f), float(abs(c - f) + _ROUNDING * s))
+            for c, f, s in zip(coarse, fine, scale)]
