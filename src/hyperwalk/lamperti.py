@@ -260,7 +260,8 @@ def _warn_if_heavy(x: np.ndarray, what: str):
 def increment_moment_estimate(law: IncrementLaw, k: float, r: float, n_samples: int,
                               rng: np.random.Generator) -> tuple[Estimate, Estimate]:
     """Monte Carlo estimates (nu1, nu2) of the first and second moments of the
-    asymptotic increment at radius r.
+    asymptotic increment at radius r.  It samples whatever the law; the
+    classifiers integrate a built-in law instead (estimate_moment_functions).
 
     One draw of n_samples steps feeds both moments: the increment f is
     evaluated once and nu1, nu2 are the sample means of f and f^2.  The two
