@@ -223,11 +223,12 @@ class IncrementLaw:
         """Almost-sure bound on the step length; inf when unbounded."""
         raise NotImplementedError
 
-    def quadrature_lines(self, r: float, n: int):
-        """The law's steps at radius r as quadrature.Line bundles, with n
-        nodes along each axis the lines do not run on; None for a law that
-        is sampled instead.  The built-in laws build them in quadrature.py,
-        which they import on first use."""
+    def quadrature_lines(self, r: float, n: int, k: float = 0.0):
+        """The law's steps at radius r as quadrature.Line bundles for
+        integrands of curvature at most k, with n nodes along each axis the
+        lines do not run on; None for a law that is sampled instead.  The
+        built-in laws build them in quadrature.py, which they import on
+        first use."""
         return None
 
     def known_moments(self, r: float) -> tuple:
@@ -280,10 +281,10 @@ class EllipticLaw(IncrementLaw):
     def step_bound(self):
         return math.sqrt(self.d) * max(self.a.sup(), self.b.sup())
 
-    def quadrature_lines(self, r, n):
+    def quadrature_lines(self, r, n, k=0.0):
         from .quadrature import elliptic_lines     # loaded on first use
         s = math.sqrt(self.d)
-        return elliptic_lines(self.a(r) * s, self.b(r) * s, self.d)
+        return elliptic_lines(self.a(r) * s, self.b(r) * s, self.d, k)
 
     def known_moments(self, r):
         return (*elliptic_moments(self.a(r), self.b(r), self.d), 0.0)
@@ -330,12 +331,12 @@ class BoxLaw(IncrementLaw):
         # circumscribed radius of the box, attained at the corners
         return _SQRT3 * math.sqrt(self.a.sup() ** 2 + (self.d - 1) * self.b.sup() ** 2)
 
-    def quadrature_lines(self, r, n):
+    def quadrature_lines(self, r, n, k=0.0):
         # from d = 5 the transverse nodes cost more than sampling
         if self.d > 4:
             return None
         from .quadrature import box_lines          # loaded on first use
-        return box_lines(_SQRT3 * self.a(r), _SQRT3 * self.b(r), self.d, n)
+        return box_lines(_SQRT3 * self.a(r), _SQRT3 * self.b(r), self.d, n, k)
 
     known_moments = EllipticLaw.known_moments   # the same second moments, zero mean
 
@@ -435,7 +436,7 @@ class HeavyTailLaw(IncrementLaw):
     def step_bound(self):
         return math.inf
 
-    def quadrature_lines(self, r, n):
+    def quadrature_lines(self, r, n, k=0.0):
         from .quadrature import heavytail_lines    # loaded on first use
         return heavytail_lines(self.m, self.lambda_at(r))
 
@@ -484,7 +485,7 @@ class InwardBiasedLaw(IncrementLaw):
     def step_bound(self):
         return 4.0 * self.strength
 
-    def quadrature_lines(self, r, n):
+    def quadrature_lines(self, r, n, k=0.0):
         from .quadrature import inward_lines       # loaded on first use
         return inward_lines(self.strength)
 

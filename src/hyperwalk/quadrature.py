@@ -34,6 +34,9 @@ _LOG2 = math.log(2.0)
 _PROBE = 64         # evenly spaced probes per line, plus geometric ones at both ends
 _PROBE_ENDS = 30
 _BATCH = 1 << 18    # atoms, or probes, evaluated at once
+# deepest transverse grading of a box law in d = 2, 3, 4: a graded cube has
+# (grade + 1)^(d - 1) times the nodes, kept to some 3*10^4 lines at 2n = 64
+_MAX_GRADE = (60, 7, 0)
 
 
 @lru_cache(maxsize=None)
@@ -99,6 +102,9 @@ class Line(NamedTuple):
     `span` is the diameter of the set of steps a line runs through: the
     asymptotic increment at curvature k is analytic within about 1/k of the
     real steps, so a line is cut into pieces that each span at most 2/k.
+    `grade` more cuts fall at lo + (hi - lo) 2^-j and hi - (hi - lo) 2^-j,
+    j = 1..grade, for a line whose integrand varies on ever finer scales
+    toward its ends (see `_grading`).
     """
 
     lo: float
@@ -107,6 +113,7 @@ class Line(NamedTuple):
     size: int = 1
     beta: float = 0.0
     span: float = 0.0
+    grade: int = 0
 
 
 def batches(lines, n: int, k: float, cut=None):
@@ -154,7 +161,10 @@ def _edges(line: Line, k: float, cut) -> np.ndarray:
     last; a line with fewer cuts than the most cut one repeats hi, which
     gives pieces of length 0."""
     pieces = max(1, math.ceil(0.5 * k * line.span))
-    bounds = np.repeat(np.linspace(line.lo, line.hi, pieces + 1)[None], line.size, axis=0)
+    graded = (line.hi - line.lo) * 2.0 ** -np.arange(1.0, line.grade + 1.0)
+    cuts = np.concatenate([np.linspace(line.lo, line.hi, pieces + 1),
+                           line.lo + graded, line.hi - graded])
+    bounds = np.repeat(np.unique(cuts)[None], line.size, axis=0)
     if cut is None:
         return bounds
     probes = np.repeat(_probes(line.lo, line.hi)[None], line.size, axis=0)
@@ -220,10 +230,11 @@ def sign_changes(g: Callable, probes: np.ndarray, pad: float, columns: int) -> n
 # The built-in laws' lines at one radius
 # ---------------------------------------------------------------------------
 
-def elliptic_lines(a: float, b: float, d: int):
+def elliptic_lines(a: float, b: float, d: int, k: float):
     """The elliptic shell with semi-axes a (radial) and b: one line over the
     polar angle theta of the unit vector, u[0] = cos(theta), with density
-    sin(theta)^(d-2) normalised on [0, pi]."""
+    sin(theta)^(d-2) normalised on [0, pi], graded toward both poles for
+    curvature k (see `_grading`)."""
     norm = math.exp(0.5 * math.log(math.pi) + math.lgamma((d - 1) / 2.0) - math.lgamma(d / 2.0))
 
     def steps(theta):
@@ -234,13 +245,17 @@ def elliptic_lines(a: float, b: float, d: int):
         return Atoms(d_rad, t_sq, d_tot, log_one_plus_phi(d_rad, t_sq, d_tot),
                      sin ** (d - 2) / norm)
 
-    return (Line(0.0, math.pi, steps, span=2.0 * max(a, b)),)
+    grade = _grading(k, a, math.pi * b)
+    return (Line(0.0, math.pi, steps, span=2.0 * max(a, b), grade=grade),)
 
 
-def box_lines(a: float, b: float, d: int, n: int):
+def box_lines(a: float, b: float, d: int, n: int, k: float):
     """The box with half-sides a (radial) and b: one line over h[0] in
-    [-1, 1] per node of the transverse cube's n-point rule."""
-    h_sq, w = _cube_nodes(d - 1, n)
+    [-1, 1] per node of the transverse cube's n-point rule, graded toward
+    h = 0 on each axis for curvature k (see `_grading`) as deep as
+    _MAX_GRADE allows."""
+    grade = min(_grading(k, a, b), _MAX_GRADE[d - 2])
+    h_sq, w = _cube_nodes(d - 1, n, grade)
     t_sq = (b * b * h_sq)[:, None]
     density = 0.5 * w[:, None]
 
@@ -255,19 +270,28 @@ def box_lines(a: float, b: float, d: int, n: int):
 
 
 @lru_cache(maxsize=None)
-def _cube_nodes(k: int, n: int):
+def _cube_nodes(k: int, n: int, grade: int = 0):
     """(sum of h_i^2, weight): the n-point Gauss rule per axis for the
     uniform law on [-1, 1]^k, for integrands that depend on h only through
     the h_i^2, with one node per multiset of coordinates.
 
     Per axis the rule is the n/2-point Gauss-Jacobi rule in u = h^2 on
     [0, 1], weight u^(-1/2), which is the n-point Gauss-Legendre rule on
-    functions of h^2.  A multiset of axis nodes stands for its
+    functions of h^2.  With `grade` it is instead the n/2-point
+    Gauss-Legendre rule in h on each of [0, 2^-grade], ...,
+    [1/4, 1/2], [1/2, 1].  A multiset of axis nodes stands for its
     permutations and carries their count in its weight.
     """
-    x, w = gauss_jacobi(n // 2, -0.5)
-    u, w = 0.5 * (x + 1.0), math.sqrt(2.0) / 4.0 * w
-    idx = np.indices((n // 2,) * k).reshape(k, -1)
+    if grade:
+        x, w = gauss_jacobi(n // 2)
+        edges = np.concatenate([[0.0], 2.0 ** -np.arange(grade, -1.0, -1.0)])
+        half = 0.5 * np.diff(edges)[:, None]
+        u = ((edges[:-1, None] + half * (x + 1.0)) ** 2).ravel()
+        w = (half * w).ravel()
+    else:
+        x, w = gauss_jacobi(n // 2, -0.5)
+        u, w = 0.5 * (x + 1.0), math.sqrt(2.0) / 4.0 * w
+    idx = np.indices((u.size,) * k).reshape(k, -1)
     idx = idx[:, np.all(idx[:-1] <= idx[1:], axis=0)]
     run = np.ones(idx.shape[1])
     count = np.full(idx.shape[1], float(math.factorial(k)))
@@ -279,6 +303,24 @@ def _cube_nodes(k: int, n: int):
     h_sq.flags.writeable = False
     weight.flags.writeable = False
     return h_sq, weight
+
+
+def _grading(k: float, a: float, b: float) -> int:
+    """How many times to halve toward t = 0 the transverse range [0, b] of
+    steps whose radial part reaches a, at curvature k.
+
+    Near straight inward steps (1 + phi ~ t^2 / (4 d^2)) the increment
+    switches from -d to its tangential value where 1 + phi ~ e^(-2kd),
+    that is at t ~ 2d e^(-kd), which for k d >> 1 is far below the
+    transverse range: an analytic near-singularity that a Gauss rule over
+    all of [0, b] resolves only with about b/t nodes.  Geometric pieces
+    down to a quarter of the smallest such t (at d = a) resolve it with a
+    fixed number of nodes each.
+    """
+    if k * a <= 1.0 or b <= 0.0:
+        return 0
+    t = 2.0 * a * math.exp(-k * a)
+    return max(0, math.ceil(math.log2(b / t)) + 2) if t < 0.25 * b else 0
 
 
 def heavytail_lines(m: float, lam: float):
@@ -375,7 +417,7 @@ def integrate(law, r: float, integrands, k: float, n: int, cut=None) -> list:
     sums = []
     for m in (n, 2 * n):
         total = 0.0
-        for a in batches(law.quadrature_lines(r, m), m, k, cut):
+        for a in batches(law.quadrature_lines(r, m, k), m, k, cut):
             total = total + np.array([(a.weight @ x, np.abs(a.weight) @ np.abs(x))
                                       for x in integrands(a)])
         sums.append(total)

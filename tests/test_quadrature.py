@@ -152,9 +152,11 @@ class TestAgainstReferences:
     def test_elliptic(self, d, b, r):
         self.check(hw.EllipticLaw(C1, b, d), 1.0, r, elliptic_reference)
 
-    @pytest.mark.parametrize("r", [10.0, 200.0])
-    def test_box_d2(self, r):       # classify-box-recurrent-small
-        self.check(hw.BoxLaw(C1, B_DECAY, 2), 1.0, r, box2_reference)
+    @pytest.mark.parametrize("r, k", [(10.0, 1.0), (200.0, 1.0), (10.0, 5.0)])
+    def test_box_d2(self, r, k):    # classify-box-recurrent-small; K of -pinched-wide
+        # at k = 5 a near-inward step's increment switches over a transverse
+        # scale of about 2 sqrt(3) e^(-5 sqrt(3)) = 6e-4: the graded rule
+        self.check(hw.BoxLaw(C1, B_DECAY, 2), k, r, box2_reference)
 
     def test_box_d3(self):          # classify-box-screen: constant profiles, any r
         self.check(hw.BoxLaw(C1, C1, 3), 1.0, 5.0, box3_reference, dps=15)
@@ -288,14 +290,16 @@ def box2_pinched_reference(law, r, k, K):
 class TestPinchedSplit:
     """_pinched_integrals against references that cut at every sign change."""
 
-    @pytest.mark.parametrize("d, r", [(2, 0.5), (2, 1.0), (3, 1.0), (2, 10.0)])
-    def test_elliptic_near_and_far(self, d, r):
+    @pytest.mark.parametrize("d, r, K", [(2, 0.5, 1.5), (2, 1.0, 1.5), (3, 1.0, 1.5),
+                                         (2, 10.0, 1.5), (3, 10.0, 5.0)])
+    def test_elliptic_near_and_far(self, d, r, K):
         # below the step bound sqrt(d) the exact increment changes sign twice
-        # on inward rays; the cuts must bracket both
+        # on inward rays; the cuts must bracket both.  At K = 5 the line is
+        # also graded toward both poles
         mp.mp.dps = 20
         law = hw.EllipticLaw(C1, C1, d)
-        got = lamperti._pinched_integrals(law, r, 1.0, 1.5)
-        for g, want in zip(got, elliptic_pinched_reference(law, r, 1.0, 1.5)):
+        got = lamperti._pinched_integrals(law, r, 1.0, K)
+        for g, want in zip(got, elliptic_pinched_reference(law, r, 1.0, K)):
             close(g.value, want)
             assert g.half_width < 1e-12 * abs(g.value)
 
@@ -311,21 +315,30 @@ class TestPinchedSplit:
             close(g.value, want)
             assert abs(g.value - want) <= g.half_width
 
-    @pytest.mark.parametrize("r, K", [(1.0, 1.5), (10.0, 5.0)])
-    def test_box_d2_slow_cases_say_so(self, r, K):
+    def test_box_d2_below_the_step_bound_says_so(self):
         # r = 1 lies below the step bound sqrt(6): the region where
         # inc_k < 0 closes inside the box, and the transverse integral meets
-        # its tangent lines.  At K = 5 the increment of a step near straight
-        # inward switches over a transverse scale e^(-K d_tot).  Both
-        # converge only algebraically; the half-widths must say so, and
-        # cover the distance to a 10^6-draw Monte Carlo estimate beyond its
-        # own 99% half-width
+        # its tangent lines, so it converges only algebraically.  The
+        # half-widths must say so, and cover the distance to a 10^6-draw
+        # Monte Carlo estimate beyond its own 99% half-width
         law = hw.BoxLaw(C1, B_DECAY, 2)
-        got = lamperti._pinched_integrals(law, r, 1.0, K)
-        mc = lamperti._pinched_moments(law, r, 1.0, K, 1_000_000, np.random.default_rng(2))
+        got = lamperti._pinched_integrals(law, 1.0, 1.0, 1.5)
+        mc = lamperti._pinched_moments(law, 1.0, 1.0, 1.5, 1_000_000, np.random.default_rng(2))
         assert max(g.half_width / abs(g.value) for g in got) > 1e-6
         for g, m in zip(got, mc):
             assert abs(g.value - m.value) <= g.half_width + m.half_width, (g, m)
+
+    def test_box_d2_steep_curvature(self):     # classify-pinched-wide at r = 10
+        # K = 5: the transverse rule is graded toward t = 0, and the bounds
+        # converge: small half-widths, and a 10^6-draw Monte Carlo estimate
+        # within its 99% half-width
+        law = hw.BoxLaw(C1, B_DECAY, 2)
+        got = lamperti._pinched_integrals(law, 10.0, 0.5, 5.0)
+        mc = lamperti._pinched_moments(law, 10.0, 0.5, 5.0, 1_000_000, np.random.default_rng(2))
+        close(got[1].value, lamperti._radius_integrals(law, 5.0, 10.0)[0].value, 1e-13)
+        for g, m in zip(got, mc):
+            assert g.half_width < 1e-10 * abs(g.value), g
+            assert abs(g.value - m.value) <= m.half_width, (g, m)
 
     def test_constant_curvature_needs_no_cut(self):
         law = hw.HeavyTailLaw(4.0, 2)
