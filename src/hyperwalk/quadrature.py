@@ -36,7 +36,7 @@ _PROBE_ENDS = 30
 _BATCH = 1 << 18    # atoms, or probes, evaluated at once
 # deepest transverse grading of a box law in d = 2, 3, 4: a graded cube has
 # (grade + 1)^(d - 1) times the nodes, kept to some 3*10^4 lines at 2n = 64
-_MAX_GRADE = (60, 7, 0)
+_MAX_GRADE = (50, 7, 0)
 
 
 @lru_cache(maxsize=None)
@@ -315,12 +315,13 @@ def _grading(k: float, a: float, b: float) -> int:
     transverse range: an analytic near-singularity that a Gauss rule over
     all of [0, b] resolves only with about b/t nodes.  Geometric pieces
     down to a quarter of the smallest such t (at d = a) resolve it with a
-    fixed number of nodes each.
+    fixed number of nodes each; past 50 halvings a piece is below double
+    precision's resolution of the range.
     """
     if k * a <= 1.0 or b <= 0.0:
         return 0
-    t = 2.0 * a * math.exp(-k * a)
-    return max(0, math.ceil(math.log2(b / t)) + 2) if t < 0.25 * b else 0
+    halvings = math.log2(b / (2.0 * a)) + k * a / math.log(2.0)     # log2(b / t)
+    return min(50, math.ceil(halvings) + 2) if halvings > 2.0 else 0
 
 
 def heavytail_lines(m: float, lam: float):
