@@ -19,6 +19,10 @@ Two sampling entry points exist per law and are deliberately distinct:
 * ``sample_components_batch(r, n, rng)`` draws n steps with vectorised numpy
   calls for the Monte Carlo estimators.  It consumes the stream differently
   from n scalar calls, but is bit-reproducible for a fixed stream.
+
+The built-in laws (box laws up to d = 4) also describe their steps at a
+radius for Gauss quadrature (``quadrature_lines``), which the moment
+estimators use instead of sampling.
 """
 
 from __future__ import annotations
