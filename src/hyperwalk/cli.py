@@ -53,7 +53,9 @@ r,value CSV relative to the config file.
                         (grid midpoint)
     classify.samples    Monte Carlo samples per grid radius, integer >= 100
                         (200000); only laws that are sampled use it: every
-                        built-in law is integrated, except box from d = 5
+                        built-in law is integrated, except a box law in
+                        d >= 3 or whose largest k times sqrt(3) sup a is
+                        above 3
     classify.d_min      minimal radius for the ellipticity screen, at most the
                         last grid point (grid.start)
     out.dir             output directory (`.`; --out overrides)
@@ -562,13 +564,14 @@ def classification_report(cfg: RunConfig) -> ClassificationReport:
     uniform-ellipticity transience test, which reads those estimates, and
     the moment criteria decide what the screen leaves open.
 
-    Every built-in law (box laws up to d = 4) has its moments integrated by
-    Gauss quadrature and draws nothing; its half_width column is the
-    quadrature error estimate |Q_32 - Q_64| plus a rounding floor, not a
-    99% interval, and the report says so.  `classify.samples` then plays no
-    part.  A box law from d = 5 is Monte Carlo: one draw of
-    `classify.samples` steps per grid radius in grid order from the
-    classify stream, with 99% half-widths.
+    A built-in law that offers quadrature lines (every one but a box law in
+    d >= 3, or whose curvature times radial half-side exceeds 3) has its
+    moments integrated by Gauss quadrature and draws nothing; its
+    half_width column is the quadrature error estimate |Q_32 - Q_64| plus a
+    rounding floor, not a 99% interval, and the report says so.
+    `classify.samples` then plays no part.  Any other law is Monte Carlo:
+    one draw of `classify.samples` steps per grid radius in grid order from
+    the classify stream, with 99% half-widths.
     """
     if not cfg.model.is_hyperbolic:
         return _euclidean_report(cfg)
@@ -609,8 +612,8 @@ def cmd_moments(cfg: RunConfig, workers: int = 1) -> int:
     """Tabulate, per grid radius, the step moments against the law's closed
     forms, then nu1 and nu2 and the heavy-tail bound rows.
 
-    Every row comes from lamperti.step_moments: a built-in law (box laws up
-    to d = 4) is integrated by Gauss quadrature, and its half_width is
+    Every row comes from lamperti.step_moments: a law that offers
+    quadrature lines is integrated by Gauss quadrature, and its half_width is
     |Q_32 - Q_64| plus a rounding floor, an error estimate rather than a 99%
     interval; nothing is drawn.  Any other law takes one draw per grid
     radius, and its rows are the raw sample means of that draw with 99%

@@ -20,9 +20,10 @@ Two sampling entry points exist per law and are deliberately distinct:
   calls for the Monte Carlo estimators.  It consumes the stream differently
   from n scalar calls, but is bit-reproducible for a fixed stream.
 
-The built-in laws (box laws up to d = 4) also describe their steps at a
-radius for Gauss quadrature (``quadrature_lines``), which the moment
-estimators use instead of sampling.
+The built-in laws also describe their steps at a radius for Gauss
+quadrature (``quadrature_lines``), which the moment estimators use instead
+of sampling; box laws do so only in d = 2 and for curvature times radial
+half-side at most QUADRATURE_KA, where that costs less than sampling.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ import numpy as np
 from .errors import DomainError, UsageError
 
 _SQRT3 = math.sqrt(3.0)
+# a box law in d = 2 is integrated while the curvature times its radial
+# half-side stays at most this; beyond, sampling costs less (BENCH_18)
+QUADRATURE_KA = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +340,13 @@ class BoxLaw(IncrementLaw):
         return _SQRT3 * math.sqrt(self.a.sup() ** 2 + (self.d - 1) * self.b.sup() ** 2)
 
     def quadrature_lines(self, r, n, k=0.0):
-        # from d = 5 the transverse nodes cost more than sampling
-        if self.d > 4:
+        # integrated only where that costs less than sampling 2*10^5 steps
+        # (timed per radius in BENCH_18): in d = 2, for k times the radial
+        # half-side at most QUADRATURE_KA
+        if self.d > 2 or k * _SQRT3 * self.a.sup() > QUADRATURE_KA:
             return None
         from .quadrature import box_lines          # loaded on first use
-        return box_lines(_SQRT3 * self.a(r), _SQRT3 * self.b(r), self.d, n, k)
+        return box_lines(_SQRT3 * self.a(r), _SQRT3 * self.b(r), n, k)
 
     known_moments = EllipticLaw.known_moments   # the same second moments, zero mean
 

@@ -51,6 +51,11 @@ QUADRATURE_NOTE = (f"moments by Gauss quadrature; half_width is |Q_{QUAD_NODES} 
                    "not a 99% interval")
 
 _F_LOG_THRESHOLD = 30.0
+_LOG2 = math.log(2.0)
+# 1 + phi = 1 + d_rad/d_tot is accurate to about eps / (1 + phi) relative,
+# so to 16 eps at and above this; below it the kernel takes 1 + phi from
+# |t|^2 when given
+_OPP_DIRECT = 1.0 / 16.0
 
 
 class MonteCarloVarianceWarning(UserWarning):
@@ -70,15 +75,37 @@ def asymptotic_increment(k: float, d_rad: float, d_tot: float) -> float:
     return float(asymptotic_increment_batch(k, d_rad, d_tot))
 
 
+def one_plus_phi(d_rad, t_sq, d_tot) -> np.ndarray:
+    """1 + phi, phi = d_rad/d_tot, over arrays of steps (d_rad, |t|^2, d_tot),
+    without cancellation near phi = -1.
+
+    Where d_rad < 0 it is taken as |t|^2 / (d_tot (d_tot - d_rad)), which
+    keeps its digits for a long step close to straight inward: there
+    1 + d_rad/d_tot is all rounding.  A zero step reads phi = 0.  With
+    -d_rad it gives 1 - phi, stable near phi = 1.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        opp = np.where(d_rad < 0.0, t_sq / (d_tot * (d_tot - d_rad)), 1.0 + d_rad / d_tot)
+    return np.where(d_tot > 0.0, opp, 1.0)
+
+
+def log_form_increment(k: float, D, log_opp, log_omp) -> np.ndarray:
+    """The asymptotic increment as (D + log((1 + phi)/2 + (1 - phi) e^(-2D)/2))/k,
+    D = k d_tot, from log(1 + phi) and log(1 - phi): finite for every step,
+    also where 1 + phi underflows, with the log of the sum taken from the
+    logs of its terms."""
+    return (D + np.logaddexp(log_opp - _LOG2, log_omp - _LOG2 - 2.0 * D)) / k
+
+
 def asymptotic_increment_batch(k: float, d_rad, d_tot, t_sq=None) -> np.ndarray:
     """(1/k) log(cosh(k d_tot) + phi sinh(k d_tot)) over arrays of (d_rad, d_tot),
     with phi = d_rad/d_tot, and 0 where d_tot = 0.
 
-    Given the steps' |t|^2 (d_tot's shape), 1 + phi is taken where d_rad < 0
-    as |t|^2 / (d_tot (d_tot - d_rad)), which keeps its digits for a long
-    step close to straight inward: there 1 + d_rad/d_tot is all rounding,
-    and the increment of a heavy-tail step of length y reads -y instead of
-    about 0 past y = 30.  Such a step with |t|^2 = 0 counts as phi = -1.
+    1 + phi is 1 + d_rad/d_tot by default.  Given the steps' |t|^2 (d_tot's
+    shape), it comes from one_plus_phi wherever 1 + d_rad/d_tot < 1/16: a
+    heavy-tail step of length y close to straight inward would otherwise
+    read -y instead of about 0 past y = 30.  Such a step with |t|^2 = 0
+    counts as phi = -1.
 
     d_rad has d_tot's shape, or that shape behind leading axes: each row along
     them is one radial component per step, and sinh and exp of k d_tot are
@@ -89,11 +116,10 @@ def asymptotic_increment_batch(k: float, d_rad, d_tot, t_sq=None) -> np.ndarray:
     Branches, per element: d_tot = 0 gives 0 and phi = +-1 gives +-d_tot,
     with no transcendental call.  Otherwise the evaluation is stable: for
     D = k d_tot <= 30 the argument is computed as e^(-D) + (1+phi) sinh(D)
-    (both terms nonnegative, so nothing cancels near phi = -1); above, the
-    log is expanded as D + log((1+phi)/2 + (1-phi) e^(-2D) / 2).  A branch
-    that covers the whole batch runs on the arrays themselves; only a batch
-    that mixes branches is gathered branch by branch.  A NaN argument fails
-    the domain checks.
+    (both terms nonnegative, so nothing cancels near phi = -1); above, by
+    log_form_increment.  A branch that covers the whole batch runs on the
+    arrays themselves; only a batch that mixes branches is gathered branch
+    by branch.  A NaN argument fails the domain checks.
     """
     d_rad = np.asarray(d_rad, dtype=float)
     d_tot = np.asarray(d_tot, dtype=float)
@@ -108,31 +134,29 @@ def asymptotic_increment_batch(k: float, d_rad, d_tot, t_sq=None) -> np.ndarray:
     np.clip(phi, -1.0, 1.0, out=phi)
     opp = 1.0 + phi
     if t_sq is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            opp = np.where((d_rad < 0.0) & pos, t_sq / (d_tot * (d_tot - d_rad)), opp)
+        near = np.flatnonzero(opp < _OPP_DIRECT)
+        if near.size:
+            step = near % d_tot.size        # each element's step, in d_tot's order
+            np.put(opp, near, one_plus_phi(np.broadcast_to(d_rad, opp.shape).reshape(-1)[near],
+                                           np.broadcast_to(t_sq, d_tot.shape).reshape(-1)[step],
+                                           d_tot.reshape(-1)[step]))
 
     def edge(d_tot, phi, opp):
         return np.where(d_tot > 0.0, phi * d_tot, 0.0)
 
     def general(d_tot, phi, opp):
         D = k * d_tot
-        out = _piecewise(D <= _F_LOG_THRESHOLD, log_argument, log_expansion, D, opp)
-        out /= k
-        return out
+        return _piecewise(D <= _F_LOG_THRESHOLD, log_argument, log_expansion, D, opp)
 
     def log_argument(D, opp):
         x = opp * np.sinh(D)
         x += np.exp(-D)
-        return np.log(x, out=x)
+        np.log(x, out=x)
+        x /= k
+        return x
 
     def log_expansion(D, opp):
-        x = 2.0 - opp
-        x *= 0.5
-        x *= np.exp(-2.0 * D)
-        x += 0.5 * opp
-        np.log(x, out=x)
-        x += D
-        return x
+        return log_form_increment(k, D, np.log(opp), np.log(2.0 - opp))
 
     # phi = -1 exactly where opp = 0
     return _piecewise(pos & (phi != 1.0) & (opp != 0.0), general, edge,
@@ -326,10 +350,12 @@ def _radius_estimates(law, k, r, n_samples, rng):
 # Quadrature moments
 # ---------------------------------------------------------------------------
 
-def _integrable(law: IncrementLaw, r: float) -> bool:
-    """Whether the law's moments at r are integrated: it offers lines there.
-    Every other law (custom laws, box laws from d = 5) is sampled."""
-    return law.quadrature_lines(r, QUAD_NODES) is not None
+def _integrable(law: IncrementLaw, r: float, k: float) -> bool:
+    """Whether the law's moments at r, for curvature up to k, are integrated:
+    it offers lines there.  Every other law (custom laws, box laws in
+    d >= 3 or with k times the radial half-side above QUADRATURE_KA) is
+    sampled."""
+    return law.quadrature_lines(r, QUAD_NODES, k) is not None
 
 
 def _integrate(law, r, integrands, k, cut=None):
@@ -366,7 +392,7 @@ def step_moments(law: IncrementLaw, k: Optional[float], r: float, n_samples: int
     are raw sample means with 99% half-widths, nu1 and nu2 without mirror
     pairing."""
     names = STEP_MOMENTS if k is not None else STEP_MOMENTS[:4]
-    if _integrable(law, r):
+    if _integrable(law, r, k or 0.0):
         from . import quadrature
 
         def integrands(a):
@@ -426,7 +452,7 @@ def estimate_moment_functions(law: IncrementLaw, k: float, r_grid, n_samples: in
     if not grid:
         raise UsageError("empty radius grid")
     _check_samples(n_samples)
-    integrated = _integrable(law, grid[0])
+    integrated = _integrable(law, grid[0], k)
     table = {r: (_radius_integrals(law, k, r) if integrated
                  else _radius_estimates(law, k, r, n_samples, rng)) for r in grid}
 
@@ -646,19 +672,34 @@ def _pinched_moments(law, r, k, K, n_samples, rng):
     d_rad, _, t_sq, d_tot = _draw(law, r, n_samples, rng)
 
     def bounds(d_rad, t_sq, d_tot):
-        with np.errstate(invalid="ignore"):
-            phi = np.where(d_tot > 0.0, d_rad / np.maximum(d_tot, 1e-300), 0.0)
-        np.clip(phi, -1.0, 1.0, out=phi)
         f_lo = asymptotic_increment_batch(k, d_rad, d_tot, t_sq)
         f_hi = f_lo if K == k else asymptotic_increment_batch(K, d_rad, d_tot, t_sq)
-        inc_lo = radial_increment_exact_batch(r, d_tot, phi, k)
-        inc_hi = inc_lo if K == k else radial_increment_exact_batch(r, d_tot, phi, K)
         sq_lo = f_lo ** 2
         sq_hi = sq_lo if K == k else f_hi ** 2
-        split = sq_lo * (inc_lo >= 0.0) + sq_hi * (inc_hi < 0.0)
-        return f_lo, f_hi, split, np.maximum(sq_lo, sq_hi)
+        return _pinched_bounds(f_lo, sq_lo, f_hi, sq_hi,
+                               *_exact_increments(r, k, K, d_rad, d_tot))
 
     return tuple(_mc_estimate(x) for x in _mirror_means(law, bounds, d_rad, t_sq, d_tot))
+
+
+def _exact_increments(r, k, K, d_rad, d_tot):
+    """The exact radial increments (inc_k, inc_K) at radius r of the steps
+    (d_rad, d_tot), d_rad of d_tot's shape or stacked behind it; the same
+    array twice when K = k."""
+    with np.errstate(invalid="ignore"):
+        phi = np.where(d_tot > 0.0, d_rad / np.maximum(d_tot, 1e-300), 0.0)
+    np.clip(phi, -1.0, 1.0, out=phi)
+    inc_lo = radial_increment_exact_batch(r, d_tot, phi, k)
+    return inc_lo, inc_lo if K == k else radial_increment_exact_batch(r, d_tot, phi, K)
+
+
+def _pinched_bounds(x1_lo, sq_lo, x1_hi, sq_hi, inc_lo, inc_hi):
+    """The integrands of the four pinched bounds (see _pinched_moments)
+    from the first-moment integrands and squared increments at k and K and
+    the exact increments: the split bound takes f_k^2 where inc_k >= 0 and
+    f_K^2 where inc_K < 0."""
+    split = sq_lo * (inc_lo >= 0.0) + sq_hi * (inc_hi < 0.0)
+    return x1_lo, x1_hi, split, np.maximum(sq_lo, sq_hi)
 
 
 def _pinched_integrals(law, r, k, K):
@@ -671,27 +712,19 @@ def _pinched_integrals(law, r, k, K):
     monotone in d_rad and may change sign twice on a line; every change
     between the probes is bracketed.
     """
-    def increments(steps):
-        d_tot = steps.d_tot
-        phi = np.clip(np.divide(steps.d_rad, d_tot, out=np.zeros(d_tot.shape),
-                                where=d_tot > 0.0), -1.0, 1.0)
-        inc_lo = radial_increment_exact_batch(r, d_tot, phi, k)
-        return inc_lo, inc_lo if K == k else radial_increment_exact_batch(r, d_tot, phi, K)
-
     from . import quadrature
 
     def cut(steps):
-        lp, lq = quadrature.log_halves(steps)
-        return (*increments(steps), quadrature.log_form_increment(k, steps, lp, lq)
-                + quadrature.log_form_increment(K, steps, lp, lq))
+        log_omp = quadrature.log_one_minus_phi(steps)
+        f = [log_form_increment(c, c * steps.d_tot, steps.log_opp, log_omp) for c in (k, K)]
+        return (*_exact_increments(r, k, K, steps.d_rad, steps.d_tot), f[0] + f[1])
 
     def bounds(atoms):
         x1_lo, sq_lo = quadrature.increment_integrands(k, atoms, law.symmetric)
         x1_hi, sq_hi = ((x1_lo, sq_lo) if K == k
                         else quadrature.increment_integrands(K, atoms, law.symmetric))
-        inc_lo, inc_hi = increments(atoms)
-        split = sq_lo * (inc_lo >= 0.0) + sq_hi * (inc_hi < 0.0)
-        return x1_lo, x1_hi, split, np.maximum(sq_lo, sq_hi)
+        return _pinched_bounds(x1_lo, sq_lo, x1_hi, sq_hi,
+                               *_exact_increments(r, k, K, atoms.d_rad, atoms.d_tot))
 
     return tuple(_integrate(law, r, bounds, K, None if K == k else cut))
 
@@ -719,7 +752,8 @@ def classify_pinched(law: IncrementLaw, k_min_profile: RadialProfile,
         raise DomainError(f"theta must be > 0, got {theta}")
     grid, r0, tail = _prepare_grid(r_grid, r0)
     _check_samples(n_samples)
-    integrated = _integrable(law, grid[0])
+    # the lines are built at each radius's k_max, which the profile's sup bounds
+    integrated = _integrable(law, grid[0], k_max_profile.sup())
 
     rows = []
     notes = [QUADRATURE_NOTE] if integrated else []

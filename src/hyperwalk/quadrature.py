@@ -26,7 +26,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-MAX_ITERATIONS = 200    # steps per sign change; a bracket stops below _TOL of the line's scale
+from .lamperti import log_form_increment, one_plus_phi
+
+MAX_ITERATIONS = 200    # bisections per sign change; a bracket stops below _TOL of the line's scale
 _TOL = 16.0 * sys.float_info.epsilon
 # a half-width's floor for rounding, relative to the sum of |weight * integrand|
 _ROUNDING = 64.0 * sys.float_info.epsilon
@@ -34,9 +36,6 @@ _LOG2 = math.log(2.0)
 _PROBE = 64         # evenly spaced probes per line, plus geometric ones at both ends
 _PROBE_ENDS = 30
 _BATCH = 1 << 18    # atoms, or probes, evaluated at once
-# deepest transverse grading of a box law in d = 2, 3, 4: a graded cube has
-# (grade + 1)^(d - 1) times the nodes, kept to some 3*10^4 lines at 2n = 64
-_MAX_GRADE = (50, 7, 0)
 
 
 @lru_cache(maxsize=None)
@@ -68,15 +67,11 @@ def gauss_jacobi(n: int, beta: float = 0.0):
     return x, w
 
 
-def log_one_plus_phi(d_rad, t_sq, d_tot):
-    """log(1 + phi), phi = d_rad/d_tot, without cancellation near phi = -1.
-
-    Where d_rad < 0, 1 + phi is taken as |t|^2 / (d_tot (d_tot - d_rad)).
-    A zero step reads phi = 0, and phi = -1 gives -inf.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        opp = np.where(d_rad < 0.0, t_sq / (d_tot * (d_tot - d_rad)), 1.0 + d_rad / d_tot)
-        return np.log(np.where(d_tot > 0.0, opp, 1.0))
+def _log_opp(d_rad, t_sq, d_tot):
+    """log(1 + phi) of steps, from lamperti.one_plus_phi; -inf for a
+    straight inward step."""
+    with np.errstate(divide="ignore"):
+        return np.log(one_plus_phi(d_rad, t_sq, d_tot))
 
 
 class Atoms(NamedTuple):
@@ -175,54 +170,42 @@ def _edges(line: Line, k: float, cut) -> np.ndarray:
 
 def sign_changes(g: Callable, probes: np.ndarray, pad: float, columns: int) -> np.ndarray:
     """Every point where one of the functions g >= 0 switches along a row of
-    `probes`, found between the two probes that bracket it by the Illinois
-    variant of false position (Dowell and Jarratt 1971, BIT 11, 168-174).
+    `probes`, found by bisection of the bracket between the two probes
+    around it.
 
     `g` maps parameters of shape (rows, m) to a sequence of arrays of that
     shape, one per function; the probes go to it `columns` at a time.
     Returns an array (rows, most switches in a row), its free places filled
-    with `pad`.  A false-position step that does not halve its bracket is
-    followed by a bisection, so every bracket at least halves in two steps.
+    with `pad`.
     """
-    brackets = []               # (row, function, lo, hi, g at lo, g at hi)
+    brackets = []               # (row, function, lo, hi, g >= 0 at lo)
     for c in range(0, probes.shape[1] - 1, columns - 1):
         part = probes[:, c:c + columns]
         for i, value in enumerate(g(part)):
-            value = np.asarray(value)
-            row, col = np.nonzero((value[:, 1:] >= 0.0) != (value[:, :-1] >= 0.0))
+            up = np.asarray(value) >= 0.0
+            row, col = np.nonzero(up[:, 1:] != up[:, :-1])
             brackets.append((row, np.full(row.size, i), part[row, col], part[row, col + 1],
-                             value[row, col], value[row, col + 1]))
-    row, which, lo, hi, g_lo, g_hi = map(np.concatenate, zip(*brackets))
+                             up[row, col]))
+    row, which, lo, hi, lo_up = map(np.concatenate, zip(*brackets))
     rows = probes.shape[0]
     if row.size == 0:
         return np.empty((rows, 0))
     # every bracket as one element of a (rows, width) array, row by row
     order = np.argsort(row, kind="stable")
-    row, which, lo, hi, g_lo, g_hi = (a[order] for a in (row, which, lo, hi, g_lo, g_hi))
+    row, which, lo, hi, lo_up = (a[order] for a in (row, which, lo, hi, lo_up))
     count = np.bincount(row, minlength=rows)
     slot = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
     grid = np.full((rows, int(count.max())), pad)
-    lo_up = g_lo >= 0.0
-    side = np.zeros(row.size)       # +1 when lo moved last, -1 when hi did
-    halve = np.zeros(row.size, dtype=bool)
     tol = _TOL * float(np.abs(probes).max())
     for _ in range(MAX_ITERATIONS):
-        width = hi - lo
-        if not (width > tol).any():
+        if not (hi - lo > tol).any():
             break
-        m = hi - g_hi * width / (g_hi - g_lo)
-        m = np.where((m > lo) & (m < hi) & ~halve, m, 0.5 * (lo + hi))
-        grid[row, slot] = m
-        gm = np.stack([np.asarray(v)[row, slot] for v in g(grid)])[which, np.arange(row.size)]
-        moved_lo = (gm >= 0.0) == lo_up
-        g_hi = np.where(moved_lo & (side > 0), 0.5 * g_hi, g_hi)
-        g_lo = np.where(~moved_lo & (side < 0), 0.5 * g_lo, g_lo)
-        lo, g_lo = np.where(moved_lo, m, lo), np.where(moved_lo, gm, g_lo)
-        hi, g_hi = np.where(moved_lo, hi, m), np.where(moved_lo, g_hi, gm)
-        side = np.where(moved_lo, 1.0, -1.0)
-        # a step that did not halve the bracket is followed by a bisection
-        halve = hi - lo > 0.5 * width
-    grid[row, slot] = np.where(np.abs(g_lo) < np.abs(g_hi), lo, hi)
+        mid = 0.5 * (lo + hi)
+        grid[row, slot] = mid
+        up = np.stack([np.asarray(v)[row, slot] for v in g(grid)])[which, np.arange(row.size)]
+        moved_lo = (up >= 0.0) == lo_up
+        lo, hi = np.where(moved_lo, mid, lo), np.where(moved_lo, hi, mid)
+    grid[row, slot] = 0.5 * (lo + hi)
     return grid
 
 
@@ -242,20 +225,18 @@ def elliptic_lines(a: float, b: float, d: int, k: float):
         d_rad = a * np.cos(theta)
         t_sq = (b * sin) ** 2
         d_tot = np.sqrt(d_rad * d_rad + t_sq)
-        return Atoms(d_rad, t_sq, d_tot, log_one_plus_phi(d_rad, t_sq, d_tot),
+        return Atoms(d_rad, t_sq, d_tot, _log_opp(d_rad, t_sq, d_tot),
                      sin ** (d - 2) / norm)
 
     grade = _grading(k, a, math.pi * b)
     return (Line(0.0, math.pi, steps, span=2.0 * max(a, b), grade=grade),)
 
 
-def box_lines(a: float, b: float, d: int, n: int, k: float):
-    """The box with half-sides a (radial) and b: one line over h[0] in
-    [-1, 1] per node of the transverse cube's n-point rule, graded toward
-    h = 0 on each axis for curvature k (see `_grading`) as deep as
-    _MAX_GRADE allows."""
-    grade = min(_grading(k, a, b), _MAX_GRADE[d - 2])
-    h_sq, w = _cube_nodes(d - 1, n, grade)
+def box_lines(a: float, b: float, n: int, k: float):
+    """The box in d = 2 with half-sides a (radial) and b: one line over h[0]
+    in [-1, 1] per node of the transverse rule, graded toward h = 0 for
+    curvature k (see `_grading`)."""
+    h_sq, w = _transverse_nodes(n, _grading(k, a, b))
     t_sq = (b * b * h_sq)[:, None]
     density = 0.5 * w[:, None]
 
@@ -263,46 +244,34 @@ def box_lines(a: float, b: float, d: int, n: int, k: float):
         d_rad = a * h0
         t = np.broadcast_to(t_sq, d_rad.shape)
         d_tot = np.sqrt(d_rad * d_rad + t)
-        return Atoms(d_rad, t, d_tot, log_one_plus_phi(d_rad, t, d_tot),
+        return Atoms(d_rad, t, d_tot, _log_opp(d_rad, t, d_tot),
                      np.broadcast_to(density, d_rad.shape))
 
     return (Line(-1.0, 1.0, steps, size=h_sq.size, span=2.0 * a),)
 
 
 @lru_cache(maxsize=None)
-def _cube_nodes(k: int, n: int, grade: int = 0):
-    """(sum of h_i^2, weight): the n-point Gauss rule per axis for the
-    uniform law on [-1, 1]^k, for integrands that depend on h only through
-    the h_i^2, with one node per multiset of coordinates.
+def _transverse_nodes(n: int, grade: int = 0):
+    """(h^2, weight): the n-point Gauss rule for h uniform on [-1, 1], for
+    integrands that depend on h only through h^2.
 
-    Per axis the rule is the n/2-point Gauss-Jacobi rule in u = h^2 on
-    [0, 1], weight u^(-1/2), which is the n-point Gauss-Legendre rule on
-    functions of h^2.  With `grade` it is instead the n/2-point
-    Gauss-Legendre rule in h on each of [0, 2^-grade], ...,
-    [1/4, 1/2], [1/2, 1].  A multiset of axis nodes stands for its
-    permutations and carries their count in its weight.
+    It is the n/2-point Gauss-Jacobi rule in u = h^2 on [0, 1], weight
+    u^(-1/2), which is the n-point Gauss-Legendre rule on functions of h^2.
+    With `grade` it is instead the n/2-point Gauss-Legendre rule in |h| on
+    each of [0, 2^-grade], ..., [1/4, 1/2], [1/2, 1].
     """
     if grade:
         x, w = gauss_jacobi(n // 2)
         edges = np.concatenate([[0.0], 2.0 ** -np.arange(grade, -1.0, -1.0)])
         half = 0.5 * np.diff(edges)[:, None]
-        u = ((edges[:-1, None] + half * (x + 1.0)) ** 2).ravel()
+        h_sq = ((edges[:-1, None] + half * (x + 1.0)) ** 2).ravel()
         w = (half * w).ravel()
     else:
         x, w = gauss_jacobi(n // 2, -0.5)
-        u, w = 0.5 * (x + 1.0), math.sqrt(2.0) / 4.0 * w
-    idx = np.indices((u.size,) * k).reshape(k, -1)
-    idx = idx[:, np.all(idx[:-1] <= idx[1:], axis=0)]
-    run = np.ones(idx.shape[1])
-    count = np.full(idx.shape[1], float(math.factorial(k)))
-    for j in range(1, k):
-        run = np.where(idx[j] == idx[j - 1], run + 1.0, 1.0)
-        count /= run
-    h_sq = u[idx].sum(axis=0)
-    weight = count * np.prod(w[idx], axis=0)
+        h_sq, w = 0.5 * (x + 1.0), math.sqrt(2.0) / 4.0 * w
     h_sq.flags.writeable = False
-    weight.flags.writeable = False
-    return h_sq, weight
+    w.flags.writeable = False
+    return h_sq, w
 
 
 def _grading(k: float, a: float, b: float) -> int:
@@ -364,7 +333,7 @@ def inward_lines(N: float):
         dr = np.broadcast_to(d_rad, s.shape)
         t_sq = 16.0 * N * N - dr * dr
         d_tot = np.full(s.shape, 4.0 * N)
-        return Atoms(dr, t_sq, d_tot, log_one_plus_phi(dr, t_sq, d_tot), np.full(s.shape, 0.5))
+        return Atoms(dr, t_sq, d_tot, _log_opp(dr, t_sq, d_tot), np.full(s.shape, 0.5))
 
     return (Line(0.0, 1.0, steps, size=2),)
 
@@ -373,38 +342,28 @@ def inward_lines(N: float):
 # The asymptotic increment at the atoms, and the integrals
 # ---------------------------------------------------------------------------
 
-def log_halves(steps):
-    """log((1 + phi)/2) and log((1 - phi)/2) of each step, the first from the
-    law's own log(1 + phi), the second from |t|^2 where d_rad > 0."""
-    lp = np.minimum(steps.log_opp - _LOG2, 0.0)
-    lq = np.minimum(log_one_plus_phi(-steps.d_rad, steps.t_sq, steps.d_tot) - _LOG2, 0.0)
-    return lp, lq
-
-
-def log_form_increment(k, steps, lp, lq):
-    """The asymptotic increment as (D + log(p + q e^(-2D)))/k, with D = k d_tot,
-    p = (1 + phi)/2 and q = (1 - phi)/2 given as logs: finite for every
-    step, also where p underflows."""
-    D = k * steps.d_tot
-    return (D + np.logaddexp(lp, lq - 2.0 * D)) / k
+def log_one_minus_phi(steps):
+    """log(1 - phi) of each step, stable near phi = 1."""
+    return _log_opp(-steps.d_rad, steps.t_sq, steps.d_tot)
 
 
 def increment_integrands(k: float, steps, paired: bool):
-    """The integrands (x1, x2) of nu1 and nu2 at each step: f and f^2, where a
+    """The integrands (x1, x2) of nu1 and nu2 at each step: f and f^2, f
+    from lamperti.log_form_increment with the step's own log(1 + phi).  A
     paired law (symmetric under v -> -v) takes f's even part
 
         (f(phi) + f(-phi))/2 = log(1 + (1 - phi^2) sinh(D)^2) / (2k)
 
-    in x1.  Its expectation is nu1, and nothing in it cancels, however small
-    nu1 is against |f|."""
-    lp, lq = log_halves(steps)
-    f = log_form_increment(k, steps, lp, lq)
+    in x1, D = k d_tot.  Its expectation is nu1, and nothing in it cancels,
+    however small nu1 is against |f|."""
+    log_omp = log_one_minus_phi(steps)
+    D = k * steps.d_tot
+    f = log_form_increment(k, D, steps.log_opp, log_omp)
     if not paired:
         return f, f * f
-    D = k * steps.d_tot
     with np.errstate(divide="ignore"):          # log 0 = -inf at D = 0
         log_sinh = D - _LOG2 + np.log(-np.expm1(-2.0 * D))
-    return np.logaddexp(0.0, 2.0 * (_LOG2 + log_sinh) + lp + lq) / (2.0 * k), f * f
+    return np.logaddexp(0.0, 2.0 * log_sinh + steps.log_opp + log_omp) / (2.0 * k), f * f
 
 
 def integrate(law, r: float, integrands, k: float, n: int, cut=None) -> list:

@@ -103,7 +103,7 @@ class TestKernelPins:
         got = [asymptotic_increment_batch(k, phi * d_tot, d_tot)
                for _, k, d_tot, phi in branch_grid()]
         assert _digest(got) == (
-            "2ab7765dfe1008cbfa0430c19daaea4a056fda53aeb0c6e0b7977c07d71d04d3")
+            "c369d85ed7ab35d493b95779b563fd28d3feef0e4a381f86b3630c58afa101d5")
 
     def test_mirror_row_equals_a_separate_call(self):
         # sign flips are exact, so the stacked [phi, -phi] call must give the
@@ -146,12 +146,12 @@ MOMENT_PINS = {
         ("0x1.aecb131527319p-1", "0x1.0414a0226f541p-7"),
         ("0x1.515e34cb6fb84p+0", "0x1.de72c65d135ddp-7"),
         ("0x1.0ec7ba749f027p+0", "0x1.201ce6e693e0bp-7"),
-        ("0x1.9907caa29c2eap+0", "0x1.257a98a8b32dbp-6"),
+        ("0x1.9907caa29c2ebp+0", "0x1.257a98a8b32dbp-6"),
     ],
     "elliptic": [
         ("0x1.da2be6f9808c1p-2", "0x1.3dad187030a1bp-8"),
         ("0x1.09dda75bc444ap+0", "0x1.16ab7154a0b97p-7"),
-        ("0x1.47d05e0d7ab34p-1", "0x1.70d93bf64649dp-8"),
+        ("0x1.47d05e0d7ab35p-1", "0x1.70d93bf64649dp-8"),
         ("0x1.156ff13d33144p+0", "0x1.862e40596da8fp-8"),
     ],
     "heavytail": [
@@ -177,7 +177,7 @@ PINCHED_PINS = {
         ("0x1.ac8224cafe677p-1", "0x1.039416178382fp-7"),
         ("0x1.0eba6acea3ad1p+0", "0x1.21e16b9983baap-7"),
         ("0x1.49ccabff245aap+0", "0x1.d805f90a8ca7ep-7"),
-        ("0x1.a1ef43aca771cp+0", "0x1.247df117b61f2p-6"),
+        ("0x1.a1ef43aca771ep+0", "0x1.247df117b61f2p-6"),
     ],
     "heavytail": [
         ("0x1.2549f26074bc3p-3", "0x1.bc402d00173f7p-6"),

@@ -85,11 +85,13 @@ class TestAsymptoticIncrement:
         if k == 1.0:
             assert asymptotic_increment_batch(k, d_rad, d_tot)[-1] == -y[-1]
 
-    def test_t_sq_leaves_outward_and_flat_steps_alone(self):
+    def test_t_sq_serves_only_near_straight_inward_steps(self):
+        # 1 + d_rad/d_tot is taken from |t|^2 only where it is below 1/16,
+        # so every other step keeps its bytes, on both sides of k d_tot = 30
         rng = np.random.default_rng(3)
-        d_rad = rng.uniform(0.0, 3.0, 200)
-        t_sq = rng.uniform(0.0, 4.0, 200)
-        d_tot = np.sqrt(d_rad * d_rad + t_sq)
+        d_tot = rng.uniform(0.0, 60.0, 400)
+        d_rad = d_tot * rng.uniform(-15.0 / 16.0, 1.0, 400)
+        t_sq = (d_tot - d_rad) * (d_tot + d_rad)
         assert (asymptotic_increment_batch(1.0, d_rad, d_tot, t_sq).tobytes()
                 == asymptotic_increment_batch(1.0, d_rad, d_tot).tobytes())
 
@@ -235,10 +237,10 @@ def moment_integrands(law, k, r, n, rng):
 
 
 HEAVY = hw.HeavyTailLaw(4.0, 2)
-# laws the estimators sample: a box law past d = 4, and the heavy-tail law's
+# laws the estimators sample: a box law in d = 3, and the heavy-tail law's
 # own draws behind a custom law, which offers no quadrature
 SAMPLED = {
-    "box-d5": hw.BoxLaw(C1, C1, 5),
+    "box": hw.BoxLaw(C1, C1, 3),
     "custom-heavytail": hw.CustomLaw(lambda r, d, rng: HEAVY.sample_components(r, rng), 2),
 }
 

@@ -1,7 +1,9 @@
 """Quadrature moments against independent references.
 
-Every built-in law's moments are integrated by Gauss quadrature over the
-law's own parameters (hyperwalk.quadrature and the laws' quadrature_lines).
+The built-in laws' moments are integrated by Gauss quadrature over the
+law's own parameters (hyperwalk.quadrature and the laws' quadrature_lines);
+box laws only in d = 2 and for k a <= QUADRATURE_KA, where that costs less
+than sampling.
 The references here are mpmath integrals at 20-40 digits of the plain
 definitions, (1/k) log(cosh(k d_tot) + phi sinh(k d_tot)) and the exact
 increment acosh(cosh kR cosh kd + phi sinh kR sinh kd)/k - R, or scipy
@@ -74,12 +76,12 @@ class TestNodes:
         with pytest.raises(ValueError):
             x[0] = 0.0
 
-    def test_log_one_plus_phi_keeps_its_digits_near_minus_one(self):
+    def test_one_plus_phi_keeps_its_digits_near_minus_one(self):
         mp.mp.dps = 40
         for y in (5.0, 40.0, 300.0):
             off = 2.0 * math.exp(-y) / (1.0 + math.exp(-y))
             d_rad, t_sq = (off - 1.0) * y, y * y * off * (2.0 - off)
-            got = float(quadrature.log_one_plus_phi(d_rad, t_sq, math.sqrt(d_rad ** 2 + t_sq)))
+            got = math.log(lamperti.one_plus_phi(d_rad, t_sq, math.sqrt(d_rad ** 2 + t_sq)))
             d_tot = mp.sqrt(mp.mpf(d_rad) ** 2 + mp.mpf(t_sq))
             want = mp.log(mp.mpf(t_sq) / (d_tot * (d_tot - mp.mpf(d_rad))))
             close(got, want, 1e-14)
@@ -100,19 +102,6 @@ def box2_reference(law, k, r, power):
     a, b = math.sqrt(3.0) * law.a(r), math.sqrt(3.0) * law.b(r)
     return mp.quad(lambda h0, h1: mp_increment(k, a * h0, (b * h1) ** 2) ** power,
                    [-1, 0, 1], [0, 1]) / 2
-
-
-def box3_reference(law, k, r, power):
-    """E[f^power] for a box law in d = 3, over h0 and s = h1^2 + h2^2, whose
-    density on [0, 2] for (h1, h2) uniform on [0, 1]^2 is pi/4 below 1 and
-    pi/4 - acos(1/sqrt(s)) above."""
-    a, b = math.sqrt(3.0) * law.a(r), math.sqrt(3.0) * law.b(r)
-
-    def density(s):
-        return mp.pi / 4 if s <= 1 else mp.pi / 4 - mp.acos(1 / mp.sqrt(s))
-
-    return mp.quad(lambda h0, s: mp_increment(k, a * h0, b * b * s) ** power * density(s),
-                   [-1, 0, 1], [0, 1, 2]) / 2
 
 
 def heavytail_reference(law, k, r, power):
@@ -152,14 +141,13 @@ class TestAgainstReferences:
     def test_elliptic(self, d, b, r):
         self.check(hw.EllipticLaw(C1, b, d), 1.0, r, elliptic_reference)
 
-    @pytest.mark.parametrize("r, k", [(10.0, 1.0), (200.0, 1.0), (10.0, 5.0)])
-    def test_box_d2(self, r, k):    # classify-box-recurrent-small; K of -pinched-wide
-        # at k = 5 a near-inward step's increment switches over a transverse
-        # scale of about 2 sqrt(3) e^(-5 sqrt(3)) = 6e-4: the graded rule
-        self.check(hw.BoxLaw(C1, B_DECAY, 2), k, r, box2_reference)
-
-    def test_box_d3(self):          # classify-box-screen: constant profiles, any r
-        self.check(hw.BoxLaw(C1, C1, 3), 1.0, 5.0, box3_reference, dps=15)
+    @pytest.mark.parametrize("b, r, k", [(B_DECAY, 10.0, 1.0), (B_DECAY, 200.0, 1.0),
+                                         (C1, 10.0, 1.7)])
+    def test_box_d2(self, b, r, k):     # classify-box-recurrent-small; a graded rule
+        # at k = 1.7, k a = 2.94, just below QUADRATURE_KA, a near-inward
+        # step's increment switches over a transverse scale of about
+        # 2 sqrt(3) e^(-2.94) = 0.18 against b = sqrt(3): the graded rule
+        self.check(hw.BoxLaw(C1, b, 2), k, r, box2_reference)
 
     @pytest.mark.parametrize("m, k, r", [(4.0, 1.0, 10.0), (4.0, 1.0, 100.0),
                                          (4.0, 1.0, 200.0), (4.0, 0.5, 100.0),
@@ -328,14 +316,14 @@ class TestPinchedSplit:
         for g, m in zip(got, mc):
             assert abs(g.value - m.value) <= g.half_width + m.half_width, (g, m)
 
-    def test_box_d2_steep_curvature(self):     # classify-pinched-wide at r = 10
-        # K = 5: the transverse rule is graded toward t = 0, and the bounds
-        # converge: small half-widths, and a 10^6-draw Monte Carlo estimate
+    def test_box_d2_near_the_bound(self):
+        # K a = 2.94, just below QUADRATURE_KA: the bounds converge, with
+        # small half-widths, and a 10^6-draw Monte Carlo estimate lies
         # within its 99% half-width
         law = hw.BoxLaw(C1, B_DECAY, 2)
-        got = lamperti._pinched_integrals(law, 10.0, 0.5, 5.0)
-        mc = lamperti._pinched_moments(law, 10.0, 0.5, 5.0, 1_000_000, np.random.default_rng(2))
-        close(got[1].value, lamperti._radius_integrals(law, 5.0, 10.0)[0].value, 1e-13)
+        got = lamperti._pinched_integrals(law, 10.0, 1.0, 1.7)
+        mc = lamperti._pinched_moments(law, 10.0, 1.0, 1.7, 1_000_000, np.random.default_rng(2))
+        close(got[1].value, lamperti._radius_integrals(law, 1.7, 10.0)[0].value, 1e-13)
         for g, m in zip(got, mc):
             assert g.half_width < 1e-10 * abs(g.value), g
             assert abs(g.value - m.value) <= m.half_width, (g, m)
@@ -356,10 +344,9 @@ class TestMonteCarloCrossCheck:
     @pytest.mark.parametrize("law, r", [
         (hw.EllipticLaw(C1, B_DECAY, 2), 10.0),
         (hw.BoxLaw(C1, B_DECAY, 2), 10.0),
-        (hw.BoxLaw(C1, C1, 3), 10.0),
         (hw.InwardBiasedLaw(1.0, 2), 10.0),
         (hw.HeavyTailLaw(4.0, 2), 100.0),
-    ], ids=["elliptic", "box-d2", "box-d3", "inwardbiased", "heavytail"])
+    ], ids=["elliptic", "box-d2", "inwardbiased", "heavytail"])
     def test_moments(self, law, r):
         exact = lamperti._radius_integrals(law, 1.0, r)
         with warnings.catch_warnings():
@@ -377,3 +364,25 @@ class TestMonteCarloCrossCheck:
         mc = lamperti._pinched_moments(law, 10.0, 1.0, 1.5, 1_000_000, np.random.default_rng(1))
         for m, e in zip(mc, exact):
             assert abs(m.value - e.value) <= m.half_width, (m, e)
+
+
+class TestWhichLawsAreIntegrated:
+    """Box laws offer quadrature lines only where integrating costs less
+    than sampling 2*10^5 steps (BENCH_18): d = 2, and k times the radial
+    half-side sqrt(3) a at most QUADRATURE_KA.  Every other built-in law
+    always offers them."""
+
+    def test_box_laws(self):
+        from hyperwalk.increments import QUADRATURE_KA
+        a = hw.RadialProfile.constant(0.5)
+        at_bound = QUADRATURE_KA / (math.sqrt(3.0) * 0.5)
+        assert hw.BoxLaw(a, C1, 2).quadrature_lines(10.0, 32, at_bound) is not None
+        assert hw.BoxLaw(a, C1, 2).quadrature_lines(10.0, 32, 1.01 * at_bound) is None
+        assert hw.BoxLaw(a, C1, 3).quadrature_lines(10.0, 32, 0.1) is None
+        # the radial profile's sup decides, so that every radius agrees
+        decaying = hw.BoxLaw(hw.RadialProfile.power_decay(1.0, 1.0), C1, 2)
+        assert decaying.quadrature_lines(200.0, 32, 1.01 * QUADRATURE_KA / math.sqrt(3.0)) is None
+
+    def test_other_laws(self):
+        for law in (hw.EllipticLaw(C1, C1, 7), hw.HeavyTailLaw(4.0, 3), hw.InwardBiasedLaw(1.0, 5)):
+            assert law.quadrature_lines(10.0, 32, 50.0) is not None
