@@ -52,10 +52,11 @@ QUADRATURE_NOTE = (f"moments by Gauss quadrature; half_width is |Q_{QUAD_NODES} 
 
 _F_LOG_THRESHOLD = 30.0
 _LOG2 = math.log(2.0)
-# 1 + phi = 1 + d_rad/d_tot is accurate to about eps / (1 + phi) relative,
-# so to 16 eps at and above this; below it the kernel takes 1 + phi from
-# |t|^2 when given
-_OPP_DIRECT = 1.0 / 16.0
+# 1 + phi = 1 + d_rad/d_tot carries an error of about eps, which moves the
+# increment by about eps min(1/(1 + phi), e^(2D)/2)/k, D = k d_tot; given
+# |t|^2, the kernel takes 1 + phi from it where that exceeds 2^10 eps/k
+_OPP_DIRECT = 2.0 ** -10
+_D_DIRECT = 0.5 * math.log(2.0 ** 11)
 
 
 class MonteCarloVarianceWarning(UserWarning):
@@ -102,10 +103,11 @@ def asymptotic_increment_batch(k: float, d_rad, d_tot, t_sq=None) -> np.ndarray:
     with phi = d_rad/d_tot, and 0 where d_tot = 0.
 
     1 + phi is 1 + d_rad/d_tot by default.  Given the steps' |t|^2 (d_tot's
-    shape), it comes from one_plus_phi wherever 1 + d_rad/d_tot < 1/16: a
-    heavy-tail step of length y close to straight inward would otherwise
-    read -y instead of about 0 past y = 30.  Such a step with |t|^2 = 0
-    counts as phi = -1.
+    shape), it comes from one_plus_phi wherever 1 + d_rad/d_tot < 2^-10 and
+    e^(2 k d_tot) > 2^11, where the direct form's rounding would move the
+    increment by more than about 2^10 eps/k: a heavy-tail step of length y
+    close to straight inward would read -y instead of about 0 past y = 30.
+    Such a step with |t|^2 = 0 counts as phi = -1.
 
     d_rad has d_tot's shape, or that shape behind leading axes: each row along
     them is one radial component per step, and sinh and exp of k d_tot are
@@ -130,21 +132,24 @@ def asymptotic_increment_batch(k: float, d_rad, d_tot, t_sq=None) -> np.ndarray:
     shape = np.broadcast_shapes(d_rad.shape, d_tot.shape)
     d_tot = np.atleast_1d(d_tot)
     pos = d_tot > 0.0
-    phi = np.divide(d_rad, d_tot, out=np.zeros(shape or (1,)), where=pos)
-    np.clip(phi, -1.0, 1.0, out=phi)
-    opp = 1.0 + phi
-    if t_sq is not None:
-        near = np.flatnonzero(opp < _OPP_DIRECT)
+    opp = np.divide(d_rad, d_tot, out=np.zeros(shape or (1,)), where=pos)
+    np.clip(opp, -1.0, 1.0, out=opp)
+    inner = pos & (np.abs(opp) != 1.0)      # phi = +-1 and d_tot = 0 are edges
+    opp += 1.0                              # 1 + phi, exact at phi = +-1
+    long = k * d_tot > _D_DIRECT if t_sq is not None else None
+    if long is not None and long.any():
+        near = np.flatnonzero((opp < _OPP_DIRECT) & long)
         if near.size:
             step = near % d_tot.size        # each element's step, in d_tot's order
             np.put(opp, near, one_plus_phi(np.broadcast_to(d_rad, opp.shape).reshape(-1)[near],
                                            np.broadcast_to(t_sq, d_tot.shape).reshape(-1)[step],
                                            d_tot.reshape(-1)[step]))
+            np.put(inner, near, np.take(opp, near) != 0.0)     # 0: phi = -1
 
-    def edge(d_tot, phi, opp):
-        return np.where(d_tot > 0.0, phi * d_tot, 0.0)
+    def edge(d_tot, opp):
+        return np.where(d_tot > 0.0, (opp - 1.0) * d_tot, 0.0)
 
-    def general(d_tot, phi, opp):
+    def general(d_tot, opp):
         D = k * d_tot
         return _piecewise(D <= _F_LOG_THRESHOLD, log_argument, log_expansion, D, opp)
 
@@ -158,9 +163,7 @@ def asymptotic_increment_batch(k: float, d_rad, d_tot, t_sq=None) -> np.ndarray:
     def log_expansion(D, opp):
         return log_form_increment(k, D, np.log(opp), np.log(2.0 - opp))
 
-    # phi = -1 exactly where opp = 0
-    return _piecewise(pos & (phi != 1.0) & (opp != 0.0), general, edge,
-                      d_tot, phi, opp).reshape(shape)
+    return _piecewise(inner, general, edge, d_tot, opp).reshape(shape)
 
 
 def _piecewise(mask, on, off, *arrays):
@@ -672,12 +675,12 @@ def _pinched_moments(law, r, k, K, n_samples, rng):
     d_rad, _, t_sq, d_tot = _draw(law, r, n_samples, rng)
 
     def bounds(d_rad, t_sq, d_tot):
+        inc_lo, inc_hi = _exact_increments(r, k, K, d_rad, d_tot)
         f_lo = asymptotic_increment_batch(k, d_rad, d_tot, t_sq)
         f_hi = f_lo if K == k else asymptotic_increment_batch(K, d_rad, d_tot, t_sq)
         sq_lo = f_lo ** 2
         sq_hi = sq_lo if K == k else f_hi ** 2
-        return _pinched_bounds(f_lo, sq_lo, f_hi, sq_hi,
-                               *_exact_increments(r, k, K, d_rad, d_tot))
+        return _pinched_bounds(f_lo, sq_lo, f_hi, sq_hi, inc_lo, inc_hi)
 
     return tuple(_mc_estimate(x) for x in _mirror_means(law, bounds, d_rad, t_sq, d_tot))
 

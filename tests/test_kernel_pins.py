@@ -157,7 +157,7 @@ MOMENT_PINS = {
     "heavytail": [
         ("0x1.17a9055cd4ad7p-3", "0x1.c9c08226f7e63p-6"),
         ("0x1.2f8d49acee0cap+1", "0x1.c82bd8627e69bp-2"),
-        ("0x1.b01170f2f7730p-5", "0x1.e5deefc0c5171p-6"),
+        ("0x1.b01170f2f772ep-5", "0x1.e5deefc0c5171p-6"),
         ("0x1.53a85c47e75afp+1", "0x1.4c00363c1529ap-3"),
     ],
     "inwardbiased": [

@@ -86,8 +86,9 @@ class TestAsymptoticIncrement:
             assert asymptotic_increment_batch(k, d_rad, d_tot)[-1] == -y[-1]
 
     def test_t_sq_serves_only_near_straight_inward_steps(self):
-        # 1 + d_rad/d_tot is taken from |t|^2 only where it is below 1/16,
-        # so every other step keeps its bytes, on both sides of k d_tot = 30
+        # 1 + d_rad/d_tot is taken from |t|^2 only where it is below 2^-10
+        # on a long step, so every other step keeps its bytes, on both
+        # sides of k d_tot = 30
         rng = np.random.default_rng(3)
         d_tot = rng.uniform(0.0, 60.0, 400)
         d_rad = d_tot * rng.uniform(-15.0 / 16.0, 1.0, 400)
