@@ -474,10 +474,12 @@ def radial_increment_exact_batch(R, d_tot, phi, k: float) -> np.ndarray:
     return _radial_increments(R, np.atleast_1d(d_tot), np.atleast_1d(phi), k).reshape(shape)
 
 
-def _radial_increments(R, d_tot: np.ndarray, phi: np.ndarray, k: float) -> np.ndarray:
+def _radial_increments(R, d_tot: np.ndarray, phi: np.ndarray, k: float,
+                       opp: np.ndarray | None = None) -> np.ndarray:
     """radial_increment_exact over radii R and arrays d_tot and phi that
     broadcast together, unchecked; the one evaluation of the exact
-    increment.
+    increment.  `opp` is 1 + phi, for a caller that knows it better than
+    phi (a long step close to straight inward); there 0 is the edge phi = -1.
 
     Every element takes one log form, with no branch.  With A = kR,
     D = k d_tot, e_a = e^(-A), e_d = e^(-D) and Q = e_a e_d, the arccosh
@@ -499,14 +501,17 @@ def _radial_increments(R, d_tot: np.ndarray, phi: np.ndarray, k: float) -> np.nd
     are arrays (at least 1-d), so the evaluation can work in place.
     """
     A, D = (R, d_tot) if k == 1.0 else (k * R, k * d_tot)     # scaling by 1 is exact
-    edge = (d_tot == 0.0) | (np.abs(phi) >= 1.0)
+    if opp is None:
+        opp, edge = 1.0 + phi, (d_tot == 0.0) | (np.abs(phi) >= 1.0)
+    else:                   # a phi rounded to -1 is not the edge unless opp is 0
+        edge = (d_tot == 0.0) | (phi >= 1.0) | (opp <= 0.0)
     edges = edge.any()
     # an edge's phi is replaced by 0, so that phi = -1 with A and D both past
     # the exp underflow cannot take the log of 0
-    p = np.where(edge, 0.0, phi) if edges else phi
+    p, opp = (np.where(edge, 0.0, phi), np.where(edge, 1.0, opp)) if edges else (phi, opp)
     exp_a, exp_d = np.exp(-A), np.exp(-D)
     Q = exp_a * exp_d
-    gap = (1.0 + p) * (1.0 - Q) ** 2     # S - Q
+    gap = opp * (1.0 - Q) ** 2           # S - Q
     gap += (1.0 - p) * (exp_d - exp_a) ** 2
     gap *= 0.25
     S = gap + Q

@@ -6,19 +6,21 @@ component in the remaining d-1 directions.  Laws are radially symmetric (the
 distribution depends on the walker's position only through its radius), so a
 law is fully specified by radial parameter profiles plus the dimension.
 
-Two sampling entry points exist per law and are deliberately distinct:
+Every built-in law samples in two pieces:
 
-* ``sample_components(r, rng)`` draws one step.  A walk's steps consume the
-  stream exactly as consecutive calls of it would, so ambient and
-  radial-only walks driven by the same stream see identical draws.  The
-  elliptic and box laws also offer ``unit_blocks(steps, rng)``, which draws
-  the unit rows of many consecutive steps at once, bit for bit as those
-  calls would; the simulator scales each row by the profiles at the current
-  radius (see ``block_scale``).  The other laws interleave ``random()`` with
-  normal draws, and walks call ``sample_components`` once per step.
-* ``sample_components_batch(r, n, rng)`` draws n steps with vectorised numpy
-  calls for the Monte Carlo estimators.  It consumes the stream differently
-  from n scalar calls, but is bit-reproducible for a fixed stream.
+* ``unit_rows(m, rng)`` draws m radius-free rows with one distribution per
+  numpy call (normals, or for the box law uniforms), and consumes the stream
+  exactly as m one-row calls would;
+* ``steps(R, rows)`` maps those rows by the law's profiles at R, one radius
+  or one per row, to ``(d_rad, t)``.
+
+``sample_components(r, rng)`` (one step) and ``sample_components_batch(r,
+n, rng)`` (n steps, for the Monte Carlo estimators) are these two pieces,
+so n one-step calls and one batch of n give the same bytes and leave the
+stream in the same state.  A walk draws the rows of many steps ahead and
+maps each step's rows at the walkers' radii, so its steps hold the bytes
+one-step calls would give.  A custom law has no radius-free rows: it
+samples one step per call of its own sampler.
 
 The built-in laws also describe their steps at a radius for Gauss
 quadrature (``quadrature_lines``), which the moment estimators use instead
@@ -114,10 +116,12 @@ class RadialProfile:
             return self.c * r ** -p if r > 0.0 else 0.0
         return float(np.interp(r, self.radii, self.values))
 
-    def at(self, radii: np.ndarray):
-        """The profile at each of the radii, a 1-d array: bit for bit the
-        values calls one by one give.  A constant profile gives its one
-        value, which broadcasts."""
+    def at(self, radii):
+        """The profile at each of the radii, one radius or a 1-d array: bit
+        for bit the values calls one by one give.  A constant profile gives
+        its one value, which broadcasts."""
+        if not isinstance(radii, np.ndarray):
+            return self(radii)
         if self.kind == "constant":
             return self.c
         if self.kind == "table":
@@ -160,72 +164,66 @@ class RadialProfile:
 # Law classes
 # ---------------------------------------------------------------------------
 
-def _sphere_point(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform point on the unit sphere in R^d via normalised Gaussians."""
-    while True:
-        g = rng.standard_normal(d)
-        n = math.sqrt(float(g @ g))
-        if n > 1e-12:
-            return g / n
+def _normal_rows(m: int, width: int, rng: np.random.Generator, lead: int = 0) -> np.ndarray:
+    """m rows of `width` normals, each row's columns from `lead` on divided
+    by their norm: a uniform direction behind `lead` free normals.
 
-
-def _sphere_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, d))
-    norms = np.linalg.norm(g, axis=1)
-    # a zero draw has probability 0; resample any that still occur
-    bad = norms <= 1e-12
-    while np.any(bad):
-        g[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms[bad] = np.linalg.norm(g[bad], axis=1)
-        bad = norms <= 1e-12
-    return g / norms[:, None]
-
-
-BLOCK_ROWS = 4096       # most rows one block draws
-
-
-def _row_blocks(steps: int, draw):
-    """Yield blocks holding `steps` rows in all; `draw(m)` draws m rows and
-    returns the ones it keeps.  A block draws no more rows than are still
-    needed, so the stream ends where `steps` per-step draws leave it."""
-    left = steps
-    while left > 0:
-        block = draw(min(left, BLOCK_ROWS))
-        left -= len(block)
-        yield block
-
-
-def _unit_normal_rows(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m rows of d normals, each normalised as _sphere_point does it.
-
-    A row of norm <= 1e-12 is dropped, so the next row takes its place, as
-    in _sphere_point's resample loop.  The batched matmul gives every row's
-    g @ g bit for bit; einsum and np.linalg.norm do not.
+    The rows are drawn as m one-row calls would draw them: a row whose
+    direction part has norm <= 1e-12 is dropped, and only the shortfall is
+    drawn again, as a one-row call redraws.  The batched matmul gives every
+    row's g @ g bit for bit; einsum and np.linalg.norm do not.
     """
-    g = rng.standard_normal((m, d))
-    norms = np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
+    g = rng.standard_normal((m, width))
+    u = g[:, lead:]
+    norms = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0])
     keep = norms > 1e-12
     if not keep.all():
         g, norms = g[keep], norms[keep]
-    return g / norms[:, None]
+    g[:, lead:] /= norms[:, None]
+    if len(g) < m:
+        g = np.concatenate([g, _normal_rows(m - len(g), width, rng, lead)])
+    return g
+
+
+def _axis_steps(a: RadialProfile, b: RadialProfile, s: float, R, rows):
+    """(d_rad, t) = (a(R) s u[0], b(R) s u[1:]) for the rows u, with R one
+    radius or one per row."""
+    a, b = a.at(R) * s, b.at(R) * s     # arrays, or one value
+    return a * rows[:, 0], rows[:, 1:] * np.asarray(b)[..., None]
 
 
 class IncrementLaw:
-    """Base class; concrete laws fill in the sampling and bound methods."""
+    """Base class; concrete laws fill in the sampling and bound methods: a
+    built-in law `unit_rows` and `steps`, which make both samplers, a custom
+    law the samplers themselves."""
 
     kind: str = "abstract"
     d: int
     symmetric: bool = False     # invariant under v -> -v (enables pairing tricks)
-    # A law whose step at radius r is (a(r) * s * u[0], b(r) * s * u[1:]) for
-    # the rows u of `unit_blocks(steps, rng)` sets s here; walks then draw
-    # their steps in blocks instead of calling sample_components per step.
-    block_scale: Optional[float] = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # perfbench's tracer (perfbench/spans.py) wraps both samplers in each
+        # law class's own namespace, so every law binds them there
+        for name in ("sample_components", "sample_components_batch"):
+            setattr(cls, name, getattr(cls, name))
+
+    def unit_rows(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        """m radius-free rows, drawn as m one-row calls would draw them."""
+        raise NotImplementedError
+
+    def steps(self, R, rows: np.ndarray):
+        """(d_rad, t), (m,) and (m, d - 1) arrays, of `rows` at R, one radius or one per row."""
+        raise NotImplementedError
 
     def sample_components(self, r: float, rng: np.random.Generator):
-        raise NotImplementedError
+        """(d_rad, t) of one step at radius r."""
+        d_rad, t = self.steps(r, self.unit_rows(1, rng))
+        return d_rad[0], t[0]
 
     def sample_components_batch(self, r: float, n: int, rng: np.random.Generator):
-        raise NotImplementedError
+        """(d_rad, t) of n steps at radius r: n sample_components calls."""
+        return self.steps(r, self.unit_rows(n, rng))
 
     def step_bound(self) -> float:
         """Almost-sure bound on the step length; inf when unbounded."""
@@ -267,24 +265,11 @@ class EllipticLaw(IncrementLaw):
         if self.d < 2:
             raise DomainError(f"dimension must be >= 2, got {self.d}")
 
-    def sample_components(self, r, rng):
-        u = _sphere_point(self.d, rng)
-        s = math.sqrt(self.d)
-        return self.a(r) * s * u[0], self.b(r) * s * u[1:]
+    def unit_rows(self, m, rng):
+        return _normal_rows(m, self.d, rng)         # points on the unit sphere
 
-    def sample_components_batch(self, r, n, rng):
-        u = _sphere_batch(self.d, n, rng)
-        s = math.sqrt(self.d)
-        return self.a(r) * s * u[:, 0], self.b(r) * s * u[:, 1:]
-
-    @property
-    def block_scale(self):
-        return math.sqrt(self.d)
-
-    def unit_blocks(self, steps, rng):
-        """The unit vectors of `steps` consecutive sample_components calls,
-        in blocks that consume the stream exactly as those calls would."""
-        return _row_blocks(steps, lambda m: _unit_normal_rows(self.d, m, rng))
+    def steps(self, R, rows):
+        return _axis_steps(self.a, self.b, math.sqrt(self.d), R, rows)
 
     def step_bound(self):
         return math.sqrt(self.d) * max(self.a.sup(), self.b.sup())
@@ -320,20 +305,11 @@ class BoxLaw(IncrementLaw):
         if self.d < 2:
             raise DomainError(f"dimension must be >= 2, got {self.d}")
 
-    def sample_components(self, r, rng):
-        h = rng.uniform(-1.0, 1.0, self.d)
-        return _SQRT3 * self.a(r) * h[0], _SQRT3 * self.b(r) * h[1:]
+    def unit_rows(self, m, rng):
+        return rng.uniform(-1.0, 1.0, (m, self.d))
 
-    def sample_components_batch(self, r, n, rng):
-        h = rng.uniform(-1.0, 1.0, (n, self.d))
-        return _SQRT3 * self.a(r) * h[:, 0], _SQRT3 * self.b(r) * h[:, 1:]
-
-    block_scale = _SQRT3        # _SQRT3 * a(r) is the same double as a(r) * _SQRT3
-
-    def unit_blocks(self, steps, rng):
-        """The uniform rows of `steps` consecutive sample_components calls,
-        in blocks that consume the stream exactly as those calls would."""
-        return _row_blocks(steps, lambda m: rng.uniform(-1.0, 1.0, (m, self.d)))
+    def steps(self, R, rows):
+        return _axis_steps(self.a, self.b, _SQRT3, R, rows)
 
     def step_bound(self):
         # circumscribed radius of the box, attained at the corners
@@ -407,41 +383,34 @@ class HeavyTailLaw(IncrementLaw):
         if self.d < 2:
             raise DomainError(f"dimension must be >= 2, got {self.d}")
 
-    def lambda_at(self, r: float) -> float:
+    def lambda_at(self, r):
+        """The activation length at r, one radius or an array of radii; each
+        is the value a call on that one radius gives."""
+        if isinstance(r, np.ndarray):
+            return np.array([self.lambda_at(x) for x in r.tolist()])
         if self.lam is None:
             return max(1.0, r ** (1.0 / (self.m - 1.0))) if r > 0.0 else 1.0
         return max(1.0, self.lam(r))
 
-    def sample_components(self, r, rng):
-        u = 1.0 - rng.random()                      # in (0, 1]
-        y = u ** (-1.0 / (self.m - 1.0))
-        lam = self.lambda_at(r)
-        alpha = heavytail_outward_prob(y, lam)
-        if rng.random() < alpha:
-            phi = 1.0
-        else:
-            phi = -1.0 + heavytail_inward_offset(y, lam)
-        d_rad = phi * y
-        t_sq = max(0.0, 1.0 - phi * phi)
-        if t_sq == 0.0:
-            return d_rad, np.zeros(self.d - 1)
-        return d_rad, (y * math.sqrt(t_sq)) * _sphere_point(self.d - 1, rng)
+    def unit_rows(self, m, rng):
+        """Rows (y, u, v): from four normals g0..g3 the Pareto length
+        y = exp((g0^2 + g1^2) / (2 (m - 1))) and a uniform u = exp(-(g2^2 +
+        g3^2) / 2), for g0^2 + g1^2 and g2^2 + g3^2 are independent and
+        exponential with mean 2; from d - 1 more the transverse direction v."""
+        g = _normal_rows(m, self.d + 3, rng, lead=4)
+        g[:, :4] *= g[:, :4]
+        g[:, 3] = np.exp(-0.5 * (g[:, 2] + g[:, 3]))
+        g[:, 2] = np.exp((g[:, 0] + g[:, 1]) / (2.0 * (self.m - 1.0)))
+        return g[:, 2:]
 
-    def sample_components_batch(self, r, n, rng):
-        u = 1.0 - rng.random(n)
-        y = u ** (-1.0 / (self.m - 1.0))
-        lam = self.lambda_at(r)
-        q = np.exp(-y)
-        active = y >= lam
-        offset = np.where(active, 2.0 * q / (1.0 + q), 0.0)
-        alpha = np.where(active, 0.5 * (1.0 - q), 0.5)
-        outward = rng.random(n) < alpha
-        phi = np.where(outward, 1.0, -1.0 + offset)
-        d_rad = phi * y
+    def steps(self, R, rows):
+        y, u = rows[:, 0], rows[:, 1]
+        q = np.where(y >= self.lambda_at(R), np.exp(-y), 0.0)   # e^-y where the offset is on
+        offset = 2.0 * q / (1.0 + q)
+        outward = u < 0.5 * (1.0 - q)
+        phi = np.where(outward, 1.0, offset - 1.0)
         t_sq = np.where(outward, 0.0, offset * (2.0 - offset))  # 1 - phi^2, stably
-        t_mag = y * np.sqrt(t_sq)
-        t = t_mag[:, None] * _sphere_batch(self.d - 1, n, rng)
-        return d_rad, t
+        return phi * y, (y * np.sqrt(t_sq))[:, None] * rows[:, 2:]
 
     def step_bound(self):
         return math.inf
@@ -479,18 +448,15 @@ class InwardBiasedLaw(IncrementLaw):
         if self.d < 2:
             raise DomainError(f"dimension must be >= 2, got {self.d}")
 
-    def sample_components(self, r, rng):
-        N = self.strength
-        d_rad = -2.0 * N if rng.random() < 0.5 else 0.0
-        t_mag = math.sqrt(16.0 * N * N - d_rad * d_rad)
-        return d_rad, t_mag * _sphere_point(self.d - 1, rng)
+    def unit_rows(self, m, rng):
+        # one normal for the coin, d - 1 for the direction
+        return _normal_rows(m, self.d, rng, lead=1)
 
-    def sample_components_batch(self, r, n, rng):
+    def steps(self, R, rows):
         N = self.strength
-        d_rad = np.where(rng.random(n) < 0.5, -2.0 * N, 0.0)
+        d_rad = np.where(rows[:, 0] < 0.0, -2.0 * N, 0.0)
         t_mag = np.sqrt(16.0 * N * N - d_rad * d_rad)
-        t = t_mag[:, None] * _sphere_batch(self.d - 1, n, rng)
-        return d_rad, t
+        return d_rad, t_mag[:, None] * rows[:, 1:]
 
     def step_bound(self):
         return 4.0 * self.strength

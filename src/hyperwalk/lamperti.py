@@ -90,6 +90,21 @@ def one_plus_phi(d_rad, t_sq, d_tot) -> np.ndarray:
     return np.where(d_tot > 0.0, opp, 1.0)
 
 
+def near_inward_one_plus_phi(k: float, opp: np.ndarray, d_rad, t_sq, d_tot) -> np.ndarray:
+    """Put one_plus_phi into `opp` (1 + d_rad/d_tot, d_rad's shape) where
+    opp < 2^-10 and e^(2 k d_tot) > 2^11, the steps whose increment its
+    rounding moves by more than about 2^10 eps/k; returns their flat indices.
+    t_sq and d_tot may lack d_rad's leading axes."""
+    long = k * d_tot > _D_DIRECT
+    near = np.flatnonzero((opp < _OPP_DIRECT) & long) if long.any() else np.empty(0, np.intp)
+    if near.size:
+        step = near % d_tot.size        # each element's step, in d_tot's order
+        np.put(opp, near, one_plus_phi(np.broadcast_to(d_rad, opp.shape).reshape(-1)[near],
+                                       np.broadcast_to(t_sq, d_tot.shape).reshape(-1)[step],
+                                       d_tot.reshape(-1)[step]))
+    return near
+
+
 def log_form_increment(k: float, D, log_opp, log_omp) -> np.ndarray:
     """The asymptotic increment as (D + log((1 + phi)/2 + (1 - phi) e^(-2D)/2))/k,
     D = k d_tot, from log(1 + phi) and log(1 - phi): finite for every step,
@@ -136,14 +151,9 @@ def asymptotic_increment_batch(k: float, d_rad, d_tot, t_sq=None) -> np.ndarray:
     np.clip(opp, -1.0, 1.0, out=opp)
     inner = pos & (np.abs(opp) != 1.0)      # phi = +-1 and d_tot = 0 are edges
     opp += 1.0                              # 1 + phi, exact at phi = +-1
-    long = k * d_tot > _D_DIRECT if t_sq is not None else None
-    if long is not None and long.any():
-        near = np.flatnonzero((opp < _OPP_DIRECT) & long)
+    if t_sq is not None:
+        near = near_inward_one_plus_phi(k, opp, d_rad, t_sq, d_tot)
         if near.size:
-            step = near % d_tot.size        # each element's step, in d_tot's order
-            np.put(opp, near, one_plus_phi(np.broadcast_to(d_rad, opp.shape).reshape(-1)[near],
-                                           np.broadcast_to(t_sq, d_tot.shape).reshape(-1)[step],
-                                           d_tot.reshape(-1)[step]))
             np.put(inner, near, np.take(opp, near) != 0.0)     # 0: phi = -1
 
     def edge(d_tot, opp):

@@ -15,12 +15,11 @@ The walks of a chunk advance together, one step for all of them
   and has no radius limit.  This is what makes 10^5-step horizons cheap.
 
 Both modes take their steps from the same draws, so walks driven by the
-same stream can be coupled draw-for-draw.  Elliptic and box walks draw the
-unit rows of their steps in blocks (`IncrementLaw.unit_blocks`) that
-consume the stream exactly as per-step `sample_components` calls would, and
-scale each row by the law's profiles at the current radius with the same
-operations as those calls; every other law is sampled once per walk per
-step.
+same stream can be coupled draw-for-draw.  A walk of a built-in law draws
+the radius-free rows of a run of steps ahead (`IncrementLaw.unit_rows`),
+which consumes the stream exactly as per-step `sample_components` calls
+would, and maps each step's rows at the walkers' radii (`steps`), the map
+those calls take; a custom law is sampled once per walk per step.
 
 Every walk starts at `_start_point`; the pool runs one contiguous chunk of
 walk ids per process.  `run_walk` runs a lockstep of one walk, a chunk one
@@ -70,8 +69,8 @@ from .geometry import (
     euclidean_radial_increment,
     radial_increment_exact,
 )
-from .increments import IncrementLaw
-from .lamperti import Z99
+from .increments import CustomLaw, IncrementLaw
+from .lamperti import _D_DIRECT, Z99, near_inward_one_plus_phi
 
 MODE_AMBIENT = "ambient"
 MODE_RADIAL_ONLY = "radialonly"
@@ -233,12 +232,12 @@ class _Lockstep:
 
     Row i of the radii `R` (and in ambient mode of the points `x`) is walk
     `ids[i]`, and draws from `rngs[i]`.  A walk draws from its own stream
-    exactly as it would alone: elliptic and box walks take the unit rows of
-    `unit_blocks` in T-blocks (runs of steps drawn ahead, `_block_steps`),
-    every other law is sampled once per walk per step, and profiles are evaluated per walk, so each walk's steps
-    hold the bytes `sample_components` would give.  The step arithmetic acts
-    on each row alone, so a walk's bytes do not depend on the walks it runs
-    with.
+    exactly as it would alone: it takes the law's `unit_rows` in T-blocks
+    (runs of steps drawn ahead, `_block_steps`), or a custom law's sampler
+    once per step, and profiles are evaluated per walk, so each walk's
+    steps hold the bytes `sample_components` would give.  The step
+    arithmetic acts on each row alone, so a walk's bytes do not depend on
+    the walks it runs with.
 
     `drop` takes walks out of the lockstep.  A walk that breaks an invariant
     is dropped with its error in `errors`; since the lowest walk id's error
@@ -255,7 +254,10 @@ class _Lockstep:
             self.x = np.tile(_start_point(config.model, config.start_radius),
                              (len(self.ids), 1))
         self.errors = {}            # walk id -> the error that stopped it
-        self._units = np.empty((0, len(self.ids), config.law.d))    # the T-block's unit rows
+        # whether a step can be long enough to lose 1 + phi to rounding
+        self._long_steps = (config.model.is_hyperbolic
+                            and config.model.k * config.law.step_bound() > _D_DIRECT)
+        self._units = np.empty((0, len(self.ids), 0))   # the T-block's rows, step by walk
         self._unit_step = 1         # the step of the T-block's row 0
 
     def drop(self, mask, error=None) -> np.ndarray:
@@ -283,35 +285,33 @@ class _Lockstep:
     def _draw(self, n):
         """(d_rad, t) of step n for every walk, as (W,) and (W, d - 1) arrays."""
         law = self.config.law
-        s = law.block_scale
-        if s is None:
+        if isinstance(law, CustomLaw):
             d_rad, t = zip(*map(law.sample_components, self.R.tolist(), self.rngs))
             return np.array(d_rad, dtype=float), np.array(t, dtype=float).reshape(-1, law.d - 1)
         i = n - self._unit_step
         if i == len(self._units):
             rows = _block_steps(self.config.steps - n + 1, len(self.ids))
-            self._units = np.empty((rows, len(self.ids), law.d))
-            for j, rng in enumerate(self.rngs):
-                top = 0
-                for block in law.unit_blocks(rows, rng):
-                    self._units[top:top + len(block), j] = block
-                    top += len(block)
+            for j, rng in enumerate(self.rngs):     # walk by walk: the block is held once
+                u = law.unit_rows(rows, rng)
+                if j == 0:
+                    self._units = np.empty((rows, len(self.rngs), u.shape[1]))
+                self._units[:, j] = u
             self._unit_step, i = n, 0
         u = self._units[i]
         if i == len(self._units) - 1:       # the T-block's last row: let the block go
             self._units, self._unit_step = np.empty((0,) + u.shape), n + 1
-        a, b = law.a.at(self.R) * s, law.b.at(self.R) * s     # arrays, or one value
-        return a * u[:, 0], u[:, 1:] * np.asarray(b)[..., None]
+        return law.steps(self.R, u)
 
     def _finite_draw(self, n):
-        """(d_rad, t, length) of step n for the walks whose step has a finite
-        length; the others are dropped."""
+        """(d_rad, t, |t|^2, length) of step n for the walks whose step has
+        a finite length; the others are dropped."""
         d_rad, t = self._draw(n)
-        norm = np.sqrt(d_rad * d_rad + _rowdot(t, t))
+        t_sq = _rowdot(t, t)
+        norm = np.sqrt(d_rad * d_rad + t_sq)
         if not norm.max() < math.inf:       # a NaN maximum fails it too
             keep = self.drop(~(norm < math.inf), lambda i: _non_finite_step(n))
-            d_rad, t, norm = d_rad[keep], t[keep], norm[keep]
-        return d_rad, t, norm
+            d_rad, t, t_sq, norm = d_rad[keep], t[keep], t_sq[keep], norm[keep]
+        return d_rad, t, t_sq, norm
 
     def step(self, n: int):
         """Take step n of every walk."""
@@ -322,12 +322,17 @@ class _Lockstep:
 
     def _radial_step(self, n: int):
         """The exact radial increment of step n, over the array of radii."""
-        d_rad, _, d_tot = self._finite_draw(n)
+        d_rad, _, t_sq, d_tot = self._finite_draw(n)
         model = self.config.model
         if model.is_hyperbolic:
             # a phi that rounding takes past +-1 counts as +-1 in the kernel
             phi = d_rad / np.where(d_tot > 0.0, d_tot, 1.0)
-            inc = _radial_increments(self.R, d_tot, phi, model.k)
+            opp = None
+            if self._long_steps:
+                # 1 + phi of a long step close to straight inward, from |t|^2
+                opp = 1.0 + phi
+                near_inward_one_plus_phi(model.k, opp, d_rad, t_sq, d_tot)
+            inc = _radial_increments(self.R, d_tot, phi, model.k, opp)
         else:
             # |d_rad| exceeds d_tot only where d_rad * d_rad underflows
             d_rad = np.minimum(np.maximum(d_rad, -d_tot), d_tot)
@@ -347,7 +352,7 @@ class _Lockstep:
                     "use radial-only mode for long horizons"))
                 if not self.ids.size:
                     return
-        d_rad, t, norm = self._finite_draw(n)
+        d_rad, t, _, norm = self._finite_draw(n)
         if not hyperbolic:
             self.x = self.x + euclidean_frame(self.x).step(d_rad, t)
             self.R = np.sqrt(_rowdot(self.x, self.x))

@@ -66,14 +66,14 @@ def suite_exact_radial_increment(seed: int = 0, n: int = 10_000,
         phi = rng.uniform(-1.0, 1.0)
 
         O = geometry.origin(k, d)
-        direction = increments._sphere_point(d, rng)
+        direction = increments._normal_rows(1, d, rng)[0]
         u = np.zeros(d + 1)
         u[1:] = direction
         x = geometry.exp_map(O, geometry.TangentVector(O, R * u), k)
         frame = geometry.radial_frame(O, x, k)
         d_rad = phi * d_tot
         t_mag = d_tot * math.sqrt(max(0.0, 1.0 - phi * phi))
-        t = t_mag * increments._sphere_point(d - 1, rng)
+        t = t_mag * increments._normal_rows(1, d - 1, rng)[0]
         v = frame.vector(d_rad, t)
         oracle = 0.0
         if d_tot > 0.0:
@@ -146,11 +146,11 @@ def _exp_log_pairs(seed: int):
         O = geometry.origin(k, d)
 
         u = np.zeros(d + 1)
-        u[1:] = increments._sphere_point(d, rng)
+        u[1:] = increments._normal_rows(1, d, rng)[0]
         x = geometry.exp_map(O, geometry.TangentVector(O, rng.uniform(0.0, 4.0 / k) * u), k)
         frame = geometry.radial_frame(O, x, k)
         step = rng.uniform(0.0, min(20.0, 8.0 / k))
-        w_dir = increments._sphere_point(d, rng)
+        w_dir = increments._normal_rows(1, d, rng)[0]
         yield x, geometry.exp_map(x, frame.vector(step * w_dir[0], step * w_dir[1:]), k), k
 
 

@@ -214,6 +214,16 @@ class TestHeavyTailLaw:
         res = hw.zero_drift_check(law, 100.0, 200_000, law_rng(10))
         assert res.within_band(4.0)
 
+    @pytest.mark.parametrize("y", [20.0, 40.0, 300.0])
+    def test_inward_steps_keep_their_transverse_part(self, y):
+        # 1 - phi^2 of an inward step is taken as offset (2 - offset): past
+        # y = 37, 1 - phi^2 from phi = offset - 1 reads 0
+        law = hw.HeavyTailLaw(4.0, 2)
+        d_rad, t = law.steps(0.0, np.array([[y, 1.0, 1.0]]))    # u = 1: inward
+        offset = hw.heavytail_inward_offset(y, 1.0)
+        assert d_rad[0] == pytest.approx((offset - 1.0) * y, rel=1e-15)
+        assert float(t[0] @ t[0]) == pytest.approx(y * y * offset * (2.0 - offset), rel=1e-14)
+
 
 class TestInwardBiasedLaw:
     def test_constant_step_length(self):
@@ -292,6 +302,34 @@ class TestSamplerContracts:
         s2 = [law.sample_components(2.0, law_rng(17)) for _ in range(5)]
         for (r1, t1), (r2, t2) in zip(s1, s2):
             assert r1 == r2 and np.array_equal(t1, t2)
+
+    BATCH_LAWS = {
+        "elliptic": lambda d: hw.EllipticLaw(C1, hw.RadialProfile.power_decay(1.0, 1.0), d),
+        "box": lambda d: hw.BoxLaw(hw.RadialProfile.power_decay(2.0, 0.5), C1, d),
+        "heavytail": lambda d: hw.HeavyTailLaw(4.0, d),
+        "heavytail-profile": lambda d: hw.HeavyTailLaw(
+            3.5, d, hw.RadialProfile.power_decay(3.0, -0.5)),
+        "inwardbiased": lambda d: hw.InwardBiasedLaw(1.5, d),
+        "custom": lambda d: hw.CustomLaw(
+            lambda r, d, rng: (r * rng.random(), rng.standard_normal(d - 1)), d),
+    }
+
+    # r = 8 puts the default heavy-tail activation length at 2, so that the
+    # draws take both branches; r = 0 and r = 0.5 sit where the profiles are
+    # capped
+    @pytest.mark.parametrize("r", [0.0, 0.5, 8.0, 60.0])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("kind", sorted(BATCH_LAWS))
+    def test_batch_equals_one_step_calls(self, kind, d, r):
+        """sample_components_batch(r, n) holds the bytes of n
+        sample_components(r) calls and leaves the stream where they do."""
+        law = self.BATCH_LAWS[kind](d)
+        batch_rng, step_rng = law_rng(9), law_rng(9)
+        d_rad, t = law.sample_components_batch(r, 300, batch_rng)
+        steps = [law.sample_components(r, step_rng) for _ in range(300)]
+        assert d_rad.tobytes() == np.array([s[0] for s in steps], dtype=float).tobytes()
+        assert t.tobytes() == np.array([s[1] for s in steps], dtype=float).tobytes()
+        assert batch_rng.bit_generator.state == step_rng.bit_generator.state
 
     def test_scalar_and_batch_agree_in_distribution(self):
         law = hw.EllipticLaw(C1, C1, 2)
