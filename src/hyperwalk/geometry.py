@@ -479,7 +479,7 @@ def _radial_increments(R, d_tot: np.ndarray, phi: np.ndarray, k: float,
     """radial_increment_exact over radii R and arrays d_tot and phi that
     broadcast together, unchecked; the one evaluation of the exact
     increment.  `opp` is 1 + phi, for a caller that knows it better than
-    phi (a long step close to straight inward); there 0 is the edge phi = -1.
+    phi (a long step close to straight inward); an opp <= 0 is the edge phi = -1.
 
     Every element takes one log form, with no branch.  With A = kR,
     D = k d_tot, e_a = e^(-A), e_d = e^(-D) and Q = e_a e_d, the arccosh
@@ -502,9 +502,9 @@ def _radial_increments(R, d_tot: np.ndarray, phi: np.ndarray, k: float,
     """
     A, D = (R, d_tot) if k == 1.0 else (k * R, k * d_tot)     # scaling by 1 is exact
     if opp is None:
-        opp, edge = 1.0 + phi, (d_tot == 0.0) | (np.abs(phi) >= 1.0)
-    else:                   # a phi rounded to -1 is not the edge unless opp is 0
-        edge = (d_tot == 0.0) | (phi >= 1.0) | (opp <= 0.0)
+        opp = 1.0 + phi     # <= 0 exactly where phi <= -1 (Sterbenz)
+    # a phi rounded to -1 is not the edge unless opp is 0
+    edge = (d_tot == 0.0) | (phi >= 1.0) | (opp <= 0.0)
     edges = edge.any()
     # an edge's phi is replaced by 0, so that phi = -1 with A and D both past
     # the exp underflow cannot take the log of 0

@@ -254,9 +254,6 @@ class _Lockstep:
             self.x = np.tile(_start_point(config.model, config.start_radius),
                              (len(self.ids), 1))
         self.errors = {}            # walk id -> the error that stopped it
-        # whether a step can be long enough to lose 1 + phi to rounding
-        self._long_steps = (config.model.is_hyperbolic
-                            and config.model.k * config.law.step_bound() > _D_DIRECT)
         self._units = np.empty((0, len(self.ids), 0))   # the T-block's rows, step by walk
         self._unit_step = 1         # the step of the T-block's row 0
 
@@ -304,14 +301,16 @@ class _Lockstep:
 
     def _finite_draw(self, n):
         """(d_rad, t, |t|^2, length) of step n for the walks whose step has
-        a finite length; the others are dropped."""
+        a finite length, and the longest length; the others are dropped."""
         d_rad, t = self._draw(n)
         t_sq = _rowdot(t, t)
         norm = np.sqrt(d_rad * d_rad + t_sq)
-        if not norm.max() < math.inf:       # a NaN maximum fails it too
+        longest = norm.max()
+        if not longest < math.inf:          # a NaN maximum fails it too
             keep = self.drop(~(norm < math.inf), lambda i: _non_finite_step(n))
             d_rad, t, t_sq, norm = d_rad[keep], t[keep], t_sq[keep], norm[keep]
-        return d_rad, t, t_sq, norm
+            longest = norm.max(initial=0.0)
+        return d_rad, t, t_sq, norm, longest
 
     def step(self, n: int):
         """Take step n of every walk."""
@@ -322,15 +321,15 @@ class _Lockstep:
 
     def _radial_step(self, n: int):
         """The exact radial increment of step n, over the array of radii."""
-        d_rad, _, t_sq, d_tot = self._finite_draw(n)
+        d_rad, _, t_sq, d_tot, longest = self._finite_draw(n)
         model = self.config.model
         if model.is_hyperbolic:
             # a phi that rounding takes past +-1 counts as +-1 in the kernel
             phi = d_rad / np.where(d_tot > 0.0, d_tot, 1.0)
-            opp = None
-            if self._long_steps:
-                # 1 + phi of a long step close to straight inward, from |t|^2
-                opp = 1.0 + phi
+            opp = 1.0 + phi
+            if model.k * longest > _D_DIRECT:
+                # 1 + phi of a long step close to straight inward, from |t|^2;
+                # the longest step spares the search a step with none
                 near_inward_one_plus_phi(model.k, opp, d_rad, t_sq, d_tot)
             inc = _radial_increments(self.R, d_tot, phi, model.k, opp)
         else:
@@ -352,7 +351,7 @@ class _Lockstep:
                     "use radial-only mode for long horizons"))
                 if not self.ids.size:
                     return
-        d_rad, t, _, norm = self._finite_draw(n)
+        d_rad, t, _, norm, _ = self._finite_draw(n)
         if not hyperbolic:
             self.x = self.x + euclidean_frame(self.x).step(d_rad, t)
             self.R = np.sqrt(_rowdot(self.x, self.x))
