@@ -26,9 +26,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import InvariantViolationError
 from .lamperti import log_form_increment, one_plus_phi
 
-MAX_ITERATIONS = 200    # bisections per sign change; a bracket stops below _TOL of the line's scale
+MAX_ITERATIONS = 200    # root-finding steps per sign change, to a bracket below _TOL
 _TOL = 16.0 * sys.float_info.epsilon
 # a half-width's floor for rounding, relative to the sum of |weight * integrand|
 _ROUNDING = 64.0 * sys.float_info.epsilon
@@ -170,42 +171,81 @@ def _edges(line: Line, k: float, cut) -> np.ndarray:
 
 def sign_changes(g: Callable, probes: np.ndarray, pad: float, columns: int) -> np.ndarray:
     """Every point where one of the functions g >= 0 switches along a row of
-    `probes`, found by bisection of the bracket between the two probes
-    around it.
+    `probes`, found in the bracket between the two probes around it by
+    Chandrupatla's method (Chandrupatla 1997, Adv. Eng. Software 28,
+    145-149).  The first step interpolates linearly between the probes'
+    values; every later one inverse-quadratically through the bracket's
+    ends and the point last dropped from it, and bisects where that step is
+    not finite, leaves the bracket or is not safe by Chandrupatla's test.
+    Each switch is the midpoint of a final bracket no wider than _TOL times
+    the probes' largest magnitude; InvariantViolationError if a bracket is
+    still wider after MAX_ITERATIONS steps.
 
     `g` maps parameters of shape (rows, m) to a sequence of arrays of that
     shape, one per function; the probes go to it `columns` at a time.
     Returns an array (rows, most switches in a row), its free places filled
     with `pad`.
     """
-    brackets = []               # (row, function, lo, hi, g >= 0 at lo)
+    brackets = []               # (row, function, lo, hi, g at lo, g at hi)
     for c in range(0, probes.shape[1] - 1, columns - 1):
         part = probes[:, c:c + columns]
         for i, value in enumerate(g(part)):
-            up = np.asarray(value) >= 0.0
+            value = np.asarray(value)
+            up = value >= 0.0
             row, col = np.nonzero(up[:, 1:] != up[:, :-1])
             brackets.append((row, np.full(row.size, i), part[row, col], part[row, col + 1],
-                             up[row, col]))
-    row, which, lo, hi, lo_up = map(np.concatenate, zip(*brackets))
+                             value[row, col], value[row, col + 1]))
+    row, which, a, b, fa, fb = map(np.concatenate, zip(*brackets))
     rows = probes.shape[0]
     if row.size == 0:
         return np.empty((rows, 0))
     # every bracket as one element of a (rows, width) array, row by row
     order = np.argsort(row, kind="stable")
-    row, which, lo, hi, lo_up = (a[order] for a in (row, which, lo, hi, lo_up))
+    row, which, a, b, fa, fb = (x[order] for x in (row, which, a, b, fa, fb))
     count = np.bincount(row, minlength=rows)
     slot = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
     grid = np.full((rows, int(count.max())), pad)
     tol = _TOL * float(np.abs(probes).max())
+    # a is the last point, b the bracket's other end and c the end dropped
+    # last; t places the next point at a + t (b - a)
+    c, fc = b.copy(), fb.copy()
+    with np.errstate(all="ignore"):
+        t = fa / (fa - fb)
+    live = np.arange(row.size)
     for _ in range(MAX_ITERATIONS):
-        if not (hi - lo > tol).any():
+        live = live[np.abs(b[live] - a[live]) > tol]         # the others are frozen
+        if live.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        grid[row, slot] = mid
-        up = np.stack([np.asarray(v)[row, slot] for v in g(grid)])[which, np.arange(row.size)]
-        moved_lo = (up >= 0.0) == lo_up
-        lo, hi = np.where(moved_lo, mid, lo), np.where(moved_lo, hi, mid)
-    grid[row, slot] = 0.5 * (lo + hi)
+        al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
+        step = t[live]
+        # half the tolerance at least from either end, so the bracket closes
+        # on the step after the interpolation has found the switch (min and
+        # max, as np.clip's first call maps about 0.1 MB more of numpy)
+        edge = 0.5 * tol / np.abs(bl - al)
+        step = np.where((step >= 0.0) & (step <= 1.0), step, 0.5)
+        step = np.minimum(np.maximum(step, edge), 1.0 - edge)
+        x = al + step * (bl - al)
+        at = row[live], slot[live]
+        grid[at] = x
+        fx = np.stack([np.asarray(v)[at] for v in g(grid)])[which[live], np.arange(live.size)]
+        kept = (fx >= 0.0) == (fal >= 0.0)          # the switch lies between x and b
+        cl, fcl = np.where(kept, al, bl), np.where(kept, fal, fbl)
+        bl, fbl = np.where(kept, bl, al), np.where(kept, fbl, fal)
+        c[live], fc[live], b[live], fb[live], a[live], fa[live] = cl, fcl, bl, fbl, x, fx
+        with np.errstate(all="ignore"):
+            xi = (x - bl) / (cl - bl)
+            phi = (fx - fbl) / (fcl - fbl)
+            iqi = (fx / (fbl - fx) * fcl / (fbl - fcl)
+                   + (cl - x) / (bl - x) * fx / (fcl - fx) * fbl / (fcl - fbl))
+        t[live] = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), iqi, 0.5)
+    wide = np.flatnonzero(np.abs(b - a) > tol)
+    if wide.size:
+        i = wide[0]
+        lo, hi = sorted((float(a[i]), float(b[i])))
+        raise InvariantViolationError(
+            f"function {which[i]} of row {row[i]} still changes sign on [{lo!r}, {hi!r}], "
+            f"wider than {tol!r}, after {MAX_ITERATIONS} steps")
+    grid[row, slot] = 0.5 * (a + b)
     return grid
 
 

@@ -386,3 +386,174 @@ class TestWhichLawsAreIntegrated:
     def test_other_laws(self):
         for law in (hw.EllipticLaw(C1, C1, 7), hw.HeavyTailLaw(4.0, 3), hw.InwardBiasedLaw(1.0, 5)):
             assert law.quadrature_lines(10.0, 32, 50.0) is not None
+
+
+def bisect_sign_changes(g, probes, pad):
+    """A reference for quadrature.sign_changes: the same brackets between
+    neighbouring probes, halved until no wider than _TOL times the probes'
+    scale, by plain bisection."""
+    brackets = []
+    for i, value in enumerate(g(probes)):
+        up = np.asarray(value) >= 0.0
+        row, col = np.nonzero(up[:, 1:] != up[:, :-1])
+        brackets.append((row, np.full(row.size, i), probes[row, col], probes[row, col + 1],
+                         up[row, col]))
+    row, which, lo, hi, lo_up = map(np.concatenate, zip(*brackets))
+    order = np.argsort(row, kind="stable")
+    row, which, lo, hi, lo_up = (a[order] for a in (row, which, lo, hi, lo_up))
+    count = np.bincount(row, minlength=probes.shape[0])
+    slot = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    grid = np.full((probes.shape[0], int(count.max())), pad)
+    tol = quadrature._TOL * float(np.abs(probes).max())
+    while (hi - lo > tol).any():
+        mid = 0.5 * (lo + hi)
+        grid[row, slot] = mid
+        up = np.stack([np.asarray(v)[row, slot] for v in g(grid)])[which, np.arange(row.size)]
+        moved_lo = (up >= 0.0) == lo_up
+        lo, hi = np.where(moved_lo, mid, lo), np.where(moved_lo, hi, mid)
+    grid[row, slot] = 0.5 * (lo + hi)
+    return grid
+
+
+def counted(g):
+    """g, and a list that counts its calls."""
+    calls = []
+
+    def wrapped(s):
+        calls.append(s.shape)
+        return g(s)
+    return wrapped, calls
+
+
+def pinched_cut_calls(monkeypatch, law, radii, k, K):
+    """The arguments of every sign_changes call that _pinched_integrals
+    makes at the radii, n and 2n nodes each."""
+    seen = []
+    real = quadrature.sign_changes
+
+    def spy(g, probes, pad, columns):
+        seen.append((g, probes, pad, columns))
+        return real(g, probes, pad, columns)
+
+    monkeypatch.setattr(quadrature, "sign_changes", spy)
+    for r in radii:
+        lamperti._pinched_integrals(law, float(r), k, K)
+    monkeypatch.undo()
+    return seen
+
+
+class TestSignChanges:
+    """quadrature.sign_changes: every switch of g >= 0 between the probes,
+    each within _TOL of the probes' scale, in a few calls of g."""
+
+    LO, HI = -1.0, 1.0
+    ROOTS = ([], [0.3], [-0.7, 0.1], [-0.45, 0.2, 0.85])     # 0-3 switches a row
+
+    def probes(self, rows):
+        return np.repeat(quadrature._probes(self.LO, self.HI)[None], rows, axis=0)
+
+    def check(self, got, want):
+        # want: one list of switches per row; the rest of a row is padding
+        assert got.shape == (len(want), max(map(len, want)))
+        for row, roots in zip(got, want):
+            assert np.all(row[len(roots):] == self.HI)
+            assert np.abs(np.sort(row[:len(roots)]) - np.sort(roots)).max(initial=0.0) \
+                <= quadrature._TOL, (row, roots)
+
+    def test_smooth_rows_with_zero_to_three_roots(self):
+        roots = [np.array(r) for r in self.ROOTS]
+
+        def g(s):
+            # a polynomial and a shifted sine with the row's roots, the
+            # sine's switches being where the polynomial has none
+            poly = np.stack([np.prod(s[i][:, None] - r, axis=1) * (1.0 + s[i] ** 2)
+                             for i, r in enumerate(roots)])
+            wave = np.sin(3.0 * s) - np.sin(3.0 * 0.6)
+            wave[:3] = 1.0              # only the last row's sine switches
+            return poly, wave
+
+        want = [list(r) for r in self.ROOTS]
+        want[3] += [0.6, math.pi / 3.0 - 0.6]
+        got = quadrature.sign_changes(g, self.probes(4), self.HI, 1000)
+        self.check(got, want)
+
+    def test_probes_in_several_column_blocks(self):
+        roots = np.array(self.ROOTS[3])
+
+        def g(s):
+            return (np.prod(s[..., None] - roots, axis=-1),)
+
+        one = quadrature.sign_changes(g, self.probes(2), self.HI, 1000)
+        blocks = quadrature.sign_changes(g, self.probes(2), self.HI, 7)
+        self.check(blocks, [list(roots)] * 2)
+        np.testing.assert_array_equal(np.sort(one, axis=1), np.sort(blocks, axis=1))
+
+    def test_a_jump_takes_the_bisection_fallback(self):
+        # g jumps from -1 to 1 at the root: the first, linear step is the
+        # midpoint, and Chandrupatla's test refuses every interpolation
+        # after it, so the bracket halves until it is below _TOL
+        root = 0.123456789
+        g, calls = counted(lambda s: (np.where(s >= root, 1.0, -1.0),))
+        got = quadrature.sign_changes(g, self.probes(1), self.HI, 1000)
+        self.check(got, [[root]])
+        bracket = 2.0 / quadrature._PROBE
+        assert len(calls) >= math.log2(bracket / quadrature._TOL)
+
+    @pytest.mark.parametrize("width", [1e-2, 1e-6, 1e-12])
+    def test_a_steep_switch_takes_no_more_steps_than_bisection(self, width):
+        # tanh over a width far below the probes' spacing: the interpolation
+        # is poor until the bracket is about that narrow
+        root = 0.123456789
+        g, calls = counted(lambda s: (np.tanh((s - root) / width) + 0.3,))
+        got = quadrature.sign_changes(g, self.probes(1), self.HI, 1000)
+        self.check(got, [[root + width * math.atanh(-0.3)]])
+        bracket = 2.0 / quadrature._PROBE
+        assert len(calls) <= 1 + math.ceil(math.log2(bracket / quadrature._TOL))
+
+    def test_a_root_on_a_probe(self):
+        # g = 0 counts as g >= 0: the switch is at the probe itself, from
+        # either side
+        p = self.probes(1)[0]
+        on = p[40]
+        got = quadrature.sign_changes(lambda s: (s - on, on - s), self.probes(1), self.HI, 1000)
+        self.check(got, [[on, on]])
+
+    def test_no_bracket(self):
+        got = quadrature.sign_changes(lambda s: (1.0 + s * s, -np.exp(s)), self.probes(3),
+                                      self.HI, 1000)
+        assert got.shape == (3, 0)
+
+    def test_scale_is_the_probes_largest_magnitude(self):
+        # a line over [100, 300]: the brackets close at _TOL * 300
+        probes = np.repeat(quadrature._probes(100.0, 300.0)[None], 1, axis=0)
+        root = 200.0 + 1.0 / 7.0
+        got = quadrature.sign_changes(lambda s: (np.log(s / root),), probes, 300.0, 1000)
+        assert abs(got[0, 0] - root) <= quadrature._TOL * 300.0
+
+    def test_unconverged_bracket_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_ITERATIONS", 1)
+        # one step cannot close the jump's bracket [0.5, 0.515625] below _TOL;
+        # the error names the function, its row and the bracket left
+        def g(s):
+            return np.ones(s.shape), np.where(s >= 0.51, 1.0, -1.0)
+
+        with pytest.raises(hw.InvariantViolationError,
+                           match=r"function 1 of row 0 .* on \[0\.50\d*, 0\.51\d*\]"):
+            quadrature.sign_changes(g, self.probes(1), self.HI, 1000)
+
+    def test_benchmark_pinched_lines_against_bisection(self, monkeypatch):
+        # the classify-mc pinched leg: box a = 1, b = 1/r in d = 2, k = 1,
+        # K = 1.5, on its grid r = 10..200, n = 32 and 64 nodes.  Every cut
+        # lies within 2 _TOL of bisection's, and each bundle takes one probe
+        # pass and at most 12 root-finding steps (bisection takes 43)
+        law = hw.BoxLaw(C1, B_DECAY, 2)
+        seen = pinched_cut_calls(monkeypatch, law, np.geomspace(10.0, 200.0, 6), 1.0, 1.5)
+        assert len(seen) == 12 and {p.shape[0] for _, p, _, _ in seen} == {16, 32}
+        for g, probes, pad, columns in seen:
+            spied, calls = counted(g)
+            got = quadrature.sign_changes(spied, probes, pad, columns)
+            assert len(calls) <= 1 + 12, len(calls)
+            want = bisect_sign_changes(g, probes, pad)
+            assert got.shape == want.shape and got.shape[1] > 0
+            scale = float(np.abs(probes).max())
+            assert np.abs(got - want).max() <= 2.0 * quadrature._TOL * scale
