@@ -114,7 +114,6 @@ from .lamperti import (
     uniform_ellipticity_transience_check,
 )
 from .simulator import MODE_AMBIENT, MODE_RADIAL_ONLY, WalkConfig, run_ensemble
-from .validation import run_suites
 
 COMMANDS = ("simulate", "classify", "validate", "moments")
 
@@ -602,6 +601,7 @@ def cmd_classify(cfg: RunConfig, workers: int = 1) -> int:
 
 
 def cmd_validate(cfg: RunConfig, workers: int = 1) -> int:
+    from .validation import run_suites          # loaded on first use
     results = run_suites(seed=cfg.seed)
     for res in results:
         print(res.line())

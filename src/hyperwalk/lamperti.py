@@ -546,6 +546,18 @@ class ClassificationReport:
         return "\n".join(lines)
 
 
+def _median(x) -> float:
+    """np.median(x) of a non-empty sequence, bit for bit, without the
+    numpy.ma import that np.median makes on first use: np.mean of the middle
+    value or pair, whose sum starts at +0.0 (so -0.0 reads 0.0), or NaN if
+    any value is NaN."""
+    s = np.sort(np.asarray(x, dtype=float), axis=None).tolist()
+    n = len(s)
+    if math.isnan(s[-1]):       # np.sort puts NaNs last
+        return s[-1]
+    return 0.0 + s[n // 2] if n % 2 else (0.0 + s[n // 2 - 1] + s[n // 2]) / 2
+
+
 def _tail_bounded(r_tail, values, half_widths) -> bool:
     """Finite-grid evidence that a sequence of estimates is not growing.
 
@@ -562,8 +574,8 @@ def _tail_bounded(r_tail, values, half_widths) -> bool:
     slope = float(np.polyfit(r_tail, values, 1)[0])
     span = float(r_tail[-1] - r_tail[0])
     allowance = max(
-        4.0 * float(np.median(half_widths)),
-        0.25 * abs(float(np.median(values))),
+        4.0 * _median(half_widths),
+        0.25 * abs(_median(values)),
         1e-12,
     )
     return slope * span <= allowance

@@ -146,9 +146,20 @@ def _line_atoms(line: Line, n: int, edges: np.ndarray, first: bool) -> Atoms:
                  np.ravel(weight.reshape(line.size, -1) * st.weight))
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) of a 1-D array without NaNs, bit for bit (numpy sorts
+    and keeps each element unequal to the one before it), without the
+    numpy.ma import that np.unique makes on first use."""
+    x = np.sort(x)
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _probes(lo: float, hi: float) -> np.ndarray:
     ends = 2.0 ** -np.arange(1.0, _PROBE_ENDS + 1.0)
-    u = np.unique(np.concatenate([(np.arange(_PROBE) + 0.5) / _PROBE, ends, 1.0 - ends]))
+    u = _distinct(np.concatenate([(np.arange(_PROBE) + 0.5) / _PROBE, ends, 1.0 - ends]))
     return lo + (hi - lo) * u
 
 
@@ -160,7 +171,7 @@ def _edges(line: Line, k: float, cut) -> np.ndarray:
     graded = (line.hi - line.lo) * 2.0 ** -np.arange(1.0, line.grade + 1.0)
     cuts = np.concatenate([np.linspace(line.lo, line.hi, pieces + 1),
                            line.lo + graded, line.hi - graded])
-    bounds = np.repeat(np.unique(cuts)[None], line.size, axis=0)
+    bounds = np.repeat(_distinct(cuts)[None], line.size, axis=0)
     if cut is None:
         return bounds
     probes = np.repeat(_probes(line.lo, line.hi)[None], line.size, axis=0)

@@ -4,6 +4,8 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -763,6 +765,28 @@ class TestReportGoldens:
         want = _golden_text(name, "report.txt").splitlines()
         assert report == want
         assert code == _VERDICT_EXIT[want[0].split()[1]]
+
+
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "sim-small"),
+    ("classify", "classify-heavytail-small"),   # reaches quadrature._edges and _tail_bounded
+    ("classify", "classify-pinched-small"),     # reaches quadrature._probes
+    ("moments", "moments-small"),
+])
+def test_commands_load_neither_numpy_ma_nor_validation(command, name, tmp_path):
+    # np.unique, np.median and np.percentile import numpy.ma on first use,
+    # about 6 ms of every process; only `validate` needs hyperwalk.validation
+    code = ("import sys\nfrom hyperwalk.cli import main\n"
+            f"assert main([{command!r}, '--config', {os.path.join(GOLDEN, name + '.cfg')!r}, "
+            f"'--out', {str(tmp_path)!r}]) in (0, 1, 2)\n"  # a verdict, not an error
+            "print([m for m in ('numpy.ma', 'hyperwalk.validation') if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def _layout(text):

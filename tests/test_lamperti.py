@@ -25,6 +25,7 @@ from hyperwalk.lamperti import (
     asymptotic_increment_batch,
     _excess_kurtosis,
     _mc_estimate,
+    _median,
 )
 
 C1 = hw.RadialProfile.constant(1.0)
@@ -361,6 +362,20 @@ class TestConstantCurvatureClassifier:
                                          np.random.default_rng(30))
         with pytest.raises(UsageError):
             m.nu1(15.0)
+
+    def test_tail_median_matches_numpy_median(self):
+        # np.median bit for bit, signed zeros included, on arrays with ties,
+        # +-inf and NaN (an infinite half-width reaches _tail_bounded's median)
+        rng = np.random.default_rng(21)
+        pool = np.array([-0.0, 0.0, 1.0, -2.5, 1e308, 1.7e308, -1e308, 5e-324,
+                         math.inf, -math.inf, math.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)     # inf - inf, 1e308 + 1.7e308
+            for n in range(1, 41):
+                for x in (rng.exponential(1.0, n), rng.integers(-2, 3, n) * 0.5,
+                          rng.choice(pool, n), rng.choice(pool[:-1], n)):
+                    want = np.float64(np.median(x)).tobytes()
+                    assert np.float64(_median(x)).tobytes() == want, x
 
     def test_margin_monotonicity_under_more_samples(self):
         # shrinking half-widths may resolve Inconclusive but never flips

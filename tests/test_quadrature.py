@@ -388,6 +388,33 @@ class TestWhichLawsAreIntegrated:
             assert law.quadrature_lines(10.0, 32, 50.0) is not None
 
 
+
+class TestDistinctPoints:
+    """quadrature._distinct is np.unique bit for bit, signed zeros included,
+    on the cut and probe points of every built-in law's lines."""
+
+    def test_ties_and_signed_zeros(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 60):
+            for x in (rng.integers(-3, 4, n) * 0.25, rng.choice([-0.0, 0.0, 1.0, -1.0], n),
+                      rng.uniform(-1.0, 1.0, n)):
+                assert quadrature._distinct(x).tobytes() == np.unique(x).tobytes(), x
+
+    @pytest.mark.parametrize("law", [hw.EllipticLaw(C1, B_DECAY, 2), hw.EllipticLaw(C1, C1, 7),
+                                     hw.BoxLaw(C1, B_DECAY, 2), hw.HeavyTailLaw(4.0, 3),
+                                     hw.InwardBiasedLaw(1.0, 5)])
+    def test_every_built_in_law_line(self, law, monkeypatch):
+        seen = []
+        real = quadrature._distinct
+        monkeypatch.setattr(quadrature, "_distinct", lambda x: seen.append(x) or real(x))
+        for r, k in ((1.0, 1.0), (10.0, 1.5), (200.0, 0.5)):
+            for line in law.quadrature_lines(r, 32, k):
+                quadrature._edges(line, k, None)
+                quadrature._probes(line.lo, line.hi)
+        assert seen
+        for x in seen:
+            assert real(x).tobytes() == np.unique(x).tobytes(), x
+
 def bisect_sign_changes(g, probes, pad):
     """A reference for quadrature.sign_changes: the same brackets between
     neighbouring probes, halved until no wider than _TOL times the probes'

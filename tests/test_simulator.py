@@ -2,10 +2,6 @@
 
 import collections
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -759,21 +755,6 @@ class TestEnsemble:
             for x in (rng.exponential(50.0, n), rng.integers(0, 4, n).astype(float)):
                 want = {p: float(np.percentile(x, p)) for p in ps}
                 assert simulator._percentiles(x, ps) == want
-
-    def test_simulate_does_not_import_numpy_ma(self, tmp_path):
-        # np.percentile imports numpy.ma on first use, 15 ms of every process
-        cfg = Path(__file__).parent / "golden" / "sim-small.cfg"
-        code = ("import sys\nfrom hyperwalk.cli import main\n"
-                f"assert main(['simulate', '--config', {str(cfg)!r}, '--out', "
-                f"{str(tmp_path)!r}]) == 0\n"
-                "print('numpy.ma' in sys.modules)")
-        src = str(Path(hw.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=120)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines()[-1] == "False"
 
     def test_distributional_mode_equivalence_ks(self):
         # smaller cousin of the acceptance check
