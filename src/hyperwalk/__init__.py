@@ -10,30 +10,15 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConfigError,
-    ContractError,
-    DimensionError,
     DomainError,
     HyperwalkError,
     InvariantViolationError,
     OverflowGuardError,
-    UndefinedFrameError,
     UsageError,
 )
 from .geometry import (
     CurvatureModel,
-    IncrementDecomposition,
-    LorentzPoint,
-    RadialFrame,
-    TangentVector,
-    decompose_increment,
-    distance,
     euclidean_radial_increment,
-    exp_map,
-    log_map,
-    minkowski_form,
-    origin,
-    radial_direction,
-    radial_frame,
     radial_increment_exact,
 )
 from .increments import (
@@ -61,7 +46,6 @@ from .lamperti import (
     classify_pinched,
     estimate_moment_functions,
     increment_moment_estimate,
-    nonconfinement_check,
     sandwich_coeff_max,
     sandwich_coeff_min,
     sandwich_ratio,

@@ -9,24 +9,12 @@ class HyperwalkError(Exception):
     """Base class for all hyperwalk errors."""
 
 
-class DimensionError(HyperwalkError):
-    """Vector lengths or ambient dimensions do not match."""
-
-
 class DomainError(HyperwalkError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class ContractError(HyperwalkError):
-    """A caller violated an interface contract (e.g. tangent base mismatch)."""
-
-
 class InvariantViolationError(HyperwalkError):
     """Data violates a structural invariant (e.g. point off the hyperboloid)."""
-
-
-class UndefinedFrameError(HyperwalkError):
-    """The radial frame is requested at the origin, where it is undefined."""
 
 
 class UsageError(HyperwalkError):

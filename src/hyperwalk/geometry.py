@@ -6,11 +6,11 @@ sheet
     H_k = { x in R^(d+1) : B(x, x) = -1/k**2, x_0 > 0 }
 
 where B is the Minkowski bilinear form with signature (-, +, ..., +).  B is
-positive definite on each tangent space, and distance, exponential map and
-logarithm map all have closed forms.  A separate closed-form Euclidean
-kernel provides the flat baseline; it is deliberately not implemented as a
-k -> 0 limit of the hyperbolic one (that limit cancels catastrophically and
-is instead verified by tests).
+positive definite on each tangent space, and distance and the exponential
+map have closed forms.  A separate closed-form Euclidean kernel provides
+the flat baseline; it is deliberately not implemented as a k -> 0 limit of
+the hyperbolic one (that limit cancels catastrophically and is instead
+verified by tests).
 
 Sign convention: the radial frame vector at a point p points *toward* the
 origin, and the signed radial step component is
@@ -21,17 +21,18 @@ so that d_rad > 0 means an outward step.  With this convention a step of
 length d_tot taken straight outward (phi = d_rad/d_tot = 1) increases the
 radius by exactly d_tot.
 
-Radial frames are built about the standard origin (1/k, 0, ..., 0) only,
-the point every walk and every radius is measured from.  Every frame is one
-Householder reflection (HouseholderFrame): the walks step through it in
-O(d), and `radial_frame` and `euclidean_frame` expose its matrix view.
+Every kernel works on raw coordinate arrays.  Radial frames are built
+about the standard origin (1/k, 0, ..., 0) only, the point every walk and
+every radius is measured from.  Every frame is one Householder reflection
+(HouseholderFrame): the walks step through it in O(d), and its `axes` is
+the matrix view the tests compare that step against.
 
 The ambient step's kernels (`_safe_norm`, `_tangent_axes`,
 `euclidean_frame`, `HouseholderFrame.step`, `_exp_step`, `_reproject`,
 `_distance`) take points along the last axis and any leading axes, so the
 ambient engine advances and the neighbourhood probe measures a (W, d+1)
-array of walks at once, and `exp_map`, `distance`, `RadialFrame.vector`
-and the `validate` oracle run the same code on one point.  Every operation acts on each point alone, and each point's dot
+array of walks at once, and the `validate` suites run the same code on one
+point.  Every operation acts on each point alone, and each point's dot
 products are BLAS dots of its own row (`_rowdot`), so a point's result does
 not depend on which or how many others share the array.
 
@@ -50,46 +51,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DimensionError,
-    DomainError,
-    HyperwalkError,
-    InvariantViolationError,
-    OverflowGuardError,
-    UndefinedFrameError,
-)
+from .errors import DomainError, HyperwalkError, InvariantViolationError, OverflowGuardError
 
-# Tolerances, fixed once here.
-HYPERBOLOID_REL_TOL = 1e-10   # relative defect of k x0 against hypot(1, k|x_s|)
-TANGENCY_TOL = 1e-10          # |B(x,v)| scaled by norms for a valid tangent
 # No kernel branches on this: perfbench/spans.py reads it to count the
 # radial increments taken with kR or k d_tot past it (its log_domain_frac).
 LOG_DOMAIN_THRESHOLD = 30.0
 REPROJECTION_DRIFT_TOL = 1e-6  # relative spatial-norm defect _reproject forgives
-# Rounding leaves a tangent's Minkowski square B(v, v), a difference of
-# squares, an absolute error of about eps * |v|^2 (|v|^2 the Euclidean
-# square), and |v|^2 / B(v, v) grows like cosh(2kR) for a step with a radial
-# part.  TangentVector.norm raises once that bound exceeds this fraction of
-# B(v, v), so a norm it returns is good to about half of it (relative); a
-# step with a radial part of a few tenths of its length fails from kR ~ 10.
-MINKOWSKI_SQUARE_REL_TOL = 1e-8
-
-
-def minkowski_form(x, y) -> float:
-    """Minkowski bilinear form -x0*y0 + x1*y1 + ... + xd*yd."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionError(
-            f"minkowski_form needs two equal-length vectors, got {x.shape} and {y.shape}"
-        )
-    return _mink(x, y)
-
-
-def _mink(x: np.ndarray, y: np.ndarray) -> float:
-    # unchecked fast path for internal use
-    return float(np.dot(x[1:], y[1:]) - x[0] * y[0])
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -158,127 +125,10 @@ class CurvatureModel:
         return self.kind == "hyperbolic"
 
 
-@dataclass(frozen=True, eq=False)
-class LorentzPoint:
-    """A point on some hyperboloid H_k, stored in ambient coordinates."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1:
-            raise DimensionError("LorentzPoint coords must be a 1-d vector")
-        if c.size < 3:
-            raise DimensionError("LorentzPoint needs ambient dimension >= 3 (d >= 2)")
-        if not c[0] > 0:
-            raise InvariantViolationError("LorentzPoint must lie on the upper sheet (x0 > 0)")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def d(self) -> int:
-        """Manifold dimension."""
-        return self.coords.size - 1
-
-
-def validate_on_hyperboloid(x: LorentzPoint, k: float, rel_tol: float = HYPERBOLOID_REL_TOL):
-    """Check k x0 = cosh kR against hypot(1, k|x_s|) = hypot(1, sinh kR) to
-    relative tolerance, which a correctly rounded point meets at any radius
-    (|B(x,x) k^2 + 1| grows like e^(2kR) * eps); NaN or inf fails."""
-    h = math.hypot(1.0, k * float(_safe_norm(x.coords[1:])))
-    err = abs(k * float(x.coords[0]) - h) / h
-    if not err <= rel_tol:
-        raise InvariantViolationError(
-            f"point off the hyperboloid for k={k}: k x0 is {err:.3e} off hypot(1, k|x_s|)")
-
-
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """An ambient vector attached to a base point, Minkowski-orthogonal to it."""
-
-    base: LorentzPoint
-    components: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=float)
-        if c.shape != self.base.coords.shape:
-            raise DimensionError(
-                f"tangent components have length {c.size}, base has {self.base.coords.size}"
-            )
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "components", c)
-
-    @property
-    def norm(self) -> float:
-        """Minkowski norm sqrt(B(v, v)); B is positive definite on tangent spaces.
-
-        Raises InvariantViolationError when rounding leaves B(v, v) unresolved
-        (see MINKOWSKI_SQUARE_REL_TOL), as it does for a step with a radial
-        part far out; the zero vector has norm 0.
-        """
-        c = self.components
-        # far out the squares overflow: B(v, v) is then NaN and fails below
-        with np.errstate(over="ignore", invalid="ignore"):
-            b = _mink(c, c)
-            bound = np.finfo(float).eps * float(np.dot(c, c))
-        if b > bound / MINKOWSKI_SQUARE_REL_TOL:
-            return math.sqrt(b)
-        if bound == 0.0:
-            return 0.0
-        raise InvariantViolationError(
-            f"tangent vector's Minkowski square {b:.3e} is unresolved: it is not resolved "
-            f"above its rounding bound {bound:.3e}"
-        )
-
-
-def validate_tangent(v: TangentVector, tol: float = TANGENCY_TOL):
-    """Check B(base, v) = 0, scaled by the Euclidean norms of both vectors."""
-    b = _mink(v.base.coords, v.components)
-    scale = max(
-        1.0,
-        float(np.linalg.norm(v.base.coords)) * float(np.linalg.norm(v.components)),
-    )
-    if abs(b) > tol * scale:
-        raise InvariantViolationError(f"vector not tangent to base point: B(x,v) = {b:.3e}")
-
-
-def origin(k: float, d: int) -> LorentzPoint:
-    """The distinguished point (1/k, 0, ..., 0) on H_k."""
-    if not k > 0:
-        raise DomainError(f"curvature parameter k must be > 0, got {k}")
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
-    c = np.zeros(d + 1)
-    c[0] = 1.0 / k
-    return LorentzPoint(c)
-
-
-def exp_map(x: LorentzPoint, v: TangentVector, k: float) -> LorentzPoint:
-    """Endpoint of the unit-speed geodesic from x with initial velocity v.
-
-    exp_x(v) = cosh(k|v|) x + sinh(k|v|)/(k|v|) v, with the limiting value x
-    when |v| = 0, snapped onto H_k: the time coordinate is set to
-    hypot(1, k|x_s|) / k, the relation `validate_on_hyperboloid` checks.
-    The walks' `_reproject` snaps the other way, keeping the time
-    coordinate, whose arccosh holds a short step near the origin only to
-    about sqrt(eps); the spatial part holds it to rounding.
-    """
-    if v.base is not x and not np.array_equal(v.base.coords, x.coords):
-        raise ContractError("tangent vector is not based at the given point")
-    n = v.norm
-    if n == 0.0:
-        return x
-    y = _exp_step(x.coords, v.components, n, k)
-    y[0] = math.hypot(1.0, k * float(_safe_norm(y[1:]))) / k
-    return LorentzPoint(y)
-
-
 def _exp_step(x: np.ndarray, v: np.ndarray, length, k: float) -> np.ndarray:
-    """exp_x(v) on raw arrays for tangents v of Minkowski length `length` > 0
-    (one per point): the one ambient step of exp_map, the ambient walks and
-    the validate oracle.  A step whose coordinates overflow comes out
+    """exp_x(v) = cosh(k|v|) x + sinh(k|v|)/(k|v|) v on raw arrays, for
+    tangents v of Minkowski length |v| = `length` > 0 (one per point): the
+    one ambient step of the ambient walks and the validate suites.  A step whose coordinates overflow comes out
     non-finite, which `_reproject` reports.
     """
     kn = k * np.asarray(length)
@@ -322,18 +172,6 @@ def _reprojection_error(defect: float, step: int) -> HyperwalkError:
     return InvariantViolationError(f"hyperboloid drift {defect:.3e} (relative) at step {step}")
 
 
-def distance(x: LorentzPoint, y: LorentzPoint, k: float) -> float:
-    """Riemannian distance (`_distance`) of two points that pass
-    `validate_on_hyperboloid` at the drift the walks' reprojection
-    forgives."""
-    try:
-        validate_on_hyperboloid(x, k, REPROJECTION_DRIFT_TOL)
-        validate_on_hyperboloid(y, k, REPROJECTION_DRIFT_TOL)
-    except InvariantViolationError as exc:
-        raise InvariantViolationError(f"points are not on a common hyperboloid: {exc}") from exc
-    return float(_distance(x.coords, y.coords, k))
-
-
 def _distance(x: np.ndarray, y: np.ndarray, k: float) -> np.ndarray:
     """Distances of points x and y of H_k along the last axis, unchecked.
 
@@ -355,83 +193,6 @@ def _distance(x: np.ndarray, y: np.ndarray, k: float) -> np.ndarray:
     radial = (sx - sy) / (g + 1.0 / g)
     angular = 0.5 * np.sqrt(sx) * np.sqrt(sy) * _safe_norm(nx - ny)
     return (2.0 / k) * np.arcsinh(np.hypot(radial, angular))
-
-
-def log_map(x: LorentzPoint, y: LorentzPoint, k: float) -> TangentVector:
-    """Inverse of exp_map: the tangent vector v at x with exp_map(x, v) = y.
-
-    Construction: u = y + k^2 B(x,y) x is Minkowski-orthogonal to x, and v is
-    u rescaled to length distance(x, y).  Returns the zero vector when x = y.
-    u comes from the pairing B(x, y), so TangentVector.norm reads its length
-    and raises once rounding leaves it unresolved, as from kR ~ 10.
-    """
-    dist = distance(x, y, k)
-    if dist == 0.0:
-        return TangentVector(x, np.zeros_like(x.coords))
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = TangentVector(x, y.coords + (k * k) * _mink(x.coords, y.coords) * x.coords)
-        return TangentVector(x, (dist / u.norm) * u.components)
-
-
-def radial_direction(origin_pt: LorentzPoint, p: LorentzPoint, k: float) -> TangentVector:
-    """Unit tangent vector at p along the geodesic through the origin.
-
-    Oriented toward the origin, so that d_rad = -<v, e_rad> is positive for
-    outward-pointing v.  Row 0 of radial_frame; undefined at the origin.
-    """
-    frame = radial_frame(origin_pt, p, k)
-    if frame.at_origin:
-        raise UndefinedFrameError(
-            "radial direction undefined at the origin; use the d_rad := d_tot convention"
-        )
-    return TangentVector(p, frame.axes[0])
-
-
-@dataclass(frozen=True)
-class IncrementDecomposition:
-    """Step length, signed radial component and their ratio phi.
-
-    phi = d_rad/d_tot when d_tot > 0 and 0 when d_tot = 0; |d_rad| <= d_tot.
-    """
-
-    d_tot: float
-    d_rad: float
-    phi: float
-
-    def __post_init__(self):
-        if self.d_tot < 0.0:
-            raise DomainError(f"d_tot must be >= 0, got {self.d_tot}")
-        slack = 1e-9 * max(1.0, self.d_tot)
-        if abs(self.d_rad) > self.d_tot + slack:
-            raise DomainError(f"|d_rad| = {abs(self.d_rad)} exceeds d_tot = {self.d_tot}")
-        expected = self.d_rad / self.d_tot if self.d_tot > 0.0 else 0.0
-        if abs(self.phi - expected) > 1e-9:
-            raise DomainError(f"phi = {self.phi} inconsistent with d_rad/d_tot = {expected}")
-
-
-def make_decomposition(d_tot: float, d_rad: float) -> IncrementDecomposition:
-    """Build a decomposition, clamping |d_rad| <= d_tot against rounding noise."""
-    if d_tot < 0.0:
-        raise DomainError(f"d_tot must be >= 0, got {d_tot}")
-    d_rad = min(max(d_rad, -d_tot), d_tot)
-    phi = d_rad / d_tot if d_tot > 0.0 else 0.0
-    return IncrementDecomposition(d_tot, d_rad, phi)
-
-
-def decompose_increment(
-    origin_pt: LorentzPoint, x: LorentzPoint, v: TangentVector, k: float
-) -> IncrementDecomposition:
-    """Split a tangent step at x into length and signed radial component.
-
-    At the origin the radial direction is undefined and the convention
-    d_rad := d_tot applies.
-    """
-    if v.base is not x and not np.array_equal(v.base.coords, x.coords):
-        raise ContractError("tangent vector is not based at the given point")
-    d_tot = v.norm
-    frame = radial_frame(origin_pt, x, k)
-    d_rad = d_tot if frame.at_origin else -_mink(v.components, frame.axes[0])
-    return make_decomposition(d_tot, d_rad)
 
 
 def radial_increment_exact(R: float, d_tot: float, phi: float, k: float) -> float:
@@ -558,36 +319,6 @@ def euclidean_radial_increment(R: float, d_tot: float, d_rad: float) -> float:
 # Radial frames
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class RadialFrame:
-    """Orthonormal tangent frame at a point, first axis pointing to the origin.
-
-    `axes` has shape (d, d+1): row 0 is e_rad (or a fixed stand-in axis at
-    the origin, where the radial direction is undefined and immaterial), the
-    remaining rows span the transverse subspace.  It is the matrix view of
-    the point's HouseholderFrame, built once, whose step `vector` takes.
-    """
-
-    base: LorentzPoint
-    householder: HouseholderFrame
-    k: float
-
-    @property
-    def axes(self) -> np.ndarray:
-        return self.householder.axes
-
-    @property
-    def at_origin(self) -> bool:
-        return bool(self.householder.at_origin)
-
-    def vector(self, d_rad: float, transverse) -> TangentVector:
-        """Tangent vector with outward radial part d_rad and given transverse part."""
-        t = np.asarray(transverse, dtype=float)
-        if t.shape != (self.base.d - 1,):
-            raise DimensionError(f"transverse part needs {self.base.d - 1} components")
-        return TangentVector(self.base, self.householder.step(d_rad, t))
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class HouseholderFrame:
     """Tangent frames as Householder reflections, one per point along the
@@ -618,7 +349,9 @@ class HouseholderFrame:
 
     @property
     def axes(self) -> np.ndarray:
-        """The matrix view: row 0 toward the origin, then the rows H e_i."""
+        """The matrix view: row 0 toward the origin, then the rows H e_i.
+
+        No walk reads it; the tests compare `step` against it."""
         w = self.w
         d = w.shape[-1]
         axes = np.zeros(w.shape[:-1] + (d, self.radial.shape[-1]))
@@ -658,19 +391,6 @@ def _tangent_axes(coords: np.ndarray, k: float) -> HouseholderFrame:
     radial[..., 0] = np.where(at_origin, 0.0, k * sp)           # sinh(kR)
     radial[..., 1:] = np.where(at_origin, 1.0, k * coords[..., 0])[..., None] * n  # cosh(kR) n
     return _householder(radial, n, at_origin)
-
-
-def radial_frame(origin_pt: LorentzPoint, p: LorentzPoint, k: float) -> RadialFrame:
-    """Build the radial frame at p on H_k about the origin (1/k, 0, ..., 0).
-
-    At the origin there is no radial direction; the first spatial axis is
-    used as the stand-in (the choice does not affect radial statistics).
-    Any other origin point is a ContractError.
-    """
-    o = origin_pt.coords
-    if abs(o[0] * k - 1.0) > 1e-12 or np.any(o[1:]):
-        raise ContractError("radial frames are built about the origin (1/k, 0, ..., 0) only")
-    return RadialFrame(p, _tangent_axes(p.coords, k), k)
 
 
 def euclidean_frame(x: np.ndarray) -> HouseholderFrame:

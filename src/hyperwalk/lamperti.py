@@ -893,64 +893,6 @@ def classify_euclidean(U: float, V: float) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class NonconfinementRow:
-    r: float
-    mean_d_rad: float
-    se_d_rad: float
-    second_moment: float
-    half_width: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class NonconfinementReport:
-    """Statistical support for the non-confinement hypothesis.
-
-    Passing means: at every grid radius the radial mean sits inside its
-    4-sigma band around zero AND the radial second moment clears epsilon
-    beyond its half-width.  This supports the hypothesis statistically; it
-    does not prove it.
-    """
-
-    rows: tuple
-    epsilon: float
-    passed: bool
-
-    def as_text(self) -> str:
-        lines = [f"non-confinement check (epsilon = {self.epsilon!r}): "
-                 + ("PASS" if self.passed else "FAIL")]
-        for row in self.rows:
-            lines.append(
-                f"    r = {row.r:<10g} E[d_rad] = {row.mean_d_rad:+.4e} (se {row.se_d_rad:.2e})"
-                f"  E[d_rad^2] = {row.second_moment:.6g} (hw {row.half_width:.2g})"
-                f"  {'ok' if row.passed else 'FAIL'}"
-            )
-        lines.append("note: statistical support only, not a proof")
-        return "\n".join(lines)
-
-
-def nonconfinement_check(law: IncrementLaw, epsilon: float, r_grid, n_samples: int,
-                         rng: np.random.Generator) -> NonconfinementReport:
-    """Check E[d_rad] = 0 (4-sigma band) and E[d_rad^2] >= epsilon on a grid."""
-    if not epsilon > 0:
-        raise DomainError(f"epsilon must be > 0, got {epsilon}")
-    grid, _, _ = _prepare_grid(r_grid, None)
-    rows = []
-    ok = True
-    for r in grid:
-        d_rad = _draw(law, r, n_samples, rng)[0]
-        mean = float(d_rad.mean())
-        se = float(d_rad.std(ddof=1)) / math.sqrt(n_samples)
-        sq = _mc_estimate(d_rad * d_rad)
-        zero_ok = abs(mean) <= 4.0 * se if se > 0.0 else mean == 0.0
-        floor_ok = sq.value - sq.half_width >= epsilon
-        passed = zero_ok and floor_ok
-        ok = ok and passed
-        rows.append(NonconfinementRow(r, mean, se, sq.value, sq.half_width, passed))
-    return NonconfinementReport(tuple(rows), epsilon, ok)
-
-
 def classify_elliptic_chain(a: RadialProfile, b: RadialProfile,
                             k_min_profile: RadialProfile, k_max_profile: RadialProfile,
                             d: int, r_grid, theta: float = 0.5,

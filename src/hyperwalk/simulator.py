@@ -6,8 +6,8 @@ The walks of a chunk advance together, one step for all of them
 * ``ambient`` holds their points as one (W, d+1) array, and each step
   applies the points' Householder frame steps (`_tangent_axes`,
   `euclidean_frame`), taken on H_k through geometry's `_exp_step` and
-  `_reproject`, the step `exp_map` and the `validate` oracle take on one
-  point; it is limited to k * R <= 700 by double-precision overflow;
+  `_reproject`, the step the `validate` suites take on one point; it is
+  limited to k * R <= 700 by double-precision overflow;
 * ``radialonly`` holds only their radii, one (W,) array, and each step is
   one call of the exact radial increment over it (geometry's
   `_radial_increments` on H_k, `_euclidean_increments` in flat space),

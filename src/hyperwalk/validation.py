@@ -1,10 +1,15 @@
 """Self-check suites: independent oracles for the numerical kernels.
 
-Each suite checks one closed-form code path against a different route to the
-same number (coordinate-level geometry, high-resolution grids, Monte Carlo
-moments, coupled simulations); the exact-increment suite's coordinate route
-is the ambient walk's own exp step and reprojection.  The CLI `validate`
-command runs them all and reports pass/fail per suite; the test suite
+Each suite checks one code path against a different route to the same
+number (coordinate-level geometry, high-resolution grids, Monte Carlo
+moments, coupled simulations).  The geometry suites run the ambient walk's
+own kernels on one point at a time: its frame step
+(`_tangent_axes(x, k).step`), exp step (`_exp_step`) and reprojection
+(`_reproject`), which the exact-increment suite compares against the
+closed-form radial increment and the geodesic-step suite against the
+polar `_distance`.  They look each kernel up on `geometry` at call time,
+so a perturbed kernel shows in them as in the walks.  The CLI `validate`
+command runs every suite and reports pass/fail per suite; the test suite
 reuses them at larger sizes.
 
 `fault` injects a deliberate error ("flip-phi-sign") into the formula side of
@@ -14,7 +19,6 @@ bites.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -44,16 +48,23 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _polar_point(k: float, R: float, direction: np.ndarray) -> np.ndarray:
+    """The point of H_k at radius R in the unit spatial direction
+    `direction`: (cosh kR, sinh kR * direction) / k."""
+    return np.concatenate([[math.cosh(k * R)], math.sinh(k * R) * direction]) / k
+
+
 def suite_exact_radial_increment(seed: int = 0, n: int = 10_000,
                                  tol: float = 1e-9,
                                  fault: Optional[str] = None) -> SuiteResult:
     """Radial-increment formula against the coordinate-level oracle.
 
     Draws random tuples (k in [0.25, 4], R in [0, 20], d_tot in [0, 10],
-    phi in [-1, 1]), realises each as an actual point and tangent vector in
-    ambient coordinates at a random position, and takes the ambient walk's
-    own step (`_exp_step`, then `_reproject`, which reads the new radius off
-    the time coordinate, cancellation-free at any radius).
+    phi in [-1, 1]), realises each as an actual point, in polar form, and a
+    tangent vector of its frame (`_tangent_axes`) in ambient coordinates at
+    a random position, and takes the ambient walk's own step (`_exp_step`,
+    then `_reproject`, which reads the new radius off the time coordinate,
+    cancellation-free at any radius).
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -65,19 +76,13 @@ def suite_exact_radial_increment(seed: int = 0, n: int = 10_000,
         d_tot = rng.uniform(0.0, 10.0)
         phi = rng.uniform(-1.0, 1.0)
 
-        O = geometry.origin(k, d)
-        direction = increments._normal_rows(1, d, rng)[0]
-        u = np.zeros(d + 1)
-        u[1:] = direction
-        x = geometry.exp_map(O, geometry.TangentVector(O, R * u), k)
-        frame = geometry.radial_frame(O, x, k)
-        d_rad = phi * d_tot
+        x = _polar_point(k, R, increments._normal_rows(1, d, rng)[0])
         t_mag = d_tot * math.sqrt(max(0.0, 1.0 - phi * phi))
         t = t_mag * increments._normal_rows(1, d - 1, rng)[0]
-        v = frame.vector(d_rad, t)
+        v = geometry._tangent_axes(x, k).step(phi * d_tot, t)
         oracle = 0.0
         if d_tot > 0.0:
-            y = geometry._exp_step(x.coords, v.components, d_tot, k)
+            y = geometry._exp_step(x, v, d_tot, k)
             R_after, defect = geometry._reproject(y, k)
             if defect > geometry.REPROJECTION_DRIFT_TOL:
                 return SuiteResult("exact-radial-increment", False, i + 1,
@@ -135,44 +140,32 @@ def suite_sandwich_bounds(n_lengths: int = 200, n_phis: int = 170,
                        f"worst violation {worst:.3e} {worst_where}")
 
 
-def _exp_log_pairs(seed: int):
-    """The exp-log suite's draws, endlessly: (x, y, k) with x at radius up
-    to 4/k from the origin and y = exp_map(x, v) for a step v of length up
-    to min(20, 8/k) in a uniform direction."""
+def suite_geodesic_step(seed: int = 1, n: int = 2000, tol: float = 1e-8) -> SuiteResult:
+    """The ambient walk's step goes as far as it is long: the polar
+    distance from x to its endpoint equals the step length, to relative
+    error `tol`.
+
+    Draws x at radius up to 4/k from the origin and a step of length up to
+    min(20, 8/k) in a uniform direction of x's frame, and takes it as the
+    walks do: `_tangent_axes(x, k).step`, `_exp_step`, then `_reproject`,
+    whose drift check a step off the hyperboloid fails.
+    """
     rng = np.random.default_rng(seed)
-    while True:
+    worst = 0.0
+    for i in range(n):
         d = int(rng.integers(2, 5))
         k = rng.uniform(0.25, 4.0)
-        O = geometry.origin(k, d)
-
-        u = np.zeros(d + 1)
-        u[1:] = increments._normal_rows(1, d, rng)[0]
-        x = geometry.exp_map(O, geometry.TangentVector(O, rng.uniform(0.0, 4.0 / k) * u), k)
-        frame = geometry.radial_frame(O, x, k)
+        u = increments._normal_rows(1, d, rng)[0]     # drawn before the radius
+        x = _polar_point(k, rng.uniform(0.0, 4.0 / k), u)
         step = rng.uniform(0.0, min(20.0, 8.0 / k))
-        w_dir = increments._normal_rows(1, d, rng)[0]
-        yield x, geometry.exp_map(x, frame.vector(step * w_dir[0], step * w_dir[1:]), k), k
-
-
-def suite_exp_log_round_trip(seed: int = 1, n: int = 2000, tol: float = 1e-8) -> SuiteResult:
-    """exp(x, log(x, y)) = y within relative coordinate error, plus the
-    norm-equals-distance identity.
-
-    Pairs are drawn with k*(R_x + R_y) <= 16: log_map's direction
-    y + k^2 B(x, y) x comes from the Minkowski pairing of the two points,
-    which loses e^(k(R_x+R_y)) * eps of absolute precision, so beyond that
-    envelope that direction cannot meet the tolerance in double precision
-    (`distance`, read in polar form, can).
-    """
-    worst = 0.0
-    for x, y, k in itertools.islice(_exp_log_pairs(seed), n):
-        v = geometry.log_map(x, y, k)
-        back = geometry.exp_map(x, v, k)
-        scale = max(1.0, float(np.max(np.abs(y.coords))))
-        err = float(np.max(np.abs(back.coords - y.coords))) / scale
-        err = max(err, _rel_err(v.norm, geometry.distance(x, y, k)))
-        worst = max(worst, err)
-    return SuiteResult("exp-log-round-trip", worst <= tol, n, f"worst rel err {worst:.3e}")
+        w = step * increments._normal_rows(1, d, rng)[0]
+        y = geometry._exp_step(x, geometry._tangent_axes(x, k).step(w[0], w[1:]), step, k)
+        _, defect = geometry._reproject(y, k)
+        if defect > geometry.REPROJECTION_DRIFT_TOL:
+            return SuiteResult("geodesic-step", False, i + 1,
+                               str(geometry._reprojection_error(defect, i)))
+        worst = max(worst, _rel_err(float(geometry._distance(x, y, k)), step))
+    return SuiteResult("geodesic-step", worst <= tol, n, f"worst rel err {worst:.3e}")
 
 
 def suite_mode_coupling(seed: int = 2, steps: int = 100, tol: float = 1e-8) -> SuiteResult:
@@ -219,7 +212,7 @@ def run_suites(seed: int = 0, fault: Optional[str] = None) -> list:
     return [
         suite_exact_radial_increment(seed=seed, fault=fault),
         suite_sandwich_bounds(),
-        suite_exp_log_round_trip(seed=seed + 1),
+        suite_geodesic_step(seed=seed + 1),
         suite_mode_coupling(seed=seed + 2),
         suite_moment_identities(seed=seed + 3),
     ]

@@ -565,12 +565,20 @@ class TestMomentsCommand:
 
 
 class TestValidateCommand:
-    def test_healthy_build_passes(self, tmp_path, capsys):
-        cfg = tmp_path / "v.cfg"
-        cfg.write_text("sim.seed = 5\n")
+    SUITES = ["exact-radial-increment", "sandwich-bounds", "geodesic-step", "mode-coupling",
+              "moment-identities"]
+
+    @pytest.mark.parametrize("config", ["seed-5", "configs/validate.cfg"])
+    def test_healthy_build_passes(self, config, tmp_path, capsys):
+        if config == "seed-5":
+            cfg = tmp_path / "v.cfg"
+            cfg.write_text("sim.seed = 5\n")
+        else:
+            cfg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), config)
         assert main(["validate", "--config", str(cfg)]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 5 and "FAIL" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[0] for line in lines] == self.SUITES
+        assert all(line.split(": ")[1].startswith("PASS (") for line in lines), lines
 
 
 class TestPinchedDispatch:

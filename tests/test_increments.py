@@ -8,6 +8,8 @@ from scipy import stats
 
 import hyperwalk as hw
 from hyperwalk.errors import DomainError, UsageError
+from hyperwalk.geometry import _tangent_axes
+from test_geometry import mink, polar_point
 
 C1 = hw.RadialProfile.constant(1.0)
 
@@ -340,51 +342,49 @@ class TestSamplerContracts:
 
 
 class TestFrameAttachedSamplers:
-    """A law's components, attached to a radial frame, decompose back to
-    themselves: law.sample_components -> RadialFrame.vector ->
-    decompose_increment."""
+    """A law's components, attached to a point's frame, read back to
+    themselves: law.sample_components -> _tangent_axes(x, k).step -> the
+    step's Minkowski pairings with itself and with the frame's axes."""
 
-    def _frame(self, k=1.0, d=3, r=2.0):
-        O = hw.origin(k, d)
-        e1 = np.zeros(d + 1)
-        e1[1] = 1.0
-        p = hw.exp_map(O, hw.TangentVector(O, r * e1), k)
-        return hw.radial_frame(O, p, k), O
+    @staticmethod
+    def _frame(k=1.0, d=3, r=2.0):
+        return _tangent_axes(polar_point(k, k * r, np.eye(d)[0]), k)
 
-    def _step(self, law, r, frame, O, rng):
-        """(d_rad, d_tot) drawn from the law, and the decomposition of its
-        tangent vector at the frame's base."""
+    @staticmethod
+    def _step(law, r, frame, rng):
+        """(d_rad, d_tot) drawn from the law, and (d_rad, d_tot) read back
+        off its ambient step v: -B(v, e_rad) and sqrt(B(v, v))."""
         d_rad, t = law.sample_components(r, rng)
-        vec = frame.vector(d_rad, t)
-        return d_rad, math.sqrt(d_rad * d_rad + float(t @ t)), \
-            hw.decompose_increment(O, frame.base, vec, frame.k)
+        v = frame.step(d_rad, t)
+        return (d_rad, math.sqrt(d_rad * d_rad + float(t @ t))), \
+            (-mink(v, frame.axes[0]), math.sqrt(mink(v, v)))
 
     @pytest.mark.parametrize("cls", [hw.EllipticLaw, hw.BoxLaw])
     def test_sample_decomposition_consistency(self, cls):
-        frame, O = self._frame()
+        frame = self._frame()
         law = cls(C1, hw.RadialProfile.constant(0.5), 3)
         rng = law_rng(20)
         for _ in range(50):
-            d_rad, d_tot, dec = self._step(law, 2.0, frame, O, rng)
-            assert dec.d_tot == pytest.approx(d_tot, rel=1e-9, abs=1e-12)
-            assert dec.d_rad == pytest.approx(d_rad, rel=1e-9, abs=1e-9)
+            (d_rad, d_tot), (got_rad, got_tot) = self._step(law, 2.0, frame, rng)
+            assert got_tot == pytest.approx(d_tot, rel=1e-9, abs=1e-12)
+            assert got_rad == pytest.approx(d_rad, rel=1e-9, abs=1e-9)
 
     def test_heavytail_and_biased_samples(self):
-        frame, O = self._frame()
+        frame = self._frame()
         rng = law_rng(21)
-        _, _, dec = self._step(hw.HeavyTailLaw(4.0, 3, C1), 2.0, frame, O, rng)
-        assert dec.d_tot >= 1.0
-        _, _, dec = self._step(hw.InwardBiasedLaw(1.0, 3), 2.0, frame, O, rng)
-        assert dec.d_tot == pytest.approx(4.0, rel=1e-12)
-        assert min(abs(dec.d_rad + 2.0), abs(dec.d_rad)) < 1e-12
+        _, (_, d_tot) = self._step(hw.HeavyTailLaw(4.0, 3, C1), 2.0, frame, rng)
+        assert d_tot >= 1.0
+        _, (d_rad, d_tot) = self._step(hw.InwardBiasedLaw(1.0, 3), 2.0, frame, rng)
+        assert d_tot == pytest.approx(4.0, rel=1e-12)
+        assert min(abs(d_rad + 2.0), abs(d_rad)) < 1e-12
 
-    def test_origin_frame_uses_length_convention(self):
+    def test_origin_frame_reads_back_the_step(self):
+        # at the origin the stand-in axis takes the radial part
         k, d = 1.0, 2
-        O = hw.origin(k, d)
-        frame = hw.radial_frame(O, O, k)
-        _, d_tot, dec = self._step(hw.EllipticLaw(C1, C1, d), 0.0, frame, O, law_rng(22))
-        assert dec.phi == 1.0
-        assert dec.d_rad == dec.d_tot == pytest.approx(d_tot, rel=1e-12)
+        frame = self._frame(k, d, 0.0)
+        assert frame.at_origin
+        want, got = self._step(hw.EllipticLaw(C1, C1, d), 0.0, frame, law_rng(22))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestZeroDriftCheck:

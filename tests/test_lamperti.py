@@ -487,6 +487,12 @@ class TestPinchedClassifier:
             hw.classify_pinched(hw.EllipticLaw(C1, C1, 2), k2, C1,
                                 [10.0, 20.0], 2000, np.random.default_rng(15))
 
+    def test_below_100_samples_rejected(self):
+        # the floor of the moment estimates, so no half-width rests on 2 draws
+        with pytest.raises(UsageError, match="need at least 100 samples, got 2"):
+            hw.classify_pinched(hw.EllipticLaw(C1, C1, 2), C1, C1, [1.0, 5.0, 20.0], 2,
+                                np.random.default_rng(23))
+
 
 class TestUniformEllipticityCheck:
     GRID = [float(r) for r in np.linspace(10, 60, 5)]
@@ -522,32 +528,3 @@ class TestUniformEllipticityCheck:
         rep = self.screen(law, np.random.default_rng(19))
         assert rep.verdict is Verdict.INCONCLUSIVE
         assert any("zero-drift" in n for n in rep.notes)
-
-
-class TestNonconfinement:
-    GRID = [1.0, 5.0, 20.0]
-
-    def test_unit_radial_axis_passes(self):
-        law = hw.EllipticLaw(C1, C1, 2)
-        rep = hw.nonconfinement_check(law, 0.9, self.GRID, 50_000, np.random.default_rng(20))
-        assert rep.passed
-
-    def test_inward_biased_fails_zero_mean(self):
-        law = hw.InwardBiasedLaw(1.0, 2)
-        rep = hw.nonconfinement_check(law, 0.9, self.GRID, 50_000, np.random.default_rng(21))
-        assert not rep.passed
-
-    def test_zero_law_fails_floor(self):
-        law = hw.CustomLaw(lambda r, d, rng: (0.0, np.zeros(d - 1)), 2,
-                           bound=0.0, symmetric=True, name="zero")
-        rep = hw.nonconfinement_check(law, 0.1, self.GRID, 2000, np.random.default_rng(22))
-        assert not rep.passed
-        assert "not a proof" in rep.as_text()
-
-    def test_below_100_samples_rejected(self):
-        # the floor of the moment estimates, so no half-width rests on 2 draws
-        rng = np.random.default_rng(23)
-        with pytest.raises(UsageError, match="need at least 100 samples, got 2"):
-            hw.nonconfinement_check(hw.EllipticLaw(C1, C1, 2), 0.9, self.GRID, 2, rng)
-        with pytest.raises(UsageError, match="need at least 100 samples, got 2"):
-            hw.classify_pinched(hw.EllipticLaw(C1, C1, 2), C1, C1, self.GRID, 2, rng)

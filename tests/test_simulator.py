@@ -24,7 +24,7 @@ from hyperwalk.simulator import (
     ensemble_stats,
     walk_rng,
 )
-from hyperwalk.validation import suite_exact_radial_increment
+from hyperwalk.validation import suite_exact_radial_increment, suite_geodesic_step
 
 C1 = hw.RadialProfile.constant(1.0)
 HYP2 = hw.CurvatureModel.hyperbolic(1.0, 2)
@@ -630,12 +630,13 @@ class TestErrorPrecedence:
 
 
 class TestSharedExpStep:
-    """Negative control: the validate oracle and the ambient walk take the
-    one exp step in geometry, so a perturbed step shows in both."""
+    """Negative control: the validate suites and the ambient walk take the
+    one exp step in geometry, so a perturbed step shows in all of them."""
 
     def test_perturbed_step_fails_oracle_and_moves_walk(self, monkeypatch):
         cfg = WalkConfig(HYP2, ELLIPTIC, 30, 1, 5, mode=MODE_AMBIENT)
         before = radii_of(hw.run_walk(cfg, 0))
+        assert suite_geodesic_step(n=200).passed
         exact = geometry._exp_step
         assert simulator._exp_step is exact
 
@@ -645,6 +646,7 @@ class TestSharedExpStep:
         for owner in (geometry, simulator):     # wherever callers look it up
             monkeypatch.setattr(owner, "_exp_step", further)
         assert not suite_exact_radial_increment(n=200).passed
+        assert not suite_geodesic_step(n=200).passed
         assert not np.array_equal(radii_of(hw.run_walk(cfg, 0)), before)
 
     def test_step_off_the_hyperboloid_fails_the_oracle(self, monkeypatch):
@@ -652,9 +654,9 @@ class TestSharedExpStep:
         exact = geometry._exp_step
         monkeypatch.setattr(geometry, "_exp_step",
                             lambda x, v, length, k: exact(x, v, (1.0 + 1e-4) * length, k))
-        res = suite_exact_radial_increment(n=200)
-        assert not res.passed
-        assert "hyperboloid drift" in res.detail
+        for res in (suite_exact_radial_increment(n=200), suite_geodesic_step(n=200)):
+            assert not res.passed
+            assert "hyperboloid drift" in res.detail
 
 
 class TestEnsemble:
