@@ -492,6 +492,17 @@ def _write_csv(path: Path, cfg: RunConfig, columns, chunks):
 # Commands
 # ---------------------------------------------------------------------------
 
+def _trajectory_lines(records):
+    """The trajectories.csv rows, one chunk per walk.  Every record holds
+    the same steps, so each "{step}," is spelled once, and each walk's
+    "{walk_id}," once per walk.  Ids and steps are ints and the radii Python
+    floats, which an f-string (repr for the floats) spells as _fmt does."""
+    steps = [f"{step}," for step, _ in records[0].radii]
+    for r in records:
+        walk = f"{r.walk_id},"
+        yield "".join([f"{walk}{step}{R!r}\n" for step, (_, R) in zip(steps, r.radii)])
+
+
 def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
     walk_cfg = WalkConfig(
         model=cfg.model, law=cfg.law, steps=cfg.steps, walks=cfg.walks,
@@ -501,11 +512,8 @@ def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
     )
     records, stats = run_ensemble(walk_cfg, workers=workers)
     out = Path(cfg.out_dir)
-    # one chunk per walk; walk ids and steps are ints and the radii Python
-    # floats, which an f-string (repr for the floats) spells as _fmt does
     _write_csv(out / "trajectories.csv", cfg, ("walk_id", "step", "R"),
-               ("".join([f"{r.walk_id},{step},{R!r}\n" for step, R in r.radii])
-                for r in records))
+               _trajectory_lines(records))
     q = stats.quantiles
     _write_csv(out / "summary.csv", cfg,
                ("walks", "steps", "q5", "q25", "q50", "q75", "q95", "mean_returns",
@@ -574,10 +582,12 @@ def classification_report(cfg: RunConfig) -> ClassificationReport:
     """
     if not cfg.model.is_hyperbolic:
         return _euclidean_report(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(10_000,)))
     if cfg.law.kind == "elliptic":
         return classify_elliptic_chain(cfg.law.a, cfg.law.b, cfg.k_min, cfg.k_max,
                                        cfg.model.d, cfg.grid, cfg.theta, cfg.r0)
+    # built after the closed form's return, which draws nothing: the first
+    # np.random access imports numpy.random
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(10_000,)))
     if cfg.pinched:
         return classify_pinched(cfg.law, cfg.k_min, cfg.k_max, cfg.grid, cfg.samples,
                                 rng, cfg.theta, cfg.r0)

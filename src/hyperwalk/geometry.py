@@ -34,7 +34,11 @@ ambient engine advances and the neighbourhood probe measures a (W, d+1)
 array of walks at once, and the `validate` suites run the same code on one
 point.  Every operation acts on each point alone, and each point's dot
 products are BLAS dots of its own row (`_rowdot`), so a point's result does
-not depend on which or how many others share the array.
+not depend on which or how many others share the array.  A guard (the
+origin, overflow, drift) is checked by one or two reductions over the whole
+array, and its masks are built only when it fires, in a masked path
+(`_scaled_norm`, `_masked_tangent_axes`, `_masked_reproject`) that gives
+each row the bytes the unmasked arithmetic gives it.
 
 The exact radial increment has one evaluation, `_radial_increments`: one
 log form over arrays of (R, d_tot, phi), with no branch on the radius or
@@ -57,6 +61,7 @@ from .errors import DomainError, HyperwalkError, InvariantViolationError, Overfl
 # radial increments taken with kR or k d_tot past it (its log_domain_frac).
 LOG_DOMAIN_THRESHOLD = 30.0
 REPROJECTION_DRIFT_TOL = 1e-6  # relative spatial-norm defect _reproject forgives
+NEAR_ORIGIN = 2.0 ** -7         # below this k|x_s|, _reproject reads R off x_s, not x0
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -74,10 +79,22 @@ def _safe_norm(v: np.ndarray) -> np.ndarray:
 
     Plain sqrt(dot) overflows once components exceed ~1e154, as ambient
     coordinates do from kR = 354, and underflows once all are below
-    ~1e-154, as the difference of two nearly equal directions can be.  The
-    scaled path only engages for such magnitudes; a vector with a
-    non-finite component has norm max |v_i|.
+    ~1e-154, as the difference of two nearly equal directions can be.  When
+    every row is of plain magnitude, checked by one reduction before the
+    dots (which would overflow) and one after, this is sqrt(dot); otherwise
+    `_scaled_norm`.
     """
+    if np.abs(v).max(initial=0.0) < 1e150:
+        sq = _rowdot(v, v)
+        if sq.min(initial=math.inf) >= 1e-290:    # no row's max |v_i| is <= 1e-150
+            return np.sqrt(sq)
+    return _scaled_norm(v)
+
+
+def _scaled_norm(v: np.ndarray) -> np.ndarray:
+    """`_safe_norm` row by row: the scaled path engages only for the rows
+    that need it, and a vector with a non-finite component has norm
+    max |v_i|."""
     m = np.abs(v).max(axis=-1)
     plain = (m < 1e150) & ((m > 1e-150) | (m == 0.0))
     if plain.all():
@@ -128,8 +145,9 @@ class CurvatureModel:
 def _exp_step(x: np.ndarray, v: np.ndarray, length, k: float) -> np.ndarray:
     """exp_x(v) = cosh(k|v|) x + sinh(k|v|)/(k|v|) v on raw arrays, for
     tangents v of Minkowski length |v| = `length` > 0 (one per point): the
-    one ambient step of the ambient walks and the validate suites.  A step whose coordinates overflow comes out
-    non-finite, which `_reproject` reports.
+    one ambient step of the ambient walks and the validate suites.  A step
+    whose coordinates overflow comes out non-finite, which `_reproject`
+    reports.
     """
     kn = k * np.asarray(length)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -142,13 +160,30 @@ def _reproject(x: np.ndarray, k: float):
     R = acosh(k x0) / k is read off the time coordinate and the spatial part
     rescaled to sinh(kR) / k, exact up to the overflow limit; rescaling by
     B(x, x), whose defect grows like e^(2kR) * eps, would fail past kR ~ 18.
-    `defect` is the relative spatial-norm defect, inf for a point with a
-    non-finite coordinate; a point whose defect exceeds
-    REPROJECTION_DRIFT_TOL is left as it is, and `_reprojection_error`
-    names its fault.
+    Near the origin, k|x_s| < NEAR_ORIGIN, acosh cannot resolve R (a step of
+    1e-9 leaves k x0 = 1), so R = asinh(k|x_s|) / k is read off the spatial
+    part and x0 snapped to cosh(kR) / k instead.  `defect` is the relative
+    spatial-norm defect, inf for a point with a non-finite coordinate; a
+    point whose defect exceeds REPROJECTION_DRIFT_TOL is left as it is, and
+    `_reprojection_error` names its fault.  When every point is finite, off
+    the origin's neighbourhood and within the tolerance, the rows are
+    rescaled with no masks; otherwise `_masked_reproject` snaps them.
     """
     ky0 = k * x[..., 0]
     sp = k * _safe_norm(x[..., 1:])
+    if (ky0.min(initial=math.inf) >= 1.0 and sp.min(initial=math.inf) >= NEAR_ORIGIN
+            and ky0.max(initial=0.0) < math.inf and sp.max(initial=0.0) < math.inf):
+        q = 1.0 / ky0
+        rad = ky0 * np.sqrt(1.0 - q * q)
+        defect = np.abs(sp - rad) / np.maximum(np.maximum(sp, rad), 1.0)
+        if defect.max(initial=0.0) <= REPROJECTION_DRIFT_TOL:
+            x[..., 1:] *= (rad / sp)[..., None]
+            return np.arccosh(ky0) / k, defect
+    return _masked_reproject(x, k, ky0, sp)
+
+
+def _masked_reproject(x: np.ndarray, k: float, ky0, sp):
+    """`_reproject` row by row, from ky0 = k x0 and sp = k|x_s|."""
     finite = np.isfinite(ky0) & np.isfinite(sp)
     if not finite.all():
         ky0, sp = np.where(finite, ky0, 1.0), np.where(finite, sp, 0.0)
@@ -157,12 +192,13 @@ def _reproject(x: np.ndarray, k: float):
     rad = ky0 * np.sqrt(np.maximum(1.0 - q * q, 0.0))
     defect = np.where(finite, np.abs(sp - rad) / np.maximum(np.maximum(sp, rad), 1.0), np.inf)
     snap = (defect <= REPROJECTION_DRIFT_TOL) & (sp > 0.0)
-    x[..., 1:] *= np.where(snap & (rad > 0.0), rad / np.where(sp > 0.0, sp, 1.0), 1.0)[..., None]
-    collapse = snap & (rad == 0.0)
-    if collapse.any():
-        np.copyto(x[..., 1:], 0.0, where=collapse[..., None])
-        np.copyto(x[..., 0], 1.0 / k, where=collapse)
-    return np.arccosh(np.maximum(ky0, 1.0)) / k, defect
+    near = snap & (sp < NEAR_ORIGIN)
+    x[..., 1:] *= np.where(snap & ~near, rad / np.where(sp > 0.0, sp, 1.0), 1.0)[..., None]
+    R = np.arccosh(np.maximum(ky0, 1.0)) / k
+    if near.any():
+        np.copyto(x[..., 0], np.hypot(1.0, sp) / k, where=near)
+        R = np.where(near, np.arcsinh(sp) / k, R)
+    return R, defect
 
 
 def _reprojection_error(defect: float, step: int) -> HyperwalkError:
@@ -265,8 +301,11 @@ def _radial_increments(R, d_tot: np.ndarray, phi: np.ndarray, k: float,
     if opp is None:
         opp = 1.0 + phi     # <= 0 exactly where phi <= -1 (Sterbenz)
     # a phi rounded to -1 is not the edge unless opp is 0
-    edge = (d_tot == 0.0) | (phi >= 1.0) | (opp <= 0.0)
-    edges = edge.any()
+    edges = not (d_tot.min(initial=math.inf) > 0.0 and phi.max(initial=0.0) < 1.0
+                 and opp.min(initial=math.inf) > 0.0)
+    if edges:
+        edge = (d_tot == 0.0) | (phi >= 1.0) | (opp <= 0.0)
+        edges = edge.any()
     # an edge's phi is replaced by 0, so that phi = -1 with A and D both past
     # the exp underflow cannot take the log of 0
     p, opp = (np.where(edge, 0.0, phi), np.where(edge, 1.0, opp)) if edges else (phi, opp)
@@ -382,9 +421,21 @@ def _tangent_axes(coords: np.ndarray, k: float) -> HouseholderFrame:
     about the origin (1/k, 0, ..., 0), read off their polar structure, so
     they stay well conditioned at any radius.  Within 1e-12 / k of the
     origin the stand-in n = -e_1 (radial step (0, -1, 0, ...)) is taken and
-    at_origin is set.
+    at_origin is set, by `_masked_tangent_axes` when some point is there.
     """
     sp = _safe_norm(coords[..., 1:])
+    ksp = k * sp
+    if not ksp.min(initial=math.inf) > 1e-12:
+        return _masked_tangent_axes(coords, k, sp)
+    n = coords[..., 1:] / sp[..., None]
+    radial = np.empty(coords.shape)
+    radial[..., 0] = ksp                                        # sinh(kR)
+    radial[..., 1:] = (k * coords[..., 0])[..., None] * n       # cosh(kR) n
+    return _householder(radial, n, np.zeros(np.shape(sp), dtype=bool))
+
+
+def _masked_tangent_axes(coords: np.ndarray, k: float, sp) -> HouseholderFrame:
+    """`_tangent_axes` row by row, from sp = |x_s|."""
     at_origin = sp * k <= 1e-12
     n = _unit_or_stand_in(coords[..., 1:], sp, at_origin)
     radial = np.empty(coords.shape)

@@ -325,7 +325,8 @@ class _Lockstep:
         model = self.config.model
         if model.is_hyperbolic:
             # a phi that rounding takes past +-1 counts as +-1 in the kernel
-            phi = d_rad / np.where(d_tot > 0.0, d_tot, 1.0)
+            phi = d_rad / (d_tot if d_tot.min(initial=math.inf) > 0.0
+                           else np.where(d_tot > 0.0, d_tot, 1.0))
             opp = 1.0 + phi
             if model.k * longest > _D_DIRECT:
                 # 1 + phi of a long step close to straight inward, from |t|^2;
@@ -341,9 +342,10 @@ class _Lockstep:
     def _ambient_step(self, n: int):
         """Step n of the ambient points: the frame's step, on H_k geometry's
         exp step and its reprojection onto the hyperboloid, in flat space a
-        translation."""
+        translation.  Each guard is one reduction, and its mask is built
+        only when the guard fires."""
         hyperbolic, k = self.config.model.is_hyperbolic, self.config.model.k
-        if hyperbolic:
+        if hyperbolic and not k * self.R.max(initial=0.0) <= AMBIENT_KR_LIMIT:
             far = k * self.R > AMBIENT_KR_LIMIT
             if far.any():
                 self.drop(far, lambda i: OverflowGuardError(
@@ -357,19 +359,20 @@ class _Lockstep:
             self.R = np.sqrt(_rowdot(self.x, self.x))
             return
         v = _tangent_axes(self.x, k).step(d_rad, t)
-        moving = norm > 0.0
-        if moving.all():
+        if norm.min(initial=math.inf) > 0.0:
             self.x = _exp_step(self.x, v, norm, k)
             self.R, defect = _reproject(self.x, k)
         else:                       # a zero step leaves its walk where it is
+            moving = norm > 0.0
             x = _exp_step(self.x[moving], v[moving], norm[moving], k)
             R, defect_moving = _reproject(x, k)
             self.x[moving], self.R[moving] = x, R
             defect = np.zeros(len(norm))
             defect[moving] = defect_moving
-        fault = defect > REPROJECTION_DRIFT_TOL
-        if fault.any():
-            self.drop(fault, lambda i: _reprojection_error(defect[i], n))
+        if not defect.max(initial=0.0) <= REPROJECTION_DRIFT_TOL:
+            fault = defect > REPROJECTION_DRIFT_TOL
+            if fault.any():
+                self.drop(fault, lambda i: _reprojection_error(defect[i], n))
 
 
 def _lockstep_states(config: WalkConfig, ids, rngs=None):

@@ -779,15 +779,20 @@ class TestReportGoldens:
     ("simulate", "sim-small"),
     ("classify", "classify-heavytail-small"),   # reaches quadrature._edges and _tail_bounded
     ("classify", "classify-pinched-small"),     # reaches quadrature._probes
+    ("classify", "classify-elliptic-small"),    # the closed form, which draws nothing
     ("moments", "moments-small"),
 ])
 def test_commands_load_neither_numpy_ma_nor_validation(command, name, tmp_path):
     # np.unique, np.median and np.percentile import numpy.ma on first use,
-    # about 6 ms of every process; only `validate` needs hyperwalk.validation
+    # about 6 ms of every process; only `validate` needs hyperwalk.validation;
+    # a run that draws nothing needs no numpy.random (another 6 ms)
+    absent = ("numpy.ma", "hyperwalk.validation")
+    if name == "classify-elliptic-small":
+        absent += ("numpy.random",)
     code = ("import sys\nfrom hyperwalk.cli import main\n"
             f"assert main([{command!r}, '--config', {os.path.join(GOLDEN, name + '.cfg')!r}, "
             f"'--out', {str(tmp_path)!r}]) in (0, 1, 2)\n"  # a verdict, not an error
-            "print([m for m in ('numpy.ma', 'hyperwalk.validation') if m in sys.modules])")
+            f"print([m for m in {absent!r} if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

@@ -5,15 +5,20 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hyperwalk as hw
 from hyperwalk.errors import DomainError
 from hyperwalk.geometry import (
+    NEAR_ORIGIN,
+    REPROJECTION_DRIFT_TOL,
     _distance,
     _exp_step,
+    _masked_reproject,
+    _masked_tangent_axes,
     _reproject,
     _safe_norm,
+    _scaled_norm,
     _tangent_axes,
     radial_increment_exact_batch,
 )
@@ -685,6 +690,113 @@ class TestArrayKernels:
         V = euclidean_frame(X).step(D, T)
         for i in range(5):
             assert euclidean_frame(X[i]).step(D[i], T[i]).tobytes() == V[i].tobytes()
+
+
+# Inputs on both sides of each checked kernel's reductions.
+_ROW_SCALE = st.one_of(st.just(1.0), st.floats(1e-153, 1e-147), st.floats(1e146, 1e148),
+                       st.floats(1e-318, 1e-305), st.just(0.0))
+_SPECIAL = st.one_of(st.floats(1e-151, 1e-149), st.floats(1e149, 1e151),
+                     st.floats(5e-324, 2.2e-308), st.sampled_from([0.0, math.inf, math.nan]))
+# k R: at and near the origin's 1e-12, either side of NEAR_ORIGIN, ordinary,
+# and near the ambient limit 700
+_KR = st.one_of(st.just(0.0), st.floats(5e-13, 2e-12), st.floats(NEAR_ORIGIN / 2, 2 * NEAR_ORIGIN),
+                st.floats(0.0, 5.0), st.floats(695.0, 705.0))
+
+
+@st.composite
+def _components(draw):
+    """A (W, n) array whose rows are scaled about 1e+-150, into the
+    subnormals or to 0, with a few components replaced by such magnitudes
+    or by non-finite values."""
+    W, n = draw(st.integers(0, 4)), draw(st.integers(2, 4))
+    v = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=W * n, max_size=W * n)))
+    v = v.reshape(W, n) * np.array(draw(st.lists(_ROW_SCALE, min_size=W, max_size=W)))[:, None]
+    for _ in range(draw(st.integers(0, 2)) if W else 0):
+        i, j = draw(st.integers(0, W - 1)), draw(st.integers(0, n - 1))
+        v[i, j] = draw(st.sampled_from([1.0, -1.0])) * draw(_SPECIAL)
+    return v
+
+
+@st.composite
+def _points(draw, perturbed=False):
+    """(X, k): a (W, d+1) array of points of H_k at radii k R drawn from
+    _KR.  Perturbed points are a step's endpoints: each row may have its
+    spatial part or k x0 off the sheet by up to 3e-6 (either side of
+    REPROJECTION_DRIFT_TOL), k x0 below 1, or a non-finite coordinate."""
+    k, d, W = draw(st.floats(0.25, 4.0)), draw(st.integers(2, 4)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = np.empty((W, d + 1))
+    for row in X:
+        n = rng.standard_normal(d)
+        ksp = math.sinh(draw(_KR))
+        row[:] = np.concatenate([[math.hypot(1.0, ksp)], ksp * n / np.linalg.norm(n)]) / k
+        kinds = ["on", "spatial", "time", "below", "non-finite"] if perturbed else ["on"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "spatial":
+            row[1:] *= 1.0 + draw(st.floats(-3e-6, 3e-6))
+        elif kind == "time":
+            row[0] += draw(st.floats(-3e-6, 3e-6)) / k
+        elif kind == "below":
+            row[0] = draw(st.floats(0.9, 1.0)) / k
+        elif kind == "non-finite":
+            row[draw(st.integers(0, d))] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    return X, k
+
+
+def _frame_bytes(frame):
+    return [np.asarray(a).tobytes() for a in (frame.radial, frame.w, frame.scale, frame.at_origin)]
+
+
+class TestCheckedKernels:
+    """Each checked kernel takes its unmasked arithmetic only when one or
+    two reductions say no row needs a mask, and must then give its masked
+    path's bytes: the draws put rows on both sides of every check."""
+
+    @given(_components())
+    @example(np.array([[3.0, 4.0], [1e-3, 2e-3]]))          # the plain path
+    @example(np.array([[3.0, 4.0], [1e151, 0.0]]))          # past 1e150
+    @example(np.array([[1e-149, 1e-149], [3.0, 4.0]]))      # a dot below 1e-290
+    @example(np.array([[3.0, 4.0], [math.nan, 1.0]]))
+    @example(np.empty((0, 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_safe_norm_is_scaled_norm(self, v):
+        assert _safe_norm(v).tobytes() == _scaled_norm(v).tobytes()
+        for row in v:
+            assert np.asarray(_safe_norm(row)).tobytes() == np.asarray(_scaled_norm(row)).tobytes()
+
+    @given(_points())
+    @settings(max_examples=300, deadline=None)
+    def test_tangent_axes_is_masked_tangent_axes(self, drawn):
+        X, k = drawn
+        for x in (X, *X):
+            want = _masked_tangent_axes(x, k, _scaled_norm(x[..., 1:]))
+            assert _frame_bytes(_tangent_axes(x, k)) == _frame_bytes(want)
+
+    @given(_points(perturbed=True))
+    @settings(max_examples=400, deadline=None)
+    def test_reproject_is_masked_reproject(self, drawn):
+        X, k = drawn
+        for x in (X, *X):
+            got, want = x.copy(), x.copy()
+            R, defect = _reproject(got, k)
+            R_m, defect_m = _masked_reproject(want, k, k * want[..., 0],
+                                              k * _scaled_norm(want[..., 1:]))
+            assert [np.asarray(a).tobytes() for a in (got, R, defect)] == [
+                np.asarray(a).tobytes() for a in (want, R_m, defect_m)]
+
+    @pytest.mark.parametrize("k", [1.0, 0.5])
+    @pytest.mark.parametrize("s", [1e-9, 1e-7, 1e-5])
+    def test_short_step_from_the_origin_keeps_its_length(self, s, k):
+        # acosh(k x0) cannot resolve these (k x0 rounds to 1 at s = 1e-9),
+        # so the radius must come from the spatial part
+        e1 = np.zeros(3)
+        e1[1] = 1.0
+        y = _exp_step(origin(k, 2), s * e1, s, k)
+        R, defect = _reproject(y, k)
+        assert abs(R - s) <= 4 * np.finfo(float).eps * s
+        assert defect <= REPROJECTION_DRIFT_TOL
+        assert y[0] == math.hypot(1.0, k * y[1]) / k and y[2] == 0.0
+        assert _distance(origin(k, 2), y, k) == pytest.approx(s, rel=1e-14)
 
 
 class TestCurvatureModel:

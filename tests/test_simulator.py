@@ -6,6 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import hyperwalk as hw
@@ -552,6 +553,90 @@ class TestLockstepCoupling:
         cfg = WalkConfig(HYP2, bad_step_law(800.0, 2), 5, 1, 0, mode=MODE_AMBIENT)
         with pytest.raises(OverflowGuardError, match="overflowed at step 2"):
             hw.run_walk(cfg, 0)
+
+
+def masked_ambient_step(walks, n):
+    """The hyperbolic ambient step with every guard's mask built and the
+    geometry kernels' masked paths taken, as the step ran before its guards
+    became reductions."""
+    k, limit = walks.config.model.k, simulator.AMBIENT_KR_LIMIT
+    far = k * walks.R > limit
+    if far.any():
+        walks.drop(far, lambda i: OverflowGuardError(
+            f"ambient mode exceeded k*R = {limit} at step {n}; "
+            "use radial-only mode for long horizons"))
+        if not walks.ids.size:
+            return
+    d_rad, t, _, norm, _ = walks._finite_draw(n)
+    x = walks.x
+    v = geometry._masked_tangent_axes(x, k, geometry._scaled_norm(x[:, 1:])).step(d_rad, t)
+    moving = norm > 0.0
+    y = geometry._exp_step(x[moving], v[moving], norm[moving], k)
+    R, defect_moving = geometry._masked_reproject(y, k, k * y[:, 0],
+                                                  k * geometry._scaled_norm(y[:, 1:]))
+    walks.x[moving], walks.R[moving] = y, R
+    defect = np.zeros(len(norm))
+    defect[moving] = defect_moving
+    fault = defect > geometry.REPROJECTION_DRIFT_TOL
+    if fault.any():
+        walks.drop(fault, lambda i: geometry._reprojection_error(defect[i], n))
+
+
+@st.composite
+def lockstep_draws(draw):
+    """(k, points, radii, d_rad, t) of W walks about to take one ambient
+    step, on both sides of each of its guards: k R at the origin, near its
+    1e-12 and near the limit 700; spatial parts off the sheet by up to 3e-6
+    (the drift tolerance is 1e-6); zero and non-finite steps."""
+    k, d, W = draw(st.floats(0.25, 2.0)), draw(st.integers(2, 3)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X, R = np.empty((W, d + 1)), np.empty(W)
+    D, T = np.zeros(W), np.zeros((W, d - 1))
+    for i in range(W):
+        kR = draw(st.one_of(st.just(0.0), st.floats(5e-13, 2e-12), st.floats(0.0, 5.0),
+                            st.floats(699.5, 700.5)))
+        n = rng.standard_normal(d)
+        X[i] = np.concatenate([[math.cosh(kR)], math.sinh(kR) * n / np.linalg.norm(n)]) / k
+        X[i, 1:] *= 1.0 + draw(st.one_of(st.just(0.0), st.floats(-3e-6, 3e-6)))
+        R[i] = kR / k
+        kind = draw(st.sampled_from(["step", "step", "zero", "non-finite"]))
+        if kind != "zero":
+            D[i] = draw(st.floats(-1.0, 1.0))
+            T[i] = draw(st.lists(st.floats(-1.0, 1.0), min_size=d - 1, max_size=d - 1))
+        if kind == "non-finite":
+            row = np.concatenate([[D[i]], T[i]])
+            row[draw(st.integers(0, d - 1))] = draw(st.sampled_from([math.nan, math.inf]))
+            D[i], T[i] = row[0], row[1:]
+    return k, X, R, D, T
+
+
+class TestCheckedAmbientStep:
+    """The ambient step builds a guard's mask only when a reduction says the
+    guard fires; it must leave every walk as the step with every mask built
+    does, and drop the same walks with the same errors."""
+
+    @given(lockstep_draws())
+    @settings(max_examples=300, deadline=None)
+    def test_step_is_masked_step(self, drawn):
+        k, X, R, D, T = drawn
+        W, d = R.size, X.shape[1] - 1
+        cfg = WalkConfig(hw.CurvatureModel.hyperbolic(k, d), hw.EllipticLaw(C1, C1, d), 1, W, 0,
+                         mode=MODE_AMBIENT)
+        states = []
+        for step in (simulator._Lockstep.step, masked_ambient_step):
+            walks = simulator._Lockstep(cfg, range(W), [None] * W)
+            walks.x, walks.R = X.copy(), R.copy()
+            walks._draw = lambda n, w=walks: (D[w.ids], T[w.ids])    # the walks kept
+            step(walks, 1)
+            states.append((walks.ids.tolist(), walks.R.tobytes(), walks.x.tobytes(),
+                           {j: (type(e), str(e)) for j, e in walks.errors.items()}))
+        assert states[0] == states[1]
+
+    def test_short_steps_from_the_origin_are_kept(self):
+        # steps of 1e-9 straight outward, which acosh(k x0) cannot resolve
+        law = hw.CustomLaw(lambda r, d, rng: (1e-9, np.zeros(d - 1)), 2)
+        record = hw.run_walk(WalkConfig(HYP2, law, 4, 1, 0, mode=MODE_AMBIENT), 0)
+        assert radii_of(record) == pytest.approx([0.0, 1e-9, 2e-9, 3e-9, 4e-9], rel=1e-12, abs=0.0)
 
 
 class TestNearInwardStep:
