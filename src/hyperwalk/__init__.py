@@ -18,6 +18,7 @@ from .errors import (
 )
 from .geometry import (
     CurvatureModel,
+    asymptotic_increment,
     euclidean_radial_increment,
     radial_increment_exact,
 )
@@ -32,14 +33,12 @@ from .increments import (
     elliptic_moments,
     heavytail_inward_offset,
     heavytail_outward_prob,
-    zero_drift_check,
 )
 from .lamperti import (
     ClassificationReport,
     Estimate,
     MomentFunctions,
     Verdict,
-    asymptotic_increment,
     classify_constant_curvature,
     classify_elliptic_chain,
     classify_euclidean,
@@ -48,7 +47,6 @@ from .lamperti import (
     increment_moment_estimate,
     sandwich_coeff_max,
     sandwich_coeff_min,
-    sandwich_ratio,
     uniform_ellipticity_transience_check,
 )
 from .simulator import (

@@ -88,7 +88,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HyperwalkError
-from .geometry import CurvatureModel
+# asymptotic_increment_batch is bound here for perfbench/spans.py's tracer
+from .geometry import CurvatureModel, asymptotic_increment_batch  # noqa: F401
 from .increments import (
     BoxLaw,
     EllipticLaw,
@@ -104,7 +105,6 @@ from .lamperti import (
     ClassificationReport,
     MarginRow,
     Verdict,
-    asymptotic_increment_batch,  # noqa: F401  (bound here for perfbench/spans.py's tracer)
     classify_constant_curvature,
     classify_elliptic_chain,
     classify_euclidean,

@@ -40,12 +40,16 @@ array, and its masks are built only when it fires, in a masked path
 (`_scaled_norm`, `_masked_tangent_axes`, `_masked_reproject`) that gives
 each row the bytes the unmasked arithmetic gives it.
 
-The exact radial increment has one evaluation, `_radial_increments`: one
-log form over arrays of (R, d_tot, phi), with no branch on the radius or
-the step length.  The radial-only walks step with it, and
-`radial_increment_exact_batch` (the estimators' call) and
-`radial_increment_exact` (one element, the `validate` oracle's call) check
-their domain and call it.
+The radius change of a step (d_rad, d_tot) has two kernels.  The exact
+increment has one evaluation, `_radial_increments`: one log form over
+arrays of (R, d_tot, phi), with no branch on the radius or the step length.
+The radial-only walks step with it, and `radial_increment_exact_batch` (the
+estimators' call) and `radial_increment_exact` (one element, the `validate`
+oracle's call) check their domain and call it.  Its large-radius limit, the
+asymptotic increment (1/k) log(cosh(k d_tot) + phi sinh(k d_tot)), is
+`asymptotic_increment_batch`.  Both read 1 + phi, phi = d_rad/d_tot, which
+`one_plus_phi` takes without cancellation near phi = -1 (with -d_rad, 1 - phi
+near phi = 1), and `log_one_plus_phi` gives its log.
 """
 
 from __future__ import annotations
@@ -62,6 +66,14 @@ from .errors import DomainError, HyperwalkError, InvariantViolationError, Overfl
 LOG_DOMAIN_THRESHOLD = 30.0
 REPROJECTION_DRIFT_TOL = 1e-6  # relative spatial-norm defect _reproject forgives
 NEAR_ORIGIN = 2.0 ** -7         # below this k|x_s|, _reproject reads R off x_s, not x0
+
+_F_LOG_THRESHOLD = 30.0     # above this k d_tot the asymptotic increment takes its log form
+_LOG2 = math.log(2.0)
+# 1 + phi = 1 + d_rad/d_tot carries an error of about eps, which moves the
+# asymptotic increment by about eps min(1/(1 + phi), e^(2D)/2)/k, D = k d_tot;
+# given |t|^2, the kernels take 1 + phi from it where that exceeds 2^10 eps/k
+_OPP_DIRECT = 2.0 ** -10
+_D_DIRECT = 0.5 * math.log(2.0 ** 11)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -94,7 +106,7 @@ def _safe_norm(v: np.ndarray) -> np.ndarray:
 def _scaled_norm(v: np.ndarray) -> np.ndarray:
     """`_safe_norm` row by row: the scaled path engages only for the rows
     that need it, and a vector with a non-finite component has norm
-    max |v_i|."""
+    max |v_i|.  A norm past the double range reads inf, without a warning."""
     m = np.abs(v).max(axis=-1)
     plain = (m < 1e150) & ((m > 1e-150) | (m == 0.0))
     if plain.all():
@@ -103,8 +115,9 @@ def _scaled_norm(v: np.ndarray) -> np.ndarray:
     scale = np.where(scaled, m, 1.0)
     u = np.where(plain[..., None], v, 0.0)
     w = np.where(scaled[..., None], v, 0.0) / scale[..., None]
-    return np.where(plain, np.sqrt(_rowdot(u, u)),
-                    np.where(scaled, scale * np.sqrt(_rowdot(w, w)), m))
+    with np.errstate(over="ignore"):
+        return np.where(plain, np.sqrt(_rowdot(u, u)),
+                        np.where(scaled, scale * np.sqrt(_rowdot(w, w)), m))
 
 
 @dataclass(frozen=True)
@@ -167,12 +180,17 @@ def _reproject(x: np.ndarray, k: float):
     point whose defect exceeds REPROJECTION_DRIFT_TOL is left as it is, and
     `_reprojection_error` names its fault.  When every point is finite, off
     the origin's neighbourhood and within the tolerance, the rows are
-    rescaled with no masks; otherwise `_masked_reproject` snaps them.
+    rescaled with no masks; otherwise `_masked_reproject` snaps them.  The
+    largest x0 and |x_s| are multiplied by k first, as Python floats, which
+    overflow to inf without the warning numpy gives.
     """
-    ky0 = k * x[..., 0]
-    sp = k * _safe_norm(x[..., 1:])
-    if (ky0.min(initial=math.inf) >= 1.0 and sp.min(initial=math.inf) >= NEAR_ORIGIN
-            and ky0.max(initial=0.0) < math.inf and sp.max(initial=0.0) < math.inf):
+    x0, norm = x[..., 0], _safe_norm(x[..., 1:])
+    if not (float(k) * float(x0.max(initial=0.0)) < math.inf
+            and float(k) * float(norm.max(initial=0.0)) < math.inf):
+        with np.errstate(over="ignore"):
+            return _masked_reproject(x, k, k * x0, k * norm)
+    ky0, sp = k * x0, k * norm
+    if ky0.min(initial=math.inf) >= 1.0 and sp.min(initial=math.inf) >= NEAR_ORIGIN:
         q = 1.0 / ky0
         rad = ky0 * np.sqrt(1.0 - q * q)
         defect = np.abs(sp - rad) / np.maximum(np.maximum(sp, rad), 1.0)
@@ -183,7 +201,8 @@ def _reproject(x: np.ndarray, k: float):
 
 
 def _masked_reproject(x: np.ndarray, k: float, ky0, sp):
-    """`_reproject` row by row, from ky0 = k x0 and sp = k|x_s|."""
+    """`_reproject` row by row, from ky0 = k x0 and sp = k|x_s|, either of
+    which may be inf where the product overflowed."""
     finite = np.isfinite(ky0) & np.isfinite(sp)
     if not finite.all():
         ky0, sp = np.where(finite, ky0, 1.0), np.where(finite, sp, 0.0)
@@ -352,6 +371,143 @@ def euclidean_radial_increment(R: float, d_tot: float, d_rad: float) -> float:
     if not abs(d_rad) <= d_tot * (1.0 + 1e-12):
         raise DomainError(f"|d_rad| = {abs(d_rad)} exceeds d_tot = {d_tot}")
     return float(_euclidean_increments(R, d_tot, d_rad))
+
+
+# ---------------------------------------------------------------------------
+# The asymptotic increment
+# ---------------------------------------------------------------------------
+
+def asymptotic_increment(k: float, d_rad: float, d_tot: float) -> float:
+    """(1/k) log(cosh(k d_tot) + (d_rad/d_tot) sinh(k d_tot)), 0 when d_tot = 0,
+    by asymptotic_increment_batch on one step."""
+    return float(asymptotic_increment_batch(k, d_rad, d_tot))
+
+
+def one_plus_phi(d_rad, t_sq, d_tot) -> np.ndarray:
+    """1 + phi, phi = d_rad/d_tot, over arrays of steps (d_rad, |t|^2, d_tot),
+    without cancellation near phi = -1.
+
+    Where d_rad < 0 it is taken as |t|^2 / (d_tot (d_tot - d_rad)), which
+    keeps its digits for a long step close to straight inward: there
+    1 + d_rad/d_tot is all rounding.  A zero step reads phi = 0.  With
+    -d_rad it gives 1 - phi, stable near phi = 1.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        opp = np.where(d_rad < 0.0, t_sq / (d_tot * (d_tot - d_rad)), 1.0 + d_rad / d_tot)
+    return np.where(d_tot > 0.0, opp, 1.0)
+
+
+def log_one_plus_phi(d_rad, t_sq, d_tot) -> np.ndarray:
+    """log(1 + phi) of steps, from one_plus_phi; -inf for a straight inward
+    step.  With -d_rad it gives log(1 - phi)."""
+    with np.errstate(divide="ignore"):
+        return np.log(one_plus_phi(d_rad, t_sq, d_tot))
+
+
+def near_inward_one_plus_phi(k: float, opp: np.ndarray, d_rad, t_sq, d_tot) -> np.ndarray:
+    """Put one_plus_phi into `opp` (1 + d_rad/d_tot, d_rad's shape) where
+    opp < 2^-10 and e^(2 k d_tot) > 2^11, the steps whose increment its
+    rounding moves by more than about 2^10 eps/k; returns their flat indices.
+    t_sq and d_tot may lack d_rad's leading axes."""
+    long = k * d_tot > _D_DIRECT
+    near = np.flatnonzero((opp < _OPP_DIRECT) & long) if long.any() else np.empty(0, np.intp)
+    if near.size:
+        step = near % d_tot.size        # each element's step, in d_tot's order
+        np.put(opp, near, one_plus_phi(np.broadcast_to(d_rad, opp.shape).reshape(-1)[near],
+                                       np.broadcast_to(t_sq, d_tot.shape).reshape(-1)[step],
+                                       d_tot.reshape(-1)[step]))
+    return near
+
+
+def log_form_increment(k: float, D, log_opp, log_omp) -> np.ndarray:
+    """The asymptotic increment as (D + log((1 + phi)/2 + (1 - phi) e^(-2D)/2))/k,
+    D = k d_tot, from log(1 + phi) and log(1 - phi): finite for every step,
+    also where 1 + phi underflows, with the log of the sum taken from the
+    logs of its terms."""
+    return (D + np.logaddexp(log_opp - _LOG2, log_omp - _LOG2 - 2.0 * D)) / k
+
+
+def asymptotic_increment_batch(k: float, d_rad, d_tot, t_sq=None) -> np.ndarray:
+    """(1/k) log(cosh(k d_tot) + phi sinh(k d_tot)) over arrays of (d_rad, d_tot),
+    with phi = d_rad/d_tot, and 0 where d_tot = 0.
+
+    1 + phi is 1 + d_rad/d_tot by default.  Given the steps' |t|^2 (d_tot's
+    shape), it comes from one_plus_phi wherever 1 + d_rad/d_tot < 2^-10 and
+    e^(2 k d_tot) > 2^11, where the direct form's rounding would move the
+    increment by more than about 2^10 eps/k: a heavy-tail step of length y
+    close to straight inward would read -y instead of about 0 past y = 30.
+    Such a step with |t|^2 = 0 counts as phi = -1.
+
+    d_rad has d_tot's shape, or that shape behind leading axes: each row along
+    them is one radial component per step, and sinh and exp of k d_tot are
+    evaluated once for every row.  The estimators pass
+    np.stack([d_rad, -d_rad]) to pair each draw with its mirror; each row
+    equals a separate call bit for bit.  0-d inputs give a 0-d result.
+
+    Branches, per element: d_tot = 0 gives 0 and phi = +-1 gives +-d_tot,
+    with no transcendental call.  Otherwise the evaluation is stable: for
+    D = k d_tot <= 30 the argument is computed as e^(-D) + (1+phi) sinh(D)
+    (both terms nonnegative, so nothing cancels near phi = -1); above, by
+    log_form_increment.  A branch that covers the whole batch runs on the
+    arrays themselves; only a batch that mixes branches is gathered branch
+    by branch.  A NaN argument fails the domain checks.
+    """
+    d_rad = np.asarray(d_rad, dtype=float)
+    d_tot = np.asarray(d_tot, dtype=float)
+    if not k > 0:
+        raise DomainError(f"curvature parameter k must be > 0, got {k}")
+    if not (np.all(d_tot >= 0.0) and np.all(np.abs(d_rad) <= d_tot * (1.0 + 1e-12) + 1e-300)):
+        raise DomainError("need d_tot >= 0 and |d_rad| <= d_tot")
+    shape = np.broadcast_shapes(d_rad.shape, d_tot.shape)
+    d_tot = np.atleast_1d(d_tot)
+    pos = d_tot > 0.0
+    opp = np.divide(d_rad, d_tot, out=np.zeros(shape or (1,)), where=pos)
+    np.clip(opp, -1.0, 1.0, out=opp)
+    inner = pos & (np.abs(opp) != 1.0)      # phi = +-1 and d_tot = 0 are edges
+    opp += 1.0                              # 1 + phi, exact at phi = +-1
+    if t_sq is not None:
+        near = near_inward_one_plus_phi(k, opp, d_rad, t_sq, d_tot)
+        if near.size:
+            np.put(inner, near, np.take(opp, near) != 0.0)     # 0: phi = -1
+
+    def edge(d_tot, opp):
+        return np.where(d_tot > 0.0, (opp - 1.0) * d_tot, 0.0)
+
+    def general(d_tot, opp):
+        D = k * d_tot
+        return _piecewise(D <= _F_LOG_THRESHOLD, log_argument, log_expansion, D, opp)
+
+    def log_argument(D, opp):
+        x = opp * np.sinh(D)
+        x += np.exp(-D)
+        np.log(x, out=x)
+        x /= k
+        return x
+
+    def log_expansion(D, opp):
+        return log_form_increment(k, D, np.log(opp), np.log(2.0 - opp))
+
+    return _piecewise(inner, general, edge, d_tot, opp).reshape(shape)
+
+
+def _piecewise(mask, on, off, *arrays):
+    """on(*arrays) where mask holds and off(*arrays) elsewhere, each function
+    evaluated on its own elements only.
+
+    When the mask is uniform the one function runs on the arrays themselves,
+    so a batch that one branch covers is never copied; otherwise mask and
+    arrays are broadcast together and each branch gets its gathered elements.
+    """
+    if mask.all():
+        return on(*arrays)
+    if not mask.any():
+        return off(*arrays)
+    mask, *arrays = np.broadcast_arrays(mask, *arrays)
+    out = np.empty(mask.shape)
+    out[mask] = on(*(a[mask] for a in arrays))
+    rest = ~mask
+    out[rest] = off(*(a[rest] for a in arrays))
+    return out
 
 
 # ---------------------------------------------------------------------------

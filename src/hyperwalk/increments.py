@@ -36,9 +36,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError
 
 _SQRT3 = math.sqrt(3.0)
+Z99 = 2.5758293035489004    # two-sided 99% normal quantile
 # a box law in d = 2 is integrated while the curvature times its radial
 # half-side stays at most this; beyond, sampling costs less (BENCH_18)
 QUADRATURE_KA = 3.0
@@ -104,37 +105,24 @@ class RadialProfile:
         return cls("table", radii=np.asarray(radii, float), values=np.asarray(values, float))
 
     def __call__(self, r: float) -> float:
-        if self.kind == "constant":
-            return self.c
-        if self.kind == "powerdecay":
-            p = self.exponent
-            # r^-p < 1 only for r > 1 when p >= 0 and for r < 1 when p < 0.
-            # Elsewhere min(1, r^-p) is 1 and the power is skipped: it can
-            # exceed the double range, where Python raises OverflowError.
-            if not (r > 1.0 if p >= 0.0 else r < 1.0):
-                return self.c
-            return self.c * r ** -p if r > 0.0 else 0.0
-        return float(np.interp(r, self.radii, self.values))
+        return float(self.at(float(r)))
 
     def at(self, radii):
-        """The profile at each of the radii, one radius or a 1-d array: bit
-        for bit the values calls one by one give.  A constant profile gives
-        its one value, which broadcasts."""
-        if not isinstance(radii, np.ndarray):
-            return self(radii)
+        """The profile at each of the radii, one radius or an array of them,
+        each by one rule.  A constant profile gives its one value, which
+        broadcasts."""
         if self.kind == "constant":
             return self.c
         if self.kind == "table":
             return np.interp(radii, self.radii, self.values)
-        # Python's power, as a call takes it: numpy's is not it in the last
-        # bit.  Where min(1, r^-p) is 1 the factor is 1.0, and at r = 0 (a
-        # growth, p < 0) 0.0 ** -p is the call's 0.0.
+        # Python's power, which numpy's differs from in the last bit, where
+        # r^-p < 1 (r > 1 for p >= 0, r < 1 for p < 0); elsewhere the factor
+        # is 1.0 and the power, which can exceed the double range, not taken
         q = -self.exponent
-        if q <= 0.0:
-            powers = [r ** q if r > 1.0 else 1.0 for r in radii.tolist()]
-        else:
-            powers = [r ** q if r < 1.0 else 1.0 for r in radii.tolist()]
-        return self.c * np.array(powers)
+        r = np.asarray(radii, dtype=float)
+        factors = [x ** q if (x > 1.0 if q <= 0.0 else x < 1.0) else 1.0
+                   for x in r.ravel().tolist()]
+        return self.c * np.array(factors).reshape(r.shape)
 
     def sup(self) -> float:
         """Supremum over r >= 0."""
@@ -559,16 +547,3 @@ class ZeroDriftResult:
 
     def within_band(self, n_sigma: float = 4.0) -> bool:
         return self.max_abs_z <= n_sigma
-
-
-def zero_drift_check(law: IncrementLaw, r: float, n_samples: int,
-                     rng: np.random.Generator) -> ZeroDriftResult:
-    """Sample mean of the step vector at radius r, with standard errors.
-
-    The caller judges the result, conventionally against a 4-sigma band.
-    `classify` computes the same statistic (ZeroDriftResult.of_draw) from
-    the draw its moment estimate takes at each grid radius.
-    """
-    if n_samples < 1000:
-        raise UsageError(f"zero_drift_check needs at least 1000 samples, got {n_samples}")
-    return ZeroDriftResult.of_draw(*law.sample_components_batch(r, n_samples, rng))

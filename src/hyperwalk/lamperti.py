@@ -1,7 +1,9 @@
-"""Drift functionals and recurrence/transience classification.
+"""Moment estimators and recurrence/transience classifiers.
 
-For a chain at large radius in curvature -k**2, the radial increment of a
-step (d_rad, d_tot) approaches the *asymptotic increment*
+This module holds estimators and classifiers only; the kernels they
+evaluate, the exact radial increment and the asymptotic increment, live in
+geometry.py.  For a chain at large radius in curvature -k**2, the radial
+increment of a step (d_rad, d_tot) approaches the *asymptotic increment*
 
     (1/k) log(cosh(k d_tot) + phi sinh(k d_tot)),    phi = d_rad/d_tot,
 
@@ -36,11 +38,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .increments import MOMENT_NAMES, IncrementLaw, RadialProfile, ZeroDriftResult
-from .geometry import radial_increment_exact_batch
+from .increments import MOMENT_NAMES, Z99, IncrementLaw, RadialProfile, ZeroDriftResult
+# the estimators call the kernels here, where perfbench/spans.py wraps them
+from .geometry import (asymptotic_increment_batch, log_form_increment, log_one_plus_phi,
+                       radial_increment_exact_batch)
 
-# two-sided 99% normal quantile
-Z99 = 2.5758293035489004
 MIN_SAMPLES = 100   # fewest draws per radius behind a Monte Carlo half-width
 # Gauss nodes per line piece; every integral is taken again with twice as
 # many.  The quadrature module is imported inside the functions that
@@ -50,151 +52,14 @@ QUADRATURE_NOTE = (f"moments by Gauss quadrature; half_width is |Q_{QUAD_NODES} 
                    f"Q_{2 * QUAD_NODES}| plus a rounding floor, an error estimate and "
                    "not a 99% interval")
 
-_F_LOG_THRESHOLD = 30.0
-_LOG2 = math.log(2.0)
-# 1 + phi = 1 + d_rad/d_tot carries an error of about eps, which moves the
-# increment by about eps min(1/(1 + phi), e^(2D)/2)/k, D = k d_tot; given
-# |t|^2, the kernel takes 1 + phi from it where that exceeds 2^10 eps/k
-_OPP_DIRECT = 2.0 ** -10
-_D_DIRECT = 0.5 * math.log(2.0 ** 11)
-
 
 class MonteCarloVarianceWarning(UserWarning):
     """The integrand's empirical kurtosis is extreme; half-widths are suspect."""
 
 
 # ---------------------------------------------------------------------------
-# The asymptotic increment and its sandwich bounds
+# The sandwich bounds of the asymptotic increment
 # ---------------------------------------------------------------------------
-
-def asymptotic_increment(k: float, d_rad: float, d_tot: float) -> float:
-    """(1/k) log(cosh(k d_tot) + (d_rad/d_tot) sinh(k d_tot)); 0 when d_tot = 0.
-
-    The one-step form of asymptotic_increment_batch, which holds the stable
-    evaluation.
-    """
-    return float(asymptotic_increment_batch(k, d_rad, d_tot))
-
-
-def one_plus_phi(d_rad, t_sq, d_tot) -> np.ndarray:
-    """1 + phi, phi = d_rad/d_tot, over arrays of steps (d_rad, |t|^2, d_tot),
-    without cancellation near phi = -1.
-
-    Where d_rad < 0 it is taken as |t|^2 / (d_tot (d_tot - d_rad)), which
-    keeps its digits for a long step close to straight inward: there
-    1 + d_rad/d_tot is all rounding.  A zero step reads phi = 0.  With
-    -d_rad it gives 1 - phi, stable near phi = 1.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        opp = np.where(d_rad < 0.0, t_sq / (d_tot * (d_tot - d_rad)), 1.0 + d_rad / d_tot)
-    return np.where(d_tot > 0.0, opp, 1.0)
-
-
-def near_inward_one_plus_phi(k: float, opp: np.ndarray, d_rad, t_sq, d_tot) -> np.ndarray:
-    """Put one_plus_phi into `opp` (1 + d_rad/d_tot, d_rad's shape) where
-    opp < 2^-10 and e^(2 k d_tot) > 2^11, the steps whose increment its
-    rounding moves by more than about 2^10 eps/k; returns their flat indices.
-    t_sq and d_tot may lack d_rad's leading axes."""
-    long = k * d_tot > _D_DIRECT
-    near = np.flatnonzero((opp < _OPP_DIRECT) & long) if long.any() else np.empty(0, np.intp)
-    if near.size:
-        step = near % d_tot.size        # each element's step, in d_tot's order
-        np.put(opp, near, one_plus_phi(np.broadcast_to(d_rad, opp.shape).reshape(-1)[near],
-                                       np.broadcast_to(t_sq, d_tot.shape).reshape(-1)[step],
-                                       d_tot.reshape(-1)[step]))
-    return near
-
-
-def log_form_increment(k: float, D, log_opp, log_omp) -> np.ndarray:
-    """The asymptotic increment as (D + log((1 + phi)/2 + (1 - phi) e^(-2D)/2))/k,
-    D = k d_tot, from log(1 + phi) and log(1 - phi): finite for every step,
-    also where 1 + phi underflows, with the log of the sum taken from the
-    logs of its terms."""
-    return (D + np.logaddexp(log_opp - _LOG2, log_omp - _LOG2 - 2.0 * D)) / k
-
-
-def asymptotic_increment_batch(k: float, d_rad, d_tot, t_sq=None) -> np.ndarray:
-    """(1/k) log(cosh(k d_tot) + phi sinh(k d_tot)) over arrays of (d_rad, d_tot),
-    with phi = d_rad/d_tot, and 0 where d_tot = 0.
-
-    1 + phi is 1 + d_rad/d_tot by default.  Given the steps' |t|^2 (d_tot's
-    shape), it comes from one_plus_phi wherever 1 + d_rad/d_tot < 2^-10 and
-    e^(2 k d_tot) > 2^11, where the direct form's rounding would move the
-    increment by more than about 2^10 eps/k: a heavy-tail step of length y
-    close to straight inward would read -y instead of about 0 past y = 30.
-    Such a step with |t|^2 = 0 counts as phi = -1.
-
-    d_rad has d_tot's shape, or that shape behind leading axes: each row along
-    them is one radial component per step, and sinh and exp of k d_tot are
-    evaluated once for every row.  The estimators pass
-    np.stack([d_rad, -d_rad]) to pair each draw with its mirror; each row
-    equals a separate call bit for bit.  0-d inputs give a 0-d result.
-
-    Branches, per element: d_tot = 0 gives 0 and phi = +-1 gives +-d_tot,
-    with no transcendental call.  Otherwise the evaluation is stable: for
-    D = k d_tot <= 30 the argument is computed as e^(-D) + (1+phi) sinh(D)
-    (both terms nonnegative, so nothing cancels near phi = -1); above, by
-    log_form_increment.  A branch that covers the whole batch runs on the
-    arrays themselves; only a batch that mixes branches is gathered branch
-    by branch.  A NaN argument fails the domain checks.
-    """
-    d_rad = np.asarray(d_rad, dtype=float)
-    d_tot = np.asarray(d_tot, dtype=float)
-    if not k > 0:
-        raise DomainError(f"curvature parameter k must be > 0, got {k}")
-    if not (np.all(d_tot >= 0.0) and np.all(np.abs(d_rad) <= d_tot * (1.0 + 1e-12) + 1e-300)):
-        raise DomainError("need d_tot >= 0 and |d_rad| <= d_tot")
-    shape = np.broadcast_shapes(d_rad.shape, d_tot.shape)
-    d_tot = np.atleast_1d(d_tot)
-    pos = d_tot > 0.0
-    opp = np.divide(d_rad, d_tot, out=np.zeros(shape or (1,)), where=pos)
-    np.clip(opp, -1.0, 1.0, out=opp)
-    inner = pos & (np.abs(opp) != 1.0)      # phi = +-1 and d_tot = 0 are edges
-    opp += 1.0                              # 1 + phi, exact at phi = +-1
-    if t_sq is not None:
-        near = near_inward_one_plus_phi(k, opp, d_rad, t_sq, d_tot)
-        if near.size:
-            np.put(inner, near, np.take(opp, near) != 0.0)     # 0: phi = -1
-
-    def edge(d_tot, opp):
-        return np.where(d_tot > 0.0, (opp - 1.0) * d_tot, 0.0)
-
-    def general(d_tot, opp):
-        D = k * d_tot
-        return _piecewise(D <= _F_LOG_THRESHOLD, log_argument, log_expansion, D, opp)
-
-    def log_argument(D, opp):
-        x = opp * np.sinh(D)
-        x += np.exp(-D)
-        np.log(x, out=x)
-        x /= k
-        return x
-
-    def log_expansion(D, opp):
-        return log_form_increment(k, D, np.log(opp), np.log(2.0 - opp))
-
-    return _piecewise(inner, general, edge, d_tot, opp).reshape(shape)
-
-
-def _piecewise(mask, on, off, *arrays):
-    """on(*arrays) where mask holds and off(*arrays) elsewhere, each function
-    evaluated on its own elements only.
-
-    When the mask is uniform the one function runs on the arrays themselves,
-    so a batch that one branch covers is never copied; otherwise mask and
-    arrays are broadcast together and each branch gets its gathered elements.
-    """
-    if mask.all():
-        return on(*arrays)
-    if not mask.any():
-        return off(*arrays)
-    mask, *arrays = np.broadcast_arrays(mask, *arrays)
-    out = np.empty(mask.shape)
-    out[mask] = on(*(a[mask] for a in arrays))
-    rest = ~mask
-    out[rest] = off(*(a[rest] for a in arrays))
-    return out
-
 
 _SERIES_CUTOFF = 1e-4  # below k*d_tot = 1e-4 both coefficients equal k/2 to ~1e-12
 
@@ -232,20 +97,6 @@ def _check_coeff_domain(k, d_tot):
         raise DomainError(f"curvature parameter k must be > 0, got {k}")
     if not d_tot > 0.0:
         raise DomainError(f"d_tot must be > 0, got {d_tot}")
-
-
-def sandwich_ratio(phi: float, k: float, d_tot: float) -> float:
-    """((1/k) log(cosh + phi sinh) - phi d_tot) / (1 - phi^2).
-
-    Decreasing in phi on (-1, 1); its limits at +/-1 are the sandwich
-    coefficients times 2 d_tot^2 ... i.e. (1/2)(+/-d -/+ sinh/(k(cosh +/- sinh))).
-    """
-    if abs(phi) >= 1.0:
-        raise DomainError(f"phi must lie strictly inside (-1, 1), got {phi}")
-    if not d_tot > 0.0:
-        raise DomainError(f"d_tot must be > 0, got {d_tot}")
-    f = asymptotic_increment(k, phi * d_tot, d_tot)
-    return (f - phi * d_tot) / (1.0 - phi * phi)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +141,7 @@ def _warn_if_heavy(x: np.ndarray, what: str):
             f"{what}: integrand excess kurtosis {kurt:.1f}; the confidence "
             "half-width may be unreliable (heavy tails)",
             MonteCarloVarianceWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -300,17 +151,12 @@ def increment_moment_estimate(law: IncrementLaw, k: float, r: float, n_samples: 
     asymptotic increment at radius r.  It samples whatever the law; the
     classifiers integrate a built-in law instead (estimate_moment_functions).
 
-    One draw of n_samples steps feeds both moments: the increment f is
-    evaluated once and nu1, nu2 are the sample means of f and f^2.  The two
-    estimates are therefore correlated.  The classifiers need no independence:
-    both legs combine nu1 and nu2 per radius with summed half-widths (the
-    transience gap carries 2r hw1 + hw2; the recurrence leg sets nu2 - hw2
-    against 2r (nu1 + hw1)), a union bound over the two intervals that holds
-    whatever their correlation.
-
-    For laws symmetric under v -> -v each draw is paired with its mirror
-    image (see _mirror_means).  Emits MonteCarloVarianceWarning when the
-    empirical kurtosis of either integrand explodes.
+    One draw of n_samples steps feeds both moments (_increment_estimates),
+    so the two estimates are correlated.  The classifiers need no
+    independence: both legs combine nu1 and nu2 per radius with summed
+    half-widths (the transience gap carries 2r hw1 + hw2; the recurrence leg
+    sets nu2 - hw2 against 2r (nu1 + hw1)), a union bound over the two
+    intervals that holds whatever their correlation.
     """
     return _radius_estimates(law, k, r, n_samples, rng)[:2]
 
@@ -341,13 +187,12 @@ def _mirror_means(law, integrands, d_rad, *shared):
     return tuple(0.5 * (x[0] + x[1]) for x in integrands(np.stack([d_rad, -d_rad]), *shared))
 
 
-def _radius_estimates(law, k, r, n_samples, rng):
-    """(nu1, nu2, transverse, zero_drift) at radius r from one draw of
-    n_samples steps: the two moments of increment_moment_estimate, the
-    transverse second moment E|t|^2 as an Estimate, and the step-mean
-    ZeroDriftResult the uniform-ellipticity screen reads."""
-    d_rad, t, t_sq, d_tot = _draw(law, r, n_samples, rng)
-
+def _increment_estimates(law, k, r, d_rad, t_sq, d_tot):
+    """(nu1, nu2) at radius r from one draw, the one Monte Carlo estimate of
+    both: the sample means of the asymptotic increment f and of f^2, each
+    paired with its mirror for a law symmetric under v -> -v (see
+    _mirror_means).  Emits MonteCarloVarianceWarning when the empirical
+    kurtosis of either integrand explodes."""
     def moments(d_rad, t_sq, d_tot):
         f = asymptotic_increment_batch(k, d_rad, d_tot, t_sq)
         return f, f ** 2
@@ -355,7 +200,16 @@ def _radius_estimates(law, k, r, n_samples, rng):
     x1, x2 = _mirror_means(law, moments, d_rad, t_sq, d_tot)
     _warn_if_heavy(x1, f"moment estimate (power 1, r={r:g})")
     _warn_if_heavy(x2, f"moment estimate (power 2, r={r:g})")
-    return (_mc_estimate(x1), _mc_estimate(x2), _mc_estimate(t_sq),
+    return _mc_estimate(x1), _mc_estimate(x2)
+
+
+def _radius_estimates(law, k, r, n_samples, rng):
+    """(nu1, nu2, transverse, zero_drift) at radius r from one draw of
+    n_samples steps: the two moments of _increment_estimates, the
+    transverse second moment E|t|^2 as an Estimate, and the step-mean
+    ZeroDriftResult the uniform-ellipticity screen reads."""
+    d_rad, t, t_sq, d_tot = _draw(law, r, n_samples, rng)
+    return (*_increment_estimates(law, k, r, d_rad, t_sq, d_tot), _mc_estimate(t_sq),
             ZeroDriftResult.of_draw(d_rad, t))
 
 
@@ -402,8 +256,8 @@ def step_moments(law: IncrementLaw, k: Optional[float], r: float, n_samples: int
 
     A law that offers quadrature lines is integrated, with QUADRATURE_NOTE.
     Any other law takes one draw of n_samples steps from rng; its estimates
-    are raw sample means with 99% half-widths, nu1 and nu2 without mirror
-    pairing."""
+    are sample means with 99% half-widths, nu1 and nu2 those the classifiers
+    take from the same draw (_increment_estimates)."""
     names = STEP_MOMENTS if k is not None else STEP_MOMENTS[:4]
     if _integrable(law, r, k or 0.0):
         from . import quadrature
@@ -415,11 +269,10 @@ def step_moments(law: IncrementLaw, k: Optional[float], r: float, n_samples: int
         return dict(zip(names, _integrate(law, r, integrands, k or 0.0))), QUADRATURE_NOTE
     d_rad, _, t_sq, d_tot = _draw(law, r, n_samples, rng)
     d_rad_sq = d_rad ** 2
-    xs = [d_rad_sq + t_sq, d_rad_sq, d_rad, t_sq]
+    estimates = list(map(_mc_estimate, (d_rad_sq + t_sq, d_rad_sq, d_rad, t_sq)))
     if k is not None:
-        f = asymptotic_increment_batch(k, d_rad, d_tot, t_sq)
-        xs += [f, f ** 2]
-    return dict(zip(names, map(_mc_estimate, xs))), None
+        estimates += _increment_estimates(law, k, r, d_rad, t_sq, d_tot)
+    return dict(zip(names, estimates)), None
 
 
 def _check_samples(n_samples):
@@ -740,7 +593,7 @@ def _pinched_integrals(law, r, k, K):
     from . import quadrature
 
     def cut(steps):
-        log_omp = quadrature.log_one_minus_phi(steps)
+        log_omp = log_one_plus_phi(-steps.d_rad, steps.t_sq, steps.d_tot)
         f = [log_form_increment(c, c * steps.d_tot, steps.log_opp, log_omp) for c in (k, K)]
         return (*_exact_increments(r, k, K, steps.d_rad, steps.d_tot), f[0] + f[1])
 

@@ -11,6 +11,10 @@ by piece, each piece converging at the rate of a smooth one.  `integrate`
 takes every expectation with n and 2n nodes and returns the finer value
 with |Q_n - Q_2n| plus a rounding floor as its error estimate.
 
+It builds on geometry.py, which holds the kernels it integrates: the
+steps' stable log(1 + phi) and log(1 - phi) (`log_one_plus_phi`) and the
+asymptotic increment's log form (`log_form_increment`).
+
 Nodes and weights come from the Golub-Welsch eigenvalue method (Golub and
 Welsch 1969, Math. Comp. 23, 221-230), built on first use and cached.  The
 module itself is imported by the code that integrates, on first use, so
@@ -27,13 +31,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvariantViolationError
-from .lamperti import log_form_increment, one_plus_phi
+from .geometry import _LOG2, log_form_increment, log_one_plus_phi
 
 MAX_ITERATIONS = 200    # root-finding steps per sign change, to a bracket below _TOL
 _TOL = 16.0 * sys.float_info.epsilon
 # a half-width's floor for rounding, relative to the sum of |weight * integrand|
 _ROUNDING = 64.0 * sys.float_info.epsilon
-_LOG2 = math.log(2.0)
 _PROBE = 64         # evenly spaced probes per line, plus geometric ones at both ends
 _PROBE_ENDS = 30
 _BATCH = 1 << 18    # atoms, or probes, evaluated at once
@@ -66,13 +69,6 @@ def gauss_jacobi(n: int, beta: float = 0.0):
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
-
-
-def _log_opp(d_rad, t_sq, d_tot):
-    """log(1 + phi) of steps, from lamperti.one_plus_phi; -inf for a
-    straight inward step."""
-    with np.errstate(divide="ignore"):
-        return np.log(one_plus_phi(d_rad, t_sq, d_tot))
 
 
 class Atoms(NamedTuple):
@@ -276,7 +272,7 @@ def elliptic_lines(a: float, b: float, d: int, k: float):
         d_rad = a * np.cos(theta)
         t_sq = (b * sin) ** 2
         d_tot = np.sqrt(d_rad * d_rad + t_sq)
-        return Atoms(d_rad, t_sq, d_tot, _log_opp(d_rad, t_sq, d_tot),
+        return Atoms(d_rad, t_sq, d_tot, log_one_plus_phi(d_rad, t_sq, d_tot),
                      sin ** (d - 2) / norm)
 
     grade = _grading(k, a, math.pi * b)
@@ -295,7 +291,7 @@ def box_lines(a: float, b: float, n: int, k: float):
         d_rad = a * h0
         t = np.broadcast_to(t_sq, d_rad.shape)
         d_tot = np.sqrt(d_rad * d_rad + t)
-        return Atoms(d_rad, t, d_tot, _log_opp(d_rad, t, d_tot),
+        return Atoms(d_rad, t, d_tot, log_one_plus_phi(d_rad, t, d_tot),
                      np.broadcast_to(density, d_rad.shape))
 
     return (Line(-1.0, 1.0, steps, size=h_sq.size, span=2.0 * a),)
@@ -384,7 +380,7 @@ def inward_lines(N: float):
         dr = np.broadcast_to(d_rad, s.shape)
         t_sq = 16.0 * N * N - dr * dr
         d_tot = np.full(s.shape, 4.0 * N)
-        return Atoms(dr, t_sq, d_tot, _log_opp(dr, t_sq, d_tot), np.full(s.shape, 0.5))
+        return Atoms(dr, t_sq, d_tot, log_one_plus_phi(dr, t_sq, d_tot), np.full(s.shape, 0.5))
 
     return (Line(0.0, 1.0, steps, size=2),)
 
@@ -393,21 +389,16 @@ def inward_lines(N: float):
 # The asymptotic increment at the atoms, and the integrals
 # ---------------------------------------------------------------------------
 
-def log_one_minus_phi(steps):
-    """log(1 - phi) of each step, stable near phi = 1."""
-    return _log_opp(-steps.d_rad, steps.t_sq, steps.d_tot)
-
-
 def increment_integrands(k: float, steps, paired: bool):
     """The integrands (x1, x2) of nu1 and nu2 at each step: f and f^2, f
-    from lamperti.log_form_increment with the step's own log(1 + phi).  A
+    from geometry.log_form_increment with the step's own log(1 + phi).  A
     paired law (symmetric under v -> -v) takes f's even part
 
         (f(phi) + f(-phi))/2 = log(1 + (1 - phi^2) sinh(D)^2) / (2k)
 
     in x1, D = k d_tot.  Its expectation is nu1, and nothing in it cancels,
     however small nu1 is against |f|."""
-    log_omp = log_one_minus_phi(steps)
+    log_omp = log_one_plus_phi(-steps.d_rad, steps.t_sq, steps.d_tot)
     D = k * steps.d_tot
     f = log_form_increment(k, D, steps.log_opp, log_omp)
     if not paired:

@@ -55,6 +55,7 @@ from .errors import DomainError, OverflowGuardError, InvariantViolationError, Us
 from .geometry import (
     REPROJECTION_DRIFT_TOL,
     CurvatureModel,
+    _D_DIRECT,
     _distance,
     _euclidean_increments,
     _exp_step,
@@ -64,13 +65,13 @@ from .geometry import (
     _rowdot,
     _tangent_axes,
     euclidean_frame,
+    near_inward_one_plus_phi,
     # scalar kernels no walk calls: perfbench/spans.py wraps them under
     # these names, so they stay bound here
     euclidean_radial_increment,
     radial_increment_exact,
 )
-from .increments import CustomLaw, IncrementLaw
-from .lamperti import _D_DIRECT, Z99, near_inward_one_plus_phi
+from .increments import Z99, CustomLaw, IncrementLaw
 
 MODE_AMBIENT = "ambient"
 MODE_RADIAL_ONLY = "radialonly"
@@ -109,7 +110,7 @@ class WalkConfig:
             raise DomainError("record_stride must be >= 1")
         if not self.ball_radius > 0:
             raise DomainError("ball_radius must be > 0")
-        if self.burn_in < 0 or self.start_radius < 0:
+        if self.burn_in < 0 or not self.start_radius >= 0:
             raise DomainError("burn_in and start_radius must be >= 0")
         if not self.escape_radius > 0:
             raise DomainError("escape_radius must be > 0")

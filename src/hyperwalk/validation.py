@@ -122,7 +122,7 @@ def suite_sandwich_bounds(n_lengths: int = 200, n_phis: int = 170,
             jmin = lamperti.sandwich_coeff_min(k, d_tot)
             jmax = lamperti.sandwich_coeff_max(k, d_tot)
             d_rad = phis * d_tot
-            f = lamperti.asymptotic_increment_batch(k, d_rad, np.full_like(d_rad, d_tot))
+            f = geometry.asymptotic_increment_batch(k, d_rad, np.full_like(d_rad, d_tot))
             spread = d_tot * d_tot - d_rad * d_rad
             low_gap = float(np.min(f - (d_rad + jmin * spread)))
             high_gap = float(np.min((d_rad + jmax * spread) - f))

@@ -18,6 +18,7 @@ from scipy import stats
 
 import hyperwalk as hw
 from hyperwalk.cli import classification_report, main, parse_config
+from hyperwalk.increments import ZeroDriftResult
 from hyperwalk.lamperti import MonteCarloVarianceWarning, Verdict
 from hyperwalk.simulator import MODE_AMBIENT, MODE_RADIAL_ONLY, WalkConfig
 from hyperwalk.validation import (
@@ -159,7 +160,7 @@ def test_criterion_4_heavytail_bounds_at_desk_scale():
         assert lower == pytest.approx(3.0 / (8.0 * lam ** 2))
         assert f.mean() >= lower - 3.0 * se_f, (f.mean(), lower)
 
-        zd = hw.zero_drift_check(law, r, 200_000, rng)
+        zd = ZeroDriftResult.of_draw(*law.sample_components_batch(r, 200_000, rng))
         assert zd.within_band(4.0), zd.max_abs_z
     assert b.elapsed < 60.0
 

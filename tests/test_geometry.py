@@ -1,6 +1,7 @@
 """Geometry kernel tests: closed forms against coordinate-level oracles."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -783,6 +784,28 @@ class TestCheckedKernels:
                                               k * _scaled_norm(want[..., 1:]))
             assert [np.asarray(a).tobytes() for a in (got, R, defect)] == [
                 np.asarray(a).tobytes() for a in (want, R_m, defect_m)]
+
+    def test_a_norm_past_the_double_range_is_inf_without_a_warning(self):
+        v = np.array([1.5e308, 1.5e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _safe_norm(v) == math.inf
+            assert _scaled_norm(v[None])[0] == math.inf
+
+    @pytest.mark.parametrize("x", [[1.5e308, 1.0e308, 0.0], [1.0e308, 1.5e308, 0.0]])
+    def test_a_product_past_the_double_range_reads_defect_inf(self, x):
+        # k x0 or k |x_s| overflows at k = 4: the point is read as non-finite
+        # and left as it is, without a warning, alone or beside a plain row
+        k = 4.0
+        plain = np.array([math.cosh(1.0), math.sinh(1.0), 0.0]) / k
+        for X in (np.array(x), np.array([x, plain])):
+            got = X.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                R, defect = _reproject(got, k)
+            assert np.reshape(defect, -1)[0] == math.inf
+            assert got.reshape(-1, 3)[0].tolist() == x      # left as it is
+        assert defect[1] <= REPROJECTION_DRIFT_TOL and R[1] == pytest.approx(1.0 / k, rel=1e-14)
 
     @pytest.mark.parametrize("k", [1.0, 0.5])
     @pytest.mark.parametrize("s", [1e-9, 1e-7, 1e-5])

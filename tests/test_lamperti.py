@@ -26,6 +26,8 @@ from hyperwalk.lamperti import (
     _excess_kurtosis,
     _mc_estimate,
     _median,
+    _radius_estimates,
+    step_moments,
 )
 
 C1 = hw.RadialProfile.constant(1.0)
@@ -188,16 +190,22 @@ class TestSandwichCoefficients:
             hw.sandwich_coeff_max(1.0, -1.0)
 
 
+def sandwich_ratio(phi, k, d_tot):
+    """(f - phi d_tot) / (1 - phi^2), f the asymptotic increment of the step
+    (phi d_tot, d_tot): the ratio the sandwich coefficients bound."""
+    return (hw.asymptotic_increment(k, phi * d_tot, d_tot) - phi * d_tot) / (1.0 - phi * phi)
+
+
 class TestSandwichRatio:
     def test_zero_phi_value(self):
-        assert hw.sandwich_ratio(0.0, 1.0, 2.0) == pytest.approx(
+        assert sandwich_ratio(0.0, 1.0, 2.0) == pytest.approx(
             math.log(math.cosh(2.0)), rel=1e-14)
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("dt", [0.5, 1.0, 5.0])
     def test_decreasing_in_phi(self, k, dt):
         phis = np.linspace(-0.999, 0.999, 1000)
-        vals = [hw.sandwich_ratio(p, k, dt) for p in phis]
+        vals = [sandwich_ratio(p, k, dt) for p in phis]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
@@ -209,9 +217,9 @@ class TestSandwichRatio:
         c, s = math.cosh(k * dt), math.sinh(k * dt)
         lim_plus = 0.5 * (dt - s / (k * (c + s)))
         lim_minus = 0.5 * (-dt + s / (k * (c - s)))
-        assert hw.sandwich_ratio(1.0 - 1e-12, k, dt) == pytest.approx(
+        assert sandwich_ratio(1.0 - 1e-12, k, dt) == pytest.approx(
             lim_plus, rel=5e-3, abs=1e-6)
-        assert hw.sandwich_ratio(-1.0 + 1e-12, k, dt) == pytest.approx(
+        assert sandwich_ratio(-1.0 + 1e-12, k, dt) == pytest.approx(
             lim_minus, rel=5e-3, abs=1e-6)
         # the limits equal the sandwich coefficients times d_tot^2; the naive
         # cosh - sinh form used here for the reference loses ~e^(2 k dt) eps
@@ -219,10 +227,6 @@ class TestSandwichRatio:
             dt * dt * hw.sandwich_coeff_min(k, dt), rel=1e-7)
         assert lim_minus == pytest.approx(
             dt * dt * hw.sandwich_coeff_max(k, dt), rel=1e-7)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            hw.sandwich_ratio(1.0, 1.0, 1.0)
 
 
 def moment_integrands(law, k, r, n, rng):
@@ -297,6 +301,24 @@ class TestMomentEstimates:
             assert moments.nu1(r) == _mc_estimate(x1)
             assert moments.nu2(r) == _mc_estimate(x2)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("law", SAMPLED.values(), ids=SAMPLED.keys())
+    def test_step_moments_report_the_classifiers_nu1_and_nu2(self, law):
+        # one Monte Carlo estimate of each moment: `moments` prints the paired
+        # values `classify` decides on, from the same draw, bit for bit
+        rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MonteCarloVarianceWarning)
+            got, note = step_moments(law, 1.0, 5.0, 2000, rng)
+            nu1, nu2, transverse, _ = _radius_estimates(law, 1.0, 5.0, 2000, twin)
+        assert note is None
+        assert (got["nu1"], got["nu2"], got["E|t|^2"]) == (nu1, nu2, transverse)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_step_moments_warn_on_heavy_tails(self):
+        with pytest.warns(MonteCarloVarianceWarning):
+            step_moments(SAMPLED["custom-heavytail"], 1.0, 10.0, 10_000,
+                         np.random.default_rng(6))
 
     def test_kurtosis_from_squares_matches_fourth_power(self):
         rng = np.random.default_rng(11)

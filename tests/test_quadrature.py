@@ -21,7 +21,7 @@ import pytest
 from scipy import integrate, optimize, special
 
 import hyperwalk as hw
-from hyperwalk import lamperti, quadrature
+from hyperwalk import geometry, lamperti, quadrature
 from hyperwalk.geometry import radial_increment_exact_batch
 
 C1 = hw.RadialProfile.constant(1.0)
@@ -81,7 +81,7 @@ class TestNodes:
         for y in (5.0, 40.0, 300.0):
             off = 2.0 * math.exp(-y) / (1.0 + math.exp(-y))
             d_rad, t_sq = (off - 1.0) * y, y * y * off * (2.0 - off)
-            got = math.log(lamperti.one_plus_phi(d_rad, t_sq, math.sqrt(d_rad ** 2 + t_sq)))
+            got = math.log(geometry.one_plus_phi(d_rad, t_sq, math.sqrt(d_rad ** 2 + t_sq)))
             d_tot = mp.sqrt(mp.mpf(d_rad) ** 2 + mp.mpf(t_sq))
             want = mp.log(mp.mpf(t_sq) / (d_tot * (d_tot - mp.mpf(d_rad))))
             close(got, want, 1e-14)

@@ -2,8 +2,9 @@
 
 Every `hw.<name>` chain in README.md must resolve in `hyperwalk`, so a
 renamed or deleted export breaks this test rather than a reader's copy of
-the library sketch.  The names of the removed object geometry layer and
-non-confinement check must not come back into the README.
+the library sketch.  The names of the removed object geometry layer, the
+non-confinement check and the test-only wrappers must not come back into
+the README.
 """
 
 import functools
@@ -23,7 +24,7 @@ REMOVED = ("minkowski_form", "LorentzPoint", "validate_on_hyperboloid", "Tangent
            "IncrementDecomposition", "make_decomposition", "decompose_increment",
            "RadialFrame", "radial_frame", "DimensionError", "ContractError",
            "UndefinedFrameError", "nonconfinement_check", "NonconfinementRow",
-           "NonconfinementReport")
+           "NonconfinementReport", "sandwich_ratio", "zero_drift_check")
 # also English words: only their code forms are looked for
 REMOVED_WORDS = ("distance", "origin")
 

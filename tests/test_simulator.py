@@ -57,6 +57,13 @@ class TestWalkConfig:
             WalkConfig(HYP2, law, 10, 1, 0, mode=MODE_RADIAL_ONLY)
         WalkConfig(HYP2, law, 10, 1, 0, mode=MODE_AMBIENT)  # fine
 
+    @pytest.mark.parametrize("start", [math.nan, -1.0])
+    def test_start_radius_must_be_nonnegative(self, start):
+        # a NaN start used to pass, and an ambient walk then failed at step 1
+        # with an overflow error that named the wrong cause
+        with pytest.raises(DomainError, match="start_radius"):
+            WalkConfig(HYP2, ELLIPTIC, 10, 1, 0, mode=MODE_AMBIENT, start_radius=start)
+
 
 class TestRunWalk:
     def test_zero_law_is_stationary(self):
