@@ -9,8 +9,8 @@ sections::
     hyperwalk moments  --config run.cfg ...
 
 `--workers W` (W >= 1, else exit 3) runs the `simulate` ensemble on
-min(W, sim.walks, usable cores) worker processes; the other commands accept
-it and ignore it.
+min(W, sim.walks, usable cores) processes, this one among them; the other
+commands accept it and ignore it.
 
 Config keys, one a line: what the key sets, its domain, and its default in
 parentheses.  A value outside its domain exits 3 naming the key and its

@@ -21,14 +21,18 @@ which consumes the stream exactly as per-step `sample_components` calls
 would, and maps each step's rows at the walkers' radii (`steps`), the map
 those calls take; a custom law is sampled once per walk per step.
 
-Every walk starts at `_start_point`; the pool runs one contiguous chunk of
-walk ids per process.  `run_walk` runs a lockstep of one walk, a chunk one
+Every walk starts at `_start_point`.  An ensemble runs one contiguous
+chunk of walk ids per process: the calling process runs the first, and a
+child forked for each other chunk runs it (`_map`, on Linux; elsewhere the
+chunks run in process).  `run_walk` runs a lockstep of one walk, a chunk one
 lockstep (`_lockstep_states`), and both probes one over all walks, which
 the neighbourhood probe measures with geometry's polar `_distance`.  A
-chunk's records are built T-block by T-block (`_Tally`), so no (W, T)
-array of radii is held.  A walk that breaks an invariant drops out and the
-others carry on; at the end the lowest walk id's error is raised, as the
-walks run one by one would.
+chunk is tallied T-block by T-block (`_Tally`), which keeps the radii of
+the recorded steps alone, so of the others no (W, T) array is held; a
+child sends back its tally, and the records are built in the caller.  A
+walk that breaks an invariant drops out and the others carry on; at the
+end the lowest walk id's error is raised, as the walks run one by one
+would.
 
 Reproducibility contract: every walk owns the rng stream spawned from
 (master seed, walk id), and ensemble statistics are aggregated in walk-id
@@ -41,17 +45,18 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, OverflowGuardError, InvariantViolationError, UsageError
+from .errors import (DomainError, HyperwalkError, InvariantViolationError, OverflowGuardError,
+                     UsageError)
 from .geometry import (
     REPROJECTION_DRIFT_TOL,
     CurvatureModel,
@@ -216,7 +221,7 @@ def run_walk(config: WalkConfig, walk_id: int,
     """
     if rng is None:
         rng = walk_rng(config.seed, walk_id)
-    return _chunk_records(config, range(walk_id, walk_id + 1), [rng])[0]
+    return _chunk_tally(config, range(walk_id, walk_id + 1), [rng]).records()[0]
 
 
 def _block_steps(steps: int, walks: int) -> int:
@@ -393,30 +398,33 @@ def _lockstep_states(config: WalkConfig, ids, rngs=None):
 
 
 class _Tally:
-    """The records of W walks, built T-block by T-block from their radii.
+    """The records of the walks `ids`, built T-block by T-block from their
+    radii.
 
     `fold` takes the radii of a run of consecutive steps as one
     (1 + rows, W) array, row 0 holding the step before the run, and adds
-    them to each walk's recorded radii, return count, escape step and tail
-    sums, with the arithmetic of a step-by-step loop: the tail sums are
-    running sums carried from block to block and accumulated row by row
-    (`np.add.accumulate` is sequential), so they hold the loop's bits.
+    them to the walks' return counts, escape steps and tail sums, with the
+    arithmetic of a step-by-step loop: the tail sums are running sums
+    carried from block to block and accumulated row by row
+    (`np.add.accumulate` is sequential), so they hold the loop's bits.  It
+    keeps a copy of the recorded steps' rows; `records` turns them into
+    each walk's (step, R) list.  A tally holds only numbers and arrays, so
+    a child process sends one back cheaply.
     """
 
-    def __init__(self, config: WalkConfig, walks: int):
-        self.config = config
-        start = float(config.start_radius)
-        self.radii = [[(0, start)] for _ in range(walks)]
-        self.final = [start] * walks
-        self.returns = np.zeros(walks, dtype=np.int64)
-        self.escape = np.zeros(walks, dtype=np.int64)   # 0 until the walk escapes
-        self.tail = np.zeros((2, walks))                # the sums of dr and dr^2
+    def __init__(self, ids: range, start: float):
+        W = len(ids)
+        self.ids = ids
+        self.steps = [0]                                # the recorded steps
+        self.rows = [np.full((1, W), float(start))]     # their radii, one (k, W) array a block
+        self.returns = np.zeros(W, dtype=np.int64)
+        self.escape = np.zeros(W, dtype=np.int64)       # 0 until the walk escapes
+        self.tail = np.zeros((2, W))                    # the sums of dr and dr^2
         self.tail_count = 0
 
-    def fold(self, n0: int, block: np.ndarray):
+    def fold(self, c: WalkConfig, n0: int, block: np.ndarray):
         """Fold steps n0, n0 + 1, ..., whose radii are rows 1, 2, ... of
         `block`; row 0 holds the radii of step n0 - 1."""
-        c = self.config
         T, m = c.steps, len(block) - 1
         prev, radii = block[:-1], block[1:]
         lo = max(0, c.burn_in + 1 - n0)                 # the first row after the burn-in
@@ -437,44 +445,44 @@ class _Tally:
             self.tail_count += m - lo
         first = -n0 % c.record_stride                   # the first row of a strided step
         steps = range(n0 + first, n0 + m, c.record_stride)
-        if steps:
-            for walk_radii, column in zip(self.radii, radii[first::c.record_stride].T.tolist()):
-                walk_radii.extend(zip(steps, column))
-        self.final = radii[-1].tolist()
+        self.steps.extend(steps)
+        self.rows.append(radii[first::c.record_stride].copy())
         if n0 + m - 1 == T and T not in steps:
-            for walk_radii, R in zip(self.radii, self.final):
-                walk_radii.append((T, R))
+            self.steps.append(T)
+            self.rows.append(radii[-1:].copy())
 
-    def records(self, ids) -> list:
-        return [TrajectoryRecord(j, radii, returns, escape or None, final, dr_sum, dr_sumsq,
-                                 self.tail_count)
-                for j, radii, returns, escape, final, dr_sum, dr_sumsq in zip(
-                    ids, self.radii, self.returns.tolist(), self.escape.tolist(),
-                    self.final, *self.tail.tolist())]
+    def records(self) -> list:
+        """The walks' records; the last recorded step is always the final one."""
+        radii = np.concatenate(self.rows).T.tolist()
+        return [TrajectoryRecord(j, list(zip(self.steps, walk_radii)), returns, escape or None,
+                                 walk_radii[-1], dr_sum, dr_sumsq, self.tail_count)
+                for j, walk_radii, returns, escape, dr_sum, dr_sumsq in zip(
+                    self.ids, radii, self.returns.tolist(), self.escape.tolist(),
+                    *self.tail.tolist())]
 
 
-def _chunk_records(config: WalkConfig, ids: range, rngs=None) -> list:
-    """The records of the walks `ids`, a range of walk ids, run in lockstep;
+def _chunk_tally(config: WalkConfig, ids: range, rngs=None) -> _Tally:
+    """The tally of the walks `ids`, a range of walk ids, run in lockstep;
     raises the error of the lowest walk id that broke an invariant, as the
     walks run one by one would.
 
-    The radii of each T-block of steps fill one array, which `_Tally` folds
-    into the records, so no (W, T) array is ever held.
+    The radii of each T-block of steps fill one array, which `_Tally` folds,
+    so of the radii not recorded no (W, T) array is ever held.
     """
     T = config.steps
     rows = _block_steps(T, len(ids))
     block = np.empty((1 + rows, len(ids)))          # row 0: the step before the block
     block[0] = config.start_radius
-    tally = _Tally(config, len(ids))
+    tally = _Tally(ids, config.start_radius)
     for n, walks in _lockstep_states(config, ids, rngs):
         if n and not walks.errors:      # after an error no record is returned
             i = (n - 1) % rows + 1
             block[i] = walks.R
             if i == rows or n == T:
-                tally.fold(n - i + 1, block[:i + 1])
+                tally.fold(config, n - i + 1, block[:i + 1])
                 block[0] = block[i]
     walks.raise_first()
-    return tally.records(ids)
+    return tally
 
 
 # ---------------------------------------------------------------------------
@@ -484,29 +492,91 @@ def _chunk_records(config: WalkConfig, ids: range, rngs=None) -> list:
 def run_ensemble(config: WalkConfig, workers: int = 1):
     """Run the configured ensemble; returns (records, stats).
 
-    The pool has min(workers, walks, usable cores) processes, since the
-    pool starts all of them at once; at one or fewer the walks run in this
-    process.  Each process runs one contiguous chunk of walk ids
-    (`_chunk_records`).  Records come back ordered by walk id and the
+    The walks run in min(workers, walks, usable cores) processes, this one
+    among them, each over one contiguous chunk of walk ids (`_chunk_tally`
+    mapped by `_map`).  Records come back ordered by walk id and the
     aggregation is a sum of per-walk sufficient statistics, so the output
     is identical for any worker count.
     """
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    workers = min(workers, config.walks, cores)
-    n = max(workers, 1)
+    n = max(1, min(workers, config.walks, cores))
     chunks = [range(config.walks * i // n, config.walks * (i + 1) // n) for i in range(n)]
-    records = [rec for chunk in _map(functools.partial(_chunk_records, config), chunks, workers)
-               for rec in chunk]
+    records = [rec for tally in _map(lambda ids: _chunk_tally(config, ids), chunks)
+               for rec in tally.records()]
     return records, ensemble_stats(records, config)
 
 
-def _map(fn, items, workers: int) -> list:
-    """list(map(fn, items)), on a pool of `workers` processes when more than one."""
-    if workers <= 1:
-        return list(map(fn, items))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _map(fn, chunks) -> list:
+    """[fn(ids) for ids in chunks], for `chunks` a list of ranges of walk ids.
+
+    On Linux this process runs the first chunk, and a child forked for it
+    runs each other one, which passes back (ok, result or exception)
+    pickled through its own pipe; nothing is pickled on the way in.  The
+    pipes are read in chunk order, so the error raised is the first
+    chunk's, as the lowest walk id's would be.  However this returns or
+    raises, every child has been reaped.  Elsewhere the chunks run here one
+    after another.
+    """
+    if len(chunks) == 1 or not sys.platform.startswith("linux"):
+        return [fn(ids) for ids in chunks]
+    children = []           # (pid, read end of its pipe, ids) of each child not yet reaped
+    try:
+        for ids in chunks[1:]:
+            children.append(_fork(fn, ids) + (ids,))
+        results = [fn(chunks[0])]
+        while children:
+            pid, pipe, ids = children[0]
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status or not data:
+                raise HyperwalkError(
+                    f"walks {ids.start}-{ids.stop - 1}: their process ended without a result "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        if children:
+            from signal import SIGKILL      # imported here, so a run that succeeds never loads it
+            for pid, pipe, _ in children:
+                pipe.close()
+                # an interrupt may land between waitpid and del: already reaped
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+
+
+def _fork(fn, ids):
+    """A forked child that runs fn(ids), pickles (ok, result or exception)
+    into a pipe and exits, with status 0 once all of it is written;
+    returns (its pid, the pipe's read end)."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            try:
+                out = (True, fn(ids))
+            except BaseException as exc:       # the caller raises it
+                out = (False, exc)
+            data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+            with open(w, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
 
 
 def _percentiles(values: np.ndarray, ps) -> dict:

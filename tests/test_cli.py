@@ -802,6 +802,23 @@ def test_commands_load_neither_numpy_ma_nor_validation(command, name, tmp_path):
     assert run.stdout.splitlines()[-1] == "[]"
 
 
+def test_simulate_on_two_workers_loads_no_process_pool(tmp_path):
+    # concurrent.futures and multiprocessing cost about 13 ms of every
+    # process's imports; the ensemble forks its children with os.fork
+    absent = ("concurrent.futures", "multiprocessing")
+    code = ("import sys\nfrom hyperwalk.cli import main\n"
+            f"assert main(['simulate', '--config', {os.path.join(GOLDEN, 'sim-small.cfg')!r}, "
+            f"'--out', {str(tmp_path)!r}, '--workers', '2']) == 0\n"
+            f"print([m for m in {absent!r} if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 def _layout(text):
     """The lines of a CSV, its columns and the 1-based line of its first row."""
     lines = text.split("\n")

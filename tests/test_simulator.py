@@ -2,6 +2,9 @@
 
 import collections
 import math
+import os
+import sys
+import time
 
 import mpmath
 import numpy as np
@@ -12,6 +15,7 @@ from scipy import stats
 import hyperwalk as hw
 from hyperwalk.errors import (
     DomainError,
+    HyperwalkError,
     InvariantViolationError,
     OverflowGuardError,
     UsageError,
@@ -273,8 +277,7 @@ class BadStepSampler:
     """Unit outward steps, except a radial component `value` on draw
     `bad[j]` from walk j's stream (`bad[None]` for every walk not listed);
     the transverse part is zero throughout.  Draws are counted per stream,
-    so the walks may draw in any order.  A module-level class, so a pool
-    can pickle it."""
+    so the walks may draw in any order."""
 
     def __init__(self, value, bad):
         self.value, self.bad = value, bad
@@ -466,7 +469,7 @@ class TestLockstepCoupling:
         records, _ = hw.run_ensemble(cfg)
         assert [_exact(r) for r in records] == [_exact(hw.run_walk(cfg, j)) for j in range(6)]
         # a chunk of walks 2..4 alone gives the same bytes
-        chunk = simulator._chunk_records(cfg, range(2, 5))
+        chunk = simulator._chunk_tally(cfg, range(2, 5)).records()
         assert [_exact(r) for r in chunk] == [_exact(r) for r in records[2:5]]
 
     @pytest.mark.parametrize("steps", [0, 1])
@@ -481,7 +484,7 @@ class TestLockstepCoupling:
 
     @pytest.mark.parametrize("kind", ["box", "heavytail", "inwardbiased"])
     @pytest.mark.parametrize("mode", [MODE_AMBIENT, MODE_RADIAL_ONLY])
-    def test_chunks_on_a_pool_give_the_same_bytes(self, mode, kind, monkeypatch):
+    def test_chunks_in_two_processes_give_the_same_bytes(self, mode, kind, monkeypatch):
         monkeypatch.setattr(simulator, "LOCKSTEP_ROWS", 24)
         cfg = self.config(kind, 3, "hyperbolic", 0.0, 40, walks=7, mode=mode)
         one, stats_one = hw.run_ensemble(cfg, workers=1)
@@ -680,7 +683,7 @@ class TestNearInwardStep:
 
 class TestErrorPrecedence:
     """Walk 1 fails at step 9 and walk 2 at step 3: run one by one, walk 1
-    raises first, and so must the lockstep and the pool."""
+    raises first, and so must the lockstep and the forked chunks."""
 
     BAD = {1: 9, 2: 3}
 
@@ -773,40 +776,20 @@ class TestEnsemble:
         for a, b in zip(r1, r2):
             assert a.walk_id == b.walk_id and a.radii == b.radii
 
-    @staticmethod
-    def recording_pool(sizes, items):
-        """A stand-in for ProcessPoolExecutor that runs in process, so no
-        process starts, recording its size and the items it maps."""
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                items.extend(iterable)
-                return map(fn, items)
-        return RecordingPool
-
-    @pytest.mark.parametrize("workers, walks, cores, size", [
+    @pytest.mark.parametrize("workers, walks, cores, processes", [
         (5000, 3, 8, 3),        # one process per walk at most
         (5000, 30, 4, 4),       # one per usable core at most
         (2, 30, 4, 2),
         (3, 30, None, 3),       # no sched_getaffinity: os.cpu_count() decides
-        (1, 30, 4, None),       # one worker or fewer runs in process
-        (0, 30, 4, None),
-        (4, 1, 4, None),
-        (4, 30, 1, None),
+        (1, 30, 4, 1),          # one worker or fewer runs in process
+        (0, 30, 4, 1),
+        (4, 1, 4, 1),
+        (4, 30, 1, 1),
     ])
-    def test_pool_is_capped_at_walks_and_usable_cores(self, workers, walks, cores, size,
-                                                      monkeypatch):
-        sizes = []
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", self.recording_pool(sizes, []))
+    def test_processes_are_capped_at_walks_and_usable_cores(self, workers, walks, cores,
+                                                            processes, monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(simulator.os, "fork", lambda: forks.append(None) or fork())
         if cores is None:
             monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
@@ -815,22 +798,58 @@ class TestEnsemble:
                                 lambda pid: set(range(cores)), raising=False)
         cfg = WalkConfig(HYP2, ELLIPTIC, 20, walks, 21, mode=MODE_RADIAL_ONLY)
         records, stats = hw.run_ensemble(cfg, workers=workers)
-        assert sizes == ([] if size is None else [size])
+        assert len(forks) == processes - 1      # the calling process is one of them
         assert [r.walk_id for r in records] == list(range(walks))
         assert stats == hw.run_ensemble(cfg)[1]
 
     @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
     def test_one_contiguous_chunk_per_process(self, mode, monkeypatch):
-        sizes, chunks = [], []
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", self.recording_pool(sizes, chunks))
+        chunks, here = [], []
+        mapped, chunk_tally = simulator._map, simulator._chunk_tally
+        monkeypatch.setattr(simulator, "_map",
+                            lambda fn, items: chunks.extend(items) or mapped(fn, items))
+        # a child's append lands in its own copy of `here`, so only the
+        # calling process's chunks show up in this one
+        monkeypatch.setattr(simulator, "_chunk_tally",
+                            lambda cfg, ids: here.append(ids) or chunk_tally(cfg, ids))
         monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
         cfg = WalkConfig(HYP2, ELLIPTIC, 20, 10, 21, mode=mode)
         records, stats = hw.run_ensemble(cfg, workers=3)
-        assert (sizes, chunks) == ([3], [range(0, 3), range(3, 6), range(6, 10)])
+        assert chunks == [range(0, 3), range(3, 6), range(6, 10)]
+        assert here == [range(0, 3)]
         solo, solo_stats = hw.run_ensemble(cfg)
         assert stats == solo_stats
         assert [r.radii for r in records] == [r.radii for r in solo]
+
+    def test_chunks_run_in_process_off_linux(self, monkeypatch):
+        forks, fork, here = [], os.fork, []
+        chunk_tally = simulator._chunk_tally
+        monkeypatch.setattr(simulator.os, "fork", lambda: forks.append(None) or fork())
+        monkeypatch.setattr(simulator, "_chunk_tally",
+                            lambda cfg, ids: here.append(ids) or chunk_tally(cfg, ids))
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        monkeypatch.setattr(simulator.sys, "platform", "darwin")
+        cfg = WalkConfig(HYP2, ELLIPTIC, 20, 10, 21, mode=MODE_RADIAL_ONLY)
+        records, stats = hw.run_ensemble(cfg, workers=3)
+        assert (forks, here) == ([], [range(0, 3), range(3, 6), range(6, 10)])
+        assert stats == hw.run_ensemble(cfg)[1]
+
+    @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
+    def test_closure_sampler_runs_in_children(self, mode, monkeypatch):
+        # nothing is pickled on the way to a child, so a lambda sampler works
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        scale = 0.8
+        law = hw.CustomLaw(lambda r, d, rng: (scale * rng.uniform(-1.0, 1.0),
+                                              scale * rng.uniform(-1.0, 1.0, d - 1)),
+                           2, bound=scale * math.sqrt(2.0), symmetric=True, name="closure")
+        cfg = WalkConfig(HYP2, law, 30, 5, 13, mode=mode)
+        one, stats_one = hw.run_ensemble(cfg, workers=1)
+        two, stats_two = hw.run_ensemble(cfg, workers=2)
+        assert [_exact(r) for r in one] == [_exact(r) for r in two]
+        assert stats_one == stats_two
 
     def test_quantiles_monotone_and_fractions_bounded(self):
         cfg = WalkConfig(HYP2, ELLIPTIC, 300, 30, 8, mode=MODE_RADIAL_ONLY,
@@ -859,6 +878,69 @@ class TestEnsemble:
         fa = [r.final_R for r in rec_a]
         fr = [r.final_R for r in rec_r]
         assert stats.ks_2samp(fa, fr).pvalue > 0.01
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _sleep_in_child_interrupt_here(ids):
+    if ids.start:
+        time.sleep(60)
+    raise KeyboardInterrupt
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="chunks fork only on Linux")
+class TestForkedChunks:
+    """Chunk 0 runs in the calling process and each other chunk in a forked
+    child; whichever way `run_ensemble` ends, it leaves no child and no
+    open pipe behind."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        fds = _open_fds()
+        yield
+        _assert_no_child_left()
+        assert _open_fds() == fds
+
+    def test_success(self):
+        cfg = WalkConfig(HYP2, ELLIPTIC, 20, 4, 21, mode=MODE_RADIAL_ONLY)
+        assert hw.run_ensemble(cfg, workers=2)[1] == hw.run_ensemble(cfg)[1]
+
+    @pytest.mark.parametrize("bad, walk, step", [
+        ({2: 3}, 2, 3),             # only in the child's chunk
+        ({0: 5}, 0, 5),             # only in this process's chunk
+        ({1: 9, 2: 3}, 1, 9),       # in both: chunk 0's, as walk by walk
+    ])
+    @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
+    def test_first_error_in_chunk_order_is_raised(self, mode, bad, walk, step):
+        cfg = WalkConfig(HYP2, bad_step_law(math.nan, bad), 12, 4, 0, mode=mode)
+        with pytest.raises(InvariantViolationError,
+                           match=rf"^walk {walk}: step {step} has non-finite"):
+            hw.run_ensemble(cfg, workers=2)
+
+    def test_child_that_ends_without_a_result(self, monkeypatch):
+        chunk_tally = simulator._chunk_tally
+        monkeypatch.setattr(simulator, "_chunk_tally",
+                            lambda cfg, ids: os._exit(3) if ids.start else chunk_tally(cfg, ids))
+        cfg = WalkConfig(HYP2, ELLIPTIC, 20, 5, 21, mode=MODE_RADIAL_ONLY)
+        with pytest.raises(HyperwalkError,
+                           match=r"^walks 2-4: their process ended without a result "
+                                 r"\(exit status 3\)$"):
+            hw.run_ensemble(cfg, workers=2)
+
+    def test_interrupt_kills_the_children(self):
+        began = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            simulator._map(_sleep_in_child_interrupt_here, [range(0, 1), range(1, 2)])
+        assert time.monotonic() - began < 30.0
 
 
 class TestEscapeProbe:
