@@ -76,6 +76,7 @@ rounded; for a libm whose sinh, cosh, acosh, exp and log are within about
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import operator
 import os
@@ -528,6 +529,24 @@ def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
     return 0
 
 
+class _Stream:
+    """The numpy Generator of the config seed's child `key`, built when a
+    radius is first sampled: the first np.random access imports
+    numpy.random (about 6 ms), which a run that samples nothing never
+    needs."""
+
+    def __init__(self, cfg: RunConfig, key: int):
+        self.seed, self.key = cfg.seed, key
+
+    @functools.cached_property
+    def rng(self) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(entropy=self.seed,
+                                                            spawn_key=(self.key,)))
+
+    def __getattr__(self, name):        # the Generator's, for every name not set here
+        return getattr(self.rng, name)
+
+
 def _euclidean_report(cfg: RunConfig) -> ClassificationReport:
     """The flat-space 2U-vs-V rule at the last grid radius, from the law's
     closed-form U and V when it knows both, else from lamperti.step_moments:
@@ -539,9 +558,7 @@ def _euclidean_report(cfg: RunConfig) -> ClassificationReport:
     hw_u = hw_v = 0.0
     notes = ["flat-space rule: recurrent iff 2U > V"]
     if U is None or V is None:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
-                                                           spawn_key=(10_001,)))
-        est, note = step_moments(cfg.law, None, r_max, cfg.samples, rng)
+        est, note = step_moments(cfg.law, None, r_max, cfg.samples, _Stream(cfg, 10_001))
         (V, hw_v), (U, hw_u) = est["E[d_tot^2]"], est["E[d_rad^2]"]
         if note:
             notes.append(note)
@@ -585,9 +602,7 @@ def classification_report(cfg: RunConfig) -> ClassificationReport:
     if cfg.law.kind == "elliptic":
         return classify_elliptic_chain(cfg.law.a, cfg.law.b, cfg.k_min, cfg.k_max,
                                        cfg.model.d, cfg.grid, cfg.theta, cfg.r0)
-    # built after the closed form's return, which draws nothing: the first
-    # np.random access imports numpy.random
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(10_000,)))
+    rng = _Stream(cfg, 10_000)
     if cfg.pinched:
         return classify_pinched(cfg.law, cfg.k_min, cfg.k_max, cfg.grid, cfg.samples,
                                 rng, cfg.theta, cfg.r0)
@@ -626,11 +641,10 @@ def cmd_moments(cfg: RunConfig, workers: int = 1) -> int:
     quadrature lines is integrated by Gauss quadrature, and its half_width is
     |Q_32 - Q_64| plus a rounding floor, an error estimate rather than a 99%
     interval; nothing is drawn.  Any other law takes one draw per grid
-    radius, and its rows are the raw sample means of that draw with 99%
-    half-widths: nu1 and nu2 there are unpaired, so for a law symmetric
-    under v -> -v they are wider than the paired ones `classify` uses.
+    radius, and its rows are the sample means of that draw with 99%
+    half-widths; nu1 and nu2 are the paired values `classify` decides on.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(20_000,)))
+    rng = _Stream(cfg, 20_000)
     k = cfg.model.k if cfg.model.is_hyperbolic else None
     law = cfg.law
     rows = []

@@ -291,11 +291,12 @@ def radial_increment_exact_batch(R, d_tot, phi, k: float) -> np.ndarray:
 
 
 def _radial_increments(R, d_tot: np.ndarray, phi: np.ndarray, k: float,
-                       opp: np.ndarray | None = None) -> np.ndarray:
+                       opp: np.ndarray | None = None, shortest=None) -> np.ndarray:
     """radial_increment_exact over radii R and arrays d_tot and phi that
     broadcast together, unchecked; the one evaluation of the exact
     increment.  `opp` is 1 + phi, for a caller that knows it better than
-    phi (a long step close to straight inward); an opp <= 0 is the edge phi = -1.
+    phi (a long step close to straight inward); an opp <= 0 is the edge
+    phi = -1.  `shortest` is d_tot's minimum, for a caller that took it.
 
     Every element takes one log form, with no branch.  With A = kR,
     D = k d_tot, e_a = e^(-A), e_d = e^(-D) and Q = e_a e_d, the arccosh
@@ -320,7 +321,9 @@ def _radial_increments(R, d_tot: np.ndarray, phi: np.ndarray, k: float,
     if opp is None:
         opp = 1.0 + phi     # <= 0 exactly where phi <= -1 (Sterbenz)
     # a phi rounded to -1 is not the edge unless opp is 0
-    edges = not (d_tot.min(initial=math.inf) > 0.0 and phi.max(initial=0.0) < 1.0
+    if shortest is None:
+        shortest = d_tot.min(initial=math.inf)
+    edges = not (shortest > 0.0 and phi.max(initial=0.0) < 1.0
                  and opp.min(initial=math.inf) > 0.0)
     if edges:
         edge = (d_tot == 0.0) | (phi >= 1.0) | (opp <= 0.0)

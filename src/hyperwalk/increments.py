@@ -6,21 +6,24 @@ component in the remaining d-1 directions.  Laws are radially symmetric (the
 distribution depends on the walker's position only through its radius), so a
 law is fully specified by radial parameter profiles plus the dimension.
 
-Every built-in law samples in two pieces:
+Every built-in law samples in three pieces:
 
-* ``unit_rows(m, rng)`` draws m radius-free rows with one distribution per
-  numpy call (normals, or for the box law uniforms), and consumes the stream
-  exactly as m one-row calls would;
-* ``steps(R, rows)`` maps those rows by the law's profiles at R, one radius
-  or one per row, to ``(d_rad, t)``.
+* ``unit_rows(m, rng)`` draws m rows with one distribution per numpy call
+  (normals, or for the box law uniforms), and consumes the stream exactly
+  as m one-row calls would;
+* ``radius_free(rows)`` maps what of their steps does not depend on the
+  radius: all of ``(d_rad, t)`` for a law with constant profiles, d_rad for
+  an elliptic or box law with a constant a, e^-y for the heavy-tail law;
+* ``steps(R, part)`` maps the rest at R, one radius or one per row, to
+  ``(d_rad, t)``.
 
 ``sample_components(r, rng)`` (one step) and ``sample_components_batch(r,
-n, rng)`` (n steps, for the Monte Carlo estimators) are these two pieces,
-so n one-step calls and one batch of n give the same bytes and leave the
-stream in the same state.  A walk draws the rows of many steps ahead and
-maps each step's rows at the walkers' radii, so its steps hold the bytes
-one-step calls would give.  A custom law has no radius-free rows: it
-samples one step per call of its own sampler.
+n, rng)`` (n steps, for the Monte Carlo estimators) are these pieces, so n
+one-step calls and one batch of n give the same bytes and leave the stream
+in the same state.  A walk draws the rows of many steps ahead, maps their
+radius-free part once, and maps each step's part at the walkers' radii, so
+its steps hold the bytes one-step calls would give.  A custom law has no
+radius-free rows: it samples one step per call of its own sampler.
 
 The built-in laws also describe their steps at a radius for Gauss
 quadrature (``quadrature_lines``), which the moment estimators use instead
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,21 +112,22 @@ class RadialProfile:
         return float(self.at(float(r)))
 
     def at(self, radii):
-        """The profile at each of the radii, one radius or an array of them,
-        each by one rule.  A constant profile gives its one value, which
-        broadcasts."""
+        """The profile at each of the radii, one radius or a 1-d array of
+        them, each by one rule.  A constant profile gives its one value,
+        which broadcasts."""
         if self.kind == "constant":
             return self.c
         if self.kind == "table":
             return np.interp(radii, self.radii, self.values)
-        # Python's power, which numpy's differs from in the last bit, where
-        # r^-p < 1 (r > 1 for p >= 0, r < 1 for p < 0); elsewhere the factor
-        # is 1.0 and the power, which can exceed the double range, not taken
+        # Python's power, which numpy's differs from in the last bit, of the
+        # radii clamped at 1 where r^-p would be >= 1 (and for NaN): there
+        # pow(1, -p) = 1, and the power, which can exceed the double range,
+        # is not taken
         q = -self.exponent
-        r = np.asarray(radii, dtype=float)
-        factors = [x ** q if (x > 1.0 if q <= 0.0 else x < 1.0) else 1.0
-                   for x in r.ravel().tolist()]
-        return self.c * np.array(factors).reshape(r.shape)
+        r = (np.fmax if q <= 0.0 else np.fmin)(radii, 1.0)
+        if r.ndim:
+            return self.c * np.fromiter(map(pow, r.tolist(), repeat(q)), float, r.size)
+        return self.c * pow(float(r), q)
 
     def sup(self) -> float:
         """Supremum over r >= 0."""
@@ -173,17 +178,10 @@ def _normal_rows(m: int, width: int, rng: np.random.Generator, lead: int = 0) ->
     return g
 
 
-def _axis_steps(a: RadialProfile, b: RadialProfile, s: float, R, rows):
-    """(d_rad, t) = (a(R) s u[0], b(R) s u[1:]) for the rows u, with R one
-    radius or one per row."""
-    a, b = a.at(R) * s, b.at(R) * s     # arrays, or one value
-    return a * rows[:, 0], rows[:, 1:] * np.asarray(b)[..., None]
-
-
 class IncrementLaw:
     """Base class; concrete laws fill in the sampling and bound methods: a
-    built-in law `unit_rows` and `steps`, which make both samplers, a custom
-    law the samplers themselves."""
+    built-in law `unit_rows`, `radius_free` and `steps`, which make both
+    samplers, a custom law the samplers themselves."""
 
     kind: str = "abstract"
     d: int
@@ -200,18 +198,25 @@ class IncrementLaw:
         """m radius-free rows, drawn as m one-row calls would draw them."""
         raise NotImplementedError
 
-    def steps(self, R, rows: np.ndarray):
-        """(d_rad, t), (m,) and (m, d - 1) arrays, of `rows` at R, one radius or one per row."""
+    def radius_free(self, rows: np.ndarray) -> tuple:
+        """What of the steps of `rows`, of any leading shape, does not depend
+        on the radius: a tuple (d_rad, t, ...) of arrays over those leading
+        axes, in which d_rad or t is None where it depends on the radius."""
         raise NotImplementedError
+
+    def steps(self, R, part: tuple):
+        """(d_rad, t), (m,) and (m, d - 1) arrays, of the `radius_free` part
+        of m rows at R, one radius or one per row."""
+        return part[0], part[1]
 
     def sample_components(self, r: float, rng: np.random.Generator):
         """(d_rad, t) of one step at radius r."""
-        d_rad, t = self.steps(r, self.unit_rows(1, rng))
+        d_rad, t = self.steps(r, self.radius_free(self.unit_rows(1, rng)))
         return d_rad[0], t[0]
 
     def sample_components_batch(self, r: float, n: int, rng: np.random.Generator):
         """(d_rad, t) of n steps at radius r: n sample_components calls."""
-        return self.steps(r, self.unit_rows(n, rng))
+        return self.steps(r, self.radius_free(self.unit_rows(n, rng)))
 
     def step_bound(self) -> float:
         """Almost-sure bound on the step length; inf when unbounded."""
@@ -235,8 +240,35 @@ class IncrementLaw:
         raise NotImplementedError
 
 
+class _AxisLaw(IncrementLaw):
+    """A law of steps (d_rad, t) = (a(R) s u[0], b(R) s u[1:]) for unit rows u
+    and the class's scale s: the elliptic and box laws."""
+
+    def __post_init__(self):
+        if self.d < 2:
+            raise DomainError(f"dimension must be >= 2, got {self.d}")
+
+    def radius_free(self, rows):
+        """(d_rad, t, u[0], u[1:]), with d_rad if a is constant and t if b is,
+        each None otherwise."""
+        s, u0, u1 = self.scale, rows[..., 0], rows[..., 1:]
+        return (self.a.c * s * u0 if self.a.kind == "constant" else None,
+                u1 * (self.b.c * s) if self.b.kind == "constant" else None, u0, u1)
+
+    def steps(self, R, part):
+        d_rad, t, u0, u1 = part
+        if d_rad is None:
+            d_rad = self.a.at(R) * self.scale * u0
+        if t is None:
+            t = u1 * np.asarray(self.b.at(R) * self.scale)[..., None]
+        return d_rad, t
+
+    def known_moments(self, r):
+        return (*elliptic_moments(self.a(r), self.b(r), self.d), 0.0)
+
+
 @dataclass(frozen=True)
-class EllipticLaw(IncrementLaw):
+class EllipticLaw(_AxisLaw):
     """Uniform measure on an ellipsoid shell with radial semi-axis a(r)*sqrt(d)
     and transverse semi-axes b(r)*sqrt(d).
 
@@ -249,33 +281,27 @@ class EllipticLaw(IncrementLaw):
     kind: str = field(default="elliptic", init=False)
     symmetric: bool = field(default=True, init=False)
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise DomainError(f"dimension must be >= 2, got {self.d}")
+    @property
+    def scale(self):
+        return math.sqrt(self.d)
 
     def unit_rows(self, m, rng):
         return _normal_rows(m, self.d, rng)         # points on the unit sphere
 
-    def steps(self, R, rows):
-        return _axis_steps(self.a, self.b, math.sqrt(self.d), R, rows)
-
     def step_bound(self):
-        return math.sqrt(self.d) * max(self.a.sup(), self.b.sup())
+        return self.scale * max(self.a.sup(), self.b.sup())
 
     def quadrature_lines(self, r, n, k=0.0):
         from .quadrature import elliptic_lines     # loaded on first use
-        s = math.sqrt(self.d)
+        s = self.scale
         return elliptic_lines(self.a(r) * s, self.b(r) * s, self.d, k)
-
-    def known_moments(self, r):
-        return (*elliptic_moments(self.a(r), self.b(r), self.d), 0.0)
 
     def describe(self):
         return f"elliptic(a={self.a.describe()}, b={self.b.describe()}, d={self.d})"
 
 
 @dataclass(frozen=True)
-class BoxLaw(IncrementLaw):
+class BoxLaw(_AxisLaw):
     """Independent uniform components: sqrt(3)*U[-a, a] radially and
     sqrt(3)*U[-b, b] transversally, matching the elliptic second moments.
 
@@ -288,16 +314,10 @@ class BoxLaw(IncrementLaw):
     d: int
     kind: str = field(default="box", init=False)
     symmetric: bool = field(default=True, init=False)
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise DomainError(f"dimension must be >= 2, got {self.d}")
+    scale = _SQRT3
 
     def unit_rows(self, m, rng):
         return rng.uniform(-1.0, 1.0, (m, self.d))
-
-    def steps(self, R, rows):
-        return _axis_steps(self.a, self.b, _SQRT3, R, rows)
 
     def step_bound(self):
         # circumscribed radius of the box, attained at the corners
@@ -311,8 +331,6 @@ class BoxLaw(IncrementLaw):
             return None
         from .quadrature import box_lines          # loaded on first use
         return box_lines(_SQRT3 * self.a(r), _SQRT3 * self.b(r), n, k)
-
-    known_moments = EllipticLaw.known_moments   # the same second moments, zero mean
 
     def describe(self):
         return f"box(a={self.a.describe()}, b={self.b.describe()}, d={self.d})"
@@ -371,11 +389,8 @@ class HeavyTailLaw(IncrementLaw):
         if self.d < 2:
             raise DomainError(f"dimension must be >= 2, got {self.d}")
 
-    def lambda_at(self, r):
-        """The activation length at r, one radius or an array of radii; each
-        is the value a call on that one radius gives."""
-        if isinstance(r, np.ndarray):
-            return np.array([self.lambda_at(x) for x in r.tolist()])
+    def lambda_at(self, r: float) -> float:
+        """The activation length at the radius r."""
         if self.lam is None:
             return max(1.0, r ** (1.0 / (self.m - 1.0))) if r > 0.0 else 1.0
         return max(1.0, self.lam(r))
@@ -391,14 +406,32 @@ class HeavyTailLaw(IncrementLaw):
         g[:, 2] = np.exp((g[:, 0] + g[:, 1]) / (2.0 * (self.m - 1.0)))
         return g[:, 2:]
 
-    def steps(self, R, rows):
-        y, u = rows[:, 0], rows[:, 1]
-        q = np.where(y >= self.lambda_at(R), np.exp(-y), 0.0)   # e^-y where the offset is on
+    def radius_free(self, rows):
+        y = rows[..., 0]
+        return None, None, y, rows[..., 1], np.exp(-y), rows[..., 2:]
+
+    def _activated(self, R, y):
+        """y >= lambda(R), with R one radius or one per element of y.  Over
+        radii lambda takes numpy's power, which can differ from Python's in
+        the last bit, so a y within a relative 1e-12 of it is decided by
+        `lambda_at`, the rule one radius takes."""
+        if np.ndim(R) == 0:
+            return y >= self.lambda_at(R)
+        lam = np.fmax(np.power(R, 1.0 / (self.m - 1.0)) if self.lam is None
+                      else self.lam.at(R), 1.0)
+        on = y >= lam
+        for i in np.flatnonzero(np.abs(y - lam) <= 1e-12 * lam).tolist():
+            on[i] = y[i] >= self.lambda_at(float(R[i]))
+        return on
+
+    def steps(self, R, part):
+        _, _, y, u, e, v = part
+        q = np.where(self._activated(R, y), e, 0.0)    # e^-y where the offset is on
         offset = 2.0 * q / (1.0 + q)
         outward = u < 0.5 * (1.0 - q)
         phi = np.where(outward, 1.0, offset - 1.0)
         t_sq = np.where(outward, 0.0, offset * (2.0 - offset))  # 1 - phi^2, stably
-        return phi * y, (y * np.sqrt(t_sq))[:, None] * rows[:, 2:]
+        return phi * y, (y * np.sqrt(t_sq))[..., None] * v
 
     def step_bound(self):
         return math.inf
@@ -440,11 +473,11 @@ class InwardBiasedLaw(IncrementLaw):
         # one normal for the coin, d - 1 for the direction
         return _normal_rows(m, self.d, rng, lead=1)
 
-    def steps(self, R, rows):
+    def radius_free(self, rows):
         N = self.strength
-        d_rad = np.where(rows[:, 0] < 0.0, -2.0 * N, 0.0)
+        d_rad = np.where(rows[..., 0] < 0.0, -2.0 * N, 0.0)
         t_mag = np.sqrt(16.0 * N * N - d_rad * d_rad)
-        return d_rad, t_mag[:, None] * rows[:, 1:]
+        return d_rad, t_mag[..., None] * rows[..., 1:]
 
     def step_bound(self):
         return 4.0 * self.strength

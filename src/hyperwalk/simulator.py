@@ -16,10 +16,13 @@ The walks of a chunk advance together, one step for all of them
 
 Both modes take their steps from the same draws, so walks driven by the
 same stream can be coupled draw-for-draw.  A walk of a built-in law draws
-the radius-free rows of a run of steps ahead (`IncrementLaw.unit_rows`),
-which consumes the stream exactly as per-step `sample_components` calls
-would, and maps each step's rows at the walkers' radii (`steps`), the map
-those calls take; a custom law is sampled once per walk per step.
+the rows of a T-block of steps ahead (`IncrementLaw.unit_rows`), which
+consumes the stream exactly as per-step `sample_components` calls would.
+What of the block's steps does not depend on the radius is mapped once
+for the block (`radius_free`): for a law with constant profiles the steps
+themselves, their lengths and each step's longest length.  The rest is
+mapped at each step at the walkers' radii (`steps`).  Both are the maps
+those calls take.  A custom law is sampled once per walk per step.
 
 Every walk starts at `_start_point`.  An ensemble runs one contiguous
 chunk of walk ids per process: the calling process runs the first, and a
@@ -229,6 +232,13 @@ def _block_steps(steps: int, walks: int) -> int:
     return max(1, min(steps, BLOCK_STEPS, LOCKSTEP_ROWS // walks))
 
 
+def _lengths(d_rad, t, d_rad_sq=None):
+    """(|t|^2, length) of the steps (d_rad, t), over any leading axes; d_rad^2
+    may be given."""
+    t_sq = _rowdot(t, t)
+    return t_sq, np.sqrt((d_rad * d_rad if d_rad_sq is None else d_rad_sq) + t_sq)
+
+
 def _non_finite_step(n: int) -> InvariantViolationError:
     return InvariantViolationError(f"step {n} has non-finite length")
 
@@ -240,14 +250,15 @@ class _Lockstep:
     `ids[i]`, and draws from `rngs[i]`.  A walk draws from its own stream
     exactly as it would alone: it takes the law's `unit_rows` in T-blocks
     (runs of steps drawn ahead, `_block_steps`), or a custom law's sampler
-    once per step, and profiles are evaluated per walk, so each walk's
-    steps hold the bytes `sample_components` would give.  The step
-    arithmetic acts on each row alone, so a walk's bytes do not depend on
-    the walks it runs with.
+    once per step, and a law maps each walk's radius by the rule one radius
+    takes, so each walk's steps hold the bytes `sample_components` would
+    give.  The step arithmetic acts on each row alone, so a walk's bytes do
+    not depend on the walks it runs with.
 
-    `drop` takes walks out of the lockstep.  A walk that breaks an invariant
-    is dropped with its error in `errors`; since the lowest walk id's error
-    is the one raised, walks with a higher id are dropped with it.
+    `drop` takes walks out of the lockstep, and their columns out of the
+    T-block's arrays.  A walk that breaks an invariant is dropped with its
+    error in `errors`; since the lowest walk id's error is the one raised,
+    walks with a higher id are dropped with it.
     """
 
     def __init__(self, config: WalkConfig, ids, rngs):
@@ -260,8 +271,12 @@ class _Lockstep:
             self.x = np.tile(_start_point(config.model, config.start_radius),
                              (len(self.ids), 1))
         self.errors = {}            # walk id -> the error that stopped it
-        self._units = np.empty((0, len(self.ids), 0))   # the T-block's rows, step by walk
-        self._unit_step = 1         # the step of the T-block's row 0
+        # the T-block of steps _block_step .. _block_step + _rows - 1, each
+        # array step by walk: (d_rad, t, |t|^2, length) and each step's
+        # longest length for a law whose steps do not depend on the radius,
+        # else the law's radius-free part and d_rad^2 (None where d_rad is)
+        self._block, self._longest = (), None
+        self._block_step, self._rows = 1, 0
 
     def drop(self, mask, error=None) -> np.ndarray:
         """Drop the walks where `mask` holds, recording `error(row)` for each
@@ -271,11 +286,15 @@ class _Lockstep:
                 self.errors[int(self.ids[i])] = error(i)
             mask = mask | (self.ids > min(self.errors))
         keep = ~mask
+        if not mask.any():
+            return keep
         self.ids, self.R = self.ids[keep], self.R[keep]
         if self.x is not None:
             self.x = self.x[keep]
         self.rngs = list(itertools.compress(self.rngs, keep))
-        self._units = self._units[:, keep]
+        self._block = tuple(a if a is None else a[:, keep] for a in self._block)
+        if self._longest is not None:
+            self._longest = self._block[3].max(axis=1, initial=0.0)
         return keep
 
     def raise_first(self):
@@ -285,33 +304,55 @@ class _Lockstep:
             with _naming_walk(walk_id):
                 raise self.errors[walk_id]
 
+    def _refill(self, n):
+        """Draw the T-block that starts at step n, and map what of its steps
+        does not depend on the radius: all of them for a law whose steps do
+        not, with their lengths and each step's longest one."""
+        law = self.config.law
+        self._rows = _block_steps(self.config.steps - n + 1, len(self.ids))
+        for j, rng in enumerate(self.rngs):     # walk by walk: the block is held once
+            u = law.unit_rows(self._rows, rng)
+            if j == 0:
+                units = np.empty((self._rows, len(self.rngs), u.shape[1]))
+            units[:, j] = u
+        part = law.radius_free(units)
+        d_rad, t = part[0], part[1]
+        if d_rad is not None and t is not None:
+            t_sq, norm = _lengths(d_rad, t)
+            self._block, self._longest = (d_rad, t, t_sq, norm), norm.max(axis=1)
+        else:
+            self._block, self._longest = part + (None if d_rad is None else d_rad * d_rad,), None
+        self._block_step = n
+
     def _draw(self, n):
-        """(d_rad, t) of step n for every walk, as (W,) and (W, d - 1) arrays."""
+        """(d_rad, t, |t|^2, length) of step n for every walk, as (W,),
+        (W, d - 1), (W,) and (W,) arrays, and the longest length."""
         law = self.config.law
         if isinstance(law, CustomLaw):
             d_rad, t = zip(*map(law.sample_components, self.R.tolist(), self.rngs))
-            return np.array(d_rad, dtype=float), np.array(t, dtype=float).reshape(-1, law.d - 1)
-        i = n - self._unit_step
-        if i == len(self._units):
-            rows = _block_steps(self.config.steps - n + 1, len(self.ids))
-            for j, rng in enumerate(self.rngs):     # walk by walk: the block is held once
-                u = law.unit_rows(rows, rng)
-                if j == 0:
-                    self._units = np.empty((rows, len(self.rngs), u.shape[1]))
-                self._units[:, j] = u
-            self._unit_step, i = n, 0
-        u = self._units[i]
-        if i == len(self._units) - 1:       # the T-block's last row: let the block go
-            self._units, self._unit_step = np.empty((0,) + u.shape), n + 1
-        return law.steps(self.R, u)
+            d_rad = np.array(d_rad, dtype=float)
+            t = np.array(t, dtype=float).reshape(-1, law.d - 1)
+            d_rad_sq = None
+        else:
+            i = n - self._block_step
+            if i == self._rows:
+                self._refill(n)
+                i = 0
+            step = [a if a is None else a[i] for a in self._block]
+            longest = None if self._longest is None else self._longest[i]
+            if i == self._rows - 1:         # the T-block's last row: let the block go
+                self._block, self._longest = (), None
+            if longest is not None:
+                return (*step, longest)
+            *part, d_rad_sq = step
+            d_rad, t = law.steps(self.R, part)
+        t_sq, norm = _lengths(d_rad, t, d_rad_sq)
+        return d_rad, t, t_sq, norm, norm.max()
 
     def _finite_draw(self, n):
         """(d_rad, t, |t|^2, length) of step n for the walks whose step has
         a finite length, and the longest length; the others are dropped."""
-        d_rad, t = self._draw(n)
-        t_sq = _rowdot(t, t)
-        norm = np.sqrt(d_rad * d_rad + t_sq)
-        longest = norm.max()
+        d_rad, t, t_sq, norm, longest = self._draw(n)
         if not longest < math.inf:          # a NaN maximum fails it too
             keep = self.drop(~(norm < math.inf), lambda i: _non_finite_step(n))
             d_rad, t, t_sq, norm = d_rad[keep], t[keep], t_sq[keep], norm[keep]
@@ -331,14 +372,14 @@ class _Lockstep:
         model = self.config.model
         if model.is_hyperbolic:
             # a phi that rounding takes past +-1 counts as +-1 in the kernel
-            phi = d_rad / (d_tot if d_tot.min(initial=math.inf) > 0.0
-                           else np.where(d_tot > 0.0, d_tot, 1.0))
+            shortest = d_tot.min(initial=math.inf)
+            phi = d_rad / (d_tot if shortest > 0.0 else np.where(d_tot > 0.0, d_tot, 1.0))
             opp = 1.0 + phi
             if model.k * longest > _D_DIRECT:
                 # 1 + phi of a long step close to straight inward, from |t|^2;
                 # the longest step spares the search a step with none
                 near_inward_one_plus_phi(model.k, opp, d_rad, t_sq, d_tot)
-            inc = _radial_increments(self.R, d_tot, phi, model.k, opp)
+            inc = _radial_increments(self.R, d_tot, phi, model.k, opp, shortest)
         else:
             # |d_rad| exceeds d_tot only where d_rad * d_rad underflows
             d_rad = np.minimum(np.maximum(d_rad, -d_tot), d_tot)

@@ -785,9 +785,10 @@ class TestReportGoldens:
 def test_commands_load_neither_numpy_ma_nor_validation(command, name, tmp_path):
     # np.unique, np.median and np.percentile import numpy.ma on first use,
     # about 6 ms of every process; only `validate` needs hyperwalk.validation;
-    # a run that draws nothing needs no numpy.random (another 6 ms)
+    # a run that draws nothing, as classify and moments of a law they
+    # integrate, needs no numpy.random (another 6 ms)
     absent = ("numpy.ma", "hyperwalk.validation")
-    if name == "classify-elliptic-small":
+    if command != "simulate":
         absent += ("numpy.random",)
     code = ("import sys\nfrom hyperwalk.cli import main\n"
             f"assert main([{command!r}, '--config', {os.path.join(GOLDEN, name + '.cfg')!r}, "

@@ -57,6 +57,16 @@ class TestRadialProfile:
         assert hw.RadialProfile.power_decay(1.0, -2.0)(1e-200) == 0.0
         assert hw.RadialProfile.power_decay(1.0, -1.0)(0.25) == 0.25
 
+    @pytest.mark.parametrize("exponent", [1.0, 0.5, -0.5, 2.0, 0.0])
+    def test_power_decay_over_radii_is_each_radius(self, exponent):
+        # the walks evaluate a profile over their radii at once; each value
+        # must hold the bits of a call on its one radius
+        p = hw.RadialProfile.power_decay(1.7, exponent)
+        radii = [0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 7.3,
+                 1e300, math.inf, math.nan]
+        assert p.at(np.array(radii)).tobytes() == np.array([p(x) for x in radii]).tobytes()
+        assert p(math.nan) == 1.7       # a NaN radius reads the cap c
+
     def test_table_interpolation_and_clamping(self):
         p = hw.RadialProfile.table([0.0, 1.0, 3.0], [1.0, 2.0, 0.0])
         assert p(0.5) == pytest.approx(1.5)
@@ -227,7 +237,7 @@ class TestHeavyTailLaw:
         # 1 - phi^2 of an inward step is taken as offset (2 - offset): past
         # y = 37, 1 - phi^2 from phi = offset - 1 reads 0
         law = hw.HeavyTailLaw(4.0, 2)
-        d_rad, t = law.steps(0.0, np.array([[y, 1.0, 1.0]]))    # u = 1: inward
+        d_rad, t = law.steps(0.0, law.radius_free(np.array([[y, 1.0, 1.0]])))   # u = 1: inward
         offset = hw.heavytail_inward_offset(y, 1.0)
         assert d_rad[0] == pytest.approx((offset - 1.0) * y, rel=1e-15)
         assert float(t[0] @ t[0]) == pytest.approx(y * y * offset * (2.0 - offset), rel=1e-14)

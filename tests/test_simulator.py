@@ -272,6 +272,31 @@ class TestBlockDrawCoupling:
         # the zero row was dropped and one more row drawn in its place
         assert rng_block.rows == rng_step.rows == steps + 1
 
+    def test_heavytail_activation_tie_draws_as_one_radius(self, monkeypatch):
+        # over the walks' radii lambda(R) = R^(1/3) takes numpy's power, which
+        # at this R is one ulp above Python's; a step whose length is
+        # Python's lambda(R) must still be activated, as sample_components
+        # at R activates it
+        law = hw.HeavyTailLaw(4.0, 2)
+        p = 1.0 / (law.m - 1.0)
+        grid = np.linspace(2.0, 1e4, 100_001)
+        ties = np.flatnonzero(np.power(grid, p) > np.array([r ** p for r in grid.tolist()]))
+        if not ties.size:
+            pytest.skip("numpy's power is Python's at every radius tried: no tie can arise")
+        R = float(grid[ties[0]])
+        y = R ** p
+        assert np.power(np.full(3, R), p)[0] > y
+        # every row: length y, inward (u = 0.9), transverse direction +1
+        monkeypatch.setattr(hw.HeavyTailLaw, "unit_rows",
+                            lambda self, m, rng: np.tile([y, 0.9, 1.0], (m, 1)))
+        cfg = WalkConfig(HYP2, law, 1, 3, 0, mode=MODE_RADIAL_ONLY, start_radius=R)
+        walks = simulator._Lockstep(cfg, range(3), [None] * 3)
+        d_rad, t = walks._draw(1)[:2]
+        want_rad, want_t = law.sample_components(R, None)
+        assert want_rad != -y                   # the offset is on
+        assert d_rad.tobytes() == np.full(3, want_rad).tobytes()
+        assert t.tobytes() == np.tile(want_t, (3, 1)).tobytes()
+
 
 class BadStepSampler:
     """Unit outward steps, except a radial component `value` on draw
@@ -547,6 +572,30 @@ class TestLockstepCoupling:
             assert (got.returns, got.escape_step, got.tail_dr_count) == (
                 want.returns, want.escape_step, want.tail_dr_count)
 
+    @pytest.mark.parametrize("geometry", ["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("mode", [MODE_AMBIENT, MODE_RADIAL_ONLY])
+    def test_drops_inside_a_block_of_radius_free_steps(self, mode, geometry, monkeypatch):
+        # T-blocks of 4 steps: 5..8 is the second.  Walk 1 stops after step
+        # 5, as a probe's hit stops it, with a NaN row still ahead at step 6;
+        # walk 3's step 7 is NaN, which drops walk 4 with it.  The block's
+        # steps, lengths and longest lengths must follow the walks kept.
+        monkeypatch.setattr(simulator, "BLOCK_STEPS", 4)
+        monkeypatch.setattr(hw.BoxLaw, "unit_rows", nan_rows({1: 6, 3: 7}))
+        model = HYP2 if geometry == "hyperbolic" else EUC2
+        cfg = WalkConfig(model, hw.BoxLaw(C1, C1, 2), 12, 5, 41, mode=mode, start_radius=0.5)
+        radii = collections.defaultdict(list)
+        for n, walks in _lockstep_states(cfg, range(5)):
+            for j, R in zip(walks.ids.tolist(), walks.R.tolist()):
+                radii[j].append(R)
+            if n == 5:
+                walks.drop(walks.ids == 1)
+        assert walks.ids.tolist() == [0, 2]
+        for j in (0, 2):
+            assert radii[j] == radii_of(hw.run_walk(cfg, j)).tolist()
+        assert len(radii[1]) == 6 and len(radii[3]) == len(radii[4]) == 7
+        with pytest.raises(InvariantViolationError, match=r"^walk 3: step 7 has non-finite"):
+            walks.raise_first()
+
     def test_zero_steps_leave_their_walk_in_place(self):
         # walks 0 and 2 take zero steps between moving walks
         def sample(r, d, rng):
@@ -630,13 +679,13 @@ class TestCheckedAmbientStep:
     def test_step_is_masked_step(self, drawn):
         k, X, R, D, T = drawn
         W, d = R.size, X.shape[1] - 1
-        cfg = WalkConfig(hw.CurvatureModel.hyperbolic(k, d), hw.EllipticLaw(C1, C1, d), 1, W, 0,
-                         mode=MODE_AMBIENT)
+        # walk j's "stream" is j, from which it draws its step (D[j], T[j])
+        law = hw.CustomLaw(lambda r, d, j: (D[j], T[j]), d)
+        cfg = WalkConfig(hw.CurvatureModel.hyperbolic(k, d), law, 1, W, 0, mode=MODE_AMBIENT)
         states = []
         for step in (simulator._Lockstep.step, masked_ambient_step):
-            walks = simulator._Lockstep(cfg, range(W), [None] * W)
+            walks = simulator._Lockstep(cfg, range(W), range(W))
             walks.x, walks.R = X.copy(), R.copy()
-            walks._draw = lambda n, w=walks: (D[w.ids], T[w.ids])    # the walks kept
             step(walks, 1)
             states.append((walks.ids.tolist(), walks.R.tobytes(), walks.x.tobytes(),
                            {j: (type(e), str(e)) for j, e in walks.errors.items()}))
