@@ -9,8 +9,9 @@ sections::
     hyperwalk moments  --config run.cfg ...
 
 `--workers W` (W >= 1, else exit 3) runs the `simulate` ensemble on
-min(W, sim.walks, usable cores) processes, this one among them; the other
-commands accept it and ignore it.
+min(W, sim.walks, usable cores) processes, this one among them, each of
+which spells its own walks' trajectories.csv rows; the other commands
+accept it and ignore it.
 
 Config keys, one a line: what the key sets, its domain, and its default in
 parentheses.  A value outside its domain exits 3 naming the key and its
@@ -77,6 +78,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import operator
 import os
@@ -493,15 +495,16 @@ def _write_csv(path: Path, cfg: RunConfig, columns, chunks):
 # Commands
 # ---------------------------------------------------------------------------
 
-def _trajectory_lines(records):
-    """The trajectories.csv rows, one chunk per walk.  Every record holds
-    the same steps, so each "{step}," is spelled once, and each walk's
-    "{walk_id}," once per walk.  Ids and steps are ints and the radii Python
-    floats, which an f-string (repr for the floats) spells as _fmt does."""
-    steps = [f"{step}," for step, _ in records[0].radii]
-    for r in records:
-        walk = f"{r.walk_id},"
-        yield "".join([f"{walk}{step}{R!r}\n" for step, (_, R) in zip(steps, r.radii)])
+def _trajectory_text(ids, steps, radii) -> list:
+    """The trajectories.csv rows of the walks `ids`, one string per walk,
+    from `radii`, a (steps, walks) array of their radii at the recorded
+    `steps`.  Each "{step}," is spelled once, and each walk's "{walk_id},"
+    once per walk; a walk's radii become Python floats only while its rows
+    are spelled.  An f-string spells the int ids and steps, and the float
+    radii by repr, as _fmt does."""
+    steps = [f"{step}," for step in steps]
+    return ["".join([f"{walk}{step}{R!r}\n" for step, R in zip(steps, column.tolist())])
+            for walk, column in zip([f"{j}," for j in ids], radii.T)]
 
 
 def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
@@ -511,10 +514,10 @@ def cmd_simulate(cfg: RunConfig, workers: int = 1) -> int:
         ball_radius=cfg.ball_radius, burn_in=cfg.burn_in,
         start_radius=cfg.start_radius, escape_radius=cfg.escape_radius,
     )
-    records, stats = run_ensemble(walk_cfg, workers=workers)
+    texts, stats = run_ensemble(walk_cfg, workers=workers, spell=_trajectory_text)
     out = Path(cfg.out_dir)
     _write_csv(out / "trajectories.csv", cfg, ("walk_id", "step", "R"),
-               _trajectory_lines(records))
+               itertools.chain.from_iterable(texts))
     q = stats.quantiles
     _write_csv(out / "summary.csv", cfg,
                ("walks", "steps", "q5", "q25", "q50", "q75", "q95", "mean_returns",
@@ -700,9 +703,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config seed (beats HYPERWALK_SEED)")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--workers", type=int, default=1,
-                       help="at most this many worker processes for the simulate "
-                            "ensemble, >= 1; also capped at the walks and the usable "
-                            "cores (the other commands ignore it)")
+                       help="at most this many processes for the simulate ensemble, "
+                            "this one among them, each running and spelling the rows "
+                            "of its own chunk of walks; >= 1, also capped at the walks "
+                            "and the usable cores (the other commands ignore it)")
     return parser
 
 

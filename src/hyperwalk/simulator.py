@@ -31,11 +31,13 @@ chunks run in process).  `run_walk` runs a lockstep of one walk, a chunk one
 lockstep (`_lockstep_states`), and both probes one over all walks, which
 the neighbourhood probe measures with geometry's polar `_distance`.  A
 chunk is tallied T-block by T-block (`_Tally`), which keeps the radii of
-the recorded steps alone, so of the others no (W, T) array is held; a
-child sends back its tally, and the records are built in the caller.  A
-walk that breaks an invariant drops out and the others carry on; at the
-end the lowest walk id's error is raised, as the walks run one by one
-would.
+the recorded steps alone, so of the others no (W, T) array is held.  A
+chunk's process turns its tally into what the caller asked for: the
+recorded radii, from which the caller builds the records, or the text a
+spelling callable makes of them, in which case only the text and the
+tally's per-walk sums come back and no record is built.  A walk that
+breaks an invariant drops out and the others carry on; at the end the
+lowest walk id's error is raised, as the walks run one by one would.
 
 Reproducibility contract: every walk owns the rng stream spawned from
 (master seed, walk id), and ensemble statistics are aggregated in walk-id
@@ -449,8 +451,9 @@ class _Tally:
     carried from block to block and accumulated row by row
     (`np.add.accumulate` is sequential), so they hold the loop's bits.  It
     keeps a copy of the recorded steps' rows; `records` turns them into
-    each walk's (step, R) list.  A tally holds only numbers and arrays, so
-    a child process sends one back cheaply.
+    each walk's (step, R) list.  The last recorded step is always the final
+    one, and `final` holds its radii.  A tally holds only numbers and
+    arrays, so a child process sends one back cheaply.
     """
 
     def __init__(self, ids: range, start: float):
@@ -458,6 +461,7 @@ class _Tally:
         self.ids = ids
         self.steps = [0]                                # the recorded steps
         self.rows = [np.full((1, W), float(start))]     # their radii, one (k, W) array a block
+        self.final = self.rows[0][0]
         self.returns = np.zeros(W, dtype=np.int64)
         self.escape = np.zeros(W, dtype=np.int64)       # 0 until the walk escapes
         self.tail = np.zeros((2, W))                    # the sums of dr and dr^2
@@ -488,12 +492,14 @@ class _Tally:
         steps = range(n0 + first, n0 + m, c.record_stride)
         self.steps.extend(steps)
         self.rows.append(radii[first::c.record_stride].copy())
-        if n0 + m - 1 == T and T not in steps:
-            self.steps.append(T)
-            self.rows.append(radii[-1:].copy())
+        if n0 + m - 1 == T:
+            if T not in steps:
+                self.steps.append(T)
+                self.rows.append(radii[-1:].copy())
+            self.final = self.rows[-1][-1]
 
     def records(self) -> list:
-        """The walks' records; the last recorded step is always the final one."""
+        """The walks' records, built from the recorded rows."""
         radii = np.concatenate(self.rows).T.tolist()
         return [TrajectoryRecord(j, list(zip(self.steps, walk_radii)), returns, escape or None,
                                  walk_radii[-1], dr_sum, dr_sumsq, self.tail_count)
@@ -530,22 +536,41 @@ def _chunk_tally(config: WalkConfig, ids: range, rngs=None) -> _Tally:
 # Ensembles
 # ---------------------------------------------------------------------------
 
-def run_ensemble(config: WalkConfig, workers: int = 1):
+def run_ensemble(config: WalkConfig, workers: int = 1, spell=None):
     """Run the configured ensemble; returns (records, stats).
 
     The walks run in min(workers, walks, usable cores) processes, this one
-    among them, each over one contiguous chunk of walk ids (`_chunk_tally`
-    mapped by `_map`).  Records come back ordered by walk id and the
-    aggregation is a sum of per-walk sufficient statistics, so the output
-    is identical for any worker count.
+    among them, each over one contiguous chunk of walk ids (`_chunk` mapped
+    by `_map`).  Records come back ordered by walk id and the aggregation
+    is a sum of per-walk sufficient statistics, so the output is identical
+    for any worker count.
+
+    With `spell`, returns (texts, stats) instead and builds no record: each
+    chunk's process calls spell(ids, steps, radii) on its walk ids, the
+    recorded steps and their radii, a (steps recorded, walks) array, and
+    the texts are the results in chunk order.
     """
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     n = max(1, min(workers, config.walks, cores))
     chunks = [range(config.walks * i // n, config.walks * (i + 1) // n) for i in range(n)]
-    records = [rec for tally in _map(lambda ids: _chunk_tally(config, ids), chunks)
-               for rec in tally.records()]
-    return records, ensemble_stats(records, config)
+    results = _map(lambda ids: _chunk(config, ids, spell), chunks)
+    if spell is None:
+        return ([rec for tally in results for rec in tally.records()],
+                ensemble_stats(results, config))
+    tallies, texts = zip(*results)
+    return list(texts), ensemble_stats(tallies, config)
+
+
+def _chunk(config: WalkConfig, ids: range, spell):
+    """The tally of the walks `ids` (`_chunk_tally`); with `spell`, that
+    tally without its recorded rows and what spell(ids, steps, radii) makes
+    of them, so a child sends back no row."""
+    tally = _chunk_tally(config, ids)
+    if spell is None:
+        return tally
+    radii, tally.rows = np.concatenate(tally.rows), []
+    return tally, spell(tally.ids, tally.steps, radii)
 
 
 def _map(fn, chunks) -> list:
@@ -637,12 +662,14 @@ def _percentiles(values: np.ndarray, ps) -> dict:
     return out
 
 
-def ensemble_stats(records, config: WalkConfig) -> EnsembleStats:
-    n = len(records)
-    final = np.array([r.final_R for r in records])
+def ensemble_stats(tallies, config: WalkConfig) -> EnsembleStats:
+    """The statistics of the walks of `tallies`, the chunks' `_Tally`s in
+    walk-id order, from their per-walk arrays."""
+    final = np.concatenate([t.final for t in tallies])
+    n = len(final)
     qs = _percentiles(final, (5, 25, 50, 75, 95))
-    returns = np.array([r.returns for r in records], dtype=float)
-    escaped = np.array([r.escape_step is not None for r in records], dtype=float)
+    returns = np.concatenate([t.returns for t in tallies]).astype(float)
+    escaped = np.concatenate([t.escape for t in tallies]) != 0
     returned = returns >= 1
 
     def frac(flags):
@@ -653,9 +680,10 @@ def ensemble_stats(records, config: WalkConfig) -> EnsembleStats:
     p_esc, hw_esc = frac(escaped)
     p_ret, hw_ret = frac(returned)
 
-    dr_n = sum(r.tail_dr_count for r in records)
-    dr_sum = sum(r.tail_dr_sum for r in records)
-    dr_sq = sum(r.tail_dr_sumsq for r in records)
+    # summed walk by walk, in walk-id order
+    dr_n = sum(t.tail_count * len(t.ids) for t in tallies)
+    dr_sum, dr_sq = (sum(walk_sums) for walk_sums in np.concatenate(
+        [t.tail for t in tallies], axis=1).tolist())
     if dr_n >= 2:
         mean = dr_sum / dr_n
         var = max(0.0, (dr_sq - dr_n * mean * mean) / (dr_n - 1))

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperwalk import cli
+import hyperwalk as hw
+from hyperwalk import cli, simulator
 from hyperwalk.cli import main, parse_config
 from hyperwalk.errors import ConfigError
 
@@ -312,6 +313,39 @@ class TestKeyTable:
             assert re.search(re.escape(cli._KEYS[key].domain) + r"(?![\d.])", listed[key]), key
 
 
+def sim_text(mode, geometry, steps, walks, stride=1, seed=42):
+    """SIM_CFG in `mode`, on H^2 or in flat space, at the given size."""
+    text = (SIM_CFG.replace("sim.steps = 400", f"sim.steps = {steps}")
+            .replace("sim.walks = 8", f"sim.walks = {walks}")
+            .replace("sim.seed = 42", f"sim.seed = {seed}"))
+    if geometry == "euclidean":
+        text = text.replace("curvature.kind = hyperbolic\ncurvature.k = 1.0\n",
+                            "curvature.kind = euclidean\n")
+    return text + f"sim.mode = {mode}\nsim.stride = {stride}\n"
+
+
+# (sim.steps, sim.walks, sim.stride): no step; a stride that misses the
+# final step, which is recorded all the same; an odd walk count, which
+# two processes split unevenly; one walk, which one process runs
+SPELLING_CASES = {"no-step": (0, 4, 1), "stride-misses-final": (23, 4, 5),
+                  "odd-walks": (30, 7, 1), "one-walk": (30, 1, 1)}
+
+
+@pytest.fixture
+def ensembles(monkeypatch):
+    """The (config, workers) of each cli.run_ensemble call, on a host that
+    offers two cores, so that --workers 2 forks a child."""
+    calls, run = [], cli.run_ensemble
+
+    def recorded(config, workers=1, **kwargs):
+        calls.append((config, workers))
+        return run(config, workers, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ensemble", recorded)
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return calls
+
+
 class TestSimulateCommand:
     def test_writes_deterministic_outputs(self, tmp_path, capsys):
         code1, out1 = run_cli(tmp_path, "a.cfg", SIM_CFG, "simulate")
@@ -323,11 +357,55 @@ class TestSimulateCommand:
             assert b1 == b2
         assert b"walk_id,step,R" in (out1 / "trajectories.csv").read_bytes()
 
-    def test_worker_count_keeps_bytes_identical(self, tmp_path, capsys):
-        _, out1 = run_cli(tmp_path, "w1.cfg", SIM_CFG, "simulate", ("--workers", "1"))
-        _, out2 = run_cli(tmp_path, "w2.cfg", SIM_CFG, "simulate", ("--workers", "2"))
-        assert (out1 / "trajectories.csv").read_bytes() == \
-            (out2 / "trajectories.csv").read_bytes()
+    @pytest.mark.parametrize("case", SPELLING_CASES)
+    @pytest.mark.parametrize("geometry", ["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("mode", ["radialonly", "ambient"])
+    def test_worker_count_keeps_bytes_identical(self, mode, geometry, case, tmp_path, capsys,
+                                                ensembles):
+        text = sim_text(mode, geometry, *SPELLING_CASES[case])
+        runs = []
+        for workers in ("1", "2"):
+            code, out = run_cli(tmp_path, f"w{workers}.cfg", text, "simulate",
+                                ("--workers", workers))
+            assert code == 0
+            runs.append([(out / name).read_bytes() for name in ("trajectories.csv", "summary.csv")]
+                        + [capsys.readouterr().out])
+        assert runs[0] == runs[1]
+        # the rows the records of the same ensemble spell
+        records, _ = hw.run_ensemble(ensembles[0][0])
+        lines = runs[0][0].decode("ascii").splitlines()
+        assert lines[lines.index("walk_id,step,R") + 1:] == \
+            [f"{r.walk_id},{s},{R!r}" for r in records for s, R in r.radii]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_runs_its_ensemble_through_cli_run_ensemble_once(self, workers, tmp_path, capsys,
+                                                              ensembles):
+        # the benchmark's traced mode times the ensemble by wrapping this name
+        code, _ = run_cli(tmp_path, "e.cfg", SIM_CFG, "simulate", ("--workers", workers))
+        assert code == 0
+        assert [w for _, w in ensembles] == [int(workers)]
+
+    @pytest.mark.parametrize("seed, walks", [
+        (1, 2),     # only walk 1, in the child's chunk, trips the guard
+        (4, 6),     # walk 0 trips it at step 11, the child's walk 4 already at step 4
+    ])
+    def test_walk_error_exits_3_with_the_lowest_walk_ids_message(self, seed, walks, tmp_path,
+                                                                 capsys, ensembles):
+        # ambient walks started at R = 697 cross the k*R = 700 guard within
+        # a few steps; its message names the step, so it tells the walks apart
+        text = (sim_text("ambient", "hyperbolic", 12, walks, seed=seed)
+                + "sim.start_radius = 697\nsim.escape_radius = 1e9\n")
+        code, out = run_cli(tmp_path, "bad.cfg", text, "simulate", ("--workers", "2"))
+        assert code == 3
+        assert not (out / "trajectories.csv").exists()
+        (config, _), = ensembles
+        for walk_id in range(walks):        # the walks run one by one
+            try:
+                hw.run_walk(config, walk_id)
+            except hw.OverflowGuardError as exc:
+                first = exc
+                break
+        assert capsys.readouterr().err == f"error: {first}\n"
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     @pytest.mark.parametrize("command", ["simulate", "classify", "validate", "moments"])
@@ -743,6 +821,35 @@ class TestGoldenRuns:
             problems = golden_mismatches(got, _golden_text(name, fname))
             assert not problems, (f"{name}/{fname} diverged from golden in "
                                   f"{len(problems)} places:\n" + "\n".join(problems[:10]))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_simulate_builds_no_record_and_library_records_hold_golden_radii(
+            self, name, workers, tmp_path, capsys, monkeypatch, ensembles):
+        # each construction appends to a file, so a forked child's count too
+        built = tmp_path / "built"
+        built.touch()
+
+        class Counted(simulator.TrajectoryRecord):
+            def __init__(self, *args):
+                with open(built, "a") as fh:
+                    fh.write(".")
+                super().__init__(*args)
+
+        monkeypatch.setattr(simulator, "TrajectoryRecord", Counted)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", os.path.join(GOLDEN, name + ".cfg"),
+                     "--out", str(out), "--workers", str(workers)]) == 0
+        assert built.read_text() == ""
+        (config, _), = ensembles
+        records, _ = hw.run_ensemble(config, workers)
+        assert built.read_text() == "." * config.walks
+        # the records hold the golden run's radii
+        want = _golden_text(name, "trajectories.csv")
+        head = want[:want.index("walk_id,step,R\n") + len("walk_id,step,R\n")]
+        got = head + "".join(f"{r.walk_id},{s},{R!r}\n" for r in records for s, R in r.radii)
+        problems = golden_mismatches(got, want)
+        assert not problems, problems[:10]
 
 
 _VERDICT_EXIT = {"recurrent": 0, "transient": 1, "inconclusive": 2}
