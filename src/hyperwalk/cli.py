@@ -8,10 +8,12 @@ sections::
     hyperwalk validate --config run.cfg ...
     hyperwalk moments  --config run.cfg ...
 
-`--workers W` (W >= 1, else exit 3) runs the `simulate` ensemble on
-min(W, sim.walks, usable cores) processes, this one among them, each of
-which spells its own walks' trajectories.csv rows; the other commands
-accept it and ignore it.
+`--workers W` (W >= 1, else exit 3) runs the `simulate` ensemble on at
+most W processes, this one among them, each of which spells its own walks'
+trajectories.csv rows: min(W, sim.walks, usable cores, sim.walks *
+sim.steps // 2^15), at least one, since below 2^15 walk-steps a process
+costs more than it saves (simulator.FORK_MIN_WALK_STEPS).  The other
+commands accept it and ignore it.
 
 Config keys, one a line: what the key sets, its domain, and its default in
 parentheses.  A value outside its domain exits 3 naming the key and its
@@ -705,8 +707,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1,
                        help="at most this many processes for the simulate ensemble, "
                             "this one among them, each running and spelling the rows "
-                            "of its own chunk of walks; >= 1, also capped at the walks "
-                            "and the usable cores (the other commands ignore it)")
+                            "of its own chunk of walks; >= 1, also capped at the walks, "
+                            "the usable cores and one process per 2^15 walk-steps "
+                            "(the other commands ignore it)")
     return parser
 
 

@@ -27,9 +27,11 @@ those calls take.  A custom law is sampled once per walk per step.
 Every walk starts at `_start_point`.  An ensemble runs one contiguous
 chunk of walk ids per process: the calling process runs the first, and a
 child forked for each other chunk runs it (`_map`, on Linux; elsewhere the
-chunks run in process).  `run_walk` runs a lockstep of one walk, a chunk one
-lockstep (`_lockstep_states`), and both probes one over all walks, which
-the neighbourhood probe measures with geometry's polar `_distance`.  A
+chunks run in process).  It starts another process only while each gets at
+least FORK_MIN_WALK_STEPS walk-steps, below which a fork costs more than it
+saves.  `run_walk` runs a lockstep of one walk, a chunk one lockstep
+(`_lockstep_states`), and both probes one over all walks, which the
+neighbourhood probe measures with geometry's polar `_distance`.  A
 chunk is tallied T-block by T-block (`_Tally`), which keeps the radii of
 the recorded steps alone, so of the others no (W, T) array is held.  A
 chunk's process turns its tally into what the caller asked for: the
@@ -93,6 +95,9 @@ AMBIENT_KR_LIMIT = 700.0        # cosh(kR) overflows shortly above this
 # memory, not the stream or the records, which are the same for any size.
 LOCKSTEP_ROWS = 1 << 18
 BLOCK_STEPS = 256
+# The fewest walk-steps (walks x steps) a process must get before an
+# ensemble starts another one: below it a fork costs more than it saves.
+FORK_MIN_WALK_STEPS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -539,11 +544,13 @@ def _chunk_tally(config: WalkConfig, ids: range, rngs=None) -> _Tally:
 def run_ensemble(config: WalkConfig, workers: int = 1, spell=None):
     """Run the configured ensemble; returns (records, stats).
 
-    The walks run in min(workers, walks, usable cores) processes, this one
-    among them, each over one contiguous chunk of walk ids (`_chunk` mapped
-    by `_map`).  Records come back ordered by walk id and the aggregation
-    is a sum of per-walk sufficient statistics, so the output is identical
-    for any worker count.
+    The walks run in min(workers, walks, usable cores, walks * steps //
+    FORK_MIN_WALK_STEPS) processes, at least one, this one among them, each
+    over one contiguous chunk of walk ids (`_chunk` mapped by `_map`).  So
+    `workers` is a ceiling, and each process gets at least the fork floor
+    of walk-steps.  Records come back ordered by walk id and the
+    aggregation is a sum of per-walk sufficient statistics, so the output
+    is identical for any worker count.
 
     With `spell`, returns (texts, stats) instead and builds no record: each
     chunk's process calls spell(ids, steps, radii) on its walk ids, the
@@ -552,7 +559,8 @@ def run_ensemble(config: WalkConfig, workers: int = 1, spell=None):
     """
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    n = max(1, min(workers, config.walks, cores))
+    n = max(1, min(workers, config.walks, cores,
+                   config.walks * config.steps // FORK_MIN_WALK_STEPS))
     chunks = [range(config.walks * i // n, config.walks * (i + 1) // n) for i in range(n)]
     results = _map(lambda ids: _chunk(config, ids, spell), chunks)
     if spell is None:
@@ -577,12 +585,13 @@ def _map(fn, chunks) -> list:
     """[fn(ids) for ids in chunks], for `chunks` a list of ranges of walk ids.
 
     On Linux this process runs the first chunk, and a child forked for it
-    runs each other one, which passes back (ok, result or exception)
-    pickled through its own pipe; nothing is pickled on the way in.  The
-    pipes are read in chunk order, so the error raised is the first
-    chunk's, as the lowest walk id's would be.  However this returns or
-    raises, every child has been reaped.  Elsewhere the chunks run here one
-    after another.
+    runs each other one, which streams back (ok, result or exception)
+    pickled into its own pipe; nothing is pickled on the way in.  The pipes
+    are read in chunk order, so the error raised is the first chunk's, as
+    the lowest walk id's would be; a child that ends without a whole result
+    raises HyperwalkError, however much of its stream came through.
+    However this returns or raises, every child has been reaped.  Elsewhere
+    the chunks run here one after another.
     """
     if len(chunks) == 1 or not sys.platform.startswith("linux"):
         return [fn(ids) for ids in chunks]
@@ -593,15 +602,17 @@ def _map(fn, chunks) -> list:
         results = [fn(chunks[0])]
         while children:
             pid, pipe, ids = children[0]
-            data = pipe.read()
+            try:
+                ok, value = pickle.load(pipe)
+            except Exception as exc:    # a stream cut short: the exit status tells
+                ok, value = False, exc
             pipe.close()
             status = os.waitpid(pid, 0)[1]
             del children[0]
-            if status or not data:
+            if status:
                 raise HyperwalkError(
                     f"walks {ids.start}-{ids.stop - 1}: their process ended without a result "
                     f"(exit status {os.waitstatus_to_exitcode(status)})")
-            ok, value = pickle.loads(data)
             if not ok:
                 raise value
             results.append(value)
@@ -618,8 +629,8 @@ def _map(fn, chunks) -> list:
 
 
 def _fork(fn, ids):
-    """A forked child that runs fn(ids), pickles (ok, result or exception)
-    into a pipe and exits, with status 0 once all of it is written;
+    """A forked child that runs fn(ids), streams (ok, result or exception)
+    pickled into a pipe and exits, with status 0 once all of it is written;
     returns (its pid, the pipe's read end)."""
     r, w = os.pipe()
     try:
@@ -635,9 +646,8 @@ def _fork(fn, ids):
                 out = (True, fn(ids))
             except BaseException as exc:       # the caller raises it
                 out = (False, exc)
-            data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
             with open(w, "wb") as pipe:
-                pipe.write(data)
+                pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)

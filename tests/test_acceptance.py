@@ -301,10 +301,11 @@ SIM_TEXT = (
 )
 
 
-def test_criterion_8_byte_determinism(tmp_path, capsys):
+def test_criterion_8_byte_determinism(tmp_path, capsys, forks):
     with _Budget("8 byte-determinism", 60.0):
         # radial-only, then ambient walks, which run in one lockstep per
-        # worker's chunk of walks
+        # worker's chunk of walks; `forks` lowers the fork floor, so that
+        # the --workers 2 run of these 16 walks forks a child
         for mode in ("radialonly", "ambient"):
             cfg = tmp_path / f"det-{mode}.cfg"
             cfg.write_text(SIM_TEXT + f"sim.mode = {mode}\n")
@@ -315,6 +316,7 @@ def test_criterion_8_byte_determinism(tmp_path, capsys):
                              "--workers", workers])
                 assert code == 0
                 outs.append(out)
+            assert len(forks) == (1 if mode == "radialonly" else 2)
             ref_t = (outs[0] / "trajectories.csv").read_bytes()
             ref_s = (outs[0] / "summary.csv").read_bytes()
             for out in outs[1:]:

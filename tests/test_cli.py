@@ -331,10 +331,23 @@ SPELLING_CASES = {"no-step": (0, 4, 1), "stride-misses-final": (23, 4, 5),
                   "odd-walks": (30, 7, 1), "one-walk": (30, 1, 1)}
 
 
+def simulate_at_one_and_two_workers(tmp_path, text, capsys):
+    """[trajectories.csv, summary.csv, stdout] of `simulate` on the config
+    `text`, at --workers 1 and at --workers 2."""
+    runs = []
+    for workers in ("1", "2"):
+        code, out = run_cli(tmp_path, f"w{workers}.cfg", text, "simulate", ("--workers", workers))
+        assert code == 0
+        runs.append([(out / name).read_bytes() for name in ("trajectories.csv", "summary.csv")]
+                    + [capsys.readouterr().out])
+    return runs
+
+
 @pytest.fixture
-def ensembles(monkeypatch):
+def ensembles(monkeypatch, forks):
     """The (config, workers) of each cli.run_ensemble call, on a host that
-    offers two cores, so that --workers 2 forks a child."""
+    offers two cores and with the fork floor lowered (`forks`), so that
+    --workers 2 forks a child for any ensemble of two walks and a step."""
     calls, run = [], cli.run_ensemble
 
     def recorded(config, workers=1, **kwargs):
@@ -342,7 +355,6 @@ def ensembles(monkeypatch):
         return run(config, workers, **kwargs)
 
     monkeypatch.setattr(cli, "run_ensemble", recorded)
-    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return calls
 
 
@@ -361,15 +373,12 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("geometry", ["hyperbolic", "euclidean"])
     @pytest.mark.parametrize("mode", ["radialonly", "ambient"])
     def test_worker_count_keeps_bytes_identical(self, mode, geometry, case, tmp_path, capsys,
-                                                ensembles):
-        text = sim_text(mode, geometry, *SPELLING_CASES[case])
-        runs = []
-        for workers in ("1", "2"):
-            code, out = run_cli(tmp_path, f"w{workers}.cfg", text, "simulate",
-                                ("--workers", workers))
-            assert code == 0
-            runs.append([(out / name).read_bytes() for name in ("trajectories.csv", "summary.csv")]
-                        + [capsys.readouterr().out])
+                                                ensembles, forks):
+        steps, walks, _ = SPELLING_CASES[case]
+        runs = simulate_at_one_and_two_workers(
+            tmp_path, sim_text(mode, geometry, *SPELLING_CASES[case]), capsys)
+        # an ensemble of no walk-step, or of one walk, has no second process
+        assert len(forks) == (1 if steps and walks > 1 else 0)
         assert runs[0] == runs[1]
         # the rows the records of the same ensemble spell
         records, _ = hw.run_ensemble(ensembles[0][0])
@@ -379,24 +388,26 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_runs_its_ensemble_through_cli_run_ensemble_once(self, workers, tmp_path, capsys,
-                                                              ensembles):
+                                                              ensembles, forks):
         # the benchmark's traced mode times the ensemble by wrapping this name
         code, _ = run_cli(tmp_path, "e.cfg", SIM_CFG, "simulate", ("--workers", workers))
         assert code == 0
         assert [w for _, w in ensembles] == [int(workers)]
+        assert len(forks) == int(workers) - 1
 
     @pytest.mark.parametrize("seed, walks", [
         (1, 2),     # only walk 1, in the child's chunk, trips the guard
         (4, 6),     # walk 0 trips it at step 11, the child's walk 4 already at step 4
     ])
     def test_walk_error_exits_3_with_the_lowest_walk_ids_message(self, seed, walks, tmp_path,
-                                                                 capsys, ensembles):
+                                                                 capsys, ensembles, forks):
         # ambient walks started at R = 697 cross the k*R = 700 guard within
         # a few steps; its message names the step, so it tells the walks apart
         text = (sim_text("ambient", "hyperbolic", 12, walks, seed=seed)
                 + "sim.start_radius = 697\nsim.escape_radius = 1e9\n")
         code, out = run_cli(tmp_path, "bad.cfg", text, "simulate", ("--workers", "2"))
         assert code == 3
+        assert len(forks) == 1
         assert not (out / "trajectories.csv").exists()
         (config, _), = ensembles
         for walk_id in range(walks):        # the walks run one by one
@@ -406,6 +417,21 @@ class TestSimulateCommand:
                 first = exc
                 break
         assert capsys.readouterr().err == f"error: {first}\n"
+
+    @pytest.mark.parametrize("above", [0, 1, 2])
+    @pytest.mark.parametrize("mode", ["radialonly", "ambient"])
+    def test_workers_2_forks_once_each_process_gets_the_fork_floor(self, mode, above, tmp_path,
+                                                                   capsys, fork_calls):
+        # 64 walks of `least` steps or more (above = 1, 2) give each of two
+        # processes at least FORK_MIN_WALK_STEPS walk-steps; a step fewer
+        # (above = 0) does not, and runs in this process alone
+        walks = 64
+        least = -(-2 * simulator.FORK_MIN_WALK_STEPS // walks)
+        steps = least - 1 + above
+        runs = simulate_at_one_and_two_workers(
+            tmp_path, sim_text(mode, "euclidean", steps, walks, stride=7), capsys)
+        assert len(fork_calls) == (1 if above else 0)
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     @pytest.mark.parametrize("command", ["simulate", "classify", "validate", "moments"])
@@ -825,7 +851,7 @@ class TestGoldenRuns:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_simulate_builds_no_record_and_library_records_hold_golden_radii(
-            self, name, workers, tmp_path, capsys, monkeypatch, ensembles):
+            self, name, workers, tmp_path, capsys, monkeypatch, ensembles, forks):
         # each construction appends to a file, so a forked child's count too
         built = tmp_path / "built"
         built.touch()
@@ -844,6 +870,7 @@ class TestGoldenRuns:
         (config, _), = ensembles
         records, _ = hw.run_ensemble(config, workers)
         assert built.read_text() == "." * config.walks
+        assert len(forks) == 2 * (workers - 1)      # one by main, one by run_ensemble
         # the records hold the golden run's radii
         want = _golden_text(name, "trajectories.csv")
         head = want[:want.index("walk_id,step,R\n") + len("walk_id,step,R\n")]
@@ -912,11 +939,17 @@ def test_commands_load_neither_numpy_ma_nor_validation(command, name, tmp_path):
 
 def test_simulate_on_two_workers_loads_no_process_pool(tmp_path):
     # concurrent.futures and multiprocessing cost about 13 ms of every
-    # process's imports; the ensemble forks its children with os.fork
+    # process's imports; the ensemble forks its children with os.fork, here
+    # on two cores and with the fork floor lowered, so that it forks one
     absent = ("concurrent.futures", "multiprocessing")
-    code = ("import sys\nfrom hyperwalk.cli import main\n"
+    code = ("import os, sys\nfrom hyperwalk import simulator\nfrom hyperwalk.cli import main\n"
+            "simulator.FORK_MIN_WALK_STEPS = 1\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(None) or fork()\n"
             f"assert main(['simulate', '--config', {os.path.join(GOLDEN, 'sim-small.cfg')!r}, "
             f"'--out', {str(tmp_path)!r}, '--workers', '2']) == 0\n"
+            "assert len(forks) == 1, forks\n"
             f"print([m for m in {absent!r} if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -3,6 +3,8 @@
 import collections
 import math
 import os
+import pickle
+import signal
 import sys
 import time
 
@@ -509,11 +511,12 @@ class TestLockstepCoupling:
 
     @pytest.mark.parametrize("kind", ["box", "heavytail", "inwardbiased"])
     @pytest.mark.parametrize("mode", [MODE_AMBIENT, MODE_RADIAL_ONLY])
-    def test_chunks_in_two_processes_give_the_same_bytes(self, mode, kind, monkeypatch):
+    def test_chunks_in_two_processes_give_the_same_bytes(self, mode, kind, monkeypatch, forks):
         monkeypatch.setattr(simulator, "LOCKSTEP_ROWS", 24)
         cfg = self.config(kind, 3, "hyperbolic", 0.0, 40, walks=7, mode=mode)
         one, stats_one = hw.run_ensemble(cfg, workers=1)
         two, stats_two = hw.run_ensemble(cfg, workers=2)
+        assert len(forks) == 1
         assert [_exact(r) for r in one] == [_exact(r) for r in two]
         assert stats_one == stats_two
 
@@ -739,10 +742,11 @@ class TestErrorPrecedence:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
     @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
-    def test_ensemble(self, mode, model, workers):
+    def test_ensemble(self, mode, model, workers, forks):
         cfg = WalkConfig(model, bad_step_law(math.nan, self.BAD), 12, 4, 0, mode=mode)
         with pytest.raises(InvariantViolationError, match=r"^walk 1: step 9 has non-finite"):
             hw.run_ensemble(cfg, workers=workers)
+        assert len(forks) == workers - 1
 
     @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
     @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
@@ -817,10 +821,11 @@ class TestEnsemble:
         _, s2 = hw.run_ensemble(cfg)
         assert s1 == s2
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, forks):
         cfg = WalkConfig(HYP2, ELLIPTIC, 150, 12, 21, mode=MODE_RADIAL_ONLY)
         r1, s1 = hw.run_ensemble(cfg, workers=1)
         r2, s2 = hw.run_ensemble(cfg, workers=2)
+        assert len(forks) == 1
         assert s1 == s2
         for a, b in zip(r1, r2):
             assert a.walk_id == b.walk_id and a.radii == b.radii
@@ -836,23 +841,38 @@ class TestEnsemble:
         (4, 30, 1, 1),
     ])
     def test_processes_are_capped_at_walks_and_usable_cores(self, workers, walks, cores,
-                                                            processes, monkeypatch):
-        forks, fork = [], os.fork
-        monkeypatch.setattr(simulator.os, "fork", lambda: forks.append(None) or fork())
-        if cores is None:
-            monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
-        else:
-            monkeypatch.setattr(simulator.os, "sched_getaffinity",
-                                lambda pid: set(range(cores)), raising=False)
+                                                            processes, monkeypatch, forks):
+        _offer_cores(monkeypatch, cores)
         cfg = WalkConfig(HYP2, ELLIPTIC, 20, walks, 21, mode=MODE_RADIAL_ONLY)
         records, stats = hw.run_ensemble(cfg, workers=workers)
         assert len(forks) == processes - 1      # the calling process is one of them
         assert [r.walk_id for r in records] == list(range(walks))
         assert stats == hw.run_ensemble(cfg)[1]
 
+    @pytest.mark.parametrize("workers, walks, steps, cores, processes", [
+        (4, 10, 19, 4, 1),      # 190 walk-steps: not enough for two processes
+        (4, 10, 20, 4, 2),      # 200: two processes of 100 each
+        (4, 10, 35, 4, 3),
+        (2, 10, 100, 4, 2),     # the workers cap the floor's 10 processes
+        (8, 3, 100, 8, 3),      # the walks do
+        (8, 10, 100, 2, 2),     # the usable cores do
+        (3, 30, 20, None, 3),   # os.cpu_count() does, without sched_getaffinity
+        (4, 10, 0, 4, 1),       # no step, no fork
+    ])
+    def test_each_process_gets_the_fork_floor_of_walk_steps(self, workers, walks, steps,
+                                                            cores, processes, monkeypatch,
+                                                            fork_calls):
+        monkeypatch.setattr(simulator, "FORK_MIN_WALK_STEPS", 100)
+        _offer_cores(monkeypatch, cores)
+        cfg = WalkConfig(HYP2, ELLIPTIC, steps, walks, 21, mode=MODE_RADIAL_ONLY)
+        records, stats = hw.run_ensemble(cfg, workers=workers)
+        assert len(fork_calls) == processes - 1
+        solo, solo_stats = hw.run_ensemble(cfg)
+        assert [_exact(r) for r in records] == [_exact(r) for r in solo]
+        assert stats == solo_stats
+
     @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
-    def test_one_contiguous_chunk_per_process(self, mode, monkeypatch):
+    def test_one_contiguous_chunk_per_process(self, mode, monkeypatch, forks):
         chunks, here = [], []
         mapped, chunk_tally = simulator._map, simulator._chunk_tally
         monkeypatch.setattr(simulator, "_map",
@@ -867,14 +887,13 @@ class TestEnsemble:
         records, stats = hw.run_ensemble(cfg, workers=3)
         assert chunks == [range(0, 3), range(3, 6), range(6, 10)]
         assert here == [range(0, 3)]
+        assert len(forks) == 2
         solo, solo_stats = hw.run_ensemble(cfg)
         assert stats == solo_stats
         assert [r.radii for r in records] == [r.radii for r in solo]
 
-    def test_chunks_run_in_process_off_linux(self, monkeypatch):
-        forks, fork, here = [], os.fork, []
-        chunk_tally = simulator._chunk_tally
-        monkeypatch.setattr(simulator.os, "fork", lambda: forks.append(None) or fork())
+    def test_chunks_run_in_process_off_linux(self, monkeypatch, forks):
+        here, chunk_tally = [], simulator._chunk_tally
         monkeypatch.setattr(simulator, "_chunk_tally",
                             lambda cfg, ids: here.append(ids) or chunk_tally(cfg, ids))
         monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1, 2},
@@ -886,10 +905,8 @@ class TestEnsemble:
         assert stats == hw.run_ensemble(cfg)[1]
 
     @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
-    def test_closure_sampler_runs_in_children(self, mode, monkeypatch):
+    def test_closure_sampler_runs_in_children(self, mode, forks):
         # nothing is pickled on the way to a child, so a lambda sampler works
-        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
         scale = 0.8
         law = hw.CustomLaw(lambda r, d, rng: (scale * rng.uniform(-1.0, 1.0),
                                               scale * rng.uniform(-1.0, 1.0, d - 1)),
@@ -897,6 +914,7 @@ class TestEnsemble:
         cfg = WalkConfig(HYP2, law, 30, 5, 13, mode=mode)
         one, stats_one = hw.run_ensemble(cfg, workers=1)
         two, stats_two = hw.run_ensemble(cfg, workers=2)
+        assert len(forks) == 1
         assert [_exact(r) for r in one] == [_exact(r) for r in two]
         assert stats_one == stats_two
 
@@ -929,6 +947,17 @@ class TestEnsemble:
         assert stats.ks_2samp(fa, fr).pvalue > 0.01
 
 
+def _offer_cores(monkeypatch, cores):
+    """A host whose usable cores are `cores`, or, for None, one without
+    sched_getaffinity whose os.cpu_count() is 3."""
+    if cores is None:
+        monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+    else:
+        monkeypatch.setattr(simulator.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+
+
 def _open_fds():
     return len(os.listdir("/proc/self/fd"))
 
@@ -944,6 +973,22 @@ def _sleep_in_child_interrupt_here(ids):
     raise KeyboardInterrupt
 
 
+class _KilledWhenPickled:
+    """An object whose pickling kills its process with SIGKILL."""
+
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _dump_half_then_die(obj, file, protocol):
+    """pickle.dump that writes the first half of the pickle, then kills its
+    process with SIGKILL."""
+    data = pickle.dumps(obj, protocol)
+    file.write(data[:len(data) // 2])
+    file.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="chunks fork only on Linux")
 class TestForkedChunks:
     """Chunk 0 runs in the calling process and each other chunk in a forked
@@ -951,17 +996,16 @@ class TestForkedChunks:
     open pipe behind."""
 
     @pytest.fixture(autouse=True)
-    def two_cores(self, monkeypatch):
-        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
+    def two_cores(self, forks):
         fds = _open_fds()
         yield
         _assert_no_child_left()
         assert _open_fds() == fds
 
-    def test_success(self):
+    def test_success(self, forks):
         cfg = WalkConfig(HYP2, ELLIPTIC, 20, 4, 21, mode=MODE_RADIAL_ONLY)
         assert hw.run_ensemble(cfg, workers=2)[1] == hw.run_ensemble(cfg)[1]
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("bad, walk, step", [
         ({2: 3}, 2, 3),             # only in the child's chunk
@@ -969,13 +1013,14 @@ class TestForkedChunks:
         ({1: 9, 2: 3}, 1, 9),       # in both: chunk 0's, as walk by walk
     ])
     @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
-    def test_first_error_in_chunk_order_is_raised(self, mode, bad, walk, step):
+    def test_first_error_in_chunk_order_is_raised(self, mode, bad, walk, step, forks):
         cfg = WalkConfig(HYP2, bad_step_law(math.nan, bad), 12, 4, 0, mode=mode)
         with pytest.raises(InvariantViolationError,
                            match=rf"^walk {walk}: step {step} has non-finite"):
             hw.run_ensemble(cfg, workers=2)
+        assert len(forks) == 1
 
-    def test_child_that_ends_without_a_result(self, monkeypatch):
+    def test_child_that_ends_without_a_result(self, monkeypatch, forks):
         chunk_tally = simulator._chunk_tally
         monkeypatch.setattr(simulator, "_chunk_tally",
                             lambda cfg, ids: os._exit(3) if ids.start else chunk_tally(cfg, ids))
@@ -984,12 +1029,33 @@ class TestForkedChunks:
                            match=r"^walks 2-4: their process ended without a result "
                                  r"\(exit status 3\)$"):
             hw.run_ensemble(cfg, workers=2)
+        assert len(forks) == 1
 
-    def test_interrupt_kills_the_children(self):
+    @pytest.mark.parametrize("spell", [None, lambda ids, steps, radii: "text"])
+    @pytest.mark.parametrize("cut", ["between-opcodes", "inside-an-opcode"])
+    def test_child_killed_while_writing_its_result(self, cut, spell, monkeypatch, forks):
+        # the caller's pickle.load meets a stream cut short (EOFError or
+        # UnpicklingError) and reports how the child ended instead
+        if cut == "inside-an-opcode":
+            monkeypatch.setattr(simulator.pickle, "dump", _dump_half_then_die)
+        else:
+            # a MB, more than a pipe holds, goes through before the child dies
+            chunk = simulator._chunk
+            monkeypatch.setattr(simulator, "_chunk", lambda cfg, ids, spell: (
+                (bytes(1 << 20), _KilledWhenPickled()) if ids.start else chunk(cfg, ids, spell)))
+        cfg = WalkConfig(HYP2, ELLIPTIC, 20, 5, 21, mode=MODE_RADIAL_ONLY)
+        with pytest.raises(HyperwalkError,
+                           match=r"^walks 2-4: their process ended without a result "
+                                 r"\(exit status -9\)$"):
+            hw.run_ensemble(cfg, workers=2, spell=spell)
+        assert len(forks) == 1
+
+    def test_interrupt_kills_the_children(self, forks):
         began = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             simulator._map(_sleep_in_child_interrupt_here, [range(0, 1), range(1, 2)])
         assert time.monotonic() - began < 30.0
+        assert len(forks) == 1
 
 
 class TestEscapeProbe:
