@@ -1,0 +1,78 @@
+"""Microseconds per lockstep step, the walk step loop's cost (ROADMAP item 7).
+
+    python3 scripts/lockstep_cost.py [--src DIR] [--json FILE]
+
+Times `simulator._chunk_tally` on W = 1, 30, 60 and 200 walks of an elliptic
+law with a = 1 and b = 1 or b = 1/r (`powerdecay:1,1`), on H^2 (k = 1) and
+in flat space, radial-only (2,000 steps) and ambient (300 steps).  Each
+figure is the median of 3 sets, each set the best of 5 runs, divided by the
+steps.  `--src` names the `src` directory whose hyperwalk is timed (default:
+the one next to this script), so two trees can be timed by the same script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+WALKS = (1, 30, 60, 200)
+STEPS = {"radialonly": 2000, "ambient": 300}
+SETS, RUNS = 3, 5
+
+
+def cases(hw):
+    one = hw.RadialProfile.constant(1.0)
+    laws = {"b = 1": hw.EllipticLaw(one, one, 2),
+            "b = 1/r": hw.EllipticLaw(one, hw.RadialProfile.power_decay(1.0, 1.0), 2)}
+    models = {"H^2": hw.CurvatureModel.hyperbolic(1.0, 2), "flat": hw.CurvatureModel.euclidean(2)}
+    for mode, steps in STEPS.items():
+        for geometry, model in models.items():
+            for name, law in laws.items():
+                yield mode, geometry, name, model, law, steps
+
+
+def us_per_step(simulator, config) -> float:
+    """The median of SETS sets, each the best of RUNS runs, in us per step."""
+    best = []
+    for _ in range(SETS):
+        times = []
+        for _ in range(RUNS):
+            t0 = time.perf_counter()
+            simulator._chunk_tally(config, range(config.walks))
+            times.append(time.perf_counter() - t0)
+        best.append(min(times))
+    return statistics.median(best) / config.steps * 1e6
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    parser.add_argument("--json", help="also write the rows to this file as JSON")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import hyperwalk as hw
+    from hyperwalk import simulator
+
+    rows = []
+    print(f"{'mode':<11} {'geometry':<8} {'law':<8}" + "".join(f"{f'W = {w}':>10}" for w in WALKS))
+    for mode, geometry, name, model, law, steps in cases(hw):
+        figures = []
+        for walks in WALKS:
+            # escape_radius far out, so the tally's records do not vary
+            config = simulator.WalkConfig(model, law, steps, walks, 7, mode=mode,
+                                          escape_radius=1e9)
+            figures.append(round(us_per_step(simulator, config), 2))
+        rows.append({"mode": mode, "geometry": geometry, "law": name, "steps": steps,
+                     "us_per_step": dict(zip((f"W={w}" for w in WALKS), figures))})
+        print(f"{mode:<11} {geometry:<8} {name:<8}" + "".join(f"{f:>10.2f}" for f in figures))
+    if args.json:
+        Path(args.json).write_text(json.dumps(rows, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,10 +10,10 @@ sections::
 
 `--workers W` (W >= 1, else exit 3) runs the `simulate` ensemble on at
 most W processes, this one among them, each of which spells its own walks'
-trajectories.csv rows: min(W, sim.walks, usable cores, sim.walks *
-sim.steps // 2^15), at least one, since below 2^15 walk-steps a process
-costs more than it saves (simulator.FORK_MIN_WALK_STEPS).  The other
-commands accept it and ignore it.
+trajectories.csv rows: min(W, sim.walks // 20, usable cores, sim.walks *
+sim.steps // 2^15), at least one, since below 20 walks or 2^15 walk-steps
+a process costs more than it saves (simulator.FORK_MIN_WALKS and
+FORK_MIN_WALK_STEPS).  The other commands accept it and ignore it.
 
 Config keys, one a line: what the key sets, its domain, and its default in
 parentheses.  A value outside its domain exits 3 naming the key and its
@@ -34,6 +34,8 @@ r,value CSV relative to the config file.
     law.m               heavy-tail exponent, > 3
     law.lambda          heavy-tail activation profile or `auto` (auto)
     law.n               inward-biased strength, > 0
+                        (a bounded law's step bound must be below 1e150, named
+                        by law.a, law.b or law.n, whichever sets it)
     sim.steps           steps per walk, integer >= 0 (0; required by simulate)
     sim.walks           number of walks, integer >= 1 (1; required by simulate)
     sim.seed            master seed, integer >= 0 (env HYPERWALK_SEED, then
@@ -118,7 +120,7 @@ from .lamperti import (
     step_moments,
     uniform_ellipticity_transience_check,
 )
-from .simulator import MODE_AMBIENT, MODE_RADIAL_ONLY, WalkConfig, run_ensemble
+from .simulator import MODE_AMBIENT, MODE_RADIAL_ONLY, STEP_BOUND_LIMIT, WalkConfig, run_ensemble
 
 COMMANDS = ("simulate", "classify", "validate", "moments")
 
@@ -373,6 +375,12 @@ def parse_config(text: str, command: str, base_dir: str = ".",
             law = HeavyTailLaw(get("law.m", required=True), d, get("law.lambda"))
         else:
             law = InwardBiasedLaw(get("law.n", required=True), d)
+        bound = law.step_bound()
+        if STEP_BOUND_LIMIT <= bound < math.inf:     # its lengths could square past the doubles
+            key = ("law.n" if law_kind == "inwardbiased"
+                   else "law.a" if law.a.sup() >= law.b.sup() else "law.b")
+            raise ConfigError(f"steps up to {_fmt(bound)} long: the step bound must be below "
+                              f"{_fmt(STEP_BOUND_LIMIT)}", key=key, line=line(key))
 
     # --- simulation size and seed -----------------------------------------
     steps = get("sim.steps", required=command == "simulate")
@@ -707,8 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1,
                        help="at most this many processes for the simulate ensemble, "
                             "this one among them, each running and spelling the rows "
-                            "of its own chunk of walks; >= 1, also capped at the walks, "
-                            "the usable cores and one process per 2^15 walk-steps "
+                            "of its own chunk of walks; >= 1, also capped at one process "
+                            "per 20 walks, the usable cores and one per 2^15 walk-steps "
                             "(the other commands ignore it)")
     return parser
 

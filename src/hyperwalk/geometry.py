@@ -291,12 +291,13 @@ def radial_increment_exact_batch(R, d_tot, phi, k: float) -> np.ndarray:
 
 
 def _radial_increments(R, d_tot: np.ndarray, phi: np.ndarray, k: float,
-                       opp: np.ndarray | None = None, shortest=None) -> np.ndarray:
+                       opp: np.ndarray | None = None, edges=None, exp_d=None) -> np.ndarray:
     """radial_increment_exact over radii R and arrays d_tot and phi that
     broadcast together, unchecked; the one evaluation of the exact
     increment.  `opp` is 1 + phi, for a caller that knows it better than
     phi (a long step close to straight inward); an opp <= 0 is the edge
-    phi = -1.  `shortest` is d_tot's minimum, for a caller that took it.
+    phi = -1.  A caller that knows them may pass `edges`, false only where
+    no element is an edge, and `exp_d` = e^(-k d_tot).
 
     Every element takes one log form, with no branch.  With A = kR,
     D = k d_tot, e_a = e^(-A), e_d = e^(-D) and Q = e_a e_d, the arccosh
@@ -321,17 +322,18 @@ def _radial_increments(R, d_tot: np.ndarray, phi: np.ndarray, k: float,
     if opp is None:
         opp = 1.0 + phi     # <= 0 exactly where phi <= -1 (Sterbenz)
     # a phi rounded to -1 is not the edge unless opp is 0
-    if shortest is None:
-        shortest = d_tot.min(initial=math.inf)
-    edges = not (shortest > 0.0 and phi.max(initial=0.0) < 1.0
-                 and opp.min(initial=math.inf) > 0.0)
+    if edges is None:
+        edges = not (d_tot.min(initial=math.inf) > 0.0 and phi.max(initial=0.0) < 1.0
+                     and opp.min(initial=math.inf) > 0.0)
     if edges:
         edge = (d_tot == 0.0) | (phi >= 1.0) | (opp <= 0.0)
         edges = edge.any()
     # an edge's phi is replaced by 0, so that phi = -1 with A and D both past
     # the exp underflow cannot take the log of 0
     p, opp = (np.where(edge, 0.0, phi), np.where(edge, 1.0, opp)) if edges else (phi, opp)
-    exp_a, exp_d = np.exp(-A), np.exp(-D)
+    exp_a = np.exp(-A)
+    if exp_d is None:
+        exp_d = np.exp(-D)
     Q = exp_a * exp_d
     gap = opp * (1.0 - Q) ** 2           # S - Q
     gap += (1.0 - p) * (exp_d - exp_a) ** 2
@@ -351,17 +353,18 @@ def _radial_increments(R, d_tot: np.ndarray, phi: np.ndarray, k: float,
     return out
 
 
-def _euclidean_increments(R, d_tot, d_rad) -> np.ndarray:
+def _euclidean_increments(R, d_tot_sq, d_rad, zero=True) -> np.ndarray:
     """Flat-space radius changes sqrt(R^2 + 2 R d_rad + d_tot^2) - R,
-    elementwise over equal-shaped arrays (or floats), unchecked.
+    elementwise over equal-shaped arrays (or floats) of d_tot^2 and d_rad,
+    unchecked.  `zero` may be false where no d_tot^2 is 0.
 
     Evaluated as (2 R d_rad + d_tot^2) / (sqrt(...) + R) to avoid the
     cancellation of the direct form at large R.
     """
-    q = R * R + 2.0 * R * d_rad + d_tot * d_tot
-    denom = np.sqrt(np.maximum(q, 0.0)) + R
-    # denom is 0 only where R and d_tot * d_tot are, and so the numerator
-    return (2.0 * R * d_rad + d_tot * d_tot) / np.where(denom == 0.0, 1.0, denom)
+    rd = 2.0 * R * d_rad
+    denom = np.sqrt(np.maximum(R * R + rd + d_tot_sq, 0.0)) + R
+    # denom is 0 only where R and d_tot^2 are, and so the numerator
+    return (rd + d_tot_sq) / (np.where(denom == 0.0, 1.0, denom) if zero else denom)
 
 
 def euclidean_radial_increment(R: float, d_tot: float, d_rad: float) -> float:
@@ -373,7 +376,7 @@ def euclidean_radial_increment(R: float, d_tot: float, d_rad: float) -> float:
         raise DomainError(f"lengths must be >= 0, got R={R}, d_tot={d_tot}")
     if not abs(d_rad) <= d_tot * (1.0 + 1e-12):
         raise DomainError(f"|d_rad| = {abs(d_rad)} exceeds d_tot = {d_tot}")
-    return float(_euclidean_increments(R, d_tot, d_rad))
+    return float(_euclidean_increments(R, d_tot * d_tot, d_rad))
 
 
 # ---------------------------------------------------------------------------

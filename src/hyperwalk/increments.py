@@ -22,8 +22,11 @@ n, rng)`` (n steps, for the Monte Carlo estimators) are these pieces, so n
 one-step calls and one batch of n give the same bytes and leave the stream
 in the same state.  A walk draws the rows of many steps ahead, maps their
 radius-free part once, and maps each step's part at the walkers' radii, so
-its steps hold the bytes one-step calls would give.  A custom law has no
-radius-free rows: it samples one step per call of its own sampler.
+its steps hold the bytes one-step calls would give: a power-decay profile
+and the heavy-tail activation length take one radius and an array of them
+by one rule, `np.float_power`, which calls libm's pow as Python's ** does.
+A custom law has no radius-free rows: it samples one step per call of its
+own sampler.
 
 The built-in laws also describe their steps at a radius for Gauss
 quadrature (``quadrature_lines``), which the moment estimators use instead
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -119,15 +121,12 @@ class RadialProfile:
             return self.c
         if self.kind == "table":
             return np.interp(radii, self.radii, self.values)
-        # Python's power, which numpy's differs from in the last bit, of the
-        # radii clamped at 1 where r^-p would be >= 1 (and for NaN): there
-        # pow(1, -p) = 1, and the power, which can exceed the double range,
-        # is not taken
+        # np.float_power, which takes libm's pow as Python's ** does (np.power's
+        # SIMD loop differs from it in the last bit), of the radii clamped at 1
+        # where r^-p would be >= 1 (and for NaN): there 1^-p = 1, and the
+        # power, which can exceed the double range, is not taken
         q = -self.exponent
-        r = (np.fmax if q <= 0.0 else np.fmin)(radii, 1.0)
-        if r.ndim:
-            return self.c * np.fromiter(map(pow, r.tolist(), repeat(q)), float, r.size)
-        return self.c * pow(float(r), q)
+        return self.c * np.float_power((np.fmax if q <= 0.0 else np.fmin)(radii, 1.0), q)
 
     def sup(self) -> float:
         """Supremum over r >= 0."""
@@ -321,7 +320,7 @@ class BoxLaw(_AxisLaw):
 
     def step_bound(self):
         # circumscribed radius of the box, attained at the corners
-        return _SQRT3 * math.sqrt(self.a.sup() ** 2 + (self.d - 1) * self.b.sup() ** 2)
+        return _SQRT3 * math.hypot(self.a.sup(), math.sqrt(self.d - 1) * self.b.sup())
 
     def quadrature_lines(self, r, n, k=0.0):
         # integrated only where that costs less than sampling 2*10^5 steps
@@ -389,11 +388,13 @@ class HeavyTailLaw(IncrementLaw):
         if self.d < 2:
             raise DomainError(f"dimension must be >= 2, got {self.d}")
 
-    def lambda_at(self, r: float) -> float:
-        """The activation length at the radius r."""
-        if self.lam is None:
-            return max(1.0, r ** (1.0 / (self.m - 1.0))) if r > 0.0 else 1.0
-        return max(1.0, self.lam(r))
+    def lambda_at(self, r):
+        """The activation length at the radius r >= 0, or at each of a 1-d
+        array of radii, each by one rule: the default power takes libm's pow
+        through np.float_power, as `RadialProfile.at` does."""
+        lam = np.fmax(np.float_power(r, 1.0 / (self.m - 1.0)) if self.lam is None
+                      else self.lam.at(r), 1.0)
+        return lam if np.ndim(lam) else float(lam)
 
     def unit_rows(self, m, rng):
         """Rows (y, u, v): from four normals g0..g3 the Pareto length
@@ -410,23 +411,9 @@ class HeavyTailLaw(IncrementLaw):
         y = rows[..., 0]
         return None, None, y, rows[..., 1], np.exp(-y), rows[..., 2:]
 
-    def _activated(self, R, y):
-        """y >= lambda(R), with R one radius or one per element of y.  Over
-        radii lambda takes numpy's power, which can differ from Python's in
-        the last bit, so a y within a relative 1e-12 of it is decided by
-        `lambda_at`, the rule one radius takes."""
-        if np.ndim(R) == 0:
-            return y >= self.lambda_at(R)
-        lam = np.fmax(np.power(R, 1.0 / (self.m - 1.0)) if self.lam is None
-                      else self.lam.at(R), 1.0)
-        on = y >= lam
-        for i in np.flatnonzero(np.abs(y - lam) <= 1e-12 * lam).tolist():
-            on[i] = y[i] >= self.lambda_at(float(R[i]))
-        return on
-
     def steps(self, R, part):
         _, _, y, u, e, v = part
-        q = np.where(self._activated(R, y), e, 0.0)    # e^-y where the offset is on
+        q = np.where(y >= self.lambda_at(R), e, 0.0)   # e^-y where the offset is on
         offset = 2.0 * q / (1.0 + q)
         outward = u < 0.5 * (1.0 - q)
         phi = np.where(outward, 1.0, offset - 1.0)

@@ -20,16 +20,20 @@ the rows of a T-block of steps ahead (`IncrementLaw.unit_rows`), which
 consumes the stream exactly as per-step `sample_components` calls would.
 What of the block's steps does not depend on the radius is mapped once
 for the block (`radius_free`): for a law with constant profiles the steps
-themselves, their lengths and each step's longest length.  The rest is
-mapped at each step at the walkers' radii (`steps`).  Both are the maps
-those calls take.  A custom law is sampled once per walk per step.
+themselves, their lengths, each step's longest length and what the radial
+step reads of them (`_Lockstep._inputs`).  The rest is mapped at each step
+at the walkers' radii (`steps`).  Both are the maps those calls take.  The
+step's guards read bounds where they are known: an elliptic or box law's
+step bound (below STEP_BOUND_LIMIT) for the longest length, and each
+step's least |d_rad| for the shortest.  A custom law is sampled once per
+walk per step.
 
 Every walk starts at `_start_point`.  An ensemble runs one contiguous
 chunk of walk ids per process: the calling process runs the first, and a
 child forked for each other chunk runs it (`_map`, on Linux; elsewhere the
 chunks run in process).  It starts another process only while each gets at
-least FORK_MIN_WALK_STEPS walk-steps, below which a fork costs more than it
-saves.  `run_walk` runs a lockstep of one walk, a chunk one lockstep
+least FORK_MIN_WALKS walks and FORK_MIN_WALK_STEPS walk-steps, below which
+a fork costs more than it saves.  `run_walk` runs a lockstep of one walk, a chunk one lockstep
 (`_lockstep_states`), and both probes one over all walks, which the
 neighbourhood probe measures with geometry's polar `_distance`.  A
 chunk is tallied T-block by T-block (`_Tally`), which keeps the radii of
@@ -83,7 +87,7 @@ from .geometry import (
     euclidean_radial_increment,
     radial_increment_exact,
 )
-from .increments import Z99, CustomLaw, IncrementLaw
+from .increments import Z99, BoxLaw, CustomLaw, EllipticLaw, IncrementLaw
 
 MODE_AMBIENT = "ambient"
 MODE_RADIAL_ONLY = "radialonly"
@@ -95,9 +99,19 @@ AMBIENT_KR_LIMIT = 700.0        # cosh(kR) overflows shortly above this
 # memory, not the stream or the records, which are the same for any size.
 LOCKSTEP_ROWS = 1 << 18
 BLOCK_STEPS = 256
-# The fewest walk-steps (walks x steps) a process must get before an
-# ensemble starts another one: below it a fork costs more than it saves.
+# The fewest walk-steps (walks x steps), and the fewest walks, a process
+# must get before an ensemble starts another one: below either a fork costs
+# more than it saves (BENCH_28 and BENCH_29's sweeps).
 FORK_MIN_WALK_STEPS = 1 << 15
+FORK_MIN_WALKS = 20
+# A built-in law's step bound, with a margin over the rounding of a drawn
+# step's length, replaces each step's longest length below this limit, where
+# every length squares to a finite double; `cli` rejects a law bounded above.
+STEP_BOUND_LIMIT = 1e150
+_BOUND_MARGIN = 1.0 + 2.0 ** -40
+# a |d_rad| of at least this squares to a positive double, so a step's length
+# is positive wherever its |d_rad| is
+_TINY = 2.0 ** -500
 
 
 @dataclass(frozen=True)
@@ -241,12 +255,16 @@ def _block_steps(steps: int, walks: int) -> int:
 
 def _lengths(d_rad, t, d_rad_sq=None):
     """(|t|^2, length) of the steps (d_rad, t), over any leading axes; d_rad^2
-    may be given."""
-    t_sq = _rowdot(t, t)
+    may be given.  With one transverse column |t|^2 is t * t, the bits of
+    the batched matmul's length-1 dot."""
+    t_sq = t[..., 0] * t[..., 0] if t.shape[-1] == 1 else _rowdot(t, t)
     return t_sq, np.sqrt((d_rad * d_rad if d_rad_sq is None else d_rad_sq) + t_sq)
 
 
-def _non_finite_step(n: int) -> InvariantViolationError:
+def _non_finite_step(n: int, d_rad, t) -> InvariantViolationError:
+    if math.isfinite(d_rad) and np.isfinite(t).all():
+        return InvariantViolationError(
+            f"step {n} is finite, but its length overflows the double range")
     return InvariantViolationError(f"step {n} has non-finite length")
 
 
@@ -261,6 +279,13 @@ class _Lockstep:
     takes, so each walk's steps hold the bytes `sample_components` would
     give.  The step arithmetic acts on each row alone, so a walk's bytes do
     not depend on the walks it runs with.
+
+    What a step reads of its draws (`_inputs`) is mapped once per T-block
+    for a law whose steps do not depend on the radius, and at each step
+    otherwise.  The guards read bounds where they are known: an elliptic or
+    box law's step bound stands for the longest length (below
+    STEP_BOUND_LIMIT), and each step's least |d_rad| for the shortest (from
+    _TINY up).  A walk whose step has no finite length is dropped.
 
     `drop` takes walks out of the lockstep, and their columns out of the
     T-block's arrays.  A walk that breaks an invariant is dropped with its
@@ -278,10 +303,15 @@ class _Lockstep:
             self.x = np.tile(_start_point(config.model, config.start_radius),
                              (len(self.ids), 1))
         self.errors = {}            # walk id -> the error that stopped it
+        law = config.law
+        bound = (law.step_bound() * _BOUND_MARGIN if isinstance(law, (EllipticLaw, BoxLaw))
+                 else math.inf)
+        self._bound = bound if bound < STEP_BOUND_LIMIT else None
         # the T-block of steps _block_step .. _block_step + _rows - 1, each
-        # array step by walk: (d_rad, t, |t|^2, length) and each step's
-        # longest length for a law whose steps do not depend on the radius,
-        # else the law's radius-free part and d_rad^2 (None where d_rad is)
+        # array step by walk: for a law whose steps do not depend on the
+        # radius (d_rad, t, *inputs) and each step's longest length, else the
+        # law's radius-free part, d_rad^2 and each step's least |d_rad| (None
+        # where d_rad depends on the radius)
         self._block, self._longest = (), None
         self._block_step, self._rows = 1, 0
 
@@ -299,9 +329,10 @@ class _Lockstep:
         if self.x is not None:
             self.x = self.x[keep]
         self.rngs = list(itertools.compress(self.rngs, keep))
-        self._block = tuple(a if a is None else a[:, keep] for a in self._block)
+        # a step's flags and least |d_rad| still hold for the walks kept
+        self._block = tuple(a if a is None or a.ndim < 2 else a[:, keep] for a in self._block)
         if self._longest is not None:
-            self._longest = self._block[3].max(axis=1, initial=0.0)
+            self._longest = self._block[2].max(axis=1, initial=0.0)
         return keep
 
     def raise_first(self):
@@ -313,8 +344,8 @@ class _Lockstep:
 
     def _refill(self, n):
         """Draw the T-block that starts at step n, and map what of its steps
-        does not depend on the radius: all of them for a law whose steps do
-        not, with their lengths and each step's longest one."""
+        does not depend on the radius: for a law whose steps do not, the
+        steps, what the step reads of them and each step's longest length."""
         law = self.config.law
         self._rows = _block_steps(self.config.steps - n + 1, len(self.ids))
         for j, rng in enumerate(self.rngs):     # walk by walk: the block is held once
@@ -322,49 +353,106 @@ class _Lockstep:
             if j == 0:
                 units = np.empty((self._rows, len(self.rngs), u.shape[1]))
             units[:, j] = u
-        part = law.radius_free(units)
-        d_rad, t = part[0], part[1]
-        if d_rad is not None and t is not None:
-            t_sq, norm = _lengths(d_rad, t)
-            self._block, self._longest = (d_rad, t, t_sq, norm), norm.max(axis=1)
-        else:
-            self._block, self._longest = part + (None if d_rad is None else d_rad * d_rad,), None
+        # a step with no finite length is dropped when it is taken
+        with np.errstate(over="ignore", invalid="ignore"):
+            part = law.radius_free(units)
+            d_rad, t = part[0], part[1]
+            if d_rad is None or t is None:
+                sq = low = None
+                if d_rad is not None:
+                    sq = d_rad * d_rad
+                    if self.x is None:          # the ambient step reads no shortest length
+                        low = np.abs(d_rad).min(axis=1)
+                self._block, self._longest = part + (sq, low), None
+            else:
+                t_sq, d_tot = _lengths(d_rad, t)
+                self._longest = d_tot.max(axis=1)
+                self._block = (d_rad, t) + self._inputs(
+                    d_rad, t_sq, d_tot, self._longest.max(initial=0.0), None)
         self._block_step = n
 
     def _draw(self, n):
-        """(d_rad, t, |t|^2, length) of step n for every walk, as (W,),
-        (W, d - 1), (W,) and (W,) arrays, and the longest length."""
+        """(d_rad, t, inputs) of step n for the walks whose step has a finite
+        length, the others dropped: the steps as (W,) and (W, d - 1) arrays,
+        and what the step reads of them (`_inputs`)."""
         law = self.config.law
+        sq = low = None
         if isinstance(law, CustomLaw):
             d_rad, t = zip(*map(law.sample_components, self.R.tolist(), self.rngs))
             d_rad = np.array(d_rad, dtype=float)
             t = np.array(t, dtype=float).reshape(-1, law.d - 1)
-            d_rad_sq = None
         else:
             i = n - self._block_step
             if i == self._rows:
                 self._refill(n)
                 i = 0
-            step = [a if a is None else a[i] for a in self._block]
+            row = [a if a is None else a[i] for a in self._block]
             longest = None if self._longest is None else self._longest[i]
             if i == self._rows - 1:         # the T-block's last row: let the block go
                 self._block, self._longest = (), None
             if longest is not None:
-                return (*step, longest)
-            *part, d_rad_sq = step
+                d_rad, t, *inputs = row
+                if not longest < math.inf:  # a NaN maximum fails it too
+                    d_rad, t, *inputs = self._finite(n, d_rad, t, inputs[0], *inputs)
+                return d_rad, t, inputs
+            *part, sq, low = row
             d_rad, t = law.steps(self.R, part)
-        t_sq, norm = _lengths(d_rad, t, d_rad_sq)
-        return d_rad, t, t_sq, norm, norm.max()
+        if self._bound is not None:
+            t_sq, d_tot = _lengths(d_rad, t, sq)
+            longest = self._bound
+        else:
+            with np.errstate(over="ignore"):        # a length past the double range reads inf
+                t_sq, d_tot = _lengths(d_rad, t, sq)
+            longest = d_tot.max(initial=0.0)
+            if not longest < math.inf:
+                d_rad, t, t_sq, d_tot = self._finite(n, d_rad, t, d_tot, t_sq, d_tot)
+                longest = d_tot.max(initial=0.0)
+        return d_rad, t, self._inputs(d_rad, t_sq, d_tot, longest, low)
 
-    def _finite_draw(self, n):
-        """(d_rad, t, |t|^2, length) of step n for the walks whose step has
-        a finite length, and the longest length; the others are dropped."""
-        d_rad, t, t_sq, norm, longest = self._draw(n)
-        if not longest < math.inf:          # a NaN maximum fails it too
-            keep = self.drop(~(norm < math.inf), lambda i: _non_finite_step(n))
-            d_rad, t, t_sq, norm = d_rad[keep], t[keep], t_sq[keep], norm[keep]
-            longest = norm.max(initial=0.0)
-        return d_rad, t, t_sq, norm, longest
+    def _finite(self, n, d_rad, t, d_tot, *arrays):
+        """(d_rad, t, *arrays), each per walk or one for the step, of the
+        walks whose step (d_rad, t) has a finite length d_tot; the others are
+        dropped."""
+        keep = self.drop(~(d_tot < math.inf), lambda i: _non_finite_step(n, d_rad[i], t[i]))
+        return [a[keep] if np.ndim(a) else a for a in (d_rad, t, *arrays)]
+
+    def _inputs(self, d_rad, t_sq, d_tot, longest, low):
+        """What the step reads of the steps (d_rad, |t|^2) of lengths d_tot,
+        one step's (W,) arrays or a T-block's (T, W) ones: d_tot, and on H_k
+        phi, 1 + phi, whether a step may hold an edge and e^(-k d_tot) (None
+        for one step), flat in radial-only mode d_tot^2, d_rad clamped to
+        +-d_tot and whether a step may hold a zero length.  `longest` is at
+        least the longest length; `low`, a lower bound on one step's
+        lengths, is trusted from _TINY up.  Over a T-block a flag is each
+        step's, and for one step the edges are found by the kernel's three
+        reductions."""
+        if self.x is not None:
+            return (d_tot,)
+        known = low is not None and low >= _TINY
+        over_block = d_tot.ndim == 2
+        model = self.config.model
+        if not model.is_hyperbolic:
+            # |d_rad| exceeds d_tot only where d_rad * d_rad underflows
+            d_rad = np.minimum(np.maximum(d_rad, -d_tot), d_tot)
+            d_tot_sq = d_tot * d_tot
+            zero = (d_tot_sq == 0.0).any(axis=1) if over_block else not known
+            return d_tot, d_tot_sq, d_rad, zero
+        k = model.k
+        # a phi that rounding takes past +-1 counts as +-1 in the kernel
+        shortest = low if known else d_tot.min(initial=math.inf)
+        phi = d_rad / (d_tot if shortest > 0.0 else np.where(d_tot > 0.0, d_tot, 1.0))
+        opp = 1.0 + phi
+        if not k * longest <= _D_DIRECT:
+            # 1 + phi of a long step close to straight inward, from |t|^2;
+            # a bound on the lengths spares the search steps with none (a NaN
+            # in a T-block does not)
+            near_inward_one_plus_phi(k, opp, d_rad, t_sq, d_tot)
+        if over_block:
+            edges = ((d_tot == 0.0) | (phi >= 1.0) | (opp <= 0.0)).any(axis=1)
+            return d_tot, phi, opp, edges, np.exp(-(k * d_tot))
+        edges = not (shortest > 0.0 and phi.max(initial=0.0) < 1.0
+                     and opp.min(initial=math.inf) > 0.0)
+        return d_tot, phi, opp, edges, None
 
     def step(self, n: int):
         """Take step n of every walk."""
@@ -375,22 +463,12 @@ class _Lockstep:
 
     def _radial_step(self, n: int):
         """The exact radial increment of step n, over the array of radii."""
-        d_rad, _, t_sq, d_tot, longest = self._finite_draw(n)
-        model = self.config.model
-        if model.is_hyperbolic:
-            # a phi that rounding takes past +-1 counts as +-1 in the kernel
-            shortest = d_tot.min(initial=math.inf)
-            phi = d_rad / (d_tot if shortest > 0.0 else np.where(d_tot > 0.0, d_tot, 1.0))
-            opp = 1.0 + phi
-            if model.k * longest > _D_DIRECT:
-                # 1 + phi of a long step close to straight inward, from |t|^2;
-                # the longest step spares the search a step with none
-                near_inward_one_plus_phi(model.k, opp, d_rad, t_sq, d_tot)
-            inc = _radial_increments(self.R, d_tot, phi, model.k, opp, shortest)
+        d_tot, *inputs = self._draw(n)[2]
+        if self.config.model.is_hyperbolic:
+            phi, opp, edges, exp_d = inputs
+            inc = _radial_increments(self.R, d_tot, phi, self.config.model.k, opp, edges, exp_d)
         else:
-            # |d_rad| exceeds d_tot only where d_rad * d_rad underflows
-            d_rad = np.minimum(np.maximum(d_rad, -d_tot), d_tot)
-            inc = _euclidean_increments(self.R, d_tot, d_rad)
+            inc = _euclidean_increments(self.R, *inputs)
         self.R = np.maximum(self.R + inc, 0.0)
 
     def _ambient_step(self, n: int):
@@ -407,7 +485,7 @@ class _Lockstep:
                     "use radial-only mode for long horizons"))
                 if not self.ids.size:
                     return
-        d_rad, t, _, norm, _ = self._finite_draw(n)
+        d_rad, t, (norm,) = self._draw(n)
         if not hyperbolic:
             self.x = self.x + euclidean_frame(self.x).step(d_rad, t)
             self.R = np.sqrt(_rowdot(self.x, self.x))
@@ -544,11 +622,11 @@ def _chunk_tally(config: WalkConfig, ids: range, rngs=None) -> _Tally:
 def run_ensemble(config: WalkConfig, workers: int = 1, spell=None):
     """Run the configured ensemble; returns (records, stats).
 
-    The walks run in min(workers, walks, usable cores, walks * steps //
-    FORK_MIN_WALK_STEPS) processes, at least one, this one among them, each
-    over one contiguous chunk of walk ids (`_chunk` mapped by `_map`).  So
-    `workers` is a ceiling, and each process gets at least the fork floor
-    of walk-steps.  Records come back ordered by walk id and the
+    The walks run in min(workers, walks // FORK_MIN_WALKS, usable cores,
+    walks * steps // FORK_MIN_WALK_STEPS) processes, at least one, this one
+    among them, each over one contiguous chunk of walk ids (`_chunk` mapped
+    by `_map`).  So `workers` is a ceiling, and each process gets at least
+    the fork floors of walks and of walk-steps.  Records come back ordered by walk id and the
     aggregation is a sum of per-walk sufficient statistics, so the output
     is identical for any worker count.
 
@@ -559,7 +637,7 @@ def run_ensemble(config: WalkConfig, workers: int = 1, spell=None):
     """
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    n = max(1, min(workers, config.walks, cores,
+    n = max(1, min(workers, config.walks // FORK_MIN_WALKS, cores,
                    config.walks * config.steps // FORK_MIN_WALK_STEPS))
     chunks = [range(config.walks * i // n, config.walks * (i + 1) // n) for i in range(n)]
     results = _map(lambda ids: _chunk(config, ids, spell), chunks)

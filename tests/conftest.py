@@ -19,7 +19,8 @@ def fork_calls(monkeypatch):
 
 @pytest.fixture
 def forks(monkeypatch, fork_calls):
-    """`fork_calls`, with the fork floor lowered to one walk-step, so that an
-    ensemble of a few walks forks as a large one does."""
+    """`fork_calls`, with the fork floors lowered to one walk and one
+    walk-step, so that an ensemble of a few walks forks as a large one does."""
+    monkeypatch.setattr(simulator, "FORK_MIN_WALKS", 1)
     monkeypatch.setattr(simulator, "FORK_MIN_WALK_STEPS", 1)
     return fork_calls

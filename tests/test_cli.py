@@ -442,6 +442,27 @@ class TestSimulateCommand:
         assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("law.a = const:1.0", "law.a = const:1e160", "law.a"),
+        ("law.b = const:1.0", "law.b = powerdecay:1e160,1", "law.b"),
+        ("law.kind = elliptic\nlaw.a = const:1.0", "law.kind = box\nlaw.a = const:1e150", "law.a"),
+        ("law.kind = elliptic\nlaw.a = const:1.0\nlaw.b = const:1.0",
+         "law.kind = inwardbiased\nlaw.n = 1e150", "law.n"),
+    ])
+    @pytest.mark.parametrize("geometry", ["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("mode", ["radialonly", "ambient"])
+    def test_step_bound_past_the_limit_exits_3_naming_the_key(self, mode, geometry, old, new,
+                                                              key, tmp_path, capsys):
+        # steps this long would square past the doubles: the law is rejected
+        # before a step is drawn, with no numpy warning
+        text = sim_text(mode, geometry, 5, 2).replace(old, new)
+        code, out = run_cli(tmp_path, "big.cfg", text, "simulate")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: steps up to ") and "must be below 1e+150" in err
+        assert f"(key '{key}', line " in err and "Warning" not in err
+        assert not out.exists()
+
     def test_header_contains_resolved_config(self, tmp_path, capsys):
         _, out = run_cli(tmp_path, "h.cfg", SIM_CFG, "simulate")
         head = (out / "summary.csv").read_text().splitlines()
@@ -940,10 +961,10 @@ def test_commands_load_neither_numpy_ma_nor_validation(command, name, tmp_path):
 def test_simulate_on_two_workers_loads_no_process_pool(tmp_path):
     # concurrent.futures and multiprocessing cost about 13 ms of every
     # process's imports; the ensemble forks its children with os.fork, here
-    # on two cores and with the fork floor lowered, so that it forks one
+    # on two cores and with the fork floors lowered, so that it forks one
     absent = ("concurrent.futures", "multiprocessing")
     code = ("import os, sys\nfrom hyperwalk import simulator\nfrom hyperwalk.cli import main\n"
-            "simulator.FORK_MIN_WALK_STEPS = 1\n"
+            "simulator.FORK_MIN_WALKS = simulator.FORK_MIN_WALK_STEPS = 1\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "forks, fork = [], os.fork\n"
             "os.fork = lambda: forks.append(None) or fork()\n"

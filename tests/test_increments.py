@@ -57,15 +57,19 @@ class TestRadialProfile:
         assert hw.RadialProfile.power_decay(1.0, -2.0)(1e-200) == 0.0
         assert hw.RadialProfile.power_decay(1.0, -1.0)(0.25) == 0.25
 
-    @pytest.mark.parametrize("exponent", [1.0, 0.5, -0.5, 2.0, 0.0])
+    @pytest.mark.parametrize("exponent", [1.0, -1.0, 0.5, -0.5, 1.0 / 3.0, 0.4, 2.0, -2.0,
+                                          -0.1, 0.0])
     def test_power_decay_over_radii_is_each_radius(self, exponent):
         # the walks evaluate a profile over their radii at once; each value
-        # must hold the bits of a call on its one radius
+        # must hold the bits of a call on its one radius: at 10^4 radii
+        # log-uniform in [1e-3, 1e8], and at 0, 1, NaN, inf and either side
+        # of the clamp at 1
         p = hw.RadialProfile.power_decay(1.7, exponent)
         radii = [0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 7.3,
                  1e300, math.inf, math.nan]
+        radii += (10.0 ** np.random.default_rng(3).uniform(-3.0, 8.0, 10_000)).tolist()
         assert p.at(np.array(radii)).tobytes() == np.array([p(x) for x in radii]).tobytes()
-        assert p(math.nan) == 1.7       # a NaN radius reads the cap c
+        assert p(math.nan) == p(1.0) == 1.7     # a NaN radius reads the cap c
 
     def test_table_interpolation_and_clamping(self):
         p = hw.RadialProfile.table([0.0, 1.0, 3.0], [1.0, 2.0, 0.0])

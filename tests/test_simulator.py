@@ -1,6 +1,7 @@
 """Walk-engine tests: coupling, determinism, probes, ensemble statistics."""
 
 import collections
+import dataclasses
 import math
 import os
 import pickle
@@ -345,6 +346,26 @@ class TestNonFiniteStep:
             hw.run_walk(cfg, 0)
 
 
+class TestOverflowingStep:
+    """A finite step whose length squares past the double range drops its
+    walk with an error that says so, and numpy warns of nothing."""
+
+    @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
+    @pytest.mark.parametrize("mode", [MODE_RADIAL_ONLY, MODE_AMBIENT])
+    @pytest.mark.parametrize("law", [
+        bad_step_law(1e160, 3),
+        hw.EllipticLaw(hw.RadialProfile.constant(1e160), C1, 2),
+        hw.EllipticLaw(hw.RadialProfile.constant(1e160), hw.RadialProfile.power_decay(1.0, 1.0),
+                       2),
+    ], ids=["custom", "radius-free", "radius-dependent"])
+    def test_raises_naming_the_overflow(self, law, mode, model):
+        cfg = WalkConfig(model, law, 5, 2, 0, mode=mode)
+        step = 3 if law.kind == "custom" else 1
+        with pytest.raises(InvariantViolationError,
+                           match=rf"^walk 1: step {step} is finite, but its length overflows"):
+            hw.run_walk(cfg, 1)
+
+
 def nan_rows(bad):
     """BoxLaw.unit_rows with a NaN radial part in the row of step `bad[j]`
     of walk j, counting rows per stream."""
@@ -629,7 +650,7 @@ def masked_ambient_step(walks, n):
             "use radial-only mode for long horizons"))
         if not walks.ids.size:
             return
-    d_rad, t, _, norm, _ = walks._finite_draw(n)
+    d_rad, t, (norm,) = walks._draw(n)
     x = walks.x
     v = geometry._masked_tangent_axes(x, k, geometry._scaled_norm(x[:, 1:])).step(d_rad, t)
     moving = norm > 0.0
@@ -731,6 +752,135 @@ class TestNearInwardStep:
         got = hw.run_walk(cfg, 0).final_R - R
         want = self.reference(R, d_rad, float(t @ t))
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def set_rows(cls, rows):
+    """cls.unit_rows with rows[j, n] in place of the n-th row walk j draws,
+    counting rows per stream."""
+    original = cls.unit_rows
+    drawn = collections.Counter()
+
+    def unit_rows(self, m, rng):
+        walk = rng.bit_generator.seed_seq.spawn_key[0]
+        u = original(self, m, rng)
+        first = drawn[rng]
+        drawn[rng] += m
+        for (j, n), row in rows.items():
+            if j == walk and first < n <= first + m:
+                u[n - first - 1] = row
+        return u
+    return unit_rows
+
+
+class TestHoistedGuards:
+    """The radial step's guards read bounds mapped once per T-block: a
+    bounded built-in law's step bound for the longest length, each step's
+    least |d_rad| for the shortest, and, for a law whose steps do not depend
+    on the radius, each step's edge and zero-length flags.  On each side of
+    each bound every walk of a lockstep must hold the bytes it holds alone
+    and those of the same steps drawn one at a time behind a custom law,
+    which trusts no bound; flat walks also those of a step-by-step loop.
+    T-blocks of 4 steps: steps 5..8 are the second."""
+
+    PROFILES = {"const": C1, "powerdecay": hw.RadialProfile.power_decay(1.0, 1.0)}
+
+    @staticmethod
+    def check(cfg, monkeypatch):
+        monkeypatch.setattr(simulator, "BLOCK_STEPS", 4)
+        lockstep = [_exact(r) for r in simulator._chunk_tally(cfg, range(cfg.walks)).records()]
+        assert lockstep == [_exact(hw.run_walk(cfg, j)) for j in range(cfg.walks)]
+        per_step = dataclasses.replace(cfg, law=_per_step(cfg.law))
+        assert lockstep == [_exact(hw.run_walk(per_step, j)) for j in range(cfg.walks)]
+        if not cfg.model.is_hyperbolic:
+            loop = TestLockstepCoupling.step_by_step
+            assert lockstep == [_exact(loop(cfg, j)) for j in range(cfg.walks)]
+        return lockstep
+
+    @staticmethod
+    def config(model, law, **kw):
+        return WalkConfig(model, law, 12, 3, 5, mode=MODE_RADIAL_ONLY,
+                          **{**dict(record_stride=1, burn_in=0, escape_radius=1e9), **kw})
+
+    @pytest.mark.parametrize("profile", ["const", "powerdecay"])
+    @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
+    def test_edge_steps_inside_a_block(self, model, profile, monkeypatch):
+        # walk 1 stays put at step 1, on H^2 from R = 0.8, where the log form
+        # of a zero step reads 4e-17, and in flat space from the origin,
+        # where a step divides by its length; again at step 6, and walk 2 at
+        # step 7.  Walk 0 steps straight outward and inward (phi = +-1).
+        zero = np.zeros(2)
+        rows = {(1, 1): zero, (1, 6): zero, (2, 7): zero,
+                (0, 2): np.array([0.5, 0.0]), (0, 7): np.array([-0.5, 0.0])}
+        monkeypatch.setattr(hw.BoxLaw, "unit_rows", set_rows(hw.BoxLaw, rows))
+        cfg = self.config(model, hw.BoxLaw(C1, self.PROFILES[profile], 2),
+                          start_radius=0.8 if model.is_hyperbolic else 0.0)
+        radii = [[float.fromhex(R) for _, R in walk[0]] for walk in self.check(cfg, monkeypatch)]
+        assert radii[1][1] == radii[1][0] and radii[1][6] == radii[1][5]
+        assert radii[2][7] == radii[2][6]
+
+    @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
+    def test_tiny_radial_part_with_no_transverse_part(self, model, monkeypatch):
+        # d_rad = 1.4e-170 squares to 0, so the step has length 0 although
+        # its |d_rad| is positive: below 2^-500 |d_rad| bounds no length
+        tiny = np.array([1e-170, 0.0])
+        monkeypatch.setattr(hw.EllipticLaw, "unit_rows",
+                            set_rows(hw.EllipticLaw, {(0, 1): tiny, (1, 5): tiny}))
+        cfg = self.config(model, hw.EllipticLaw(C1, self.PROFILES["powerdecay"], 2))
+        radii = [[float.fromhex(R) for _, R in walk[0]] for walk in self.check(cfg, monkeypatch)]
+        assert radii[0][1] == 0.0 and radii[1][5] == radii[1][4]
+
+    @pytest.mark.parametrize("profile", ["const", "powerdecay"])
+    def test_long_steps_close_to_straight_inward(self, profile, monkeypatch):
+        # at k = 3 a step of the bound sqrt(2) is past the direct length, so
+        # 1 + phi of a step 0.01 off straight inward comes from |t|^2
+        inward = np.array([-math.cos(0.01), math.sin(0.01)])
+        monkeypatch.setattr(hw.EllipticLaw, "unit_rows", set_rows(
+            hw.EllipticLaw, {(0, 2): inward, (1, 3): inward, (2, 6): inward, (2, 7): inward}))
+        law = hw.EllipticLaw(C1, self.PROFILES[profile], 2)
+        model = hw.CurvatureModel.hyperbolic(3.0, 2)
+        assert 3.0 * law.step_bound() > geometry._D_DIRECT
+        self.check(self.config(model, law, start_radius=0.5), monkeypatch)
+
+    @pytest.mark.parametrize("profile", ["const", "powerdecay"])
+    def test_flat_radial_part_past_an_underflowed_length(self, profile, monkeypatch):
+        # d_rad = 1e-162 squares to 0: the step's length is 0, and its
+        # d_rad, clamped to it, leaves R = 1e-150 where it is
+        under = np.array([1e-162 / math.sqrt(2.0), 0.0])
+        monkeypatch.setattr(hw.EllipticLaw, "unit_rows",
+                            set_rows(hw.EllipticLaw, {(0, 1): under, (2, 6): under}))
+        cfg = self.config(EUC2, hw.EllipticLaw(C1, self.PROFILES[profile], 2),
+                          start_radius=1e-150)
+        radii = [[float.fromhex(R) for _, R in walk[0]] for walk in self.check(cfg, monkeypatch)]
+        assert radii[0][1] == 1e-150
+
+    @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
+    def test_drop_inside_a_block_maps_the_bounds_again(self, model, monkeypatch):
+        # walk 2's step 6 is NaN: once it is dropped, the block's longest
+        # lengths are those of the walks kept, and the guard stays quiet
+        monkeypatch.setattr(hw.BoxLaw, "unit_rows", nan_rows({2: 6}))
+        monkeypatch.setattr(simulator, "BLOCK_STEPS", 4)
+        cfg = self.config(model, hw.BoxLaw(C1, C1, 2))
+        walks = simulator._Lockstep(cfg, range(3), [walk_rng(cfg.seed, j) for j in range(3)])
+        radii = []
+        for n in range(1, 9):
+            walks.step(n)
+            radii.append(walks.R.copy())
+            if n == 6:
+                assert walks.ids.tolist() == [0, 1]
+                assert np.isfinite(walks._longest).all()
+                assert walks._longest.tobytes() == walks._block[2].max(axis=1).tobytes()
+        for j, column in zip((0, 1), np.array(radii[6:]).T):
+            assert column.tolist() == radii_of(hw.run_walk(cfg, j))[7:9].tolist()
+
+    @pytest.mark.parametrize("a, trusted", [(7e149, True), (1e150, False)])
+    @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
+    def test_bound_is_read_only_below_the_limit(self, model, a, trusted, monkeypatch):
+        # a law bounded at 1.4e150 takes each step's longest length instead
+        law = hw.EllipticLaw(hw.RadialProfile.constant(a), hw.RadialProfile.power_decay(a, 1.0),
+                             2)
+        cfg = self.config(model, law)
+        assert (simulator._Lockstep(cfg, range(1), [None])._bound is not None) == trusted
+        self.check(cfg, monkeypatch)
 
 
 class TestErrorPrecedence:
@@ -862,11 +1012,28 @@ class TestEnsemble:
     def test_each_process_gets_the_fork_floor_of_walk_steps(self, workers, walks, steps,
                                                             cores, processes, monkeypatch,
                                                             fork_calls):
+        monkeypatch.setattr(simulator, "FORK_MIN_WALKS", 1)
         monkeypatch.setattr(simulator, "FORK_MIN_WALK_STEPS", 100)
         _offer_cores(monkeypatch, cores)
         cfg = WalkConfig(HYP2, ELLIPTIC, steps, walks, 21, mode=MODE_RADIAL_ONLY)
         records, stats = hw.run_ensemble(cfg, workers=workers)
         assert len(fork_calls) == processes - 1
+        solo, solo_stats = hw.run_ensemble(cfg)
+        assert [_exact(r) for r in records] == [_exact(r) for r in solo]
+        assert stats == solo_stats
+
+    @pytest.mark.parametrize("walks, processes", [
+        (19, 1), (20, 1), (39, 1),    # two processes of ten walks lose (BENCH_29's sweep)
+        (40, 2), (61, 3), (100, 4),
+    ])
+    def test_each_process_gets_the_fork_floor_of_walks(self, walks, processes, monkeypatch,
+                                                       fork_calls):
+        monkeypatch.setattr(simulator, "FORK_MIN_WALK_STEPS", 1)
+        _offer_cores(monkeypatch, 4)
+        cfg = WalkConfig(EUC2, ELLIPTIC, 3, walks, 21, mode=MODE_RADIAL_ONLY)
+        records, stats = hw.run_ensemble(cfg, workers=4)
+        assert len(fork_calls) == processes - 1
+        assert simulator.FORK_MIN_WALKS == 20
         solo, solo_stats = hw.run_ensemble(cfg)
         assert [_exact(r) for r in records] == [_exact(r) for r in solo]
         assert stats == solo_stats
