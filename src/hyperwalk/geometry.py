@@ -27,26 +27,31 @@ every radius is measured from.  Every frame is one Householder reflection
 (HouseholderFrame): the walks step through it in O(d), and its `axes` is
 the matrix view the tests compare that step against.
 
-The ambient step's kernels (`_safe_norm`, `_tangent_axes`,
-`euclidean_frame`, `HouseholderFrame.step`, `_exp_step`, `_reproject`,
-`_distance`) take points along the last axis and any leading axes, so the
-ambient engine advances and the neighbourhood probe measures a (W, d+1)
-array of walks at once, and the `validate` suites run the same code on one
-point.  Every operation acts on each point alone, and each point's dot
-products are BLAS dots of its own row (`_rowdot`), so a point's result does
-not depend on which or how many others share the array.  A guard (the
-origin, overflow, drift) is checked by one or two reductions over the whole
-array, and its masks are built only when it fires, in a masked path
-(`_scaled_norm`, `_masked_tangent_axes`, `_masked_reproject`) that gives
-each row the bytes the unmasked arithmetic gives it.
+The ambient walks hold each point in polar form, its radius R and unit
+direction n, and no hyperboloid coordinate.  Their step is the radial
+increment below and `_turn`, which turns n in the plane of n and the
+step's transverse part, read in n's Householder frame; `_distance`
+measures points in that form.  Neither overflows at any radius, but near
+kR = 708 a step's turn leaves the normal doubles (TURN_KR_LIMIT).  These
+kernels take points along the last axis and any leading axes, act on each
+point alone, and take each point's dot products as BLAS dots of its own
+row (`_rowdot`), so a point's result does not depend on which or how many
+others share the array.  A guard (the origin, a zero step) is one
+reduction over the whole array, and its masks are built only when it
+fires.
+
+The hyperboloid step (`_tangent_axes`, `_exp_step`, `_reproject`) is the
+`validate` suites' oracle: the exact-increment suite checks the radial
+increment against it, and the geodesic-step suite the polar step.
 
 The radius change of a step (d_rad, d_tot) has two kernels.  The exact
 increment has one evaluation, `_radial_increments`: one log form over
 arrays of (R, d_tot, phi), with no branch on the radius or the step length.
-The radial-only walks step with it, and `radial_increment_exact_batch` (the
-estimators' call) and `radial_increment_exact` (one element, the `validate`
-oracle's call) check their domain and call it.  Its large-radius limit, the
-asymptotic increment (1/k) log(cosh(k d_tot) + phi sinh(k d_tot)), is
+The walks of both modes step with it, and `radial_increment_exact_batch`
+(the estimators' call) and `radial_increment_exact` (one element, the
+`validate` oracle's call) check their domain and call it.  Its
+large-radius limit, the asymptotic increment
+(1/k) log(cosh(k d_tot) + phi sinh(k d_tot)), is
 `asymptotic_increment_batch`.  Both read 1 + phi, phi = d_rad/d_tot, which
 `one_plus_phi` takes without cancellation near phi = -1 (with -d_rad, 1 - phi
 near phi = 1), and `log_one_plus_phi` gives its log.
@@ -66,6 +71,7 @@ from .errors import DomainError, HyperwalkError, InvariantViolationError, Overfl
 LOG_DOMAIN_THRESHOLD = 30.0
 REPROJECTION_DRIFT_TOL = 1e-6  # relative spatial-norm defect _reproject forgives
 NEAR_ORIGIN = 2.0 ** -7         # below this k|x_s|, _reproject reads R off x_s, not x0
+TURN_KR_LIMIT = 700.0           # short of kR = 708, where _turn's e^(-kR) is subnormal
 
 _F_LOG_THRESHOLD = 30.0     # above this k d_tot the asymptotic increment takes its log form
 _LOG2 = math.log(2.0)
@@ -89,7 +95,7 @@ def _safe_norm(v: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis that survive components from the
     smallest subnormal up to the double maximum.
 
-    Plain sqrt(dot) overflows once components exceed ~1e154, as ambient
+    Plain sqrt(dot) overflows once components exceed ~1e154, as hyperboloid
     coordinates do from kR = 354, and underflows once all are below
     ~1e-154, as the difference of two nearly equal directions can be.  When
     every row is of plain magnitude, checked by one reduction before the
@@ -158,9 +164,8 @@ class CurvatureModel:
 def _exp_step(x: np.ndarray, v: np.ndarray, length, k: float) -> np.ndarray:
     """exp_x(v) = cosh(k|v|) x + sinh(k|v|)/(k|v|) v on raw arrays, for
     tangents v of Minkowski length |v| = `length` > 0 (one per point): the
-    one ambient step of the ambient walks and the validate suites.  A step
-    whose coordinates overflow comes out non-finite, which `_reproject`
-    reports.
+    validate suites' oracle step.  A step whose coordinates overflow comes
+    out non-finite, which `_reproject` reports.
     """
     kn = k * np.asarray(length)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -168,7 +173,8 @@ def _exp_step(x: np.ndarray, v: np.ndarray, length, k: float) -> np.ndarray:
 
 
 def _reproject(x: np.ndarray, k: float):
-    """Snap each post-step point x onto H_k in place; return (R, defect).
+    """Snap each post-step point x onto H_k in place; return (R, defect):
+    the `validate` oracle's snap, for one point or an array of them.
 
     R = acosh(k x0) / k is read off the time coordinate and the spatial part
     rescaled to sinh(kR) / k, exact up to the overflow limit; rescaling by
@@ -176,36 +182,15 @@ def _reproject(x: np.ndarray, k: float):
     Near the origin, k|x_s| < NEAR_ORIGIN, acosh cannot resolve R (a step of
     1e-9 leaves k x0 = 1), so R = asinh(k|x_s|) / k is read off the spatial
     part and x0 snapped to cosh(kR) / k instead.  `defect` is the relative
-    spatial-norm defect, inf for a point with a non-finite coordinate; a
-    point whose defect exceeds REPROJECTION_DRIFT_TOL is left as it is, and
-    `_reprojection_error` names its fault.  When every point is finite, off
-    the origin's neighbourhood and within the tolerance, the rows are
-    rescaled with no masks; otherwise `_masked_reproject` snaps them.  The
-    largest x0 and |x_s| are multiplied by k first, as Python floats, which
-    overflow to inf without the warning numpy gives.
+    spatial-norm defect, inf for a point with a non-finite coordinate or
+    whose k x0 or k|x_s| overflows; a point whose defect exceeds
+    REPROJECTION_DRIFT_TOL is left as it is, and `_reprojection_error` names
+    its fault.
     """
-    x0, norm = x[..., 0], _safe_norm(x[..., 1:])
-    if not (float(k) * float(x0.max(initial=0.0)) < math.inf
-            and float(k) * float(norm.max(initial=0.0)) < math.inf):
-        with np.errstate(over="ignore"):
-            return _masked_reproject(x, k, k * x0, k * norm)
-    ky0, sp = k * x0, k * norm
-    if ky0.min(initial=math.inf) >= 1.0 and sp.min(initial=math.inf) >= NEAR_ORIGIN:
-        q = 1.0 / ky0
-        rad = ky0 * np.sqrt(1.0 - q * q)
-        defect = np.abs(sp - rad) / np.maximum(np.maximum(sp, rad), 1.0)
-        if defect.max(initial=0.0) <= REPROJECTION_DRIFT_TOL:
-            x[..., 1:] *= (rad / sp)[..., None]
-            return np.arccosh(ky0) / k, defect
-    return _masked_reproject(x, k, ky0, sp)
-
-
-def _masked_reproject(x: np.ndarray, k: float, ky0, sp):
-    """`_reproject` row by row, from ky0 = k x0 and sp = k|x_s|, either of
-    which may be inf where the product overflowed."""
+    with np.errstate(over="ignore"):
+        ky0, sp = k * x[..., 0], k * _safe_norm(x[..., 1:])
     finite = np.isfinite(ky0) & np.isfinite(sp)
-    if not finite.all():
-        ky0, sp = np.where(finite, ky0, 1.0), np.where(finite, sp, 0.0)
+    ky0, sp = np.where(finite, ky0, 1.0), np.where(finite, sp, 0.0)
     # on the hyperboloid the spatial norm is sinh(kR) = ky0 sqrt(1 - ky0^-2)
     q = 1.0 / np.maximum(ky0, 1.0)
     rad = ky0 * np.sqrt(np.maximum(1.0 - q * q, 0.0))
@@ -223,31 +208,41 @@ def _masked_reproject(x: np.ndarray, k: float, ky0, sp):
 def _reprojection_error(defect: float, step: int) -> HyperwalkError:
     """The error for a point `_reproject` left with `defect` after `step`."""
     if defect == math.inf:
-        return OverflowGuardError(f"ambient coordinates overflowed at step {step}")
+        return OverflowGuardError(f"hyperboloid coordinates overflowed at step {step}")
     return InvariantViolationError(f"hyperboloid drift {defect:.3e} (relative) at step {step}")
 
 
-def _distance(x: np.ndarray, y: np.ndarray, k: float) -> np.ndarray:
-    """Distances of points x and y of H_k along the last axis, unchecked.
+def _distance(R, n, R2, n2, k: float) -> np.ndarray:
+    """Distances of points of H_k given in polar form, radius R and unit
+    direction n (along the last axis), from points (R2, n2), unchecked; any
+    leading axes broadcast.
 
-    Each point is read in polar form, a = kR = asinh(k|x_s|) and
-    n = x_s/|x_s| (0 at the origin), and the law of cosines becomes
+    With a = kR and b = kR2 the law of cosines becomes
 
-        sinh(k d / 2) = hypot(sinh((a - b)/2), sqrt(sinh a sinh b) |n_x - n_y| / 2),
-        sinh((a - b)/2) = (sinh a - sinh b) / (g + 1/g),  g = e^((a + b)/2),
+        sinh(k d / 2) = hypot(sinh((a - b)/2), sqrt(sinh a sinh b) |n - n2| / 2),
 
-    with e^a = sinh a + hypot(1, sinh a).  Nothing cancels but the inputs'
-    own sinh a - sinh b, where the pairing B(x, y) loses e^(a + b) * eps,
-    and every term stays finite up to the ambient limit kR = 700.
+    and the second term is the product of scaled factors
+    (|n - n2| / 2) sqrt((1 - e^(-2a)) / 2) sqrt((1 - e^(-2b)) / 2) e^(a/2) e^(b/2),
+    each good to an ulp; the factors below 1 come first, so the product
+    overflows only where the term does.  Past a or b = 1419 e^(a/2) itself
+    overflows, and there the term is the exp of its log,
+    (a + b + log(1 - e^(-2a)) + log(1 - e^(-2b)))/2 + log(|n - n2| / 4),
+    good to eps times that log's terms.  A distance whose sinh(k d / 2) is
+    past the double maximum, k d > 1420, reads inf.  Nothing cancels but
+    a - b, which the radii carry to eps * max(a, b).
     """
-    sx, sy = _safe_norm(x[..., 1:]), _safe_norm(y[..., 1:])
-    nx = x[..., 1:] / np.where(sx > 0.0, sx, 1.0)[..., None]
-    ny = y[..., 1:] / np.where(sy > 0.0, sy, 1.0)[..., None]
-    sx, sy = k * sx, k * sy
-    g = np.sqrt(sx + np.hypot(1.0, sx)) * np.sqrt(sy + np.hypot(1.0, sy))
-    radial = (sx - sy) / (g + 1.0 / g)
-    angular = 0.5 * np.sqrt(sx) * np.sqrt(sy) * _safe_norm(nx - ny)
-    return (2.0 / k) * np.arcsinh(np.hypot(radial, angular))
+    a, b = k * np.asarray(R), k * np.asarray(R2)
+    m_a, m_b, gap = -np.expm1(-2.0 * a), -np.expm1(-2.0 * b), _safe_norm(n - n2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        radial = np.sinh(0.5 * (a - b))
+        angular = (0.5 * gap * np.sqrt(0.5 * m_a) * np.sqrt(0.5 * m_b)
+                   * np.exp(0.5 * a) * np.exp(0.5 * b))
+        far = ~np.isfinite(angular)
+        if far.any():
+            with np.errstate(divide="ignore"):
+                log = 0.5 * (a + b + np.log(m_a) + np.log(m_b)) + np.log(0.25 * gap)
+            angular = np.where(far, np.exp(log), angular)
+        return (2.0 / k) * np.arcsinh(np.hypot(radial, angular))
 
 
 def radial_increment_exact(R: float, d_tot: float, phi: float, k: float) -> float:
@@ -255,7 +250,7 @@ def radial_increment_exact(R: float, d_tot: float, phi: float, k: float) -> floa
 
         (1/k) arccosh(cosh kR cosh k d_tot + phi sinh kR sinh k d_tot) - R,
 
-    by `_radial_increments`, the radial-only walks' step, on one element.
+    by `_radial_increments`, the walks' radial step, on one element.
     Each domain check is written so that a NaN argument fails it.
     """
     if not (R >= 0.0 and d_tot >= 0.0):
@@ -369,7 +364,7 @@ def _euclidean_increments(R, d_tot_sq, d_rad, zero=True) -> np.ndarray:
 
 def euclidean_radial_increment(R: float, d_tot: float, d_rad: float) -> float:
     """Flat-space radius change sqrt(R^2 + 2 R d_rad + d_tot^2) - R, by
-    `_euclidean_increments`, the flat radial-only walks' step.  Always
+    `_euclidean_increments`, the flat walks' radial step.  Always
     >= d_rad.  A NaN argument fails the domain checks.
     """
     if not (R >= 0.0 and d_tot >= 0.0):
@@ -534,7 +529,6 @@ class HouseholderFrame:
     radial: np.ndarray
     w: np.ndarray
     scale: np.ndarray   # |w_0| = 1 + |n_0| = |w|^2 / 2
-    at_origin: np.ndarray
 
     def step(self, d_rad, t) -> np.ndarray:
         """The ambient steps with outward radial parts d_rad and transverse
@@ -562,10 +556,10 @@ class HouseholderFrame:
         return axes
 
 
-def _householder(radial: np.ndarray, n: np.ndarray, at_origin: np.ndarray) -> HouseholderFrame:
+def _householder(radial: np.ndarray, n: np.ndarray) -> HouseholderFrame:
     w = n.copy()
     w[..., 0] += np.where(n[..., 0] >= 0.0, 1.0, -1.0)
-    return HouseholderFrame(radial, w, np.abs(w[..., 0]), at_origin)
+    return HouseholderFrame(radial, w, np.abs(w[..., 0]))
 
 
 def _unit_or_stand_in(x: np.ndarray, norm: np.ndarray, at_origin: np.ndarray) -> np.ndarray:
@@ -581,29 +575,17 @@ def _unit_or_stand_in(x: np.ndarray, norm: np.ndarray, at_origin: np.ndarray) ->
 def _tangent_axes(coords: np.ndarray, k: float) -> HouseholderFrame:
     """The frames at points x = ((1/k) cosh kR, (1/k) sinh kR * n) of H_k
     about the origin (1/k, 0, ..., 0), read off their polar structure, so
-    they stay well conditioned at any radius.  Within 1e-12 / k of the
-    origin the stand-in n = -e_1 (radial step (0, -1, 0, ...)) is taken and
-    at_origin is set, by `_masked_tangent_axes` when some point is there.
+    they stay well conditioned at any radius: the `validate` oracle's frame.
+    Within 1e-12 / k of the origin the stand-in n = -e_1 (radial step
+    (0, -1, 0, ...)) is taken.
     """
     sp = _safe_norm(coords[..., 1:])
-    ksp = k * sp
-    if not ksp.min(initial=math.inf) > 1e-12:
-        return _masked_tangent_axes(coords, k, sp)
-    n = coords[..., 1:] / sp[..., None]
-    radial = np.empty(coords.shape)
-    radial[..., 0] = ksp                                        # sinh(kR)
-    radial[..., 1:] = (k * coords[..., 0])[..., None] * n       # cosh(kR) n
-    return _householder(radial, n, np.zeros(np.shape(sp), dtype=bool))
-
-
-def _masked_tangent_axes(coords: np.ndarray, k: float, sp) -> HouseholderFrame:
-    """`_tangent_axes` row by row, from sp = |x_s|."""
-    at_origin = sp * k <= 1e-12
+    at_origin = k * sp <= 1e-12
     n = _unit_or_stand_in(coords[..., 1:], sp, at_origin)
     radial = np.empty(coords.shape)
     radial[..., 0] = np.where(at_origin, 0.0, k * sp)           # sinh(kR)
     radial[..., 1:] = np.where(at_origin, 1.0, k * coords[..., 0])[..., None] * n  # cosh(kR) n
-    return _householder(radial, n, at_origin)
+    return _householder(radial, n)
 
 
 def euclidean_frame(x: np.ndarray) -> HouseholderFrame:
@@ -612,4 +594,51 @@ def euclidean_frame(x: np.ndarray) -> HouseholderFrame:
     r = np.sqrt(_rowdot(x, x))
     at_origin = r == 0.0
     n = _unit_or_stand_in(x, r, at_origin)
-    return _householder(n, n, at_origin)
+    return _householder(n, n)
+
+
+def _turn(n: np.ndarray, t: np.ndarray, R, d_rad, d_tot, k: float, opp) -> np.ndarray:
+    """The unit directions from the origin of the endpoints of steps of
+    outward radial parts d_rad, transverse parts t and lengths d_tot,
+    taken from radii R in the unit directions n (one per row): the turn
+    that makes the radial step an ambient one.  t is read in n's
+    Householder frame, the frames' one convention: tau = H (0, t) is the
+    step's transverse part in the coordinates of n, so the endpoint lies in
+    the plane of n and tau.
+
+    On H_k the endpoint's spatial part, scaled by 2 k e^(-(a + c)) with
+    a = kR and c = k d_tot, is Y_n n + Y_t tau, where
+
+        Y_n = (e^(-2c) - e^(-2a)) + (1 + phi)(1 - e^(-2c))(1 + e^(-2a)) / 2,
+        Y_t = (1 - e^(-2c)) e^(-a) / d_tot,
+
+    and `opp` is 1 + phi, the radial step's.  No term overflows.  The
+    difference e^(-2c) - e^(-2a) is taken as e^(-2 min(a, c)) times
+    -expm1(-2|a - c|), and 1 - e^(-2c) as -expm1(-2c), so neither cancels.
+    In flat space (k = 0, `opp` unread) the endpoint is (R + d_rad) n + tau.
+    An endpoint on the origin takes the frames' stand-in -e_1, and a zero
+    step on H_k, whose Y_t is 0/0, keeps its direction.  The guard is one
+    reduction.
+
+    Past a = 708 the factor e^(-a) of Y_t is subnormal, and past 745 it is
+    0, so a step's move across the radius is lost (TURN_KR_LIMIT stops
+    short of it); a direction off the axes stops resolving it much sooner,
+    where e^(-a) falls below eps.
+    """
+    tau = _householder(n, n).step(0.0, t)
+    if k:
+        a, c = k * R, k * d_tot
+        e_a = np.exp(-a)
+        m_c = -np.expm1(-2.0 * c)
+        gap = a - c
+        y_n = np.copysign(np.exp(-2.0 * np.minimum(a, c)) * np.expm1(-2.0 * np.abs(gap)), gap)
+        y_n += 0.5 * opp * m_c * (1.0 + e_a * e_a)
+        with np.errstate(invalid="ignore"):     # 0/0 at a zero step
+            y_t = m_c * e_a / d_tot
+        y = y_n[..., None] * n + y_t[..., None] * tau
+    else:
+        y = (R + d_rad)[..., None] * n + tau
+    norm = np.sqrt(_rowdot(y, y))
+    if norm.min(initial=math.inf) > 0.0:        # a NaN (a zero step on H_k) fails it
+        return y / norm[..., None]
+    return np.where(np.isnan(norm)[..., None], n, _unit_or_stand_in(y, norm, norm == 0.0))

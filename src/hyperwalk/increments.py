@@ -486,15 +486,14 @@ class CustomLaw(IncrementLaw):
     """User-supplied component sampler.
 
     `sampler(r, d, rng)` must return (d_rad, transverse) like the built-in
-    laws.  Declare `radially_symmetric=False` if the sampler depends on more
-    than the radius; such laws are rejected by the radial-only simulator.
+    laws.  It sees the radius alone, so both walk modes give a custom law
+    the same radii.
     """
 
     sampler: Callable
     d: int
     bound: float = math.inf
     symmetric: bool = False
-    radially_symmetric: bool = True
     name: str = "custom"
     kind: str = field(default="custom", init=False)
 

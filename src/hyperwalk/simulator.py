@@ -3,47 +3,47 @@
 The walks of a chunk advance together, one step for all of them
 (`_Lockstep`), in one of two modes:
 
-* ``ambient`` holds their points as one (W, d+1) array, and each step
-  applies the points' Householder frame steps (`_tangent_axes`,
-  `euclidean_frame`), taken on H_k through geometry's `_exp_step` and
-  `_reproject`, the step the `validate` suites take on one point; it is
-  limited to k * R <= 700 by double-precision overflow;
-* ``radialonly`` holds only their radii, one (W,) array, and each step is
-  one call of the exact radial increment over it (geometry's
+* ``radialonly`` holds their radii, one (W,) array, and each step is one
+  call of the exact radial increment over it (geometry's
   `_radial_increments` on H_k, `_euclidean_increments` in flat space),
-  which for a radially symmetric law is distributionally the same chain
-  and has no radius limit.  This is what makes 10^5-step horizons cheap.
+  with no radius limit.  This is what makes 10^5-step horizons cheap.
+* ``ambient`` holds each walk in polar form, its radius and a unit
+  direction n of R^d, one (W, d) array.  Its step is the radial-only
+  step, on the same draws and inputs, followed by a turn of n in the
+  plane of n and the step's transverse part, read in n's Householder
+  frame (geometry's `_turn`).  So ambient radii are the radial-only radii
+  bit for bit, at any radius.  A walk starts at n = +e_1, or at the
+  origin at the frames' stand-in -e_1.
 
-Both modes take their steps from the same draws, so walks driven by the
-same stream can be coupled draw-for-draw.  A walk of a built-in law draws
-the rows of a T-block of steps ahead (`IncrementLaw.unit_rows`), which
-consumes the stream exactly as per-step `sample_components` calls would.
-What of the block's steps does not depend on the radius is mapped once
-for the block (`radius_free`): for a law with constant profiles the steps
-themselves, their lengths, each step's longest length and what the radial
-step reads of them (`_Lockstep._inputs`).  The rest is mapped at each step
-at the walkers' radii (`steps`).  Both are the maps those calls take.  The
-step's guards read bounds where they are known: an elliptic or box law's
-step bound (below STEP_BOUND_LIMIT) for the longest length, and each
-step's least |d_rad| for the shortest.  A custom law is sampled once per
-walk per step.
+A walk of a built-in law draws the rows of a T-block of steps ahead
+(`IncrementLaw.unit_rows`), which consumes the stream exactly as per-step
+`sample_components` calls would.  What of the block's steps does not
+depend on the radius is mapped once for the block (`radius_free`): for a
+law with constant profiles the steps themselves, their lengths, each
+step's longest length and what the radial step reads of them
+(`_Lockstep._inputs`).  The rest is mapped at each step at the walkers'
+radii (`steps`).  Both are the maps those calls take.  The step's guards
+read bounds where they are known: an elliptic or box law's step bound
+(below STEP_BOUND_LIMIT) for the longest length, and each step's least
+|d_rad| for the shortest.  A custom law is sampled once per walk per
+step.
 
-Every walk starts at `_start_point`.  An ensemble runs one contiguous
-chunk of walk ids per process: the calling process runs the first, and a
-child forked for each other chunk runs it (`_map`, on Linux; elsewhere the
-chunks run in process).  It starts another process only while each gets at
-least FORK_MIN_WALKS walks and FORK_MIN_WALK_STEPS walk-steps, below which
-a fork costs more than it saves.  `run_walk` runs a lockstep of one walk, a chunk one lockstep
+An ensemble runs one contiguous chunk of walk ids per process: the
+calling process runs the first, and a child forked for each other chunk
+runs it (`_map`, on Linux; elsewhere the chunks run in process).  It
+starts another process only while each gets at least FORK_MIN_WALKS walks
+and FORK_MIN_WALK_STEPS walk-steps, below which a fork costs more than it
+saves.  `run_walk` runs a lockstep of one walk, a chunk one lockstep
 (`_lockstep_states`), and both probes one over all walks, which the
-neighbourhood probe measures with geometry's polar `_distance`.  A
-chunk is tallied T-block by T-block (`_Tally`), which keeps the radii of
-the recorded steps alone, so of the others no (W, T) array is held.  A
-chunk's process turns its tally into what the caller asked for: the
-recorded radii, from which the caller builds the records, or the text a
-spelling callable makes of them, in which case only the text and the
-tally's per-walk sums come back and no record is built.  A walk that
-breaks an invariant drops out and the others carry on; at the end the
-lowest walk id's error is raised, as the walks run one by one would.
+neighbourhood probe measures with geometry's polar `_distance`.  A chunk
+is tallied T-block by T-block (`_Tally`), which keeps the radii of the
+recorded steps alone, so of the others no (W, T) array is held.  A chunk's
+process turns its tally into what the caller asked for: the recorded
+radii, from which the caller builds the records, or the text a spelling
+callable makes of them, in which case only the text and the tally's
+per-walk sums come back and no record is built.  A walk that breaks an
+invariant drops out and the others carry on; at the end the lowest walk
+id's error is raised, as the walks run one by one would.
 
 Reproducibility contract: every walk owns the rng stream spawned from
 (master seed, walk id), and ensemble statistics are aggregated in walk-id
@@ -69,21 +69,19 @@ import numpy as np
 from .errors import (DomainError, HyperwalkError, InvariantViolationError, OverflowGuardError,
                      UsageError)
 from .geometry import (
-    REPROJECTION_DRIFT_TOL,
+    TURN_KR_LIMIT,
     CurvatureModel,
     _D_DIRECT,
     _distance,
     _euclidean_increments,
-    _exp_step,
     _radial_increments,
-    _reproject,
-    _reprojection_error,
     _rowdot,
+    _turn,
+    near_inward_one_plus_phi,
+    # kernels no walk calls: perfbench/spans.py wraps them under these
+    # names, so they stay bound here for the tracer only
     _tangent_axes,
     euclidean_frame,
-    near_inward_one_plus_phi,
-    # scalar kernels no walk calls: perfbench/spans.py wraps them under
-    # these names, so they stay bound here
     euclidean_radial_increment,
     radial_increment_exact,
 )
@@ -92,7 +90,6 @@ from .increments import Z99, BoxLaw, CustomLaw, EllipticLaw, IncrementLaw
 MODE_AMBIENT = "ambient"
 MODE_RADIAL_ONLY = "radialonly"
 
-AMBIENT_KR_LIMIT = 700.0        # cosh(kR) overflows shortly above this
 # A lockstep runs its steps in T-blocks: the unit rows drawn ahead for a
 # block, and the radii a block's records are built from, span at most
 # BLOCK_STEPS steps and LOCKSTEP_ROWS rows over all walks.  They bound
@@ -143,8 +140,6 @@ class WalkConfig:
             raise DomainError("burn_in and start_radius must be >= 0")
         if not self.escape_radius > 0:
             raise DomainError("escape_radius must be > 0")
-        if self.mode == MODE_RADIAL_ONLY and not getattr(self.law, "radially_symmetric", True):
-            raise UsageError("radial-only mode requires a radially symmetric law")
         if self.law.d != self.model.d:
             raise DomainError(
                 f"law dimension {self.law.d} does not match model dimension {self.model.d}"
@@ -212,20 +207,6 @@ def walk_rng(seed: int, walk_id: int) -> np.random.Generator:
 # Single-walk drivers
 # ---------------------------------------------------------------------------
 
-def _start_point(model: CurvatureModel, radius: float) -> np.ndarray:
-    """The ambient point at `radius` along the first axis: on the hyperboloid
-    for a hyperbolic model, in R^d for a flat one."""
-    if model.is_hyperbolic:
-        k = model.k
-        x = np.zeros(model.d + 1)
-        x[0] = math.cosh(k * radius) / k
-        x[1] = math.sinh(k * radius) / k
-    else:
-        x = np.zeros(model.d)
-        x[0] = radius
-    return x
-
-
 @contextlib.contextmanager
 def _naming_walk(walk_id: int):
     """Prefix `walk <id>: ` to an InvariantViolationError raised inside."""
@@ -240,8 +221,8 @@ def run_walk(config: WalkConfig, walk_id: int,
     """Simulate one walk; the rng defaults to the walk's own spawned stream.
 
     The walk runs as a lockstep of one walk, the step every ensemble takes.
-    A step of non-finite length, or a point that drifts off the hyperboloid,
-    raises InvariantViolationError naming the walk and the step.
+    A step of non-finite length raises InvariantViolationError naming the
+    walk and the step.
     """
     if rng is None:
         rng = walk_rng(config.seed, walk_id)
@@ -271,14 +252,14 @@ def _non_finite_step(n: int, d_rad, t) -> InvariantViolationError:
 class _Lockstep:
     """The walks `ids` advanced together, one step for all of them.
 
-    Row i of the radii `R` (and in ambient mode of the points `x`) is walk
-    `ids[i]`, and draws from `rngs[i]`.  A walk draws from its own stream
-    exactly as it would alone: it takes the law's `unit_rows` in T-blocks
-    (runs of steps drawn ahead, `_block_steps`), or a custom law's sampler
-    once per step, and a law maps each walk's radius by the rule one radius
-    takes, so each walk's steps hold the bytes `sample_components` would
-    give.  The step arithmetic acts on each row alone, so a walk's bytes do
-    not depend on the walks it runs with.
+    Row i of the radii `R` (and in ambient mode of the unit directions `n`)
+    is walk `ids[i]`, and draws from `rngs[i]`.  A walk draws from its own
+    stream exactly as it would alone: it takes the law's `unit_rows` in
+    T-blocks (runs of steps drawn ahead, `_block_steps`), or a custom law's
+    sampler once per step, and a law maps each walk's radius by the rule one
+    radius takes, so each walk's steps hold the bytes `sample_components`
+    would give.  The step arithmetic acts on each row alone, so a walk's
+    bytes do not depend on the walks it runs with.
 
     What a step reads of its draws (`_inputs`) is mapped once per T-block
     for a law whose steps do not depend on the radius, and at each step
@@ -298,10 +279,11 @@ class _Lockstep:
         self.ids = np.asarray(ids, dtype=np.int64)
         self.rngs = list(rngs)
         self.R = np.full(len(self.ids), float(config.start_radius))
-        self.x = None               # the ambient points; radial-only walks have none
+        self.n = None               # the ambient directions; radial-only walks have none
         if config.mode == MODE_AMBIENT:
-            self.x = np.tile(_start_point(config.model, config.start_radius),
-                             (len(self.ids), 1))
+            # +e_1, or at the origin the frames' stand-in -e_1
+            self.n = np.zeros((len(self.ids), config.model.d))
+            self.n[:, 0] = 1.0 if config.start_radius > 0.0 else -1.0
         self.errors = {}            # walk id -> the error that stopped it
         law = config.law
         bound = (law.step_bound() * _BOUND_MARGIN if isinstance(law, (EllipticLaw, BoxLaw))
@@ -326,8 +308,8 @@ class _Lockstep:
         if not mask.any():
             return keep
         self.ids, self.R = self.ids[keep], self.R[keep]
-        if self.x is not None:
-            self.x = self.x[keep]
+        if self.n is not None:
+            self.n = self.n[keep]
         self.rngs = list(itertools.compress(self.rngs, keep))
         # a step's flags and least |d_rad| still hold for the walks kept
         self._block = tuple(a if a is None or a.ndim < 2 else a[:, keep] for a in self._block)
@@ -360,9 +342,7 @@ class _Lockstep:
             if d_rad is None or t is None:
                 sq = low = None
                 if d_rad is not None:
-                    sq = d_rad * d_rad
-                    if self.x is None:          # the ambient step reads no shortest length
-                        low = np.abs(d_rad).min(axis=1)
+                    sq, low = d_rad * d_rad, np.abs(d_rad).min(axis=1)
                 self._block, self._longest = part + (sq, low), None
             else:
                 t_sq, d_tot = _lengths(d_rad, t)
@@ -420,14 +400,11 @@ class _Lockstep:
         """What the step reads of the steps (d_rad, |t|^2) of lengths d_tot,
         one step's (W,) arrays or a T-block's (T, W) ones: d_tot, and on H_k
         phi, 1 + phi, whether a step may hold an edge and e^(-k d_tot) (None
-        for one step), flat in radial-only mode d_tot^2, d_rad clamped to
-        +-d_tot and whether a step may hold a zero length.  `longest` is at
-        least the longest length; `low`, a lower bound on one step's
-        lengths, is trusted from _TINY up.  Over a T-block a flag is each
-        step's, and for one step the edges are found by the kernel's three
-        reductions."""
-        if self.x is not None:
-            return (d_tot,)
+        for one step), flat d_tot^2, d_rad clamped to +-d_tot and whether a
+        step may hold a zero length.  `longest` is at least the longest
+        length; `low`, a lower bound on one step's lengths, is trusted from
+        _TINY up.  Over a T-block a flag is each step's, and for one step
+        the edges are found by the kernel's three reductions."""
         known = low is not None and low >= _TINY
         over_block = d_tot.ndim == 2
         model = self.config.model
@@ -455,56 +432,20 @@ class _Lockstep:
         return d_tot, phi, opp, edges, None
 
     def step(self, n: int):
-        """Take step n of every walk."""
-        if self.x is None:
-            self._radial_step(n)
-        else:
-            self._ambient_step(n)
-
-    def _radial_step(self, n: int):
-        """The exact radial increment of step n, over the array of radii."""
-        d_tot, *inputs = self._draw(n)[2]
-        if self.config.model.is_hyperbolic:
+        """Take step n of every walk: the exact radial increment over the
+        array of radii, and in ambient mode the turn of each walk's direction
+        in the plane of the step (geometry's `_turn`)."""
+        d_rad, t, (d_tot, *inputs) = self._draw(n)
+        R, model = self.R, self.config.model
+        opp = None
+        if model.is_hyperbolic:
             phi, opp, edges, exp_d = inputs
-            inc = _radial_increments(self.R, d_tot, phi, self.config.model.k, opp, edges, exp_d)
+            inc = _radial_increments(R, d_tot, phi, model.k, opp, edges, exp_d)
         else:
-            inc = _euclidean_increments(self.R, *inputs)
-        self.R = np.maximum(self.R + inc, 0.0)
-
-    def _ambient_step(self, n: int):
-        """Step n of the ambient points: the frame's step, on H_k geometry's
-        exp step and its reprojection onto the hyperboloid, in flat space a
-        translation.  Each guard is one reduction, and its mask is built
-        only when the guard fires."""
-        hyperbolic, k = self.config.model.is_hyperbolic, self.config.model.k
-        if hyperbolic and not k * self.R.max(initial=0.0) <= AMBIENT_KR_LIMIT:
-            far = k * self.R > AMBIENT_KR_LIMIT
-            if far.any():
-                self.drop(far, lambda i: OverflowGuardError(
-                    f"ambient mode exceeded k*R = {AMBIENT_KR_LIMIT} at step {n}; "
-                    "use radial-only mode for long horizons"))
-                if not self.ids.size:
-                    return
-        d_rad, t, (norm,) = self._draw(n)
-        if not hyperbolic:
-            self.x = self.x + euclidean_frame(self.x).step(d_rad, t)
-            self.R = np.sqrt(_rowdot(self.x, self.x))
-            return
-        v = _tangent_axes(self.x, k).step(d_rad, t)
-        if norm.min(initial=math.inf) > 0.0:
-            self.x = _exp_step(self.x, v, norm, k)
-            self.R, defect = _reproject(self.x, k)
-        else:                       # a zero step leaves its walk where it is
-            moving = norm > 0.0
-            x = _exp_step(self.x[moving], v[moving], norm[moving], k)
-            R, defect_moving = _reproject(x, k)
-            self.x[moving], self.R[moving] = x, R
-            defect = np.zeros(len(norm))
-            defect[moving] = defect_moving
-        if not defect.max(initial=0.0) <= REPROJECTION_DRIFT_TOL:
-            fault = defect > REPROJECTION_DRIFT_TOL
-            if fault.any():
-                self.drop(fault, lambda i: _reprojection_error(defect[i], n))
+            inc = _euclidean_increments(R, *inputs)
+        self.R = np.maximum(R + inc, 0.0)
+        if self.n is not None:
+            self.n = _turn(self.n, t, R, d_rad, d_tot, model.k, opp)
 
 
 def _lockstep_states(config: WalkConfig, ids, rngs=None):
@@ -805,18 +746,23 @@ def _estimate(successes: int, trials: int) -> ProbeEstimate:
     return ProbeEstimate(p, Z99 * math.sqrt(p * (1.0 - p) / trials), successes, trials)
 
 
-def _hit_probe(config: WalkConfig, steps: int, hit) -> ProbeEstimate:
+def _hit_probe(config: WalkConfig, steps: int, hit, far: float = math.inf) -> ProbeEstimate:
     """The fraction of walks that hit at some step 0 .. `steps`.
 
     The walks run in lockstep over their own streams, and each stops at its
-    first hit, so an error after it does not count.  `hit(x, R)` maps the
-    running walks' ambient positions (None in radial-only mode) and radii
-    to the mask of the walks that hit.
+    first hit, so an error after it does not count.  `hit(n, R)` maps the
+    running walks' directions (None in radial-only mode) and radii to the
+    mask of the walks that hit.  A walk whose radius passes `far`, where
+    `hit` cannot read it, is dropped with an error before its hit is read.
     """
     cfg = dataclasses.replace(config, steps=steps)
     successes = 0
-    for _, walks in _lockstep_states(cfg, range(config.walks)):
-        hits = hit(walks.x, walks.R)
+    for n, walks in _lockstep_states(cfg, range(config.walks)):
+        if not walks.R.max(initial=0.0) <= far:
+            walks.drop(walks.R > far, lambda i: OverflowGuardError(
+                f"walk {walks.ids[i]}: k*R passed {TURN_KR_LIMIT} at step {n}, past which "
+                f"the probe cannot resolve a step's move across the radius"))
+        hits = hit(walks.n, walks.R)
         successes += int(hits.sum())
         walks.drop(hits)
     walks.raise_first()
@@ -835,7 +781,7 @@ def escape_probe(config: WalkConfig, r: float, horizon: int) -> ProbeEstimate:
         raise DomainError(f"escape radius must be finite, got {r}")
     if config.start_radius > r:
         raise UsageError("escape probe requires start_radius <= r")
-    return _hit_probe(config, horizon, lambda x, R: R >= r)
+    return _hit_probe(config, horizon, lambda n, R: R >= r)
 
 
 def neighborhood_return_probe(config: WalkConfig, target_center_radius: float,
@@ -844,10 +790,14 @@ def neighborhood_return_probe(config: WalkConfig, target_center_radius: float,
 
     Needs full positions and a dense-support law, so the config must use
     ambient mode with a box law.  The target ball sits at the given radius
-    along the first geodesic axis.  This estimates the one-shot hitting
-    probability only; the chain revisits any neighbourhood infinitely often
-    exactly when such probabilities stay bounded away from zero, which is an
-    argument, not a computation.
+    along the first geodesic axis, at any radius; the walks' distances to
+    its centre are geometry's polar `_distance` on H_k.  A walk whose kR
+    passes TURN_KR_LIMIT, where a step's turn leaves the normal doubles and
+    its move across the radius is lost, is dropped with an
+    OverflowGuardError, which the probe raises.  This estimates the
+    one-shot hitting probability only; the chain revisits any neighbourhood
+    infinitely often exactly when such probabilities stay bounded away from
+    zero, which is an argument, not a computation.
     """
     if config.mode != MODE_AMBIENT:
         raise UsageError("neighborhood_return_probe requires ambient mode (full positions)")
@@ -860,12 +810,17 @@ def neighborhood_return_probe(config: WalkConfig, target_center_radius: float,
     if not math.isfinite(target_center_radius):
         raise DomainError(f"target_center_radius must be finite, got {target_center_radius}")
 
-    center = _start_point(config.model, target_center_radius)
     if config.model.is_hyperbolic:
-        def inside(x, R):
-            return _distance(x, center, config.model.k) < target_radius
+        axis = np.eye(config.model.d)[0]
+        far = TURN_KR_LIMIT / config.model.k
+
+        def inside(n, R):
+            return _distance(R, n, target_center_radius, axis, config.model.k) < target_radius
     else:
-        def inside(x, R):
-            u = x - center
+        far = math.inf
+
+        def inside(n, R):
+            u = R[:, None] * n
+            u[:, 0] -= target_center_radius
             return np.sqrt(_rowdot(u, u)) < target_radius
-    return _hit_probe(config, m, inside)
+    return _hit_probe(config, m, inside, far)

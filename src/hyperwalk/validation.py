@@ -2,15 +2,15 @@
 
 Each suite checks one code path against a different route to the same
 number (coordinate-level geometry, high-resolution grids, Monte Carlo
-moments, coupled simulations).  The geometry suites run the ambient walk's
-own kernels on one point at a time: its frame step
-(`_tangent_axes(x, k).step`), exp step (`_exp_step`) and reprojection
-(`_reproject`), which the exact-increment suite compares against the
-closed-form radial increment and the geodesic-step suite against the
-polar `_distance`.  They look each kernel up on `geometry` at call time,
-so a perturbed kernel shows in them as in the walks.  The CLI `validate`
-command runs every suite and reports pass/fail per suite; the test suite
-reuses them at larger sizes.
+moments, coupled simulations).  The geometry suites hold a hyperboloid
+oracle: a point's frame step (`_tangent_axes(x, k).step`), exp step
+(`_exp_step`) and reprojection (`_reproject`).  The exact-increment suite
+compares it against the closed-form radial increment, and the
+geodesic-step suite against the ambient walk's polar step (the radial
+increment and `_turn`), on one point at a time.  They look each kernel up
+on `geometry` at call time, so a perturbed kernel shows in them as in the
+walks.  The CLI `validate` command runs every suite and reports pass/fail
+per suite; the test suite reuses them at larger sizes.
 
 `fault` injects a deliberate error ("flip-phi-sign") into the formula side of
 the radial-increment suite, as a negative control that the oracle actually
@@ -60,10 +60,10 @@ def suite_exact_radial_increment(seed: int = 0, n: int = 10_000,
     """Radial-increment formula against the coordinate-level oracle.
 
     Draws random tuples (k in [0.25, 4], R in [0, 20], d_tot in [0, 10],
-    phi in [-1, 1]), realises each as an actual point, in polar form, and a
-    tangent vector of its frame (`_tangent_axes`) in ambient coordinates at
-    a random position, and takes the ambient walk's own step (`_exp_step`,
-    then `_reproject`, which reads the new radius off the time coordinate,
+    phi in [-1, 1]), realises each as an actual point of the hyperboloid,
+    from polar form, and a tangent vector of its frame (`_tangent_axes`) at
+    a random position, and takes the oracle's step (`_exp_step`, then
+    `_reproject`, which reads the new radius off the time coordinate,
     cancellation-free at any radius).
     """
     rng = np.random.default_rng(seed)
@@ -141,14 +141,17 @@ def suite_sandwich_bounds(n_lengths: int = 200, n_phis: int = 170,
 
 
 def suite_geodesic_step(seed: int = 1, n: int = 2000, tol: float = 1e-8) -> SuiteResult:
-    """The ambient walk's step goes as far as it is long: the polar
-    distance from x to its endpoint equals the step length, to relative
-    error `tol`.
+    """The ambient walk's polar step lands where the exp step does, a
+    step's length away: the polar distance from the walk's endpoint to the
+    oracle's, and its difference from the step length, stay within
+    relative error `tol`.
 
-    Draws x at radius up to 4/k from the origin and a step of length up to
-    min(20, 8/k) in a uniform direction of x's frame, and takes it as the
-    walks do: `_tangent_axes(x, k).step`, `_exp_step`, then `_reproject`,
-    whose drift check a step off the hyperboloid fails.
+    Draws x = (R, u) at radius up to 4/k from the origin and a step of
+    length up to min(20, 8/k) in a uniform direction of x's frame.  The
+    walk's step is the radial increment and the turn of u by the step's
+    transverse part in u's Householder frame (`_turn`); the oracle takes
+    `_tangent_axes(x, k).step`, `_exp_step`, then `_reproject`, whose drift
+    check a step off the hyperboloid fails.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -156,15 +159,23 @@ def suite_geodesic_step(seed: int = 1, n: int = 2000, tol: float = 1e-8) -> Suit
         d = int(rng.integers(2, 5))
         k = rng.uniform(0.25, 4.0)
         u = increments._normal_rows(1, d, rng)[0]     # drawn before the radius
-        x = _polar_point(k, rng.uniform(0.0, 4.0 / k), u)
+        R = rng.uniform(0.0, 4.0 / k)
         step = rng.uniform(0.0, min(20.0, 8.0 / k))
         w = step * increments._normal_rows(1, d, rng)[0]
-        y = geometry._exp_step(x, geometry._tangent_axes(x, k).step(w[0], w[1:]), step, k)
-        _, defect = geometry._reproject(y, k)
+        d_rad, t = w[0], w[1:]
+        d_tot = math.sqrt(d_rad * d_rad + float(t @ t))
+        x = _polar_point(k, R, u)
+        y = geometry._exp_step(x, geometry._tangent_axes(x, k).step(d_rad, t), d_tot, k)
+        R_y, defect = geometry._reproject(y, k)
         if defect > geometry.REPROJECTION_DRIFT_TOL:
             return SuiteResult("geodesic-step", False, i + 1,
                                str(geometry._reprojection_error(defect, i)))
-        worst = max(worst, _rel_err(float(geometry._distance(x, y, k)), step))
+        opp = geometry.one_plus_phi(d_rad, float(t @ t), d_tot)
+        R_w = max(R + geometry.radial_increment_exact(R, d_tot, d_rad / d_tot, k), 0.0)
+        n_w = geometry._turn(u, t, R, d_rad, d_tot, k, opp)
+        n_y = y[1:] / max(float(geometry._safe_norm(y[1:])), 1e-300)
+        apart = float(geometry._distance(R_w, n_w, R_y, n_y, k)) / max(1.0, d_tot)
+        worst = max(worst, apart, _rel_err(float(geometry._distance(R, u, R_w, n_w, k)), d_tot))
     return SuiteResult("geodesic-step", worst <= tol, n, f"worst rel err {worst:.3e}")
 
 

@@ -15,6 +15,7 @@ import hyperwalk as hw
 from hyperwalk import cli, simulator
 from hyperwalk.cli import main, parse_config
 from hyperwalk.errors import ConfigError
+from test_simulator import nan_rows
 
 SIM_CFG = """\
 # minimal simulate run
@@ -395,16 +396,19 @@ class TestSimulateCommand:
         assert [w for _, w in ensembles] == [int(workers)]
         assert len(forks) == int(workers) - 1
 
-    @pytest.mark.parametrize("seed, walks", [
-        (1, 2),     # only walk 1, in the child's chunk, trips the guard
-        (4, 6),     # walk 0 trips it at step 11, the child's walk 4 already at step 4
+    @pytest.mark.parametrize("bad, walks", [
+        ({1: 5}, 2),            # only walk 1, in the child's chunk, fails
+        ({0: 11, 4: 4}, 6),     # walk 0 fails at step 11, the child's walk 4 already at step 4
     ])
-    def test_walk_error_exits_3_with_the_lowest_walk_ids_message(self, seed, walks, tmp_path,
-                                                                 capsys, ensembles, forks):
-        # ambient walks started at R = 697 cross the k*R = 700 guard within
-        # a few steps; its message names the step, so it tells the walks apart
-        text = (sim_text("ambient", "hyperbolic", 12, walks, seed=seed)
-                + "sim.start_radius = 697\nsim.escape_radius = 1e9\n")
+    @pytest.mark.parametrize("mode", ["radialonly", "ambient"])
+    def test_walk_error_exits_3_with_the_lowest_walk_ids_message(self, mode, bad, walks, tmp_path,
+                                                                 capsys, ensembles, forks,
+                                                                 monkeypatch):
+        # a NaN radial part in walk j's step bad[j]; the message names the
+        # step, so it tells the walks apart
+        monkeypatch.setattr(hw.BoxLaw, "unit_rows", nan_rows(bad))
+        text = sim_text(mode, "hyperbolic", 12, walks).replace("law.kind = elliptic",
+                                                                "law.kind = box")
         code, out = run_cli(tmp_path, "bad.cfg", text, "simulate", ("--workers", "2"))
         assert code == 3
         assert len(forks) == 1
@@ -413,10 +417,26 @@ class TestSimulateCommand:
         for walk_id in range(walks):        # the walks run one by one
             try:
                 hw.run_walk(config, walk_id)
-            except hw.OverflowGuardError as exc:
+            except hw.InvariantViolationError as exc:
                 first = exc
                 break
+        walk_id, step = min(bad.items())
+        assert str(first) == f"walk {walk_id}: step {step} has non-finite length"
         assert capsys.readouterr().err == f"error: {first}\n"
+
+    @pytest.mark.parametrize("geometry", ["hyperbolic", "euclidean"])
+    def test_ambient_walks_start_past_where_cosh_overflows(self, geometry, tmp_path, capsys):
+        # at start radius 800 cosh(k R) overflows, which stopped ambient walks
+        # with an internal error (exit 5); their radii are the radial-only ones
+        rows = {}
+        for mode in ("ambient", "radialonly"):
+            text = sim_text(mode, geometry, 40, 4) + "sim.start_radius = 800\n"
+            code, out = run_cli(tmp_path, f"{mode}.cfg", text, "simulate")
+            assert code == 0, capsys.readouterr().err
+            lines = (out / "trajectories.csv").read_text().splitlines()
+            rows[mode] = lines[lines.index("walk_id,step,R") + 1:]
+        assert len(rows["ambient"]) == 4 * 41
+        assert rows["ambient"] == rows["radialonly"]
 
     @pytest.mark.parametrize("above", [0, 1, 2])
     @pytest.mark.parametrize("mode", ["radialonly", "ambient"])

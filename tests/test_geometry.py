@@ -15,12 +15,13 @@ from hyperwalk.geometry import (
     REPROJECTION_DRIFT_TOL,
     _distance,
     _exp_step,
-    _masked_reproject,
-    _masked_tangent_axes,
     _reproject,
     _safe_norm,
     _scaled_norm,
     _tangent_axes,
+    _turn,
+    one_plus_phi,
+    _rowdot,
     radial_increment_exact_batch,
 )
 from test_kernel_pins import branch_grid
@@ -68,29 +69,24 @@ def off_sheet(x, k):
     return abs(k * x[0] - h) / h
 
 
-class TestStartPoint:
-    @pytest.mark.parametrize("kR", [0.0, 1e-8, 10.0, 12.0, 20.0, 300.0, 700.0])
-    def test_sheet_check_holds_at_any_radius(self, kR):
-        # the walks' own start points; |B(x, x) k^2 + 1| read 2.98e-8 at
-        # kR = 10, 1.9e-6 at kR = 12 and 1.0 at kR = 20
-        from hyperwalk.simulator import _start_point
-        x = _start_point(hw.CurvatureModel.hyperbolic(1.0, 2), kR)
-        assert off_sheet(x, 1.0) <= 1e-10
+def polar(x, k):
+    """(R, n) of a point x of H_k: R = asinh(k|x_s|) / k, n = x_s / |x_s|
+    (0 at the origin)."""
+    sp = float(_safe_norm(x[1:]))
+    return math.asinh(k * sp) / k, x[1:] / (sp if sp > 0.0 else 1.0)
 
-    @pytest.mark.parametrize("k,d,first", [(1.0, 2, 1.0), (2.0, 3, 0.5)])
-    def test_origin_coordinates(self, k, d, first):
-        from hyperwalk.simulator import _start_point
-        x = _start_point(hw.CurvatureModel.hyperbolic(k, d), 0.0)
-        assert x.shape == (d + 1,)
-        assert x[0] == first
-        assert not np.any(x[1:])
 
-    @pytest.mark.parametrize("k", [0.25, 1.0, 3.7])
-    def test_origin_on_hyperboloid(self, k):
-        from hyperwalk.simulator import _start_point
-        x = _start_point(hw.CurvatureModel.hyperbolic(k, 4), 0.0)
-        assert mink(x, x) * k * k == pytest.approx(-1.0, rel=1e-14)
-        assert off_sheet(x, k) <= 2.0 ** -52  # the rounding of 1/k
+def dist(x, y, k):
+    """The polar `_distance` of points x and y of H_k."""
+    return float(_distance(*polar(x, k), *polar(y, k), k))
+
+
+def polar_step(R, n, d_rad, t, k):
+    """The ambient walk's step from (R, n): the radial increment, and the
+    turn of n by t read in n's frame."""
+    d_tot = math.sqrt(d_rad * d_rad + float(t @ t))
+    R_after = max(R + hw.radial_increment_exact(R, d_tot, d_rad / d_tot, k), 0.0)
+    return R_after, _turn(n, t, R, d_rad, d_tot, k, one_plus_phi(d_rad, float(t @ t), d_tot))
 
 
 class TestExpStep:
@@ -103,7 +99,7 @@ class TestExpStep:
         assert p[0] == pytest.approx(math.cosh(t * k) / k, rel=1e-13)
         assert p[1] == pytest.approx(math.sinh(t * k) / k, rel=1e-13)
         assert p[2] == 0.0
-        assert _distance(O, p, k) == pytest.approx(t, rel=1e-12)
+        assert dist(O, p, k) == pytest.approx(t, rel=1e-12)
 
     def test_hyperboloid_preserved_on_random_inputs(self):
         # |B(y,y) k^2 + 1| < 1e-9 needs k(R + |v|) small enough that the
@@ -134,14 +130,17 @@ class TestExpStep:
             x = random_point(k, 3, 2.0 / k, rng)
             length = rng.uniform(1e-3, 2.0 / k)
             y = walk_step(x, random_step(x, k, length, rng), length, k)
-            assert _distance(x, y, k) == pytest.approx(length, rel=1e-10)
+            assert dist(x, y, k) == pytest.approx(length, rel=1e-10)
 
 
 class TestDistance:
+    """The polar distance, from (R, n) pairs."""
+
     def test_zero_iff_same_point(self):
-        rng = np.random.default_rng(4)
-        x = random_point(1.0, 2, 5.0, rng)
-        assert _distance(x, x, 1.0) == 0.0
+        n = np.array([0.6, -0.8])
+        for R in (0.0, 3.0, 800.0, 1e4):
+            assert _distance(R, n, R, n, 1.0) == 0.0
+        assert _distance(3.0, n, 3.0, -n, 1.0) > 0.0
 
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_unit_speed(self, t):
@@ -150,71 +149,79 @@ class TestDistance:
         e1 = np.zeros(3)
         e1[1] = 1.0
         p = walk_step(O, t * e1, t, k)
-        assert _distance(O, p, k) == pytest.approx(t, rel=1e-12)
+        assert dist(O, p, k) == pytest.approx(t, rel=1e-12)
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             k = rng.uniform(0.5, 2.0)
-            pts = [random_point(k, 2, 4.0 / k, rng) for _ in range(3)]
-            dxy = _distance(pts[0], pts[1], k)
-            assert dxy == pytest.approx(_distance(pts[1], pts[0], k), rel=1e-12)
-            dyz = _distance(pts[1], pts[2], k)
-            dxz = _distance(pts[0], pts[2], k)
+            pts = [polar(random_point(k, 2, 4.0 / k, rng), k) for _ in range(3)]
+            dxy = _distance(*pts[0], *pts[1], k)
+            assert dxy == pytest.approx(_distance(*pts[1], *pts[0], k), rel=1e-12)
+            dyz = _distance(*pts[1], *pts[2], k)
+            dxz = _distance(*pts[0], *pts[2], k)
             assert dxz <= dxy + dyz + 1e-10
 
-    KR = [0.0, 1e-8, 0.5, 9.0, 12.0, 20.0, 40.0, 300.0, 354.0, 400.0, 699.0, 700.0]
+    KR = [0.0, 1e-8, 0.5, 9.0, 12.0, 20.0, 40.0, 300.0, 354.0, 400.0, 699.0, 700.0, 800.0, 1e4]
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 3.0])
-    @pytest.mark.parametrize("d, axis", [(2, 1), (3, 3), (5, 2)])
+    @pytest.mark.parametrize("d, axis", [(2, 0), (3, 2), (5, 1)])
     def test_same_axis_pairs(self, k, d, axis):
-        # sinh kR_x - sinh kR_y is the only difference taken; a pairing
-        # loses e^(k(R_x + R_y)) * eps
-        def point(kR):
-            x = np.zeros(d + 1)
-            x[0], x[axis] = math.cosh(kR) / k, math.sinh(kR) / k
-            return x
+        # a - b is the only difference taken; a radius a / k that k * R
+        # does not give back exactly carries eps * a into it.  Past
+        # k d = 1420 sinh(k d / 2) overflows, and the distance reads inf
+        n = np.eye(d)[axis]
         for a in self.KR:
             for b in self.KR:
-                got = _distance(point(a), point(b), k)
-                assert got == pytest.approx(abs(a - b) / k, rel=1e-14, abs=0.0)
+                got = _distance(a / k, n, b / k, n, k)
+                if abs(a - b) > 1420.0:
+                    assert got == math.inf
+                    continue
+                inexact = k * (a / k) != a or k * (b / k) != b
+                assert got == pytest.approx(abs(a - b) / k, rel=1e-14,
+                                            abs=2.0 ** -51 * max(a, b) / k if inexact else 0.0)
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("d", [2, 4])
     def test_equal_radius_pairs(self, k, d):
         # sinh(k d / 2) = sinh kR sin(theta / 2); at theta = 1e-200 the
-        # directions' difference underflows a plain norm
+        # directions' difference underflows a plain norm.  Past kR = 710
+        # sinh kR overflows, and the scaled factors do not.  A radius a / k
+        # that k * R does not give back exactly carries eps * a into sinh kR
         for a in self.KR[1:]:
             for theta in (1e-200, 1e-100, 1e-8, 1e-3, 0.5, 2.0, math.pi):
-                x, y = np.zeros(d + 1), np.zeros(d + 1)
-                x[0] = y[0] = math.cosh(a) / k
-                x[1] = math.sinh(a) / k
-                y[1], y[2] = math.sinh(a) * math.cos(theta) / k, math.sinh(a) * math.sin(theta) / k
-                got = _distance(x, y, k)
-                want = 2.0 / k * math.asinh(math.sinh(a) * math.sin(theta / 2.0))
+                x, y = np.zeros(d), np.zeros(d)
+                x[0] = 1.0
+                y[0], y[1] = math.cos(theta), math.sin(theta)
+                got = _distance(a / k, x, a / k, y, k)
+                with mpmath.workdps(40):
+                    want = float(2 / mpmath.mpf(k) * mpmath.asinh(
+                        mpmath.sinh(a) * mpmath.sin(mpmath.mpf(theta) / 2)))
                 assert got > 0.0
-                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+                if k * want > 1420.0:
+                    assert got == math.inf
+                    continue
+                inexact = 2.0 ** -52 * max(a, 1.0) if k * (a / k) != a else 0.0
+                assert got == pytest.approx(want, rel=1e-14 + inexact, abs=0.0)
 
-    # read off the pairing, kR = 14 gave 0.4997629; the polar reading is
-    # good to the coordinates' own e^(kR) * eps
-    FAR_STEPS = [(0.5, 1e-10), (5.0, 1e-10), (14.0, math.exp(14.0) * 2.0 ** -52),
-                 (18.0, math.exp(18.0) * 2.0 ** -52), (30.0, 1e-15), (300.0, 1e-15),
-                 (400.0, 1e-15), (700.0, 1e-15)]
+    # the walk's step d_rad = 0.3, |t| = 0.4 (length 0.5) from radius kR,
+    # k = 1, d = 2: the radii carry eps * kR, which the length's rounding
+    # reads as a relative 2 eps * kR / 0.5.  Past kR = 745 the turn,
+    # about e^-kR, is below the least double and leaves n as it is
+    FAR_STEPS = [0.5, 5.0, 14.0, 18.0, 30.0, 300.0, 400.0, 700.0]
 
-    @pytest.mark.parametrize("kR, rel", FAR_STEPS, ids=[str(kR) for kR, _ in FAR_STEPS])
-    def test_far_step_distance(self, kR, rel):
-        # the walk's step d_rad = 0.3, |t| = 0.4 (length 0.5) from radius
-        # kR, k = 1, d = 2, unsnapped
-        x = np.array([math.cosh(kR), math.sinh(kR), 0.0])
-        y = _exp_step(x, _tangent_axes(x, 1.0).step(0.3, np.array([0.4])), 0.5, 1.0)
-        assert _distance(x, y, 1.0) == pytest.approx(0.5, rel=rel)
+    @pytest.mark.parametrize("kR", FAR_STEPS)
+    def test_far_step_distance(self, kR):
+        n = np.array([1.0, 0.0])
+        R, m = polar_step(kR, n, 0.3, np.array([0.4]), 1.0)
+        assert _distance(kR, n, R, m, 1.0) == pytest.approx(
+            0.5, rel=max(1e-15, 8 * 2.0 ** -52 * kR))
 
     @pytest.mark.parametrize("length", [1e-12, 1e-8, 1e-5])
     def test_short_distance_is_exact(self, length):
-        # -B(x, y) k^2 - 1 rounds to 0 or keeps few digits here
-        O = origin(2.0, 3)
-        p = polar_point(2.0, 2.0 * length, np.array([0.0, 1.0, 0.0]))
-        assert _distance(O, p, 2.0) == pytest.approx(length, rel=1e-15)
+        n = np.array([0.0, 1.0, 0.0])
+        assert _distance(0.0, n, length, n, 2.0) == pytest.approx(length, rel=1e-15)
+        assert _distance(0.0, -n, length, n, 2.0) == pytest.approx(length, rel=1e-15)
 
 
 class TestRadialDirection:
@@ -486,9 +493,8 @@ class TestFrames:
             worst = max(worst, float(np.abs(A @ A.T - np.eye(d)).max()))
         assert worst <= 1e-15
 
-    def test_frame_at_origin_flag(self):
+    def test_frame_at_origin_takes_the_stand_in(self):
         frame = _tangent_axes(origin(1.0, 3), 1.0)
-        assert frame.at_origin
         assert frame.axes[0] == pytest.approx(np.array([0.0, 1.0, 0.0, 0.0]))
 
     def test_euclidean_frame(self):
@@ -619,14 +625,14 @@ class TestFrameStepIncrement:
         v = _tangent_axes(x, 1.0).step(0.3, np.array([0.4]))
         assert math.sqrt(mink(v, v)) == pytest.approx(0.5, rel=1e-12)
         y = walk_step(x, v, 0.5, 1.0)
-        assert _distance(x, y, 1.0) == pytest.approx(0.5, rel=1e-12)
+        assert dist(x, y, 1.0) == pytest.approx(0.5, rel=1e-12)
         want = kR + hw.radial_increment_exact(kR, 0.5, 0.6, 1.0)
         assert self.radius_after(x, v, 0.5, 1.0) == pytest.approx(want, rel=1e-12)
 
 
 class TestArrayKernels:
-    """The ambient step's kernels take a (W, d+1) array of points; each row
-    must hold the bytes of the same call on that point alone."""
+    """The kernels take an array of points, one a row; each row must hold
+    the bytes of the same call on that point alone."""
 
     def test_safe_norm_rows(self):
         from hyperwalk.geometry import _safe_norm
@@ -665,21 +671,42 @@ class TestArrayKernels:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_distance_rows_match_single_pairs(self, d):
-        # from the origin to the ambient limit, against a second array of
-        # points and against one point broadcast over every row
+        # from the origin to past kR = 700, against a second array of points
+        # and against one point broadcast over every row
         rng = np.random.default_rng(30)
         k = 0.5
-        kR = np.array([0.0, 1e-8, 0.3, 5.0, 10.0, 40.0, 300.0, 400.0, 700.0])
+        R = np.array([0.0, 1e-8, 0.3, 5.0, 10.0, 40.0, 300.0, 400.0, 700.0, 800.0, 1e4]) / k
 
-        def points(kR):
-            n = rng.standard_normal((kR.size, d))
-            n /= np.linalg.norm(n, axis=1)[:, None]
-            return np.concatenate([np.cosh(kR)[:, None], np.sinh(kR)[:, None] * n], axis=1) / k
-        X, Y = points(kR), points(rng.permutation(kR))
-        D, C = _distance(X, Y, k), _distance(X, Y[3], k)
-        for i in range(kR.size):
-            assert _distance(X[i], Y[i], k).tobytes() == D[i].tobytes()
-            assert _distance(X[i], Y[3], k).tobytes() == C[i].tobytes()
+        def directions():
+            n = rng.standard_normal((R.size, d))
+            return n / np.linalg.norm(n, axis=1)[:, None]
+        X, S, Y = directions(), rng.permutation(R), directions()
+        D, C = _distance(R, X, S, Y, k), _distance(R, X, S[3], Y[3], k)
+        for i in range(R.size):
+            assert _distance(R[i], X[i], S[i], Y[i], k).tobytes() == D[i].tobytes()
+            assert _distance(R[i], X[i], S[3], Y[3], k).tobytes() == C[i].tobytes()
+
+    @pytest.mark.parametrize("k", [0.5, 0.0])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_turn_rows_match_single_points(self, d, k):
+        # rows at the origin, far out, with a zero step and with a step that
+        # lands on the origin, each beside ordinary rows
+        rng = np.random.default_rng(31)
+        R = np.array([0.0, 0.3, 5.0, 2.0, 1e4, 2.5, 1.5])
+        n = rng.standard_normal((R.size, d))
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        D, T = rng.standard_normal(R.size), rng.standard_normal((R.size, d - 1))
+        D[5], T[5] = 0.0, 0.0           # a zero step
+        D[6], T[6] = -1.5, 0.0          # straight inward onto the origin
+        length = np.sqrt(D * D + _rowdot(T, T))
+        opp = one_plus_phi(D, _rowdot(T, T), length)
+        got = _turn(n, T, R, D, length, k, opp)
+        for i in range(R.size):
+            one = _turn(n[i], T[i], R[i], D[i], length[i], k, opp[i])
+            assert one.tobytes() == got[i].tobytes()
+        assert got[5] == pytest.approx(n[5], rel=1e-15, abs=0.0)
+        assert got[6].tolist() == [-1.0] + [0.0] * (d - 1)
+        assert _rowdot(got, got) == pytest.approx(1.0, rel=4e-16)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_flat_rows_match_single_points(self, d):
@@ -745,13 +772,15 @@ def _points(draw, perturbed=False):
 
 
 def _frame_bytes(frame):
-    return [np.asarray(a).tobytes() for a in (frame.radial, frame.w, frame.scale, frame.at_origin)]
+    return [np.asarray(a).tobytes() for a in (frame.radial, frame.w, frame.scale)]
 
 
 class TestCheckedKernels:
-    """Each checked kernel takes its unmasked arithmetic only when one or
-    two reductions say no row needs a mask, and must then give its masked
-    path's bytes: the draws put rows on both sides of every check."""
+    """A checked kernel gives each row the bytes it gives that point alone,
+    on both sides of every check: `_safe_norm` takes its unmasked
+    arithmetic only when one or two reductions say no row needs a mask, and
+    must then give `_scaled_norm`'s bytes; the oracle's frame and snap mask
+    every row."""
 
     @given(_components())
     @example(np.array([[3.0, 4.0], [1e-3, 2e-3]]))          # the plain path
@@ -767,23 +796,26 @@ class TestCheckedKernels:
 
     @given(_points())
     @settings(max_examples=300, deadline=None)
-    def test_tangent_axes_is_masked_tangent_axes(self, drawn):
+    def test_tangent_axes_rows_are_single_points(self, drawn):
         X, k = drawn
-        for x in (X, *X):
-            want = _masked_tangent_axes(x, k, _scaled_norm(x[..., 1:]))
-            assert _frame_bytes(_tangent_axes(x, k)) == _frame_bytes(want)
+        frame = _tangent_axes(X, k)
+        for i, x in enumerate(X):
+            rows = [np.asarray(a)[i].tobytes() for a in (frame.radial, frame.w, frame.scale)]
+            assert _frame_bytes(_tangent_axes(x, k)) == rows
 
     @given(_points(perturbed=True))
     @settings(max_examples=400, deadline=None)
-    def test_reproject_is_masked_reproject(self, drawn):
+    def test_reproject_rows_are_single_points(self, drawn):
         X, k = drawn
-        for x in (X, *X):
-            got, want = x.copy(), x.copy()
+        got = X.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             R, defect = _reproject(got, k)
-            R_m, defect_m = _masked_reproject(want, k, k * want[..., 0],
-                                              k * _scaled_norm(want[..., 1:]))
-            assert [np.asarray(a).tobytes() for a in (got, R, defect)] == [
-                np.asarray(a).tobytes() for a in (want, R_m, defect_m)]
+        for i, x in enumerate(X):
+            one = x.copy()
+            r, e = _reproject(one, k)
+            assert [np.asarray(a).tobytes() for a in (one, r, e)] == [
+                np.asarray(a).tobytes() for a in (got[i], R[i], defect[i])]
 
     def test_a_norm_past_the_double_range_is_inf_without_a_warning(self):
         v = np.array([1.5e308, 1.5e308])
@@ -819,7 +851,7 @@ class TestCheckedKernels:
         assert abs(R - s) <= 4 * np.finfo(float).eps * s
         assert defect <= REPROJECTION_DRIFT_TOL
         assert y[0] == math.hypot(1.0, k * y[1]) / k and y[2] == 0.0
-        assert _distance(origin(k, 2), y, k) == pytest.approx(s, rel=1e-14)
+        assert dist(origin(k, 2), y, k) == pytest.approx(s, rel=1e-14)
 
 
 class TestCurvatureModel:

@@ -401,7 +401,7 @@ class TestFrameAttachedSamplers:
         # at the origin the stand-in axis takes the radial part
         k, d = 1.0, 2
         frame = self._frame(k, d, 0.0)
-        assert frame.at_origin
+        assert frame.radial.tolist() == [0.0, -1.0, 0.0]
         want, got = self._step(hw.EllipticLaw(C1, C1, d), 0.0, frame, law_rng(22))
         assert got == pytest.approx(want, rel=1e-12)
 

@@ -57,13 +57,6 @@ class TestWalkConfig:
         with pytest.raises(DomainError):
             WalkConfig(HYP2, law3, 10, 1, 0)
 
-    def test_radial_only_needs_radial_symmetry(self):
-        law = hw.CustomLaw(lambda r, d, rng: (0.0, np.zeros(d - 1)), 2,
-                           radially_symmetric=False)
-        with pytest.raises(UsageError):
-            WalkConfig(HYP2, law, 10, 1, 0, mode=MODE_RADIAL_ONLY)
-        WalkConfig(HYP2, law, 10, 1, 0, mode=MODE_AMBIENT)  # fine
-
     @pytest.mark.parametrize("start", [math.nan, -1.0])
     def test_start_radius_must_be_nonnegative(self, start):
         # a NaN start used to pass, and an ambient walk then failed at step 1
@@ -86,15 +79,35 @@ class TestRunWalk:
                     record_stride=1, escape_radius=1e9)
         rec_a = hw.run_walk(WalkConfig(mode=MODE_AMBIENT, **base), 0, rng=walk_rng(11, 0))
         rec_r = hw.run_walk(WalkConfig(mode=MODE_RADIAL_ONLY, **base), 0, rng=walk_rng(11, 0))
-        ra, rr = radii_of(rec_a), radii_of(rec_r)
-        assert np.max(np.abs(ra - rr) / np.maximum(1.0, np.abs(rr))) < 1e-8
+        assert _exact(rec_a) == _exact(rec_r)
 
     def test_euclidean_modes_couple(self):
         law = hw.EllipticLaw(hw.RadialProfile.constant(1.2), C1, 2)
         base = dict(model=EUC2, law=law, steps=200, walks=1, seed=3, record_stride=1)
         rec_a = hw.run_walk(WalkConfig(mode=MODE_AMBIENT, **base), 0, rng=walk_rng(3, 0))
         rec_r = hw.run_walk(WalkConfig(mode=MODE_RADIAL_ONLY, **base), 0, rng=walk_rng(3, 0))
-        assert radii_of(rec_a) == pytest.approx(radii_of(rec_r), rel=1e-9, abs=1e-9)
+        assert _exact(rec_a) == _exact(rec_r)
+
+    @pytest.mark.parametrize("model", [HYP2, hw.CurvatureModel.hyperbolic(1.0, 3), EUC2],
+                             ids=["H2", "H3", "flat"])
+    @pytest.mark.parametrize("kind", ["elliptic", "box", "heavytail", "inwardbiased"])
+    def test_ambient_radii_are_radial_only_radii(self, kind, model):
+        # an ambient step is the radial-only step and a turn of the direction
+        law = TestLockstepCoupling.LAWS[kind](model.d)
+        base = dict(model=model, law=law, steps=300, walks=4, seed=19, record_stride=1,
+                    start_radius=0.5, escape_radius=1e9)
+        rec_a, stats_a = hw.run_ensemble(WalkConfig(mode=MODE_AMBIENT, **base))
+        rec_r, stats_r = hw.run_ensemble(WalkConfig(mode=MODE_RADIAL_ONLY, **base))
+        assert [_exact(r) for r in rec_a] == [_exact(r) for r in rec_r]
+        assert stats_a == stats_r
+
+    @pytest.mark.parametrize("start", [0.0, 2.0])
+    @pytest.mark.parametrize("model", [HYP2, EUC2], ids=["hyperbolic", "euclidean"])
+    def test_ambient_walks_start_on_the_first_axis(self, model, start):
+        # at the origin, on the frames' stand-in -e_1
+        cfg = WalkConfig(model, ELLIPTIC, 3, 2, 0, mode=MODE_AMBIENT, start_radius=start)
+        _, walks = next(_lockstep_states(cfg, range(2)))
+        assert walks.n.tolist() == [[1.0 if start else -1.0, 0.0]] * 2
 
     def test_radius_stays_nonnegative_and_steps_bounded(self):
         cfg = WalkConfig(HYP2, ELLIPTIC, 500, 1, 5, mode=MODE_RADIAL_ONLY,
@@ -104,17 +117,20 @@ class TestRunWalk:
         bound = ELLIPTIC.step_bound()
         assert np.all(np.abs(np.diff(radii)) <= bound + 1e-9)
 
-    def test_overflow_guard_trips(self):
-        cfg = WalkConfig(HYP2, ELLIPTIC, 10_000, 1, 5, mode=MODE_AMBIENT,
-                         escape_radius=1e12)
-        with pytest.raises(OverflowGuardError):
-            hw.run_walk(cfg, 0)
+    def test_ambient_walk_has_no_radius_limit(self):
+        # from k R = 10^4, where cosh kR is far past the double range
+        base = dict(model=HYP2, law=ELLIPTIC, steps=500, walks=3, seed=5, record_stride=1,
+                    start_radius=1e4, escape_radius=1e12)
+        rec_a, _ = hw.run_ensemble(WalkConfig(mode=MODE_AMBIENT, **base))
+        rec_r, _ = hw.run_ensemble(WalkConfig(mode=MODE_RADIAL_ONLY, **base))
+        assert [_exact(r) for r in rec_a] == [_exact(r) for r in rec_r]
+        assert min(r.final_R for r in rec_a) > 1e4
 
     def test_radial_only_has_no_radius_limit(self):
         cfg = WalkConfig(HYP2, ELLIPTIC, 10_000, 1, 5, mode=MODE_RADIAL_ONLY,
                          escape_radius=1e12)
         rec = hw.run_walk(cfg, 0)
-        assert rec.final_R > 700.0  # past the ambient overflow envelope
+        assert rec.final_R > 700.0  # as far out as cosh kR nears the double maximum
 
     def test_returns_count_entries_after_burn_in(self):
         # deterministic sawtooth: out 3 steps, in 3 steps, period 6
@@ -256,8 +272,8 @@ class TestBlockDrawCoupling:
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("kind", LAW_KINDS)
     def test_ambient_matches_per_step_draws(self, kind, d, geometry, profile, monkeypatch):
-        # an ambient step costs ~50 us and kR must stay below 700, so these
-        # walks cross block boundaries of a smaller block
+        # an ambient step costs ~50 us, so these walks cross the block
+        # boundaries of a smaller block
         monkeypatch.setattr(simulator, "BLOCK_STEPS", 32)
         config = WalkConfig(self._model(geometry, d), self._law(kind, profile, d), 100, 1, 32,
                             mode=MODE_AMBIENT, record_stride=1, ball_radius=3.0,
@@ -462,8 +478,10 @@ class TestAmbientPositions:
     R, d_rad and |t|.  These final positions of one 25-step box walk pin
     that orientation: the Householder reflection's, stored when it replaced
     a Gram-Schmidt completion (the per-step radii, and so x_0, agreed with
-    that completion's within 3e-15 * max(1, R)).  The d = 2 hyperbolic walk
-    kept its orientation."""
+    that completion's within 3e-15 * max(1, R)), and stored as hyperboloid
+    or flat coordinates, which the polar walk's (R, n) give as
+    (cosh kR, sinh kR n) / k or R n.  The d = 2 hyperbolic walk kept its
+    orientation."""
 
     FINAL = {
         ("hyperbolic", 3): [1940582958.8851597, 1187472052.7463381,
@@ -480,7 +498,38 @@ class TestAmbientPositions:
         cfg = WalkConfig(model, hw.BoxLaw(C1, C1, d), 25, 1, 90907,
                          mode=MODE_AMBIENT, start_radius=0.5)
         *_, (_, walks) = _lockstep_states(cfg, range(1))
-        assert walks.x[0] == pytest.approx(self.FINAL[kind, d], rel=1e-9)
+        R, n = walks.R[0], walks.n[0]
+        x = np.concatenate([[math.cosh(R)], math.sinh(R) * n]) if kind == "hyperbolic" else R * n
+        assert x == pytest.approx(self.FINAL[kind, d], rel=1e-9)
+
+
+class TestPolarStep:
+    """The ambient walk's turn against the hyperboloid oracle, step by step:
+    from each walk's (R, n), `_exp_step` along the same tangent step,
+    read in the hyperboloid frame at (R, n), must end in the walk's new
+    direction."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["elliptic", "box"])
+    def test_turn_matches_the_exp_step(self, kind, d, monkeypatch):
+        exact, worst, steps = simulator._turn, [0.0], [0]
+
+        def checked(n, t, R, d_rad, d_tot, k, opp):
+            out = exact(n, t, R, d_rad, d_tot, k, opp)
+            for i in np.flatnonzero(d_tot > 0.0):
+                a = k * R[i]
+                x = np.concatenate([[math.cosh(a)], math.sinh(a) * n[i]]) / k
+                v = geometry._tangent_axes(x, k).step(d_rad[i], t[i])
+                y = geometry._exp_step(x, v, d_tot[i], k)[1:]
+                worst[0] = max(worst[0], float(np.linalg.norm(y / np.linalg.norm(y) - out[i])))
+            steps[0] += 1
+            return out
+        monkeypatch.setattr(simulator, "_turn", checked)
+        cfg = WalkConfig(hw.CurvatureModel.hyperbolic(1.0, d), TestLockstepCoupling.LAWS[kind](d),
+                         250, 8, 23, mode=MODE_AMBIENT, escape_radius=1e9)
+        simulator._chunk_tally(cfg, range(8))
+        assert steps[0] == 250
+        assert worst[0] <= 1e-12
 
 
 class TestLockstepCoupling:
@@ -631,89 +680,74 @@ class TestLockstepCoupling:
         assert radii_of(records[0]).tolist() == [2.0] * 11
         assert _exact(records[1]) == _exact(hw.run_walk(cfg, 1))
 
-    def test_step_too_long_for_doubles_raises_overflow(self):
-        # cosh(800) overflows: the walk stops with the overflow guard's error
-        cfg = WalkConfig(HYP2, bad_step_law(800.0, 2), 5, 1, 0, mode=MODE_AMBIENT)
-        with pytest.raises(OverflowGuardError, match="overflowed at step 2"):
-            hw.run_walk(cfg, 0)
-
-
-def masked_ambient_step(walks, n):
-    """The hyperbolic ambient step with every guard's mask built and the
-    geometry kernels' masked paths taken, as the step ran before its guards
-    became reductions."""
-    k, limit = walks.config.model.k, simulator.AMBIENT_KR_LIMIT
-    far = k * walks.R > limit
-    if far.any():
-        walks.drop(far, lambda i: OverflowGuardError(
-            f"ambient mode exceeded k*R = {limit} at step {n}; "
-            "use radial-only mode for long horizons"))
-        if not walks.ids.size:
-            return
-    d_rad, t, (norm,) = walks._draw(n)
-    x = walks.x
-    v = geometry._masked_tangent_axes(x, k, geometry._scaled_norm(x[:, 1:])).step(d_rad, t)
-    moving = norm > 0.0
-    y = geometry._exp_step(x[moving], v[moving], norm[moving], k)
-    R, defect_moving = geometry._masked_reproject(y, k, k * y[:, 0],
-                                                  k * geometry._scaled_norm(y[:, 1:]))
-    walks.x[moving], walks.R[moving] = y, R
-    defect = np.zeros(len(norm))
-    defect[moving] = defect_moving
-    fault = defect > geometry.REPROJECTION_DRIFT_TOL
-    if fault.any():
-        walks.drop(fault, lambda i: geometry._reprojection_error(defect[i], n))
+    def test_step_too_long_for_the_hyperboloid_is_taken(self):
+        # cosh(800) overflows, which stopped a walk on the hyperboloid; the
+        # polar walk takes the step as the radial-only walk does
+        law = bad_step_law(800.0, 2)
+        walks = {mode: hw.run_walk(WalkConfig(HYP2, law, 5, 1, 0, mode=mode), 0)
+                 for mode in (MODE_AMBIENT, MODE_RADIAL_ONLY)}
+        assert _exact(walks[MODE_AMBIENT]) == _exact(walks[MODE_RADIAL_ONLY])
+        assert radii_of(walks[MODE_AMBIENT]).tolist() == [0.0, 1.0, 801.0, 802.0, 803.0, 804.0]
 
 
 @st.composite
 def lockstep_draws(draw):
-    """(k, points, radii, d_rad, t) of W walks about to take one ambient
-    step, on both sides of each of its guards: k R at the origin, near its
-    1e-12 and near the limit 700; spatial parts off the sheet by up to 3e-6
-    (the drift tolerance is 1e-6); zero and non-finite steps."""
-    k, d, W = draw(st.floats(0.25, 2.0)), draw(st.integers(2, 3)), draw(st.integers(1, 5))
+    """(k, radii, directions, d_rad, t) of W walks about to take one ambient
+    step, on both sides of each of its guards: k R at the origin, near 700,
+    where cosh kR overflows, and at 10^4; zero, non-finite and inward steps
+    onto the origin; k = 0 for flat space."""
+    k = draw(st.one_of(st.floats(0.25, 2.0), st.just(0.0)))
+    d, W = draw(st.integers(2, 3)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    X, R = np.empty((W, d + 1)), np.empty(W)
+    R, N = np.empty(W), rng.standard_normal((W, d))
+    N /= np.sqrt(geometry._rowdot(N, N))[:, None]
     D, T = np.zeros(W), np.zeros((W, d - 1))
     for i in range(W):
-        kR = draw(st.one_of(st.just(0.0), st.floats(5e-13, 2e-12), st.floats(0.0, 5.0),
-                            st.floats(699.5, 700.5)))
-        n = rng.standard_normal(d)
-        X[i] = np.concatenate([[math.cosh(kR)], math.sinh(kR) * n / np.linalg.norm(n)]) / k
-        X[i, 1:] *= 1.0 + draw(st.one_of(st.just(0.0), st.floats(-3e-6, 3e-6)))
-        R[i] = kR / k
-        kind = draw(st.sampled_from(["step", "step", "zero", "non-finite"]))
-        if kind != "zero":
+        R[i] = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.floats(699.5, 700.5),
+                              st.just(1e4))) / (k or 1.0)
+        kind = draw(st.sampled_from(["step", "step", "zero", "onto-origin", "non-finite"]))
+        if kind in ("step", "non-finite"):
             D[i] = draw(st.floats(-1.0, 1.0))
             T[i] = draw(st.lists(st.floats(-1.0, 1.0), min_size=d - 1, max_size=d - 1))
+        elif kind == "onto-origin":
+            D[i] = -R[i]
         if kind == "non-finite":
             row = np.concatenate([[D[i]], T[i]])
             row[draw(st.integers(0, d - 1))] = draw(st.sampled_from([math.nan, math.inf]))
             D[i], T[i] = row[0], row[1:]
-    return k, X, R, D, T
+    return k, R, N, D, T
 
 
-class TestCheckedAmbientStep:
-    """The ambient step builds a guard's mask only when a reduction says the
-    guard fires; it must leave every walk as the step with every mask built
-    does, and drop the same walks with the same errors."""
+class TestLockstepRows:
+    """The ambient step's guards are reductions over all the walks, and a
+    guard's mask is built only when it fires; each walk must still come out
+    of a step as it does stepped alone, and be dropped with the same
+    error."""
+
+    @staticmethod
+    def step(cfg, ids, R, N):
+        walks = simulator._Lockstep(cfg, ids, ids)
+        walks.R, walks.n = R[ids].copy(), N[ids].copy()
+        walks.step(1)
+        return ([(j, float(r).hex(), n.tobytes()) for j, r, n in
+                 zip(walks.ids.tolist(), walks.R, walks.n)],
+                {j: (type(e), str(e)) for j, e in walks.errors.items()})
 
     @given(lockstep_draws())
     @settings(max_examples=300, deadline=None)
-    def test_step_is_masked_step(self, drawn):
-        k, X, R, D, T = drawn
-        W, d = R.size, X.shape[1] - 1
+    def test_each_walk_steps_as_it_does_alone(self, drawn):
+        k, R, N, D, T = drawn
+        W, d = R.size, N.shape[1]
         # walk j's "stream" is j, from which it draws its step (D[j], T[j])
         law = hw.CustomLaw(lambda r, d, j: (D[j], T[j]), d)
-        cfg = WalkConfig(hw.CurvatureModel.hyperbolic(k, d), law, 1, W, 0, mode=MODE_AMBIENT)
-        states = []
-        for step in (simulator._Lockstep.step, masked_ambient_step):
-            walks = simulator._Lockstep(cfg, range(W), range(W))
-            walks.x, walks.R = X.copy(), R.copy()
-            step(walks, 1)
-            states.append((walks.ids.tolist(), walks.R.tobytes(), walks.x.tobytes(),
-                           {j: (type(e), str(e)) for j, e in walks.errors.items()}))
-        assert states[0] == states[1]
+        model = hw.CurvatureModel.hyperbolic(k, d) if k else hw.CurvatureModel.euclidean(d)
+        cfg = WalkConfig(model, law, 1, W, 0, mode=MODE_AMBIENT)
+        rows, errors = self.step(cfg, list(range(W)), R, N)
+        alone = [self.step(cfg, [j], R, N) for j in range(W)]
+        first = min((j for j, (_, e) in enumerate(alone) if e), default=W)
+        # walks after the first that fails are dropped with it
+        assert rows == [row for j in range(first) for row in alone[j][0]]
+        assert errors == {j: e for _, alone_errors in alone for j, e in alone_errors.items()}
 
     def test_short_steps_from_the_origin_are_kept(self):
         # steps of 1e-9 straight outward, which acosh(k x0) cannot resolve
@@ -927,25 +961,41 @@ class TestErrorPrecedence:
         assert hw.neighborhood_return_probe(cfg, 0.0, 1.0, 5).successes == 3
 
 
-class TestSharedExpStep:
-    """Negative control: the validate suites and the ambient walk take the
-    one exp step in geometry, so a perturbed step shows in all of them."""
+class TestSharedKernels:
+    """Negative controls: the ambient walk and the geodesic-step suite take
+    the one turn in geometry, and both oracle suites the one exp step, so a
+    perturbed kernel shows in them."""
 
-    def test_perturbed_step_fails_oracle_and_moves_walk(self, monkeypatch):
+    def test_perturbed_turn_fails_the_suite_and_moves_the_walk(self, monkeypatch):
         cfg = WalkConfig(HYP2, ELLIPTIC, 30, 1, 5, mode=MODE_AMBIENT)
-        before = radii_of(hw.run_walk(cfg, 0))
+
+        def final(cfg):
+            *_, (_, walks) = _lockstep_states(cfg, range(1))
+            return walks.R.tobytes(), walks.n.tobytes()
+        R, n = final(cfg)
         assert suite_geodesic_step(n=200).passed
+        exact = geometry._turn
+        assert simulator._turn is exact
+
+        def wider(n, t, *args):
+            # a transverse part 1e-6 longer turns the direction further
+            return exact(n, (1.0 + 1e-6) * t, *args)
+        for owner in (geometry, simulator):     # wherever callers look it up
+            monkeypatch.setattr(owner, "_turn", wider)
+        assert not suite_geodesic_step(n=200).passed
+        assert suite_exact_radial_increment(n=200).passed
+        R_turned, n_turned = final(cfg)
+        assert R_turned == R and n_turned != n      # the radii do not read the turn
+
+    def test_perturbed_exp_step_fails_both_oracles(self, monkeypatch):
         exact = geometry._exp_step
-        assert simulator._exp_step is exact
 
         def further(x, v, length, k):
             # 1e-6 further along the same geodesic, so still on the hyperboloid
             return exact(x, (1.0 + 1e-6) * v, (1.0 + 1e-6) * length, k)
-        for owner in (geometry, simulator):     # wherever callers look it up
-            monkeypatch.setattr(owner, "_exp_step", further)
+        monkeypatch.setattr(geometry, "_exp_step", further)
         assert not suite_exact_radial_increment(n=200).passed
         assert not suite_geodesic_step(n=200).passed
-        assert not np.array_equal(radii_of(hw.run_walk(cfg, 0)), before)
 
     def test_step_off_the_hyperboloid_fails_the_oracle(self, monkeypatch):
         # reported as a failing suite, not raised out of validate
@@ -1286,7 +1336,7 @@ class TestNeighborhoodReturnProbe:
         res = hw.neighborhood_return_probe(cfg, 3 * bound + 2.0, 0.5, 3)
         assert res.estimate == 0.0
 
-    @pytest.mark.parametrize("start", [9.0, 12.0, 15.0, 18.0, 20.0, 25.0])
+    @pytest.mark.parametrize("start", [9.0, 12.0, 15.0, 18.0, 20.0, 25.0, 700.0])
     def test_far_out_target_is_decided(self, start):
         # the target's centre lies along the walks' own axis, its radius
         # 0.25; read off the Minkowski pairing unchecked, every walk "hit" a
@@ -1295,6 +1345,31 @@ class TestNeighborhoodReturnProbe:
         cfg = WalkConfig(HYP2, self.BOX, 10, 20, 4, mode=MODE_AMBIENT, start_radius=start)
         assert hw.neighborhood_return_probe(cfg, start + 1.0, 0.25, 0).successes == 0
         assert hw.neighborhood_return_probe(cfg, start + 0.1, 0.25, 0).successes == 20
+
+    @pytest.mark.parametrize("center", [800.0, 1e4])
+    def test_target_past_where_cosh_overflows(self, center):
+        # cosh(k R) overflows past kR = 710, which stopped the probe there;
+        # the walks never come near the centre
+        cfg = WalkConfig(HYP2, self.BOX, 10, 20, 4, mode=MODE_AMBIENT)
+        assert hw.neighborhood_return_probe(cfg, center, 1.0, 10).successes == 0
+
+    @pytest.mark.parametrize("start", [800.0, 1e4])
+    def test_walks_past_the_turn_limit_raise(self, start):
+        # past kR = 745 a step's turn is 0, so the walks would keep to the
+        # first axis and hit a ball on it by their radii alone: 20 of 20
+        # from R = 800 to the ball about 801.5, against 3 of 20 from R = 5
+        # to the ball about 6.5
+        cfg = WalkConfig(HYP2, self.BOX, 10, 20, 4, mode=MODE_AMBIENT, start_radius=start)
+        with pytest.raises(OverflowGuardError, match=r"walk 0: k\*R passed 700.0 at step 0"):
+            hw.neighborhood_return_probe(cfg, start + 1.5, 1.0, 10)
+        near = dataclasses.replace(cfg, start_radius=5.0)
+        assert hw.neighborhood_return_probe(near, 6.5, 1.0, 10).successes < 20
+
+    def test_walk_that_passes_the_turn_limit_raises(self):
+        # from kR = 699.9 the walks pass 700 within the first steps
+        cfg = WalkConfig(HYP2, self.BOX, 10, 20, 4, mode=MODE_AMBIENT, start_radius=699.9)
+        with pytest.raises(OverflowGuardError, match=r"k\*R passed 700.0 at step [1-9]"):
+            hw.neighborhood_return_probe(cfg, 1.0, 0.5, 10)
 
     def test_resolved_distance_keeps_its_verdict(self):
         cfg = WalkConfig(HYP2, self.BOX, 10, 20, 4, mode=MODE_AMBIENT, start_radius=5.0)
