@@ -40,7 +40,9 @@ r,value CSV relative to the config file.
     sim.walks           number of walks, integer >= 1 (1; required by simulate)
     sim.seed            master seed, integer >= 0 (env HYPERWALK_SEED, then
                         --seed override)
-    sim.mode            ambient | radialonly (radialonly)
+    sim.mode            ambient | radialonly (radialonly); accepted and echoed,
+                        but changes nothing in simulate: only the library's
+                        neighborhood_return_probe tracks walk directions
     sim.stride          record stride, integer >= 1 (max(1, steps // 1000))
     sim.ball_radius     return-ball radius, > 0 (5.0)
     sim.burn_in         steps ignored before counting returns, integer >= 0
@@ -52,7 +54,8 @@ r,value CSV relative to the config file.
     grid.stop           last radius of the grid, >= 0 and >= grid.start
     grid.count          number of grid points, integer >= 1
     grid.spacing        linear | log (linear)
-    classify.theta      slack in the recurrence inequality, > 0 (0.5)
+    classify.theta      slack in the recurrence and transience inequalities,
+                        > 0 (0.5)
     classify.epsilon    floor for second-moment screens, > 0 (0.5)
     classify.r0         tail threshold radius, at most the last grid point
                         (grid midpoint)

@@ -27,8 +27,9 @@ every radius is measured from.  Every frame is one Householder reflection
 (HouseholderFrame): the walks step through it in O(d), and its `axes` is
 the matrix view the tests compare that step against.
 
-The ambient walks hold each point in polar form, its radius R and unit
-direction n, and no hyperboloid coordinate.  Their step is the radial
+The walks that carry directions (the neighbourhood probe's) hold each
+point in polar form, its radius R and unit direction n, and no hyperboloid
+coordinate.  Their step is the radial
 increment below and `_turn`, which turns n in the plane of n and the
 step's transverse part, read in n's Householder frame; `_distance`
 measures points in that form.  Neither overflows at any radius, but near
@@ -197,7 +198,8 @@ def _reproject(x: np.ndarray, k: float):
     defect = np.where(finite, np.abs(sp - rad) / np.maximum(np.maximum(sp, rad), 1.0), np.inf)
     snap = (defect <= REPROJECTION_DRIFT_TOL) & (sp > 0.0)
     near = snap & (sp < NEAR_ORIGIN)
-    x[..., 1:] *= np.where(snap & ~near, rad / np.where(sp > 0.0, sp, 1.0), 1.0)[..., None]
+    scaled = snap & ~near       # sp >= NEAR_ORIGIN: a subnormal sp divides nothing
+    x[..., 1:] *= np.where(scaled, rad / np.where(scaled, sp, 1.0), 1.0)[..., None]
     R = np.arccosh(np.maximum(ky0, 1.0)) / k
     if near.any():
         np.copyto(x[..., 0], np.hypot(1.0, sp) / k, where=near)

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, InvariantViolationError, UsageError
 from .increments import MOMENT_NAMES, Z99, IncrementLaw, RadialProfile, ZeroDriftResult
 # the estimators call the kernels here, where perfbench/spans.py wraps them
 from .geometry import (asymptotic_increment_batch, log_form_increment, log_one_plus_phi,
@@ -492,13 +492,15 @@ def _decide(transient, recurrent, theta, r0, rows, notes,
 
 def classify_constant_curvature(moments: MomentFunctions, r_grid, theta: float = 0.5,
                                 r0: Optional[float] = None) -> ClassificationReport:
-    """Classify from moment bounds in constant curvature.
+    """Classify from moment bounds in constant curvature, at the tail radii
+    past 1.
 
     Transient when the second moment stays bounded along the tail and
-    2 r nu1 - nu2 clears its combined half-width at every tail radius.
+    2 r nu1 >= (1 + (1+theta)/log r) nu2 with margin at every such radius.
     Recurrent when nu2 stays positive and
-    2 r nu1 <= (1 + (1-theta)/log r) nu2 with margin at every tail radius.
-    Inconclusive otherwise.
+    2 r nu1 <= (1 + (1-theta)/log r) nu2 with margin at every such radius.
+    Inconclusive otherwise.  The two legs are mirrors, so they cannot both
+    hold; if they did, InvariantViolationError is raised.
     """
     if not theta > 0:
         raise DomainError(f"theta must be > 0, got {theta}")
@@ -512,22 +514,28 @@ def classify_constant_curvature(moments: MomentFunctions, r_grid, theta: float =
 
     rows = []
     notes = [moments.note] if moments.note else []
+    points = [(r, e1, e2) for r, e1, e2 in zip(tail, n1, n2) if r > 1.0]
 
-    # transience leg
+    # transience leg, its factor on nu2 and its half-width the recurrence
+    # leg's mirror image
     t_margins = []
-    for r, e1, e2 in zip(tail, n1, n2):
-        gap = 2.0 * r * e1.value - e2.value
-        hw = 2.0 * r * e1.half_width + e2.half_width
+    for r, e1, e2 in points:
+        factor = 1.0 + (1.0 + theta) / math.log(r)
+        gap = 2.0 * r * e1.value - factor * e2.value
+        hw = 2.0 * r * e1.half_width + factor * e2.half_width
         t_margins.append((r, gap - hw))
         rows.append(MarginRow(r, "transience-gap", gap, hw, gap - hw, CRIT_CONST_TRANSIENT))
-    bounded = _tail_bounded(tail, [e.value for e in n2], [e.half_width for e in n2])
+    bounded = _tail_bounded([r for r, _, _ in points], [e2.value for _, _, e2 in points],
+                            [e2.half_width for _, _, e2 in points])
     if not bounded:
         notes.append("second moment shows growth along the tail; transience leg rejected")
-    transient_ok = bounded and all(m > 0.0 for _, m in t_margins)
+    transient_ok = bounded and bool(t_margins) and all(m > 0.0 for _, m in t_margins)
 
     recurrent_ok, r_margins, _ = _recurrence_leg(
-        [(r, e1, e2) for r, e1, e2 in zip(tail, n1, n2) if r > 1.0], theta,
-        "second-moment-floor", CRIT_CONST_RECURRENT, rows)
+        points, theta, "second-moment-floor", CRIT_CONST_RECURRENT, rows)
+    if transient_ok and recurrent_ok:
+        raise InvariantViolationError(
+            "both the transience and the recurrence leg hold at every tail radius")
     return _decide((transient_ok, CRIT_CONST_TRANSIENT, t_margins),
                    (recurrent_ok, CRIT_CONST_RECURRENT, r_margins), theta, r0, rows, notes)
 

@@ -1,19 +1,17 @@
 """Monte Carlo ensemble engine for geodesic random walks.
 
 The walks of a chunk advance together, one step for all of them
-(`_Lockstep`), in one of two modes:
-
-* ``radialonly`` holds their radii, one (W,) array, and each step is one
-  call of the exact radial increment over it (geometry's
-  `_radial_increments` on H_k, `_euclidean_increments` in flat space),
-  with no radius limit.  This is what makes 10^5-step horizons cheap.
-* ``ambient`` holds each walk in polar form, its radius and a unit
-  direction n of R^d, one (W, d) array.  Its step is the radial-only
-  step, on the same draws and inputs, followed by a turn of n in the
-  plane of n and the step's transverse part, read in n's Householder
-  frame (geometry's `_turn`).  So ambient radii are the radial-only radii
-  bit for bit, at any radius.  A walk starts at n = +e_1, or at the
-  origin at the frames' stand-in -e_1.
+(`_Lockstep`).  A lockstep holds their radii, one (W,) array, and each
+step is one call of the exact radial increment over it (geometry's
+`_radial_increments` on H_k, `_euclidean_increments` in flat space), with
+no radius limit.  This is what makes 10^5-step horizons cheap.  Only when
+asked (`directions`, which only `neighborhood_return_probe` asks for) does
+it also hold each walk's unit direction n of R^d, one (W, d) array, and
+turn n after each radial step in the plane of n and the step's transverse
+part, read in n's Householder frame (geometry's `_turn`); the radii are
+the same bit for bit.  A walk starts at n = +e_1, or at the origin at the
+frames' stand-in -e_1.  So `WalkConfig.mode` is only that probe's
+precondition, and an ambient ensemble is the radial-only one.
 
 A walk of a built-in law draws the rows of a T-block of steps ahead
 (`IncrementLaw.unit_rows`), which consumes the stream exactly as per-step
@@ -120,7 +118,7 @@ class WalkConfig:
     steps: int
     walks: int
     seed: int
-    mode: str = MODE_RADIAL_ONLY
+    mode: str = MODE_RADIAL_ONLY            # read by neighborhood_return_probe alone
     record_stride: int = 1
     ball_radius: float = 5.0
     burn_in: int = 0
@@ -252,8 +250,8 @@ def _non_finite_step(n: int, d_rad, t) -> InvariantViolationError:
 class _Lockstep:
     """The walks `ids` advanced together, one step for all of them.
 
-    Row i of the radii `R` (and in ambient mode of the unit directions `n`)
-    is walk `ids[i]`, and draws from `rngs[i]`.  A walk draws from its own
+    Row i of the radii `R` (and, with `directions`, of the unit directions
+    `n`) is walk `ids[i]`, and draws from `rngs[i]`.  A walk draws from its own
     stream exactly as it would alone: it takes the law's `unit_rows` in
     T-blocks (runs of steps drawn ahead, `_block_steps`), or a custom law's
     sampler once per step, and a law maps each walk's radius by the rule one
@@ -274,13 +272,13 @@ class _Lockstep:
     walks with a higher id are dropped with it.
     """
 
-    def __init__(self, config: WalkConfig, ids, rngs):
+    def __init__(self, config: WalkConfig, ids, rngs, directions: bool = False):
         self.config = config
         self.ids = np.asarray(ids, dtype=np.int64)
         self.rngs = list(rngs)
         self.R = np.full(len(self.ids), float(config.start_radius))
-        self.n = None               # the ambient directions; radial-only walks have none
-        if config.mode == MODE_AMBIENT:
+        self.n = None               # the directions, held only when asked for
+        if directions:
             # +e_1, or at the origin the frames' stand-in -e_1
             self.n = np.zeros((len(self.ids), config.model.d))
             self.n[:, 0] = 1.0 if config.start_radius > 0.0 else -1.0
@@ -433,8 +431,8 @@ class _Lockstep:
 
     def step(self, n: int):
         """Take step n of every walk: the exact radial increment over the
-        array of radii, and in ambient mode the turn of each walk's direction
-        in the plane of the step (geometry's `_turn`)."""
+        array of radii, and where directions are held the turn of each walk's
+        direction in the plane of the step (geometry's `_turn`)."""
         d_rad, t, (d_tot, *inputs) = self._draw(n)
         R, model = self.R, self.config.model
         opp = None
@@ -448,14 +446,14 @@ class _Lockstep:
             self.n = _turn(self.n, t, R, d_rad, d_tot, model.k, opp)
 
 
-def _lockstep_states(config: WalkConfig, ids, rngs=None):
+def _lockstep_states(config: WalkConfig, ids, rngs=None, directions: bool = False):
     """Yield (n, walks) for n = 0 .. T: the _Lockstep of the walks `ids`
-    (over their own streams unless `rngs` are given) after n steps.  The
-    caller may drop walks between steps; the run ends early once none is
-    left."""
+    (over their own streams unless `rngs` are given, holding directions
+    when `directions`) after n steps.  The caller may drop walks between
+    steps; the run ends early once none is left."""
     if rngs is None:
         rngs = [walk_rng(config.seed, j) for j in ids]
-    walks = _Lockstep(config, ids, rngs)
+    walks = _Lockstep(config, ids, rngs, directions)
     yield 0, walks
     for n in range(1, config.steps + 1):
         if not walks.ids.size:
@@ -746,18 +744,19 @@ def _estimate(successes: int, trials: int) -> ProbeEstimate:
     return ProbeEstimate(p, Z99 * math.sqrt(p * (1.0 - p) / trials), successes, trials)
 
 
-def _hit_probe(config: WalkConfig, steps: int, hit, far: float = math.inf) -> ProbeEstimate:
+def _hit_probe(config: WalkConfig, steps: int, hit, far: float = math.inf,
+               directions: bool = False) -> ProbeEstimate:
     """The fraction of walks that hit at some step 0 .. `steps`.
 
     The walks run in lockstep over their own streams, and each stops at its
     first hit, so an error after it does not count.  `hit(n, R)` maps the
-    running walks' directions (None in radial-only mode) and radii to the
+    running walks' directions (None unless `directions`) and radii to the
     mask of the walks that hit.  A walk whose radius passes `far`, where
     `hit` cannot read it, is dropped with an error before its hit is read.
     """
     cfg = dataclasses.replace(config, steps=steps)
     successes = 0
-    for n, walks in _lockstep_states(cfg, range(config.walks)):
+    for n, walks in _lockstep_states(cfg, range(config.walks), directions=directions):
         if not walks.R.max(initial=0.0) <= far:
             walks.drop(walks.R > far, lambda i: OverflowGuardError(
                 f"walk {walks.ids[i]}: k*R passed {TURN_KR_LIMIT} at step {n}, past which "
@@ -823,4 +822,4 @@ def neighborhood_return_probe(config: WalkConfig, target_center_radius: float,
             u = R[:, None] * n
             u[:, 0] -= target_center_radius
             return np.sqrt(_rowdot(u, u)) < target_radius
-    return _hit_probe(config, m, inside, far)
+    return _hit_probe(config, m, inside, far, directions=True)

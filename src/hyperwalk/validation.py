@@ -6,11 +6,12 @@ moments, coupled simulations).  The geometry suites hold a hyperboloid
 oracle: a point's frame step (`_tangent_axes(x, k).step`), exp step
 (`_exp_step`) and reprojection (`_reproject`).  The exact-increment suite
 compares it against the closed-form radial increment, and the
-geodesic-step suite against the ambient walk's polar step (the radial
-increment and `_turn`), on one point at a time.  They look each kernel up
-on `geometry` at call time, so a perturbed kernel shows in them as in the
-walks.  The CLI `validate` command runs every suite and reports pass/fail
-per suite; the test suite reuses them at larger sizes.
+geodesic-step suite against the polar step of the walks that carry
+directions (the radial increment and `_turn`), on one point at a time.
+They look each kernel up on `geometry` at call time, so a perturbed kernel
+shows in them as in the walks.  The CLI `validate` command runs every
+suite and reports pass/fail per suite; the test suite reuses them at
+larger sizes.
 
 `fault` injects a deliberate error ("flip-phi-sign") into the formula side of
 the radial-increment suite, as a negative control that the oracle actually
@@ -26,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import geometry, increments, lamperti
-from .simulator import MODE_AMBIENT, MODE_RADIAL_ONLY, WalkConfig, run_walk, walk_rng
+from .simulator import MODE_AMBIENT, WalkConfig, _lockstep_states
 
 
 @dataclass(frozen=True)
@@ -141,9 +142,9 @@ def suite_sandwich_bounds(n_lengths: int = 200, n_phis: int = 170,
 
 
 def suite_geodesic_step(seed: int = 1, n: int = 2000, tol: float = 1e-8) -> SuiteResult:
-    """The ambient walk's polar step lands where the exp step does, a
-    step's length away: the polar distance from the walk's endpoint to the
-    oracle's, and its difference from the step length, stay within
+    """The direction-carrying walk's polar step lands where the exp step
+    does, a step's length away: the polar distance from the walk's endpoint
+    to the oracle's, and its difference from the step length, stay within
     relative error `tol`.
 
     Draws x = (R, u) at radius up to 4/k from the origin and a step of
@@ -179,20 +180,26 @@ def suite_geodesic_step(seed: int = 1, n: int = 2000, tol: float = 1e-8) -> Suit
     return SuiteResult("geodesic-step", worst <= tol, n, f"worst rel err {worst:.3e}")
 
 
-def suite_mode_coupling(seed: int = 2, steps: int = 100, tol: float = 1e-8) -> SuiteResult:
-    """Ambient and radial-only walks driven by the same draws agree step by step."""
+def suite_mode_coupling(seed: int = 2, steps: int = 100) -> SuiteResult:
+    """The lockstep that carries directions, as `neighborhood_return_probe`
+    runs it, against the bare lockstep every ensemble runs, on the same
+    draws, 4 walks on H^2 and in flat space: their radii must agree bit for
+    bit at every step.  Each step's radii are kept as the lockstep held
+    them, uncopied, so a turn that wrote into the radii it read would show."""
+    walks = 4
     law = increments.EllipticLaw(increments.RadialProfile.constant(0.7),
                                  increments.RadialProfile.constant(0.7), 2)
-    model = geometry.CurvatureModel.hyperbolic(1.0, 2)
-    base = dict(model=model, law=law, steps=steps, walks=1, seed=seed)
-    cfg_a = WalkConfig(mode=MODE_AMBIENT, **base)
-    cfg_r = WalkConfig(mode=MODE_RADIAL_ONLY, **base)
-    rec_a = run_walk(cfg_a, 0, rng=walk_rng(seed, 0))
-    rec_r = run_walk(cfg_r, 0, rng=walk_rng(seed, 0))
-    ra = np.array([R for _, R in rec_a.radii])
-    rr = np.array([R for _, R in rec_r.radii])
-    worst = float(np.max(np.abs(ra - rr) / np.maximum(1.0, np.abs(rr))))
-    return SuiteResult("mode-coupling", worst <= tol, steps, f"worst rel err {worst:.3e}")
+    worst, differ = 0.0, 0
+    for model in (geometry.CurvatureModel.hyperbolic(1.0, 2),
+                  geometry.CurvatureModel.euclidean(2)):
+        cfg = WalkConfig(model, law, steps, walks, seed, mode=MODE_AMBIENT)
+        carried = [w.R for _, w in _lockstep_states(cfg, range(walks), directions=True)]
+        bare = [w.R for _, w in _lockstep_states(cfg, range(walks))]
+        for a, b in zip(carried, bare):
+            differ += a.tobytes() != b.tobytes()
+            worst = max(worst, float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)))))
+    return SuiteResult("mode-coupling", differ == 0, 2 * steps * walks,
+                       f"{differ} steps not bit-equal, worst rel err {worst:.3e}")
 
 
 def suite_moment_identities(seed: int = 3, n: int = 200_000) -> SuiteResult:

@@ -529,6 +529,30 @@ class TestClassifyCommand:
         code, _ = run_cli(tmp_path, "r.cfg", CLASSIFY_RECURRENT, "classify")
         assert code == 0
 
+    # the box law's 2 r nu1 / nu2 tends to L0 r b^2 at k = 1, d = 2
+    BOX_L0 = 1.426948029495
+
+    @pytest.mark.parametrize("beta, code", [(0.3, 0), (1.0, 2), (2.0, 1)])
+    def test_box_law_at_one_plus_beta_over_log_r(self, beta, code, tmp_path, capsys):
+        # b^2 = (1 + beta/log r) / (L0 r): recurrent for beta < 1 - theta
+        # and transient for beta > 1 + theta (theta = 0.5); beta = 0.3 used
+        # to read transient with both recurrence margins positive
+        radii = np.linspace(2.0, 1000.0, 4000)
+        b = np.sqrt((1.0 + beta / np.log(radii)) / (self.BOX_L0 * radii))
+        (tmp_path / "b.csv").write_text(
+            "".join(f"{r!r},{v!r}\n" for r, v in zip(radii.tolist(), b.tolist())))
+        text = ("curvature.k = 1.0\ncurvature.d = 2\nlaw.kind = box\nlaw.a = const:1\n"
+                "law.b = table:b.csv\nsim.seed = 1\n"
+                "grid.start = 10\ngrid.stop = 200\ngrid.count = 4\ngrid.spacing = log\n")
+        got, out = run_cli(tmp_path, "box.cfg", text, "classify")
+        assert got == code
+        rows = [line.split(",") for line in (out / "margins.csv").read_text().splitlines()
+                if ",transience-gap," in line or ",recurrence-margin," in line]
+        assert len(rows) == 4
+        legs = [all(float(row[4]) > 0.0 for row in rows if row[1] == quantity)
+                for quantity in ("transience-gap", "recurrence-margin")]
+        assert legs == [code == 1, code == 0]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("curvature.k = -2\n")
@@ -918,6 +942,30 @@ class TestGoldenRuns:
         got = head + "".join(f"{r.walk_id},{s},{R!r}\n" for r in records for s, R in r.radii)
         problems = golden_mismatches(got, want)
         assert not problems, problems[:10]
+
+
+    @pytest.mark.parametrize("name", [n for n in GOLDEN_NAMES if "ambient" in n])
+    def test_ambient_simulate_is_radial_only_and_never_turns(self, name, tmp_path, capsys,
+                                                            monkeypatch):
+        # sim.mode = ambient is echoed in the header and changes nothing else
+        def no_turn(*args):
+            raise AssertionError("simulate turned a direction")
+        monkeypatch.setattr(simulator, "_turn", no_turn)
+        with open(os.path.join(GOLDEN, name + ".cfg")) as fh:
+            text = fh.read()
+        assert "sim.mode = ambient\n" in text
+        outs = []
+        for mode in ("ambient", "radialonly"):
+            code, out = run_cli(tmp_path, f"{mode}.cfg",
+                                text.replace("sim.mode = ambient", f"sim.mode = {mode}"),
+                                "simulate")
+            assert code == 0
+            outs.append(out)
+        for fname in ("trajectories.csv", "summary.csv"):
+            a, r = ((out / fname).read_text().splitlines(keepends=True) for out in outs)
+            i = a.index("# sim.mode = ambient\n")
+            assert r[i] == "# sim.mode = radialonly\n"
+            assert a[:i] + a[i + 1:] == r[:i] + r[i + 1:]
 
 
 _VERDICT_EXIT = {"recurrent": 0, "transient": 1, "inconclusive": 2}

@@ -805,6 +805,9 @@ class TestCheckedKernels:
 
     @given(_points(perturbed=True))
     @settings(max_examples=400, deadline=None)
+    # a subnormal spatial part, which the point keeps, once overflowed the
+    # scale computed for the rows that are snapped
+    @example((np.array([[1.00000131, 0.0, 5e-324]]), 1.0))
     def test_reproject_rows_are_single_points(self, drawn):
         X, k = drawn
         got = X.copy()

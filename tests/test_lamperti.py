@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hyperwalk as hw
-from hyperwalk.errors import DomainError, UsageError
+from hyperwalk.errors import DomainError, InvariantViolationError, UsageError
 from hyperwalk.lamperti import (
     CRIT_CONST_RECURRENT,
     CRIT_CONST_TRANSIENT,
@@ -355,6 +355,50 @@ class TestConstantCurvatureClassifier:
         m = synthetic_moments(lambda r: 0.5 / r, lambda r: 1.0, 1e-3, 1e-3)
         rep = hw.classify_constant_curvature(m, self.GRID)
         assert rep.verdict is Verdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize("beta, verdict", [(0.3, Verdict.RECURRENT),
+                                               (1.0, Verdict.INCONCLUSIVE),
+                                               (2.0, Verdict.TRANSIENT)])
+    def test_transience_leg_is_the_recurrence_leg_mirrored(self, beta, verdict):
+        # 2 r nu1 / nu2 = 1 + beta / log r: recurrent below 1 - theta,
+        # transient above 1 + theta; at beta = 0.3 both old legs held, and
+        # the verdict read transient
+        m = synthetic_moments(lambda r: (1.0 + beta / math.log(r)) / (2.0 * r), lambda r: 1.0,
+                              1e-9, 1e-9)
+        rep = hw.classify_constant_curvature(m, self.GRID)
+        assert rep.verdict is verdict
+        gaps = [row for row in rep.rows if row.quantity == "transience-gap"]
+        assert [row.r for row in gaps] == self.GRID[5:]
+        for row in gaps:
+            factor = 1.0 + 1.5 / math.log(row.r)
+            assert row.estimate == pytest.approx(beta / math.log(row.r) + 1.0 - factor,
+                                                 rel=1e-12)
+            assert row.half_width == pytest.approx(2.0 * row.r * 1e-9 + factor * 1e-9,
+                                                   rel=1e-12)
+
+    def test_both_legs_holding_raise(self):
+        # only a negative half-width lets the mirrored legs both hold
+        m = synthetic_moments(lambda r: 0.6 / r, lambda r: 1.0, 0.0, -0.5)
+        with pytest.raises(InvariantViolationError, match="both the transience"):
+            hw.classify_constant_curvature(m, self.GRID)
+
+    def test_tail_within_unit_radius_is_inconclusive(self):
+        # neither leg's factor 1 + (1 +- theta)/log r is defined at r <= 1
+        m = synthetic_moments(lambda r: 0.5, lambda r: 1.0, 1e-4, 1e-4)
+        rep = hw.classify_constant_curvature(m, [0.25, 0.5, 1.0])
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert rep.margins == [] and rep.rows == []
+
+    def test_growth_screen_reads_the_legs_radii_only(self):
+        # nu2 jumps between r = 1 and r = 2, then stays flat: fitted over the
+        # whole tail it grows, over the radii past 1 that the legs read it
+        # does not
+        m = synthetic_moments(lambda r: 2.0 / r, lambda r: 1.0 if r > 1.0 else 1e-3,
+                              1e-6, 1e-6)
+        rep = hw.classify_constant_curvature(m, [0.5, 1.0, 2.0, 3.0, 4.0], r0=0.5)
+        assert rep.verdict is Verdict.TRANSIENT
+        assert [row.r for row in rep.rows if row.quantity == "transience-gap"] == [2.0, 3.0, 4.0]
+        assert not any("shows growth" in note for note in rep.notes)
 
     def test_growing_second_moment_blocks_transience(self):
         m = synthetic_moments(lambda r: 0.5, lambda r: r, 1e-4, 1e-4)

@@ -32,7 +32,8 @@ from hyperwalk.simulator import (
     ensemble_stats,
     walk_rng,
 )
-from hyperwalk.validation import suite_exact_radial_increment, suite_geodesic_step
+from hyperwalk.validation import (suite_exact_radial_increment, suite_geodesic_step,
+                                  suite_mode_coupling)
 
 C1 = hw.RadialProfile.constant(1.0)
 HYP2 = hw.CurvatureModel.hyperbolic(1.0, 2)
@@ -106,7 +107,7 @@ class TestRunWalk:
     def test_ambient_walks_start_on_the_first_axis(self, model, start):
         # at the origin, on the frames' stand-in -e_1
         cfg = WalkConfig(model, ELLIPTIC, 3, 2, 0, mode=MODE_AMBIENT, start_radius=start)
-        _, walks = next(_lockstep_states(cfg, range(2)))
+        _, walks = next(_lockstep_states(cfg, range(2), directions=True))
         assert walks.n.tolist() == [[1.0 if start else -1.0, 0.0]] * 2
 
     def test_radius_stays_nonnegative_and_steps_bounded(self):
@@ -497,7 +498,7 @@ class TestAmbientPositions:
                  else hw.CurvatureModel.euclidean(d))
         cfg = WalkConfig(model, hw.BoxLaw(C1, C1, d), 25, 1, 90907,
                          mode=MODE_AMBIENT, start_radius=0.5)
-        *_, (_, walks) = _lockstep_states(cfg, range(1))
+        *_, (_, walks) = _lockstep_states(cfg, range(1), directions=True)
         R, n = walks.R[0], walks.n[0]
         x = np.concatenate([[math.cosh(R)], math.sinh(R) * n]) if kind == "hyperbolic" else R * n
         assert x == pytest.approx(self.FINAL[kind, d], rel=1e-9)
@@ -527,7 +528,8 @@ class TestPolarStep:
         monkeypatch.setattr(simulator, "_turn", checked)
         cfg = WalkConfig(hw.CurvatureModel.hyperbolic(1.0, d), TestLockstepCoupling.LAWS[kind](d),
                          250, 8, 23, mode=MODE_AMBIENT, escape_radius=1e9)
-        simulator._chunk_tally(cfg, range(8))
+        for _ in _lockstep_states(cfg, range(8), directions=True):
+            pass
         assert steps[0] == 250
         assert worst[0] <= 1e-12
 
@@ -726,7 +728,7 @@ class TestLockstepRows:
 
     @staticmethod
     def step(cfg, ids, R, N):
-        walks = simulator._Lockstep(cfg, ids, ids)
+        walks = simulator._Lockstep(cfg, ids, ids, directions=True)
         walks.R, walks.n = R[ids].copy(), N[ids].copy()
         walks.step(1)
         return ([(j, float(r).hex(), n.tobytes()) for j, r, n in
@@ -970,7 +972,7 @@ class TestSharedKernels:
         cfg = WalkConfig(HYP2, ELLIPTIC, 30, 1, 5, mode=MODE_AMBIENT)
 
         def final(cfg):
-            *_, (_, walks) = _lockstep_states(cfg, range(1))
+            *_, (_, walks) = _lockstep_states(cfg, range(1), directions=True)
             return walks.R.tobytes(), walks.n.tobytes()
         R, n = final(cfg)
         assert suite_geodesic_step(n=200).passed
@@ -1005,6 +1007,44 @@ class TestSharedKernels:
         for res in (suite_exact_radial_increment(n=200), suite_geodesic_step(n=200)):
             assert not res.passed
             assert "hyperboloid drift" in res.detail
+
+    def test_turn_that_writes_into_the_radii_fails_mode_coupling(self, monkeypatch):
+        exact = geometry._turn
+        assert suite_mode_coupling().passed
+
+        def writing(n, t, R, *args):
+            out = exact(n, t, R, *args)
+            R *= 1.0 + 1e-12        # into the radii of the step before
+            return out
+        monkeypatch.setattr(simulator, "_turn", writing)
+        res = suite_mode_coupling()
+        assert not res.passed and "worst rel err 1.000e-12" in res.detail
+
+
+def _no_turn(*args):
+    raise AssertionError("a walk turned its direction")
+
+
+class TestDirectionsOnlyForTheProbe:
+    """Only `neighborhood_return_probe` turns directions: with the turn
+    raising, ambient ensembles and the escape probe run as radial-only
+    ones, at any worker count."""
+
+    @pytest.mark.parametrize("model", [HYP2, hw.CurvatureModel.hyperbolic(1.0, 3), EUC2],
+                             ids=["H2", "H3", "flat"])
+    def test_ambient_ensemble_never_turns(self, model, monkeypatch, forks):
+        base = dict(model=model, law=hw.BoxLaw(C1, C1, model.d), steps=120, walks=6,
+                    seed=29, record_stride=1, start_radius=0.5, escape_radius=1e9)
+        want = hw.run_ensemble(WalkConfig(mode=MODE_RADIAL_ONLY, **base), workers=2)
+        ambient = WalkConfig(mode=MODE_AMBIENT, **base)
+        probe = hw.escape_probe(ambient, 3.0, 50)
+        monkeypatch.setattr(simulator, "_turn", _no_turn)
+        records, stats_a = hw.run_ensemble(ambient, workers=2)
+        assert len(forks) == 2
+        assert ([_exact(r) for r in records], stats_a) == ([_exact(r) for r in want[0]], want[1])
+        assert hw.escape_probe(ambient, 3.0, 50) == probe
+        with pytest.raises(AssertionError, match="turned its direction"):
+            hw.neighborhood_return_probe(ambient, 1.0, 0.5, 5)
 
 
 class TestEnsemble:
