@@ -10,6 +10,9 @@ rows each:
   * `probe`: `simulator._lockstep_states(..., directions=True)` run to its
     end, 300 steps, the lockstep that also turns each walk's direction,
     which `neighborhood_return_probe` alone runs.
+A last `simulate` row on H^2 times the heavy-tail law with m = 4 (law
+`m = 4`), whose straight steps that lockstep takes in closed form and
+whose off-axis steps alone run the exact-increment kernel.
 Each figure is the median of 3 sets, each set the best of 5 runs, divided
 by the steps.  `--src` names the `src` directory whose hyperwalk is timed
 (default: the one next to this script), so two trees can be timed by the
@@ -40,6 +43,7 @@ def cases(hw):
         for geometry, model in models.items():
             for name, law in laws.items():
                 yield row, geometry, name, model, law, steps
+    yield "simulate", "H^2", "m = 4", models["H^2"], hw.HeavyTailLaw(4.0, 2), STEPS["simulate"]
 
 
 def us_per_step(simulator, config, row) -> float:

@@ -411,11 +411,19 @@ class HeavyTailLaw(IncrementLaw):
         y = rows[..., 0]
         return None, None, y, rows[..., 1], np.exp(-y), rows[..., 2:]
 
+    def _branches(self, R, y, u, e):
+        """(on, q, outward) of steps of lengths y, uniforms u and e = e^-y at
+        R, one radius or one per step: where the offset is on (y >= lambda),
+        q = e^-y there and 0 elsewhere, and where the step goes straight
+        outward (u < (1 - q)/2).  The others take phi = -1 + 2q/(1 + q)."""
+        on = y >= self.lambda_at(R)
+        q = np.where(on, e, 0.0)
+        return on, q, u < 0.5 * (1.0 - q)
+
     def steps(self, R, part):
         _, _, y, u, e, v = part
-        q = np.where(y >= self.lambda_at(R), e, 0.0)   # e^-y where the offset is on
+        _, q, outward = self._branches(R, y, u, e)
         offset = 2.0 * q / (1.0 + q)
-        outward = u < 0.5 * (1.0 - q)
         phi = np.where(outward, 1.0, offset - 1.0)
         t_sq = np.where(outward, 0.0, offset * (2.0 - offset))  # 1 - phi^2, stably
         return phi * y, (y * np.sqrt(t_sq))[..., None] * v

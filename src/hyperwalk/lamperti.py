@@ -625,14 +625,17 @@ def classify_pinched(law: IncrementLaw, k_min_profile: RadialProfile,
     grid radius (_pinched_integrals) and rng is not touched; any other law
     takes one draw of n_samples steps per grid radius (_pinched_moments).
 
-    Transient when r times the lower first-moment estimate diverges along the
-    grid (positive with margin at every tail radius AND growing beyond the
-    combined half-widths) and the Lamperti gap against the second-moment
-    upper bound clears its half-width.  Recurrent when the split second-moment
-    lower bound stays positive and the Lamperti inequality holds against the
-    k_max first moment, which is the side that actually bounds the radial
-    drift from above.  With k_min = k_max both legs collapse to the
-    constant-curvature criteria.
+    Transient when the second-moment upper bound m2_up stays bounded along
+    the tail and 2 r m1_low >= (1 + (1+theta)/log r) m2_up with margin at
+    every tail radius past 1, against the k_min first moment, which bounds
+    the radial drift from below.  Recurrent when the split second-moment
+    lower bound stays positive and 2 r m1_high <= (1 + (1-theta)/log r)
+    m2_split with margin at every such radius, against the k_max first
+    moment, which bounds it from above.  The legs are mirrors: with k_min =
+    k_max they are the constant-curvature criteria, margin for margin, and
+    they cannot both hold; if they did, InvariantViolationError is raised.
+    The scaled drift r m1_low is reported at every grid radius and decides
+    nothing.
     """
     if not theta > 0:
         raise DomainError(f"theta must be > 0, got {theta}")
@@ -652,28 +655,29 @@ def classify_pinched(law: IncrementLaw, k_min_profile: RadialProfile,
         per_r[r] = (_pinched_integrals(law, r, k, K) if integrated
                     else _pinched_moments(law, r, k, K, n_samples, rng), k, K)
 
-    # transience leg: divergence of r * m1_low (trend over the whole grid)
-    # plus the Lamperti gap with margins on the tail
-    growth = [(r, r * e[0].value, r * e[0].half_width) for r, (e, _, _) in per_r.items()]
-    g_pos = all(v - h > 0.0 for r, v, h in growth if r >= r0)
-    g_grow = (growth[-1][1] - growth[0][1] > growth[-1][2] + growth[0][2]
-              if len(growth) > 1 else True)
-    t_margins = []
-    m2u_vals, m2u_hws = [], []
-    for r, (ests, k, K) in per_r.items():
-        m1l, _, _, m2u = ests
-        gap = 2.0 * r * m1l.value - m2u.value
-        hw = 2.0 * r * m1l.half_width + m2u.half_width
-        rows.append(MarginRow(r, "transience-gap", gap, hw, gap - hw, CRIT_PINCHED_TRANSIENT))
+    # transience leg, the recurrence leg's mirror, against m2_up on the tail
+    # radii past 1; its gap is reported at every grid radius past 1, beside
+    # the scaled drift r * m1_low at every one
+    t_margins, t_tail = [], []
+    for r, ((m1l, _, _, m2u), _, _) in per_r.items():
+        if r > 1.0:
+            factor = 1.0 + (1.0 + theta) / math.log(r)
+            gap = 2.0 * r * m1l.value - factor * m2u.value
+            hw = 2.0 * r * m1l.half_width + factor * m2u.half_width
+            rows.append(MarginRow(r, "transience-gap", gap, hw, gap - hw,
+                                  CRIT_PINCHED_TRANSIENT))
+            if r >= r0:
+                t_margins.append((r, gap - hw))
+                t_tail.append((r, m2u))
         rows.append(MarginRow(r, "scaled-drift", r * m1l.value, r * m1l.half_width,
                               r * (m1l.value - m1l.half_width), CRIT_PINCHED_TRANSIENT))
-        if r >= r0:
-            t_margins.append((r, gap - hw))
-            m2u_vals.append(m2u.value)
-            m2u_hws.append(m2u.half_width)
-    bounded = _tail_bounded(tail, m2u_vals, m2u_hws)
-    transient_ok = g_pos and g_grow and bounded and all(m > 0.0 for _, m in t_margins)
-    if not g_grow:
+    bounded = _tail_bounded([r for r, _ in t_tail], [e.value for _, e in t_tail],
+                            [e.half_width for _, e in t_tail])
+    if not bounded:
+        notes.append("second moment shows growth along the tail; transience leg rejected")
+    transient_ok = bounded and bool(t_margins) and all(m > 0.0 for _, m in t_margins)
+    growth = [(r * e[0].value, r * e[0].half_width) for e, _, _ in per_r.values()]
+    if len(growth) > 1 and not growth[-1][0] - growth[0][0] > growth[-1][1] + growth[0][1]:
         notes.append("scaled drift r*nu1 shows no growth beyond noise; divergence not supported")
 
     # recurrence leg: split second moment floor + inequality against the K side
@@ -682,6 +686,9 @@ def classify_pinched(law: IncrementLaw, k_min_profile: RadialProfile,
     recurrent_ok, r_margins, rhs = _recurrence_leg(
         [(r, m1h, m2s) for r, _, m1h, m2s in legs], theta,
         "split-second-moment-floor", CRIT_PINCHED_RECURRENT, rows)
+    if transient_ok and recurrent_ok:
+        raise InvariantViolationError(
+            "both the transience and the recurrence leg hold at every tail radius")
     # the same inequality read with the k_min first moment
     if any((m > 0.0) != (q - 2.0 * r * (m1l.value + m1l.half_width) > 0.0)
            for (_, m), q, (r, m1l, _, _) in zip(r_margins, rhs, legs)):

@@ -23,8 +23,11 @@ step's longest length and what the radial step reads of them
 radii (`steps`).  Both are the maps those calls take.  The step's guards
 read bounds where they are known: an elliptic or box law's step bound
 (below STEP_BOUND_LIMIT) for the longest length, and each step's least
-|d_rad| for the shortest.  A custom law is sampled once per walk per
-step.
+|d_rad| for the shortest.  A heavy-tail walk on H_k that holds no
+direction takes its straight steps in closed form, +y outward and
+|R - y| - R inward, which is what the kernel's edge branch gives them, and
+only its off-axis steps go through the kernel.  A custom law is sampled
+once per walk per step.
 
 An ensemble runs one contiguous chunk of walk ids per process: the
 calling process runs the first, and a child forked for each other chunk
@@ -83,7 +86,7 @@ from .geometry import (
     euclidean_radial_increment,
     radial_increment_exact,
 )
-from .increments import Z99, BoxLaw, CustomLaw, EllipticLaw, IncrementLaw
+from .increments import Z99, BoxLaw, CustomLaw, EllipticLaw, HeavyTailLaw, IncrementLaw
 
 MODE_AMBIENT = "ambient"
 MODE_RADIAL_ONLY = "radialonly"
@@ -266,6 +269,17 @@ class _Lockstep:
     STEP_BOUND_LIMIT), and each step's least |d_rad| for the shortest (from
     _TINY up).  A walk whose step has no finite length is dropped.
 
+    A heavy-tail walk on H_k that holds no direction takes its straight
+    steps in closed form (`_heavytail_increments`): of length y, +y straight
+    outward and |R - y| - R straight inward with its offset off, the bytes
+    the kernel's edge branch writes for them.  Only the off-axis steps,
+    2.4% of those of the benchmark's heavy-tail leg, take the law's steps
+    and the kernel, whose guards read y with _BOUND_MARGIN as the longest
+    length, and a step with none of them runs no kernel.  A step with a y
+    of STEP_BOUND_LIMIT or more takes the generic path.  On H^2 (m = 4)
+    this cut the step of 1, 30 and 60 walks from 49, 58 and 74 us to 15, 36
+    and 50 us (`scripts/lockstep_cost.py` on a 2-core host, BENCH_32.json).
+
     `drop` takes walks out of the lockstep, and their columns out of the
     T-block's arrays.  A walk that breaks an invariant is dropped with its
     error in `errors`; since the lowest walk id's error is the one raised,
@@ -287,6 +301,10 @@ class _Lockstep:
         bound = (law.step_bound() * _BOUND_MARGIN if isinstance(law, (EllipticLaw, BoxLaw))
                  else math.inf)
         self._bound = bound if bound < STEP_BOUND_LIMIT else None
+        # a heavy-tail walk on H_k that holds no direction takes its straight
+        # steps in closed form (`_heavytail_increments`)
+        self._straight = (isinstance(law, HeavyTailLaw) and config.model.is_hyperbolic
+                          and not directions)
         # the T-block of steps _block_step .. _block_step + _rows - 1, each
         # array step by walk: for a law whose steps do not depend on the
         # radius (d_rad, t, *inputs) and each step's longest length, else the
@@ -349,10 +367,25 @@ class _Lockstep:
                     d_rad, t_sq, d_tot, self._longest.max(initial=0.0), None)
         self._block_step = n
 
-    def _draw(self, n):
+    def _row(self, n):
+        """(row, longest): step n's row of the T-block, which is drawn here
+        when it starts at step n, and the step's longest length where the
+        block's steps are mapped (else None)."""
+        i = n - self._block_step
+        if i == self._rows:
+            self._refill(n)
+            i = 0
+        row = [a if a is None else a[i] for a in self._block]
+        longest = None if self._longest is None else self._longest[i]
+        if i == self._rows - 1:         # the T-block's last row: let the block go
+            self._block, self._longest = (), None
+        return row, longest
+
+    def _draw(self, n, row=None):
         """(d_rad, t, inputs) of step n for the walks whose step has a finite
         length, the others dropped: the steps as (W,) and (W, d - 1) arrays,
-        and what the step reads of them (`_inputs`)."""
+        and what the step reads of them (`_inputs`).  `row` is step n's
+        (row, longest) when `_row` has given it already."""
         law = self.config.law
         sq = low = None
         if isinstance(law, CustomLaw):
@@ -360,14 +393,7 @@ class _Lockstep:
             d_rad = np.array(d_rad, dtype=float)
             t = np.array(t, dtype=float).reshape(-1, law.d - 1)
         else:
-            i = n - self._block_step
-            if i == self._rows:
-                self._refill(n)
-                i = 0
-            row = [a if a is None else a[i] for a in self._block]
-            longest = None if self._longest is None else self._longest[i]
-            if i == self._rows - 1:         # the T-block's last row: let the block go
-                self._block, self._longest = (), None
+            row, longest = self._row(n) if row is None else row
             if longest is not None:
                 d_rad, t, *inputs = row
                 if not longest < math.inf:  # a NaN maximum fails it too
@@ -429,11 +455,42 @@ class _Lockstep:
                      and opp.min(initial=math.inf) > 0.0)
         return d_tot, phi, opp, edges, None
 
+    def _heavytail_increments(self, row):
+        """The radius changes of a heavy-tail step on H_k from its T-block
+        row, every length y below STEP_BOUND_LIMIT.  A step straight outward
+        (phi = 1, t = 0) has length sqrt(y * y) = y and one straight inward
+        with its offset off (phi = -1) 1 + phi = 0, so the exact increment's
+        edge branch gives them y and |R - y| - R, which are written here;
+        only the steps off the axis, whose offset is on and which do not go
+        outward, take the law's steps and the kernel."""
+        law, R = self.config.law, self.R
+        _, _, y, u, e, v, _, _ = row
+        on, _, outward = law._branches(R, y, u, e)
+        inc = np.where(outward, y, np.abs(R - y) - R)
+        off = on & ~outward
+        if off.any():
+            ys, Rs = y[off], R[off]
+            d_rad, t = law.steps(Rs, (None, None, ys, u[off], e[off], v[off]))
+            t_sq, d_tot = _lengths(d_rad, t)
+            # each length is at most y with the margin, so finite
+            d_tot, phi, opp, edges, _ = self._inputs(d_rad, t_sq, d_tot,
+                                                     ys.max() * _BOUND_MARGIN, None)
+            inc[off] = _radial_increments(Rs, d_tot, phi, self.config.model.k, opp, edges)
+        return inc
+
     def step(self, n: int):
         """Take step n of every walk: the exact radial increment over the
         array of radii, and where directions are held the turn of each walk's
-        direction in the plane of the step (geometry's `_turn`)."""
-        d_rad, t, (d_tot, *inputs) = self._draw(n)
+        direction in the plane of the step (geometry's `_turn`).  A heavy-tail
+        walk that holds no direction on H_k takes its straight steps in
+        closed form (`_heavytail_increments`) while each step is shorter
+        than STEP_BOUND_LIMIT; any other step takes the generic path."""
+        row = self._row(n) if self._straight else None
+        # row[0][2] holds the steps' lengths y
+        if row is not None and row[0][2].max(initial=0.0) < STEP_BOUND_LIMIT:
+            self.R = np.maximum(self.R + self._heavytail_increments(row[0]), 0.0)
+            return
+        d_rad, t, (d_tot, *inputs) = self._draw(n, row)
         R, model = self.R, self.config.model
         opp = None
         if model.is_hyperbolic:

@@ -183,22 +183,27 @@ def suite_geodesic_step(seed: int = 1, n: int = 2000, tol: float = 1e-8) -> Suit
 def suite_mode_coupling(seed: int = 2, steps: int = 100) -> SuiteResult:
     """The lockstep that carries directions, as `neighborhood_return_probe`
     runs it, against the bare lockstep every ensemble runs, on the same
-    draws, 4 walks on H^2 and in flat space: their radii must agree bit for
-    bit at every step.  Each step's radii are kept as the lockstep held
-    them, uncopied, so a turn that wrote into the radii it read would show."""
+    draws, 4 walks each of an elliptic law on H^2 and in flat space and of
+    the heavy-tail law (m = 4) on H^2, whose bare lockstep takes its
+    straight steps in closed form and the carrying one through the kernel:
+    their radii must agree bit for bit at every step.  Each step's radii
+    are kept as the lockstep held them, uncopied, so a turn that wrote into
+    the radii it read would show."""
     walks = 4
-    law = increments.EllipticLaw(increments.RadialProfile.constant(0.7),
-                                 increments.RadialProfile.constant(0.7), 2)
+    ellipse = increments.EllipticLaw(increments.RadialProfile.constant(0.7),
+                                     increments.RadialProfile.constant(0.7), 2)
+    h2 = geometry.CurvatureModel.hyperbolic(1.0, 2)
+    runs = ((h2, ellipse), (geometry.CurvatureModel.euclidean(2), ellipse),
+            (h2, increments.HeavyTailLaw(4.0, 2)))
     worst, differ = 0.0, 0
-    for model in (geometry.CurvatureModel.hyperbolic(1.0, 2),
-                  geometry.CurvatureModel.euclidean(2)):
+    for model, law in runs:
         cfg = WalkConfig(model, law, steps, walks, seed, mode=MODE_AMBIENT)
         carried = [w.R for _, w in _lockstep_states(cfg, range(walks), directions=True)]
         bare = [w.R for _, w in _lockstep_states(cfg, range(walks))]
         for a, b in zip(carried, bare):
             differ += a.tobytes() != b.tobytes()
             worst = max(worst, float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)))))
-    return SuiteResult("mode-coupling", differ == 0, 2 * steps * walks,
+    return SuiteResult("mode-coupling", differ == 0, len(runs) * steps * walks,
                        f"{differ} steps not bit-equal, worst rel err {worst:.3e}")
 
 

@@ -532,26 +532,50 @@ class TestClassifyCommand:
     # the box law's 2 r nu1 / nu2 tends to L0 r b^2 at k = 1, d = 2
     BOX_L0 = 1.426948029495
 
-    @pytest.mark.parametrize("beta, code", [(0.3, 0), (1.0, 2), (2.0, 1)])
-    def test_box_law_at_one_plus_beta_over_log_r(self, beta, code, tmp_path, capsys):
-        # b^2 = (1 + beta/log r) / (L0 r): recurrent for beta < 1 - theta
-        # and transient for beta > 1 + theta (theta = 0.5); beta = 0.3 used
-        # to read transient with both recurrence margins positive
+    def _box_law_run(self, beta, band, tmp_path):
+        """(exit code, margins.csv rows) of classify on the box law with
+        b^2 = (1 + beta/log r) / (L0 r), in constant curvature k = 1 or, with
+        `band`, on the pinched band k_min = k_max = 1."""
         radii = np.linspace(2.0, 1000.0, 4000)
         b = np.sqrt((1.0 + beta / np.log(radii)) / (self.BOX_L0 * radii))
         (tmp_path / "b.csv").write_text(
             "".join(f"{r!r},{v!r}\n" for r, v in zip(radii.tolist(), b.tolist())))
-        text = ("curvature.k = 1.0\ncurvature.d = 2\nlaw.kind = box\nlaw.a = const:1\n"
+        curvature = ("curvature.k_min = const:1\ncurvature.k_max = const:1\n" if band
+                     else "curvature.k = 1.0\n")
+        text = (curvature + "curvature.d = 2\nlaw.kind = box\nlaw.a = const:1\n"
                 "law.b = table:b.csv\nsim.seed = 1\n"
                 "grid.start = 10\ngrid.stop = 200\ngrid.count = 4\ngrid.spacing = log\n")
-        got, out = run_cli(tmp_path, "box.cfg", text, "classify")
+        code, out = run_cli(tmp_path, f"box-{band}.cfg", text, "classify")
+        return code, [line.split(",") for line in (out / "margins.csv").read_text().splitlines()
+                      if ",transience-gap," in line or ",recurrence-margin," in line]
+
+    @pytest.mark.parametrize("beta, code", [(0.3, 0), (1.0, 2), (2.0, 1)])
+    def test_box_law_at_one_plus_beta_over_log_r(self, beta, code, tmp_path, capsys):
+        # recurrent for beta < 1 - theta and transient for beta > 1 + theta
+        # (theta = 0.5); beta = 0.3 used to read transient with both
+        # recurrence margins positive
+        got, rows = self._box_law_run(beta, False, tmp_path)
         assert got == code
-        rows = [line.split(",") for line in (out / "margins.csv").read_text().splitlines()
-                if ",transience-gap," in line or ",recurrence-margin," in line]
         assert len(rows) == 4
         legs = [all(float(row[4]) > 0.0 for row in rows if row[1] == quantity)
                 for quantity in ("transience-gap", "recurrence-margin")]
         assert legs == [code == 1, code == 0]
+
+    @pytest.mark.parametrize("beta, code", [(0.3, 0), (1.0, 2), (2.0, 1)])
+    def test_pinched_box_law_at_one_plus_beta_over_log_r(self, beta, code, tmp_path, capsys):
+        # on the degenerate band k_min = k_max = 1 the pinched legs are the
+        # constant-curvature ones: beta = 0.3 used to read recurrent beside
+        # positive transience gaps, and beta = 2 inconclusive
+        got, rows = self._box_law_run(beta, True, tmp_path)
+        assert got == code
+        # a transience gap at each grid radius, the recurrence margins on
+        # the tail; both legs' tail margins are constant curvature's, bit for
+        # bit
+        tail = [row for row in rows if float(row[0]) >= min(
+            float(r[0]) for r in rows if r[1] == "recurrence-margin")]
+        _, constant = self._box_law_run(beta, False, tmp_path)
+        assert [(r[0], r[1], r[4]) for r in tail] == [(r[0], r[1], r[4]) for r in constant]
+        assert [r[1] for r in rows].count("transience-gap") == 4
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -795,7 +819,8 @@ class TestPinchedDispatch:
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_NAMES = ["sim-small", "sim-recurrent-small", "sim-euclid-small",
-                "sim-ambient-small", "sim-ambient-recurrent-small", "sim-ambient-euclid-small"]
+                "sim-ambient-small", "sim-ambient-recurrent-small", "sim-ambient-euclid-small",
+                "sim-heavytail-small"]
 # classify and moments goldens: run name -> the CSV it writes.  A classify
 # run's report.txt holds the verdict, criterion and note lines it printed.
 REPORT_GOLDENS = {

@@ -547,6 +547,50 @@ class TestPinchedClassifier:
                   or Verdict.INCONCLUSIVE in (const_rep.verdict, pinched_rep.verdict))
             assert ok, law.kind
 
+    @staticmethod
+    def _synthetic(monkeypatch, m1, m2, hw1, hw2):
+        """classify_pinched of an integrated law whose four bounds at r are
+        m1(r) (both first moments) and m2(r) (both second moments), with
+        half-widths hw1 and hw2."""
+        from hyperwalk import lamperti
+        monkeypatch.setattr(lamperti, "_pinched_integrals", lambda law, r, k, K: (
+            Estimate(m1(r), hw1), Estimate(m1(r), hw1), Estimate(m2(r), hw2),
+            Estimate(m2(r), hw2)))
+        grid = [float(r) for r in np.linspace(10, 100, 10)]
+        return hw.classify_pinched(hw.EllipticLaw(C1, C1, 2), C1, C1, grid, 1000,
+                                   np.random.default_rng(0))
+
+    @pytest.mark.parametrize("beta, verdict", [(0.3, Verdict.RECURRENT),
+                                               (1.0, Verdict.INCONCLUSIVE),
+                                               (2.0, Verdict.TRANSIENT)])
+    def test_transience_leg_is_the_recurrence_leg_mirrored(self, beta, verdict, monkeypatch):
+        # 2 r m1 / m2 = 1 + beta / log r, so r m1 falls along the tail: the
+        # scaled drift shows no growth, and no longer decides
+        rep = self._synthetic(monkeypatch, lambda r: (1.0 + beta / math.log(r)) / (2.0 * r),
+                              lambda r: 1.0, 1e-9, 1e-9)
+        assert rep.verdict is verdict
+        assert any("shows no growth" in note for note in rep.notes)
+        gaps = [row for row in rep.rows if row.quantity == "transience-gap"]
+        assert len(gaps) == 10
+        for row in gaps:
+            factor = 1.0 + 1.5 / math.log(row.r)
+            assert row.estimate == pytest.approx(beta / math.log(row.r) + 1.0 - factor,
+                                                 rel=1e-12)
+            assert row.half_width == pytest.approx(2.0 * row.r * 1e-9 + factor * 1e-9,
+                                                   rel=1e-12)
+
+    def test_both_legs_holding_raise(self, monkeypatch):
+        # only a negative half-width lets the mirrored legs both hold
+        with pytest.raises(InvariantViolationError, match="both the transience"):
+            self._synthetic(monkeypatch, lambda r: 0.6 / r, lambda r: 1.0, 0.0, -0.5)
+
+    def test_growing_second_moment_blocks_transience(self, monkeypatch):
+        # every tail gap is positive; only the growth of m2_up blocks the leg
+        rep = self._synthetic(monkeypatch, lambda r: 1.0, lambda r: r, 1e-4, 1e-4)
+        assert all(m > 0.0 for _, m in rep.margins)
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert any("shows growth along the tail" in note for note in rep.notes)
+
     def test_profile_ordering_enforced(self):
         k2 = hw.RadialProfile.constant(2.0)
         with pytest.raises(UsageError):

@@ -316,6 +316,82 @@ class TestBlockDrawCoupling:
         assert want_rad != -y                   # the offset is on
         assert d_rad.tobytes() == np.full(3, want_rad).tobytes()
         assert t.tobytes() == np.tile(want_t, (3, 1)).tobytes()
+        # the step, which takes these off-axis steps through the kernel,
+        # moves the radii as a walk sampling at R alone does
+        stepped = simulator._Lockstep(cfg, range(3), [None] * 3)
+        stepped.step(1)
+        alone = simulator._Lockstep(dataclasses.replace(cfg, law=_per_step(law)), range(1),
+                                    [None])
+        alone.step(1)
+        assert alone.R[0] > R - y            # not the straight inward step
+        assert stepped.R.tobytes() == np.full(3, alone.R[0]).tobytes()
+
+
+class TestHeavyTailClosedForm:
+    """A heavy-tail walk on H_k that holds no direction takes its straight
+    steps as +y and |R - y| - R and only its off-axis steps through the
+    kernel; the lockstep that carries directions takes every step through
+    the kernel.  Their radii agree bit for bit."""
+
+    @staticmethod
+    def _kernel_rows(monkeypatch):
+        """The row count of each exact-increment call of the lockstep."""
+        rows, kernel = [], simulator._radial_increments
+
+        def counted(R, *args):
+            rows.append(len(R))
+            return kernel(R, *args)
+        monkeypatch.setattr(simulator, "_radial_increments", counted)
+        return rows
+
+    @pytest.mark.parametrize("lam", [None, "powerdecay:3,-0.5"])
+    @pytest.mark.parametrize("start", [0.0, 1.0, 30.0])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("walks", [16, 60])
+    def test_mixed_rows_match_the_direction_carrying_lockstep(self, walks, d, k, start, lam,
+                                                              monkeypatch):
+        law = hw.HeavyTailLaw(4.0, d, lam and hw.RadialProfile.power_decay(3.0, -0.5))
+        # 300 steps cross the first T-block's end
+        cfg = WalkConfig(hw.CurvatureModel.hyperbolic(k, d), law, 300, walks, 41,
+                         start_radius=start, escape_radius=1e9)
+        carried = [w.R for _, w in _lockstep_states(cfg, range(walks), directions=True)]
+        rows = self._kernel_rows(monkeypatch)
+        bare = [w.R for _, w in _lockstep_states(cfg, range(walks))]
+        assert len(bare) == len(carried) == 301
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(bare, carried))
+        # some steps ran no kernel at all, and some mixed straight and
+        # off-axis rows
+        assert len(rows) < 300 and any(0 < n < walks for n in rows)
+
+    def test_step_past_the_bound_takes_the_generic_path(self, monkeypatch):
+        # a row of y = 1e200 in walk 1's stream at step 4: that step runs the
+        # generic path, whose length squares past the double range
+        monkeypatch.setattr(hw.HeavyTailLaw, "unit_rows",
+                            bad_rows(hw.HeavyTailLaw, {1: 4}, 1e200))
+        cfg = WalkConfig(HYP2, hw.HeavyTailLaw(4.0, 2), 10, 3, 0)
+        with pytest.raises(InvariantViolationError) as exc:
+            hw.run_ensemble(cfg)
+        assert str(exc.value) == ("walk 1: step 4 is finite, but its length overflows "
+                                  "the double range")
+        # the others carry on: walk 0 holds the radii it holds alone
+        states = _lockstep_states(cfg, range(3))
+        *_, (n, walks) = states
+        assert n == 10 and walks.ids.tolist() == [0]
+        assert walks.R.tobytes() == np.array([hw.run_walk(cfg, 0).final_R]).tobytes()
+
+    def test_flat_space_and_other_laws_take_the_generic_step(self, monkeypatch):
+        def closed(*args):
+            raise AssertionError("a closed-form step outside H_k or the heavy-tail law")
+        monkeypatch.setattr(simulator._Lockstep, "_heavytail_increments", closed)
+        for model, law in ((EUC2, hw.HeavyTailLaw(4.0, 2)), (HYP2, ELLIPTIC),
+                           (HYP2, hw.InwardBiasedLaw(1.0, 2))):
+            cfg = WalkConfig(model, law, 20, 3, 0)
+            for _ in _lockstep_states(cfg, range(3)):
+                pass
+        cfg = WalkConfig(HYP2, hw.HeavyTailLaw(4.0, 2), 20, 3, 0, mode=MODE_AMBIENT)
+        for _ in _lockstep_states(cfg, range(3), directions=True):
+            pass
 
 
 class BadStepSampler:
@@ -383,10 +459,10 @@ class TestOverflowingStep:
             hw.run_walk(cfg, 1)
 
 
-def nan_rows(bad):
-    """BoxLaw.unit_rows with a NaN radial part in the row of step `bad[j]`
-    of walk j, counting rows per stream."""
-    original = hw.BoxLaw.unit_rows
+def bad_rows(cls, bad, value):
+    """The law class's unit_rows with `value` in column 0 of the row of step
+    `bad[j]` of walk j, counting rows per stream."""
+    original = cls.unit_rows
     drawn = collections.Counter()
 
     def unit_rows(self, m, rng):
@@ -395,9 +471,15 @@ def nan_rows(bad):
         i = bad.get(walk, 0) - 1 - drawn[rng]
         drawn[rng] += len(rows)
         if 0 <= i < len(rows):
-            rows[i, 0] = math.nan
+            rows[i, 0] = value
         return rows
     return unit_rows
+
+
+def nan_rows(bad):
+    """BoxLaw.unit_rows with a NaN radial part in the row of step `bad[j]`
+    of walk j, counting rows per stream."""
+    return bad_rows(hw.BoxLaw, bad, math.nan)
 
 
 class TestProbeNonFiniteStep:
@@ -1019,6 +1101,15 @@ class TestSharedKernels:
         monkeypatch.setattr(simulator, "_turn", writing)
         res = suite_mode_coupling()
         assert not res.passed and "worst rel err 1.000e-12" in res.detail
+
+    def test_closed_form_that_moves_a_radius_fails_mode_coupling(self, monkeypatch):
+        # the suite couples the heavy-tail law's closed-form steps too
+        exact = simulator._Lockstep._heavytail_increments
+        assert suite_mode_coupling().checked == 3 * 100 * 4
+        monkeypatch.setattr(simulator._Lockstep, "_heavytail_increments",
+                            lambda self, row: exact(self, row) * (1.0 + 1e-12))
+        res = suite_mode_coupling()
+        assert not res.passed and res.checked == 1200
 
 
 def _no_turn(*args):
