@@ -422,7 +422,11 @@ class HeavyTailLaw(IncrementLaw):
 
     def steps(self, R, part):
         _, _, y, u, e, v = part
-        _, q, outward = self._branches(R, y, u, e)
+        return self._branch_steps(y, v, *self._branches(R, y, u, e)[1:])
+
+    @staticmethod
+    def _branch_steps(y, v, q, outward):
+        """(d_rad, t) of steps of lengths y and directions v on the branches q, outward."""
         offset = 2.0 * q / (1.0 + q)
         phi = np.where(outward, 1.0, offset - 1.0)
         t_sq = np.where(outward, 0.0, offset * (2.0 - offset))  # 1 - phi^2, stably

@@ -225,10 +225,11 @@ def _integrable(law: IncrementLaw, r: float, k: float) -> bool:
     return law.quadrature_lines(r, QUAD_NODES, k) is not None
 
 
-def _integrate(law, r, integrands, k, cut=None):
-    """quadrature.integrate with QUAD_NODES, as Estimates."""
+def _integrate(law, radii, integrands, k, cut=None):
+    """quadrature.integrate with QUAD_NODES, as Estimates at each radius."""
     from . import quadrature
-    return [Estimate(*e) for e in quadrature.integrate(law, r, integrands, k, QUAD_NODES, cut)]
+    return [[Estimate(*e) for e in at_r]
+            for at_r in quadrature.integrate(law, radii, integrands, k, QUAD_NODES, cut)]
 
 
 def _radius_integrals(law, k, r):
@@ -237,7 +238,7 @@ def _radius_integrals(law, k, r):
     E[d_rad] with its half-width as standard error; the transverse means
     are 0 by the law's rotation symmetry."""
     from . import quadrature
-    nu1, nu2, transverse, mean = _integrate(law, r, lambda a: (
+    (nu1, nu2, transverse, mean), = _integrate(law, [r], lambda a, _: (
         *quadrature.increment_integrands(k, a, law.symmetric), a.t_sq, a.d_rad), k)
     rest = [0.0] * (law.d - 1)
     zero_drift = ZeroDriftResult(np.array([mean.value, *rest]),
@@ -262,11 +263,11 @@ def step_moments(law: IncrementLaw, k: Optional[float], r: float, n_samples: int
     if _integrable(law, r, k or 0.0):
         from . import quadrature
 
-        def integrands(a):
+        def integrands(a, _):
             d_rad_sq = a.d_rad ** 2
             x = (d_rad_sq + a.t_sq, d_rad_sq, a.d_rad, a.t_sq)
             return x if k is None else x + quadrature.increment_integrands(k, a, law.symmetric)
-        return dict(zip(names, _integrate(law, r, integrands, k or 0.0))), QUADRATURE_NOTE
+        return dict(zip(names, _integrate(law, [r], integrands, k or 0.0)[0])), QUADRATURE_NOTE
     d_rad, _, t_sq, d_tot = _draw(law, r, n_samples, rng)
     d_rad_sq = d_rad ** 2
     estimates = list(map(_mc_estimate, (d_rad_sq + t_sq, d_rad_sq, d_rad, t_sq)))
@@ -588,31 +589,38 @@ def _pinched_bounds(x1_lo, sq_lo, x1_hi, sq_hi, inc_lo, inc_hi):
     return x1_lo, x1_hi, split, np.maximum(sq_lo, sq_hi)
 
 
-def _pinched_integrals(law, r, k, K):
-    """_pinched_moments' four bounds at radius r by quadrature.
+def _pinched_integrals(law, points) -> list:
+    """_pinched_moments' four bounds by quadrature at each (r, k, K) of
+    points, in order, each bit for bit what it takes alone.
 
     The split bound jumps where an exact increment changes sign, and
     max(f_k^2, f_K^2) has a kink where f_k + f_K does, so with k < K every
-    line is cut at those points first (see quadrature.batches).  Near the
+    line is cut at those points first: for each band (k, K), the lines of
+    all its radii in one root solve (see quadrature._edges).  Near the
     origin (r at most the step length) the exact increment need not be
     monotone in d_rad and may change sign twice on a line; every change
     between the probes is bracketed.
     """
     from . import quadrature
+    out = {}
+    for k, K in dict.fromkeys(p[1:] for p in points):
+        band = [p[0] for p in points if p[1:] == (k, K)]
 
-    def cut(steps):
-        log_omp = log_one_plus_phi(-steps.d_rad, steps.t_sq, steps.d_tot)
-        f = [log_form_increment(c, c * steps.d_tot, steps.log_opp, log_omp) for c in (k, K)]
-        return (*_exact_increments(r, k, K, steps.d_rad, steps.d_tot), f[0] + f[1])
+        def cut(steps, r):
+            log_omp = log_one_plus_phi(-steps.d_rad, steps.t_sq, steps.d_tot)
+            f = [log_form_increment(c, c * steps.d_tot, steps.log_opp, log_omp) for c in (k, K)]
+            return (*_exact_increments(r, k, K, steps.d_rad, steps.d_tot), f[0] + f[1])
 
-    def bounds(atoms):
-        x1_lo, sq_lo = quadrature.increment_integrands(k, atoms, law.symmetric)
-        x1_hi, sq_hi = ((x1_lo, sq_lo) if K == k
-                        else quadrature.increment_integrands(K, atoms, law.symmetric))
-        return _pinched_bounds(x1_lo, sq_lo, x1_hi, sq_hi,
-                               *_exact_increments(r, k, K, atoms.d_rad, atoms.d_tot))
+        def bounds(atoms, r):
+            x1_lo, sq_lo = quadrature.increment_integrands(k, atoms, law.symmetric)
+            x1_hi, sq_hi = ((x1_lo, sq_lo) if K == k
+                            else quadrature.increment_integrands(K, atoms, law.symmetric))
+            return _pinched_bounds(x1_lo, sq_lo, x1_hi, sq_hi,
+                                   *_exact_increments(r, k, K, atoms.d_rad, atoms.d_tot))
 
-    return tuple(_integrate(law, r, bounds, K, None if K == k else cut))
+        for r, e in zip(band, _integrate(law, band, bounds, K, None if K == k else cut)):
+            out[r, k, K] = tuple(e)
+    return [out[p] for p in points]
 
 
 def classify_pinched(law: IncrementLaw, k_min_profile: RadialProfile,
@@ -646,20 +654,18 @@ def classify_pinched(law: IncrementLaw, k_min_profile: RadialProfile,
 
     rows = []
     notes = [QUADRATURE_NOTE] if integrated else []
-    per_r = {}
-    for r in grid:
-        k = float(k_min_profile(r))
-        K = float(k_max_profile(r))
+    points = [(r, float(k_min_profile(r)), float(k_max_profile(r))) for r in grid]
+    for r, k, K in points:
         if not 0.0 < k <= K:
             raise UsageError(f"need 0 < k_min <= k_max on the grid, got ({k}, {K}) at r = {r}")
-        per_r[r] = (_pinched_integrals(law, r, k, K) if integrated
-                    else _pinched_moments(law, r, k, K, n_samples, rng), k, K)
+    per_r = dict(zip(grid, _pinched_integrals(law, points) if integrated else
+                     [_pinched_moments(law, *p, n_samples, rng) for p in points]))
 
     # transience leg, the recurrence leg's mirror, against m2_up on the tail
     # radii past 1; its gap is reported at every grid radius past 1, beside
     # the scaled drift r * m1_low at every one
     t_margins, t_tail = [], []
-    for r, ((m1l, _, _, m2u), _, _) in per_r.items():
+    for r, (m1l, _, _, m2u) in per_r.items():
         if r > 1.0:
             factor = 1.0 + (1.0 + theta) / math.log(r)
             gap = 2.0 * r * m1l.value - factor * m2u.value
@@ -676,12 +682,9 @@ def classify_pinched(law: IncrementLaw, k_min_profile: RadialProfile,
     if not bounded:
         notes.append("second moment shows growth along the tail; transience leg rejected")
     transient_ok = bounded and bool(t_margins) and all(m > 0.0 for _, m in t_margins)
-    growth = [(r * e[0].value, r * e[0].half_width) for e, _, _ in per_r.values()]
-    if len(growth) > 1 and not growth[-1][0] - growth[0][0] > growth[-1][1] + growth[0][1]:
-        notes.append("scaled drift r*nu1 shows no growth beyond noise; divergence not supported")
 
     # recurrence leg: split second moment floor + inequality against the K side
-    legs = [(r, m1l, m1h, m2s) for r, ((m1l, m1h, m2s, _), _, _) in per_r.items()
+    legs = [(r, m1l, m1h, m2s) for r, (m1l, m1h, m2s, _) in per_r.items()
             if r > 1.0 and r >= r0]
     recurrent_ok, r_margins, rhs = _recurrence_leg(
         [(r, m1h, m2s) for r, _, m1h, m2s in legs], theta,

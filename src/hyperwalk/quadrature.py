@@ -5,11 +5,13 @@ A built-in law describes its steps at radius r as line bundles (the
 runs a parameter s over [lo, hi], and maps s to a step (d_rad, |t|^2, d_tot),
 a stable log(1 + phi) and the law's density in s.  `batches` puts Gauss
 nodes on the lines and yields weighted steps, over which an expectation is
-a sum of dot products.  A line may be cut where given functions of the step change
-sign, so that an integrand with a jump or a kink there is integrated piece
-by piece, each piece converging at the rate of a smooth one.  `integrate`
-takes every expectation with n and 2n nodes and returns the finer value
-with |Q_n - Q_2n| plus a rounding floor as its error estimate.
+a sum of dot products.  A line may be cut where given functions of the step
+change sign, so that an integrand with a jump or a kink there is integrated
+piece by piece, each piece converging at the rate of a smooth one; the cuts
+of every line at every radius of a grid are found in one root solve
+(`sign_changes`).  `integrate` takes every expectation on the grid with n
+and 2n nodes and returns the finer value with |Q_n - Q_2n| plus a rounding
+floor as its error estimate, each radius's sums those it takes alone.
 
 It builds on geometry.py, which holds the kernels it integrates: the
 steps' stable log(1 + phi) and log(1 - phi) (`log_one_plus_phi`) and the
@@ -39,7 +41,7 @@ _TOL = 16.0 * sys.float_info.epsilon
 _ROUNDING = 64.0 * sys.float_info.epsilon
 _PROBE = 64         # evenly spaced probes per line, plus geometric ones at both ends
 _PROBE_ENDS = 30
-_BATCH = 1 << 18    # atoms, or probes, evaluated at once
+_BATCH = 1 << 18    # atoms evaluated at once
 
 
 @lru_cache(maxsize=None)
@@ -108,20 +110,13 @@ class Line(NamedTuple):
     grade: int = 0
 
 
-def batches(lines, n: int, k: float, cut=None):
-    """The Gauss atoms of the lines, n nodes per piece, for integrands of
-    curvature at most k, in batches of a few hundred thousand atoms at most
-    (one piece of every line of a bundle, if that is more).
-
-    Each line is cut into equal pieces that span at most 2/k (see Line),
-    and, given `cut`, wherever an array of `cut(steps)` changes sign along
-    it (see `sign_changes`).
-    """
-    for line in lines:
-        edges = _edges(line, k, cut)
-        step = max(1, _BATCH // (line.size * n))
-        for j in range(0, edges.shape[1] - 1, step):
-            yield _line_atoms(line, n, edges[:, j:j + step + 1], first=j == 0)
+def batches(line: Line, n: int, edges: np.ndarray):
+    """The Gauss atoms of a bundle cut at `edges` (see _edges), n nodes per
+    piece, in batches of a few hundred thousand atoms at most (one piece of
+    every line of the bundle, if that is more)."""
+    step = max(1, _BATCH // (line.size * n))
+    for j in range(0, edges.shape[1] - 1, step):
+        yield _line_atoms(line, n, edges[:, j:j + step + 1], first=j == 0)
 
 
 def _line_atoms(line: Line, n: int, edges: np.ndarray, first: bool) -> Atoms:
@@ -159,24 +154,48 @@ def _probes(lo: float, hi: float) -> np.ndarray:
     return lo + (hi - lo) * u
 
 
-def _edges(line: Line, k: float, cut) -> np.ndarray:
-    """(size, pieces + 1) ascending cut points of each line, lo first and hi
-    last; a line with fewer cuts than the most cut one repeats hi, which
-    gives pieces of length 0."""
-    pieces = max(1, math.ceil(0.5 * k * line.span))
-    graded = (line.hi - line.lo) * 2.0 ** -np.arange(1.0, line.grade + 1.0)
-    cuts = np.concatenate([np.linspace(line.lo, line.hi, pieces + 1),
-                           line.lo + graded, line.hi - graded])
-    bounds = np.repeat(_distinct(cuts)[None], line.size, axis=0)
+def _edges(lines, k: float, cut=None, radii=None) -> list:
+    """Each bundle's (size, pieces + 1) ascending cut points, lo first and hi
+    last; a line with fewer cuts than the most cut one of its bundle repeats
+    hi, which gives pieces of length 0.  Given `cut`, also wherever an array
+    of cut(steps, r) changes sign, r the column of each row's radius (one
+    per bundle in radii): the lines of all bundles are the rows of one
+    sign_changes call, which probes them bundle by bundle."""
+    bounds = []
+    for line in lines:
+        pieces = max(1, math.ceil(0.5 * k * line.span))
+        graded = (line.hi - line.lo) * 2.0 ** -np.arange(1.0, line.grade + 1.0)
+        cuts = np.concatenate([np.linspace(line.lo, line.hi, pieces + 1),
+                               line.lo + graded, line.hi - graded])
+        bounds.append(np.repeat(_distinct(cuts)[None], line.size, axis=0))
     if cut is None:
         return bounds
-    probes = np.repeat(_probes(line.lo, line.hi)[None], line.size, axis=0)
-    roots = sign_changes(lambda s: cut(line.steps(s)), probes, line.hi,
-                         max(2, _BATCH // line.size))
-    return np.sort(np.concatenate([bounds, roots], axis=1), axis=1)
+    sizes = [line.size for line in lines]
+    start = np.cumsum([0] + sizes)
+    radius = np.repeat(np.asarray(radii, dtype=float), sizes)[:, None]
+
+    def g(s, rows):             # rows: one bundle or all of them
+        i, j = np.searchsorted(start, (rows.start, rows.stop))
+        parts = np.split(s, start[i + 1:j] - rows.start)
+        steps = [line.steps(x) for line, x in zip(lines[i:j], parts)]
+        return cut(steps[0] if len(steps) == 1 else Atoms(*map(np.concatenate, zip(*steps))),
+                   radius[rows])
+
+    probes = np.concatenate([np.repeat(_probes(line.lo, line.hi)[None], line.size, axis=0)
+                             for line in lines])
+    roots = sign_changes(g, probes, np.repeat([line.hi for line in lines], sizes),
+                         [slice(lo, hi) for lo, hi in zip(start, start[1:])])
+    out = []
+    for line, bound, lo, hi in zip(lines, bounds, start, start[1:]):
+        # cut back to the bundle's most cut row: every switch lies below the
+        # last probe, so only the padding reads hi
+        own = roots[lo:hi]
+        own = own[:, :int((own < line.hi).sum(axis=1).max(initial=0))]
+        out.append(np.sort(np.concatenate([bound, own], axis=1), axis=1))
+    return out
 
 
-def sign_changes(g: Callable, probes: np.ndarray, pad: float, columns: int) -> np.ndarray:
+def sign_changes(g: Callable, probes: np.ndarray, pad, blocks) -> np.ndarray:
     """Every point where one of the functions g >= 0 switches along a row of
     `probes`, found in the bracket between the two probes around it by
     Chandrupatla's method (Chandrupatla 1997, Adv. Eng. Software 28,
@@ -184,24 +203,26 @@ def sign_changes(g: Callable, probes: np.ndarray, pad: float, columns: int) -> n
     values; every later one inverse-quadratically through the bracket's
     ends and the point last dropped from it, and bisects where that step is
     not finite, leaves the bracket or is not safe by Chandrupatla's test.
-    Each switch is the midpoint of a final bracket no wider than _TOL times
-    the probes' largest magnitude; InvariantViolationError if a bracket is
+    Each bracket closes within its own row's scale, to a midpoint no wider
+    than _TOL times the row's largest probe magnitude, so rows of different
+    scales solve together as alone; InvariantViolationError if a bracket is
     still wider after MAX_ITERATIONS steps.
 
-    `g` maps parameters of shape (rows, m) to a sequence of arrays of that
-    shape, one per function; the probes go to it `columns` at a time.
+    `g(s, rows)` maps parameters s of the rows `rows` (a slice) to a
+    sequence of arrays of s's shape, one per function; the probes go to it
+    in the row slices `blocks`, and every later step all rows at once.
     Returns an array (rows, most switches in a row), its free places filled
-    with `pad`.
+    with `pad`, one value or one per row.
     """
     brackets = []               # (row, function, lo, hi, g at lo, g at hi)
-    for c in range(0, probes.shape[1] - 1, columns - 1):
-        part = probes[:, c:c + columns]
-        for i, value in enumerate(g(part)):
+    for block in blocks:
+        part = probes[block]
+        for i, value in enumerate(g(part, block)):
             value = np.asarray(value)
             up = value >= 0.0
             row, col = np.nonzero(up[:, 1:] != up[:, :-1])
-            brackets.append((row, np.full(row.size, i), part[row, col], part[row, col + 1],
-                             value[row, col], value[row, col + 1]))
+            brackets.append((row + block.start, np.full(row.size, i), part[row, col],
+                             part[row, col + 1], value[row, col], value[row, col + 1]))
     row, which, a, b, fa, fb = map(np.concatenate, zip(*brackets))
     rows = probes.shape[0]
     if row.size == 0:
@@ -211,8 +232,8 @@ def sign_changes(g: Callable, probes: np.ndarray, pad: float, columns: int) -> n
     row, which, a, b, fa, fb = (x[order] for x in (row, which, a, b, fa, fb))
     count = np.bincount(row, minlength=rows)
     slot = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
-    grid = np.full((rows, int(count.max())), pad)
-    tol = _TOL * float(np.abs(probes).max())
+    grid = np.full((rows, int(count.max())), np.reshape(pad, (-1, 1)), dtype=float)
+    tol = _TOL * np.abs(probes).max(axis=1)[row]
     # a is the last point, b the bracket's other end and c the end dropped
     # last; t places the next point at a + t (b - a)
     c, fc = b.copy(), fb.copy()
@@ -220,7 +241,7 @@ def sign_changes(g: Callable, probes: np.ndarray, pad: float, columns: int) -> n
         t = fa / (fa - fb)
     live = np.arange(row.size)
     for _ in range(MAX_ITERATIONS):
-        live = live[np.abs(b[live] - a[live]) > tol]         # the others are frozen
+        live = live[np.abs(b[live] - a[live]) > tol[live]]   # the others are frozen
         if live.size == 0:
             break
         al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
@@ -228,13 +249,14 @@ def sign_changes(g: Callable, probes: np.ndarray, pad: float, columns: int) -> n
         # half the tolerance at least from either end, so the bracket closes
         # on the step after the interpolation has found the switch (min and
         # max, as np.clip's first call maps about 0.1 MB more of numpy)
-        edge = 0.5 * tol / np.abs(bl - al)
+        edge = 0.5 * tol[live] / np.abs(bl - al)
         step = np.where((step >= 0.0) & (step <= 1.0), step, 0.5)
         step = np.minimum(np.maximum(step, edge), 1.0 - edge)
         x = al + step * (bl - al)
         at = row[live], slot[live]
         grid[at] = x
-        fx = np.stack([np.asarray(v)[at] for v in g(grid)])[which[live], np.arange(live.size)]
+        fx = np.stack([np.asarray(v)[at] for v in g(grid, slice(0, rows))])[which[live],
+                                                                            np.arange(live.size)]
         kept = (fx >= 0.0) == (fal >= 0.0)          # the switch lies between x and b
         cl, fcl = np.where(kept, al, bl), np.where(kept, fal, fbl)
         bl, fbl = np.where(kept, bl, al), np.where(kept, fbl, fal)
@@ -251,7 +273,7 @@ def sign_changes(g: Callable, probes: np.ndarray, pad: float, columns: int) -> n
         lo, hi = sorted((float(a[i]), float(b[i])))
         raise InvariantViolationError(
             f"function {which[i]} of row {row[i]} still changes sign on [{lo!r}, {hi!r}], "
-            f"wider than {tol!r}, after {MAX_ITERATIONS} steps")
+            f"wider than {float(tol[i])!r}, after {MAX_ITERATIONS} steps")
     grid[row, slot] = 0.5 * (a + b)
     return grid
 
@@ -408,21 +430,27 @@ def increment_integrands(k: float, steps, paired: bool):
     return np.logaddexp(0.0, 2.0 * log_sinh + steps.log_opp + log_omp) / (2.0 * k), f * f
 
 
-def integrate(law, r: float, integrands, k: float, n: int, cut=None) -> list:
-    """(value, half-width) of E[x] at radius r for each array x of
-    integrands(atoms), whose curvature is at most k.
+def integrate(law, radii, integrands, k: float, n: int, cut=None) -> list:
+    """At each radius r of radii, (value, half-width) of E[x] for each array
+    x of integrands(atoms, r), whose curvature is at most k.
 
-    The law's lines take n and then 2n Gauss nodes per piece (see batches).
-    The value is the finer sum Q_2n; the half-width is |Q_n - Q_2n| plus a
-    rounding floor, an error estimate and not a confidence interval.
+    The law's lines take n and then 2n Gauss nodes per piece (see batches);
+    given `cut`, those of every radius and both rules are cut in one root
+    solve (see _edges).  The value is the finer sum Q_2n; the half-width is
+    |Q_n - Q_2n| plus a rounding floor, an error estimate and not a
+    confidence interval.
     """
-    sums = []
-    for m in (n, 2 * n):
-        total = 0.0
-        for a in batches(law.quadrature_lines(r, m, k), m, k, cut):
-            total = total + np.array([(a.weight @ x, np.abs(a.weight) @ np.abs(x))
-                                      for x in integrands(a)])
-        sums.append(total)
-    (coarse, _), (fine, scale) = (np.transpose(t) for t in sums)
-    return [(float(f), float(abs(c - f) + _ROUNDING * s))
-            for c, f, s in zip(coarse, fine, scale)]
+    bundles = [(i, m, line) for m in (n, 2 * n) for i, r in enumerate(radii)
+               for line in law.quadrature_lines(r, m, k)]
+    edges = _edges([line for *_, line in bundles], k, cut, [radii[i] for i, _, _ in bundles])
+    sums = {}
+    for (i, m, line), cuts in zip(bundles, edges):
+        for a in batches(line, m, cuts):
+            sums[i, m] = sums.get((i, m), 0.0) + np.array(
+                [(a.weight @ x, np.abs(a.weight) @ np.abs(x)) for x in integrands(a, radii[i])])
+    out = []
+    for i in range(len(radii)):
+        (coarse, _), (fine, scale) = (np.transpose(sums[i, m]) for m in (n, 2 * n))
+        out.append([(float(f), float(abs(c - f) + _ROUNDING * s))
+                    for c, f, s in zip(coarse, fine, scale)])
+    return out

@@ -462,15 +462,16 @@ class _Lockstep:
         with its offset off (phi = -1) 1 + phi = 0, so the exact increment's
         edge branch gives them y and |R - y| - R, which are written here;
         only the steps off the axis, whose offset is on and which do not go
-        outward, take the law's steps and the kernel."""
+        outward, take the law's steps, on the branches read here, and the
+        kernel."""
         law, R = self.config.law, self.R
         _, _, y, u, e, v, _, _ = row
-        on, _, outward = law._branches(R, y, u, e)
+        on, q, outward = law._branches(R, y, u, e)
         inc = np.where(outward, y, np.abs(R - y) - R)
         off = on & ~outward
         if off.any():
             ys, Rs = y[off], R[off]
-            d_rad, t = law.steps(Rs, (None, None, ys, u[off], e[off], v[off]))
+            d_rad, t = law._branch_steps(ys, v[off], q[off], outward[off])
             t_sq, d_tot = _lengths(d_rad, t)
             # each length is at most y with the margin, so finite
             d_tot, phi, opp, edges, _ = self._inputs(d_rad, t_sq, d_tot,

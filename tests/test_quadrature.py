@@ -33,6 +33,11 @@ def close(got, want, rel=REL):
     assert abs(got - float(want)) <= rel * abs(float(want)), (got, float(want))
 
 
+def pinched(law, r, k, K):
+    """_pinched_integrals at the one radius r of the band (k, K)."""
+    return lamperti._pinched_integrals(law, [(r, k, K)])[0]
+
+
 def mp_increment(k, d_rad, t_sq):
     """The asymptotic increment at mpmath precision, with 1 + phi formed from
     |t|^2 where d_rad < 0, as the definition needs no cancellation."""
@@ -286,7 +291,7 @@ class TestPinchedSplit:
         # also graded toward both poles
         mp.mp.dps = 20
         law = hw.EllipticLaw(C1, C1, d)
-        got = lamperti._pinched_integrals(law, r, 1.0, K)
+        got = pinched(law, r, 1.0, K)
         for g, want in zip(got, elliptic_pinched_reference(law, r, 1.0, K)):
             close(g.value, want)
             assert g.half_width < 1e-12 * abs(g.value)
@@ -296,7 +301,7 @@ class TestPinchedSplit:
         # m1_low and m1_high are nu1 at k and K, which no cut touches; the
         # split and upper bounds are where the cuts matter
         law = hw.BoxLaw(C1, B_DECAY, 2)
-        got = lamperti._pinched_integrals(law, r, 1.0, 1.5)
+        got = pinched(law, r, 1.0, 1.5)
         close(got[0].value, lamperti._radius_integrals(law, 1.0, r)[0].value, 1e-14)
         close(got[1].value, lamperti._radius_integrals(law, 1.5, r)[0].value, 1e-14)
         for g, want in zip(got[2:], box2_pinched_reference(law, r, 1.0, 1.5)[2:]):
@@ -310,7 +315,7 @@ class TestPinchedSplit:
         # half-widths must say so, and cover the distance to a 10^6-draw
         # Monte Carlo estimate beyond its own 99% half-width
         law = hw.BoxLaw(C1, B_DECAY, 2)
-        got = lamperti._pinched_integrals(law, 1.0, 1.0, 1.5)
+        got = pinched(law, 1.0, 1.0, 1.5)
         mc = lamperti._pinched_moments(law, 1.0, 1.0, 1.5, 1_000_000, np.random.default_rng(2))
         assert max(g.half_width / abs(g.value) for g in got) > 1e-6
         for g, m in zip(got, mc):
@@ -321,7 +326,7 @@ class TestPinchedSplit:
         # small half-widths, and a 10^6-draw Monte Carlo estimate lies
         # within its 99% half-width
         law = hw.BoxLaw(C1, B_DECAY, 2)
-        got = lamperti._pinched_integrals(law, 10.0, 1.0, 1.7)
+        got = pinched(law, 10.0, 1.0, 1.7)
         mc = lamperti._pinched_moments(law, 10.0, 1.0, 1.7, 1_000_000, np.random.default_rng(2))
         close(got[1].value, lamperti._radius_integrals(law, 1.7, 10.0)[0].value, 1e-13)
         for g, m in zip(got, mc):
@@ -330,7 +335,7 @@ class TestPinchedSplit:
 
     def test_constant_curvature_needs_no_cut(self):
         law = hw.HeavyTailLaw(4.0, 2)
-        m1_lo, m1_hi, split, up = lamperti._pinched_integrals(law, 100.0, 1.0, 1.0)
+        m1_lo, m1_hi, split, up = pinched(law, 100.0, 1.0, 1.0)
         nu1, nu2, _, _ = lamperti._radius_integrals(law, 1.0, 100.0)
         assert m1_lo == m1_hi == nu1 and split == up == nu2
 
@@ -360,7 +365,7 @@ class TestMonteCarloCrossCheck:
 
     def test_pinched_bounds(self):
         law = hw.BoxLaw(C1, B_DECAY, 2)
-        exact = lamperti._pinched_integrals(law, 10.0, 1.0, 1.5)
+        exact = pinched(law, 10.0, 1.0, 1.5)
         mc = lamperti._pinched_moments(law, 10.0, 1.0, 1.5, 1_000_000, np.random.default_rng(1))
         for m, e in zip(mc, exact):
             assert abs(m.value - e.value) <= m.half_width, (m, e)
@@ -409,7 +414,7 @@ class TestDistinctPoints:
         monkeypatch.setattr(quadrature, "_distinct", lambda x: seen.append(x) or real(x))
         for r, k in ((1.0, 1.0), (10.0, 1.5), (200.0, 0.5)):
             for line in law.quadrature_lines(r, 32, k):
-                quadrature._edges(line, k, None)
+                quadrature._edges([line], k)
                 quadrature._probes(line.lo, line.hi)
         assert seen
         for x in seen:
@@ -417,10 +422,11 @@ class TestDistinctPoints:
 
 def bisect_sign_changes(g, probes, pad):
     """A reference for quadrature.sign_changes: the same brackets between
-    neighbouring probes, halved until no wider than _TOL times the probes'
-    scale, by plain bisection."""
+    neighbouring probes, halved until no wider than _TOL times the row's
+    probes' scale, by plain bisection."""
     brackets = []
-    for i, value in enumerate(g(probes)):
+    everything = slice(0, probes.shape[0])
+    for i, value in enumerate(g(probes, everything)):
         up = np.asarray(value) >= 0.0
         row, col = np.nonzero(up[:, 1:] != up[:, :-1])
         brackets.append((row, np.full(row.size, i), probes[row, col], probes[row, col + 1],
@@ -430,12 +436,14 @@ def bisect_sign_changes(g, probes, pad):
     row, which, lo, hi, lo_up = (a[order] for a in (row, which, lo, hi, lo_up))
     count = np.bincount(row, minlength=probes.shape[0])
     slot = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
-    grid = np.full((probes.shape[0], int(count.max())), pad)
-    tol = quadrature._TOL * float(np.abs(probes).max())
+    grid = np.broadcast_to(np.asarray(pad, dtype=float)[..., None],
+                           (probes.shape[0], int(count.max()))).copy()
+    tol = quadrature._TOL * np.abs(probes).max(axis=1)[row]
     while (hi - lo > tol).any():
         mid = 0.5 * (lo + hi)
         grid[row, slot] = mid
-        up = np.stack([np.asarray(v)[row, slot] for v in g(grid)])[which, np.arange(row.size)]
+        up = np.stack([np.asarray(v)[row, slot]
+                       for v in g(grid, everything)])[which, np.arange(row.size)]
         moved_lo = (up >= 0.0) == lo_up
         lo, hi = np.where(moved_lo, mid, lo), np.where(moved_lo, hi, mid)
     grid[row, slot] = 0.5 * (lo + hi)
@@ -443,41 +451,111 @@ def bisect_sign_changes(g, probes, pad):
 
 
 def counted(g):
-    """g, and a list that counts its calls."""
+    """g, and a list of the shapes it was called on."""
     calls = []
 
-    def wrapped(s):
+    def wrapped(s, rows):
         calls.append(s.shape)
-        return g(s)
+        return g(s, rows)
     return wrapped, calls
 
 
-def pinched_cut_calls(monkeypatch, law, radii, k, K):
+def pinched_cut_calls(monkeypatch, law, points):
     """The arguments of every sign_changes call that _pinched_integrals
-    makes at the radii, n and 2n nodes each."""
+    makes at the points (r, k, K), n and 2n nodes each."""
     seen = []
     real = quadrature.sign_changes
 
-    def spy(g, probes, pad, columns):
-        seen.append((g, probes, pad, columns))
-        return real(g, probes, pad, columns)
+    def spy(g, probes, pad, blocks):
+        seen.append((g, probes, pad, blocks))
+        return real(g, probes, pad, blocks)
 
     monkeypatch.setattr(quadrature, "sign_changes", spy)
-    for r in radii:
-        lamperti._pinched_integrals(law, float(r), k, K)
+    lamperti._pinched_integrals(law, points)
     monkeypatch.undo()
     return seen
 
 
+def hexes(estimates):
+    return [(e.value.hex(), e.half_width.hex()) for e in estimates]
+
+
+class TestPinchedGrid:
+    """_pinched_integrals over a grid: each radius's value and half-width
+    are those it takes alone, bit for bit, though the cuts of every radius
+    of a band are found in one root solve."""
+
+    GRID = [float(r) for r in np.geomspace(0.5, 200.0, 6)]
+    K_DECAY = hw.RadialProfile.power_decay(1.6, 0.05)       # 1.6 down to 1.23 at r = 200
+    BANDS = {"constant": lambda r: 1.5, "k_max-decays": K_DECAY,
+             "K-equal-k-past-20": lambda r: 1.0 if r > 20.0 else 1.5}
+
+    @pytest.mark.parametrize("band", BANDS)
+    @pytest.mark.parametrize("law", [
+        hw.BoxLaw(C1, B_DECAY, 2), hw.EllipticLaw(C1, B_DECAY, 2), hw.EllipticLaw(C1, C1, 3),
+        # lambda(r) = max(1, r^(1/3)): the lines below it run over [0, log lambda(r)],
+        # those above it over [0, 1 / lambda(r)], and r < 1 has only the latter
+        hw.HeavyTailLaw(4.0, 2), hw.InwardBiasedLaw(1.0, 2),
+    ], ids=["box-d2", "elliptic-d2", "elliptic-d3", "heavytail", "inwardbiased"])
+    def test_grid_equals_each_radius_alone(self, law, band):
+        points = [(r, 1.0, float(self.BANDS[band](r))) for r in self.GRID]
+        together = lamperti._pinched_integrals(law, points)
+        assert len(together) == len(points)
+        for point, got in zip(points, together):
+            assert hexes(got) == hexes(lamperti._pinched_integrals(law, [point])[0]), point
+
+    @pytest.mark.parametrize("law", [hw.BoxLaw(C1, B_DECAY, 2), hw.HeavyTailLaw(4.0, 2)],
+                             ids=["box-d2", "heavytail"])
+    def test_each_bundle_keeps_its_own_cuts(self, law, monkeypatch):
+        # the grid's cut points are each bundle's own, shape too: no bundle
+        # is padded out to the most cut bundle of the grid
+        seen = []
+        real = quadrature._edges
+        monkeypatch.setattr(quadrature, "_edges", lambda *a: seen.append(real(*a)) or seen[-1])
+        points = [(r, 1.0, 1.5) for r in self.GRID]
+        lamperti._pinched_integrals(law, points)
+        for point in points:
+            lamperti._pinched_integrals(law, [point])
+        together, *alone = seen
+        # each radius's lines at n, then at 2n nodes; the grid's rule by rule
+        halves = [(edges[:len(edges) // 2], edges[len(edges) // 2:]) for edges in alone]
+        want = [e for rule in (0, 1) for h in halves for e in h[rule]]
+        assert [e.shape for e in together] == [e.shape for e in want]
+        assert len({e.shape[1] for e in want}) > 1
+        for got, e in zip(together, want):
+            assert got.tobytes() == e.tobytes()
+
+    def test_bands_keep_the_points_order(self):
+        # the points of two bands interleaved, and a radius in both
+        law = hw.BoxLaw(C1, B_DECAY, 2)
+        points = [(10.0, 1.0, 1.5), (20.0, 1.0, 1.0), (40.0, 1.0, 1.5), (10.0, 1.0, 1.0)]
+        got = lamperti._pinched_integrals(law, points)
+        for point, estimates in zip(points, got):
+            assert hexes(estimates) == hexes(lamperti._pinched_integrals(law, [point])[0])
+
+    def test_one_root_solve_per_band(self, monkeypatch):
+        law = hw.HeavyTailLaw(4.0, 2)
+        points = [(r, 1.0, self.BANDS["K-equal-k-past-20"](r)) for r in self.GRID]
+        (_, probes, _, blocks), = pinched_cut_calls(monkeypatch, law, points)
+        # the radii below 20 with K = 1.5: r = 0.5 (two lines) and r = 1.65,
+        # 5.42 and 17.9 (four), at both rules, one row a line
+        assert probes.shape[0] == 2 * (2 + 3 * 4) == len(blocks)
+        assert len({(p.min(), p.max()) for p in probes}) > 4
+
+
 class TestSignChanges:
     """quadrature.sign_changes: every switch of g >= 0 between the probes,
-    each within _TOL of the probes' scale, in a few calls of g."""
+    each within _TOL of its row's probes' scale, in a few calls of g."""
 
     LO, HI = -1.0, 1.0
     ROOTS = ([], [0.3], [-0.7, 0.1], [-0.45, 0.2, 0.85])     # 0-3 switches a row
 
     def probes(self, rows):
         return np.repeat(quadrature._probes(self.LO, self.HI)[None], rows, axis=0)
+
+    def solve(self, g, rows):
+        """sign_changes of g on `rows` rows of probes, in one block."""
+        return quadrature.sign_changes(g, self.probes(rows), self.HI, [slice(0, rows)])
 
     def check(self, got, want):
         # want: one list of switches per row; the rest of a row is padding
@@ -490,7 +568,7 @@ class TestSignChanges:
     def test_smooth_rows_with_zero_to_three_roots(self):
         roots = [np.array(r) for r in self.ROOTS]
 
-        def g(s):
+        def g(s, rows):
             # a polynomial and a shifted sine with the row's roots, the
             # sine's switches being where the polynomial has none
             poly = np.stack([np.prod(s[i][:, None] - r, axis=1) * (1.0 + s[i] ** 2)
@@ -501,28 +579,47 @@ class TestSignChanges:
 
         want = [list(r) for r in self.ROOTS]
         want[3] += [0.6, math.pi / 3.0 - 0.6]
-        got = quadrature.sign_changes(g, self.probes(4), self.HI, 1000)
-        self.check(got, want)
+        self.check(self.solve(g, 4), want)
 
-    def test_probes_in_several_column_blocks(self):
-        roots = np.array(self.ROOTS[3])
+    def test_probes_in_several_row_blocks(self):
+        # row i switches at 0.2 + 0.1 i; g reads which rows it is given
+        def g(s, rows):
+            return (s - 0.2 - 0.1 * np.arange(4.0)[rows, None],)
 
-        def g(s):
-            return (np.prod(s[..., None] - roots, axis=-1),)
+        one = self.solve(g, 4)
+        blocks = quadrature.sign_changes(g, self.probes(4), self.HI,
+                                         [slice(0, 1), slice(1, 3), slice(3, 4)])
+        self.check(blocks, [[0.2 + 0.1 * i] for i in range(4)])
+        assert one.tobytes() == blocks.tobytes()
 
-        one = quadrature.sign_changes(g, self.probes(2), self.HI, 1000)
-        blocks = quadrature.sign_changes(g, self.probes(2), self.HI, 7)
-        self.check(blocks, [list(roots)] * 2)
-        np.testing.assert_array_equal(np.sort(one, axis=1), np.sort(blocks, axis=1))
+    def test_rows_of_different_scales_solved_together(self):
+        # rows on [-1, 1] and on [100, 300], each with its own pad: solved
+        # together, each row closes within its own scale, as alone
+        near = np.repeat(quadrature._probes(-1.0, 1.0)[None], 2, axis=0)
+        far = np.repeat(quadrature._probes(100.0, 300.0)[None], 3, axis=0)
+        far_root = 200.0 + 1.0 / 7.0
+
+        def g(s, rows):
+            return ((s - 0.3) * (s + 0.6) * (s - far_root), s * s - 0.25)
+
+        both = quadrature.sign_changes(g, np.concatenate([near, far]), [1.0] * 2 + [300.0] * 3,
+                                       [slice(0, 2), slice(2, 5)])
+        alone_near = quadrature.sign_changes(g, near, 1.0, [slice(0, 2)])
+        alone_far = quadrature.sign_changes(g, far, 300.0, [slice(0, 3)])
+        assert alone_near.shape == (2, 4) and alone_far.shape == (3, 1)
+        assert both[:2].tobytes() == alone_near.tobytes()
+        assert both[2:, :1].tobytes() == alone_far.tobytes() and np.all(both[2:, 1:] == 300.0)
+        for row in both[:2]:
+            assert np.abs(np.sort(row) - [-0.6, -0.5, 0.3, 0.5]).max() <= quadrature._TOL
+        assert np.abs(both[2:, 0] - far_root).max() <= quadrature._TOL * 300.0
 
     def test_a_jump_takes_the_bisection_fallback(self):
         # g jumps from -1 to 1 at the root: the first, linear step is the
         # midpoint, and Chandrupatla's test refuses every interpolation
         # after it, so the bracket halves until it is below _TOL
         root = 0.123456789
-        g, calls = counted(lambda s: (np.where(s >= root, 1.0, -1.0),))
-        got = quadrature.sign_changes(g, self.probes(1), self.HI, 1000)
-        self.check(got, [[root]])
+        g, calls = counted(lambda s, rows: (np.where(s >= root, 1.0, -1.0),))
+        self.check(self.solve(g, 1), [[root]])
         bracket = 2.0 / quadrature._PROBE
         assert len(calls) >= math.log2(bracket / quadrature._TOL)
 
@@ -531,9 +628,8 @@ class TestSignChanges:
         # tanh over a width far below the probes' spacing: the interpolation
         # is poor until the bracket is about that narrow
         root = 0.123456789
-        g, calls = counted(lambda s: (np.tanh((s - root) / width) + 0.3,))
-        got = quadrature.sign_changes(g, self.probes(1), self.HI, 1000)
-        self.check(got, [[root + width * math.atanh(-0.3)]])
+        g, calls = counted(lambda s, rows: (np.tanh((s - root) / width) + 0.3,))
+        self.check(self.solve(g, 1), [[root + width * math.atanh(-0.3)]])
         bracket = 2.0 / quadrature._PROBE
         assert len(calls) <= 1 + math.ceil(math.log2(bracket / quadrature._TOL))
 
@@ -542,45 +638,48 @@ class TestSignChanges:
         # either side
         p = self.probes(1)[0]
         on = p[40]
-        got = quadrature.sign_changes(lambda s: (s - on, on - s), self.probes(1), self.HI, 1000)
-        self.check(got, [[on, on]])
+        self.check(self.solve(lambda s, rows: (s - on, on - s), 1), [[on, on]])
 
     def test_no_bracket(self):
-        got = quadrature.sign_changes(lambda s: (1.0 + s * s, -np.exp(s)), self.probes(3),
-                                      self.HI, 1000)
+        got = self.solve(lambda s, rows: (1.0 + s * s, -np.exp(s)), 3)
         assert got.shape == (3, 0)
 
     def test_scale_is_the_probes_largest_magnitude(self):
         # a line over [100, 300]: the brackets close at _TOL * 300
         probes = np.repeat(quadrature._probes(100.0, 300.0)[None], 1, axis=0)
         root = 200.0 + 1.0 / 7.0
-        got = quadrature.sign_changes(lambda s: (np.log(s / root),), probes, 300.0, 1000)
+        got = quadrature.sign_changes(lambda s, rows: (np.log(s / root),), probes, 300.0,
+                                      [slice(0, 1)])
         assert abs(got[0, 0] - root) <= quadrature._TOL * 300.0
 
     def test_unconverged_bracket_raises(self, monkeypatch):
         monkeypatch.setattr(quadrature, "MAX_ITERATIONS", 1)
         # one step cannot close the jump's bracket [0.5, 0.515625] below _TOL;
         # the error names the function, its row and the bracket left
-        def g(s):
+        def g(s, rows):
             return np.ones(s.shape), np.where(s >= 0.51, 1.0, -1.0)
 
         with pytest.raises(hw.InvariantViolationError,
                            match=r"function 1 of row 0 .* on \[0\.50\d*, 0\.51\d*\]"):
-            quadrature.sign_changes(g, self.probes(1), self.HI, 1000)
+            self.solve(g, 1)
 
     def test_benchmark_pinched_lines_against_bisection(self, monkeypatch):
         # the classify-mc pinched leg: box a = 1, b = 1/r in d = 2, k = 1,
-        # K = 1.5, on its grid r = 10..200, n = 32 and 64 nodes.  Every cut
-        # lies within 2 _TOL of bisection's, and each bundle takes one probe
-        # pass and at most 12 root-finding steps (bisection takes 43)
+        # K = 1.5, on its grid r = 10..200, n = 32 and 64 nodes: one call
+        # of 6 x (16 + 32) rows.  Every cut lies within 2 _TOL of bisection's,
+        # and the probe pass, one call of g a bundle, and at most 12
+        # root-finding steps cover the whole grid (bisection takes 43)
         law = hw.BoxLaw(C1, B_DECAY, 2)
-        seen = pinched_cut_calls(monkeypatch, law, np.geomspace(10.0, 200.0, 6), 1.0, 1.5)
-        assert len(seen) == 12 and {p.shape[0] for _, p, _, _ in seen} == {16, 32}
-        for g, probes, pad, columns in seen:
-            spied, calls = counted(g)
-            got = quadrature.sign_changes(spied, probes, pad, columns)
-            assert len(calls) <= 1 + 12, len(calls)
-            want = bisect_sign_changes(g, probes, pad)
-            assert got.shape == want.shape and got.shape[1] > 0
-            scale = float(np.abs(probes).max())
-            assert np.abs(got - want).max() <= 2.0 * quadrature._TOL * scale
+        points = [(r, 1.0, 1.5) for r in np.geomspace(10.0, 200.0, 6)]
+        (g, probes, pad, blocks), = pinched_cut_calls(monkeypatch, law, points)
+        assert probes.shape[0] == 288
+        assert [b.stop - b.start for b in blocks] == [16] * 6 + [32] * 6
+        spied, calls = counted(g)
+        got = quadrature.sign_changes(spied, probes, pad, blocks)
+        assert calls[:len(blocks)] == [(b.stop - b.start, probes.shape[1]) for b in blocks]
+        assert 0 < len(calls) - len(blocks) <= 12, len(calls)
+        assert all(shape == got.shape for shape in calls[len(blocks):])
+        want = bisect_sign_changes(g, probes, pad)
+        assert got.shape == want.shape and got.shape[1] > 0
+        scale = np.abs(probes).max(axis=1)[:, None]
+        assert np.all(np.abs(got - want) <= 2.0 * quadrature._TOL * scale)
