@@ -90,14 +90,13 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, HyperwalkError
+from .errors import ConfigError, HyperwalkError, record
 # asymptotic_increment_batch is bound here for perfbench/spans.py's tracer
 from .geometry import CurvatureModel, asymptotic_increment_batch  # noqa: F401
 from .increments import (
@@ -128,7 +127,7 @@ from .simulator import MODE_AMBIENT, MODE_RADIAL_ONLY, STEP_BOUND_LIMIT, WalkCon
 COMMANDS = ("simulate", "classify", "validate", "moments")
 
 
-@dataclass
+@record(frozen=False)
 class RunConfig:
     """A fully validated run: every field resolved, defaults applied."""
 
@@ -154,7 +153,7 @@ class RunConfig:
     samples: int
     d_min: Optional[float]
     out_dir: str
-    resolved: list = field(default_factory=list)   # ordered (key, value-string)
+    resolved: list = list      # ordered (key, value-string)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +226,7 @@ def _profile_or_auto(text, base_dir):
 _OPS = {">": operator.gt, ">=": operator.ge}
 
 
-@dataclass(frozen=True)
+@record
 class _Key:
     """How one config key is read: `parse` turns its text into a value,
     `default` stands in when the key is absent, and when `op` is set every

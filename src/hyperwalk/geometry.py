@@ -61,11 +61,10 @@ near phi = 1), and `log_one_plus_phi` gives its log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HyperwalkError, InvariantViolationError, OverflowGuardError
+from .errors import DomainError, HyperwalkError, InvariantViolationError, OverflowGuardError, record
 
 # No kernel branches on this: perfbench/spans.py reads it to count the
 # radial increments taken with kR or k d_tot past it (its log_domain_frac).
@@ -127,7 +126,7 @@ def _scaled_norm(v: np.ndarray) -> np.ndarray:
                         np.where(scaled, scale * np.sqrt(_rowdot(w, w)), m))
 
 
-@dataclass(frozen=True)
+@record
 class CurvatureModel:
     """Ambient model: hyperbolic with sectional curvature -k**2, or Euclidean.
 
@@ -517,7 +516,7 @@ def _piecewise(mask, on, off, *arrays):
 # Radial frames
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False, slots=True)
+@record(eq=False)
 class HouseholderFrame:
     """Tangent frames as Householder reflections, one per point along the
     leading axes: for the unit outward direction n, with s = sign(n_0) (+1
@@ -528,9 +527,15 @@ class HouseholderFrame:
     the last d - 1.
     """
 
+    __slots__ = ("radial", "w", "scale")
     radial: np.ndarray
     w: np.ndarray
     scale: np.ndarray   # |w_0| = 1 + |n_0| = |w|^2 / 2
+
+    def __init__(self, radial, w, scale):
+        object.__setattr__(self, "radial", radial)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "scale", scale)
 
     def step(self, d_rad, t) -> np.ndarray:
         """The ambient steps with outward radial parts d_rad and transverse

@@ -37,12 +37,11 @@ half-side at most QUADRATURE_KA, where that costs less than sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, record
 
 _SQRT3 = math.sqrt(3.0)
 Z99 = 2.5758293035489004    # two-sided 99% normal quantile
@@ -55,7 +54,7 @@ QUADRATURE_KA = 3.0
 # Radial parameter profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RadialProfile:
     """Nonnegative function of the radius.
 
@@ -243,6 +242,8 @@ class _AxisLaw(IncrementLaw):
     """A law of steps (d_rad, t) = (a(R) s u[0], b(R) s u[1:]) for unit rows u
     and the class's scale s: the elliptic and box laws."""
 
+    symmetric = True
+
     def __post_init__(self):
         if self.d < 2:
             raise DomainError(f"dimension must be >= 2, got {self.d}")
@@ -266,7 +267,7 @@ class _AxisLaw(IncrementLaw):
         return (*elliptic_moments(self.a(r), self.b(r), self.d), 0.0)
 
 
-@dataclass(frozen=True)
+@record
 class EllipticLaw(_AxisLaw):
     """Uniform measure on an ellipsoid shell with radial semi-axis a(r)*sqrt(d)
     and transverse semi-axes b(r)*sqrt(d).
@@ -277,8 +278,7 @@ class EllipticLaw(_AxisLaw):
     a: RadialProfile
     b: RadialProfile
     d: int
-    kind: str = field(default="elliptic", init=False)
-    symmetric: bool = field(default=True, init=False)
+    kind = "elliptic"
 
     @property
     def scale(self):
@@ -299,7 +299,7 @@ class EllipticLaw(_AxisLaw):
         return f"elliptic(a={self.a.describe()}, b={self.b.describe()}, d={self.d})"
 
 
-@dataclass(frozen=True)
+@record
 class BoxLaw(_AxisLaw):
     """Independent uniform components: sqrt(3)*U[-a, a] radially and
     sqrt(3)*U[-b, b] transversally, matching the elliptic second moments.
@@ -311,8 +311,7 @@ class BoxLaw(_AxisLaw):
     a: RadialProfile
     b: RadialProfile
     d: int
-    kind: str = field(default="box", init=False)
-    symmetric: bool = field(default=True, init=False)
+    kind = "box"
     scale = _SQRT3
 
     def unit_rows(self, m, rng):
@@ -363,7 +362,7 @@ def heavytail_outward_prob(y: float, lambda_r: float) -> float:
     return 0.5 * -math.expm1(-y)
 
 
-@dataclass(frozen=True)
+@record
 class HeavyTailLaw(IncrementLaw):
     """Zero-drift law with Pareto step lengths, density (m-1) y^-m on [1, inf).
 
@@ -377,8 +376,7 @@ class HeavyTailLaw(IncrementLaw):
     m: float
     d: int
     lam: Optional[RadialProfile] = None
-    kind: str = field(default="heavytail", init=False)
-    symmetric: bool = field(default=False, init=False)
+    kind = "heavytail"
 
     def __post_init__(self):
         if not self.m > 3.0:
@@ -448,7 +446,7 @@ class HeavyTailLaw(IncrementLaw):
         return f"heavytail(m={self.m!r}, lambda={lam}, d={self.d})"
 
 
-@dataclass(frozen=True)
+@record
 class InwardBiasedLaw(IncrementLaw):
     """Constant step length 4N with mean radial component -N.
 
@@ -459,8 +457,7 @@ class InwardBiasedLaw(IncrementLaw):
 
     strength: float
     d: int
-    kind: str = field(default="inwardbiased", init=False)
-    symmetric: bool = field(default=False, init=False)
+    kind = "inwardbiased"
 
     def __post_init__(self):
         if not self.strength > 0:
@@ -493,7 +490,7 @@ class InwardBiasedLaw(IncrementLaw):
         return f"inwardbiased(N={self.strength!r}, d={self.d})"
 
 
-@dataclass(frozen=True)
+@record
 class CustomLaw(IncrementLaw):
     """User-supplied component sampler.
 
@@ -507,7 +504,7 @@ class CustomLaw(IncrementLaw):
     bound: float = math.inf
     symmetric: bool = False
     name: str = "custom"
-    kind: str = field(default="custom", init=False)
+    kind = "custom"
 
     def sample_components(self, r, rng):
         return self.sampler(r, self.d, rng)
@@ -544,7 +541,7 @@ def elliptic_moments(a_val: float, b_val: float, d: int) -> tuple[float, float]:
 # Drift diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ZeroDriftResult:
     """Component-wise mean of sampled steps in the radial frame basis.
 

@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolationError, UsageError
+from .errors import DomainError, InvariantViolationError, UsageError, record
 from .increments import MOMENT_NAMES, Z99, IncrementLaw, RadialProfile, ZeroDriftResult
 # the estimators call the kernels here, where perfbench/spans.py wraps them
 from .geometry import (asymptotic_increment_batch, log_form_increment, log_one_plus_phi,
@@ -103,10 +102,12 @@ def _check_coeff_domain(k, d_tot):
 # Monte Carlo moment estimates
 # ---------------------------------------------------------------------------
 
-class Estimate(NamedTuple):
+@record
+class Estimate(tuple):
     """An estimate and its half-width: a two-sided 99% interval for a Monte
     Carlo estimate, the error estimate for a quadrature one."""
 
+    __slots__ = ()
     value: float
     half_width: float
 
@@ -281,7 +282,7 @@ def _check_samples(n_samples):
         raise UsageError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
 
 
-@dataclass(frozen=True)
+@record
 class MomentFunctions:
     """The first two moments of the asymptotic radial increment, and what the
     uniform-ellipticity screen reads from the same draws.
@@ -353,7 +354,7 @@ CRIT_ELLIPTIC_RECURRENT = "elliptic-analytic-recurrent"
 CRIT_EUCLIDEAN = "euclidean-2u-v"
 
 
-@dataclass(frozen=True)
+@record
 class MarginRow:
     """One evaluated inequality at one radius, for the margins CSV."""
 
@@ -365,7 +366,7 @@ class MarginRow:
     criterion: str
 
 
-@dataclass
+@record(frozen=False)
 class ClassificationReport:
     """Outcome of a classification attempt.
 
@@ -380,8 +381,8 @@ class ClassificationReport:
     margins: list
     theta: float
     r0: float
-    rows: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    rows: list = list
+    notes: list = list
 
     def as_text(self) -> str:
         lines = [

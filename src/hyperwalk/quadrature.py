@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, record
 from .geometry import _LOG2, log_form_increment, log_one_plus_phi
 
 MAX_ITERATIONS = 200    # root-finding steps per sign change, to a bracket below _TOL
@@ -73,11 +73,13 @@ def gauss_jacobi(n: int, beta: float = 0.0):
     return x, w
 
 
-class Atoms(NamedTuple):
+@record
+class Atoms(tuple):
     """Weighted steps: E[g(step)] is approximately weight @ g(atoms).  A
     line's `steps` returns them with the law's density in the line
     parameter as weight."""
 
+    __slots__ = ()
     d_rad: np.ndarray
     t_sq: np.ndarray
     d_tot: np.ndarray
@@ -85,7 +87,8 @@ class Atoms(NamedTuple):
     weight: np.ndarray
 
 
-class Line(NamedTuple):
+@record
+class Line(tuple):
     """A bundle of `size` lines over the parameter interval [lo, hi].
 
     `steps(s)` takes parameters of shape (size, m), row i on line i, and
@@ -101,6 +104,7 @@ class Line(NamedTuple):
     toward its ends (see `_grading`).
     """
 
+    __slots__ = ()
     lo: float
     hi: float
     steps: Callable

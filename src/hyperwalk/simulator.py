@@ -56,19 +56,17 @@ results are bit-identical across runs and across worker counts.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import itertools
 import math
 import os
 import pickle
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import (DomainError, HyperwalkError, InvariantViolationError, OverflowGuardError,
-                     UsageError)
+                     UsageError, record, replace)
 from .geometry import (
     TURN_KR_LIMIT,
     CurvatureModel,
@@ -112,7 +110,7 @@ _BOUND_MARGIN = 1.0 + 2.0 ** -40
 _TINY = 2.0 ** -500
 
 
-@dataclass(frozen=True)
+@record
 class WalkConfig:
     """Everything needed to reproduce an ensemble."""
 
@@ -147,7 +145,7 @@ class WalkConfig:
             )
 
 
-@dataclass
+@record(frozen=False)
 class TrajectoryRecord:
     """One walk's radial history and summary statistics.
 
@@ -169,7 +167,7 @@ class TrajectoryRecord:
     tail_dr_count: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class EnsembleStats:
     """Aggregate over an ensemble; fractions carry 99% binomial half-widths."""
 
@@ -783,7 +781,7 @@ def ensemble_stats(tallies, config: WalkConfig) -> EnsembleStats:
 # Probes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ProbeEstimate:
     """A hit-probability estimate with a 99% normal half-width.
 
@@ -812,7 +810,7 @@ def _hit_probe(config: WalkConfig, steps: int, hit, far: float = math.inf,
     mask of the walks that hit.  A walk whose radius passes `far`, where
     `hit` cannot read it, is dropped with an error before its hit is read.
     """
-    cfg = dataclasses.replace(config, steps=steps)
+    cfg = replace(config, steps=steps)
     successes = 0
     for n, walks in _lockstep_states(cfg, range(config.walks), directions=directions):
         if not walks.R.max(initial=0.0) <= far:

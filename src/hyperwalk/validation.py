@@ -21,16 +21,16 @@ bites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import geometry, increments, lamperti
+from .errors import record
 from .simulator import MODE_AMBIENT, WalkConfig, _lockstep_states
 
 
-@dataclass(frozen=True)
+@record
 class SuiteResult:
     name: str
     passed: bool

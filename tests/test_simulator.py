@@ -1,7 +1,6 @@
 """Walk-engine tests: coupling, determinism, probes, ensemble statistics."""
 
 import collections
-import dataclasses
 import math
 import os
 import pickle
@@ -22,6 +21,7 @@ from hyperwalk.errors import (
     InvariantViolationError,
     OverflowGuardError,
     UsageError,
+    replace,
 )
 from hyperwalk import geometry, simulator
 from hyperwalk.simulator import (
@@ -320,7 +320,7 @@ class TestBlockDrawCoupling:
         # moves the radii as a walk sampling at R alone does
         stepped = simulator._Lockstep(cfg, range(3), [None] * 3)
         stepped.step(1)
-        alone = simulator._Lockstep(dataclasses.replace(cfg, law=_per_step(law)), range(1),
+        alone = simulator._Lockstep(replace(cfg, law=_per_step(law)), range(1),
                                     [None])
         alone.step(1)
         assert alone.R[0] > R - y            # not the straight inward step
@@ -907,7 +907,7 @@ class TestHoistedGuards:
         monkeypatch.setattr(simulator, "BLOCK_STEPS", 4)
         lockstep = [_exact(r) for r in simulator._chunk_tally(cfg, range(cfg.walks)).records()]
         assert lockstep == [_exact(hw.run_walk(cfg, j)) for j in range(cfg.walks)]
-        per_step = dataclasses.replace(cfg, law=_per_step(cfg.law))
+        per_step = replace(cfg, law=_per_step(cfg.law))
         assert lockstep == [_exact(hw.run_walk(per_step, j)) for j in range(cfg.walks)]
         if not cfg.model.is_hyperbolic:
             loop = TestLockstepCoupling.step_by_step
@@ -1493,7 +1493,7 @@ class TestNeighborhoodReturnProbe:
         cfg = WalkConfig(HYP2, self.BOX, 10, 20, 4, mode=MODE_AMBIENT, start_radius=start)
         with pytest.raises(OverflowGuardError, match=r"walk 0: k\*R passed 700.0 at step 0"):
             hw.neighborhood_return_probe(cfg, start + 1.5, 1.0, 10)
-        near = dataclasses.replace(cfg, start_radius=5.0)
+        near = replace(cfg, start_radius=5.0)
         assert hw.neighborhood_return_probe(near, 6.5, 1.0, 10).successes < 20
 
     def test_walk_that_passes_the_turn_limit_raises(self):
